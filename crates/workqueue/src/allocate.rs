@@ -25,7 +25,6 @@
 //! packing density exactly as \[21\] describes.
 
 use lfm_monitor::report::{ResourceKind, ResourceReport};
-use lfm_simcluster::metrics::Samples;
 use lfm_simcluster::node::Resources;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -104,18 +103,97 @@ pub struct ObservationEffects {
     pub cap_changed: bool,
 }
 
+/// Observed peaks on one axis as an ordered multiset: `(value, count)` runs
+/// in ascending value order, plus the total. Peaks are whole megabytes, so
+/// the runs stay few however many tasks finish, and both recording and
+/// labeling cost O(distinct values) rather than O(samples).
+#[derive(Debug, Default, Clone)]
+struct PeakCounts {
+    runs: Vec<(f64, usize)>,
+    total: usize,
+}
+
+impl PeakCounts {
+    fn record(&mut self, x: f64) {
+        assert!(x.is_finite(), "non-finite sample");
+        let i = self.runs.partition_point(|&(v, _)| v < x);
+        match self.runs.get_mut(i) {
+            Some((v, n)) if *v == x => *n += 1,
+            _ => self.runs.insert(i, (x, 1)),
+        }
+        self.total += 1;
+    }
+
+    fn is_empty(&self) -> bool {
+        self.total == 0
+    }
+
+    /// Every sample, ascending (the snapshot's canonical order).
+    fn expanded(&self) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.total);
+        for &(v, n) in &self.runs {
+            out.extend(std::iter::repeat_n(v, n));
+        }
+        out
+    }
+
+    /// Choose the throughput-maximizing first allocation from observed peaks.
+    ///
+    /// Candidates are the distinct observed values. Returns the candidate
+    /// minimizing `P(u≤a)·a + (1−P(u≤a))·(a + retry_cost)`, where
+    /// `retry_cost` is the per-axis size of the whole-worker retry
+    /// allocation; the smallest minimizer wins ties. One ascending pass: the
+    /// running count is the empirical CDF's numerator at each candidate.
+    fn choose_label(&self, retry_cost: f64) -> Option<f64> {
+        let mut best = self.runs.last()?.0;
+        let mut best_cost = f64::INFINITY;
+        let mut at_or_below = 0usize;
+        for &(a, n) in &self.runs {
+            #[cfg(test)]
+            LABEL_VISITS.with(|c| c.set(c.get() + 1));
+            at_or_below += n;
+            let p = at_or_below as f64 / self.total as f64;
+            let cost = p * a + (1.0 - p) * (a + retry_cost);
+            if cost < best_cost {
+                best_cost = cost;
+                best = a;
+            }
+        }
+        Some(best)
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Multiset entries visited by `choose_label`, for the scaling guard
+    /// (one evaluation must cost O(distinct values), not O(samples)).
+    static LABEL_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Per-category observed peak samples.
 #[derive(Debug, Default, Clone)]
 struct CategoryStats {
-    cores: Samples,
-    memory_mb: Samples,
-    disk_mb: Samples,
+    /// Raw core peaks, kept only for the durability snapshot: the label
+    /// needs just their maximum.
+    cores: Vec<f64>,
+    cores_max: Option<f64>,
+    memory_mb: PeakCounts,
+    disk_mb: PeakCounts,
     completed: usize,
     /// Memoized Auto label for a given worker capacity, invalidated on every
     /// new observation. The scheduler consults the label once per dispatch
     /// examination and twice per completion (the change-notification hook);
-    /// without the memo each consultation re-sorts the whole sample set.
+    /// the memo makes every consultation between two observations O(1)
+    /// instead of a pass over both multisets.
     label_memo: Option<(Resources, Option<Resources>)>,
+}
+
+impl CategoryStats {
+    fn record_cores(&mut self, x: f64) {
+        assert!(x.is_finite(), "non-finite sample");
+        self.cores.push(x);
+        self.cores_max = Some(self.cores_max.map_or(x, |m| m.max(x)));
+    }
 }
 
 /// The allocator: owns strategy state and learns from reports.
@@ -170,7 +248,7 @@ impl Allocator {
     /// The first-attempt decision [`decide`](Self::decide) would return,
     /// without bumping the attempt counters. The master's indexed scheduler
     /// snapshots this before and after an observation to detect label
-    /// changes (`&mut` because Auto labeling sorts its sample store).
+    /// changes (`&mut` because Auto labeling fills the category's memo).
     pub fn peek_decision(&mut self, category: &str, capacity: &Resources) -> AllocationDecision {
         match &self.strategy {
             Strategy::Unmanaged => AllocationDecision::WholeWorker,
@@ -210,18 +288,26 @@ impl Allocator {
         completed: bool,
         violated: Option<ResourceKind>,
     ) {
-        let s = self.stats.entry(category.to_string()).or_default();
+        // Allocate the key only on a category's first observation.
+        if !self.stats.contains_key(category) {
+            self.stats
+                .insert(category.to_string(), CategoryStats::default());
+        }
+        let s = self
+            .stats
+            .get_mut(category)
+            .expect("present or just inserted");
         s.label_memo = None;
         match violated {
             None => {
-                s.cores.record(report.peak_cores.max(0.01));
+                s.record_cores(report.peak_cores.max(0.01));
                 s.memory_mb.record(report.peak_rss_mb.max(1) as f64);
                 s.disk_mb.record(report.peak_disk_mb.max(1) as f64);
             }
             // A killed run observed only partial usage: the non-violated
             // axes are truncated lower bounds that would drag the labels
             // down, so only the violated (censored, inflated) axis counts.
-            Some(ResourceKind::Cores) => s.cores.record(report.peak_cores.max(0.01) * 2.0),
+            Some(ResourceKind::Cores) => s.record_cores(report.peak_cores.max(0.01) * 2.0),
             Some(ResourceKind::Memory) => {
                 s.memory_mb.record(report.peak_rss_mb.max(1) as f64 * 2.0)
             }
@@ -256,23 +342,19 @@ impl Allocator {
     }
 
     /// Snapshot one category's sample stores for the durability journal.
-    /// Values are exported in
-    /// canonical (sorted) order — the label is a pure function of the
-    /// sample *multiset*, and the store's physical order depends on when
-    /// lazy label sorts happened, which differs between scheduler
-    /// implementations. Canonical order keeps snapshot bytes identical
-    /// wherever the multiset is.
+    /// Values are exported in canonical (sorted) order — the label is a pure
+    /// function of the sample *multiset*, so snapshot bytes are identical
+    /// wherever the multiset is, whatever order the samples arrived in. The
+    /// memory and disk multisets are already in that order; only the raw
+    /// core peaks need sorting.
     pub(crate) fn snapshot_category(&self, category: &str) -> Option<CategorySnapshot> {
         let s = self.stats.get(category)?;
-        let canonical = |samples: &Samples| {
-            let mut v: Vec<f64> = samples.iter().collect();
-            v.sort_by(|a, b| a.total_cmp(b));
-            v
-        };
+        let mut cores = s.cores.clone();
+        cores.sort_unstable_by(f64::total_cmp);
         Some((
-            canonical(&s.cores),
-            canonical(&s.memory_mb),
-            canonical(&s.disk_mb),
+            cores,
+            s.memory_mb.expanded(),
+            s.disk_mb.expanded(),
             s.completed,
         ))
     }
@@ -295,7 +377,7 @@ impl Allocator {
             "restore_category over live stats for {category}"
         );
         for &v in cores {
-            s.cores.record(v);
+            s.record_cores(v);
         }
         for &v in memory_mb {
             s.memory_mb.record(v);
@@ -341,9 +423,9 @@ impl Allocator {
             }
         }
         let label = (|| {
-            let mem = choose_label(&mut s.memory_mb, capacity.memory_mb as f64)? * cfg.headroom;
-            let disk = choose_label(&mut s.disk_mb, capacity.disk_mb as f64)? * cfg.headroom;
-            let cores = s.cores.max()?.ceil().max(1.0);
+            let mem = s.memory_mb.choose_label(capacity.memory_mb as f64)? * cfg.headroom;
+            let disk = s.disk_mb.choose_label(capacity.disk_mb as f64)? * cfg.headroom;
+            let cores = s.cores_max?.ceil().max(1.0);
             Some(Resources::new(
                 cores as u32,
                 mem.ceil() as u64,
@@ -355,30 +437,13 @@ impl Allocator {
     }
 }
 
-/// Choose the throughput-maximizing first allocation from observed peaks.
-///
-/// Candidates are the distinct observed values. Returns the candidate
-/// minimizing `P(u≤a)·a + (1−P(u≤a))·(a + retry_cost)`, where `retry_cost`
-/// is the per-axis size of the whole-worker retry allocation.
-fn choose_label(samples: &mut Samples, retry_cost: f64) -> Option<f64> {
-    let a_max = samples.max()?;
-    let candidates = samples.distinct_sorted();
-    let mut best = a_max;
-    let mut best_cost = f64::INFINITY;
-    for a in candidates {
-        let p = samples.cdf(a);
-        let cost = p * a + (1.0 - p) * (a + retry_cost);
-        if cost < best_cost {
-            best_cost = cost;
-            best = a;
-        }
-    }
-    Some(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    // Named so the enum wins over the proptest prelude's `Strategy` trait.
+    use super::Strategy;
+    use lfm_simcluster::metrics::Samples;
+    use proptest::prelude::*;
 
     /// Worker capacity used by the tests (8 cores / 8 GB / 16 GB).
     const CAP: Resources = Resources::new(8, 8192, 16384);
@@ -554,8 +619,228 @@ mod tests {
 
     #[test]
     fn choose_label_single_sample() {
-        let mut s = Samples::new();
+        let mut s = PeakCounts::default();
         s.record(42.0);
-        assert_eq!(choose_label(&mut s, 8192.0), Some(42.0));
+        assert_eq!(s.choose_label(8192.0), Some(42.0));
+        assert_eq!(PeakCounts::default().choose_label(8192.0), None);
+    }
+
+    // ---- oracle: the `Samples`-backed labeler the multiset replaced ----
+
+    /// The previous `choose_label`, verbatim: sort the whole store, collect
+    /// the distinct candidates, binary-search the CDF at each.
+    fn choose_label_oracle(samples: &mut Samples, retry_cost: f64) -> Option<f64> {
+        let a_max = samples.max()?;
+        let candidates = samples.distinct_sorted();
+        let mut best = a_max;
+        let mut best_cost = f64::INFINITY;
+        for a in candidates {
+            let p = samples.cdf(a);
+            let cost = p * a + (1.0 - p) * (a + retry_cost);
+            if cost < best_cost {
+                best_cost = cost;
+                best = a;
+            }
+        }
+        Some(best)
+    }
+
+    /// One category of the previous allocator: three `Samples` stores, no
+    /// memo. Mirrors `observe_outcome`, `auto_label`, `concurrency_cap` and
+    /// `snapshot_category` as they were.
+    #[derive(Default)]
+    struct OracleCategory {
+        cores: Samples,
+        memory_mb: Samples,
+        disk_mb: Samples,
+        completed: usize,
+    }
+
+    impl OracleCategory {
+        fn observe(
+            &mut self,
+            report: &ResourceReport,
+            completed: bool,
+            violated: Option<ResourceKind>,
+        ) {
+            match violated {
+                None => {
+                    self.cores.record(report.peak_cores.max(0.01));
+                    self.memory_mb.record(report.peak_rss_mb.max(1) as f64);
+                    self.disk_mb.record(report.peak_disk_mb.max(1) as f64);
+                }
+                Some(ResourceKind::Cores) => self.cores.record(report.peak_cores.max(0.01) * 2.0),
+                Some(ResourceKind::Memory) => self
+                    .memory_mb
+                    .record(report.peak_rss_mb.max(1) as f64 * 2.0),
+                Some(ResourceKind::Disk) => {
+                    self.disk_mb.record(report.peak_disk_mb.max(1) as f64 * 2.0)
+                }
+                Some(ResourceKind::WallTime) => {}
+            }
+            if completed {
+                self.completed += 1;
+            }
+        }
+
+        fn decision(&mut self, cfg: &AutoConfig, capacity: &Resources) -> AllocationDecision {
+            if self.completed < cfg.min_samples {
+                return AllocationDecision::WholeWorker;
+            }
+            let label = (|| {
+                let mem = choose_label_oracle(&mut self.memory_mb, capacity.memory_mb as f64)?
+                    * cfg.headroom;
+                let disk =
+                    choose_label_oracle(&mut self.disk_mb, capacity.disk_mb as f64)? * cfg.headroom;
+                let cores = self.cores.max()?.ceil().max(1.0);
+                Some(Resources::new(
+                    cores as u32,
+                    mem.ceil() as u64,
+                    disk.ceil() as u64,
+                ))
+            })();
+            label.map_or(AllocationDecision::WholeWorker, AllocationDecision::Sized)
+        }
+
+        fn cap(&self, cfg: &AutoConfig) -> Option<u32> {
+            (self.completed < cfg.slow_start_until).then(|| (2 * self.completed).max(4) as u32)
+        }
+
+        fn snapshot(&self) -> CategorySnapshot {
+            let canonical = |samples: &Samples| {
+                let mut v: Vec<f64> = samples.iter().collect();
+                v.sort_by(|a, b| a.total_cmp(b));
+                v
+            };
+            (
+                canonical(&self.cores),
+                canonical(&self.memory_mb),
+                canonical(&self.disk_mb),
+                self.completed,
+            )
+        }
+    }
+
+    fn bits(snap: &CategorySnapshot) -> (Vec<u64>, Vec<u64>, Vec<u64>, usize) {
+        let b = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (b(&snap.0), b(&snap.1), b(&snap.2), snap.3)
+    }
+
+    /// Capacities the labels are compared under; the first is the one the
+    /// notification hook runs on, so the others also exercise memo misses.
+    const CAPS: [Resources; 3] = [
+        CAP,
+        Resources::new(16, 32 * 1024, 64 * 1024),
+        Resources::new(1, 48, 96),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// The multiset picks the bit-identical label the sort-and-search
+        /// labeler picked, for any sample set — whole, inflated (×2) and
+        /// fractional values, with heavy duplication.
+        #[test]
+        fn multiset_label_equals_samples_oracle(
+            values in prop::collection::vec((1u64..40, 0u8..4), 1..120),
+            retry_cost in 1u64..20_000,
+        ) {
+            let mut counts = PeakCounts::default();
+            let mut samples = Samples::new();
+            for &(v, shape) in &values {
+                let x = match shape {
+                    0 | 1 => v as f64,
+                    2 => v as f64 * 2.0,
+                    _ => v as f64 / 3.0,
+                };
+                counts.record(x);
+                samples.record(x);
+                let got = counts.choose_label(retry_cost as f64).map(f64::to_bits);
+                let want = choose_label_oracle(&mut samples, retry_cost as f64).map(f64::to_bits);
+                prop_assert_eq!(got, want);
+            }
+            let mut sorted: Vec<f64> = samples.iter().collect();
+            sorted.sort_by(f64::total_cmp);
+            prop_assert_eq!(counts.expanded(), sorted);
+        }
+
+        /// Over a random observation stream — duplicates, kill-inflated
+        /// values on every axis, streams that cross the `min_samples` and
+        /// `slow_start_until` boundaries — the allocator's decisions under
+        /// several capacities, its observation effects and its snapshots all
+        /// equal the `Samples`-backed oracle's; and a snapshot restored into
+        /// a fresh allocator snapshots to the same bytes.
+        #[test]
+        fn allocator_equals_samples_oracle_on_observation_streams(
+            stream in prop::collection::vec(
+                (1u64..24, 1u64..6, 1u32..40, 0u8..8, any::<bool>()),
+                1..80,
+            ),
+            min_samples in 0usize..6,
+            slow_start_until in 0usize..12,
+            wide in any::<bool>(),
+        ) {
+            let cfg = AutoConfig { min_samples, headroom: 1.25, slow_start_until };
+            let mut a = Allocator::new(Strategy::Auto(cfg));
+            let mut oracle = OracleCategory::default();
+            for &(mem, disk, cores, kind, completed) in &stream {
+                // Narrow streams repeat a handful of values; wide ones
+                // spread them so most candidates are distinct.
+                let scale = if wide { 97 } else { 1 };
+                let r = report(cores as f64 / 8.0, mem * scale, disk * scale);
+                let violated = match kind {
+                    0 => Some(ResourceKind::Cores),
+                    1 => Some(ResourceKind::Memory),
+                    2 => Some(ResourceKind::Disk),
+                    3 => Some(ResourceKind::WallTime),
+                    _ => None,
+                };
+                let completed = completed || violated.is_none();
+                let (label_before, cap_before) = (oracle.decision(&cfg, &CAPS[0]), oracle.cap(&cfg));
+                oracle.observe(&r, completed, violated);
+                let want = ObservationEffects {
+                    label_changed: oracle.decision(&cfg, &CAPS[0]) != label_before,
+                    cap_changed: oracle.cap(&cfg) != cap_before,
+                };
+                let got = a.observe_outcome_notify("cat", &r, completed, violated, &CAPS[0]);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(a.concurrency_cap("cat"), oracle.cap(&cfg));
+                for cap in &CAPS {
+                    prop_assert_eq!(a.peek_decision("cat", cap), oracle.decision(&cfg, cap));
+                }
+            }
+            let snap = a.snapshot_category("cat").expect("observed");
+            prop_assert_eq!(bits(&snap), bits(&oracle.snapshot()));
+            let mut restored = Allocator::new(Strategy::Auto(cfg));
+            restored.restore_category("cat", &snap.0, &snap.1, &snap.2, snap.3);
+            prop_assert_eq!(bits(&restored.snapshot_category("cat").expect("restored")), bits(&snap));
+            for cap in &CAPS {
+                prop_assert_eq!(restored.peek_decision("cat", cap), a.peek_decision("cat", cap));
+            }
+        }
+    }
+
+    #[test]
+    fn label_evaluation_visits_distinct_values_not_samples() {
+        // 20 000 completions drawn from 37 memory and 11 disk sizes: one
+        // evaluation walks the 48 multiset entries, not the 40 000 samples,
+        // and consultations until the next observation walk nothing.
+        let mut a = Allocator::new(Strategy::Auto(AutoConfig::default()));
+        for i in 0..20_000u64 {
+            a.observe("cat", &report(1.0, 100 + i % 37, 500 + i % 11), true);
+        }
+        LABEL_VISITS.with(|c| c.set(0));
+        assert!(matches!(
+            a.peek_decision("cat", &CAP),
+            AllocationDecision::Sized(_)
+        ));
+        let visits = LABEL_VISITS.with(|c| c.get());
+        assert!(
+            (1..=37 + 11).contains(&visits),
+            "one evaluation visited {visits} entries"
+        );
+        a.peek_decision("cat", &CAP);
+        a.decide("cat", 0, &CAP);
+        assert_eq!(LABEL_VISITS.with(|c| c.get()), visits, "memo missed");
     }
 }

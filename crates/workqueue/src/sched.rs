@@ -21,8 +21,9 @@
 //!   most-free-cores preference is a reverse scan with early exit instead
 //!   of a full-pool sweep.
 //! * **File index** — inverted cache map (file name → workers holding it),
-//!   so the cached-inputs preference intersects candidate sets instead of
-//!   probing every worker's cache for every input.
+//!   so the cached-inputs preference is a set-membership test per worker
+//!   the capacity scan visits instead of a probe of that worker's cache
+//!   for every input.
 //!
 //! Exactness: see `DESIGN.md` §Scheduler for the argument that every skipped
 //! examination would have failed in the reference matcher, and that failed
@@ -390,66 +391,59 @@ impl IndexedSched {
     /// Choose a worker for `task` under `alloc`: prefer one with all the
     /// task's cacheable inputs already local, then the one with most free
     /// cores, lowest id breaking ties — exactly the reference preference,
-    /// computed from the indexes instead of a full scan.
+    /// as one descending scan of the capacity index. The scan order *is*
+    /// the `(free cores, id)` preference, so the first fitting worker found
+    /// in every holder set is the answer, and the first fitting worker of
+    /// any kind is the fallback when no holder fits. Quarantined workers
+    /// are absent from the index.
     pub fn pick_worker(
         &self,
         workers: &BTreeMap<u32, Worker>,
         task: &TaskSpec,
         alloc: &Resources,
     ) -> Option<u32> {
-        // Cached-preference path: intersect the holders of every cacheable
-        // input (iterate the smallest set, probe the rest), then take the
-        // most-free fitting worker among them.
+        // Holder sets of the task's cacheable inputs. With no cacheable
+        // input, or one nobody holds, no worker is preferred over another
+        // and the empty list makes the first fitting worker win outright.
         let mut holder_sets: Vec<&BTreeSet<u32>> = Vec::new();
-        let mut cacheable = false;
         for f in task.inputs.iter().filter(|f| f.cacheable) {
-            cacheable = true;
             match self.file_index.get(&f.name) {
                 Some(set) => holder_sets.push(set),
-                // Nobody holds this file: the intersection is empty.
                 None => {
                     holder_sets.clear();
                     break;
                 }
             }
         }
-        if cacheable && !holder_sets.is_empty() {
-            holder_sets.sort_by_key(|s| s.len());
-            let (smallest, rest) = holder_sets.split_first().expect("non-empty");
-            let mut best: Option<(u32, u32)> = None; // (free, id)
-            for &id in smallest.iter() {
-                if !rest.iter().all(|s| s.contains(&id)) {
-                    continue;
-                }
-                let w = &workers[&id];
-                if w.quarantined || !w.node.can_fit(alloc) {
-                    continue;
-                }
-                let free = w.node.available().cores;
-                // Ascending-id iteration: replace only on strictly more
-                // free cores, keeping the lowest id among ties.
-                if best.is_none_or(|(bf, _)| free > bf) {
-                    best = Some((free, id));
-                }
-            }
-            if let Some((_, id)) = best {
-                return Some(id);
-            }
-        }
-        // No cacheable inputs (every worker counts as "cached") or no cached
-        // worker fits: most free cores wins. The index iterates free-cores
-        // descending with ascending-id tie-break; the first full fit wins,
-        // and once free cores drop below the request nothing later can fit.
+        let mut fallback = None;
         for &(free, Reverse(id)) in self.cap_index.iter().rev() {
+            // Once free cores drop below the request nothing later can fit.
             if free < alloc.cores {
                 break;
             }
-            if workers[&id].node.can_fit(alloc) {
+            #[cfg(test)]
+            PICK_PROBES.with(|c| c.set(c.get() + 1));
+            let cached = holder_sets.iter().all(|s| s.contains(&id));
+            if !cached && fallback.is_some() {
+                continue;
+            }
+            if !workers[&id].node.can_fit(alloc) {
+                continue;
+            }
+            if cached {
                 return Some(id);
             }
+            fallback = Some(id);
         }
-        None
+        fallback
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Workers examined by `pick_worker`, for the scaling guards (a failing
+    /// examination on a full pool must not walk the pool).
+    static PICK_PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -459,6 +453,7 @@ mod tests {
     use crate::task::TaskId;
     use lfm_monitor::sim::SimTaskProfile;
     use lfm_simcluster::node::NodeSpec;
+    use proptest::prelude::*;
 
     fn task(id: u64, mem: u64, inputs: Vec<FileRef>) -> TaskSpec {
         TaskSpec::new(
@@ -636,6 +631,174 @@ mod tests {
         assert_eq!(
             ix.pick_worker(&workers, &t, &Resources::new(1, 1, 1)),
             Some(1)
+        );
+    }
+
+    // ---- placement oracle and scaling guards ----
+
+    /// A pool and its mirrored index, built through the same calls the
+    /// master makes (`worker_added`, `update_free`, `file_cached`,
+    /// `worker_offline`).
+    struct Pool {
+        workers: BTreeMap<u32, Worker>,
+        ix: IndexedSched,
+    }
+
+    impl Pool {
+        fn new(n: u32, spec: NodeSpec) -> Self {
+            let mut pool = Pool {
+                workers: BTreeMap::new(),
+                ix: IndexedSched::new(SchedulePolicy::Fifo),
+            };
+            for id in 0..n {
+                pool.workers.insert(id, Worker::new(id, spec));
+                pool.ix.worker_added(id, spec.resources.cores);
+            }
+            pool
+        }
+
+        fn free_cores(&self, id: u32) -> u32 {
+            self.workers[&id].node.available().cores
+        }
+
+        fn allocate(&mut self, id: u32, r: Resources) {
+            let old = self.free_cores(id);
+            assert!(self.workers.get_mut(&id).unwrap().node.allocate(r));
+            self.ix.update_free(id, old, self.free_cores(id));
+        }
+
+        fn free(&mut self, id: u32, r: Resources) {
+            let old = self.free_cores(id);
+            self.workers.get_mut(&id).unwrap().node.free(r);
+            self.ix.update_free(id, old, self.free_cores(id));
+        }
+
+        fn cache(&mut self, id: u32, file: &FileRef) {
+            if self.workers.get_mut(&id).unwrap().insert_cached(file) {
+                self.ix.file_cached(&file.name, id);
+            }
+        }
+
+        fn quarantine(&mut self, id: u32) {
+            self.workers.get_mut(&id).unwrap().quarantined = true;
+            self.ix.worker_offline(id, self.free_cores(id));
+        }
+
+        fn pick(&self, task: &TaskSpec, alloc: &Resources) -> Option<u32> {
+            self.ix.pick_worker(&self.workers, task, alloc)
+        }
+
+        /// The reference scan (`Master::pick_worker`): the `(cached, free
+        /// cores, lowest id)` maximum over non-quarantined fitting workers.
+        fn reference_pick(&self, task: &TaskSpec, alloc: &Resources) -> Option<u32> {
+            self.workers
+                .values()
+                .filter(|w| !w.quarantined && w.node.can_fit(alloc))
+                .map(|w| {
+                    let cached = task
+                        .inputs
+                        .iter()
+                        .filter(|f| f.cacheable)
+                        .all(|f| w.has_cached(&f.name));
+                    (cached, w.node.available().cores, Reverse(w.id()))
+                })
+                .max()
+                .map(|(_, _, Reverse(id))| id)
+        }
+    }
+
+    fn probes_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        PICK_PROBES.with(|c| c.set(0));
+        let out = f();
+        (out, PICK_PROBES.with(|c| c.get()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The fused capacity-ordered scan picks the worker the reference
+        /// scan picks, on random pools: partially cached inputs, no
+        /// cacheable inputs, an input nobody holds (empty `file_index`
+        /// entry), non-holders with the most free cores, workers with cores
+        /// to spare but no memory, quarantined holders.
+        #[test]
+        fn pick_worker_equals_reference_scan(
+            shape in prop::collection::vec(
+                (0u32..=8, 0u64..=8, 0u8..6, any::<bool>(), any::<bool>()),
+                1..24,
+            ),
+            inputs in 0u8..6,
+            want_cores in 1u32..=4,
+            want_mem in 1u64..=8,
+        ) {
+            let env = FileRef::environment("env", 100, 600, 10, 1);
+            let calib = FileRef::shared_data("calib", 50);
+            let mut pool = Pool::new(shape.len() as u32, NodeSpec::new(8, 8192, 16384));
+            for (id, &(cores, mem, quarantine, has_env, has_calib)) in shape.iter().enumerate() {
+                let id = id as u32;
+                pool.allocate(id, Resources::new(cores, mem * 1024, 1));
+                if has_env {
+                    pool.cache(id, &env);
+                }
+                if has_calib {
+                    pool.cache(id, &calib);
+                }
+                if quarantine == 0 {
+                    pool.quarantine(id);
+                }
+            }
+            let inputs = match inputs {
+                0 => vec![],
+                1 => vec![FileRef::data("in", 10)],
+                2 => vec![env],
+                3 => vec![env, FileRef::data("in", 10), calib],
+                4 => vec![env, FileRef::shared_data("unheld", 10)],
+                _ => vec![FileRef::shared_data("unheld", 10)],
+            };
+            let t = task(0, 1, inputs);
+            let alloc = Resources::new(want_cores, want_mem * 1024, 100);
+            let (got, probes) = probes_of(|| pool.pick(&t, &alloc));
+            prop_assert_eq!(got, pool.reference_pick(&t, &alloc));
+            let could_fit_cores = pool
+                .workers
+                .values()
+                .filter(|w| !w.quarantined && w.node.available().cores >= want_cores)
+                .count() as u64;
+            prop_assert!(probes <= could_fit_cores, "{probes} probes > {could_fit_cores}");
+        }
+    }
+
+    #[test]
+    fn full_warm_pool_examinations_do_not_walk_the_pool() {
+        // 256 x 16 cores, every worker holding the environment and fully
+        // busy with 1-core tasks: the steady state of a large batch.
+        let env = FileRef::environment("env", 100, 600, 10, 1);
+        let one = Resources::new(1, 512, 512);
+        let mut pool = Pool::new(256, NodeSpec::new(16, 65536, 65536));
+        for id in 0..256 {
+            pool.cache(id, &env);
+            for _ in 0..16 {
+                pool.allocate(id, one);
+            }
+        }
+        let t = task(0, 1, vec![env]);
+        // The settling examination after a placement: nothing fits, and the
+        // scan knows from the index head alone.
+        assert_eq!(probes_of(|| pool.pick(&t, &one)), (None, 0));
+        // A completion frees one slot: only that worker is examined.
+        pool.free(200, one);
+        assert_eq!(probes_of(|| pool.pick(&t, &one)), (Some(200), 1));
+        // Several free slots, the freest without the memory to use theirs:
+        // the scan is bounded by the workers with enough free cores.
+        pool.free(7, one);
+        pool.free(7, one);
+        pool.allocate(7, Resources::new(0, 65536 - 14 * 512, 0));
+        pool.free(90, one);
+        let (got, probes) = probes_of(|| pool.pick(&t, &one));
+        assert_eq!(got, Some(90));
+        assert!(
+            probes <= 3,
+            "{probes} probes for 3 workers with a free core"
         );
     }
 }

@@ -58,6 +58,12 @@ cargo test -q --offline -p lfm-bench
 cargo test -q --offline -p lfm-integration-tests --test telemetry_tail
 cargo build --release --offline -p lfm-bench --bin bench_tail
 
+echo "==> benchmark package (outside the workspace: root cargo test does not build it)"
+cargo build --release --offline --manifest-path lfm_benchmark/Cargo.toml
+cargo test --release --offline -q --manifest-path lfm_benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path lfm_benchmark/Cargo.toml -- \
+    --workload master_batch --seconds 1 --trace 0 | tail -n 1 | grep -q '"correct": true'
+
 echo "==> cargo bench --no-run"
 cargo bench --no-run --offline
 
