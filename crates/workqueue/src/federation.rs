@@ -197,33 +197,32 @@ pub fn partition(tasks: &[TaskSpec], shards: u32, policy: PartitionPolicy) -> Ve
                     }
                 }
             }
-            // Component weight = total profile duration; the greedy bin
-            // packer hands the heaviest component to the least-loaded shard.
-            let mut weight: BTreeMap<usize, f64> = BTreeMap::new();
-            let mut first_idx: BTreeMap<usize, usize> = BTreeMap::new();
+            // A root is its component's first index, so per-component data
+            // are flat arrays indexed by root. Weight = total duration; the
+            // heaviest component (ties: earliest) goes to the least-loaded shard.
+            let mut weight = vec![0.0f64; tasks.len()];
             for (i, task) in tasks.iter().enumerate() {
-                let root = find(&mut parent, i);
-                *weight.entry(root).or_insert(0.0) += task.profile.duration_secs;
-                first_idx.entry(root).or_insert(i);
+                weight[find(&mut parent, i)] += task.profile.duration_secs;
             }
-            let mut comps: Vec<(usize, f64)> = weight.into_iter().collect();
-            comps.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
+            let mut roots: Vec<usize> = (0..tasks.len()).filter(|&i| parent[i] == i).collect();
+            roots.sort_by(|&a, &b| {
+                weight[b]
+                    .partial_cmp(&weight[a])
                     .expect("durations are finite")
-                    .then(first_idx[&a.0].cmp(&first_idx[&b.0]))
+                    .then(a.cmp(&b))
             });
             let mut load = vec![0.0f64; shards as usize];
-            let mut comp_shard: BTreeMap<usize, u32> = BTreeMap::new();
-            for (root, w) in comps {
+            let mut comp_shard = vec![0u32; tasks.len()];
+            for root in roots {
                 let s = load.iter().enumerate().fold(
                     0usize,
                     |best, (i, &l)| if l < load[best] { i } else { best },
                 );
-                load[s] += w;
-                comp_shard.insert(root, s as u32);
+                load[s] += weight[root];
+                comp_shard[root] = s as u32;
             }
             (0..tasks.len())
-                .map(|i| comp_shard[&find(&mut parent, i)])
+                .map(|i| comp_shard[find(&mut parent, i)])
                 .collect()
         }
     }
@@ -239,8 +238,8 @@ pub struct FederationReport {
     /// concatenated shard-major.
     pub merged: RunReport,
     /// Each shard's own report. Note `task_count` on these equals the full
-    /// workload size — every shard holds the whole task vector and only
-    /// enqueues its owned slice.
+    /// workload size — the shards share one task vector (addressed by
+    /// global index) and each enqueues only its owned slice.
     pub shard_reports: Vec<RunReport>,
     pub shards: u32,
     /// Steal batches executed.
@@ -261,9 +260,10 @@ pub struct FederationReport {
 }
 
 impl FederationReport {
-    /// Aggregate scheduler throughput: Σ over shards of (terminal tasks ÷
-    /// host wall seconds stepping that shard). Scales ≈ linearly in shard
-    /// count when per-event cost does not degrade — the bench headline.
+    /// Σ over shards of (terminal tasks ÷ host wall seconds stepping that
+    /// shard). A derived per-shard figure — the shards step one at a time
+    /// on one core, so this is not a throughput; end to end is tasks ÷ the
+    /// wall seconds of the whole [`run_federated`] call.
     pub fn aggregate_tasks_per_sec(&self) -> f64 {
         self.shard_completed
             .iter()
@@ -350,21 +350,14 @@ pub fn run_federated(
     let total = tasks.len();
     let n = shards as usize;
 
-    let mut masters: Vec<Master> = (0..shards)
-        .map(|s| {
-            let mut cfg = config.clone();
-            cfg.shards = 1;
-            if shards > 1 {
-                // Independent per-shard fault/draw streams, derived
-                // deterministically from the run seed. A 1-shard federation
-                // keeps the seed untouched for bitwise equivalence.
-                cfg.seed = crate::faults::mix(config.seed ^ (0x5eed_f0e0 + s as u64));
-            }
-            let base = worker_count / shards;
-            let w = base + u32::from(s < worker_count % shards);
-            Master::new_shard(cfg, tasks.clone(), w, spec, s, owner.clone())
-        })
-        .collect();
+    let mut masters = build_shards(
+        config,
+        Arc::new(tasks),
+        owner.clone(),
+        shards,
+        worker_count,
+        spec,
+    );
     for m in &mut masters {
         m.start();
     }
@@ -500,6 +493,34 @@ pub fn run_federated(
     }
 }
 
+/// One sub-master per shard of `owner`'s partition (`shards` ≤
+/// `worker_count`). Every shard shares the one task vector and ownership
+/// map; only the per-task state each master derives from them is per shard.
+fn build_shards(
+    config: &MasterConfig,
+    tasks: Arc<Vec<TaskSpec>>,
+    owner: Arc<Vec<u32>>,
+    shards: u32,
+    worker_count: u32,
+    spec: NodeSpec,
+) -> Vec<Master> {
+    (0..shards)
+        .map(|s| {
+            let mut cfg = config.clone();
+            cfg.shards = 1;
+            if shards > 1 {
+                // Independent per-shard fault/draw streams, derived
+                // deterministically from the run seed. A 1-shard federation
+                // keeps the seed untouched for bitwise equivalence.
+                cfg.seed = crate::faults::mix(config.seed ^ (0x5eed_f0e0 + s as u64));
+            }
+            let base = worker_count / shards;
+            let w = base + u32::from(s < worker_count % shards);
+            Master::new_shard(cfg, tasks.clone(), w, spec, s, owner.clone())
+        })
+        .collect()
+}
+
 /// Sum counters, max the makespan, concatenate results shard-major, and
 /// recompute the derived overcommit from the summed integrals.
 fn merge_reports(reports: &[RunReport], total_tasks: usize) -> RunReport {
@@ -611,6 +632,183 @@ mod tests {
         // All four shards actually own work.
         for s in 0..4u32 {
             assert!(owner.contains(&s), "shard {s} owns nothing");
+        }
+    }
+
+    /// `partition` as it stood before the flat-array rewrite, verbatim: the
+    /// reference [`flat_partition_matches_the_btreemap_oracle`] compares
+    /// against.
+    fn partition_oracle(tasks: &[TaskSpec], shards: u32, policy: PartitionPolicy) -> Vec<u32> {
+        assert!(shards > 0, "need at least one shard");
+        if shards == 1 {
+            return vec![0; tasks.len()];
+        }
+        match policy {
+            PartitionPolicy::RoundRobin => (0..tasks.len()).map(|i| i as u32 % shards).collect(),
+            PartitionPolicy::ByCategory => {
+                let mut cat_shard: BTreeMap<&str, u32> = BTreeMap::new();
+                let mut next = 0u32;
+                tasks
+                    .iter()
+                    .map(|t| {
+                        *cat_shard.entry(&t.category).or_insert_with(|| {
+                            let s = next % shards;
+                            next += 1;
+                            s
+                        })
+                    })
+                    .collect()
+            }
+            PartitionPolicy::ByComponent => {
+                // Union-find over weakly-connected dependency components.
+                let ids: BTreeMap<TaskId, usize> =
+                    tasks.iter().enumerate().map(|(i, t)| (t.id, i)).collect();
+                let mut parent: Vec<usize> = (0..tasks.len()).collect();
+                fn find(parent: &mut [usize], mut x: usize) -> usize {
+                    while parent[x] != x {
+                        parent[x] = parent[parent[x]];
+                        x = parent[x];
+                    }
+                    x
+                }
+                for (i, t) in tasks.iter().enumerate() {
+                    for d in &t.deps {
+                        if let Some(&j) = ids.get(d) {
+                            let (a, b) = (find(&mut parent, i), find(&mut parent, j));
+                            if a != b {
+                                parent[a.max(b)] = a.min(b);
+                            }
+                        }
+                    }
+                }
+                // Component weight = total profile duration; the greedy bin
+                // packer hands the heaviest component to the least-loaded shard.
+                let mut weight: BTreeMap<usize, f64> = BTreeMap::new();
+                let mut first_idx: BTreeMap<usize, usize> = BTreeMap::new();
+                for (i, task) in tasks.iter().enumerate() {
+                    let root = find(&mut parent, i);
+                    *weight.entry(root).or_insert(0.0) += task.profile.duration_secs;
+                    first_idx.entry(root).or_insert(i);
+                }
+                let mut comps: Vec<(usize, f64)> = weight.into_iter().collect();
+                comps.sort_by(|a, b| {
+                    b.1.partial_cmp(&a.1)
+                        .expect("durations are finite")
+                        .then(first_idx[&a.0].cmp(&first_idx[&b.0]))
+                });
+                let mut load = vec![0.0f64; shards as usize];
+                let mut comp_shard: BTreeMap<usize, u32> = BTreeMap::new();
+                for (root, w) in comps {
+                    let s =
+                        load.iter().enumerate().fold(
+                            0usize,
+                            |best, (i, &l)| if l < load[best] { i } else { best },
+                        );
+                    load[s] += w;
+                    comp_shard.insert(root, s as u32);
+                }
+                (0..tasks.len())
+                    .map(|i| comp_shard[&find(&mut parent, i)])
+                    .collect()
+            }
+        }
+    }
+
+    const POLICIES: [PartitionPolicy; 3] = [
+        PartitionPolicy::RoundRobin,
+        PartitionPolicy::ByCategory,
+        PartitionPolicy::ByComponent,
+    ];
+
+    fn assert_matches_oracle(tasks: &[TaskSpec]) {
+        for policy in POLICIES {
+            for shards in 1..=9 {
+                assert_eq!(
+                    partition(tasks, shards, policy),
+                    partition_oracle(tasks, shards, policy),
+                    "{policy:?} over {shards} shards, {} tasks",
+                    tasks.len()
+                );
+            }
+        }
+    }
+
+    /// One task per `(duration, category, dependency shape, a, b)` row. Ids
+    /// differ from indices; durations are small integers, so component
+    /// totals are exact and collide often (the first-index tie-break
+    /// decides). Shapes: independent, chain on the previous task, diamond
+    /// join on two arbitrary tasks, and a dependency on an id outside the
+    /// batch (alone or beside a real one).
+    fn shaped_tasks(rows: &[(u64, u64, u8, usize, usize)]) -> Vec<TaskSpec> {
+        let id = |i: usize| TaskId(i as u64 * 7 + 3);
+        let n = rows.len();
+        rows.iter()
+            .enumerate()
+            .map(|(i, &(dur, cat, shape, a, b))| {
+                let t = TaskSpec::new(
+                    id(i),
+                    format!("cat{cat}"),
+                    Vec::new(),
+                    1 << 10,
+                    SimTaskProfile::new(dur as f64 * 10.0, 1.0, 500, 100),
+                );
+                let foreign = TaskId(1_000_000 + a as u64);
+                match shape {
+                    3 if i > 0 => t.after(vec![id(i - 1)]),
+                    4 => t.after(vec![id(a % n), id(b % n)]),
+                    5 => t.after(vec![foreign]),
+                    6 => t.after(vec![foreign, id(b % n)]),
+                    _ => t,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn equal_weight_components_tie_break_on_first_index() {
+        // Three 2-task chains and three singletons, every component exactly
+        // 60 s, chains and singletons interleaved.
+        let rows = [
+            (3, 0, 0, 0, 0),
+            (3, 1, 3, 0, 0),
+            (6, 0, 0, 0, 0),
+            (3, 2, 0, 0, 0),
+            (3, 2, 3, 0, 0),
+            (6, 1, 0, 0, 0),
+            (2, 0, 0, 0, 0),
+            (4, 0, 3, 0, 0),
+            (6, 2, 0, 0, 0),
+        ];
+        let tasks = shaped_tasks(&rows);
+        assert_matches_oracle(&tasks);
+        // Earliest component first onto the (all-empty) lowest shard.
+        let owner = partition(&tasks, 6, PartitionPolicy::ByComponent);
+        assert_eq!(owner, vec![0, 0, 1, 2, 2, 3, 4, 4, 5]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn flat_partition_matches_the_btreemap_oracle(
+            rows in proptest::collection::vec(
+                (1u64..4, 0u64..4, 0u8..7, 0usize..64, 0usize..64),
+                1..48,
+            )
+        ) {
+            assert_matches_oracle(&shaped_tasks(&rows));
+        }
+    }
+
+    #[test]
+    fn shards_share_one_task_vector() {
+        let cfg = MasterConfig::new(oracle()).with_seed(9);
+        let tasks = Arc::new(chain_tasks(24, 4));
+        let owner = Arc::new(partition(&tasks, 4, PartitionPolicy::ByComponent));
+        let masters = build_shards(&cfg, tasks.clone(), owner, 4, 8, node());
+        assert_eq!(Arc::strong_count(&tasks), 4 + 1, "a shard copied the tasks");
+        for m in &masters {
+            assert!(Arc::ptr_eq(m.shared_tasks(), &tasks));
         }
     }
 

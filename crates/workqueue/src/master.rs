@@ -31,7 +31,7 @@ use lfm_simcluster::time::SimTime;
 use lfm_telemetry::{Name, Recorder};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Pre-interned telemetry names for the master's emission sites.
 ///
@@ -656,7 +656,7 @@ pub(crate) enum OutMsg {
 /// produced since the federation driver last drained it.
 pub(crate) struct FedState {
     pub shard: u32,
-    pub owner: std::sync::Arc<Vec<u32>>,
+    pub owner: Arc<Vec<u32>>,
     pub outbox: Vec<OutMsg>,
     /// Stolen-task arrivals injected but not yet handled — the stealing
     /// balancer must not treat a shard as hungry while work is in flight
@@ -736,7 +736,10 @@ pub fn run_workload(
 
 pub(crate) struct Master {
     config: MasterConfig,
-    tasks: Vec<TaskSpec>,
+    /// The workload, shared by every shard of a federated run (per-task
+    /// *state* below stays per master). Only streamed admission writes it,
+    /// and a streaming master is its vector's sole owner.
+    tasks: Arc<Vec<TaskSpec>>,
     workers: BTreeMap<u32, Worker>,
     sched: SchedState,
     queue: EventQueue<Event>,
@@ -838,6 +841,15 @@ impl Master {
     pub(crate) fn new(
         config: MasterConfig,
         tasks: Vec<TaskSpec>,
+        worker_count: u32,
+        spec: NodeSpec,
+    ) -> Self {
+        Self::build(config, Arc::new(tasks), worker_count, spec)
+    }
+
+    fn build(
+        config: MasterConfig,
+        tasks: Arc<Vec<TaskSpec>>,
         worker_count: u32,
         spec: NodeSpec,
     ) -> Self {
@@ -952,17 +964,18 @@ impl Master {
     }
 
     /// Construct a federated sub-master: shard `shard` of the ownership map
-    /// `owner` (one entry per task in `tasks`, value = owning shard).
+    /// `owner` (one entry per task in `tasks`, value = owning shard). All
+    /// shards of a run share the one task vector.
     pub(crate) fn new_shard(
         config: MasterConfig,
-        tasks: Vec<TaskSpec>,
+        tasks: Arc<Vec<TaskSpec>>,
         worker_count: u32,
         spec: NodeSpec,
         shard: u32,
-        owner: std::sync::Arc<Vec<u32>>,
+        owner: Arc<Vec<u32>>,
     ) -> Self {
         debug_assert_eq!(owner.len(), tasks.len());
-        let mut m = Master::new(config, tasks, worker_count, spec);
+        let mut m = Master::build(config, tasks, worker_count, spec);
         m.fed = Some(FedState {
             shard,
             owner,
@@ -1224,7 +1237,7 @@ impl Master {
             cat,
             spec: Box::new(spec.clone()),
         });
-        self.tasks.push(spec);
+        Arc::make_mut(&mut self.tasks).push(spec);
         self.enqueue_back(Pending {
             task_idx,
             attempt: 0,
@@ -3283,6 +3296,13 @@ impl Master {
     /// Events handled so far (federation telemetry).
     pub(crate) fn events_processed(&self) -> u64 {
         self.processed_events
+    }
+
+    /// The task vector's `Arc`, for the sharing guards (federation shards
+    /// share one; a streaming master owns its own alone).
+    #[cfg(test)]
+    pub(crate) fn shared_tasks(&self) -> &Arc<Vec<TaskSpec>> {
+        &self.tasks
     }
 
     // ---- streaming driver surface (see `streaming.rs`) ----

@@ -236,6 +236,7 @@ mod tests {
     use crate::task::TaskId;
     use lfm_monitor::sim::SimTaskProfile;
     use std::collections::BTreeMap;
+    use std::sync::Arc;
 
     fn node() -> NodeSpec {
         NodeSpec::new(8, 8192, 16384)
@@ -493,6 +494,32 @@ mod tests {
             sm.finish()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn submit_grows_the_masters_own_task_vector() {
+        // The task vector sits behind an `Arc` (federation shards share
+        // one). A streaming master is its vector's sole owner, so every
+        // admission appends in place — `Arc::make_mut` never copies —
+        // before and after a journaled crash recovery.
+        let cfg = MasterConfig::new(oracle())
+            .with_seed(41)
+            .with_durability(DurabilityConfig::journal_with_snapshots(200))
+            .with_faults(FaultPlan::reliable().with(FaultSpec::master_crash(60.0, 3)));
+        let mut sm = streaming(&cfg, 4);
+        assert!(sm.master.shared_tasks().is_empty());
+        for wave in 0..10u64 {
+            let at = SimTime::from_secs(wave as f64 * 3.0);
+            sm.submit(at, invocations(6, wave * 6));
+            sm.run_until(at);
+            assert_eq!(Arc::strong_count(sm.master.shared_tasks()), 1);
+        }
+        sm.drain();
+        assert!(sm.recoveries() > 0, "crash points never fired");
+        let tasks = sm.master.shared_tasks();
+        assert_eq!(Arc::strong_count(tasks), 1);
+        let ids: Vec<u64> = tasks.iter().map(|t| t.id.0).collect();
+        assert_eq!(ids, (0..60).collect::<Vec<u64>>(), "admission order");
     }
 
     #[test]

@@ -61,8 +61,13 @@ cargo build --release --offline -p lfm-bench --bin bench_tail
 echo "==> benchmark package (outside the workspace: root cargo test does not build it)"
 cargo build --release --offline --manifest-path lfm_benchmark/Cargo.toml
 cargo test --release --offline -q --manifest-path lfm_benchmark/Cargo.toml
-cargo run --release --offline --quiet --manifest-path lfm_benchmark/Cargo.toml -- \
-    --workload master_batch --seconds 1 --trace 0 | tail -n 1 | grep -q '"correct": true'
+for w in master_batch master_dag_chaos federation_8shard serving_steady serving_overload paper_figs; do
+    echo "    workload $w"
+    last=$(cargo run --release --offline --quiet --manifest-path lfm_benchmark/Cargo.toml -- \
+        --workload "$w" --seconds 1 --trace 0 | tail -n 1)
+    grep -q '"correct": true' <<<"$last"
+    grep -q '"failed": 0' <<<"$last"
+done
 
 echo "==> cargo bench --no-run"
 cargo bench --no-run --offline
