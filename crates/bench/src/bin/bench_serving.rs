@@ -151,7 +151,7 @@ fn main() {
                 horizon = 20.0;
                 loads = vec![0.5, 1.0, 2.0];
             }
-            "--trace" | "--trace-stream" | "--trace-out" | "--trace-jsonl" | "--trace-perfetto" => {
+            "--trace" => {
                 // Already consumed by TraceOpts::from_args; skip the value.
                 it.next();
             }

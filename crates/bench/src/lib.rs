@@ -105,74 +105,19 @@ impl TraceSpec {
     }
 }
 
-/// Parse every trace flag out of an argument list (the testable core of
-/// [`TraceOpts::from_arg_slice`]). Accepts the unified
-/// `--trace <spec>` flag plus the deprecated aliases `--trace-out`
-/// (chrome), `--trace-jsonl`, `--trace-perfetto`, and
-/// `--trace-stream <format>=<path>`; aliases emit a deprecation warning
-/// on stderr. Unknown arguments are ignored (left for the binary's own
-/// parser); a malformed spec or a flag missing its value panics with a
-/// usage message.
+/// Parse every `--trace <spec>` flag out of an argument list (the testable
+/// core of [`TraceOpts::from_arg_slice`]). Unknown arguments are ignored
+/// (left for the binary's own parser); a malformed spec or a flag missing
+/// its value panics with a usage message.
 pub fn parse_trace_specs(args: &[String]) -> Vec<TraceSpec> {
     let mut specs = Vec::new();
     let mut it = args.iter();
-    let legacy = |flag: &str, hint: &str, path: &str| {
-        eprintln!("[trace] warning: `{flag} <path>` is deprecated; use `--trace {hint}=<path>`");
-        PathBuf::from(path)
-    };
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--trace" => {
-                let val = it
-                    .next()
-                    .expect("--trace requires <chrome|jsonl|perfetto>[:stream]=<path>");
-                specs.push(TraceSpec::parse(val).unwrap_or_else(|e| panic!("{e}")));
-            }
-            "--trace-stream" => {
-                let val = it
-                    .next()
-                    .expect("--trace-stream requires <chrome|jsonl|perfetto>=<path>");
-                let mut spec = TraceSpec::parse(val).unwrap_or_else(|e| panic!("{e}"));
-                spec.stream = true;
-                specs.push(spec);
-            }
-            "--trace-out" => {
-                let path = legacy(
-                    "--trace-out",
-                    "chrome",
-                    it.next().expect("--trace-out requires a path"),
-                );
-                specs.push(TraceSpec {
-                    format: TraceFormat::Chrome,
-                    stream: false,
-                    path,
-                });
-            }
-            "--trace-jsonl" => {
-                let path = legacy(
-                    "--trace-jsonl",
-                    "jsonl",
-                    it.next().expect("--trace-jsonl requires a path"),
-                );
-                specs.push(TraceSpec {
-                    format: TraceFormat::Jsonl,
-                    stream: false,
-                    path,
-                });
-            }
-            "--trace-perfetto" => {
-                let path = legacy(
-                    "--trace-perfetto",
-                    "perfetto",
-                    it.next().expect("--trace-perfetto requires a path"),
-                );
-                specs.push(TraceSpec {
-                    format: TraceFormat::Perfetto,
-                    stream: false,
-                    path,
-                });
-            }
-            _ => {}
+        if arg == "--trace" {
+            let val = it
+                .next()
+                .expect("--trace requires <chrome|jsonl|perfetto>[:stream]=<path>");
+            specs.push(TraceSpec::parse(val).unwrap_or_else(|e| panic!("{e}")));
         }
     }
     specs
@@ -662,37 +607,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_trace_flags_alias_to_unified_specs() {
-        let specs = parse_trace_specs(&strings(&[
-            "--seed",
-            "7",
-            "--trace-out",
-            "/tmp/a.json",
-            "--trace-jsonl",
-            "/tmp/b.jsonl",
-            "--trace-perfetto",
-            "/tmp/c.pftrace",
-            "--trace-stream",
-            "chrome=/tmp/d.json",
-            "--trace",
-            "perfetto:stream=/tmp/e.pftrace",
-        ]));
-        use TraceFormat::*;
-        let expect = [
-            (Chrome, false, "/tmp/a.json"),
-            (Jsonl, false, "/tmp/b.jsonl"),
-            (Perfetto, false, "/tmp/c.pftrace"),
-            (Chrome, true, "/tmp/d.json"),
-            (Perfetto, true, "/tmp/e.pftrace"),
-        ];
-        assert_eq!(specs.len(), expect.len());
-        for (spec, (format, stream, path)) in specs.iter().zip(expect) {
-            assert_eq!((spec.format, spec.stream), (format, stream));
-            assert_eq!(spec.path, PathBuf::from(path));
-        }
-    }
-
-    #[test]
     fn streamed_chrome_trace_matches_buffered_output() {
         use lfm_core::simcluster::time::SimTime;
         let emit = |rec: &Recorder| {
@@ -762,12 +676,12 @@ mod tests {
     fn trace_opts_install_write_and_validate() {
         let path = std::env::temp_dir().join("lfm_bench_trace_opts_test.json");
         let pftrace = std::env::temp_dir().join("lfm_bench_trace_opts_test.pftrace");
-        let args = vec![
-            "--trace-out".to_string(),
-            path.display().to_string(),
-            "--trace-perfetto".to_string(),
-            pftrace.display().to_string(),
-        ];
+        let args = strings(&[
+            "--trace",
+            &format!("chrome={}", path.display()),
+            "--trace",
+            &format!("perfetto={}", pftrace.display()),
+        ]);
         let opts = TraceOpts::from_arg_slice(&args);
         assert!(opts.enabled());
         lfm_core::telemetry::global().counter("bench.test_counter", 3);

@@ -836,7 +836,7 @@ static GLOBAL: OnceLock<Recorder> = OnceLock::new();
 
 /// Install (idempotently) and return the process-wide recorder. The first
 /// caller enables it; later callers get the same session. Used by runner
-/// binaries behind `--trace-out`.
+/// binaries behind `--trace`.
 pub fn install_global() -> Recorder {
     GLOBAL.get_or_init(Recorder::enabled).clone()
 }

@@ -196,6 +196,31 @@ impl CategoryStats {
     }
 }
 
+/// The samples one observation adds to a category's stores, as
+/// `[cores, memory_mb, disk_mb]`. A clean run contributes its floored peak
+/// on every axis. A killed run observed only partial usage: its
+/// non-violated axes are truncated lower bounds that would drag the labels
+/// down, so only the violated axis counts — censored, hence doubled (see
+/// [`Allocator::observe`]). Journal replay rebuilds sample stores with the
+/// same function, so recovered labels are the live ones.
+pub(crate) fn censored_samples(
+    peak_cores: f64,
+    peak_rss_mb: u64,
+    peak_disk_mb: u64,
+    violated: Option<ResourceKind>,
+) -> [Option<f64>; 3] {
+    let factor = |axis| match violated {
+        None => Some(1.0),
+        Some(kind) if kind == axis => Some(2.0),
+        Some(_) => None,
+    };
+    [
+        factor(ResourceKind::Cores).map(|f| peak_cores.max(0.01) * f),
+        factor(ResourceKind::Memory).map(|f| peak_rss_mb.max(1) as f64 * f),
+        factor(ResourceKind::Disk).map(|f| peak_disk_mb.max(1) as f64 * f),
+    ]
+}
+
 /// The allocator: owns strategy state and learns from reports.
 /// One category's exported sample stores, in canonical (sorted) order:
 /// `(cores, memory_mb, disk_mb, completed)`.
@@ -298,21 +323,20 @@ impl Allocator {
             .get_mut(category)
             .expect("present or just inserted");
         s.label_memo = None;
-        match violated {
-            None => {
-                s.record_cores(report.peak_cores.max(0.01));
-                s.memory_mb.record(report.peak_rss_mb.max(1) as f64);
-                s.disk_mb.record(report.peak_disk_mb.max(1) as f64);
-            }
-            // A killed run observed only partial usage: the non-violated
-            // axes are truncated lower bounds that would drag the labels
-            // down, so only the violated (censored, inflated) axis counts.
-            Some(ResourceKind::Cores) => s.record_cores(report.peak_cores.max(0.01) * 2.0),
-            Some(ResourceKind::Memory) => {
-                s.memory_mb.record(report.peak_rss_mb.max(1) as f64 * 2.0)
-            }
-            Some(ResourceKind::Disk) => s.disk_mb.record(report.peak_disk_mb.max(1) as f64 * 2.0),
-            Some(ResourceKind::WallTime) => {}
+        let [cores, memory_mb, disk_mb] = censored_samples(
+            report.peak_cores,
+            report.peak_rss_mb,
+            report.peak_disk_mb,
+            violated,
+        );
+        if let Some(x) = cores {
+            s.record_cores(x);
+        }
+        if let Some(x) = memory_mb {
+            s.memory_mb.record(x);
+        }
+        if let Some(x) = disk_mb {
+            s.disk_mb.record(x);
         }
         if completed {
             s.completed += 1;

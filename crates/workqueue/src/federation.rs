@@ -495,7 +495,8 @@ pub fn run_federated(
 
 /// One sub-master per shard of `owner`'s partition (`shards` ≤
 /// `worker_count`). Every shard shares the one task vector and ownership
-/// map; only the per-task state each master derives from them is per shard.
+/// map, and the workload checks and category interning of the first; only
+/// the per-task state each master keeps is per shard.
 fn build_shards(
     config: &MasterConfig,
     tasks: Arc<Vec<TaskSpec>>,
@@ -504,21 +505,30 @@ fn build_shards(
     worker_count: u32,
     spec: NodeSpec,
 ) -> Vec<Master> {
-    (0..shards)
-        .map(|s| {
-            let mut cfg = config.clone();
-            cfg.shards = 1;
-            if shards > 1 {
-                // Independent per-shard fault/draw streams, derived
-                // deterministically from the run seed. A 1-shard federation
-                // keeps the seed untouched for bitwise equivalence.
-                cfg.seed = crate::faults::mix(config.seed ^ (0x5eed_f0e0 + s as u64));
-            }
-            let base = worker_count / shards;
-            let w = base + u32::from(s < worker_count % shards);
-            Master::new_shard(cfg, tasks.clone(), w, spec, s, owner.clone())
-        })
-        .collect()
+    let mut masters: Vec<Master> = Vec::with_capacity(shards as usize);
+    for s in 0..shards {
+        let mut cfg = config.clone();
+        cfg.shards = 1;
+        if shards > 1 {
+            // Independent per-shard fault/draw streams, derived
+            // deterministically from the run seed. A 1-shard federation
+            // keeps the seed untouched for bitwise equivalence.
+            cfg.seed = crate::faults::mix(config.seed ^ (0x5eed_f0e0 + s as u64));
+        }
+        let base = worker_count / shards;
+        let w = base + u32::from(s < worker_count % shards);
+        let m = Master::new_shard(
+            cfg,
+            tasks.clone(),
+            w,
+            spec,
+            s,
+            owner.clone(),
+            masters.first(),
+        );
+        masters.push(m);
+    }
+    masters
 }
 
 /// Sum counters, max the makespan, concatenate results shard-major, and

@@ -12,12 +12,17 @@
 //!   plain counter bumps. Records are written at placement-identical points,
 //!   so the Reference and Indexed schedulers produce byte-identical
 //!   journals — the equivalence suites pin recovery for free.
-//! * **Snapshots** — a `MasterImage` is a complete serialized image of
-//!   the master-logical state (pending queue in examination order, live
-//!   placements with lease deadlines, allocator sample stores, dependency
-//!   countdowns, quarantine ledger, report counters). Installing one
-//!   compacts the journal: recovery replays only the record tail written
-//!   since.
+//! * **The ledger** — a `Ledger` is the one home of the master's journaled
+//!   plain data (dependency countdowns, live placements with lease
+//!   deadlines, result rows, retry sets, backoff and quarantine timers,
+//!   report counters), and `Ledger::apply` is the one place that says what
+//!   a record does to it. The live master and journal replay both go
+//!   through it, so live ≡ replay holds by construction.
+//! * **Snapshots** — a `MasterImage` is the ledger plus the three views
+//!   whose live form is an index or lives in another module (pending queue
+//!   in examination order, allocator sample stores, per-worker fault
+//!   counts). Installing one compacts the journal: recovery replays only
+//!   the record tail written since.
 //! * **Recovery** — `image = snapshot ⊕ replay(tail)`, then the master
 //!   rebuilds either scheduler implementation from the image. World state
 //!   (workers, caches, the shared filesystem, the network, in-flight
@@ -30,12 +35,13 @@
 //! strings. See DESIGN.md §5e for the format and the recovery invariants.
 
 use crate::files::{FileKind, FileRef};
+use crate::sched::Pending;
 use crate::task::{TaskId, TaskResult, TaskSpec};
 use lfm_monitor::report::{MonitorOutcome, ResourceKind, ResourceReport};
 use lfm_monitor::sim::SimTaskProfile;
 use lfm_simcluster::node::Resources;
 use lfm_simcluster::time::SimTime;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Durability knobs for the master. Defaults to journaling off — a
 /// fault-free run writes no journal and behaves bit-identically to the
@@ -142,9 +148,9 @@ impl CounterKey {
     }
 }
 
-/// One write-ahead record. Each variant mirrors exactly one state-changing
-/// transition in the master; replay applies the same mutation to a
-/// [`MasterImage`].
+/// One write-ahead record. Each variant is exactly one state-changing
+/// transition in the master; [`Ledger::apply`] says what it does, for the
+/// live master and for replay alike.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Record {
     /// Journal header: sanity-checks that a journal is replayed against the
@@ -306,17 +312,17 @@ fn put_resources(out: &mut Vec<u8>, r: &Resources) {
 }
 
 /// A little-endian byte reader over an encoded journal/snapshot.
-pub(crate) struct Reader<'a> {
+struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.pos >= self.buf.len()
     }
 
@@ -398,6 +404,24 @@ fn read_resource_kind(r: &mut Reader<'_>) -> Result<Option<ResourceKind>, Journa
         4 => Some(ResourceKind::WallTime),
         t => return Err(JournalError::BadTag("resource-kind", t)),
     })
+}
+
+fn put_lease(out: &mut Vec<u8>, lease_at: Option<SimTime>) {
+    match lease_at {
+        None => put_u8(out, 0),
+        Some(t) => {
+            put_u8(out, 1);
+            put_time(out, t);
+        }
+    }
+}
+
+fn read_lease(r: &mut Reader<'_>) -> Result<Option<SimTime>, JournalError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(r.time()?)),
+        t => Err(JournalError::BadTag("lease-at", t)),
+    }
 }
 
 fn put_report(out: &mut Vec<u8>, r: &ResourceReport) {
@@ -594,7 +618,7 @@ fn read_spec(r: &mut Reader<'_>) -> Result<TaskSpec, JournalError> {
 }
 
 impl Record {
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Record::RunStart {
                 seed,
@@ -644,13 +668,7 @@ impl Record {
                 put_u32(out, *attempt);
                 put_resources(out, alloc);
                 put_time(out, *started_at);
-                match lease_at {
-                    None => put_u8(out, 0),
-                    Some(t) => {
-                        put_u8(out, 1);
-                        put_time(out, *t);
-                    }
-                }
+                put_lease(out, *lease_at);
             }
             Record::Zombie { placement } => {
                 put_u8(out, 4);
@@ -753,7 +771,7 @@ impl Record {
         }
     }
 
-    pub fn decode(r: &mut Reader<'_>) -> Result<Record, JournalError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Record, JournalError> {
         Ok(match r.u8()? {
             0 => Record::RunStart {
                 seed: r.u64()?,
@@ -771,28 +789,15 @@ impl Record {
                 attempt: r.u32()?,
                 at: r.time()?,
             },
-            3 => {
-                let placement = r.u64()?;
-                let worker = r.u32()?;
-                let task_idx = r.u64()?;
-                let attempt = r.u32()?;
-                let alloc = r.resources()?;
-                let started_at = r.time()?;
-                let lease_at = match r.u8()? {
-                    0 => None,
-                    1 => Some(r.time()?),
-                    t => return Err(JournalError::BadTag("lease-at", t)),
-                };
-                Record::Placed {
-                    placement,
-                    worker,
-                    task_idx,
-                    attempt,
-                    alloc,
-                    started_at,
-                    lease_at,
-                }
-            }
+            3 => Record::Placed {
+                placement: r.u64()?,
+                worker: r.u32()?,
+                task_idx: r.u64()?,
+                attempt: r.u32()?,
+                alloc: r.resources()?,
+                started_at: r.time()?,
+                lease_at: read_lease(r)?,
+            },
             4 => Record::Zombie {
                 placement: r.u64()?,
             },
@@ -853,21 +858,254 @@ impl Record {
     }
 }
 
-// ---- the serialized master image (snapshot payload / replay target) ----
+// ---- the ledger: the master's journaled state and what records do to it ----
 
-/// A live placement as the journal sees it.
+/// A live placement, for loss recovery and lease reclamation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct PlacementSnap {
+pub(crate) struct PlacementInfo {
     pub worker: u32,
-    pub task_idx: u64,
+    pub task_idx: usize,
     pub attempt: u32,
-    pub alloc: Resources,
+    pub allocated: Resources,
     pub started_at: SimTime,
+    /// The task ran but its result message was lost: worker resources are
+    /// already freed, and the placement stays live (so a duplicate
+    /// completion can never slip in) until its lease reclaims it.
     pub zombie: bool,
-    /// Absolute lease deadline; recovery re-arms the lease at
-    /// `max(lease_at, now)`.
+    /// Absolute lease deadline, when leases are armed; recovery re-arms the
+    /// reclamation timer at `max(lease_at, now)`.
     pub lease_at: Option<SimTime>,
 }
+
+/// The report counters that journal as [`Record::Counter`] deltas. They
+/// count what happened in the *world* (pilots submitted, workers and
+/// attempts lost), so a journal-less full restart carries them over whole.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Counters {
+    pub workers_provisioned: u32,
+    pub workers_lost: u32,
+    pub tasks_lost: u64,
+    pub lease_reclaims: u64,
+    pub stage_in_failures: u64,
+    pub spurious_kills: u64,
+    pub result_msgs_lost: u64,
+    pub lost_core_secs: f64,
+}
+
+/// The master's journaled plain-data state, in the representation the live
+/// master works on. `Master` owns one and changes it only by committing
+/// records; a snapshot carries one; replay folds the record tail into one.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Ledger {
+    /// Unsatisfied-dependency counts per task; a task enters the pending
+    /// queue only at zero. `usize::MAX` = cancelled.
+    pub dep_remaining: Vec<usize>,
+    /// Tasks that reached a terminal state (successes plus abandoned).
+    pub completed: usize,
+    pub abandoned: u64,
+    /// Every attempt's result row, in completion order.
+    pub results: Vec<TaskResult>,
+    /// Tasks that consumed a resource-limit retry / an infrastructure retry.
+    pub retried: BTreeSet<usize>,
+    pub infra_retried: BTreeSet<usize>,
+    /// Per-task infrastructure-failure counts, against the infra budget.
+    pub infra_fail_count: Vec<u32>,
+    /// Consecutive infra failures per category — the backoff streak, reset
+    /// on any success in the category.
+    pub cat_streak: Vec<u32>,
+    pub placements: BTreeMap<u64, PlacementInfo>,
+    /// Never reset, not even by a full restart: a stale completion is
+    /// recognised by its placement id no longer being live.
+    pub next_placement: u64,
+    /// Armed backoff timers `(task_idx, attempt, fire_at)` in arm order (not
+    /// task order), so recovery re-arms equal-time timers in their original
+    /// FIFO tie-break.
+    pub backoffs: Vec<(usize, u32, SimTime)>,
+    /// Quarantined workers and their release deadlines, in entry order for
+    /// the same reason.
+    pub quarantined_until: Vec<(u32, SimTime)>,
+    pub quarantines: u32,
+    /// Packed-env distribution degraded to the shared FS for the rest of
+    /// the run, after `env_failures` packed-env staging failures.
+    pub degraded: bool,
+    pub env_failures: u32,
+    pub counters: Counters,
+}
+
+/// The dependency topology [`Ledger::apply`] reads to release a finished
+/// task's dependents. Borrowed: the task vector is the workload and the
+/// dependents map is derived from it.
+pub(crate) struct DepGraph<'a> {
+    pub tasks: &'a [TaskSpec],
+    pub dependents: &'a BTreeMap<TaskId, Vec<usize>>,
+    /// `(ownership map, this shard)` on a federated sub-master. Only
+    /// locally-owned dependents count down here; remote ones are released
+    /// through the federation outbox and their owner's own journal.
+    pub shard: Option<(&'a [u32], u32)>,
+}
+
+impl Ledger {
+    /// The ledger of a freshly constructed master (nothing enqueued yet —
+    /// the root enqueues are the first journal records).
+    pub fn fresh(dep_remaining: Vec<usize>, cat_count: usize) -> Self {
+        Ledger {
+            infra_fail_count: vec![0; dep_remaining.len()],
+            cat_streak: vec![0; cat_count],
+            dep_remaining,
+            ..Ledger::default()
+        }
+    }
+
+    /// What one record does to the journaled state — the only code that
+    /// changes a ledger field. Returns the tasks whose last dependency the
+    /// record satisfied (the live master enqueues them; in a journal their
+    /// `Enqueue` records follow).
+    pub fn apply(&mut self, rec: &Record, graph: &DepGraph<'_>) -> Vec<usize> {
+        match rec {
+            // An enqueue of an attempt retires any armed backoff for it:
+            // the timer fired.
+            Record::Enqueue {
+                task_idx, attempt, ..
+            } => self
+                .backoffs
+                .retain(|&(t, a, _)| !(t == *task_idx as usize && a == *attempt)),
+            Record::BackoffArm {
+                task_idx,
+                attempt,
+                at,
+            } => self.backoffs.push((*task_idx as usize, *attempt, *at)),
+            Record::Placed {
+                placement,
+                worker,
+                task_idx,
+                attempt,
+                alloc,
+                started_at,
+                lease_at,
+            } => {
+                self.placements.insert(
+                    *placement,
+                    PlacementInfo {
+                        worker: *worker,
+                        task_idx: *task_idx as usize,
+                        attempt: *attempt,
+                        allocated: *alloc,
+                        started_at: *started_at,
+                        zombie: false,
+                        lease_at: *lease_at,
+                    },
+                );
+                self.next_placement = placement + 1;
+            }
+            Record::Zombie { placement } => {
+                if let Some(p) = self.placements.get_mut(placement) {
+                    p.zombie = true;
+                }
+            }
+            Record::Freed { placement } => {
+                self.placements.remove(placement);
+            }
+            Record::Result(tr) => self.results.push((**tr).clone()),
+            Record::Finished { task_idx, success } => {
+                self.completed += 1;
+                if *success {
+                    let id = graph.tasks[*task_idx as usize].id;
+                    let dependents = graph.dependents.get(&id).map_or(&[][..], Vec::as_slice);
+                    return self.satisfy(
+                        dependents.iter().copied().filter(|&d| {
+                            graph.shard.is_none_or(|(owner, shard)| owner[d] == shard)
+                        }),
+                    );
+                }
+            }
+            Record::RemoteDep { task_idx } => return self.satisfy([*task_idx as usize]),
+            Record::Abandoned { .. } => {
+                self.abandoned += 1;
+                self.completed += 1;
+            }
+            Record::Cancelled { task_idx } => {
+                self.dep_remaining[*task_idx as usize] = usize::MAX;
+                self.abandoned += 1;
+                self.completed += 1;
+            }
+            Record::Retried { task_idx } => {
+                self.retried.insert(*task_idx as usize);
+            }
+            Record::InfraRetried { task_idx, count } => {
+                self.infra_retried.insert(*task_idx as usize);
+                self.infra_fail_count[*task_idx as usize] = *count;
+            }
+            Record::Streak { cat, value } => self.cat_streak[*cat as usize] = *value,
+            Record::Quarantined { worker, release_at } => {
+                self.quarantined_until.push((*worker, *release_at));
+                self.quarantines += 1;
+            }
+            Record::QuarantineLifted { worker } => {
+                self.quarantined_until.retain(|&(w, _)| w != *worker)
+            }
+            Record::EnvFailure { count } => self.env_failures = *count,
+            Record::Degraded => self.degraded = true,
+            // A streamed admission grows the per-task vectors by one
+            // dependency-free slot, and a first-seen category the
+            // per-category one. The spec itself lives in the master's task
+            // vector; the record's copy keeps the journal self-contained.
+            Record::Submitted { task_idx, cat, .. } => {
+                debug_assert_eq!(
+                    *task_idx,
+                    self.dep_remaining.len() as u64,
+                    "streamed admissions apply in admission order"
+                );
+                self.dep_remaining.push(0);
+                self.infra_fail_count.push(0);
+                if self.cat_streak.len() <= *cat as usize {
+                    self.cat_streak.resize(*cat as usize + 1, 0);
+                }
+            }
+            Record::Counter { key, amount } => {
+                let c = &mut self.counters;
+                match key {
+                    CounterKey::WorkersProvisioned => c.workers_provisioned += *amount as u32,
+                    CounterKey::WorkersLost => c.workers_lost += *amount as u32,
+                    CounterKey::TasksLost => c.tasks_lost += *amount as u64,
+                    CounterKey::LeaseReclaims => c.lease_reclaims += *amount as u64,
+                    CounterKey::StageInFailures => c.stage_in_failures += *amount as u64,
+                    CounterKey::SpuriousKills => c.spurious_kills += *amount as u64,
+                    CounterKey::ResultMsgsLost => c.result_msgs_lost += *amount as u64,
+                    CounterKey::LostCoreSecs => c.lost_core_secs += *amount,
+                }
+            }
+            // No ledger state: the header is a sanity check, a steal only
+            // leaves the pending queue, an observation feeds the allocator,
+            // and fault attribution lives on the `Worker`.
+            Record::RunStart { .. }
+            | Record::Stolen { .. }
+            | Record::Observe { .. }
+            | Record::WorkerFault { .. } => {}
+        }
+        Vec::new()
+    }
+
+    /// Count one satisfied dependency off each of `dependents` and report
+    /// those that reached zero, each once — a task listing one dependency
+    /// twice counts down twice and becomes ready once. A cancelled
+    /// dependent stays cancelled: counting its marker down would let a
+    /// second failing upstream cancel (and count) it again.
+    fn satisfy(&mut self, dependents: impl IntoIterator<Item = usize>) -> Vec<usize> {
+        let mut ready = Vec::new();
+        for idx in dependents {
+            if self.dep_remaining[idx] == usize::MAX {
+                continue;
+            }
+            self.dep_remaining[idx] -= 1;
+            if self.dep_remaining[idx] == 0 {
+                ready.push(idx);
+            }
+        }
+        ready
+    }
+}
+
+// ---- the serialized master image (snapshot payload / replay target) ----
 
 /// One category's allocator state: the raw sample stores (already including
 /// the censored-axis inflation applied at observation time) plus the
@@ -882,98 +1120,56 @@ pub(crate) struct CategorySnap {
     pub completed: u64,
 }
 
-/// The complete serializable image of the master's logical state. A
+/// The complete serializable image of the master's logical state: the
+/// ledger, plus the three views whose live form is an index
+/// (`IndexedSched`) or lives in another module (`Allocator`, `Worker`). A
 /// snapshot encodes one; journal replay folds records into one; recovery
 /// rebuilds either scheduler implementation from one.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct MasterImage {
-    /// Pending queue in examination order: `(task_idx, attempt, since)`.
-    /// Snapshots enumerate the policy-sorted order (identical for both
-    /// scheduler implementations); replay maintains deque order. Either
-    /// preserves the within-rank relative order that determines dispatch.
-    pub pending: VecDeque<(u64, u32, SimTime)>,
-    /// Armed backoff timers: `(task_idx, attempt, fire_at)`.
-    pub backoffs: Vec<(u64, u32, SimTime)>,
-    pub placements: BTreeMap<u64, PlacementSnap>,
-    pub next_placement: u64,
+    pub ledger: Ledger,
+    /// Pending queue in examination order. Snapshots enumerate the
+    /// policy-sorted order (identical for both scheduler implementations);
+    /// replay maintains deque order. Either preserves the within-rank
+    /// relative order that determines dispatch.
+    pub pending: VecDeque<Pending>,
     /// Allocator sample stores, dense by interned category id.
     pub alloc_stats: Vec<CategorySnap>,
-    /// `u64::MAX` = cancelled.
-    pub dep_remaining: Vec<u64>,
-    pub completed: u64,
-    pub abandoned: u64,
-    pub results: Vec<TaskResult>,
-    pub retried: Vec<u64>,
-    pub infra_retried: Vec<u64>,
-    pub infra_fail_count: Vec<u32>,
-    pub cat_streak: Vec<u32>,
     /// Per-worker infra-failure attribution.
     pub worker_faults: BTreeMap<u32, u32>,
-    /// Quarantined workers and their release deadlines, in quarantine-entry
-    /// order — recovery re-arms release timers in that order so equal-time
-    /// releases keep their original FIFO tie-break.
-    pub quarantined_until: Vec<(u32, SimTime)>,
-    pub quarantines: u32,
-    pub degraded: bool,
-    pub env_failures: u32,
-    pub workers_provisioned: u32,
-    pub workers_lost: u32,
-    pub tasks_lost: u64,
-    pub lease_reclaims: u64,
-    pub stage_in_failures: u64,
-    pub spurious_kills: u64,
-    pub result_msgs_lost: u64,
-    pub lost_core_secs: f64,
 }
 
 impl MasterImage {
-    /// The image of a freshly constructed master (nothing enqueued yet —
-    /// the root enqueues are the first journal records).
-    pub fn fresh(dep_remaining: &[usize], task_count: usize, cat_count: usize) -> Self {
-        MasterImage {
-            dep_remaining: dep_remaining
-                .iter()
-                .map(|&d| if d == usize::MAX { u64::MAX } else { d as u64 })
-                .collect(),
-            infra_fail_count: vec![0; task_count],
-            cat_streak: vec![0; cat_count],
-            alloc_stats: vec![CategorySnap::default(); cat_count],
-            ..MasterImage::default()
-        }
-    }
-
+    /// The wire layout interleaves ledger fields with the three views in a
+    /// fixed order, with indices as `u64` (a cancelled dependency count as
+    /// `u64::MAX`) and times as `f64` seconds.
     pub fn encode(&self) -> Vec<u8> {
+        let l = &self.ledger;
         let mut out = Vec::new();
         put_u64(&mut out, self.pending.len() as u64);
-        for &(t, a, since) in &self.pending {
-            put_u64(&mut out, t);
-            put_u32(&mut out, a);
-            put_time(&mut out, since);
+        for p in &self.pending {
+            put_u64(&mut out, p.task_idx as u64);
+            put_u32(&mut out, p.attempt);
+            put_time(&mut out, p.since);
         }
-        put_u64(&mut out, self.backoffs.len() as u64);
-        for &(t, a, at) in &self.backoffs {
-            put_u64(&mut out, t);
+        put_u64(&mut out, l.backoffs.len() as u64);
+        for &(t, a, at) in &l.backoffs {
+            put_u64(&mut out, t as u64);
             put_u32(&mut out, a);
             put_time(&mut out, at);
         }
-        put_u64(&mut out, self.placements.len() as u64);
-        for (&id, p) in &self.placements {
+        put_u64(&mut out, l.placements.len() as u64);
+        for (&id, p) in &l.placements {
             put_u64(&mut out, id);
             put_u32(&mut out, p.worker);
-            put_u64(&mut out, p.task_idx);
+            put_u64(&mut out, p.task_idx as u64);
             put_u32(&mut out, p.attempt);
-            put_resources(&mut out, &p.alloc);
+            put_resources(&mut out, &p.allocated);
             put_time(&mut out, p.started_at);
             put_bool(&mut out, p.zombie);
-            match p.lease_at {
-                None => put_u8(&mut out, 0),
-                Some(t) => {
-                    put_u8(&mut out, 1);
-                    put_time(&mut out, t);
-                }
-            }
+            put_lease(&mut out, p.lease_at);
         }
-        put_u64(&mut out, self.next_placement);
+        put_u64(&mut out, l.next_placement);
         put_u64(&mut out, self.alloc_stats.len() as u64);
         for s in &self.alloc_stats {
             for axis in [&s.cores, &s.memory_mb, &s.disk_mb] {
@@ -984,28 +1180,28 @@ impl MasterImage {
             }
             put_u64(&mut out, s.completed);
         }
-        put_u64(&mut out, self.dep_remaining.len() as u64);
-        for &d in &self.dep_remaining {
-            put_u64(&mut out, d);
+        put_u64(&mut out, l.dep_remaining.len() as u64);
+        for &d in &l.dep_remaining {
+            put_u64(&mut out, if d == usize::MAX { u64::MAX } else { d as u64 });
         }
-        put_u64(&mut out, self.completed);
-        put_u64(&mut out, self.abandoned);
-        put_u64(&mut out, self.results.len() as u64);
-        for tr in &self.results {
+        put_u64(&mut out, l.completed as u64);
+        put_u64(&mut out, l.abandoned);
+        put_u64(&mut out, l.results.len() as u64);
+        for tr in &l.results {
             put_result(&mut out, tr);
         }
-        for set in [&self.retried, &self.infra_retried] {
+        for set in [&l.retried, &l.infra_retried] {
             put_u64(&mut out, set.len() as u64);
             for &t in set {
-                put_u64(&mut out, t);
+                put_u64(&mut out, t as u64);
             }
         }
-        put_u64(&mut out, self.infra_fail_count.len() as u64);
-        for &c in &self.infra_fail_count {
+        put_u64(&mut out, l.infra_fail_count.len() as u64);
+        for &c in &l.infra_fail_count {
             put_u32(&mut out, c);
         }
-        put_u64(&mut out, self.cat_streak.len() as u64);
-        for &c in &self.cat_streak {
+        put_u64(&mut out, l.cat_streak.len() as u64);
+        for &c in &l.cat_streak {
             put_u32(&mut out, c);
         }
         put_u64(&mut out, self.worker_faults.len() as u64);
@@ -1013,67 +1209,55 @@ impl MasterImage {
             put_u32(&mut out, w);
             put_u32(&mut out, c);
         }
-        put_u64(&mut out, self.quarantined_until.len() as u64);
-        for &(w, t) in &self.quarantined_until {
+        put_u64(&mut out, l.quarantined_until.len() as u64);
+        for &(w, t) in &l.quarantined_until {
             put_u32(&mut out, w);
             put_time(&mut out, t);
         }
-        put_u32(&mut out, self.quarantines);
-        put_bool(&mut out, self.degraded);
-        put_u32(&mut out, self.env_failures);
-        put_u32(&mut out, self.workers_provisioned);
-        put_u32(&mut out, self.workers_lost);
-        put_u64(&mut out, self.tasks_lost);
-        put_u64(&mut out, self.lease_reclaims);
-        put_u64(&mut out, self.stage_in_failures);
-        put_u64(&mut out, self.spurious_kills);
-        put_u64(&mut out, self.result_msgs_lost);
-        put_f64(&mut out, self.lost_core_secs);
+        put_u32(&mut out, l.quarantines);
+        put_bool(&mut out, l.degraded);
+        put_u32(&mut out, l.env_failures);
+        put_u32(&mut out, l.counters.workers_provisioned);
+        put_u32(&mut out, l.counters.workers_lost);
+        put_u64(&mut out, l.counters.tasks_lost);
+        put_u64(&mut out, l.counters.lease_reclaims);
+        put_u64(&mut out, l.counters.stage_in_failures);
+        put_u64(&mut out, l.counters.spurious_kills);
+        put_u64(&mut out, l.counters.result_msgs_lost);
+        put_f64(&mut out, l.counters.lost_core_secs);
         out
     }
 
     pub fn decode(buf: &[u8]) -> Result<Self, JournalError> {
         let mut r = Reader::new(buf);
         let mut img = MasterImage::default();
+        let l = &mut img.ledger;
         for _ in 0..r.u64()? {
-            let t = r.u64()?;
-            let a = r.u32()?;
-            let since = r.time()?;
-            img.pending.push_back((t, a, since));
+            img.pending.push_back(Pending {
+                task_idx: r.u64()? as usize,
+                attempt: r.u32()?,
+                since: r.time()?,
+            });
         }
         for _ in 0..r.u64()? {
-            let t = r.u64()?;
-            let a = r.u32()?;
-            let at = r.time()?;
-            img.backoffs.push((t, a, at));
+            l.backoffs.push((r.u64()? as usize, r.u32()?, r.time()?));
         }
         for _ in 0..r.u64()? {
             let id = r.u64()?;
-            let worker = r.u32()?;
-            let task_idx = r.u64()?;
-            let attempt = r.u32()?;
-            let alloc = r.resources()?;
-            let started_at = r.time()?;
-            let zombie = r.bool()?;
-            let lease_at = match r.u8()? {
-                0 => None,
-                1 => Some(r.time()?),
-                t => return Err(JournalError::BadTag("lease-at", t)),
-            };
-            img.placements.insert(
+            l.placements.insert(
                 id,
-                PlacementSnap {
-                    worker,
-                    task_idx,
-                    attempt,
-                    alloc,
-                    started_at,
-                    zombie,
-                    lease_at,
+                PlacementInfo {
+                    worker: r.u32()?,
+                    task_idx: r.u64()? as usize,
+                    attempt: r.u32()?,
+                    allocated: r.resources()?,
+                    started_at: r.time()?,
+                    zombie: r.bool()?,
+                    lease_at: read_lease(&mut r)?,
                 },
             );
         }
-        img.next_placement = r.u64()?;
+        l.next_placement = r.u64()?;
         for _ in 0..r.u64()? {
             let mut s = CategorySnap::default();
             for axis in [&mut s.cores, &mut s.memory_mb, &mut s.disk_mb] {
@@ -1085,46 +1269,48 @@ impl MasterImage {
             img.alloc_stats.push(s);
         }
         for _ in 0..r.u64()? {
-            img.dep_remaining.push(r.u64()?);
+            let d = r.u64()?;
+            l.dep_remaining.push(if d == u64::MAX {
+                usize::MAX
+            } else {
+                d as usize
+            });
         }
-        img.completed = r.u64()?;
-        img.abandoned = r.u64()?;
+        l.completed = r.u64()? as usize;
+        l.abandoned = r.u64()?;
         for _ in 0..r.u64()? {
-            img.results.push(read_result(&mut r)?);
+            l.results.push(read_result(&mut r)?);
         }
-        for _ in 0..r.u64()? {
-            img.retried.push(r.u64()?);
-        }
-        for _ in 0..r.u64()? {
-            img.infra_retried.push(r.u64()?);
-        }
-        for _ in 0..r.u64()? {
-            img.infra_fail_count.push(r.u32()?);
-        }
-        for _ in 0..r.u64()? {
-            img.cat_streak.push(r.u32()?);
+        for set in [&mut l.retried, &mut l.infra_retried] {
+            for _ in 0..r.u64()? {
+                set.insert(r.u64()? as usize);
+            }
         }
         for _ in 0..r.u64()? {
-            let w = r.u32()?;
-            let c = r.u32()?;
-            img.worker_faults.insert(w, c);
+            l.infra_fail_count.push(r.u32()?);
         }
         for _ in 0..r.u64()? {
-            let w = r.u32()?;
-            let t = r.time()?;
-            img.quarantined_until.push((w, t));
+            l.cat_streak.push(r.u32()?);
         }
-        img.quarantines = r.u32()?;
-        img.degraded = r.bool()?;
-        img.env_failures = r.u32()?;
-        img.workers_provisioned = r.u32()?;
-        img.workers_lost = r.u32()?;
-        img.tasks_lost = r.u64()?;
-        img.lease_reclaims = r.u64()?;
-        img.stage_in_failures = r.u64()?;
-        img.spurious_kills = r.u64()?;
-        img.result_msgs_lost = r.u64()?;
-        img.lost_core_secs = r.f64()?;
+        for _ in 0..r.u64()? {
+            img.worker_faults.insert(r.u32()?, r.u32()?);
+        }
+        for _ in 0..r.u64()? {
+            l.quarantined_until.push((r.u32()?, r.time()?));
+        }
+        l.quarantines = r.u32()?;
+        l.degraded = r.bool()?;
+        l.env_failures = r.u32()?;
+        l.counters = Counters {
+            workers_provisioned: r.u32()?,
+            workers_lost: r.u32()?,
+            tasks_lost: r.u64()?,
+            lease_reclaims: r.u64()?,
+            stage_in_failures: r.u64()?,
+            spurious_kills: r.u64()?,
+            result_msgs_lost: r.u64()?,
+            lost_core_secs: r.f64()?,
+        };
         Ok(img)
     }
 }
@@ -1146,12 +1332,8 @@ pub(crate) struct Journal {
 }
 
 impl Journal {
-    pub fn new() -> Self {
-        Journal::default()
-    }
-
-    /// Append one record.
-    pub fn append(&mut self, rec: Record) {
+    /// Append one record, returning it as stored.
+    pub fn append(&mut self, rec: Record) -> &Record {
         self.scratch.clear();
         rec.encode(&mut self.scratch);
         if cfg!(debug_assertions) {
@@ -1165,11 +1347,7 @@ impl Journal {
         self.bytes_written += self.scratch.len() as u64;
         self.records_since_snapshot += 1;
         self.tail.push(rec);
-    }
-
-    /// Records appended since the last snapshot (what a recovery replays).
-    pub fn tail_len(&self) -> u64 {
-        self.tail.len() as u64
+        self.tail.last().expect("just pushed")
     }
 
     pub fn bytes_written(&self) -> u64 {
@@ -1203,6 +1381,7 @@ impl Journal {
         }
     }
 
+    /// Records appended since the last snapshot (what a recovery replays).
     pub fn tail(&self) -> &[Record] {
         &self.tail
     }
@@ -1313,26 +1492,34 @@ pub mod bench_api {
 
     /// Encode a populated `MasterImage` snapshot for a `tasks`-task run.
     pub fn encode_image(tasks: usize) -> Vec<u8> {
-        let deps: Vec<usize> = (0..tasks).map(|i| i % 3).collect();
-        let mut img = MasterImage::fresh(&deps, tasks, 4);
-        for i in 0..tasks as u64 {
+        let mut img = MasterImage {
+            ledger: Ledger::fresh((0..tasks).map(|i| i % 3).collect(), 4),
+            alloc_stats: vec![CategorySnap::default(); 4],
+            ..MasterImage::default()
+        };
+        for i in 0..tasks {
+            let at = SimTime::from_secs(i as f64);
             match i % 3 {
-                0 => img.pending.push_back((i, 0, SimTime::from_secs(i as f64))),
+                0 => img.pending.push_back(Pending {
+                    task_idx: i,
+                    attempt: 0,
+                    since: at,
+                }),
                 1 => {
-                    img.placements.insert(
-                        i,
-                        PlacementSnap {
+                    img.ledger.placements.insert(
+                        i as u64,
+                        PlacementInfo {
                             worker: (i % 64) as u32,
                             task_idx: i,
                             attempt: 0,
-                            alloc: Resources::new(1, 110, 1024),
-                            started_at: SimTime::from_secs(i as f64),
+                            allocated: Resources::new(1, 110, 1024),
+                            started_at: at,
                             zombie: false,
-                            lease_at: Some(SimTime::from_secs(i as f64 + 300.0)),
+                            lease_at: Some(at + 300.0),
                         },
                     );
                 }
-                _ => img.completed += 1,
+                _ => img.ledger.completed += 1,
             }
         }
         for s in &mut img.alloc_stats {
@@ -1536,49 +1723,75 @@ mod tests {
         );
     }
 
+    fn graph<'a>(
+        tasks: &'a [TaskSpec],
+        dependents: &'a BTreeMap<TaskId, Vec<usize>>,
+    ) -> DepGraph<'a> {
+        DepGraph {
+            tasks,
+            dependents,
+            shard: None,
+        }
+    }
+
     #[test]
     fn image_roundtrips_bitwise() {
-        let mut img = MasterImage::fresh(&[0, 2, usize::MAX], 3, 2);
-        img.pending.push_back((0, 0, SimTime::ZERO));
-        img.pending.push_front((2, 1, SimTime::from_secs(3.0)));
-        img.backoffs.push((1, 0, SimTime::from_secs(90.0)));
-        img.placements.insert(
+        let mut img = MasterImage {
+            ledger: Ledger::fresh(vec![0, 2, usize::MAX], 2),
+            alloc_stats: vec![CategorySnap::default(); 2],
+            ..MasterImage::default()
+        };
+        img.pending.push_back(Pending {
+            task_idx: 0,
+            attempt: 0,
+            since: SimTime::ZERO,
+        });
+        img.pending.push_front(Pending {
+            task_idx: 2,
+            attempt: 1,
+            since: SimTime::from_secs(3.0),
+        });
+        img.alloc_stats[0].cores.push(1.25);
+        img.alloc_stats[0].memory_mb.push(110.0);
+        img.alloc_stats[0].disk_mb.push(900.0);
+        img.alloc_stats[0].completed = 1;
+        img.worker_faults.insert(1, 4);
+        let l = &mut img.ledger;
+        l.backoffs.push((1, 0, SimTime::from_secs(90.0)));
+        l.placements.insert(
             5,
-            PlacementSnap {
+            PlacementInfo {
                 worker: 1,
                 task_idx: 2,
                 attempt: 0,
-                alloc: Resources::new(1, 110, 1024),
+                allocated: Resources::new(1, 110, 1024),
                 started_at: SimTime::from_secs(4.0),
                 zombie: true,
                 lease_at: Some(SimTime::from_secs(304.0)),
             },
         );
-        img.next_placement = 6;
-        img.alloc_stats[0].cores.push(1.25);
-        img.alloc_stats[0].memory_mb.push(110.0);
-        img.alloc_stats[0].disk_mb.push(900.0);
-        img.alloc_stats[0].completed = 1;
-        img.completed = 1;
-        img.abandoned = 1;
-        img.results.push(sample_result());
-        img.retried.push(2);
-        img.infra_retried.push(1);
-        img.infra_fail_count[1] = 3;
-        img.cat_streak[1] = 2;
-        img.worker_faults.insert(1, 4);
-        img.quarantined_until.push((3, SimTime::from_secs(500.0)));
-        img.quarantines = 1;
-        img.degraded = true;
-        img.env_failures = 6;
-        img.workers_provisioned = 9;
-        img.workers_lost = 2;
-        img.tasks_lost = 3;
-        img.lease_reclaims = 1;
-        img.stage_in_failures = 2;
-        img.spurious_kills = 1;
-        img.result_msgs_lost = 1;
-        img.lost_core_secs = 55.5;
+        l.next_placement = 6;
+        l.completed = 1;
+        l.abandoned = 1;
+        l.results.push(sample_result());
+        l.retried.insert(2);
+        l.infra_retried.insert(1);
+        l.infra_fail_count[1] = 3;
+        l.cat_streak[1] = 2;
+        l.quarantined_until.push((3, SimTime::from_secs(500.0)));
+        l.quarantines = 1;
+        l.degraded = true;
+        l.env_failures = 6;
+        l.counters = Counters {
+            workers_provisioned: 9,
+            workers_lost: 2,
+            tasks_lost: 3,
+            lease_reclaims: 1,
+            stage_in_failures: 2,
+            spurious_kills: 1,
+            result_msgs_lost: 1,
+            lost_core_secs: 55.5,
+        };
         let bytes = img.encode();
         let back = MasterImage::decode(&bytes).expect("decodes");
         assert_eq!(back, img);
@@ -1588,35 +1801,139 @@ mod tests {
     }
 
     #[test]
+    fn wire_layout_is_pinned() {
+        // Round-trip tests cannot see a layout change made to encoder and
+        // decoder together. These constants were computed at the commit
+        // before the ledger refactor; journals, snapshots and therefore
+        // `journal_bytes` must stay byte-for-byte what they were.
+        use crate::faults::{FaultPlan, FaultSpec};
+        use crate::master::{run_workload, MasterConfig};
+        use lfm_pyenv::pack::fnv1a;
+        let records = bench_api::encode_records(64);
+        assert_eq!(
+            (records.len(), fnv1a(&records)),
+            (3161, 0xda16_6f30_a06d_81cd)
+        );
+        let image = bench_api::encode_image(64);
+        assert_eq!((image.len(), fnv1a(&image)), (8983, 0xc72d_6dbd_c0e1_612b));
+
+        // One fixed journaled chaos run: a small two-category DAG under
+        // churn, loss, staging failures, spurious kills and three master
+        // crashes, with a compacting snapshot every 64 records.
+        let env = FileRef::environment("hep-env", 240 << 20, 600 << 20, 5000, 800);
+        let tasks: Vec<TaskSpec> = (0..48u64)
+            .map(|i| {
+                let spec = TaskSpec::new(
+                    TaskId(i),
+                    if i % 3 == 0 { "reduce" } else { "map" },
+                    vec![env.clone(), FileRef::data(format!("in-{i}"), 512 << 10)],
+                    1 << 20,
+                    SimTaskProfile::new(40.0 + i as f64, 1.0, 110 + 8 * (i % 5), 1024),
+                );
+                if i % 3 == 0 && i > 0 {
+                    spec.after(vec![TaskId(i - 1), TaskId(i - 2)])
+                } else {
+                    spec
+                }
+            })
+            .collect();
+        let plan = FaultPlan::reliable()
+            .with(FaultSpec::master_crash(30.0, 3))
+            .with(FaultSpec::worker_churn(400.0))
+            .with(FaultSpec::message_loss(0.05))
+            .with(FaultSpec::stage_in_failure(0.1))
+            .with(FaultSpec::spurious_kill(0.1));
+        let cfg = MasterConfig::new(crate::allocate::Strategy::Auto(Default::default()))
+            .with_faults(plan)
+            .with_durability(DurabilityConfig::journal_with_snapshots(64))
+            .with_seed(0x16);
+        let node = lfm_simcluster::node::NodeSpec::new(8, 8192, 16384);
+        let report = run_workload(&cfg, tasks, 4, node);
+        assert_eq!((report.master_crashes, report.recoveries), (3, 3));
+        assert_eq!((report.journal_bytes, report.replayed_events), (61985, 98));
+    }
+
+    #[test]
     fn journal_compaction_drops_tail_and_counts_bytes() {
-        let mut j = Journal::new();
+        let mut j = Journal::default();
         assert!(!j.wants_snapshot(Some(2)));
         j.append(Record::Degraded);
         j.append(Record::Freed { placement: 1 });
         assert!(j.wants_snapshot(Some(2)));
         assert!(!j.wants_snapshot(None));
-        assert_eq!(j.tail_len(), 2);
+        assert_eq!(j.tail().len(), 2);
         let bytes_before = j.bytes_written();
         assert!(bytes_before > 0);
-        let img = MasterImage::fresh(&[0, 0], 2, 1);
+        let img = MasterImage {
+            ledger: Ledger::fresh(vec![0, 0], 1),
+            ..MasterImage::default()
+        };
         j.install_snapshot(&img);
-        assert_eq!(j.tail_len(), 0);
+        assert_eq!(j.tail().len(), 0);
         assert!(!j.wants_snapshot(Some(2)));
         assert!(j.bytes_written() > bytes_before, "snapshot bytes count");
         let base = j.base_image().expect("decodes").expect("present");
         assert_eq!(base, img);
         // A fresh journal has no base image.
-        assert!(Journal::new().base_image().unwrap().is_none());
+        assert!(Journal::default().base_image().unwrap().is_none());
     }
 
     #[test]
-    fn fresh_image_mirrors_dep_state() {
-        let img = MasterImage::fresh(&[0, 1, usize::MAX], 3, 2);
-        assert_eq!(img.dep_remaining, vec![0, 1, u64::MAX]);
-        assert_eq!(img.infra_fail_count, vec![0, 0, 0]);
-        assert_eq!(img.cat_streak, vec![0, 0]);
-        assert_eq!(img.alloc_stats.len(), 2);
-        assert_eq!(img.completed, 0);
+    fn fresh_ledger_mirrors_dep_state() {
+        let l = Ledger::fresh(vec![0, 1, usize::MAX], 2);
+        assert_eq!(l.dep_remaining, vec![0, 1, usize::MAX]);
+        assert_eq!(l.infra_fail_count, vec![0, 0, 0]);
+        assert_eq!(l.cat_streak, vec![0, 0]);
+        assert_eq!(l.completed, 0);
+    }
+
+    #[test]
+    fn finished_releases_each_dependent_once() {
+        // Task 2 lists task 0 twice and task 1 once; task 3 is another
+        // shard's. A success of 0 counts 2 down twice without readying it;
+        // a failure of 0 would have left the counts alone.
+        let profile = SimTaskProfile::new(1.0, 1.0, 1, 1);
+        let task = |id: u64, deps: Vec<u64>| {
+            TaskSpec::new(TaskId(id), "x", vec![], 0, profile)
+                .after(deps.into_iter().map(TaskId).collect())
+        };
+        let tasks = vec![
+            task(0, vec![]),
+            task(1, vec![]),
+            task(2, vec![0, 0, 1]),
+            task(3, vec![0]),
+        ];
+        let mut dependents: BTreeMap<TaskId, Vec<usize>> = BTreeMap::new();
+        dependents.insert(TaskId(0), vec![2, 2, 3]);
+        dependents.insert(TaskId(1), vec![2]);
+        let owner = [0, 0, 0, 1];
+        let sharded = DepGraph {
+            shard: Some((&owner, 0)),
+            ..graph(&tasks, &dependents)
+        };
+        let finished = |task_idx, success| Record::Finished { task_idx, success };
+        let mut l = Ledger::fresh(vec![0, 0, 3, 1], 1);
+        assert!(l.apply(&finished(0, false), &sharded).is_empty());
+        assert_eq!((l.completed, &l.dep_remaining[..]), (1, &[0, 0, 3, 1][..]));
+        assert!(l.apply(&finished(0, true), &sharded).is_empty());
+        assert_eq!(l.dep_remaining, vec![0, 0, 1, 1], "3 is remote");
+        assert_eq!(l.apply(&finished(1, true), &sharded), vec![2]);
+        // Unsharded, the same success also releases task 3.
+        let mut l = Ledger::fresh(vec![0, 0, 3, 1], 1);
+        assert_eq!(
+            l.apply(&finished(0, true), &graph(&tasks, &dependents)),
+            vec![3]
+        );
+        // A cancelled dependent stays cancelled.
+        let mut l = Ledger::fresh(vec![0, 0, usize::MAX, 1], 1);
+        assert!(l.apply(&finished(1, true), &sharded).is_empty());
+        assert_eq!(l.dep_remaining[2], usize::MAX);
+        // A remote dependency completing is the same countdown.
+        let mut l = Ledger::fresh(vec![0, 0, 3, 1], 1);
+        assert_eq!(
+            l.apply(&Record::RemoteDep { task_idx: 3 }, &sharded),
+            vec![3]
+        );
     }
 
     #[test]

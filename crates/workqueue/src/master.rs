@@ -7,17 +7,19 @@
 //! killed for resource exhaustion at full-worker size, and produces a
 //! [`RunReport`] with the makespan/utilization numbers Figures 6–9 plot.
 
-use crate::allocate::{AllocationDecision, Allocator, ObservationEffects, Strategy};
+use crate::allocate::{
+    censored_samples, AllocationDecision, Allocator, ObservationEffects, Strategy,
+};
 use crate::faults::{backoff_delay, FaultPlan, FaultState, InfraFault, ResilienceConfig};
 use crate::files::FileKind;
 use crate::journal::{
-    CategorySnap, CounterKey, DurabilityConfig, Journal, MasterImage, PlacementSnap, Record,
+    CategorySnap, CounterKey, DepGraph, DurabilityConfig, Journal, Ledger, MasterImage, Record,
 };
 use crate::sched::{policy_rank, IndexedSched, ParkReason, Pending, SchedImpl, Src};
 use crate::task::{TaskId, TaskResult, TaskSpec};
 use crate::worker::Worker;
 use lfm_monitor::limits::ResourceLimits;
-use lfm_monitor::report::{MonitorOutcome, ResourceKind};
+use lfm_monitor::report::MonitorOutcome;
 use lfm_monitor::sim::{SimMonitor, SimTaskProfile};
 use lfm_simcluster::batch::{BatchParams, BatchSystem};
 use lfm_simcluster::event::EventQueue;
@@ -246,7 +248,7 @@ pub struct MasterConfig {
     pub shards: u32,
     pub seed: u64,
     /// Tracing/metrics sink. Defaults to the process-wide recorder (the
-    /// no-op recorder unless a runner installed one via `--trace-out`).
+    /// no-op recorder unless a runner installed one via `--trace`).
     /// Recording is strictly observational: the simulation's behaviour and
     /// its `RunReport` are identical whether this is live or
     /// [`Recorder::disabled`].
@@ -684,23 +686,6 @@ pub(crate) struct DoneInfo {
     env_transfer: bool,
 }
 
-/// A live placement, for loss recovery and lease reclamation.
-#[derive(Debug, Clone, Copy)]
-struct PlacementInfo {
-    worker: u32,
-    task_idx: usize,
-    attempt: u32,
-    allocated: Resources,
-    started_at: SimTime,
-    /// The task ran but its result message was lost: worker resources are
-    /// already freed, and the placement stays live (so a duplicate
-    /// completion can never slip in) until its lease reclaims it.
-    zombie: bool,
-    /// Absolute lease deadline (seconds), when leases are armed — journaled
-    /// so recovery can re-arm the reclamation timer.
-    lease_at: Option<f64>,
-}
-
 /// The active dispatch implementation's queue state (see `sched.rs`).
 enum SchedState {
     /// The original greedy matcher's plain deque.
@@ -764,51 +749,18 @@ pub(crate) struct Master {
     faults: FaultState,
     /// The network disturbance draw stream.
     net_rng: SimRng,
-    next_placement: u64,
-    /// placement id → its live info, for loss recovery and leases.
-    live_placements: BTreeMap<u64, PlacementInfo>,
+    /// Everything journaled that is plain data. Changed only through
+    /// [`Master::commit`], so replaying the journal reproduces it.
+    ledger: Ledger,
     /// worker → its live placement ids, so eviction is linear in the
-    /// evicted worker's own placements.
+    /// evicted worker's own placements. Derived from `ledger.placements`
+    /// (zombies excluded), like `in_flight` and `running_by_cat`.
     placements_by_worker: BTreeMap<u32, BTreeSet<u64>>,
-    workers_provisioned: u32,
-    workers_lost: u32,
-    tasks_lost: u64,
-    /// Per-task infrastructure-failure counts, against the infra budget.
-    infra_fail_count: Vec<u32>,
-    /// Consecutive infra failures per category — the backoff streak,
-    /// reset on any success in the category.
-    cat_streak: Vec<u32>,
-    /// Packed-env distribution degraded to the shared FS for the rest of
-    /// the run.
-    degraded: bool,
-    /// Packed-env staging failures so far (degradation trigger).
-    env_failures: u32,
-    lease_reclaims: u64,
-    stage_in_failures: u64,
-    spurious_kills: u64,
-    result_msgs_lost: u64,
-    quarantines: u32,
-    lost_core_secs: f64,
-    infra_retried: std::collections::BTreeSet<usize>,
-    results: Vec<TaskResult>,
-    retried: std::collections::BTreeSet<usize>,
-    abandoned: u64,
-    completed: usize,
-    /// Unsatisfied-dependency counts per task; tasks enter `pending` only at
-    /// zero. Dependents listed per task id for O(1) release on completion.
-    dep_remaining: Vec<usize>,
+    /// Dependents listed per task id for O(1) release on completion.
+    /// Cancellation prunes it as it walks.
     dependents: BTreeMap<TaskId, Vec<usize>>,
     /// The write-ahead journal (`None` when durability is off).
     journal: Option<Journal>,
-    /// Suppresses journaling while recovery re-enqueues restored state —
-    /// reconstruction is not new history.
-    restoring: bool,
-    /// Armed backoff timers `((task_idx, attempt), fire_at)` in arm order,
-    /// mirrored into snapshots so recovery can re-arm them. Arm order (not
-    /// task order) so equal-time timers keep their FIFO tie-break.
-    backoffs: Vec<((usize, u32), f64)>,
-    /// Quarantined workers and their absolute release times, in entry order.
-    quarantine_until: Vec<(u32, f64)>,
     /// Events handled so far — the crash clock `FaultKind::MasterCrash`
     /// points index into. Identical for both scheduler implementations.
     processed_events: u64,
@@ -844,14 +796,19 @@ impl Master {
         worker_count: u32,
         spec: NodeSpec,
     ) -> Self {
-        Self::build(config, Arc::new(tasks), worker_count, spec)
+        Self::build(config, Arc::new(tasks), worker_count, spec, None)
     }
 
+    /// `sibling` is a master already built over the same task vector (a
+    /// federation's earlier shard): what depends on the tasks alone — the
+    /// workload checks and the category interning — is taken from it
+    /// instead of being derived once per shard.
     fn build(
         config: MasterConfig,
         tasks: Arc<Vec<TaskSpec>>,
         worker_count: u32,
         spec: NodeSpec,
+        sibling: Option<&Master>,
     ) -> Self {
         assert!(worker_count > 0, "need at least one worker");
         let allocator = Allocator::new(config.strategy.clone());
@@ -862,40 +819,20 @@ impl Master {
         if let Some(d) = faults.disturbance {
             net.set_disturbance(d);
         }
-        // Build the dependency graph. Dependencies on ids not in this batch
-        // are a workload bug.
-        let ids: BTreeMap<TaskId, usize> =
-            tasks.iter().enumerate().map(|(i, t)| (t.id, i)).collect();
-        assert_eq!(ids.len(), tasks.len(), "duplicate task ids in workload");
-        let mut dep_remaining = vec![0usize; tasks.len()];
-        let mut dependents: BTreeMap<TaskId, Vec<usize>> = BTreeMap::new();
-        for (i, t) in tasks.iter().enumerate() {
-            for d in &t.deps {
-                assert!(ids.contains_key(d), "task {} depends on unknown {d}", t.id);
-                dep_remaining[i] += 1;
-                dependents.entry(*d).or_default().push(i);
-            }
-        }
         let mut seed_rng = SimRng::seeded(config.seed);
         let batch = BatchSystem::new(config.staging.batch, seed_rng.fork(1));
         // Event volume is predictable from the workload: each task produces
         // a handful of lifecycle events and each worker a provision/poll
         // stream; pre-size the calendar to skip heap regrowth.
         let event_capacity = tasks.len() * 4 + worker_count as usize * 2;
-        // Intern categories once so the hot path works with small ids.
-        let mut cat_ids: BTreeMap<&str, u32> = BTreeMap::new();
-        let mut cat_names: Vec<String> = Vec::new();
-        let cat_of: Vec<u32> = tasks
-            .iter()
-            .map(|t| {
-                *cat_ids.entry(&t.category).or_insert_with(|| {
-                    cat_names.push(t.category.clone());
-                    (cat_names.len() - 1) as u32
-                })
-            })
-            .collect();
+        let (cat_of, cat_names) = match sibling {
+            Some(m) => {
+                debug_assert!(Arc::ptr_eq(&m.tasks, &tasks));
+                (m.cat_of.clone(), m.cat_names.clone())
+            }
+            None => Self::check_and_intern(&tasks),
+        };
         let running_by_cat = vec![0u32; cat_names.len()];
-        let cat_streak = vec![0u32; cat_names.len()];
         let sched = match config.sched {
             SchedImpl::Reference => SchedState::Reference(VecDeque::new()),
             SchedImpl::Indexed => SchedState::Indexed(IndexedSched::new(config.policy)),
@@ -903,8 +840,8 @@ impl Master {
         let initial_task_count = tasks.len();
         let initial_cat_count = cat_names.len();
         Master {
-            dep_remaining,
-            dependents,
+            ledger: Ledger::fresh(Self::fresh_deps(&tasks), cat_names.len()),
+            dependents: Self::dependency_graph(&tasks),
             cat_of,
             cat_names,
             running_by_cat,
@@ -912,23 +849,7 @@ impl Master {
             batch,
             faults,
             net_rng,
-            next_placement: 0,
-            live_placements: BTreeMap::new(),
             placements_by_worker: BTreeMap::new(),
-            workers_provisioned: 0,
-            workers_lost: 0,
-            tasks_lost: 0,
-            infra_fail_count: vec![0; tasks.len()],
-            cat_streak,
-            degraded: false,
-            env_failures: 0,
-            lease_reclaims: 0,
-            stage_in_failures: 0,
-            spurious_kills: 0,
-            result_msgs_lost: 0,
-            quarantines: 0,
-            lost_core_secs: 0.0,
-            infra_retried: std::collections::BTreeSet::new(),
             tasks,
             workers: BTreeMap::new(),
             sched,
@@ -940,14 +861,7 @@ impl Master {
             spec,
             worker_count,
             in_flight: 0,
-            results: Vec::new(),
-            retried: std::collections::BTreeSet::new(),
-            abandoned: 0,
-            completed: 0,
-            journal: config.durability.journal.then(Journal::new),
-            restoring: false,
-            backoffs: Vec::new(),
-            quarantine_until: Vec::new(),
+            journal: config.durability.journal.then(Journal::default),
             processed_events: 0,
             next_crash: 0,
             down: false,
@@ -963,6 +877,32 @@ impl Master {
         }
     }
 
+    /// Reject a malformed workload (duplicate ids, dependencies on ids not
+    /// in the batch) and intern categories so the hot path works with small
+    /// ids: per-task category id, and the names by id.
+    fn check_and_intern(tasks: &[TaskSpec]) -> (Vec<u32>, Vec<String>) {
+        let ids: BTreeMap<TaskId, usize> =
+            tasks.iter().enumerate().map(|(i, t)| (t.id, i)).collect();
+        assert_eq!(ids.len(), tasks.len(), "duplicate task ids in workload");
+        for t in tasks.iter() {
+            for d in &t.deps {
+                assert!(ids.contains_key(d), "task {} depends on unknown {d}", t.id);
+            }
+        }
+        let mut cat_ids: BTreeMap<&str, u32> = BTreeMap::new();
+        let mut cat_names: Vec<String> = Vec::new();
+        let cat_of = tasks
+            .iter()
+            .map(|t| {
+                *cat_ids.entry(&t.category).or_insert_with(|| {
+                    cat_names.push(t.category.clone());
+                    (cat_names.len() - 1) as u32
+                })
+            })
+            .collect();
+        (cat_of, cat_names)
+    }
+
     /// Construct a federated sub-master: shard `shard` of the ownership map
     /// `owner` (one entry per task in `tasks`, value = owning shard). All
     /// shards of a run share the one task vector.
@@ -973,9 +913,10 @@ impl Master {
         spec: NodeSpec,
         shard: u32,
         owner: Arc<Vec<u32>>,
+        sibling: Option<&Master>,
     ) -> Self {
         debug_assert_eq!(owner.len(), tasks.len());
-        let mut m = Master::build(config, tasks, worker_count, spec);
+        let mut m = Master::build(config, tasks, worker_count, spec, sibling);
         m.fed = Some(FedState {
             shard,
             owner,
@@ -1002,18 +943,23 @@ impl Master {
             Provisioning::Static => self.worker_count,
             Provisioning::Elastic { initial, .. } => initial.min(self.worker_count).max(1),
         };
-        self.jrec(Record::RunStart {
+        self.commit(Record::RunStart {
             seed: self.config.seed,
             task_count: self.tasks.len() as u64,
             worker_count: self.worker_count,
         });
         self.submit_pilots(SimTime::ZERO, initial);
+        self.enqueue_roots(SimTime::ZERO);
+    }
+
+    /// Enqueue every owned task with no dependencies left.
+    fn enqueue_roots(&mut self, since: SimTime) {
         for idx in 0..self.tasks.len() {
-            if self.dep_remaining[idx] == 0 && self.owned(idx) {
+            if self.ledger.dep_remaining[idx] == 0 && self.owned(idx) {
                 self.enqueue_back(Pending {
                     task_idx: idx,
                     attempt: 0,
-                    since: SimTime::ZERO,
+                    since,
                 });
             }
         }
@@ -1027,7 +973,7 @@ impl Master {
         let Some((now, event)) = self.queue.pop() else {
             panic!(
                 "deadlock: {} of {} tasks unfinished with no events pending",
-                self.tasks.len() - self.completed,
+                self.tasks.len() - self.ledger.completed,
                 self.tasks.len()
             );
         };
@@ -1048,7 +994,7 @@ impl Master {
 
     fn run(mut self) -> RunReport {
         self.start();
-        while self.completed < self.tasks.len() {
+        while self.ledger.completed < self.tasks.len() {
             self.step();
         }
         self.finish()
@@ -1057,8 +1003,10 @@ impl Master {
     /// Assemble the final report (the standalone run's epilogue).
     pub(crate) fn finish(self) -> RunReport {
         let makespan = self.queue.now().as_secs();
-        let allocated: f64 = self.results.iter().map(|r| r.allocated_core_secs()).sum();
-        let used: f64 = self.results.iter().map(|r| r.used_core_secs()).sum();
+        let ledger = self.ledger;
+        let counters = ledger.counters;
+        let allocated: f64 = ledger.results.iter().map(|r| r.allocated_core_secs()).sum();
+        let used: f64 = ledger.results.iter().map(|r| r.used_core_secs()).sum();
         let (hits, misses) = self.workers.values().fold((0, 0), |acc, w| {
             (acc.0 + w.cache_hits, acc.1 + w.cache_misses)
         });
@@ -1067,8 +1015,8 @@ impl Master {
             dist_mode: self.config.staging.dist_mode,
             makespan_secs: makespan,
             task_count: self.tasks.len(),
-            retried_tasks: self.retried.len() as u64,
-            abandoned_tasks: self.abandoned,
+            retried_tasks: ledger.retried.len() as u64,
+            abandoned_tasks: ledger.abandoned,
             cache_hits: hits,
             cache_misses: misses,
             allocated_core_secs: allocated,
@@ -1076,22 +1024,22 @@ impl Master {
             overcommit_core_secs: (used - allocated).max(0.0),
             fs_md_ops: self.fs.md_ops_served,
             net_bytes: self.net.bytes_moved,
-            workers_provisioned: self.workers_provisioned,
-            workers_lost: self.workers_lost,
-            tasks_lost: self.tasks_lost,
-            infra_retried_tasks: self.infra_retried.len() as u64,
-            lease_reclaims: self.lease_reclaims,
-            stage_in_failures: self.stage_in_failures,
-            spurious_kills: self.spurious_kills,
-            result_messages_lost: self.result_msgs_lost,
-            quarantines: self.quarantines,
-            lost_core_secs: self.lost_core_secs,
-            degraded_to_shared_fs: self.degraded,
+            workers_provisioned: counters.workers_provisioned,
+            workers_lost: counters.workers_lost,
+            tasks_lost: counters.tasks_lost,
+            infra_retried_tasks: ledger.infra_retried.len() as u64,
+            lease_reclaims: counters.lease_reclaims,
+            stage_in_failures: counters.stage_in_failures,
+            spurious_kills: counters.spurious_kills,
+            result_messages_lost: counters.result_msgs_lost,
+            quarantines: ledger.quarantines,
+            lost_core_secs: counters.lost_core_secs,
+            degraded_to_shared_fs: ledger.degraded,
             master_crashes: self.master_crashes,
             recoveries: self.recoveries,
             journal_bytes: self.journal.as_ref().map_or(0, |j| j.bytes_written()),
             replayed_events: self.replayed_events,
-            results: self.results,
+            results: ledger.results,
         }
     }
 
@@ -1136,7 +1084,7 @@ impl Master {
                 // A placement lost with its worker (or reclaimed by its
                 // lease) was already rescheduled; drop the stale
                 // completion.
-                if !self.live_placements.contains_key(&info.placement) {
+                if !self.ledger.placements.contains_key(&info.placement) {
                     return;
                 }
                 if info.infra == Some(InfraFault::ResultLost) {
@@ -1145,11 +1093,10 @@ impl Master {
                     // the lease to reclaim.
                     self.result_lost(now, &info);
                 } else {
-                    self.live_placements.remove(&info.placement);
                     if let Some(set) = self.placements_by_worker.get_mut(&info.worker) {
                         set.remove(&info.placement);
                     }
-                    self.jrec(Record::Freed {
+                    self.commit(Record::Freed {
                         placement: info.placement,
                     });
                     self.finish_task(now, *info);
@@ -1161,10 +1108,8 @@ impl Master {
                 self.dispatch(now);
             }
             Event::Requeue { task_idx, attempt } => {
-                // The armed backoff fires: retire its ledger entry, then
-                // enqueue (which journals the matching front-enqueue).
-                self.backoffs
-                    .retain(|&((t, a), _)| !(t == task_idx && a == attempt));
+                // The armed backoff fires: the front-enqueue's record also
+                // retires its ledger entry.
                 self.enqueue_front(Pending {
                     task_idx,
                     attempt,
@@ -1208,10 +1153,10 @@ impl Master {
     }
 
     /// Append one streamed task to a running master and enqueue it. The
-    /// per-task parallel vectors (dependency counts, infra budgets) grow
-    /// with it, and a first-seen category is interned on the fly — the
-    /// allocator then learns its label from scratch exactly as it would
-    /// have for an up-front batch.
+    /// per-task ledger vectors (dependency counts, infra budgets) grow with
+    /// its `Submitted` record, and a first-seen category is interned on the
+    /// fly — the allocator then learns its label from scratch exactly as it
+    /// would have for an up-front batch.
     fn admit_streamed(&mut self, now: SimTime, spec: TaskSpec) {
         assert!(
             spec.deps.is_empty(),
@@ -1225,14 +1170,11 @@ impl Master {
             None => {
                 self.cat_names.push(spec.category.clone());
                 self.running_by_cat.push(0);
-                self.cat_streak.push(0);
                 (self.cat_names.len() - 1) as u32
             }
         };
         self.cat_of.push(cat);
-        self.dep_remaining.push(0);
-        self.infra_fail_count.push(0);
-        self.jrec(Record::Submitted {
+        self.commit(Record::Submitted {
             task_idx: task_idx as u64,
             cat,
             spec: Box::new(spec.clone()),
@@ -1249,27 +1191,17 @@ impl Master {
     /// Mirrors the local `release_dependents` / `cancel_dependents` paths,
     /// deduplicating against already-cancelled dependents.
     fn handle_remote_release(&mut self, now: SimTime, task_idx: usize, success: bool) {
-        if self.dep_remaining[task_idx] == usize::MAX {
+        if self.ledger.dep_remaining[task_idx] == usize::MAX {
             // Already cancelled by another failed upstream.
             return;
         }
         if success {
-            self.jrec(Record::RemoteDep {
+            let ready = self.commit(Record::RemoteDep {
                 task_idx: task_idx as u64,
             });
-            self.dep_remaining[task_idx] -= 1;
-            if self.dep_remaining[task_idx] == 0 {
-                self.enqueue_back(Pending {
-                    task_idx,
-                    attempt: 0,
-                    since: now,
-                });
-            }
+            self.enqueue_ready(now, ready);
         } else {
-            self.dep_remaining[task_idx] = usize::MAX;
-            self.abandoned += 1;
-            self.completed += 1;
-            self.jrec(Record::Cancelled {
+            self.commit(Record::Cancelled {
                 task_idx: task_idx as u64,
             });
             self.cancel_dependents(task_idx);
@@ -1319,27 +1251,33 @@ impl Master {
     /// live in the image, not the queue — as long as their leases are
     /// unarmed (always true on a fault-free cluster).
     fn is_quiescent(&self) -> bool {
-        self.backoffs.is_empty()
-            && self.quarantine_until.is_empty()
-            && self.live_placements.values().all(|p| p.lease_at.is_none())
+        self.ledger.backoffs.is_empty()
+            && self.ledger.quarantined_until.is_empty()
+            && (self.ledger.placements.values()).all(|p| p.lease_at.is_none())
     }
 
     // ---- durability: journaling, crash, and recovery ----
 
-    /// Append a write-ahead record — unless recovery is reconstructing
-    /// state (reconstruction is not new history) or durability is off.
-    fn jrec(&mut self, rec: Record) {
-        if self.restoring {
-            return;
-        }
-        if let Some(j) = self.journal.as_mut() {
-            j.append(rec);
+    /// The one way journaled state changes: append the record to the
+    /// write-ahead journal (when durability is on), then apply it to the
+    /// ledger through the same [`Ledger::apply`] that recovery folds the
+    /// journal with. Returns the tasks whose last dependency the record
+    /// satisfied.
+    fn commit(&mut self, rec: Record) -> Vec<usize> {
+        let graph = DepGraph {
+            tasks: &self.tasks,
+            dependents: &self.dependents,
+            shard: self.fed.as_ref().map(|f| (f.owner.as_slice(), f.shard)),
+        };
+        match &mut self.journal {
+            Some(journal) => self.ledger.apply(journal.append(rec), &graph),
+            None => self.ledger.apply(&rec, &graph),
         }
     }
 
-    /// Journal a plain report-counter delta.
-    fn jcount(&mut self, key: CounterKey, amount: f64) {
-        self.jrec(Record::Counter { key, amount });
+    /// Commit a plain report-counter delta.
+    fn count(&mut self, key: CounterKey, amount: f64) {
+        self.commit(Record::Counter { key, amount });
     }
 
     /// The master process dies. Its logical state is wiped; the physical
@@ -1357,7 +1295,7 @@ impl Master {
         // Master-side timers (leases, backoffs, quarantine releases) died
         // with the process; only the physical world's events survive.
         self.queue.retain(Event::is_world);
-        let tail = self.journal.as_ref().map(|j| j.tail_len());
+        let tail = self.journal.as_ref().map(|j| j.tail().len() as u64);
         let downtime = self.config.durability.restart_secs
             + self.config.durability.replay_secs_per_event * tail.unwrap_or(0) as f64;
         let resume_at = now + downtime;
@@ -1370,11 +1308,15 @@ impl Master {
         match tail {
             Some(replayed) => {
                 let img = self.recover_image();
+                // The guard that no site changed the ledger without
+                // committing a record: what the journal folds to is what
+                // the live master held.
+                debug_assert_eq!(img.ledger, self.ledger, "replay diverged from live");
                 self.replayed_events += replayed;
                 self.config
                     .telemetry
                     .counter_at_key(tk().journal_replayed_events, replayed, now);
-                self.restore_from_image(&img, resume_at);
+                self.restore_from_image(img, resume_at);
                 self.recoveries += 1;
             }
             None => self.full_restart(resume_at),
@@ -1402,39 +1344,47 @@ impl Master {
             .gauge_key(tk().master_pending_tasks, self.pending_len() as f64, now);
     }
 
+    /// The dependency counts a master constructed over `tasks` starts from.
+    fn fresh_deps(tasks: &[TaskSpec]) -> Vec<usize> {
+        tasks.iter().map(|t| t.deps.len()).collect()
+    }
+
     /// Fold the journal (base snapshot plus record tail) into the image the
     /// crashed master must resume from.
-    fn recover_image(&mut self) -> MasterImage {
-        let journal = self.journal.take().expect("journaled recovery");
+    fn recover_image(&self) -> MasterImage {
+        let journal = self.journal.as_ref().expect("journaled recovery");
         let mut img = journal
             .base_image()
             .expect("snapshot decodes")
-            .unwrap_or_else(|| {
+            .unwrap_or_else(|| MasterImage {
                 // Start from the *constructed* task/category sizes: tasks
-                // streamed in after run start re-grow the image as their
+                // streamed in after run start re-grow the ledger as their
                 // `Submitted` records replay.
-                let fresh_deps: Vec<usize> = self.tasks[..self.initial_task_count]
-                    .iter()
-                    .map(|t| t.deps.len())
-                    .collect();
-                MasterImage::fresh(&fresh_deps, self.initial_task_count, self.initial_cat_count)
+                ledger: Ledger::fresh(
+                    Self::fresh_deps(&self.tasks[..self.initial_task_count]),
+                    self.initial_cat_count,
+                ),
+                ..MasterImage::default()
             });
-        let full_deps = Self::dependency_graph(&self.tasks);
+        // The live map cannot serve: cancellation prunes it as it walks.
+        let graph = DepGraph {
+            tasks: &self.tasks,
+            dependents: &Self::dependency_graph(&self.tasks),
+            shard: self.fed.as_ref().map(|f| (f.owner.as_slice(), f.shard)),
+        };
         for rec in journal.tail() {
-            self.apply_record(&mut img, rec, &full_deps);
+            img.ledger.apply(rec, &graph);
+            self.replay_views(&mut img, rec);
         }
-        self.journal = Some(journal);
         img
     }
 
-    /// Replay one record into an image — the exact mutation the live master
-    /// performed when it appended the record.
-    fn apply_record(
-        &self,
-        img: &mut MasterImage,
-        rec: &Record,
-        full_deps: &BTreeMap<TaskId, Vec<usize>>,
-    ) {
+    /// Replay one record into the three image views that are not ledger
+    /// state. The live master never runs this: its pending queue is the
+    /// scheduler's own (`IndexedSched` or the reference deque, rebuilt once
+    /// from the folded deque), fault attribution lives on each `Worker`,
+    /// and observations go straight into the `Allocator`'s multisets.
+    fn replay_views(&self, img: &mut MasterImage, rec: &Record) {
         match rec {
             Record::RunStart {
                 seed,
@@ -1453,101 +1403,35 @@ impl Master {
                 front,
                 since,
             } => {
-                // An enqueue of an attempt retires any armed backoff for it:
-                // the timer fired (or the attempt re-entered another way).
-                img.backoffs
-                    .retain(|&(t, a, _)| !(t == *task_idx && a == *attempt));
+                let item = Pending {
+                    task_idx: *task_idx as usize,
+                    attempt: *attempt,
+                    since: *since,
+                };
                 if *front {
-                    img.pending.push_front((*task_idx, *attempt, *since));
+                    img.pending.push_front(item);
                 } else {
-                    img.pending.push_back((*task_idx, *attempt, *since));
+                    img.pending.push_back(item);
                 }
             }
-            Record::BackoffArm {
-                task_idx,
-                attempt,
-                at,
-            } => img.backoffs.push((*task_idx, *attempt, *at)),
             Record::Placed {
-                placement,
-                worker,
-                task_idx,
-                attempt,
-                alloc,
-                started_at,
-                lease_at,
-            } => {
-                // An attempt is pending at most once, so the match is unique.
-                if let Some(pos) = img
-                    .pending
-                    .iter()
-                    .position(|&(t, a, _)| t == *task_idx && a == *attempt)
-                {
-                    img.pending.remove(pos);
-                }
-                img.placements.insert(
-                    *placement,
-                    PlacementSnap {
-                        worker: *worker,
-                        task_idx: *task_idx,
-                        attempt: *attempt,
-                        alloc: *alloc,
-                        started_at: *started_at,
-                        zombie: false,
-                        lease_at: *lease_at,
-                    },
-                );
-                img.next_placement = placement + 1;
+                task_idx, attempt, ..
             }
-            Record::Zombie { placement } => {
-                if let Some(p) = img.placements.get_mut(placement) {
-                    p.zombie = true;
-                }
-            }
-            Record::Freed { placement } => {
-                img.placements.remove(placement);
-            }
-            Record::Result(tr) => img.results.push((**tr).clone()),
-            Record::Finished { task_idx, success } => {
-                img.completed += 1;
-                if *success {
-                    let id = self.tasks[*task_idx as usize].id;
-                    for &dep_idx in full_deps.get(&id).map(Vec::as_slice).unwrap_or(&[]) {
-                        // Only locally-owned dependents were decremented by
-                        // the live path — remote ones were released via the
-                        // federation outbox and the owner's own journal.
-                        if !self.owned(dep_idx) {
-                            continue;
-                        }
-                        // Mirrors the live decrement, including the
-                        // cancelled-marker wrap (u64::MAX → u64::MAX - 1).
-                        img.dep_remaining[dep_idx] = img.dep_remaining[dep_idx].wrapping_sub(1);
-                    }
-                }
-            }
-            Record::Stolen { task_idx, attempt } => {
-                // The live path removed the attempt from the pending queue
-                // and shipped it to the thief shard.
-                if let Some(pos) = img
-                    .pending
-                    .iter()
-                    .position(|&(t, a, _)| t == *task_idx && a == *attempt)
-                {
+            | Record::Stolen { task_idx, attempt } => {
+                // The attempt left the queue — for a worker, or for the
+                // thief shard. It is pending at most once, so the match is
+                // unique.
+                let found = (img.pending.iter())
+                    .position(|p| p.task_idx as u64 == *task_idx && p.attempt == *attempt);
+                if let Some(pos) = found {
                     img.pending.remove(pos);
                 }
             }
-            Record::RemoteDep { task_idx } => {
-                img.dep_remaining[*task_idx as usize] =
-                    img.dep_remaining[*task_idx as usize].wrapping_sub(1);
+            Record::WorkerFault { worker, count } => {
+                img.worker_faults.insert(*worker, *count);
             }
-            Record::Abandoned { .. } => {
-                img.abandoned += 1;
-                img.completed += 1;
-            }
-            Record::Cancelled { task_idx } => {
-                img.dep_remaining[*task_idx as usize] = u64::MAX;
-                img.abandoned += 1;
-                img.completed += 1;
+            Record::QuarantineLifted { worker } => {
+                img.worker_faults.remove(worker);
             }
             Record::Observe {
                 cat,
@@ -1557,81 +1441,20 @@ impl Master {
                 completed,
                 violated,
             } => {
-                // Exactly `Allocator::observe_outcome`, against the sample
-                // vectors instead of the live stores.
+                // A category first seen mid-stream has no slot yet.
+                if img.alloc_stats.len() <= *cat as usize {
+                    img.alloc_stats
+                        .resize_with(*cat as usize + 1, CategorySnap::default);
+                }
                 let s = &mut img.alloc_stats[*cat as usize];
-                match violated {
-                    None => {
-                        s.cores.push(peak_cores.max(0.01));
-                        s.memory_mb.push((*peak_rss_mb).max(1) as f64);
-                        s.disk_mb.push((*peak_disk_mb).max(1) as f64);
-                    }
-                    Some(ResourceKind::Cores) => s.cores.push(peak_cores.max(0.01) * 2.0),
-                    Some(ResourceKind::Memory) => {
-                        s.memory_mb.push((*peak_rss_mb).max(1) as f64 * 2.0)
-                    }
-                    Some(ResourceKind::Disk) => s.disk_mb.push((*peak_disk_mb).max(1) as f64 * 2.0),
-                    Some(ResourceKind::WallTime) => {}
-                }
-                if *completed {
-                    s.completed += 1;
-                }
+                let [cores, memory_mb, disk_mb] =
+                    censored_samples(*peak_cores, *peak_rss_mb, *peak_disk_mb, *violated);
+                s.cores.extend(cores);
+                s.memory_mb.extend(memory_mb);
+                s.disk_mb.extend(disk_mb);
+                s.completed += *completed as u64;
             }
-            Record::Retried { task_idx } => {
-                if let Err(pos) = img.retried.binary_search(task_idx) {
-                    img.retried.insert(pos, *task_idx);
-                }
-            }
-            Record::InfraRetried { task_idx, count } => {
-                if let Err(pos) = img.infra_retried.binary_search(task_idx) {
-                    img.infra_retried.insert(pos, *task_idx);
-                }
-                img.infra_fail_count[*task_idx as usize] = *count;
-            }
-            Record::Streak { cat, value } => img.cat_streak[*cat as usize] = *value,
-            Record::WorkerFault { worker, count } => {
-                img.worker_faults.insert(*worker, *count);
-            }
-            Record::Quarantined { worker, release_at } => {
-                img.quarantined_until.push((*worker, *release_at));
-                img.quarantines += 1;
-            }
-            Record::QuarantineLifted { worker } => {
-                img.quarantined_until.retain(|&(w, _)| w != *worker);
-                img.worker_faults.remove(worker);
-            }
-            Record::EnvFailure { count } => img.env_failures = *count,
-            Record::Degraded => img.degraded = true,
-            Record::Submitted { task_idx, cat, .. } => {
-                // Mirrors `admit_streamed`: the per-task vectors grow by one
-                // slot (dependency-free) and a first-seen category extends
-                // the per-category vectors. The spec itself survives in
-                // `self.tasks` — the record's copy keeps the on-disk journal
-                // self-contained; replay only needs the index growth.
-                debug_assert_eq!(
-                    *task_idx,
-                    img.dep_remaining.len() as u64,
-                    "streamed admissions replay in admission order"
-                );
-                img.dep_remaining.push(0);
-                img.infra_fail_count.push(0);
-                while img.cat_streak.len() <= *cat as usize {
-                    img.cat_streak.push(0);
-                }
-                while img.alloc_stats.len() <= *cat as usize {
-                    img.alloc_stats.push(CategorySnap::default());
-                }
-            }
-            Record::Counter { key, amount } => match key {
-                CounterKey::WorkersProvisioned => img.workers_provisioned += *amount as u32,
-                CounterKey::WorkersLost => img.workers_lost += *amount as u32,
-                CounterKey::TasksLost => img.tasks_lost += *amount as u64,
-                CounterKey::LeaseReclaims => img.lease_reclaims += *amount as u64,
-                CounterKey::StageInFailures => img.stage_in_failures += *amount as u64,
-                CounterKey::SpuriousKills => img.spurious_kills += *amount as u64,
-                CounterKey::ResultMsgsLost => img.result_msgs_lost += *amount as u64,
-                CounterKey::LostCoreSecs => img.lost_core_secs += *amount,
-            },
+            _ => {}
         }
     }
 
@@ -1654,34 +1477,8 @@ impl Master {
             SchedState::Indexed(ix) => ix.snapshot_pending(),
         };
         MasterImage {
-            pending: pending
-                .into_iter()
-                .map(|p| (p.task_idx as u64, p.attempt, p.since))
-                .collect(),
-            backoffs: self
-                .backoffs
-                .iter()
-                .map(|&((t, a), at)| (t as u64, a, SimTime::from_secs(at)))
-                .collect(),
-            placements: self
-                .live_placements
-                .iter()
-                .map(|(&id, p)| {
-                    (
-                        id,
-                        PlacementSnap {
-                            worker: p.worker,
-                            task_idx: p.task_idx as u64,
-                            attempt: p.attempt,
-                            alloc: p.allocated,
-                            started_at: p.started_at,
-                            zombie: p.zombie,
-                            lease_at: p.lease_at.map(SimTime::from_secs),
-                        },
-                    )
-                })
-                .collect(),
-            next_placement: self.next_placement,
+            ledger: self.ledger.clone(),
+            pending: pending.into(),
             alloc_stats: self
                 .cat_names
                 .iter()
@@ -1697,83 +1494,26 @@ impl Master {
                         .unwrap_or_default()
                 })
                 .collect(),
-            dep_remaining: self
-                .dep_remaining
-                .iter()
-                .map(|&d| if d == usize::MAX { u64::MAX } else { d as u64 })
-                .collect(),
-            completed: self.completed as u64,
-            abandoned: self.abandoned,
-            results: self.results.clone(),
-            retried: self.retried.iter().map(|&t| t as u64).collect(),
-            infra_retried: self.infra_retried.iter().map(|&t| t as u64).collect(),
-            infra_fail_count: self.infra_fail_count.clone(),
-            cat_streak: self.cat_streak.clone(),
             worker_faults: self
                 .workers
                 .values()
                 .filter(|w| w.infra_failures > 0)
                 .map(|w| (w.id(), w.infra_failures))
                 .collect(),
-            quarantined_until: self
-                .quarantine_until
-                .iter()
-                .map(|&(w, t)| (w, SimTime::from_secs(t)))
-                .collect(),
-            quarantines: self.quarantines,
-            degraded: self.degraded,
-            env_failures: self.env_failures,
-            workers_provisioned: self.workers_provisioned,
-            workers_lost: self.workers_lost,
-            tasks_lost: self.tasks_lost,
-            lease_reclaims: self.lease_reclaims,
-            stage_in_failures: self.stage_in_failures,
-            spurious_kills: self.spurious_kills,
-            result_msgs_lost: self.result_msgs_lost,
-            lost_core_secs: self.lost_core_secs,
         }
     }
 
-    /// Overwrite the master's logical state from an image, rebuild the
-    /// active scheduler implementation, and re-arm master-side timers
-    /// clamped to the recovery instant. World state (workers, caches,
-    /// running executions) is untouched — it survived the crash.
-    fn restore_from_image(&mut self, img: &MasterImage, resume_at: SimTime) {
-        self.restoring = true;
-        self.dep_remaining = img
-            .dep_remaining
-            .iter()
-            .map(|&d| {
-                if d == u64::MAX {
-                    usize::MAX
-                } else {
-                    d as usize
-                }
-            })
-            .collect();
+    /// Overwrite the master's logical state from an image: take its ledger,
+    /// rebuild everything derived from it and the active scheduler
+    /// implementation, and re-arm master-side timers clamped to the
+    /// recovery instant. World state (workers, caches, running executions)
+    /// is untouched — it survived the crash.
+    fn restore_from_image(&mut self, img: MasterImage, resume_at: SimTime) {
+        self.ledger = img.ledger;
         // The rebuilt graph is unpruned, but pruning is an optimization:
         // every re-walk of an already-cancelled branch is stopped by the
-        // `usize::MAX` markers restored above.
+        // ledger's `usize::MAX` markers.
         self.dependents = Self::dependency_graph(&self.tasks);
-        self.completed = img.completed as usize;
-        self.abandoned = img.abandoned;
-        self.results = img.results.clone();
-        self.retried = img.retried.iter().map(|&t| t as usize).collect();
-        self.infra_retried = img.infra_retried.iter().map(|&t| t as usize).collect();
-        self.infra_fail_count = img.infra_fail_count.clone();
-        self.cat_streak = img.cat_streak.clone();
-        self.quarantines = img.quarantines;
-        self.degraded = img.degraded;
-        self.env_failures = img.env_failures;
-        self.workers_provisioned = img.workers_provisioned;
-        self.workers_lost = img.workers_lost;
-        self.tasks_lost = img.tasks_lost;
-        self.lease_reclaims = img.lease_reclaims;
-        self.stage_in_failures = img.stage_in_failures;
-        self.spurious_kills = img.spurious_kills;
-        self.result_msgs_lost = img.result_msgs_lost;
-        self.lost_core_secs = img.lost_core_secs;
-        self.next_placement = img.next_placement;
 
         // The allocator's labels are a pure function of the sample multiset,
         // so replaying the exported samples reproduces every decision.
@@ -1795,25 +1535,10 @@ impl Master {
             );
         }
 
-        self.live_placements.clear();
         self.placements_by_worker.clear();
-        for c in &mut self.running_by_cat {
-            *c = 0;
-        }
+        self.running_by_cat.fill(0);
         self.in_flight = 0;
-        for (&id, p) in &img.placements {
-            self.live_placements.insert(
-                id,
-                PlacementInfo {
-                    worker: p.worker,
-                    task_idx: p.task_idx as usize,
-                    attempt: p.attempt,
-                    allocated: p.alloc,
-                    started_at: p.started_at,
-                    zombie: p.zombie,
-                    lease_at: p.lease_at.map(|t| t.as_secs()),
-                },
-            );
+        for (&id, p) in &self.ledger.placements {
             if !p.zombie {
                 // Zombies already freed their resources; they stay live only
                 // to block duplicate completions until the lease reclaims.
@@ -1822,76 +1547,43 @@ impl Master {
                     .or_default()
                     .insert(id);
                 self.in_flight += 1;
-                self.running_by_cat[self.cat_of[p.task_idx as usize] as usize] += 1;
+                self.running_by_cat[self.cat_of[p.task_idx] as usize] += 1;
             }
         }
 
         for w in self.workers.values_mut() {
-            w.quarantined = false;
-            w.infra_failures = 0;
+            w.infra_failures = img.worker_faults.get(&w.id()).copied().unwrap_or(0);
+            w.quarantined = (self.ledger.quarantined_until.iter()).any(|&(q, _)| q == w.id());
         }
-        for (&wid, &count) in &img.worker_faults {
-            if let Some(w) = self.workers.get_mut(&wid) {
-                w.infra_failures = count;
-            }
-        }
-        for &(wid, _) in &img.quarantined_until {
-            if let Some(w) = self.workers.get_mut(&wid) {
-                w.quarantined = true;
-            }
-        }
-        self.free_cores = self
-            .workers
-            .values()
-            .filter(|w| !w.quarantined)
-            .map(|w| w.node.available().cores as u64)
-            .sum();
-
-        self.backoffs = img
-            .backoffs
-            .iter()
-            .map(|&(t, a, at)| ((t as usize, a), at.as_secs()))
-            .collect();
-        self.quarantine_until = img
-            .quarantined_until
-            .iter()
-            .map(|&(w, t)| (w, t.as_secs()))
-            .collect();
-
-        let pending: Vec<Pending> = img
-            .pending
-            .iter()
-            .map(|&(t, a, since)| Pending {
-                task_idx: t as usize,
-                attempt: a,
-                since,
-            })
-            .collect();
-        self.rebuild_sched(pending);
+        self.free_cores = self.pool_free_cores();
+        self.rebuild_sched(img.pending.into());
 
         // Re-arm master-side timers, clamping deadlines that passed while
         // the master was down to the recovery instant. Each class re-arms
         // in its original arm order, so equal-time timers keep their FIFO
         // tie-break.
-        let clamp = |t: f64| SimTime::from_secs(t.max(resume_at.as_secs()));
-        let leases: Vec<(u64, f64)> = self
-            .live_placements
-            .iter()
-            .filter_map(|(&id, p)| p.lease_at.map(|t| (id, t)))
-            .collect();
-        for (placement, t) in leases {
-            self.queue
-                .schedule_at(clamp(t), Event::LeaseExpired { placement });
+        for (&placement, p) in &self.ledger.placements {
+            if let Some(t) = p.lease_at {
+                self.queue
+                    .schedule_at(t.max(resume_at), Event::LeaseExpired { placement });
+            }
         }
-        for ((task_idx, attempt), at) in self.backoffs.clone() {
+        for &(task_idx, attempt, at) in &self.ledger.backoffs {
             self.queue
-                .schedule_at(clamp(at), Event::Requeue { task_idx, attempt });
+                .schedule_at(at.max(resume_at), Event::Requeue { task_idx, attempt });
         }
-        for (id, t) in self.quarantine_until.clone() {
+        for &(id, t) in &self.ledger.quarantined_until {
             self.queue
-                .schedule_at(clamp(t), Event::QuarantineRelease { id });
+                .schedule_at(t.max(resume_at), Event::QuarantineRelease { id });
         }
-        self.restoring = false;
+    }
+
+    /// Free cores across the workers the scheduler may use.
+    fn pool_free_cores(&self) -> u64 {
+        (self.workers.values())
+            .filter(|w| !w.quarantined)
+            .map(|w| w.node.available().cores as u64)
+            .sum()
     }
 
     /// Crash recovery without a journal: the restarted master knows nothing.
@@ -1901,73 +1593,42 @@ impl Master {
     /// soften the re-run. This deliberately breaks run conservation; it is
     /// the baseline the recovery bench measures the journal against.
     fn full_restart(&mut self, resume_at: SimTime) {
-        let placements: Vec<PlacementInfo> = self.live_placements.values().copied().collect();
-        for p in &placements {
-            if p.zombie {
-                continue;
-            }
+        // The restarted master's ledger is a fresh one, except for what
+        // describes the world rather than the run: placement ids keep
+        // counting (a pre-crash completion still in flight must find its id
+        // dead, never reissued), and the report still owes the pilots
+        // submitted, the workers and attempts lost, and the quarantines
+        // served before the crash.
+        let old = std::mem::take(&mut self.ledger);
+        self.ledger = Ledger {
+            next_placement: old.next_placement,
+            quarantines: old.quarantines,
+            counters: old.counters,
+            ..Ledger::fresh(Self::fresh_deps(&self.tasks), self.cat_names.len())
+        };
+        for p in old.placements.values().filter(|p| !p.zombie) {
             if let Some(w) = self.workers.get_mut(&p.worker) {
                 w.node.free(p.allocated);
                 w.running -= 1;
-            }
-        }
-        // Forget in-flight staging marks for torn-down placements so the
-        // re-run re-stages cleanly.
-        for p in &placements {
-            if p.zombie {
-                continue;
-            }
-            for i in 0..self.tasks[p.task_idx].inputs.len() {
-                let name = self.tasks[p.task_idx].inputs[i].name.clone();
-                let cacheable = self.tasks[p.task_idx].inputs[i].cacheable;
-                if cacheable {
-                    if let Some(w) = self.workers.get_mut(&p.worker) {
-                        w.abort_staging(&name);
-                    }
+                // Forget in-flight staging marks for torn-down placements
+                // so the re-run re-stages cleanly.
+                for f in self.tasks[p.task_idx].inputs.iter().filter(|f| f.cacheable) {
+                    w.abort_staging(&f.name);
                 }
             }
         }
-        self.live_placements.clear();
         self.placements_by_worker.clear();
         self.in_flight = 0;
-        for c in &mut self.running_by_cat {
-            *c = 0;
-        }
-        self.backoffs.clear();
-        self.quarantine_until.clear();
+        self.running_by_cat.fill(0);
         for w in self.workers.values_mut() {
             w.quarantined = false;
             w.infra_failures = 0;
         }
-        self.free_cores = self
-            .workers
-            .values()
-            .map(|w| w.node.available().cores as u64)
-            .sum();
+        self.free_cores = self.pool_free_cores();
         self.allocator = Allocator::new(self.config.strategy.clone());
-        self.dep_remaining = self.tasks.iter().map(|t| t.deps.len()).collect();
         self.dependents = Self::dependency_graph(&self.tasks);
-        self.infra_fail_count = vec![0; self.tasks.len()];
-        for s in &mut self.cat_streak {
-            *s = 0;
-        }
-        self.degraded = false;
-        self.env_failures = 0;
-        self.results.clear();
-        self.retried.clear();
-        self.infra_retried.clear();
-        self.completed = 0;
-        self.abandoned = 0;
         self.rebuild_sched(Vec::new());
-        for idx in 0..self.tasks.len() {
-            if self.dep_remaining[idx] == 0 && self.owned(idx) {
-                self.enqueue_back(Pending {
-                    task_idx: idx,
-                    attempt: 0,
-                    since: resume_at,
-                });
-            }
-        }
+        self.enqueue_roots(resume_at);
     }
 
     /// Point the active scheduler implementation at a restored pending
@@ -2026,13 +1687,12 @@ impl Master {
         // no master-side timers, so this keeps the code path honest at zero
         // observable cost.
         self.queue.retain(Event::is_world);
-        self.restore_from_image(&decoded, now);
+        self.restore_from_image(decoded, now);
     }
 
     fn submit_pilots(&mut self, now: SimTime, count: u32) {
         for pilot in self.batch.submit(now, self.spec, count) {
-            self.workers_provisioned += 1;
-            self.jcount(CounterKey::WorkersProvisioned, 1.0);
+            self.count(CounterKey::WorkersProvisioned, 1.0);
             self.queue
                 .schedule_at(pilot.starts_at, Event::WorkerUp { id: pilot.id });
         }
@@ -2048,14 +1708,15 @@ impl Master {
             return;
         };
         let pending = self.pending_len();
-        if pending == 0 || self.workers_provisioned >= max_workers {
+        let provisioned = self.ledger.counters.workers_provisioned;
+        if pending == 0 || provisioned >= max_workers {
             return;
         }
         // `free_cores` is maintained incrementally on worker up, place,
         // finish, and evict — identical to re-summing the pool, without the
         // per-event O(workers) scan.
         if (pending as u64) > self.free_cores {
-            let want = batch.min(max_workers - self.workers_provisioned);
+            let want = batch.min(max_workers - provisioned);
             if want > 0 {
                 self.submit_pilots(now, want);
             }
@@ -2069,8 +1730,7 @@ impl Master {
         let Some(worker) = self.workers.remove(&id) else {
             return;
         };
-        self.workers_lost += 1;
-        self.jcount(CounterKey::WorkersLost, 1.0);
+        self.count(CounterKey::WorkersLost, 1.0);
         // A quarantined worker's free cores were already withdrawn from the
         // pool (and from the capacity index) when it was quarantined.
         if !worker.quarantined {
@@ -2087,18 +1747,13 @@ impl Master {
         for placement in lost {
             #[cfg(test)]
             EVICT_SCANNED.with(|c| c.set(c.get() + 1));
-            let p = self
-                .live_placements
-                .remove(&placement)
-                .expect("indexed placement is live");
+            let p = *(self.ledger.placements.get(&placement)).expect("indexed placement is live");
             debug_assert_eq!(p.worker, id);
-            self.jrec(Record::Freed { placement });
-            self.tasks_lost += 1;
-            self.jcount(CounterKey::TasksLost, 1.0);
+            self.commit(Record::Freed { placement });
+            self.count(CounterKey::TasksLost, 1.0);
             self.in_flight -= 1;
             let lost_secs = p.allocated.cores as f64 * (now - p.started_at);
-            self.lost_core_secs += lost_secs;
-            self.jcount(CounterKey::LostCoreSecs, lost_secs);
+            self.count(CounterKey::LostCoreSecs, lost_secs);
             let cat = self.cat_of[p.task_idx];
             self.running_by_cat[cat as usize] -= 1;
             if let SchedState::Indexed(ix) = &mut self.sched {
@@ -2136,7 +1791,7 @@ impl Master {
     }
 
     fn enqueue_back(&mut self, item: Pending) {
-        self.jrec(Record::Enqueue {
+        self.commit(Record::Enqueue {
             task_idx: item.task_idx as u64,
             attempt: item.attempt,
             front: false,
@@ -2149,7 +1804,7 @@ impl Master {
     }
 
     fn enqueue_front(&mut self, item: Pending) {
-        self.jrec(Record::Enqueue {
+        self.commit(Record::Enqueue {
             task_idx: item.task_idx as u64,
             attempt: item.attempt,
             front: true,
@@ -2294,15 +1949,16 @@ impl Master {
                     }
                 }
                 Src::Group(gk) => {
-                    let (key, item) = self.ix_mut().pop_group_head(gk);
+                    let item = self.ix().group_head(gk).clone();
                     match self.examine(&item) {
                         Ok((wid, decision, alloc)) => {
+                            self.ix_mut().pop_group_head(gk);
                             self.place(now, wid, &item, decision, alloc);
                             self.ix_mut().drop_group_if_empty(gk);
                         }
                         Err(reason) => {
                             settled.insert(gk, reason.clone());
-                            self.ix_mut().park(gk, Some(reason), key, item);
+                            self.ix_mut().sleep_group(gk, reason);
                         }
                     }
                 }
@@ -2396,20 +2052,9 @@ impl Master {
         worker.running += 1;
         self.in_flight += 1;
         self.running_by_cat[self.cat_of[task_idx] as usize] += 1;
-        let placement = self.next_placement;
-        self.next_placement += 1;
-        self.live_placements.insert(
-            placement,
-            PlacementInfo {
-                worker: wid,
-                task_idx,
-                attempt,
-                allocated: alloc,
-                started_at: now,
-                zombie: false,
-                lease_at: None,
-            },
-        );
+        // The placement itself enters the ledger with its `Placed` record,
+        // once the lease deadline is known.
+        let placement = self.ledger.next_placement;
         self.placements_by_worker
             .entry(wid)
             .or_default()
@@ -2557,7 +2202,7 @@ impl Master {
             );
             // No execution, no lease: the stage-in failure event itself
             // bounds the attempt.
-            self.jrec(Record::Placed {
+            self.commit(Record::Placed {
                 placement,
                 worker: wid,
                 task_idx: task_idx as u64,
@@ -2641,15 +2286,11 @@ impl Master {
             let deadline = now + lease;
             self.queue
                 .schedule_at(deadline, Event::LeaseExpired { placement });
-            self.live_placements
-                .get_mut(&placement)
-                .expect("just inserted")
-                .lease_at = Some(deadline.as_secs());
             Some(deadline)
         } else {
             None
         };
-        self.jrec(Record::Placed {
+        self.commit(Record::Placed {
             placement,
             worker: wid,
             task_idx: task_idx as u64,
@@ -2664,7 +2305,7 @@ impl Master {
     /// unless repeated packed-env staging failures degraded the run to the
     /// shared filesystem.
     fn effective_dist_mode(&self) -> DistMode {
-        if self.degraded {
+        if self.ledger.degraded {
             DistMode::SharedFsDirect
         } else {
             self.config.staging.dist_mode
@@ -2726,19 +2367,14 @@ impl Master {
         if let Some(set) = self.placements_by_worker.get_mut(&info.worker) {
             set.remove(&info.placement);
         }
-        if let Some(p) = self.live_placements.get_mut(&info.placement) {
-            p.zombie = true;
-        }
-        self.jrec(Record::Zombie {
+        self.commit(Record::Zombie {
             placement: info.placement,
         });
         self.free_placement(info.worker, info.task_idx, info.allocated);
         self.cache_staged_inputs(info.worker, info.task_idx);
-        self.result_msgs_lost += 1;
-        self.jcount(CounterKey::ResultMsgsLost, 1.0);
+        self.count(CounterKey::ResultMsgsLost, 1.0);
         let lost_secs = info.allocated.cores as f64 * (now - info.started_at);
-        self.lost_core_secs += lost_secs;
-        self.jcount(CounterKey::LostCoreSecs, lost_secs);
+        self.count(CounterKey::LostCoreSecs, lost_secs);
         self.config
             .telemetry
             .instant_key(tk().result_lost, tk().cat_faults)
@@ -2755,21 +2391,18 @@ impl Master {
     /// straggler still running (whose eventual completion will be dropped
     /// as stale). Either way the task is requeued with backoff.
     fn reclaim_lease(&mut self, now: SimTime, placement: u64) {
-        let Some(p) = self.live_placements.get(&placement).copied() else {
+        let Some(p) = self.ledger.placements.get(&placement).copied() else {
             return; // completed (or was lost with its worker) long ago
         };
-        self.live_placements.remove(&placement);
-        self.jrec(Record::Freed { placement });
-        self.lease_reclaims += 1;
-        self.jcount(CounterKey::LeaseReclaims, 1.0);
+        self.commit(Record::Freed { placement });
+        self.count(CounterKey::LeaseReclaims, 1.0);
         if !p.zombie {
             if let Some(set) = self.placements_by_worker.get_mut(&p.worker) {
                 set.remove(&placement);
             }
             self.free_placement(p.worker, p.task_idx, p.allocated);
             let lost_secs = p.allocated.cores as f64 * (now - p.started_at);
-            self.lost_core_secs += lost_secs;
-            self.jcount(CounterKey::LostCoreSecs, lost_secs);
+            self.count(CounterKey::LostCoreSecs, lost_secs);
         }
         self.config
             .telemetry
@@ -2800,11 +2433,10 @@ impl Master {
         if quarantine {
             worker.quarantined = true;
         }
-        self.jrec(Record::WorkerFault { worker: wid, count });
+        self.commit(Record::WorkerFault { worker: wid, count });
         if quarantine {
             let worker = self.workers.get_mut(&wid).expect("worker exists");
             let avail = worker.node.available();
-            self.quarantines += 1;
             self.free_cores -= avail.cores as u64;
             if let SchedState::Indexed(ix) = &mut self.sched {
                 ix.worker_offline(wid, avail.cores);
@@ -2816,8 +2448,7 @@ impl Master {
                 .track(wid as u64)
                 .emit();
             let release_at = now + self.config.resilience.quarantine_secs;
-            self.quarantine_until.push((wid, release_at.as_secs()));
-            self.jrec(Record::Quarantined {
+            self.commit(Record::Quarantined {
                 worker: wid,
                 release_at,
             });
@@ -2838,8 +2469,7 @@ impl Master {
         worker.quarantined = false;
         worker.infra_failures = 0;
         let avail = worker.node.available();
-        self.quarantine_until.retain(|&(w, _)| w != id);
-        self.jrec(Record::QuarantineLifted { worker: id });
+        self.commit(Record::QuarantineLifted { worker: id });
         self.free_cores += avail.cores as u64;
         if let SchedState::Indexed(ix) = &mut self.sched {
             ix.worker_online(id, avail.cores);
@@ -2857,16 +2487,13 @@ impl Master {
     /// (the task did nothing wrong), bounded by the infra retry budget,
     /// delayed by the category's exponential-backoff streak.
     fn requeue_with_backoff(&mut self, now: SimTime, task_idx: usize, attempt: u32) {
-        self.infra_retried.insert(task_idx);
-        self.infra_fail_count[task_idx] += 1;
-        self.jrec(Record::InfraRetried {
+        let count = self.ledger.infra_fail_count[task_idx] + 1;
+        self.commit(Record::InfraRetried {
             task_idx: task_idx as u64,
-            count: self.infra_fail_count[task_idx],
+            count,
         });
-        if self.infra_fail_count[task_idx] > self.config.resilience.infra_retry_budget {
-            self.abandoned += 1;
-            self.completed += 1;
-            self.jrec(Record::Abandoned {
+        if count > self.config.resilience.infra_retry_budget {
+            self.commit(Record::Abandoned {
                 task_idx: task_idx as u64,
             });
             self.config
@@ -2878,12 +2505,12 @@ impl Master {
         let cat = self.cat_of[task_idx] as usize;
         // Saturate rather than wrap: a pathological streak past u32::MAX
         // attempts must pin at the backoff ceiling, not reset to zero.
-        self.cat_streak[cat] = self.cat_streak[cat].saturating_add(1);
-        self.jrec(Record::Streak {
+        let streak = self.ledger.cat_streak[cat].saturating_add(1);
+        self.commit(Record::Streak {
             cat: cat as u32,
-            value: self.cat_streak[cat],
+            value: streak,
         });
-        let delay = backoff_delay(self.cat_streak[cat], &self.config.resilience);
+        let delay = backoff_delay(streak, &self.config.resilience);
         self.config
             .telemetry
             .instant_key(tk().infra_requeue, tk().cat_faults)
@@ -2900,8 +2527,7 @@ impl Master {
             });
         } else {
             let at = now + delay;
-            self.backoffs.push(((task_idx, attempt), at.as_secs()));
-            self.jrec(Record::BackoffArm {
+            self.commit(Record::BackoffArm {
                 task_idx: task_idx as u64,
                 attempt,
                 at,
@@ -2923,23 +2549,18 @@ impl Master {
                 worker.abort_staging(&f.name);
             }
         }
-        self.stage_in_failures += 1;
-        self.jcount(CounterKey::StageInFailures, 1.0);
+        self.count(CounterKey::StageInFailures, 1.0);
         let lost_secs = info.allocated.cores as f64 * info.stage_in_secs;
-        self.lost_core_secs += lost_secs;
-        self.jcount(CounterKey::LostCoreSecs, lost_secs);
+        self.count(CounterKey::LostCoreSecs, lost_secs);
         if info.env_transfer
             && self.config.staging.dist_mode == DistMode::PackedTransfer
-            && !self.degraded
+            && !self.ledger.degraded
         {
-            self.env_failures += 1;
-            self.jrec(Record::EnvFailure {
-                count: self.env_failures,
-            });
+            let count = self.ledger.env_failures + 1;
+            self.commit(Record::EnvFailure { count });
             if let Some(th) = self.config.resilience.degrade_env_failures {
-                if self.env_failures >= th {
-                    self.degraded = true;
-                    self.jrec(Record::Degraded);
+                if count >= th {
+                    self.commit(Record::Degraded);
                     self.config
                         .telemetry
                         .instant_key(tk().degrade_to_shared_fs, tk().cat_faults)
@@ -2985,7 +2606,7 @@ impl Master {
             ObservationEffects::default()
         } else {
             let report = info.outcome.report();
-            self.jrec(Record::Observe {
+            self.commit(Record::Observe {
                 cat,
                 peak_cores: report.peak_cores,
                 peak_rss_mb: report.peak_rss_mb,
@@ -3087,15 +2708,13 @@ impl Master {
             outcome: info.outcome.clone(),
             attempt: info.attempt,
         };
-        self.jrec(Record::Result(Box::new(result.clone())));
-        self.results.push(result);
+        self.commit(Record::Result(Box::new(result)));
 
         if spurious {
             // An injected monitor fault killed a healthy execution: retry
             // the *same* attempt against the infra budget, never the
             // resource-retry ceiling.
-            self.spurious_kills += 1;
-            self.jcount(CounterKey::SpuriousKills, 1.0);
+            self.count(CounterKey::SpuriousKills, 1.0);
             self.config
                 .telemetry
                 .instant_key(tk().spurious_kill, tk().cat_faults)
@@ -3107,8 +2726,7 @@ impl Master {
             self.note_worker_fault(now, info.worker);
             self.requeue_with_backoff(now, info.task_idx, info.attempt);
         } else if info.outcome.is_limit_exceeded() {
-            self.retried.insert(info.task_idx);
-            self.jrec(Record::Retried {
+            self.commit(Record::Retried {
                 task_idx: info.task_idx as u64,
             });
             if info.attempt + 1 < self.config.resilience.max_attempts {
@@ -3131,9 +2749,7 @@ impl Master {
                     since: now,
                 });
             } else {
-                self.abandoned += 1;
-                self.completed += 1;
-                self.jrec(Record::Abandoned {
+                self.commit(Record::Abandoned {
                     task_idx: info.task_idx as u64,
                 });
                 self.config
@@ -3142,8 +2758,7 @@ impl Master {
                 self.cancel_dependents(info.task_idx);
             }
         } else {
-            self.completed += 1;
-            self.jrec(Record::Finished {
+            let ready = self.commit(Record::Finished {
                 task_idx: info.task_idx as u64,
                 success: info.outcome.is_success(),
             });
@@ -3152,13 +2767,12 @@ impl Master {
                 .counter_at_key(tk().master_task_done, 1, now);
             if info.outcome.is_success() {
                 // A success ends the category's infra-failure streak.
-                self.cat_streak[cat as usize] = 0;
-                self.jrec(Record::Streak { cat, value: 0 });
+                self.commit(Record::Streak { cat, value: 0 });
                 // All tasks submit at t=0, so turnaround is just `now`.
                 self.config
                     .telemetry
                     .observe_key(tk().turnaround_s, now.as_secs());
-                self.release_dependents(now, info.task_idx);
+                self.release_dependents(now, info.task_idx, ready);
             } else {
                 // The function itself failed: its dependents can never run.
                 self.cancel_dependents(info.task_idx);
@@ -3166,38 +2780,34 @@ impl Master {
         }
     }
 
-    /// A task succeeded: locally-owned dependents with no remaining
-    /// dependencies become ready; remotely-owned dependents get a `Release`
-    /// handoff message carrying the producer's output size (the owner
-    /// decrements its own count when the message lands).
-    fn release_dependents(&mut self, now: SimTime, task_idx: usize) {
-        let id = self.tasks[task_idx].id;
-        let bytes = self.tasks[task_idx].output_bytes;
-        let mut ready: Vec<usize> = Vec::new();
-        let mut remote: Vec<usize> = Vec::new();
-        for &dep_idx in self.dependents.get(&id).map(Vec::as_slice).unwrap_or(&[]) {
-            if !self.owned(dep_idx) {
-                remote.push(dep_idx);
-                continue;
-            }
-            self.dep_remaining[dep_idx] -= 1;
-            if self.dep_remaining[dep_idx] == 0 {
-                ready.push(dep_idx);
-            }
-        }
-        for dep_idx in ready {
+    /// Enqueue tasks whose last dependency was just satisfied.
+    fn enqueue_ready(&mut self, now: SimTime, ready: Vec<usize>) {
+        for task_idx in ready {
             self.enqueue_back(Pending {
-                task_idx: dep_idx,
+                task_idx,
                 attempt: 0,
                 since: now,
             });
         }
-        if let Some(f) = self.fed.as_mut() {
-            for dep_idx in remote {
+    }
+
+    /// A task succeeded and its `Finished` record counted it off its
+    /// locally-owned dependents: those now `ready` are enqueued;
+    /// remotely-owned dependents get a `Release` handoff message carrying
+    /// the producer's output size (the owner decrements its own count when
+    /// the message lands).
+    fn release_dependents(&mut self, now: SimTime, task_idx: usize, ready: Vec<usize>) {
+        self.enqueue_ready(now, ready);
+        let Some(f) = self.fed.as_mut() else {
+            return;
+        };
+        let task = &self.tasks[task_idx];
+        for &dep_idx in self.dependents.get(&task.id).map_or(&[][..], Vec::as_slice) {
+            if f.owner[dep_idx] != f.shard {
                 f.outbox.push(OutMsg::Release {
                     task_idx: dep_idx,
                     at: now,
-                    bytes,
+                    bytes: task.output_bytes,
                 });
             }
         }
@@ -3224,13 +2834,10 @@ impl Master {
                     }
                     continue;
                 }
-                if self.dep_remaining[dep_idx] == usize::MAX {
+                if self.ledger.dep_remaining[dep_idx] == usize::MAX {
                     continue; // already cancelled
                 }
-                self.dep_remaining[dep_idx] = usize::MAX;
-                self.abandoned += 1;
-                self.completed += 1;
-                self.jrec(Record::Cancelled {
+                self.commit(Record::Cancelled {
                     task_idx: dep_idx as u64,
                 });
                 stack.push(self.tasks[dep_idx].id);
@@ -3253,7 +2860,7 @@ impl Master {
     /// Tasks that reached a terminal state on this shard (successes plus
     /// abandoned), the federation's termination currency.
     pub(crate) fn completed_count(&self) -> usize {
-        self.completed
+        self.ledger.completed
     }
 
     /// The master process is currently crashed (buffering world events).
@@ -3310,7 +2917,7 @@ impl Master {
     /// Every attempt record produced so far, in completion order. Streaming
     /// drivers read incrementally from a cursor; the slice only ever grows.
     pub(crate) fn results_so_far(&self) -> &[TaskResult] {
-        &self.results
+        &self.ledger.results
     }
 
     /// Attempts currently placed on workers.
@@ -3354,7 +2961,7 @@ impl Master {
         stolen
             .into_iter()
             .map(|p| {
-                self.jrec(Record::Stolen {
+                self.commit(Record::Stolen {
                     task_idx: p.task_idx as u64,
                     attempt: p.attempt,
                 });
@@ -4031,12 +3638,12 @@ mod tests {
         m.note_worker_fault(SimTime::from_secs(1.0), 0);
         assert!(m.workers[&0].quarantined, "threshold 1 must quarantine");
         assert_eq!(m.free_cores, 0, "capacity withdrawn from the pool");
-        assert_eq!(m.quarantine_until.len(), 1);
+        assert_eq!(m.ledger.quarantined_until.len(), 1);
         m.release_quarantine(SimTime::from_secs(2.0), 0);
         assert!(!m.workers[&0].quarantined);
         assert_eq!(m.workers[&0].infra_failures, 0, "flakiness score reset");
         assert_eq!(m.free_cores, full, "capacity restored");
-        assert!(m.quarantine_until.is_empty());
+        assert!(m.ledger.quarantined_until.is_empty());
         // The duplicate release: nothing may be added twice.
         m.release_quarantine(SimTime::from_secs(3.0), 0);
         assert_eq!(m.free_cores, full, "double release re-added capacity");
@@ -4047,8 +3654,8 @@ mod tests {
             since: SimTime::from_secs(3.0),
         });
         m.dispatch(SimTime::from_secs(3.0));
-        assert_eq!(m.live_placements.len(), 1, "released worker unused");
-        assert_eq!(m.live_placements.values().next().unwrap().worker, 0);
+        assert_eq!(m.ledger.placements.len(), 1, "released worker unused");
+        assert_eq!(m.ledger.placements.values().next().unwrap().worker, 0);
     }
 
     #[test]
@@ -4081,7 +3688,7 @@ mod tests {
         );
         let stats = m.allocator.snapshot_category("hep").expect("stats");
         let img = m.snapshot_image();
-        m.restore_from_image(&img, SimTime::ZERO);
+        m.restore_from_image(img, SimTime::ZERO);
         assert_eq!(
             m.allocator.snapshot_category("hep").expect("stats"),
             stats,
@@ -4189,6 +3796,74 @@ mod tests {
             journaled.makespan_secs,
             restarted.makespan_secs
         );
+
+        // What a full restart keeps: the ledger starts over except for what
+        // describes the world rather than the run. Placement ids keep
+        // counting — a completion in flight across the restart must find
+        // its id dead, never reissued to a new attempt — and the workers and
+        // core-seconds lost before the crash stay on the report.
+        let churned = base.with_faults(
+            FaultPlan::reliable()
+                .with(FaultSpec::master_crash(40.0, 1))
+                .with(FaultSpec::worker_churn(60.0)),
+        );
+        let mut m = Master::new(churned, hep_tasks(40), 4, node());
+        m.start();
+        let mut before = m.ledger.clone();
+        while m.master_crashes == 0 {
+            before = m.ledger.clone();
+            m.step();
+        }
+        assert!(before.counters.workers_lost > 0 && before.counters.lost_core_secs > 0.0);
+        assert!(!before.placements.is_empty() && !before.results.is_empty());
+        let fence = m.ledger.next_placement;
+        assert!(before.placements.keys().all(|&id| id < fence));
+        assert!(m.ledger.counters.workers_lost >= before.counters.workers_lost);
+        assert!(m.ledger.counters.lost_core_secs >= before.counters.lost_core_secs);
+        assert!(m.ledger.counters.workers_provisioned >= before.counters.workers_provisioned);
+        // Everything about the run itself is gone.
+        assert!(m.ledger.placements.is_empty() && m.ledger.results.is_empty());
+        assert_eq!((m.ledger.completed, m.ledger.abandoned), (0, 0));
+        while m.ledger.completed < m.tasks.len() {
+            m.step();
+            assert!(
+                m.ledger.placements.keys().all(|&id| id >= fence),
+                "a pre-restart placement id was reissued"
+            );
+        }
+        let report = m.finish();
+        assert_eq!(distinct_successes(&report), 40);
+        assert!(report.workers_lost >= before.counters.workers_lost);
+    }
+
+    #[test]
+    fn cancelled_dependent_is_abandoned_once() {
+        // Task 3 depends on 0, 1 and 2. Task 0 is abandoned first (3 is
+        // cancelled with it), then 1 succeeds, then 2 is abandoned. The
+        // success in between must leave 3 cancelled, or 2's failure cancels
+        // it — and counts it — a second time.
+        let task = |id: u64, secs: f64, memory_mb: u64, deps: Vec<u64>| {
+            let profile = SimTaskProfile::new(secs, 1.0, memory_mb, 10);
+            TaskSpec::new(TaskId(id), "x", vec![], 0, profile)
+                .after(deps.into_iter().map(TaskId).collect())
+        };
+        // 900 MB against a 100 MB guess is killed a few percent into the
+        // memory ramp: at 2.5 s for task 0, at 247 s for task 2.
+        let tasks = vec![
+            task(0, 10.0, 900, vec![]),
+            task(1, 30.0, 50, vec![]),
+            task(2, 100_000.0, 900, vec![]),
+            task(3, 5.0, 50, vec![0, 1, 2]),
+        ];
+        let cfg = MasterConfig::new(Strategy::Guess(Resources::new(1, 100, 100))).with_resilience(
+            ResilienceConfig {
+                max_attempts: 1,
+                ..ResilienceConfig::default()
+            },
+        );
+        let report = run_workload(&cfg, tasks, 1, node());
+        assert_eq!(distinct_successes(&report), 1);
+        assert_eq!(report.abandoned_tasks, 3, "successes + abandoned == 4");
     }
 
     #[test]

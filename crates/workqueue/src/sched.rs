@@ -50,7 +50,7 @@ pub enum SchedImpl {
 }
 
 /// A queued task attempt.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Pending {
     pub task_idx: usize,
     pub attempt: u32,
@@ -208,11 +208,24 @@ impl IndexedSched {
         self.ready.pop_first().expect("peek_min said ready")
     }
 
+    /// The head of a runnable group, left in place: most head examinations
+    /// fail, and a failed one only renews the group's certificate.
+    pub fn group_head(&self, gk: GroupKey) -> &Pending {
+        let g = self.groups.get(&gk).expect("runnable group exists");
+        g.members.values().next().expect("runnable group non-empty")
+    }
+
     pub fn pop_group_head(&mut self, gk: GroupKey) -> (OrderKey, Pending) {
         let g = self.groups.get_mut(&gk).expect("runnable group exists");
         let (key, item) = g.members.pop_first().expect("runnable group non-empty");
         self.parked -= 1;
         (key, item)
+    }
+
+    /// The examined head failed: the group sleeps under the fresh verdict.
+    pub fn sleep_group(&mut self, gk: GroupKey, reason: ParkReason) {
+        self.groups.get_mut(&gk).expect("group exists").reason = reason;
+        self.runnable.remove(&gk);
     }
 
     /// Remove a group emptied by successful placements.
@@ -402,6 +415,16 @@ impl IndexedSched {
         task: &TaskSpec,
         alloc: &Resources,
     ) -> Option<u32> {
+        // A full pool answers before any per-input work: when even the
+        // freest worker has too few cores the scan below stops at its
+        // first entry.
+        if self
+            .cap_index
+            .last()
+            .is_none_or(|&(free, _)| free < alloc.cores)
+        {
+            return None;
+        }
         // Holder sets of the task's cacheable inputs. With no cacheable
         // input, or one nobody holds, no worker is preferred over another
         // and the empty list makes the first fitting worker win outright.

@@ -64,7 +64,11 @@ impl Worker {
     /// file newly entered the cache (callers maintaining a file → workers
     /// inverted index mirror exactly these insertions).
     pub fn insert_cached(&mut self, file: &FileRef) -> bool {
-        let newly_cached = file.cacheable && self.cache.insert(file.name.clone());
+        // Probe first: the common case is a file already cached, and the
+        // owned key is only needed when it is not.
+        let newly_cached = file.cacheable
+            && !self.cache.contains(&file.name)
+            && self.cache.insert(file.name.clone());
         if newly_cached {
             self.cache_bytes += file.disk_footprint();
         }

@@ -292,6 +292,52 @@ fn master_crash_recovery_matrix() {
 }
 
 #[test]
+fn ledger_replay_equals_live_at_every_crash() {
+    // Every crash of a journaled master folds `snapshot ⊕ tail` and, in a
+    // debug build, asserts the folded ledger equals the live one before the
+    // live one is discarded. That holds only if every change to journaled
+    // state went through `Master::commit`: swap one commit for a direct
+    // field write and replay no longer sees it, so this run panics at the
+    // next crash. The drug-screening DAG under all seven fault kinds
+    // reaches every record kind a batch run writes; four crashes check the
+    // fold from a fresh ledger, from a snapshot, and from an image that was
+    // itself restored.
+    let w = drug::build(16, 7);
+    let plan = FaultPlan::reliable()
+        .with(FaultSpec::master_crash(25.0, 4))
+        .with(FaultSpec::worker_churn(1500.0))
+        .with(FaultSpec::straggler(0.2, 1.5, 3.0))
+        .with(FaultSpec::message_delay(0.1, 1.0))
+        .with(FaultSpec::message_loss(0.05))
+        .with(FaultSpec::stage_in_failure(0.1))
+        .with(FaultSpec::unpack_disk_full(0.1))
+        .with(FaultSpec::spurious_kill(0.1));
+    for durability in [
+        DurabilityConfig::journal_only(),
+        DurabilityConfig::journal_with_snapshots(64),
+    ] {
+        let cfg = MasterConfig::new(Strategy::Auto(AutoConfig::default()))
+            .with_faults(plan.clone())
+            .with_durability(durability)
+            .with_seed(16);
+        let label = format!("ledger/snap={:?}", durability.snapshot_every);
+        assert_equivalent(&label, &cfg, &w.tasks, 6, drug::worker_spec());
+        let report = run_workload(&cfg, w.tasks.clone(), 6, drug::worker_spec());
+        assert_eq!(report.master_crashes, 4, "{label}: crashes fired");
+        assert_eq!(report.recoveries, 4, "{label}: every crash recovered");
+        let succeeded: std::collections::BTreeSet<_> = (report.results.iter())
+            .filter(|r| r.outcome.is_success())
+            .map(|r| r.task)
+            .collect();
+        assert_eq!(
+            succeeded.len() as u64 + report.abandoned_tasks,
+            w.tasks.len() as u64,
+            "{label}: successes + abandoned == submitted"
+        );
+    }
+}
+
+#[test]
 fn unmanaged_whole_worker_matches() {
     // Whole-worker allocations park as NoFit until a worker fully drains —
     // the wake-on-fitting-capacity path under maximum contention.
