@@ -21,19 +21,24 @@
 //! * **Snapshots** — a `MasterImage` is the ledger plus the three views
 //!   whose live form is an index or lives in another module (pending queue
 //!   in examination order, allocator sample stores, per-worker fault
-//!   counts). Installing one compacts the journal: recovery replays only
-//!   the record tail written since.
-//! * **Recovery** — `image = snapshot ⊕ replay(tail)`, then the master
-//!   rebuilds either scheduler implementation from the image. World state
-//!   (workers, caches, the shared filesystem, the network, in-flight
-//!   completions) survives a master crash by definition — only the
-//!   coordinator's memory is lost.
+//!   counts). Installing an image compacts the journal: recovery replays
+//!   only the record tail written since. The journal keeps images as a
+//!   chain of encoded segments — one *full* image, then *delta* images that
+//!   carry what their record tail changed — so a compaction costs the tail,
+//!   not the run; the chain rebases onto a new full image once its deltas
+//!   outweigh the old one.
+//! * **Recovery** — `image = decode(full) ⊕ deltas ⊕ replay(tail)`, from
+//!   the encoded bytes and the tail alone, then the master rebuilds either
+//!   scheduler implementation from the image. World state (workers, caches,
+//!   the shared filesystem, the network, in-flight completions) survives a
+//!   master crash by definition — only the coordinator's memory is lost.
 //!
 //! Everything is encoded with a small hand-rolled little-endian binary
 //! format (the vendored serde is a stub): `u8` tags, fixed-width LE
 //! integers, `f64` as raw bits (exact round-trip), and length-prefixed
 //! strings. See DESIGN.md §5e for the format and the recovery invariants.
 
+use crate::allocate::censored_samples;
 use crate::files::{FileKind, FileRef};
 use crate::sched::Pending;
 use crate::task::{TaskId, TaskResult, TaskSpec};
@@ -256,6 +261,8 @@ pub enum JournalError {
     BadTag(&'static str, u8),
     /// A length-prefixed string was not UTF-8.
     BadString,
+    /// A delta image does not fit the image it extends, in the named field.
+    Inconsistent(&'static str),
 }
 
 impl std::fmt::Display for JournalError {
@@ -264,6 +271,9 @@ impl std::fmt::Display for JournalError {
             JournalError::Truncated => write!(f, "journal truncated mid-record"),
             JournalError::BadTag(what, t) => write!(f, "bad {what} tag byte {t:#x}"),
             JournalError::BadString => write!(f, "journal string is not UTF-8"),
+            JournalError::Inconsistent(what) => {
+                write!(f, "delta image does not fit its base: {what}")
+            }
         }
     }
 }
@@ -930,6 +940,12 @@ pub(crate) struct Ledger {
     pub degraded: bool,
     pub env_failures: u32,
     pub counters: Counters,
+    /// Tasks whose per-task entries (`dep_remaining`, `infra_fail_count`,
+    /// retry-set membership) changed since the journal's last image — what
+    /// the next delta image carries instead of the whole vectors. Not part
+    /// of any image: [`apply`](Ledger::apply) pushes (duplicates allowed)
+    /// and the master clears it when an image is installed.
+    pub dirty: Vec<usize>,
 }
 
 /// The dependency topology [`Ledger::apply`] reads to release a finished
@@ -1027,13 +1043,16 @@ impl Ledger {
                 self.dep_remaining[*task_idx as usize] = usize::MAX;
                 self.abandoned += 1;
                 self.completed += 1;
+                self.dirty.push(*task_idx as usize);
             }
             Record::Retried { task_idx } => {
                 self.retried.insert(*task_idx as usize);
+                self.dirty.push(*task_idx as usize);
             }
             Record::InfraRetried { task_idx, count } => {
                 self.infra_retried.insert(*task_idx as usize);
                 self.infra_fail_count[*task_idx as usize] = *count;
+                self.dirty.push(*task_idx as usize);
             }
             Record::Streak { cat, value } => self.cat_streak[*cat as usize] = *value,
             Record::Quarantined { worker, release_at } => {
@@ -1057,6 +1076,7 @@ impl Ledger {
                 );
                 self.dep_remaining.push(0);
                 self.infra_fail_count.push(0);
+                self.dirty.push(*task_idx as usize);
                 if self.cat_streak.len() <= *cat as usize {
                     self.cat_streak.resize(*cat as usize + 1, 0);
                 }
@@ -1097,6 +1117,7 @@ impl Ledger {
                 continue;
             }
             self.dep_remaining[idx] -= 1;
+            self.dirty.push(idx);
             if self.dep_remaining[idx] == 0 {
                 ready.push(idx);
             }
@@ -1120,18 +1141,47 @@ pub(crate) struct CategorySnap {
     pub completed: u64,
 }
 
+/// Fold one `Observe` record into sample stores dense by category id — the
+/// replay of `Allocator::observe_outcome`, through the same censoring rule.
+/// Any other record leaves the stores alone.
+pub(crate) fn observe_into(stats: &mut Vec<CategorySnap>, rec: &Record) {
+    let Record::Observe {
+        cat,
+        peak_cores,
+        peak_rss_mb,
+        peak_disk_mb,
+        completed,
+        violated,
+    } = rec
+    else {
+        return;
+    };
+    // A category first seen mid-stream has no slot yet.
+    if stats.len() <= *cat as usize {
+        stats.resize_with(*cat as usize + 1, CategorySnap::default);
+    }
+    let s = &mut stats[*cat as usize];
+    let [cores, memory_mb, disk_mb] =
+        censored_samples(*peak_cores, *peak_rss_mb, *peak_disk_mb, *violated);
+    s.cores.extend(cores);
+    s.memory_mb.extend(memory_mb);
+    s.disk_mb.extend(disk_mb);
+    s.completed += *completed as u64;
+}
+
 /// The complete serializable image of the master's logical state: the
 /// ledger, plus the three views whose live form is an index
-/// (`IndexedSched`) or lives in another module (`Allocator`, `Worker`). A
-/// snapshot encodes one; journal replay folds records into one; recovery
-/// rebuilds either scheduler implementation from one.
+/// (`IndexedSched`) or lives in another module (`Allocator`, `Worker`). The
+/// journal's image chain decodes to one; journal replay folds records into
+/// one; recovery rebuilds either scheduler implementation from one.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct MasterImage {
     pub ledger: Ledger,
-    /// Pending queue in examination order. Snapshots enumerate the
+    /// Pending queue in examination order. A full image enumerates the
     /// policy-sorted order (identical for both scheduler implementations);
-    /// replay maintains deque order. Either preserves the within-rank
-    /// relative order that determines dispatch.
+    /// delta images and replay fold queue operations into it, which keeps
+    /// deque order. Either preserves the within-rank relative order that
+    /// determines dispatch.
     pub pending: VecDeque<Pending>,
     /// Allocator sample stores, dense by interned category id.
     pub alloc_stats: Vec<CategorySnap>,
@@ -1139,99 +1189,348 @@ pub(crate) struct MasterImage {
     pub worker_faults: BTreeMap<u32, u32>,
 }
 
-impl MasterImage {
-    /// The wire layout interleaves ledger fields with the three views in a
-    /// fixed order, with indices as `u64` (a cancelled dependency count as
-    /// `u64::MAX`) and times as `f64` seconds.
-    pub fn encode(&self) -> Vec<u8> {
-        let l = &self.ledger;
-        let mut out = Vec::new();
-        put_u64(&mut out, self.pending.len() as u64);
-        for p in &self.pending {
-            put_u64(&mut out, p.task_idx as u64);
-            put_u32(&mut out, p.attempt);
-            put_time(&mut out, p.since);
+/// A pending queue that records are being folded into: what `Enqueue`,
+/// `Placed` and `Stolen` do to it, for delta images and tail replay alike.
+/// A departure is a map lookup and a vacated slot — searching a deque for
+/// each one would cost the whole backlog per record.
+pub(crate) struct PendingFold {
+    /// Slot `i` holds queue position `first + i`; a departed attempt
+    /// leaves `None`.
+    slots: VecDeque<Option<Pending>>,
+    first: i64,
+    /// Queue position of each waiting `(task, attempt)` — an attempt is
+    /// pending at most once.
+    position: BTreeMap<(usize, u32), i64>,
+}
+
+impl PendingFold {
+    pub fn new(queue: VecDeque<Pending>) -> Self {
+        PendingFold {
+            position: (queue.iter().enumerate())
+                .map(|(i, p)| ((p.task_idx, p.attempt), i as i64))
+                .collect(),
+            slots: queue.into_iter().map(Some).collect(),
+            first: 0,
         }
-        put_u64(&mut out, l.backoffs.len() as u64);
-        for &(t, a, at) in &l.backoffs {
-            put_u64(&mut out, t as u64);
-            put_u32(&mut out, a);
-            put_time(&mut out, at);
-        }
-        put_u64(&mut out, l.placements.len() as u64);
-        for (&id, p) in &l.placements {
-            put_u64(&mut out, id);
-            put_u32(&mut out, p.worker);
-            put_u64(&mut out, p.task_idx as u64);
-            put_u32(&mut out, p.attempt);
-            put_resources(&mut out, &p.allocated);
-            put_time(&mut out, p.started_at);
-            put_bool(&mut out, p.zombie);
-            put_lease(&mut out, p.lease_at);
-        }
-        put_u64(&mut out, l.next_placement);
-        put_u64(&mut out, self.alloc_stats.len() as u64);
-        for s in &self.alloc_stats {
-            for axis in [&s.cores, &s.memory_mb, &s.disk_mb] {
-                put_u64(&mut out, axis.len() as u64);
-                for &v in axis {
-                    put_f64(&mut out, v);
+    }
+
+    pub fn apply(&mut self, rec: &Record) {
+        match rec {
+            Record::Enqueue {
+                task_idx,
+                attempt,
+                front,
+                since,
+            } => {
+                let item = Pending {
+                    task_idx: *task_idx as usize,
+                    attempt: *attempt,
+                    since: *since,
+                };
+                let at = if *front {
+                    self.first -= 1;
+                    self.slots.push_front(Some(item));
+                    self.first
+                } else {
+                    self.slots.push_back(Some(item));
+                    self.first + self.slots.len() as i64 - 1
+                };
+                self.position.insert((*task_idx as usize, *attempt), at);
+            }
+            // The attempt left the queue — for a worker, or for the thief
+            // shard.
+            Record::Placed {
+                task_idx, attempt, ..
+            }
+            | Record::Stolen { task_idx, attempt } => {
+                if let Some(at) = self.position.remove(&(*task_idx as usize, *attempt)) {
+                    self.slots[(at - self.first) as usize] = None;
                 }
             }
-            put_u64(&mut out, s.completed);
+            _ => {}
         }
-        put_u64(&mut out, l.dep_remaining.len() as u64);
-        for &d in &l.dep_remaining {
-            put_u64(&mut out, if d == usize::MAX { u64::MAX } else { d as u64 });
+    }
+
+    pub fn finish(self) -> VecDeque<Pending> {
+        self.slots.into_iter().flatten().collect()
+    }
+}
+
+// Both kinds of image are written from borrowed state — the live ledger and
+// the three views — so a compaction copies nothing it does not encode. A
+// *full* image is the whole state in a fixed field order, with indices as
+// `u64` (a cancelled dependency count as `u64::MAX`) and times as `f64`
+// seconds. A *delta* image is what the record tail changed since the
+// previous image: the sections bounded by the cluster (placements, timers,
+// scalars) whole, and for the sections that grow with the run or its
+// backlog — result rows, allocator samples, the per-task vectors, the
+// pending queue — only the changes.
+
+fn put_dep(out: &mut Vec<u8>, d: usize) {
+    put_u64(out, if d == usize::MAX { u64::MAX } else { d as u64 });
+}
+
+fn read_dep(r: &mut Reader<'_>) -> Result<usize, JournalError> {
+    let d = r.u64()?;
+    Ok(if d == u64::MAX {
+        usize::MAX
+    } else {
+        d as usize
+    })
+}
+
+/// Armed backoffs, live placements and the placement-id counter. Whole in
+/// both kinds.
+fn put_live(out: &mut Vec<u8>, l: &Ledger) {
+    put_u64(out, l.backoffs.len() as u64);
+    for &(t, a, at) in &l.backoffs {
+        put_u64(out, t as u64);
+        put_u32(out, a);
+        put_time(out, at);
+    }
+    put_u64(out, l.placements.len() as u64);
+    for (&id, p) in &l.placements {
+        put_u64(out, id);
+        put_u32(out, p.worker);
+        put_u64(out, p.task_idx as u64);
+        put_u32(out, p.attempt);
+        put_resources(out, &p.allocated);
+        put_time(out, p.started_at);
+        put_bool(out, p.zombie);
+        put_lease(out, p.lease_at);
+    }
+    put_u64(out, l.next_placement);
+}
+
+/// Inverse of [`put_live`], replacing what `l` held.
+fn read_live(r: &mut Reader<'_>, l: &mut Ledger) -> Result<(), JournalError> {
+    l.backoffs.clear();
+    for _ in 0..r.u64()? {
+        l.backoffs.push((r.u64()? as usize, r.u32()?, r.time()?));
+    }
+    l.placements.clear();
+    for _ in 0..r.u64()? {
+        let id = r.u64()?;
+        l.placements.insert(
+            id,
+            PlacementInfo {
+                worker: r.u32()?,
+                task_idx: r.u64()? as usize,
+                attempt: r.u32()?,
+                allocated: r.resources()?,
+                started_at: r.time()?,
+                zombie: r.bool()?,
+                lease_at: read_lease(r)?,
+            },
+        );
+    }
+    l.next_placement = r.u64()?;
+    Ok(())
+}
+
+fn put_samples(out: &mut Vec<u8>, s: &CategorySnap) {
+    for axis in [&s.cores, &s.memory_mb, &s.disk_mb] {
+        put_u64(out, axis.len() as u64);
+        for &v in axis {
+            put_f64(out, v);
         }
-        put_u64(&mut out, l.completed as u64);
-        put_u64(&mut out, l.abandoned);
-        put_u64(&mut out, l.results.len() as u64);
-        for tr in &l.results {
-            put_result(&mut out, tr);
+    }
+    put_u64(out, s.completed);
+}
+
+/// Inverse of [`put_samples`], adding to what `s` held.
+fn read_samples(r: &mut Reader<'_>, s: &mut CategorySnap) -> Result<(), JournalError> {
+    for axis in [&mut s.cores, &mut s.memory_mb, &mut s.disk_mb] {
+        for _ in 0..r.u64()? {
+            axis.push(r.f64()?);
         }
-        for set in [&l.retried, &l.infra_retried] {
-            put_u64(&mut out, set.len() as u64);
-            for &t in set {
-                put_u64(&mut out, t as u64);
-            }
+    }
+    s.completed = (s.completed.checked_add(r.u64()?))
+        .ok_or(JournalError::Inconsistent("completed-sample count"))?;
+    Ok(())
+}
+
+/// Streaks, fault attribution, quarantine, the scalars and the report
+/// counters. Whole in both kinds.
+fn put_footer(out: &mut Vec<u8>, l: &Ledger, worker_faults: &BTreeMap<u32, u32>) {
+    put_u64(out, l.cat_streak.len() as u64);
+    for &c in &l.cat_streak {
+        put_u32(out, c);
+    }
+    put_u64(out, worker_faults.len() as u64);
+    for (&w, &c) in worker_faults {
+        put_u32(out, w);
+        put_u32(out, c);
+    }
+    put_u64(out, l.quarantined_until.len() as u64);
+    for &(w, t) in &l.quarantined_until {
+        put_u32(out, w);
+        put_time(out, t);
+    }
+    put_u32(out, l.quarantines);
+    put_bool(out, l.degraded);
+    put_u32(out, l.env_failures);
+    put_u32(out, l.counters.workers_provisioned);
+    put_u32(out, l.counters.workers_lost);
+    put_u64(out, l.counters.tasks_lost);
+    put_u64(out, l.counters.lease_reclaims);
+    put_u64(out, l.counters.stage_in_failures);
+    put_u64(out, l.counters.spurious_kills);
+    put_u64(out, l.counters.result_msgs_lost);
+    put_f64(out, l.counters.lost_core_secs);
+}
+
+/// Inverse of [`put_footer`], replacing what `img` held.
+fn read_footer(r: &mut Reader<'_>, img: &mut MasterImage) -> Result<(), JournalError> {
+    let l = &mut img.ledger;
+    l.cat_streak.clear();
+    for _ in 0..r.u64()? {
+        l.cat_streak.push(r.u32()?);
+    }
+    img.worker_faults.clear();
+    for _ in 0..r.u64()? {
+        img.worker_faults.insert(r.u32()?, r.u32()?);
+    }
+    l.quarantined_until.clear();
+    for _ in 0..r.u64()? {
+        l.quarantined_until.push((r.u32()?, r.time()?));
+    }
+    l.quarantines = r.u32()?;
+    l.degraded = r.bool()?;
+    l.env_failures = r.u32()?;
+    l.counters = Counters {
+        workers_provisioned: r.u32()?,
+        workers_lost: r.u32()?,
+        tasks_lost: r.u64()?,
+        lease_reclaims: r.u64()?,
+        stage_in_failures: r.u64()?,
+        spurious_kills: r.u64()?,
+        result_msgs_lost: r.u64()?,
+        lost_core_secs: r.f64()?,
+    };
+    Ok(())
+}
+
+fn encode_full(
+    out: &mut Vec<u8>,
+    l: &Ledger,
+    pending: &[Pending],
+    alloc_stats: &[CategorySnap],
+    worker_faults: &BTreeMap<u32, u32>,
+) {
+    put_u64(out, pending.len() as u64);
+    for p in pending {
+        put_u64(out, p.task_idx as u64);
+        put_u32(out, p.attempt);
+        put_time(out, p.since);
+    }
+    put_live(out, l);
+    put_u64(out, alloc_stats.len() as u64);
+    for s in alloc_stats {
+        put_samples(out, s);
+    }
+    put_u64(out, l.dep_remaining.len() as u64);
+    for &d in &l.dep_remaining {
+        put_dep(out, d);
+    }
+    put_u64(out, l.completed as u64);
+    put_u64(out, l.abandoned);
+    put_u64(out, l.results.len() as u64);
+    for tr in &l.results {
+        put_result(out, tr);
+    }
+    for set in [&l.retried, &l.infra_retried] {
+        put_u64(out, set.len() as u64);
+        for &t in set {
+            put_u64(out, t as u64);
         }
-        put_u64(&mut out, l.infra_fail_count.len() as u64);
-        for &c in &l.infra_fail_count {
-            put_u32(&mut out, c);
+    }
+    put_u64(out, l.infra_fail_count.len() as u64);
+    for &c in &l.infra_fail_count {
+        put_u32(out, c);
+    }
+    put_footer(out, l, worker_faults);
+}
+
+/// Encode what `tail` — every record since the previous image — changed.
+/// Result rows, allocator samples and queue operations come from the
+/// tail's own records; the per-task entries are those of `l.dirty`.
+fn encode_delta(
+    out: &mut Vec<u8>,
+    l: &Ledger,
+    worker_faults: &BTreeMap<u32, u32>,
+    tail: &[Record],
+) {
+    // What happened to the pending queue, as the records [`PendingFold`]
+    // reads: enqueues verbatim, a placement cut down to the departure it is
+    // to the queue.
+    let queue_ops = tail.iter().filter_map(|rec| match *rec {
+        Record::Enqueue { .. } => Some(rec.clone()),
+        Record::Placed {
+            task_idx, attempt, ..
         }
-        put_u64(&mut out, l.cat_streak.len() as u64);
-        for &c in &l.cat_streak {
-            put_u32(&mut out, c);
-        }
-        put_u64(&mut out, self.worker_faults.len() as u64);
-        for (&w, &c) in &self.worker_faults {
-            put_u32(&mut out, w);
-            put_u32(&mut out, c);
-        }
-        put_u64(&mut out, l.quarantined_until.len() as u64);
-        for &(w, t) in &l.quarantined_until {
-            put_u32(&mut out, w);
-            put_time(&mut out, t);
-        }
-        put_u32(&mut out, l.quarantines);
-        put_bool(&mut out, l.degraded);
-        put_u32(&mut out, l.env_failures);
-        put_u32(&mut out, l.counters.workers_provisioned);
-        put_u32(&mut out, l.counters.workers_lost);
-        put_u64(&mut out, l.counters.tasks_lost);
-        put_u64(&mut out, l.counters.lease_reclaims);
-        put_u64(&mut out, l.counters.stage_in_failures);
-        put_u64(&mut out, l.counters.spurious_kills);
-        put_u64(&mut out, l.counters.result_msgs_lost);
-        put_f64(&mut out, l.counters.lost_core_secs);
+        | Record::Stolen { task_idx, attempt } => Some(Record::Stolen { task_idx, attempt }),
+        _ => None,
+    });
+    put_u64(out, queue_ops.clone().count() as u64);
+    for op in queue_ops {
+        op.encode(out);
+    }
+    put_live(out, l);
+    put_u64(out, l.completed as u64);
+    put_u64(out, l.abandoned);
+    put_footer(out, l, worker_faults);
+    let mut observed = Vec::new();
+    for rec in tail {
+        observe_into(&mut observed, rec);
+    }
+    put_u64(out, observed.len() as u64);
+    for s in &observed {
+        put_samples(out, s);
+    }
+    // Ascending, so a streamed admission's new slot reaches the decoder as
+    // the entry one past the end of the vectors it grows.
+    let mut touched = l.dirty.clone();
+    touched.sort_unstable();
+    touched.dedup();
+    put_u64(out, touched.len() as u64);
+    for &t in &touched {
+        put_u64(out, t as u64);
+        put_dep(out, l.dep_remaining[t]);
+        put_u32(out, l.infra_fail_count[t]);
+        let retried = l.retried.contains(&t) as u8;
+        put_u8(out, retried | (l.infra_retried.contains(&t) as u8) << 1);
+    }
+    put_u64(out, l.dep_remaining.len() as u64);
+    let rows = tail.iter().filter_map(|rec| match rec {
+        Record::Result(tr) => Some(&**tr),
+        _ => None,
+    });
+    put_u64(out, rows.clone().count() as u64);
+    for tr in rows {
+        put_result(out, tr);
+    }
+}
+
+impl MasterImage {
+    /// Encode as a full image.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        let pending: Vec<Pending> = self.pending.iter().cloned().collect();
+        encode_full(
+            &mut out,
+            &self.ledger,
+            &pending,
+            &self.alloc_stats,
+            &self.worker_faults,
+        );
         out
     }
 
+    /// Decode a full image.
     pub fn decode(buf: &[u8]) -> Result<Self, JournalError> {
         let mut r = Reader::new(buf);
         let mut img = MasterImage::default();
-        let l = &mut img.ledger;
         for _ in 0..r.u64()? {
             img.pending.push_back(Pending {
                 task_idx: r.u64()? as usize,
@@ -1239,42 +1538,15 @@ impl MasterImage {
                 since: r.time()?,
             });
         }
-        for _ in 0..r.u64()? {
-            l.backoffs.push((r.u64()? as usize, r.u32()?, r.time()?));
-        }
-        for _ in 0..r.u64()? {
-            let id = r.u64()?;
-            l.placements.insert(
-                id,
-                PlacementInfo {
-                    worker: r.u32()?,
-                    task_idx: r.u64()? as usize,
-                    attempt: r.u32()?,
-                    allocated: r.resources()?,
-                    started_at: r.time()?,
-                    zombie: r.bool()?,
-                    lease_at: read_lease(&mut r)?,
-                },
-            );
-        }
-        l.next_placement = r.u64()?;
+        read_live(&mut r, &mut img.ledger)?;
         for _ in 0..r.u64()? {
             let mut s = CategorySnap::default();
-            for axis in [&mut s.cores, &mut s.memory_mb, &mut s.disk_mb] {
-                for _ in 0..r.u64()? {
-                    axis.push(r.f64()?);
-                }
-            }
-            s.completed = r.u64()?;
+            read_samples(&mut r, &mut s)?;
             img.alloc_stats.push(s);
         }
+        let l = &mut img.ledger;
         for _ in 0..r.u64()? {
-            let d = r.u64()?;
-            l.dep_remaining.push(if d == u64::MAX {
-                usize::MAX
-            } else {
-                d as usize
-            });
+            l.dep_remaining.push(read_dep(&mut r)?);
         }
         l.completed = r.u64()? as usize;
         l.abandoned = r.u64()?;
@@ -1289,45 +1561,92 @@ impl MasterImage {
         for _ in 0..r.u64()? {
             l.infra_fail_count.push(r.u32()?);
         }
-        for _ in 0..r.u64()? {
-            l.cat_streak.push(r.u32()?);
-        }
-        for _ in 0..r.u64()? {
-            img.worker_faults.insert(r.u32()?, r.u32()?);
-        }
-        for _ in 0..r.u64()? {
-            l.quarantined_until.push((r.u32()?, r.time()?));
-        }
-        l.quarantines = r.u32()?;
-        l.degraded = r.bool()?;
-        l.env_failures = r.u32()?;
-        l.counters = Counters {
-            workers_provisioned: r.u32()?,
-            workers_lost: r.u32()?,
-            tasks_lost: r.u64()?,
-            lease_reclaims: r.u64()?,
-            stage_in_failures: r.u64()?,
-            spurious_kills: r.u64()?,
-            result_msgs_lost: r.u64()?,
-            lost_core_secs: r.f64()?,
-        };
+        read_footer(&mut r, &mut img)?;
         Ok(img)
+    }
+
+    /// Fold one delta image into the image it was written against, its
+    /// queue operations into `queue`. Sample stores come out in arrival
+    /// order; [`Journal::base_image`] restores the canonical order once the
+    /// whole chain is in.
+    fn apply_delta(&mut self, queue: &mut PendingFold, buf: &[u8]) -> Result<(), JournalError> {
+        let mut r = Reader::new(buf);
+        for _ in 0..r.u64()? {
+            match Record::decode(&mut r)? {
+                rec @ (Record::Enqueue { .. } | Record::Stolen { .. }) => queue.apply(&rec),
+                _ => return Err(JournalError::Inconsistent("queue operation")),
+            }
+        }
+        read_live(&mut r, &mut self.ledger)?;
+        self.ledger.completed = r.u64()? as usize;
+        self.ledger.abandoned = r.u64()?;
+        read_footer(&mut r, self)?;
+        // Streamed admissions may have interned categories since.
+        let cats = self.ledger.cat_streak.len().max(self.alloc_stats.len());
+        self.alloc_stats.resize_with(cats, CategorySnap::default);
+        let observed = r.u64()?;
+        if observed > cats as u64 {
+            return Err(JournalError::Inconsistent("observed category"));
+        }
+        for s in &mut self.alloc_stats[..observed as usize] {
+            read_samples(&mut r, s)?;
+        }
+        let l = &mut self.ledger;
+        for _ in 0..r.u64()? {
+            let t = r.u64()? as usize;
+            let dep = read_dep(&mut r)?;
+            let infra_fails = r.u32()?;
+            match t.cmp(&l.dep_remaining.len()) {
+                std::cmp::Ordering::Less => {
+                    l.dep_remaining[t] = dep;
+                    l.infra_fail_count[t] = infra_fails;
+                }
+                std::cmp::Ordering::Equal => {
+                    l.dep_remaining.push(dep);
+                    l.infra_fail_count.push(infra_fails);
+                }
+                std::cmp::Ordering::Greater => {
+                    return Err(JournalError::Inconsistent("task index"));
+                }
+            }
+            let sets = r.u8()?;
+            if sets > 3 {
+                return Err(JournalError::BadTag("retry-sets", sets));
+            }
+            if sets & 1 != 0 {
+                l.retried.insert(t);
+            }
+            if sets & 2 != 0 {
+                l.infra_retried.insert(t);
+            }
+        }
+        if r.u64()? != l.dep_remaining.len() as u64 {
+            return Err(JournalError::Inconsistent("task count"));
+        }
+        for _ in 0..r.u64()? {
+            l.results.push(read_result(&mut r)?);
+        }
+        Ok(())
     }
 }
 
 // ---- the journal store ----
 
 /// The master's in-memory model of its on-disk write-ahead journal: the
-/// latest compacting snapshot (if any) plus every record appended since.
-/// `bytes_written` integrates everything ever flushed — records *and*
-/// snapshots — which is the `journal_bytes` the report and the recovery
-/// bench account.
+/// image chain (if any image was written yet) plus every record appended
+/// since its last image. `bytes_written` integrates everything ever flushed
+/// — records *and* images — which is the `journal_bytes` the report and the
+/// recovery bench account.
 #[derive(Debug, Default)]
 pub(crate) struct Journal {
-    snapshot: Option<Vec<u8>>,
+    /// Encoded images recovery starts from: one full image, then the delta
+    /// images written since, each against the state the ones before it
+    /// decode to.
+    chain: Vec<Vec<u8>>,
+    /// Bytes of the chain's delta images.
+    delta_bytes: usize,
     tail: Vec<Record>,
     bytes_written: u64,
-    records_since_snapshot: u64,
     scratch: Vec<u8>,
 }
 
@@ -1345,7 +1664,6 @@ impl Journal {
             assert_eq!(back, rec, "record encoding must round-trip");
         }
         self.bytes_written += self.scratch.len() as u64;
-        self.records_since_snapshot += 1;
         self.tail.push(rec);
         self.tail.last().expect("just pushed")
     }
@@ -1354,34 +1672,70 @@ impl Journal {
         self.bytes_written
     }
 
-    /// Should the master install a compacting snapshot now?
+    /// Should the master install a compacting image now? An interval of 0
+    /// (reachable by struct literal) reads as 1.
     pub fn wants_snapshot(&self, every: Option<u64>) -> bool {
-        match every {
-            Some(k) => self.records_since_snapshot >= k,
-            None => false,
-        }
+        every.is_some_and(|k| self.tail.len() as u64 >= k.max(1))
     }
 
-    /// Install a compacting snapshot: the encoded image replaces the whole
-    /// record tail.
-    pub fn install_snapshot(&mut self, image: &MasterImage) {
-        let bytes = image.encode();
+    /// Install a compacting image of the state the record tail led to; it
+    /// replaces the tail. Normally a delta image, which costs what the tail
+    /// changed. Once the chain's deltas outweigh its full image, a new full
+    /// image replaces the chain instead: full images then at least double
+    /// in size from one to the next, so all images together stay linear in
+    /// the run and a recovery reads at most about two full images' worth.
+    /// `full_views` — the pending queue in canonical order and the
+    /// allocator's sample stores — is called for a full image only: a delta
+    /// takes queue operations and samples from the tail.
+    pub fn compact(
+        &mut self,
+        ledger: &Ledger,
+        worker_faults: &BTreeMap<u32, u32>,
+        full_views: impl FnOnce() -> (Vec<Pending>, Vec<CategorySnap>),
+    ) {
+        let mut bytes = Vec::new();
+        let rebase = (self.chain.first()).is_none_or(|full| self.delta_bytes > full.len());
+        if rebase {
+            let (pending, alloc_stats) = full_views();
+            encode_full(&mut bytes, ledger, &pending, &alloc_stats, worker_faults);
+            self.chain.clear();
+            self.delta_bytes = 0;
+        } else {
+            encode_delta(&mut bytes, ledger, worker_faults, &self.tail);
+            self.delta_bytes += bytes.len();
+        }
         self.bytes_written += bytes.len() as u64;
-        self.snapshot = Some(bytes);
+        self.chain.push(bytes);
         self.tail.clear();
-        self.records_since_snapshot = 0;
     }
 
-    /// The snapshot to start recovery from, decoded — or `None` when
-    /// recovery must replay from the fresh image.
+    /// The image to start recovery from — the chain's full image with its
+    /// deltas folded in, read from the encoded bytes alone — or `None` when
+    /// recovery must replay from the fresh image. Once a delta is folded in
+    /// the pending queue is in deque order, as after tail replay.
     pub fn base_image(&self) -> Result<Option<MasterImage>, JournalError> {
-        match &self.snapshot {
-            Some(bytes) => Ok(Some(MasterImage::decode(bytes)?)),
-            None => Ok(None),
+        let Some((full, deltas)) = self.chain.split_first() else {
+            return Ok(None);
+        };
+        let mut img = MasterImage::decode(full)?;
+        if deltas.is_empty() {
+            return Ok(Some(img));
         }
+        let mut queue = PendingFold::new(std::mem::take(&mut img.pending));
+        for delta in deltas {
+            img.apply_delta(&mut queue, delta)?;
+        }
+        img.pending = queue.finish();
+        // Back to the canonical (sorted) order a full image exports.
+        for s in &mut img.alloc_stats {
+            for axis in [&mut s.cores, &mut s.memory_mb, &mut s.disk_mb] {
+                axis.sort_unstable_by(f64::total_cmp);
+            }
+        }
+        Ok(Some(img))
     }
 
-    /// Records appended since the last snapshot (what a recovery replays).
+    /// Records appended since the last image (what a recovery replays).
     pub fn tail(&self) -> &[Record] {
         &self.tail
     }
@@ -1490,8 +1844,8 @@ pub mod bench_api {
         Ok(n)
     }
 
-    /// Encode a populated `MasterImage` snapshot for a `tasks`-task run.
-    pub fn encode_image(tasks: usize) -> Vec<u8> {
+    /// A populated `MasterImage` for a `tasks`-task run.
+    fn sample_image(tasks: usize) -> MasterImage {
         let mut img = MasterImage {
             ledger: Ledger::fresh((0..tasks).map(|i| i % 3).collect(), 4),
             alloc_stats: vec![CategorySnap::default(); 4],
@@ -1530,14 +1884,70 @@ pub mod bench_api {
             }
             s.completed = 64;
         }
-        img.encode()
+        img
     }
 
-    /// Decode + re-encode a snapshot, returning whether it round-trips
+    /// Encode a populated full image for a `tasks`-task run.
+    pub fn encode_image(tasks: usize) -> Vec<u8> {
+        sample_image(tasks).encode()
+    }
+
+    /// Decode + re-encode a full image, returning whether it round-trips
     /// bitwise (always true; the comparison keeps the work honest).
     pub fn image_roundtrips(bytes: &[u8]) -> bool {
         let img = MasterImage::decode(bytes).expect("bench image decodes");
         img.encode() == bytes
+    }
+
+    /// A master state and the record tail that led to it, built once
+    /// outside the timed loop: the [`encode_image`] state of a `tasks`-task
+    /// run after `records` more records of the [`encode_records`] mix.
+    pub struct DeltaCase {
+        img: MasterImage,
+        tail: Vec<Record>,
+    }
+
+    impl DeltaCase {
+        pub fn new(tasks: usize, records: u64) -> Self {
+            let mut img = sample_image(tasks);
+            let tail: Vec<Record> = (0..records).map(sample_record).collect();
+            for rec in &tail {
+                // A finished task counts one dependent down.
+                if let Record::Finished { task_idx, .. } = rec {
+                    img.ledger.dirty.push(*task_idx as usize % tasks);
+                }
+            }
+            DeltaCase { img, tail }
+        }
+
+        /// Encode the state as a delta image over the one before the tail:
+        /// cost and size follow `records` (plus the live placements), not
+        /// `tasks`.
+        pub fn encode_delta(&self) -> Vec<u8> {
+            let mut out = Vec::new();
+            let img = &self.img;
+            encode_delta(&mut out, &img.ledger, &img.worker_faults, &self.tail);
+            out
+        }
+    }
+
+    /// Decode `full ⊕ delta` the way recovery does, returning the result
+    /// rows plus pending attempts the image ends up with. Panics on
+    /// malformed input.
+    pub fn chain_decodes(full: &[u8], delta: &[u8]) -> usize {
+        try_chain_decodes(full, delta).expect("bench chain decodes")
+    }
+
+    /// [`chain_decodes`] for arbitrary bytes: an error, never a panic — the
+    /// entry point the decoder-robustness proptests drive.
+    pub fn try_chain_decodes(
+        full: &[u8],
+        delta: &[u8],
+    ) -> Result<usize, crate::journal::JournalError> {
+        let mut img = MasterImage::decode(full)?;
+        let mut queue = PendingFold::new(std::mem::take(&mut img.pending));
+        img.apply_delta(&mut queue, delta)?;
+        Ok(img.ledger.results.len() + queue.finish().len())
     }
 }
 
@@ -1803,9 +2213,9 @@ mod tests {
     #[test]
     fn wire_layout_is_pinned() {
         // Round-trip tests cannot see a layout change made to encoder and
-        // decoder together. These constants were computed at the commit
-        // before the ledger refactor; journals, snapshots and therefore
-        // `journal_bytes` must stay byte-for-byte what they were.
+        // decoder together. The record and full-image constants were
+        // computed at the commit before the ledger refactor and have not
+        // moved since; the delta image's were computed when it was added.
         use crate::faults::{FaultPlan, FaultSpec};
         use crate::master::{run_workload, MasterConfig};
         use lfm_pyenv::pack::fnv1a;
@@ -1816,6 +2226,8 @@ mod tests {
         );
         let image = bench_api::encode_image(64);
         assert_eq!((image.len(), fnv1a(&image)), (8983, 0xc72d_6dbd_c0e1_612b));
+        let delta = bench_api::DeltaCase::new(64, 64).encode_delta();
+        assert_eq!((delta.len(), fnv1a(&delta)), (4275, 0x6b4d_54d7_b633_27ac));
 
         // One fixed journaled chaos run: a small two-category DAG under
         // churn, loss, staging failures, spurious kills and three master
@@ -1850,12 +2262,120 @@ mod tests {
         let node = lfm_simcluster::node::NodeSpec::new(8, 8192, 16384);
         let report = run_workload(&cfg, tasks, 4, node);
         assert_eq!((report.master_crashes, report.recoveries), (3, 3));
-        assert_eq!((report.journal_bytes, report.replayed_events), (61985, 98));
+        // `journal_bytes` was 61985 while every compaction wrote a full
+        // image; re-pinned once when all but the rebasing ones became delta
+        // images. The tail is cleared at the same points, so what a
+        // recovery replays did not move.
+        assert_eq!((report.journal_bytes, report.replayed_events), (45178, 98));
+    }
+
+    /// The parts of a master an image is made of, driven the way the master
+    /// drives them: every record is appended, applied to the ledger and —
+    /// standing in for the live scheduler and allocator — to a plain deque
+    /// and the sample stores.
+    #[derive(Default)]
+    struct Live {
+        journal: Journal,
+        ledger: Ledger,
+        pending: VecDeque<Pending>,
+        stats: Vec<CategorySnap>,
+        faults: BTreeMap<u32, u32>,
+    }
+
+    impl Live {
+        fn commit(&mut self, rec: Record, graph: &DepGraph<'_>) {
+            let rec = self.journal.append(rec);
+            self.ledger.apply(rec, graph);
+            observe_into(&mut self.stats, rec);
+            match *rec {
+                Record::Enqueue {
+                    task_idx,
+                    attempt,
+                    front,
+                    since,
+                } => {
+                    let item = Pending {
+                        task_idx: task_idx as usize,
+                        attempt,
+                        since,
+                    };
+                    if front {
+                        self.pending.push_front(item);
+                    } else {
+                        self.pending.push_back(item);
+                    }
+                }
+                Record::Placed {
+                    task_idx, attempt, ..
+                }
+                | Record::Stolen { task_idx, attempt } => {
+                    let at = (self.pending.iter())
+                        .position(|p| p.task_idx as u64 == task_idx && p.attempt == attempt);
+                    self.pending.remove(at.expect("departures were queued"));
+                }
+                _ => {}
+            }
+        }
+
+        /// Sample stores as `Allocator::snapshot_category` exports them.
+        fn canonical_stats(&self) -> Vec<CategorySnap> {
+            let mut stats = self.stats.clone();
+            stats.resize_with(self.ledger.cat_streak.len(), CategorySnap::default);
+            for s in &mut stats {
+                for axis in [&mut s.cores, &mut s.memory_mb, &mut s.disk_mb] {
+                    axis.sort_unstable_by(f64::total_cmp);
+                }
+            }
+            stats
+        }
+
+        fn compact(&mut self) {
+            let views = (
+                self.pending.iter().cloned().collect(),
+                self.canonical_stats(),
+            );
+            (self.journal).compact(&self.ledger, &self.faults, || views);
+            self.ledger.dirty.clear();
+        }
+
+        fn image(&self) -> MasterImage {
+            MasterImage {
+                ledger: self.ledger.clone(),
+                pending: self.pending.clone(),
+                alloc_stats: self.canonical_stats(),
+                worker_faults: self.faults.clone(),
+            }
+        }
+    }
+
+    fn enqueue(task_idx: u64, attempt: u32, front: bool) -> Record {
+        Record::Enqueue {
+            task_idx,
+            attempt,
+            front,
+            since: SimTime::from_secs(task_idx as f64),
+        }
+    }
+
+    fn placed(task_idx: u64, attempt: u32) -> Record {
+        Record::Placed {
+            placement: task_idx,
+            worker: 0,
+            task_idx,
+            attempt,
+            alloc: Resources::new(1, 1, 1),
+            started_at: SimTime::ZERO,
+            lease_at: None,
+        }
     }
 
     #[test]
     fn journal_compaction_drops_tail_and_counts_bytes() {
-        let mut j = Journal::default();
+        let mut live = Live {
+            ledger: Ledger::fresh(vec![0, 0], 1),
+            ..Live::default()
+        };
+        let j = &mut live.journal;
         assert!(!j.wants_snapshot(Some(2)));
         j.append(Record::Degraded);
         j.append(Record::Freed { placement: 1 });
@@ -1864,18 +2384,260 @@ mod tests {
         assert_eq!(j.tail().len(), 2);
         let bytes_before = j.bytes_written();
         assert!(bytes_before > 0);
-        let img = MasterImage {
-            ledger: Ledger::fresh(vec![0, 0], 1),
-            ..MasterImage::default()
-        };
-        j.install_snapshot(&img);
+        live.compact();
+        let j = &live.journal;
         assert_eq!(j.tail().len(), 0);
         assert!(!j.wants_snapshot(Some(2)));
         assert!(j.bytes_written() > bytes_before, "snapshot bytes count");
         let base = j.base_image().expect("decodes").expect("present");
-        assert_eq!(base, img);
+        assert_eq!(base, live.image());
         // A fresh journal has no base image.
         assert!(Journal::default().base_image().unwrap().is_none());
+    }
+
+    #[test]
+    fn zero_snapshot_interval_reads_as_one() {
+        // `journal_with_snapshots` refuses 0, a struct literal does not.
+        let mut j = Journal::default();
+        assert!(!j.wants_snapshot(Some(0)), "nothing to compact yet");
+        j.append(Record::Degraded);
+        assert!(j.wants_snapshot(Some(0)));
+        assert!(j.wants_snapshot(Some(1)));
+    }
+
+    #[test]
+    fn pending_fold_equals_deque_replay() {
+        // Front and back arrivals, departures from the imaged queue and from
+        // the arrivals, a requeue of a departed attempt, a departure of an
+        // attempt that is not queued: the fold ends where a deque that
+        // searches for every departure does.
+        let imaged: VecDeque<Pending> = (0..4)
+            .map(|task_idx| Pending {
+                task_idx,
+                attempt: 0,
+                since: SimTime::ZERO,
+            })
+            .collect();
+        let ops = [
+            placed(2, 0),
+            enqueue(7, 0, true),
+            enqueue(8, 0, false),
+            enqueue(2, 0, true),
+            placed(0, 0),
+            placed(8, 0),
+            enqueue(9, 1, false),
+            placed(5, 0),
+            Record::Stolen {
+                task_idx: 7,
+                attempt: 0,
+            },
+            enqueue(7, 0, false),
+            Record::Degraded,
+        ];
+        let mut fold = PendingFold::new(imaged);
+        for rec in &ops {
+            fold.apply(rec);
+        }
+        let order: Vec<(usize, u32)> = (fold.finish().iter())
+            .map(|p| (p.task_idx, p.attempt))
+            .collect();
+        assert_eq!(order, vec![(2, 0), (1, 0), (3, 0), (9, 1), (7, 0)]);
+    }
+
+    #[test]
+    fn delta_chain_decodes_to_the_full_image() {
+        // Two constructed tasks (1 depends on 0) and, later, two streamed
+        // ones — the second in a category the run had not seen.
+        let profile = SimTaskProfile::new(1.0, 1.0, 1, 1);
+        let spec = |id: u64, cat: &str| TaskSpec::new(TaskId(id), cat, vec![], 0, profile);
+        let mut tasks = vec![spec(0, "a"), spec(1, "a").after(vec![TaskId(0)])];
+        let mut dependents: BTreeMap<TaskId, Vec<usize>> = BTreeMap::new();
+        dependents.insert(TaskId(0), vec![1]);
+        let observe = |cat, rss, violated: Option<ResourceKind>| Record::Observe {
+            cat,
+            peak_cores: 1.0,
+            peak_rss_mb: rss,
+            peak_disk_mb: 10,
+            completed: violated.is_none(),
+            violated,
+        };
+        let mut live = Live {
+            ledger: Ledger::fresh(vec![0, 1], 1),
+            ..Live::default()
+        };
+        let g = graph(&tasks, &dependents);
+        live.commit(observe(0, 300, None), &g);
+        live.commit(Record::Result(Box::new(sample_result())), &g);
+        live.commit(enqueue(0, 0, false), &g);
+        live.commit(enqueue(1, 0, false), &g);
+        live.compact();
+        assert_eq!(live.journal.chain.len(), 1, "the first image is a full one");
+        assert_eq!(live.journal.base_image().unwrap(), Some(live.image()));
+
+        // A tail that touches every kind of delta content: queue traffic
+        // (a departure from the imaged queue, a front requeue of the same
+        // attempt, an arrival that leaves again), a smaller sample than the
+        // one imaged (canonical order must be restored), a kill (one
+        // censored axis), a countdown, retry sets, and a result row.
+        live.commit(placed(0, 0), &g);
+        live.commit(enqueue(0, 0, true), &g);
+        live.commit(enqueue(0, 1, false), &g);
+        live.commit(placed(0, 1), &g);
+        live.commit(observe(0, 200, None), &g);
+        live.commit(observe(0, 250, Some(ResourceKind::Memory)), &g);
+        live.commit(
+            Record::Finished {
+                task_idx: 0,
+                success: true,
+            },
+            &g,
+        );
+        live.commit(Record::Retried { task_idx: 1 }, &g);
+        live.commit(
+            Record::InfraRetried {
+                task_idx: 1,
+                count: 2,
+            },
+            &g,
+        );
+        live.commit(Record::Result(Box::new(sample_result())), &g);
+        live.faults.insert(3, 1);
+        assert_eq!(live.ledger.dirty, vec![1, 1, 1]);
+        live.compact();
+        assert_eq!(live.journal.chain.len(), 2, "then deltas");
+        let queued: Vec<usize> = live.pending.iter().map(|p| p.task_idx).collect();
+        assert_eq!(queued, vec![0, 1]);
+        assert_eq!(live.journal.base_image().unwrap(), Some(live.image()));
+
+        // Streamed admissions grow the per-task and per-category vectors
+        // between images; one of the new tasks is cancelled right away.
+        for (idx, cat, name) in [(2u64, 0u32, "a"), (3, 1, "b")] {
+            tasks.push(spec(idx, name));
+            let g = graph(&tasks, &dependents);
+            live.commit(
+                Record::Submitted {
+                    task_idx: idx,
+                    cat,
+                    spec: Box::new(tasks[idx as usize].clone()),
+                },
+                &g,
+            );
+        }
+        let g = graph(&tasks, &dependents);
+        live.commit(Record::Cancelled { task_idx: 2 }, &g);
+        live.commit(observe(1, 50, None), &g);
+        live.commit(enqueue(3, 0, false), &g);
+        live.compact();
+        let img = live.image();
+        assert_eq!(img.ledger.dep_remaining, vec![0, 0, usize::MAX, 0]);
+        assert_eq!((img.alloc_stats.len(), img.ledger.cat_streak.len()), (2, 2));
+        assert_eq!(live.journal.base_image().unwrap(), Some(img));
+    }
+
+    #[test]
+    fn chain_rebases_once_deltas_outweigh_the_full_image() {
+        // Each tail adds one result row, so full images grow and deltas do
+        // not: the chain must keep resetting to one segment, total bytes
+        // must stay within a constant of the last full image plus the rows,
+        // and what it decodes to must be the live image throughout.
+        let tasks: Vec<TaskSpec> = Vec::new();
+        let dependents = BTreeMap::new();
+        let g = graph(&tasks, &dependents);
+        let mut live = Live {
+            ledger: Ledger::fresh(Vec::new(), 1),
+            ..Live::default()
+        };
+        let (mut fulls, mut longest) = (0, 0);
+        for _ in 0..200 {
+            live.commit(Record::Result(Box::new(sample_result())), &g);
+            live.compact();
+            let j = &live.journal;
+            fulls += (j.chain.len() == 1) as usize;
+            longest = longest.max(j.chain.len());
+            let deltas: usize = j.chain[1..].iter().map(Vec::len).sum();
+            assert_eq!(deltas, j.delta_bytes);
+            let one_delta = j.chain.last().map_or(0, Vec::len);
+            assert!(
+                deltas <= j.chain[0].len() + one_delta,
+                "recovery reads at most about two full images"
+            );
+            assert_eq!(j.base_image().unwrap(), Some(live.image()));
+        }
+        assert!(longest > 4, "deltas are the common case");
+        assert!((4..=12).contains(&fulls), "{fulls} full images in 200");
+        let row = {
+            let mut buf = Vec::new();
+            put_result(&mut buf, &sample_result());
+            buf.len() as u64
+        };
+        // Every image a full one would have written ~200²/2 rows.
+        assert!(live.journal.bytes_written() < 200 * row * 12);
+    }
+
+    #[test]
+    fn truncated_or_misfitting_delta_reports_error() {
+        let full = bench_api::encode_image(12);
+        let delta = bench_api::DeltaCase::new(12, 24).encode_delta();
+        let base = MasterImage::decode(&full).expect("decodes");
+        let apply = |delta: &[u8]| {
+            (base.clone()).apply_delta(&mut PendingFold::new(VecDeque::new()), delta)
+        };
+        apply(&delta).expect("whole delta applies");
+        for cut in 0..full.len() {
+            assert!(MasterImage::decode(&full[..cut]).is_err(), "cut at {cut}");
+        }
+        for cut in 0..delta.len() {
+            assert_eq!(
+                apply(&delta[..cut]),
+                Err(JournalError::Truncated),
+                "cut at {cut}"
+            );
+        }
+        // Deltas that decode but do not fit the image they are applied to.
+        let l = Ledger::fresh(vec![0; 12], 4);
+        let entry_at = |touched: usize| {
+            let mut l = l.clone();
+            l.dirty.push(touched);
+            l.dep_remaining.resize(touched + 1, 0);
+            l.infra_fail_count.resize(touched + 1, 0);
+            let mut out = Vec::new();
+            encode_delta(&mut out, &l, &BTreeMap::new(), &[]);
+            out
+        };
+        apply(&entry_at(11)).expect("in range");
+        apply(&entry_at(12)).expect("one past the end");
+        assert_eq!(
+            apply(&entry_at(13)),
+            Err(JournalError::Inconsistent("task index"))
+        );
+        let mut shrunk = Vec::new();
+        let small = Ledger::fresh(vec![0; 11], 4);
+        encode_delta(&mut shrunk, &small, &BTreeMap::new(), &[]);
+        assert_eq!(
+            apply(&shrunk),
+            Err(JournalError::Inconsistent("task count"))
+        );
+        let tail = [Record::Observe {
+            cat: 4,
+            peak_cores: 1.0,
+            peak_rss_mb: 1,
+            peak_disk_mb: 1,
+            completed: true,
+            violated: None,
+        }];
+        let mut foreign = Vec::new();
+        encode_delta(&mut foreign, &l, &BTreeMap::new(), &tail);
+        assert_eq!(
+            apply(&foreign),
+            Err(JournalError::Inconsistent("observed category"))
+        );
+        // A queue section holds nothing but queue operations.
+        let mut not_an_op = vec![1, 0, 0, 0, 0, 0, 0, 0];
+        Record::Degraded.encode(&mut not_an_op);
+        assert_eq!(
+            apply(&not_an_op),
+            Err(JournalError::Inconsistent("queue operation"))
+        );
     }
 
     #[test]

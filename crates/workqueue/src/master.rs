@@ -7,13 +7,12 @@
 //! killed for resource exhaustion at full-worker size, and produces a
 //! [`RunReport`] with the makespan/utilization numbers Figures 6–9 plot.
 
-use crate::allocate::{
-    censored_samples, AllocationDecision, Allocator, ObservationEffects, Strategy,
-};
+use crate::allocate::{AllocationDecision, Allocator, ObservationEffects, Strategy};
 use crate::faults::{backoff_delay, FaultPlan, FaultState, InfraFault, ResilienceConfig};
 use crate::files::FileKind;
 use crate::journal::{
-    CategorySnap, CounterKey, DepGraph, DurabilityConfig, Journal, Ledger, MasterImage, Record,
+    observe_into, CategorySnap, CounterKey, DepGraph, DurabilityConfig, Journal, Ledger,
+    MasterImage, PendingFold, Record,
 };
 use crate::sched::{policy_rank, IndexedSched, ParkReason, Pending, SchedImpl, Src};
 use crate::task::{TaskId, TaskResult, TaskSpec};
@@ -1225,17 +1224,9 @@ impl Master {
                 self.probe_done = true;
             }
         }
-        if let Some(j) = self.journal.as_ref() {
-            if j.wants_snapshot(self.config.durability.snapshot_every) {
-                let img = self.snapshot_image();
-                self.journal
-                    .as_mut()
-                    .expect("journal present")
-                    .install_snapshot(&img);
-                self.config
-                    .telemetry
-                    .counter_at_key(tk().journal_snapshot, 1, self.queue.now());
-            }
+        let every = self.config.durability.snapshot_every;
+        if (self.journal.as_ref()).is_some_and(|j| j.wants_snapshot(every)) {
+            self.compact();
         }
         self.maybe_scale(self.queue.now());
         self.config.telemetry.gauge_key(
@@ -1271,8 +1262,41 @@ impl Master {
         };
         match &mut self.journal {
             Some(journal) => self.ledger.apply(journal.append(rec), &graph),
-            None => self.ledger.apply(&rec, &graph),
+            None => {
+                let ready = self.ledger.apply(&rec, &graph);
+                // No journal, no delta image to carry it to.
+                self.ledger.dirty.clear();
+                ready
+            }
         }
+    }
+
+    /// Install a compacting image in the journal, encoded from the live
+    /// ledger and views as they stand — nothing is cloned to be written.
+    fn compact(&mut self) {
+        let mut journal = self.journal.take().expect("the journal asked for it");
+        journal.compact(&self.ledger, &self.worker_faults(), || {
+            (self.pending_in_order(), self.alloc_stats())
+        });
+        self.ledger.dirty.clear();
+        self.config
+            .telemetry
+            .counter_at_key(tk().journal_snapshot, 1, self.queue.now());
+        // The guard that a delta missed nothing: the chain, read back from
+        // its bytes, is the live master's full image (once its pending
+        // queue, which deltas leave in deque order, is ranked like one).
+        if cfg!(debug_assertions) {
+            let mut chain = (journal.base_image())
+                .expect("image chain decodes")
+                .expect("just compacted");
+            self.sort_by_rank(chain.pending.make_contiguous());
+            assert_eq!(
+                chain,
+                self.snapshot_image(),
+                "image chain diverged from live"
+            );
+        }
+        self.journal = Some(journal);
     }
 
     /// Commit a plain report-counter delta.
@@ -1282,7 +1306,7 @@ impl Master {
 
     /// The master process dies. Its logical state is wiped; the physical
     /// cluster (workers, caches, running executions, in-flight transfers)
-    /// keeps moving. With a journal the master recovers `snapshot ⊕ tail`;
+    /// keeps moving. With a journal the master recovers `images ⊕ tail`;
     /// without one it restarts the run from scratch (the bench baseline).
     /// Either way the master stays down for the restart latency plus the
     /// per-record replay cost, buffering world events until `Recovered`.
@@ -1307,7 +1331,10 @@ impl Master {
         self.queue.schedule_at(resume_at, Event::Recovered);
         match tail {
             Some(replayed) => {
-                let img = self.recover_image();
+                // Built once per crash: replay reads it and the restored
+                // master keeps it.
+                let dependents = Self::dependency_graph(&self.tasks);
+                let img = self.recover_image(&dependents);
                 // The guard that no site changed the ledger without
                 // committing a record: what the journal folds to is what
                 // the live master held.
@@ -1316,7 +1343,7 @@ impl Master {
                 self.config
                     .telemetry
                     .counter_at_key(tk().journal_replayed_events, replayed, now);
-                self.restore_from_image(img, resume_at);
+                self.restore_from_image(img, dependents, resume_at);
                 self.recoveries += 1;
             }
             None => self.full_restart(resume_at),
@@ -1349,9 +1376,11 @@ impl Master {
         tasks.iter().map(|t| t.deps.len()).collect()
     }
 
-    /// Fold the journal (base snapshot plus record tail) into the image the
-    /// crashed master must resume from.
-    fn recover_image(&self) -> MasterImage {
+    /// Fold the journal (image chain plus record tail) into the image the
+    /// crashed master must resume from. `dependents` is the full graph as
+    /// built at construction: the live map cannot serve, cancellation prunes
+    /// it as it walks.
+    fn recover_image(&self, dependents: &BTreeMap<TaskId, Vec<usize>>) -> MasterImage {
         let journal = self.journal.as_ref().expect("journaled recovery");
         let mut img = journal
             .base_image()
@@ -1366,24 +1395,25 @@ impl Master {
                 ),
                 ..MasterImage::default()
             });
-        // The live map cannot serve: cancellation prunes it as it walks.
         let graph = DepGraph {
             tasks: &self.tasks,
-            dependents: &Self::dependency_graph(&self.tasks),
+            dependents,
             shard: self.fed.as_ref().map(|f| (f.owner.as_slice(), f.shard)),
         };
+        let mut queue = PendingFold::new(std::mem::take(&mut img.pending));
         for rec in journal.tail() {
             img.ledger.apply(rec, &graph);
+            queue.apply(rec);
             self.replay_views(&mut img, rec);
         }
+        img.pending = queue.finish();
         img
     }
 
-    /// Replay one record into the three image views that are not ledger
-    /// state. The live master never runs this: its pending queue is the
-    /// scheduler's own (`IndexedSched` or the reference deque, rebuilt once
-    /// from the folded deque), fault attribution lives on each `Worker`,
-    /// and observations go straight into the `Allocator`'s multisets.
+    /// Replay one record into the image views that are neither ledger state
+    /// nor the pending queue (a [`PendingFold`]'s job). The live master
+    /// never runs this: fault attribution lives on each `Worker`, and
+    /// observations go straight into the `Allocator`'s multisets.
     fn replay_views(&self, img: &mut MasterImage, rec: &Record) {
         match rec {
             Record::RunStart {
@@ -1397,123 +1427,97 @@ impl Master {
                 debug_assert_eq!(*task_count, self.initial_task_count as u64);
                 debug_assert_eq!(*worker_count, self.worker_count);
             }
-            Record::Enqueue {
-                task_idx,
-                attempt,
-                front,
-                since,
-            } => {
-                let item = Pending {
-                    task_idx: *task_idx as usize,
-                    attempt: *attempt,
-                    since: *since,
-                };
-                if *front {
-                    img.pending.push_front(item);
-                } else {
-                    img.pending.push_back(item);
-                }
-            }
-            Record::Placed {
-                task_idx, attempt, ..
-            }
-            | Record::Stolen { task_idx, attempt } => {
-                // The attempt left the queue — for a worker, or for the
-                // thief shard. It is pending at most once, so the match is
-                // unique.
-                let found = (img.pending.iter())
-                    .position(|p| p.task_idx as u64 == *task_idx && p.attempt == *attempt);
-                if let Some(pos) = found {
-                    img.pending.remove(pos);
-                }
-            }
             Record::WorkerFault { worker, count } => {
                 img.worker_faults.insert(*worker, *count);
             }
             Record::QuarantineLifted { worker } => {
                 img.worker_faults.remove(worker);
             }
-            Record::Observe {
-                cat,
-                peak_cores,
-                peak_rss_mb,
-                peak_disk_mb,
-                completed,
-                violated,
-            } => {
-                // A category first seen mid-stream has no slot yet.
-                if img.alloc_stats.len() <= *cat as usize {
-                    img.alloc_stats
-                        .resize_with(*cat as usize + 1, CategorySnap::default);
-                }
-                let s = &mut img.alloc_stats[*cat as usize];
-                let [cores, memory_mb, disk_mb] =
-                    censored_samples(*peak_cores, *peak_rss_mb, *peak_disk_mb, *violated);
-                s.cores.extend(cores);
-                s.memory_mb.extend(memory_mb);
-                s.disk_mb.extend(disk_mb);
-                s.completed += *completed as u64;
-            }
+            Record::Observe { .. } => observe_into(&mut img.alloc_stats, rec),
             _ => {}
         }
     }
 
-    /// Serialize the master's complete logical state. The pending queue is
-    /// enumerated canonically (policy-sorted, stable) so both scheduler
-    /// implementations emit byte-identical snapshots; allocator sample
-    /// stores export canonically for the same reason.
-    fn snapshot_image(&self) -> MasterImage {
-        let pending: Vec<Pending> = match &self.sched {
+    /// The pending queue in its canonical enumeration (policy-sorted,
+    /// stable), so both scheduler implementations emit byte-identical
+    /// images.
+    fn pending_in_order(&self) -> Vec<Pending> {
+        match &self.sched {
             SchedState::Reference(q) => {
                 let mut v: Vec<Pending> = q.iter().cloned().collect();
-                v.sort_by_key(|p| {
-                    policy_rank(
-                        self.config.policy,
-                        self.tasks[p.task_idx].profile.peak_memory_mb,
-                    )
-                });
+                self.sort_by_rank(&mut v);
                 v
             }
             SchedState::Indexed(ix) => ix.snapshot_pending(),
-        };
-        MasterImage {
-            ledger: self.ledger.clone(),
-            pending: pending.into(),
-            alloc_stats: self
-                .cat_names
-                .iter()
-                .map(|cat| {
-                    self.allocator
-                        .snapshot_category(cat)
-                        .map(|(cores, memory_mb, disk_mb, completed)| CategorySnap {
-                            cores,
-                            memory_mb,
-                            disk_mb,
-                            completed: completed as u64,
-                        })
-                        .unwrap_or_default()
-                })
-                .collect(),
-            worker_faults: self
-                .workers
-                .values()
-                .filter(|w| w.infra_failures > 0)
-                .map(|w| (w.id(), w.infra_failures))
-                .collect(),
         }
     }
 
-    /// Overwrite the master's logical state from an image: take its ledger,
-    /// rebuild everything derived from it and the active scheduler
-    /// implementation, and re-arm master-side timers clamped to the
-    /// recovery instant. World state (workers, caches, running executions)
+    /// Stable sort into examination order: by policy rank, queue order
+    /// within a rank.
+    fn sort_by_rank(&self, pending: &mut [Pending]) {
+        pending.sort_by_key(|p| {
+            policy_rank(
+                self.config.policy,
+                self.tasks[p.task_idx].profile.peak_memory_mb,
+            )
+        });
+    }
+
+    /// Per-worker infra-failure attribution, as an image carries it.
+    fn worker_faults(&self) -> BTreeMap<u32, u32> {
+        (self.workers.values())
+            .filter(|w| w.infra_failures > 0)
+            .map(|w| (w.id(), w.infra_failures))
+            .collect()
+    }
+
+    /// The allocator's sample stores, dense by category id and in canonical
+    /// order (see [`Allocator::snapshot_category`]).
+    fn alloc_stats(&self) -> Vec<CategorySnap> {
+        self.cat_names
+            .iter()
+            .map(|cat| {
+                self.allocator
+                    .snapshot_category(cat)
+                    .map(|(cores, memory_mb, disk_mb, completed)| CategorySnap {
+                        cores,
+                        memory_mb,
+                        disk_mb,
+                        completed: completed as u64,
+                    })
+                    .unwrap_or_default()
+            })
+            .collect()
+    }
+
+    /// The master's complete logical state as one materialised full image —
+    /// for the probe restore and for checking what the journal's chain
+    /// decodes to; compaction encodes from the same parts without this copy.
+    fn snapshot_image(&self) -> MasterImage {
+        MasterImage {
+            ledger: self.ledger.clone(),
+            pending: self.pending_in_order().into(),
+            alloc_stats: self.alloc_stats(),
+            worker_faults: self.worker_faults(),
+        }
+    }
+
+    /// Overwrite the master's logical state from an image: take its ledger
+    /// and a freshly built dependents graph, rebuild everything derived from
+    /// them and the active scheduler implementation, and re-arm master-side
+    /// timers clamped to the recovery instant. World state (workers, caches, running executions)
     /// is untouched — it survived the crash.
-    fn restore_from_image(&mut self, img: MasterImage, resume_at: SimTime) {
+    fn restore_from_image(
+        &mut self,
+        img: MasterImage,
+        dependents: BTreeMap<TaskId, Vec<usize>>,
+        resume_at: SimTime,
+    ) {
         self.ledger = img.ledger;
-        // The rebuilt graph is unpruned, but pruning is an optimization:
+        // The fresh graph is unpruned, but pruning is an optimization:
         // every re-walk of an already-cancelled branch is stopped by the
         // ledger's `usize::MAX` markers.
-        self.dependents = Self::dependency_graph(&self.tasks);
+        self.dependents = dependents;
 
         // The allocator's labels are a pure function of the sample multiset,
         // so replaying the exported samples reproduces every decision.
@@ -1681,13 +1685,16 @@ impl Master {
     fn probe_restore(&mut self, now: SimTime) {
         let img = self.snapshot_image();
         let bytes = img.encode();
-        let decoded = MasterImage::decode(&bytes).expect("image round-trips");
+        let mut decoded = MasterImage::decode(&bytes).expect("image round-trips");
+        // Not image state: the dirty list goes with the journal's record
+        // tail, which a probe leaves in place.
+        decoded.ledger.dirty.clone_from(&img.ledger.dirty);
         debug_assert_eq!(img, decoded, "image encode/decode must round-trip");
         // Mirror a real crash's timer purge. At a quiescent point there are
         // no master-side timers, so this keeps the code path honest at zero
         // observable cost.
         self.queue.retain(Event::is_world);
-        self.restore_from_image(decoded, now);
+        self.restore_from_image(decoded, Self::dependency_graph(&self.tasks), now);
     }
 
     fn submit_pilots(&mut self, now: SimTime, count: u32) {
@@ -3688,7 +3695,8 @@ mod tests {
         );
         let stats = m.allocator.snapshot_category("hep").expect("stats");
         let img = m.snapshot_image();
-        m.restore_from_image(img, SimTime::ZERO);
+        let dependents = Master::dependency_graph(&m.tasks);
+        m.restore_from_image(img, dependents, SimTime::ZERO);
         assert_eq!(
             m.allocator.snapshot_category("hep").expect("stats"),
             stats,
@@ -3752,6 +3760,28 @@ mod tests {
         // Conservation: every task succeeds exactly once.
         assert_eq!(reference.abandoned_tasks, 0);
         assert_eq!(distinct_successes(&reference), 48);
+    }
+
+    #[test]
+    fn zero_snapshot_interval_runs_as_interval_one() {
+        // The struct literal bypasses `journal_with_snapshots`' check. Read
+        // as written, an interval of 0 asked for an image after every event
+        // whether or not it had journaled a record.
+        use crate::faults::FaultSpec;
+        let run = |every| {
+            let durability = DurabilityConfig {
+                snapshot_every: Some(every),
+                ..DurabilityConfig::journal_only()
+            };
+            let cfg = MasterConfig::new(Strategy::Auto(AutoConfig::default()))
+                .with_faults(FaultPlan::reliable().with(FaultSpec::master_crash(12.0, 3)))
+                .with_durability(durability)
+                .with_seed(21);
+            run_workload(&cfg, hep_tasks(48), 4, node())
+        };
+        let zero = run(0);
+        assert!(zero.recoveries > 0, "crash points never fired");
+        assert_eq!(zero, run(1));
     }
 
     #[test]

@@ -341,29 +341,40 @@ proptest! {
     }
 
     /// Crash-point recovery: crash the master at random event indices (an
-    /// arbitrary draw of exponential crash points), optionally under worker
-    /// churn, recover from the journal (with or without compacting
-    /// snapshots), and the run must still conserve tasks — every task
-    /// succeeds exactly once or is abandoned — with the Reference and
-    /// Indexed schedulers bitwise-identical through every crash.
+    /// arbitrary draw of exponential crash points, possibly none) on a
+    /// random DAG under a random fault plan, recover from the journal at
+    /// every snapshot cadence from "after each record" to "never", and the
+    /// run must still conserve tasks — every task succeeds exactly once or
+    /// is abandoned — with the Reference and Indexed schedulers
+    /// bitwise-identical (journal bytes included) through every crash. In
+    /// this debug build every compaction also asserts that the image chain
+    /// decodes to the live master's image, and every crash that replay
+    /// reproduces the live ledger.
     #[test]
     fn crashed_and_recovered_runs_conserve_tasks(
         shapes in prop::collection::vec(
-            (5.0f64..45.0, 1u32..3, 64u64..4096, 64u64..2048),
+            (5.0f64..45.0, 1u32..3, 64u64..4096, 64u64..2048, 0usize..64, 0usize..64),
             1..22
         ),
         workers in 1u32..5,
         crash_mean in 4.0f64..40.0,
-        max_crashes in 1u32..4,
-        snapshot in any::<bool>(),
-        churn in any::<bool>(),
+        max_crashes in 0u32..4,
+        snapshot_sel in 0usize..5,
+        (churn, lossy, flaky_staging, spurious) in
+            (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
         seed in 0u64..1000,
     ) {
         let env = FileRef::environment("env", 16 << 20, 64 << 20, 500, 50);
         let tasks: Vec<TaskSpec> = shapes
             .iter()
             .enumerate()
-            .map(|(i, &(dur, cores, mem, disk))| {
+            .map(|(i, &(dur, cores, mem, disk, d1, d2))| {
+                // A third of the draws name an earlier task to wait for.
+                let deps = [d1, d2]
+                    .into_iter()
+                    .filter(|d| i > 0 && d % 3 == 0)
+                    .map(|d| TaskId((d / 3 % i) as u64))
+                    .collect();
                 TaskSpec::new(
                     TaskId(i as u64),
                     format!("cat{}", i % 2),
@@ -371,6 +382,7 @@ proptest! {
                     1024,
                     SimTaskProfile::new(dur, cores as f64, mem, disk),
                 )
+                .after(deps)
             })
             .collect();
         let mut plan = FaultPlan::reliable()
@@ -378,10 +390,20 @@ proptest! {
         if churn {
             plan = plan.with(FaultSpec::worker_churn(250.0));
         }
-        let durability = if snapshot {
-            DurabilityConfig::journal_with_snapshots(32)
-        } else {
-            DurabilityConfig::journal_only()
+        if lossy {
+            plan = plan.with(FaultSpec::message_loss(0.05));
+        }
+        if flaky_staging {
+            plan = plan.with(FaultSpec::stage_in_failure(0.1));
+        }
+        if spurious {
+            plan = plan.with(FaultSpec::spurious_kill(0.1));
+        }
+        let snapshot_every = [None, Some(1), Some(7), Some(64), Some(4096)][snapshot_sel];
+        let snapshot = snapshot_every.is_some();
+        let durability = DurabilityConfig {
+            snapshot_every,
+            ..DurabilityConfig::journal_only()
         };
         let cfg = MasterConfig::new(Strategy::Auto(AutoConfig::default()))
             .with_faults(plan)
@@ -462,6 +484,28 @@ proptest! {
         let pos = (((buf.len() - 1) as f64) * pos_frac) as usize;
         buf[pos] ^= xor;
         let _ = crate::journal::bench_api::try_decode_records(&buf);
+    }
+
+    /// Delta images decode as totally as records do: a truncated or
+    /// byte-flipped delta, or arbitrary bytes in its place, folds into the
+    /// full image it follows or returns a typed error — never a panic.
+    #[test]
+    fn delta_decode_survives_truncation_and_corruption(
+        records in 0u64..40,
+        pos_frac in 0.0f64..1.0,
+        xor in 0u8..=255,
+        junk in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        use crate::journal::bench_api;
+        let full = bench_api::encode_image(12);
+        let mut delta = bench_api::DeltaCase::new(12, records).encode_delta();
+        let pos = (((delta.len() - 1) as f64) * pos_frac) as usize;
+        prop_assert!(bench_api::try_chain_decodes(&full, &delta).is_ok());
+        prop_assert!(bench_api::try_chain_decodes(&full, &delta[..pos]).is_err());
+        delta[pos] ^= xor;
+        let _ = bench_api::try_chain_decodes(&full, &delta);
+        let _ = bench_api::try_chain_decodes(&full, &junk);
+        let _ = bench_api::try_chain_decodes(&junk, &delta);
     }
 
     /// Determinism: identical config + workload ⇒ identical report.

@@ -478,6 +478,41 @@ mod tests {
     }
 
     #[test]
+    fn streamed_admissions_grow_the_ledger_between_images() {
+        // With an image every few records, every wave's `Submitted` records
+        // land in a tail that a delta image compacts: the per-task vectors
+        // (and, from the fourth wave on, the per-category ones — "late" is
+        // a category the run had not seen) grow between images. Each
+        // compaction of this debug build asserts the chain decodes to the
+        // live image, each crash that replay equals live; the run must
+        // finish every invocation once at every cadence.
+        for every in [1, 5, 16] {
+            let cfg = MasterConfig::new(Strategy::Auto(AutoConfig::default()))
+                .with_seed(41)
+                .with_durability(DurabilityConfig::journal_with_snapshots(every))
+                .with_faults(FaultPlan::reliable().with(FaultSpec::master_crash(60.0, 3)));
+            let mut sm = streaming(&cfg, 4);
+            for wave in 0..10u64 {
+                let at = SimTime::from_secs(wave as f64 * 3.0);
+                let mut batch = invocations(6, wave * 6);
+                if wave >= 3 {
+                    batch[0].category = "late".to_string();
+                }
+                sm.submit(at, batch);
+                sm.run_until(at);
+            }
+            sm.drain();
+            assert!(sm.crashes() > 0, "every {every}: crash points never fired");
+            assert_eq!(sm.recoveries(), sm.crashes(), "every {every}");
+            let report = sm.finish();
+            let ok = (report.results.iter())
+                .filter(|r| r.outcome.is_success())
+                .count();
+            assert_eq!((ok, report.abandoned_tasks), (60, 0), "every {every}");
+        }
+    }
+
+    #[test]
     fn crashed_journaled_stream_is_deterministic() {
         let run = || {
             let cfg = MasterConfig::new(Strategy::Auto(AutoConfig::default()))

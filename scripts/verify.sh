@@ -21,12 +21,30 @@ cargo test -q --offline
 echo "==> benchmark package (outside the workspace: root cargo test does not build it)"
 cargo build --release --offline --manifest-path lfm_benchmark/Cargo.toml
 cargo test --release --offline -q --manifest-path lfm_benchmark/Cargo.toml
+# Journal bytes per task on master_dag_chaos: 904 B with delta images (9.7 KB
+# while every compaction wrote the whole run so far). The ceiling is twice
+# that, so a term that grows with tasks² cannot come back unnoticed. Only
+# the traced pass prints per-layer counts, so that workload runs with it.
+journal_bytes_per_task_ceiling=1808
 for w in master_batch master_dag_chaos federation_8shard serving_steady serving_overload paper_figs; do
     echo "    workload $w"
-    last=$(cargo run --release --offline --quiet --manifest-path lfm_benchmark/Cargo.toml -- \
-        --workload "$w" --seconds 1 --trace 0 | tail -n 1)
+    trace=0
+    [[ $w == master_dag_chaos ]] && trace=1
+    out=$(cargo run --release --offline --quiet --manifest-path lfm_benchmark/Cargo.toml -- \
+        --workload "$w" --seconds 1 --trace "$trace")
+    last=$(tail -n 1 <<<"$out")
     grep -q '"correct": true' <<<"$last"
     grep -q '"failed": 0' <<<"$last"
+    if [[ $w == master_dag_chaos ]]; then
+        awk -v ceiling="$journal_bytes_per_task_ceiling" '
+            $2 == "workqueue.journal.bytes_per_op" { seen = 1; bytes = $3 }
+            END {
+                if (!seen || bytes > ceiling) {
+                    print "journal bytes per task " bytes " above " ceiling > "/dev/stderr"
+                    exit 1
+                }
+            }' <<<"$out"
+    fi
 done
 
 echo "==> cargo bench --no-run"

@@ -273,6 +273,44 @@ fn stealing_migrates_and_conserves() {
     );
 }
 
+/// The same one-category workload with per-shard journals that compact
+/// every few records and shard masters that crash: `Stolen` records land in
+/// tails that delta images compact, and the victim's image chain must still
+/// decode to a queue without the migrated tasks (asserted at every
+/// compaction of a debug build) or recovery would run them twice.
+#[test]
+fn stealing_across_delta_images_conserves_and_recovers() {
+    let tasks: Vec<TaskSpec> = mixed_tasks(40)
+        .into_iter()
+        .map(|mut t| {
+            t.category = "only".to_string();
+            t.deps.clear();
+            t
+        })
+        .collect();
+    for every in [1, 6, 48] {
+        let cfg = MasterConfig::new(Strategy::Auto(AutoConfig::default()))
+            .with_faults(FaultPlan::reliable().with(FaultSpec::master_crash(25.0, 2)))
+            .with_durability(DurabilityConfig::journal_with_snapshots(every))
+            .with_seed(53);
+        let fed = run_federated(
+            &cfg,
+            &FederationConfig::new(2).with_partition(PartitionPolicy::ByCategory),
+            tasks.clone(),
+            4,
+            NodeSpec::new(8, 8192, 16384),
+        );
+        let label = format!("stealing/snap={every}");
+        assert!(fed.stolen_tasks > 0, "{label}: balancer never fired");
+        assert_conserves(&label, &fed, 40);
+        assert!(fed.merged.master_crashes > 0, "{label}: no crash fired");
+        assert_eq!(
+            fed.merged.recoveries, fed.merged.master_crashes,
+            "{label}: crash without recovery"
+        );
+    }
+}
+
 /// Regression: a master-side timer (task backoff) whose deadline passed
 /// while a shard's master was down used to be re-armed at the recovery
 /// instant but *behind* the `Recovered` event in the FIFO tie — the timer
@@ -317,6 +355,7 @@ proptest! {
         lossy in any::<bool>(),
         flaky_staging in any::<bool>(),
         crash in any::<bool>(),
+        snapshots in any::<bool>(),
     ) {
         let mut plan = FaultPlan::reliable();
         if churn {
@@ -342,7 +381,13 @@ proptest! {
             .with_faults(plan)
             .with_seed(seed);
         if crash {
-            cfg = cfg.with_durability(DurabilityConfig::journal_only());
+            // With snapshots, cross-shard `RemoteDep` and `Stolen` records
+            // reach recovery through delta images rather than replay.
+            cfg = cfg.with_durability(if snapshots {
+                DurabilityConfig::journal_with_snapshots(7)
+            } else {
+                DurabilityConfig::journal_only()
+            });
         }
         let fed = run_federated(
             &cfg,
