@@ -245,10 +245,12 @@ pub(crate) enum Record {
     /// travels in the record so replay can re-grow the per-task state vectors
     /// (and intern a brand-new category at index `cat`) exactly as the live
     /// master did; the `Enqueue` for the fresh attempt follows immediately.
+    /// A master without a journal commits it with no spec: nothing would
+    /// keep the copy.
     Submitted {
         task_idx: u64,
         cat: u32,
-        spec: Box<TaskSpec>,
+        spec: Option<Box<TaskSpec>>,
     },
 }
 
@@ -776,7 +778,10 @@ impl Record {
                 put_u8(out, 22);
                 put_u64(out, *task_idx);
                 put_u32(out, *cat);
-                put_spec(out, spec);
+                put_spec(
+                    out,
+                    spec.as_deref().expect("a journaled admission has its spec"),
+                );
             }
         }
     }
@@ -861,7 +866,7 @@ impl Record {
             22 => Record::Submitted {
                 task_idx: r.u64()?,
                 cat: r.u32()?,
-                spec: Box::new(read_spec(r)?),
+                spec: Some(Box::new(read_spec(r)?)),
             },
             t => return Err(JournalError::BadTag("record", t)),
         })
@@ -975,8 +980,9 @@ impl Ledger {
     /// What one record does to the journaled state — the only code that
     /// changes a ledger field. Returns the tasks whose last dependency the
     /// record satisfied (the live master enqueues them; in a journal their
-    /// `Enqueue` records follow).
-    pub fn apply(&mut self, rec: &Record, graph: &DepGraph<'_>) -> Vec<usize> {
+    /// `Enqueue` records follow). The record comes by value so that what it
+    /// carries (a result row) moves in; a journal keeps its own copy.
+    pub fn apply(&mut self, rec: Record, graph: &DepGraph<'_>) -> Vec<usize> {
         match rec {
             // An enqueue of an attempt retires any armed backoff for it:
             // the timer fired.
@@ -984,12 +990,12 @@ impl Ledger {
                 task_idx, attempt, ..
             } => self
                 .backoffs
-                .retain(|&(t, a, _)| !(t == *task_idx as usize && a == *attempt)),
+                .retain(|&(t, a, _)| !(t == task_idx as usize && a == attempt)),
             Record::BackoffArm {
                 task_idx,
                 attempt,
                 at,
-            } => self.backoffs.push((*task_idx as usize, *attempt, *at)),
+            } => self.backoffs.push((task_idx as usize, attempt, at)),
             Record::Placed {
                 placement,
                 worker,
@@ -1000,32 +1006,32 @@ impl Ledger {
                 lease_at,
             } => {
                 self.placements.insert(
-                    *placement,
+                    placement,
                     PlacementInfo {
-                        worker: *worker,
-                        task_idx: *task_idx as usize,
-                        attempt: *attempt,
-                        allocated: *alloc,
-                        started_at: *started_at,
+                        worker,
+                        task_idx: task_idx as usize,
+                        attempt,
+                        allocated: alloc,
+                        started_at,
                         zombie: false,
-                        lease_at: *lease_at,
+                        lease_at,
                     },
                 );
                 self.next_placement = placement + 1;
             }
             Record::Zombie { placement } => {
-                if let Some(p) = self.placements.get_mut(placement) {
+                if let Some(p) = self.placements.get_mut(&placement) {
                     p.zombie = true;
                 }
             }
             Record::Freed { placement } => {
-                self.placements.remove(placement);
+                self.placements.remove(&placement);
             }
-            Record::Result(tr) => self.results.push((**tr).clone()),
+            Record::Result(row) => self.results.push(*row),
             Record::Finished { task_idx, success } => {
                 self.completed += 1;
-                if *success {
-                    let id = graph.tasks[*task_idx as usize].id;
+                if success {
+                    let id = graph.tasks[task_idx as usize].id;
                     let dependents = graph.dependents.get(&id).map_or(&[][..], Vec::as_slice);
                     return self.satisfy(
                         dependents.iter().copied().filter(|&d| {
@@ -1034,35 +1040,35 @@ impl Ledger {
                     );
                 }
             }
-            Record::RemoteDep { task_idx } => return self.satisfy([*task_idx as usize]),
+            Record::RemoteDep { task_idx } => return self.satisfy([task_idx as usize]),
             Record::Abandoned { .. } => {
                 self.abandoned += 1;
                 self.completed += 1;
             }
             Record::Cancelled { task_idx } => {
-                self.dep_remaining[*task_idx as usize] = usize::MAX;
+                self.dep_remaining[task_idx as usize] = usize::MAX;
                 self.abandoned += 1;
                 self.completed += 1;
-                self.dirty.push(*task_idx as usize);
+                self.dirty.push(task_idx as usize);
             }
             Record::Retried { task_idx } => {
-                self.retried.insert(*task_idx as usize);
-                self.dirty.push(*task_idx as usize);
+                self.retried.insert(task_idx as usize);
+                self.dirty.push(task_idx as usize);
             }
             Record::InfraRetried { task_idx, count } => {
-                self.infra_retried.insert(*task_idx as usize);
-                self.infra_fail_count[*task_idx as usize] = *count;
-                self.dirty.push(*task_idx as usize);
+                self.infra_retried.insert(task_idx as usize);
+                self.infra_fail_count[task_idx as usize] = count;
+                self.dirty.push(task_idx as usize);
             }
-            Record::Streak { cat, value } => self.cat_streak[*cat as usize] = *value,
+            Record::Streak { cat, value } => self.cat_streak[cat as usize] = value,
             Record::Quarantined { worker, release_at } => {
-                self.quarantined_until.push((*worker, *release_at));
+                self.quarantined_until.push((worker, release_at));
                 self.quarantines += 1;
             }
             Record::QuarantineLifted { worker } => {
-                self.quarantined_until.retain(|&(w, _)| w != *worker)
+                self.quarantined_until.retain(|&(w, _)| w != worker)
             }
-            Record::EnvFailure { count } => self.env_failures = *count,
+            Record::EnvFailure { count } => self.env_failures = count,
             Record::Degraded => self.degraded = true,
             // A streamed admission grows the per-task vectors by one
             // dependency-free slot, and a first-seen category the
@@ -1070,28 +1076,28 @@ impl Ledger {
             // vector; the record's copy keeps the journal self-contained.
             Record::Submitted { task_idx, cat, .. } => {
                 debug_assert_eq!(
-                    *task_idx,
+                    task_idx,
                     self.dep_remaining.len() as u64,
                     "streamed admissions apply in admission order"
                 );
                 self.dep_remaining.push(0);
                 self.infra_fail_count.push(0);
-                self.dirty.push(*task_idx as usize);
-                if self.cat_streak.len() <= *cat as usize {
-                    self.cat_streak.resize(*cat as usize + 1, 0);
+                self.dirty.push(task_idx as usize);
+                if self.cat_streak.len() <= cat as usize {
+                    self.cat_streak.resize(cat as usize + 1, 0);
                 }
             }
             Record::Counter { key, amount } => {
                 let c = &mut self.counters;
                 match key {
-                    CounterKey::WorkersProvisioned => c.workers_provisioned += *amount as u32,
-                    CounterKey::WorkersLost => c.workers_lost += *amount as u32,
-                    CounterKey::TasksLost => c.tasks_lost += *amount as u64,
-                    CounterKey::LeaseReclaims => c.lease_reclaims += *amount as u64,
-                    CounterKey::StageInFailures => c.stage_in_failures += *amount as u64,
-                    CounterKey::SpuriousKills => c.spurious_kills += *amount as u64,
-                    CounterKey::ResultMsgsLost => c.result_msgs_lost += *amount as u64,
-                    CounterKey::LostCoreSecs => c.lost_core_secs += *amount,
+                    CounterKey::WorkersProvisioned => c.workers_provisioned += amount as u32,
+                    CounterKey::WorkersLost => c.workers_lost += amount as u32,
+                    CounterKey::TasksLost => c.tasks_lost += amount as u64,
+                    CounterKey::LeaseReclaims => c.lease_reclaims += amount as u64,
+                    CounterKey::StageInFailures => c.stage_in_failures += amount as u64,
+                    CounterKey::SpuriousKills => c.spurious_kills += amount as u64,
+                    CounterKey::ResultMsgsLost => c.result_msgs_lost += amount as u64,
+                    CounterKey::LostCoreSecs => c.lost_core_secs += amount,
                 }
             }
             // No ledger state: the header is a sanity check, a steal only
@@ -1651,8 +1657,8 @@ pub(crate) struct Journal {
 }
 
 impl Journal {
-    /// Append one record, returning it as stored.
-    pub fn append(&mut self, rec: Record) -> &Record {
+    /// Append one record: its bytes are flushed and the tail keeps a copy.
+    pub fn append(&mut self, rec: &Record) {
         self.scratch.clear();
         rec.encode(&mut self.scratch);
         if cfg!(debug_assertions) {
@@ -1661,11 +1667,10 @@ impl Journal {
             let mut r = Reader::new(&self.scratch);
             let back = Record::decode(&mut r).expect("appended record decodes");
             assert!(r.is_empty(), "record encoding has trailing bytes");
-            assert_eq!(back, rec, "record encoding must round-trip");
+            assert_eq!(&back, rec, "record encoding must round-trip");
         }
         self.bytes_written += self.scratch.len() as u64;
-        self.tail.push(rec);
-        self.tail.last().expect("just pushed")
+        self.tail.push(rec.clone());
     }
 
     pub fn bytes_written(&self) -> u64 {
@@ -2067,7 +2072,7 @@ mod tests {
             Record::Submitted {
                 task_idx: 100,
                 cat: 2,
-                spec: Box::new(
+                spec: Some(Box::new(
                     TaskSpec::new(
                         TaskId(100),
                         "stream",
@@ -2086,7 +2091,7 @@ mod tests {
                         },
                     )
                     .after(vec![TaskId(3)]),
-                ),
+                )),
             },
         ]
     }
@@ -2284,10 +2289,9 @@ mod tests {
 
     impl Live {
         fn commit(&mut self, rec: Record, graph: &DepGraph<'_>) {
-            let rec = self.journal.append(rec);
-            self.ledger.apply(rec, graph);
-            observe_into(&mut self.stats, rec);
-            match *rec {
+            self.journal.append(&rec);
+            observe_into(&mut self.stats, &rec);
+            match rec {
                 Record::Enqueue {
                     task_idx,
                     attempt,
@@ -2315,6 +2319,7 @@ mod tests {
                 }
                 _ => {}
             }
+            self.ledger.apply(rec, graph);
         }
 
         /// Sample stores as `Allocator::snapshot_category` exports them.
@@ -2377,8 +2382,8 @@ mod tests {
         };
         let j = &mut live.journal;
         assert!(!j.wants_snapshot(Some(2)));
-        j.append(Record::Degraded);
-        j.append(Record::Freed { placement: 1 });
+        j.append(&Record::Degraded);
+        j.append(&Record::Freed { placement: 1 });
         assert!(j.wants_snapshot(Some(2)));
         assert!(!j.wants_snapshot(None));
         assert_eq!(j.tail().len(), 2);
@@ -2400,7 +2405,7 @@ mod tests {
         // `journal_with_snapshots` refuses 0, a struct literal does not.
         let mut j = Journal::default();
         assert!(!j.wants_snapshot(Some(0)), "nothing to compact yet");
-        j.append(Record::Degraded);
+        j.append(&Record::Degraded);
         assert!(j.wants_snapshot(Some(0)));
         assert!(j.wants_snapshot(Some(1)));
     }
@@ -2518,7 +2523,7 @@ mod tests {
                 Record::Submitted {
                     task_idx: idx,
                     cat,
-                    spec: Box::new(tasks[idx as usize].clone()),
+                    spec: Some(Box::new(tasks[idx as usize].clone())),
                 },
                 &g,
             );
@@ -2675,25 +2680,25 @@ mod tests {
         };
         let finished = |task_idx, success| Record::Finished { task_idx, success };
         let mut l = Ledger::fresh(vec![0, 0, 3, 1], 1);
-        assert!(l.apply(&finished(0, false), &sharded).is_empty());
+        assert!(l.apply(finished(0, false), &sharded).is_empty());
         assert_eq!((l.completed, &l.dep_remaining[..]), (1, &[0, 0, 3, 1][..]));
-        assert!(l.apply(&finished(0, true), &sharded).is_empty());
+        assert!(l.apply(finished(0, true), &sharded).is_empty());
         assert_eq!(l.dep_remaining, vec![0, 0, 1, 1], "3 is remote");
-        assert_eq!(l.apply(&finished(1, true), &sharded), vec![2]);
+        assert_eq!(l.apply(finished(1, true), &sharded), vec![2]);
         // Unsharded, the same success also releases task 3.
         let mut l = Ledger::fresh(vec![0, 0, 3, 1], 1);
         assert_eq!(
-            l.apply(&finished(0, true), &graph(&tasks, &dependents)),
+            l.apply(finished(0, true), &graph(&tasks, &dependents)),
             vec![3]
         );
         // A cancelled dependent stays cancelled.
         let mut l = Ledger::fresh(vec![0, 0, usize::MAX, 1], 1);
-        assert!(l.apply(&finished(1, true), &sharded).is_empty());
+        assert!(l.apply(finished(1, true), &sharded).is_empty());
         assert_eq!(l.dep_remaining[2], usize::MAX);
         // A remote dependency completing is the same countdown.
         let mut l = Ledger::fresh(vec![0, 0, 3, 1], 1);
         assert_eq!(
-            l.apply(&Record::RemoteDep { task_idx: 3 }, &sharded),
+            l.apply(Record::RemoteDep { task_idx: 3 }, &sharded),
             vec![3]
         );
     }

@@ -16,7 +16,7 @@ use crate::journal::{
 };
 use crate::sched::{policy_rank, IndexedSched, ParkReason, Pending, SchedImpl, Src};
 use crate::task::{TaskId, TaskResult, TaskSpec};
-use crate::worker::Worker;
+use crate::worker::{Worker, WorkerTable};
 use lfm_monitor::limits::ResourceLimits;
 use lfm_monitor::report::MonitorOutcome;
 use lfm_monitor::sim::{SimMonitor, SimTaskProfile};
@@ -29,9 +29,9 @@ use lfm_simcluster::rng::SimRng;
 use lfm_simcluster::sharedfs::{SharedFs, SharedFsParams};
 use lfm_simcluster::storage::LocalDisk;
 use lfm_simcluster::time::SimTime;
-use lfm_telemetry::{Name, Recorder};
+use lfm_telemetry::{InstantBuilder, Name, Recorder, SpanBuilder};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 
 /// Pre-interned telemetry names for the master's emission sites.
@@ -695,6 +695,8 @@ enum SchedState {
 
 #[cfg(test)]
 thread_local! {
+    /// Span and instant builders constructed (see [`Master::span`]).
+    static BUILDERS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     /// Placements examined by `evict_worker`, for the linearity regression
     /// test (eviction must scan only the evicted worker's own placements).
     static EVICT_SCANNED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
@@ -724,7 +726,7 @@ pub(crate) struct Master {
     /// *state* below stays per master). Only streamed admission writes it,
     /// and a streaming master is its vector's sole owner.
     tasks: Arc<Vec<TaskSpec>>,
-    workers: BTreeMap<u32, Worker>,
+    workers: WorkerTable,
     sched: SchedState,
     queue: EventQueue<Event>,
     allocator: Allocator,
@@ -751,10 +753,6 @@ pub(crate) struct Master {
     /// Everything journaled that is plain data. Changed only through
     /// [`Master::commit`], so replaying the journal reproduces it.
     ledger: Ledger,
-    /// worker → its live placement ids, so eviction is linear in the
-    /// evicted worker's own placements. Derived from `ledger.placements`
-    /// (zombies excluded), like `in_flight` and `running_by_cat`.
-    placements_by_worker: BTreeMap<u32, BTreeSet<u64>>,
     /// Dependents listed per task id for O(1) release on completion.
     /// Cancellation prunes it as it walks.
     dependents: BTreeMap<TaskId, Vec<usize>>,
@@ -848,9 +846,8 @@ impl Master {
             batch,
             faults,
             net_rng,
-            placements_by_worker: BTreeMap::new(),
             tasks,
-            workers: BTreeMap::new(),
+            workers: WorkerTable::default(),
             sched,
             queue: EventQueue::with_capacity(event_capacity),
             allocator,
@@ -923,6 +920,22 @@ impl Master {
             inbound_pending: 0,
         });
         m
+    }
+
+    /// Every span the master describes starts here (and every instant in
+    /// [`Master::instant`]), so a test can count the builders a run
+    /// constructs: a disabled recorder must cost the per-attempt path a
+    /// branch, not a builder.
+    fn span(&self, name: Name, cat: Name) -> SpanBuilder<'_> {
+        #[cfg(test)]
+        BUILDERS.with(|c| c.set(c.get() + 1));
+        self.config.telemetry.span_key(name, cat)
+    }
+
+    fn instant(&self, name: Name, cat: Name) -> InstantBuilder<'_> {
+        #[cfg(test)]
+        BUILDERS.with(|c| c.set(c.get() + 1));
+        self.config.telemetry.instant_key(name, cat)
     }
 
     /// Is `task_idx` owned by this master? Always true for the standalone
@@ -1055,7 +1068,8 @@ impl Master {
                 // not drawn from a shared stream, so they are identical
                 // across scheduler implementations.
                 worker.slowdown = self.faults.worker_slowdown(id);
-                self.workers.insert(id, worker);
+                let replaced = self.workers.insert(worker);
+                debug_assert!(replaced.is_none(), "the batch system reuses no id");
                 self.free_cores += self.spec.resources.cores as u64;
                 if let SchedState::Indexed(ix) = &mut self.sched {
                     ix.worker_added(id, self.spec.resources.cores);
@@ -1092,9 +1106,6 @@ impl Master {
                     // the lease to reclaim.
                     self.result_lost(now, &info);
                 } else {
-                    if let Some(set) = self.placements_by_worker.get_mut(&info.worker) {
-                        set.remove(&info.placement);
-                    }
                     self.commit(Record::Freed {
                         placement: info.placement,
                     });
@@ -1173,10 +1184,12 @@ impl Master {
             }
         };
         self.cat_of.push(cat);
+        // The record carries a copy of the spec for the journal to keep.
+        let kept = self.journal.is_some().then(|| Box::new(spec.clone()));
         self.commit(Record::Submitted {
             task_idx: task_idx as u64,
             cat,
-            spec: Box::new(spec.clone()),
+            spec: kept,
         });
         Arc::make_mut(&mut self.tasks).push(spec);
         self.enqueue_back(Pending {
@@ -1249,8 +1262,8 @@ impl Master {
 
     // ---- durability: journaling, crash, and recovery ----
 
-    /// The one way journaled state changes: append the record to the
-    /// write-ahead journal (when durability is on), then apply it to the
+    /// The one way journaled state changes: append a copy of the record to
+    /// the write-ahead journal (when durability is on), then apply it to the
     /// ledger through the same [`Ledger::apply`] that recovery folds the
     /// journal with. Returns the tasks whose last dependency the record
     /// satisfied.
@@ -1261,9 +1274,12 @@ impl Master {
             shard: self.fed.as_ref().map(|f| (f.owner.as_slice(), f.shard)),
         };
         match &mut self.journal {
-            Some(journal) => self.ledger.apply(journal.append(rec), &graph),
+            Some(journal) => {
+                journal.append(&rec);
+                self.ledger.apply(rec, &graph)
+            }
             None => {
-                let ready = self.ledger.apply(&rec, &graph);
+                let ready = self.ledger.apply(rec, &graph);
                 // No journal, no delta image to carry it to.
                 self.ledger.dirty.clear();
                 ready
@@ -1402,7 +1418,7 @@ impl Master {
         };
         let mut queue = PendingFold::new(std::mem::take(&mut img.pending));
         for rec in journal.tail() {
-            img.ledger.apply(rec, &graph);
+            img.ledger.apply(rec.clone(), &graph);
             queue.apply(rec);
             self.replay_views(&mut img, rec);
         }
@@ -1539,25 +1555,23 @@ impl Master {
             );
         }
 
-        self.placements_by_worker.clear();
+        for w in self.workers.values_mut() {
+            w.placements.clear();
+            w.infra_failures = img.worker_faults.get(&w.id()).copied().unwrap_or(0);
+            w.quarantined = (self.ledger.quarantined_until.iter()).any(|&(q, _)| q == w.id());
+        }
         self.running_by_cat.fill(0);
         self.in_flight = 0;
         for (&id, p) in &self.ledger.placements {
             if !p.zombie {
                 // Zombies already freed their resources; they stay live only
                 // to block duplicate completions until the lease reclaims.
-                self.placements_by_worker
-                    .entry(p.worker)
-                    .or_default()
-                    .insert(id);
+                let worker = (self.workers.get_mut(p.worker))
+                    .expect("a live placement's worker is connected");
+                worker.placements.push(id);
                 self.in_flight += 1;
                 self.running_by_cat[self.cat_of[p.task_idx] as usize] += 1;
             }
-        }
-
-        for w in self.workers.values_mut() {
-            w.infra_failures = img.worker_faults.get(&w.id()).copied().unwrap_or(0);
-            w.quarantined = (self.ledger.quarantined_until.iter()).any(|&(q, _)| q == w.id());
         }
         self.free_cores = self.pool_free_cores();
         self.rebuild_sched(img.pending.into());
@@ -1611,7 +1625,7 @@ impl Master {
             ..Ledger::fresh(Self::fresh_deps(&self.tasks), self.cat_names.len())
         };
         for p in old.placements.values().filter(|p| !p.zombie) {
-            if let Some(w) = self.workers.get_mut(&p.worker) {
+            if let Some(w) = self.workers.get_mut(p.worker) {
                 w.node.free(p.allocated);
                 w.running -= 1;
                 // Forget in-flight staging marks for torn-down placements
@@ -1621,10 +1635,10 @@ impl Master {
                 }
             }
         }
-        self.placements_by_worker.clear();
         self.in_flight = 0;
         self.running_by_cat.fill(0);
         for w in self.workers.values_mut() {
+            w.placements.clear();
             w.quarantined = false;
             w.infra_failures = 0;
         }
@@ -1734,7 +1748,7 @@ impl Master {
     /// resource retries — the task did nothing wrong) and optionally submit
     /// a replacement.
     fn evict_worker(&mut self, now: SimTime, id: u32) {
-        let Some(worker) = self.workers.remove(&id) else {
+        let Some(mut worker) = self.workers.remove(id) else {
             return;
         };
         self.count(CounterKey::WorkersLost, 1.0);
@@ -1748,9 +1762,11 @@ impl Master {
             // removal is a no-op there but still tears down the file index.
             ix.worker_removed(id, worker.node.available().cores, worker.cached_files());
         }
-        // Only the evicted worker's own placements are touched — the index
-        // replaces the old filter-scan over every live placement.
-        let lost = self.placements_by_worker.remove(&id).unwrap_or_default();
+        // Only the evicted worker's own placements are touched, in ascending
+        // placement id: the order they are freed and requeued in is journal
+        // bytes and queue order, and the worker's list keeps none.
+        let mut lost = std::mem::take(&mut worker.placements);
+        lost.sort_unstable();
         for placement in lost {
             #[cfg(test)]
             EVICT_SCANNED.with(|c| c.set(c.get() + 1));
@@ -1768,9 +1784,7 @@ impl Master {
                 // for its parked first attempts is stale.
                 ix.wake_category(cat, false);
             }
-            self.config
-                .telemetry
-                .instant_key(tk().task_lost, tk().cat_master)
+            self.instant(tk().task_lost, tk().cat_master)
                 .at(now)
                 .track(id as u64)
                 .task(self.tasks[p.task_idx].id.0)
@@ -1929,13 +1943,14 @@ impl Master {
     /// the group's standing failure certificate.
     fn dispatch_indexed(&mut self, now: SimTime) {
         // Groups that failed examination *this pass*, with the reason.
-        let mut settled: BTreeMap<(u32, bool), ParkReason> = BTreeMap::new();
+        // At most one entry per park group, so a scan finds it.
+        let mut settled: Vec<((u32, bool), ParkReason)> = Vec::new();
         while let Some(src) = self.ix().peek_min() {
             match src {
                 Src::Ready => {
                     let (key, item) = self.ix_mut().pop_ready();
                     let gk = (self.cat_of[item.task_idx], item.attempt > 0);
-                    if let Some(reason) = settled.get(&gk) {
+                    if let Some((_, reason)) = settled.iter().find(|(g, _)| *g == gk) {
                         let reason = reason.clone();
                         self.ix_mut().park(gk, Some(reason), key, item);
                         continue;
@@ -1950,7 +1965,7 @@ impl Master {
                             self.ix_mut().drop_group_if_empty(gk);
                         }
                         Err(reason) => {
-                            settled.insert(gk, reason.clone());
+                            settled.push((gk, reason.clone()));
                             self.ix_mut().park(gk, Some(reason), key, item);
                         }
                     }
@@ -1964,7 +1979,7 @@ impl Master {
                             self.ix_mut().drop_group_if_empty(gk);
                         }
                         Err(reason) => {
-                            settled.insert(gk, reason.clone());
+                            settled.push((gk, reason.clone()));
                             self.ix_mut().sleep_group(gk, reason);
                         }
                     }
@@ -2023,32 +2038,31 @@ impl Master {
     ) {
         let (task_idx, attempt) = (item.task_idx, item.attempt);
         let concurrent = self.in_flight.max(1);
-        let tid = self.tasks[task_idx].id.0;
         // ---- schedule/dispatch telemetry ----
-        if now > item.since {
-            self.config
-                .telemetry
-                .span_key(tk().queue_wait, tk().cat_master)
-                .at(item.since, now)
+        if self.config.telemetry.is_enabled() {
+            let tid = self.tasks[task_idx].id.0;
+            if now > item.since {
+                self.span(tk().queue_wait, tk().cat_master)
+                    .at(item.since, now)
+                    .track(wid as u64)
+                    .task(tid)
+                    .attempt(attempt)
+                    .emit();
+            }
+            self.instant(tk().dispatch, tk().cat_master)
+                .at(now)
                 .track(wid as u64)
                 .task(tid)
                 .attempt(attempt)
+                .attr_key(tk().a_category, self.tasks[task_idx].category.as_str())
+                .attr_key(tk().a_cores, alloc.cores as u64)
+                .attr_key(tk().a_memory_mb, alloc.memory_mb)
                 .emit();
         }
-        self.config
-            .telemetry
-            .instant_key(tk().dispatch, tk().cat_master)
-            .at(now)
-            .track(wid as u64)
-            .task(tid)
-            .attempt(attempt)
-            .attr_key(tk().a_category, self.tasks[task_idx].category.as_str())
-            .attr_key(tk().a_cores, alloc.cores as u64)
-            .attr_key(tk().a_memory_mb, alloc.memory_mb)
-            .emit();
-        // Take the worker out of the map so staging can borrow the network
-        // and filesystem models mutably alongside it.
-        let mut worker = self.workers.remove(&wid).expect("picked worker exists");
+        // Staging works on the worker's row where it lives: the network,
+        // filesystem and fault models it draws on are other fields.
+        let direct_env = self.effective_dist_mode() == DistMode::SharedFsDirect;
+        let worker = self.workers.get_mut(wid).expect("picked worker exists");
         let co_resident = worker.running;
         let old_free = worker.node.available().cores;
         assert!(worker.node.allocate(alloc), "pick_worker guaranteed fit");
@@ -2062,10 +2076,7 @@ impl Master {
         // The placement itself enters the ledger with its `Placed` record,
         // once the lease deadline is known.
         let placement = self.ledger.next_placement;
-        self.placements_by_worker
-            .entry(wid)
-            .or_default()
-            .insert(placement);
+        worker.placements.push(placement);
 
         // ---- stage-in ----
         // Cacheable files (environments, shared data) transfer once per
@@ -2073,7 +2084,6 @@ impl Master {
         // Per-task data files always transfer. All fault-stream draws below
         // happen at placement-identical points, so both scheduler
         // implementations consume identical fault sequences.
-        let direct_env = self.effective_dist_mode() == DistMode::SharedFsDirect;
         let mut cacheable_wait = 0.0f64;
         let mut data_bytes = 0u64;
         let mut direct_import = 0.0f64;
@@ -2181,7 +2191,6 @@ impl Master {
             infra = Some(InfraFault::StageInFailed);
         }
         let straggler = worker.slowdown;
-        self.workers.insert(wid, worker);
 
         if let Some(fault) = infra {
             // Stage-in failed: the attempt ends when the wasted transfer
@@ -2319,12 +2328,16 @@ impl Master {
         }
     }
 
-    /// Release a finished/reclaimed placement's resources and wake parked
-    /// work. Mirrors the allocation bookkeeping in `place()`; quarantined
-    /// workers keep their capacity withdrawn from the pool and the index.
-    fn free_placement(&mut self, wid: u32, task_idx: usize, allocated: Resources) {
+    /// A placement stops occupying its worker (done, reclaimed, or turned
+    /// zombie): release its resources and wake parked work. Mirrors the
+    /// allocation bookkeeping in `place()`; quarantined workers keep their
+    /// capacity withdrawn from the pool and the index.
+    fn free_placement(&mut self, wid: u32, placement: u64, task_idx: usize, allocated: Resources) {
         let cat = self.cat_of[task_idx];
-        let worker = self.workers.get_mut(&wid).expect("worker exists");
+        let worker = self.workers.get_mut(wid).expect("worker exists");
+        let listed = (worker.placements.iter().position(|&p| p == placement))
+            .expect("a live placement is on its worker's list");
+        worker.placements.swap_remove(listed);
         let old_free = worker.node.available().cores;
         worker.node.free(allocated);
         let avail = worker.node.available();
@@ -2355,7 +2368,7 @@ impl Master {
     /// locally, but ordinary shared data still caches.
     fn cache_staged_inputs(&mut self, wid: u32, task_idx: usize) {
         let packed = self.effective_dist_mode() == DistMode::PackedTransfer;
-        let worker = self.workers.get_mut(&wid).expect("worker exists");
+        let worker = self.workers.get_mut(wid).expect("worker exists");
         for f in &self.tasks[task_idx].inputs {
             let is_env = matches!(f.kind, FileKind::EnvironmentPack { .. });
             if (!is_env || packed) && worker.insert_cached(f) {
@@ -2371,20 +2384,15 @@ impl Master {
     /// are cached), but keep the placement live as a zombie: its lease will
     /// reclaim and requeue it, and no duplicate completion can slip in.
     fn result_lost(&mut self, now: SimTime, info: &DoneInfo) {
-        if let Some(set) = self.placements_by_worker.get_mut(&info.worker) {
-            set.remove(&info.placement);
-        }
         self.commit(Record::Zombie {
             placement: info.placement,
         });
-        self.free_placement(info.worker, info.task_idx, info.allocated);
+        self.free_placement(info.worker, info.placement, info.task_idx, info.allocated);
         self.cache_staged_inputs(info.worker, info.task_idx);
         self.count(CounterKey::ResultMsgsLost, 1.0);
         let lost_secs = info.allocated.cores as f64 * (now - info.started_at);
         self.count(CounterKey::LostCoreSecs, lost_secs);
-        self.config
-            .telemetry
-            .instant_key(tk().result_lost, tk().cat_faults)
+        self.instant(tk().result_lost, tk().cat_faults)
             .at(now)
             .track(info.worker as u64)
             .task(self.tasks[info.task_idx].id.0)
@@ -2404,16 +2412,11 @@ impl Master {
         self.commit(Record::Freed { placement });
         self.count(CounterKey::LeaseReclaims, 1.0);
         if !p.zombie {
-            if let Some(set) = self.placements_by_worker.get_mut(&p.worker) {
-                set.remove(&placement);
-            }
-            self.free_placement(p.worker, p.task_idx, p.allocated);
+            self.free_placement(p.worker, placement, p.task_idx, p.allocated);
             let lost_secs = p.allocated.cores as f64 * (now - p.started_at);
             self.count(CounterKey::LostCoreSecs, lost_secs);
         }
-        self.config
-            .telemetry
-            .instant_key(tk().lease_reclaim, tk().cat_faults)
+        self.instant(tk().lease_reclaim, tk().cat_faults)
             .at(now)
             .track(p.worker as u64)
             .task(self.tasks[p.task_idx].id.0)
@@ -2431,7 +2434,7 @@ impl Master {
         let Some(threshold) = self.config.resilience.quarantine_threshold else {
             return;
         };
-        let Some(worker) = self.workers.get_mut(&wid) else {
+        let Some(worker) = self.workers.get_mut(wid) else {
             return; // already evicted
         };
         worker.infra_failures += 1;
@@ -2442,15 +2445,13 @@ impl Master {
         }
         self.commit(Record::WorkerFault { worker: wid, count });
         if quarantine {
-            let worker = self.workers.get_mut(&wid).expect("worker exists");
+            let worker = self.workers.get_mut(wid).expect("worker exists");
             let avail = worker.node.available();
             self.free_cores -= avail.cores as u64;
             if let SchedState::Indexed(ix) = &mut self.sched {
                 ix.worker_offline(wid, avail.cores);
             }
-            self.config
-                .telemetry
-                .instant_key(tk().quarantine, tk().cat_faults)
+            self.instant(tk().quarantine, tk().cat_faults)
                 .at(now)
                 .track(wid as u64)
                 .emit();
@@ -2467,7 +2468,7 @@ impl Master {
     /// A quarantined worker sits out its penalty and rejoins the pool with
     /// a clean flakiness score (and its file cache intact).
     fn release_quarantine(&mut self, now: SimTime, id: u32) {
-        let Some(worker) = self.workers.get_mut(&id) else {
+        let Some(worker) = self.workers.get_mut(id) else {
             return; // evicted while quarantined
         };
         if !worker.quarantined {
@@ -2482,9 +2483,7 @@ impl Master {
             ix.worker_online(id, avail.cores);
             ix.wake_fitting(&avail);
         }
-        self.config
-            .telemetry
-            .instant_key(tk().quarantine_release, tk().cat_faults)
+        self.instant(tk().quarantine_release, tk().cat_faults)
             .at(now)
             .track(id as u64)
             .emit();
@@ -2518,9 +2517,7 @@ impl Master {
             value: streak,
         });
         let delay = backoff_delay(streak, &self.config.resilience);
-        self.config
-            .telemetry
-            .instant_key(tk().infra_requeue, tk().cat_faults)
+        self.instant(tk().infra_requeue, tk().cat_faults)
             .at(now)
             .task(self.tasks[task_idx].id.0)
             .attempt(attempt)
@@ -2550,7 +2547,7 @@ impl Master {
     /// degradation counter, and requeue.
     fn infra_finish(&mut self, now: SimTime, info: DoneInfo) {
         let fault = info.infra.expect("infra completion");
-        let worker = self.workers.get_mut(&info.worker).expect("worker exists");
+        let worker = self.workers.get_mut(info.worker).expect("worker exists");
         for f in &self.tasks[info.task_idx].inputs {
             if f.cacheable {
                 worker.abort_staging(&f.name);
@@ -2568,17 +2565,13 @@ impl Master {
             if let Some(th) = self.config.resilience.degrade_env_failures {
                 if count >= th {
                     self.commit(Record::Degraded);
-                    self.config
-                        .telemetry
-                        .instant_key(tk().degrade_to_shared_fs, tk().cat_faults)
+                    self.instant(tk().degrade_to_shared_fs, tk().cat_faults)
                         .at(now)
                         .emit();
                 }
             }
         }
-        self.config
-            .telemetry
-            .instant_key(Name::intern(fault.label()), tk().cat_faults)
+        self.instant(Name::intern(fault.label()), tk().cat_faults)
             .at(now)
             .track(info.worker as u64)
             .task(self.tasks[info.task_idx].id.0)
@@ -2590,13 +2583,13 @@ impl Master {
 
     fn finish_task(&mut self, now: SimTime, info: DoneInfo) {
         let cat = self.cat_of[info.task_idx];
-        self.free_placement(info.worker, info.task_idx, info.allocated);
+        self.free_placement(info.worker, info.placement, info.task_idx, info.allocated);
         if info.infra.is_some() {
             self.infra_finish(now, info);
             return;
         }
         self.cache_staged_inputs(info.worker, info.task_idx);
-        let worker = self.workers.get_mut(&info.worker).expect("worker exists");
+        let worker = self.workers.get_mut(info.worker).expect("worker exists");
         let completed = info.outcome.is_success();
         if completed {
             worker.tasks_completed += 1;
@@ -2641,15 +2634,14 @@ impl Master {
 
         // Per-attempt trace spans. Nothing below touches sim state: the
         // recorder is strictly observational, so a disabled recorder yields
-        // a bit-identical RunReport.
-        {
-            let tel = &self.config.telemetry;
+        // a bit-identical RunReport, at the cost of this one branch.
+        if self.config.telemetry.is_enabled() {
             let tid = task.id.0;
             let track = info.worker as u64;
             let stage_in_end = info.started_at + info.stage_in_secs;
             let exec_end = stage_in_end + info.exec_secs;
             if info.stage_in_secs > 0.0 {
-                tel.span_key(tk().stage_in, tk().cat_worker)
+                self.span(tk().stage_in, tk().cat_worker)
                     .at(info.started_at, stage_in_end)
                     .track(track)
                     .task(tid)
@@ -2663,7 +2655,7 @@ impl Master {
                 MonitorOutcome::SpuriousKill { .. } => "spurious_kill",
                 MonitorOutcome::Failed { .. } => "failed",
             };
-            tel.span_key(tk().exec, tk().cat_lfm)
+            self.span(tk().exec, tk().cat_lfm)
                 .at(stage_in_end, exec_end)
                 .track(track)
                 .task(tid)
@@ -2677,7 +2669,7 @@ impl Master {
                 .attr_key(tk().a_monitor_overhead_s, report.monitor_overhead_secs)
                 .emit();
             if let Some(kind) = violated {
-                tel.instant_key(tk().limit_kill, tk().cat_lfm)
+                self.instant(tk().limit_kill, tk().cat_lfm)
                     .at(exec_end)
                     .track(track)
                     .task(tid)
@@ -2686,14 +2678,14 @@ impl Master {
                     .emit();
             }
             if now > exec_end {
-                tel.span_key(tk().stage_out, tk().cat_worker)
+                self.span(tk().stage_out, tk().cat_worker)
                     .at(exec_end, now)
                     .track(track)
                     .task(tid)
                     .attempt(info.attempt)
                     .emit();
             }
-            tel.span_key(tk().task, tk().cat_master)
+            self.span(tk().task, tk().cat_master)
                 .at(info.started_at, now)
                 .track(track)
                 .task(tid)
@@ -2702,7 +2694,7 @@ impl Master {
                 .emit();
         }
 
-        let result = TaskResult {
+        self.commit(Record::Result(Box::new(TaskResult {
             task: task.id,
             category: task.category.clone(),
             worker: info.worker,
@@ -2712,19 +2704,16 @@ impl Master {
             finished_at: now,
             stage_in_secs: info.stage_in_secs,
             exec_secs: info.exec_secs,
-            outcome: info.outcome.clone(),
+            outcome: info.outcome,
             attempt: info.attempt,
-        };
-        self.commit(Record::Result(Box::new(result)));
+        })));
 
         if spurious {
             // An injected monitor fault killed a healthy execution: retry
             // the *same* attempt against the infra budget, never the
             // resource-retry ceiling.
             self.count(CounterKey::SpuriousKills, 1.0);
-            self.config
-                .telemetry
-                .instant_key(tk().spurious_kill, tk().cat_faults)
+            self.instant(tk().spurious_kill, tk().cat_faults)
                 .at(now)
                 .track(info.worker as u64)
                 .task(task_id.0)
@@ -2732,7 +2721,7 @@ impl Master {
                 .emit();
             self.note_worker_fault(now, info.worker);
             self.requeue_with_backoff(now, info.task_idx, info.attempt);
-        } else if info.outcome.is_limit_exceeded() {
+        } else if violated.is_some() {
             self.commit(Record::Retried {
                 task_idx: info.task_idx as u64,
             });
@@ -2740,9 +2729,7 @@ impl Master {
                 self.config
                     .telemetry
                     .counter_at_key(tk().master_retry, 1, now);
-                self.config
-                    .telemetry
-                    .instant_key(tk().retry, tk().cat_master)
+                self.instant(tk().retry, tk().cat_master)
                     .at(now)
                     .track(info.worker as u64)
                     .task(task_id.0)
@@ -2767,12 +2754,12 @@ impl Master {
         } else {
             let ready = self.commit(Record::Finished {
                 task_idx: info.task_idx as u64,
-                success: info.outcome.is_success(),
+                success: completed,
             });
             self.config
                 .telemetry
                 .counter_at_key(tk().master_task_done, 1, now);
-            if info.outcome.is_success() {
+            if completed {
                 // A success ends the category's infra-failure streak.
                 self.commit(Record::Streak { cat, value: 0 });
                 // All tasks submit at t=0, so turnaround is just `now`.
@@ -3495,6 +3482,105 @@ mod tests {
         );
     }
 
+    #[test]
+    fn eviction_requeues_lost_placements_in_placement_order() {
+        // A worker's placement list keeps no order (a completion moves the
+        // last entry into the hole), but an eviction must free and requeue
+        // what it loses in ascending placement id: the `Freed`/`Enqueue`
+        // records are journal bytes and the front-enqueues are queue order.
+        let cfg = MasterConfig::new(oracle()).with_durability(DurabilityConfig::journal_only());
+        let mut m = Master::new(cfg, hep_tasks(5), 1, node());
+        m.start();
+        m.step(); // the pilot starts and takes every task
+        let list = &mut m.workers.get_mut(0).unwrap().placements;
+        assert_eq!(
+            *list,
+            [0, 1, 2, 3, 4],
+            "one placement per task, all on worker 0"
+        );
+        // The order a few completions and re-placements could leave behind.
+        *list = vec![3, 0, 4, 2, 1];
+        let before = m.journal.as_ref().unwrap().tail().len();
+        m.evict_worker(SimTime::from_secs(1.0), 0);
+        let tail = &m.journal.as_ref().unwrap().tail()[before..];
+        let freed: Vec<u64> = (tail.iter())
+            .filter_map(|r| match r {
+                Record::Freed { placement } => Some(*placement),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(freed, [0, 1, 2, 3, 4]);
+        // Each loss is enqueued in front of the one before it.
+        let queued: Vec<usize> = m.pending_in_order().iter().map(|p| p.task_idx).collect();
+        assert_eq!(queued, [4, 3, 2, 1, 0]);
+        assert_eq!((m.in_flight, m.ledger.placements.len()), (0, 0));
+    }
+
+    #[test]
+    fn stale_events_for_absent_workers_are_dropped() {
+        // What the calendar can still deliver about a worker that is not in
+        // the table: a `WorkerDown` for an id that never started or is
+        // already gone, the completions of placements lost with an evicted
+        // worker, and the quarantine release of a worker evicted while
+        // quarantined.
+        let cfg = MasterConfig::new(oracle()).with_resilience(ResilienceConfig {
+            quarantine_threshold: Some(1),
+            ..ResilienceConfig::default()
+        });
+        let mut m = Master::new(cfg, hep_tasks(12), 2, node());
+        m.start();
+        m.step();
+        m.step(); // both pilots up: eight tasks on worker 0, four on worker 1
+        assert_eq!(m.workers.get(0).unwrap().placements.len(), 8);
+        let t = SimTime::from_secs(1.0);
+        m.note_worker_fault(t, 0);
+        assert!(m.workers.get(0).unwrap().quarantined);
+        for id in [0, 0, 7, 4096] {
+            m.handle_event(t, Event::WorkerDown { id });
+        }
+        assert!(m.workers.get(0).is_none() && m.workers.get(7).is_none());
+        assert_eq!(m.ledger.counters.workers_lost, 1);
+        assert_eq!(m.ledger.counters.tasks_lost, 8);
+        // The eight stale `TaskDone`s and the `QuarantineRelease` pop as the
+        // run drains on worker 1.
+        while m.ledger.completed < 12 {
+            m.step();
+        }
+        let report = m.finish();
+        assert_eq!(distinct_successes(&report), 12);
+        assert_eq!((report.abandoned_tasks, report.tasks_lost), (0, 8));
+        assert_eq!(report.quarantines, 1);
+    }
+
+    #[test]
+    fn disabled_recorder_builds_nothing_and_enabled_trace_is_pinned() {
+        use lfm_pyenv::pack::fnv1a;
+        let run = |tel: Recorder| {
+            let cfg = MasterConfig::new(Strategy::Auto(AutoConfig::default()))
+                .with_telemetry(tel)
+                .with_seed(7);
+            run_workload(&cfg, hep_tasks(2000), 16, node())
+        };
+        // A recorder that keeps nothing must not be handed descriptions of
+        // what it will not keep.
+        BUILDERS.with(|c| c.set(0));
+        let off = run(Recorder::disabled());
+        assert_eq!(BUILDERS.with(|c| c.get()), 0);
+        let tel = Recorder::enabled();
+        let on = run(tel.clone());
+        assert!(BUILDERS.with(|c| c.get()) > 4 * 2000);
+        assert_eq!(off, on, "recording is observational");
+        // The trace itself, names resolved: length and FNV-1a computed at
+        // the commit before the per-attempt blocks were gated.
+        assert_eq!(tel.dropped(), 0);
+        let trace = lfm_telemetry::export::jsonl(&tel.take());
+        assert_eq!(
+            (trace.len(), fnv1a(trace.as_bytes())),
+            (3_751_854, 0x750c_ddcd_8116_ac3f),
+            "the enabled-recorder trace moved"
+        );
+    }
+
     /// Distinct successful task ids; asserts no task completed twice.
     fn distinct_successes(report: &RunReport) -> usize {
         let mut ids: Vec<_> = report
@@ -3643,12 +3729,19 @@ mod tests {
         let full = m.free_cores;
         assert_eq!(full, 8);
         m.note_worker_fault(SimTime::from_secs(1.0), 0);
-        assert!(m.workers[&0].quarantined, "threshold 1 must quarantine");
+        assert!(
+            m.workers.get(0).unwrap().quarantined,
+            "threshold 1 must quarantine"
+        );
         assert_eq!(m.free_cores, 0, "capacity withdrawn from the pool");
         assert_eq!(m.ledger.quarantined_until.len(), 1);
         m.release_quarantine(SimTime::from_secs(2.0), 0);
-        assert!(!m.workers[&0].quarantined);
-        assert_eq!(m.workers[&0].infra_failures, 0, "flakiness score reset");
+        assert!(!m.workers.get(0).unwrap().quarantined);
+        assert_eq!(
+            m.workers.get(0).unwrap().infra_failures,
+            0,
+            "flakiness score reset"
+        );
         assert_eq!(m.free_cores, full, "capacity restored");
         assert!(m.ledger.quarantined_until.is_empty());
         // The duplicate release: nothing may be added twice.

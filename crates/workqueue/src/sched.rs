@@ -17,9 +17,10 @@
 //!   to the same decision at any instant, so one head examination decides
 //!   the whole group; groups are re-examined ("woken") only when an event
 //!   could change the verdict — see the wake methods.
-//! * **Capacity index** — workers ordered by free cores, so the
-//!   most-free-cores preference is a reverse scan with early exit instead
-//!   of a full-pool sweep.
+//! * **Capacity index** — one worker-id bitset per free-core count, so the
+//!   most-free-cores preference is a walk down the buckets with early exit
+//!   instead of a full-pool sweep, and a worker changing its free cores is
+//!   two bit flips.
 //! * **File index** — inverted cache map (file name → workers holding it),
 //!   so the cached-inputs preference is a set-membership test per worker
 //!   the capacity scan visits instead of a probe of that worker's cache
@@ -32,10 +33,9 @@
 
 use crate::master::SchedulePolicy;
 use crate::task::TaskSpec;
-use crate::worker::Worker;
+use crate::worker::WorkerTable;
 use lfm_simcluster::node::Resources;
 use lfm_simcluster::time::SimTime;
-use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Which dispatch implementation a run uses.
@@ -122,10 +122,8 @@ pub(crate) struct IndexedSched {
     front_seq: i64,
     /// `push_back` seqs: start at 0 and increase.
     back_seq: i64,
-    /// (free cores, Reverse(worker id)) for every live worker. Reverse
-    /// iteration yields most-free-first with lowest-id tie-break — the
-    /// reference `pick_worker` preference.
-    cap_index: BTreeSet<(u32, Reverse<u32>)>,
+    /// Every schedulable worker under its free-core count.
+    cap_index: CapIndex,
     /// file name → workers with it cached (mirrors `Worker::insert_cached`).
     file_index: BTreeMap<String, BTreeSet<u32>>,
 }
@@ -140,7 +138,7 @@ impl IndexedSched {
             parked: 0,
             front_seq: -1,
             back_seq: 0,
-            cap_index: BTreeSet::new(),
+            cap_index: CapIndex::default(),
             file_index: BTreeMap::new(),
         }
     }
@@ -310,7 +308,7 @@ impl IndexedSched {
     // ---- worker capacity / file-cache indexes ----
 
     pub fn worker_added(&mut self, id: u32, free_cores: u32) {
-        self.cap_index.insert((free_cores, Reverse(id)));
+        self.cap_index.insert(free_cores, id);
     }
 
     pub fn worker_removed<'a>(
@@ -319,7 +317,7 @@ impl IndexedSched {
         free_cores: u32,
         cached_files: impl Iterator<Item = &'a str>,
     ) {
-        self.cap_index.remove(&(free_cores, Reverse(id)));
+        self.cap_index.remove(free_cores, id);
         for f in cached_files {
             if let Some(set) = self.file_index.get_mut(f) {
                 set.remove(&id);
@@ -334,18 +332,18 @@ impl IndexedSched {
     /// file index (quarantine: the worker is alive, its cache intact, but
     /// it must not receive placements).
     pub fn worker_offline(&mut self, id: u32, free_cores: u32) {
-        self.cap_index.remove(&(free_cores, Reverse(id)));
+        self.cap_index.remove(free_cores, id);
     }
 
     /// Put a quarantined worker back into the capacity index on release.
     pub fn worker_online(&mut self, id: u32, free_cores: u32) {
-        self.cap_index.insert((free_cores, Reverse(id)));
+        self.cap_index.insert(free_cores, id);
     }
 
     pub fn update_free(&mut self, id: u32, old_free: u32, new_free: u32) {
         if old_free != new_free {
-            self.cap_index.remove(&(old_free, Reverse(id)));
-            self.cap_index.insert((new_free, Reverse(id)));
+            self.cap_index.remove(old_free, id);
+            self.cap_index.insert(new_free, id);
         }
     }
 
@@ -404,25 +402,21 @@ impl IndexedSched {
     /// Choose a worker for `task` under `alloc`: prefer one with all the
     /// task's cacheable inputs already local, then the one with most free
     /// cores, lowest id breaking ties — exactly the reference preference,
-    /// as one descending scan of the capacity index. The scan order *is*
+    /// as one descending walk of the capacity index. The walk order *is*
     /// the `(free cores, id)` preference, so the first fitting worker found
     /// in every holder set is the answer, and the first fitting worker of
     /// any kind is the fallback when no holder fits. Quarantined workers
     /// are absent from the index.
     pub fn pick_worker(
         &self,
-        workers: &BTreeMap<u32, Worker>,
+        workers: &WorkerTable,
         task: &TaskSpec,
         alloc: &Resources,
     ) -> Option<u32> {
         // A full pool answers before any per-input work: when even the
-        // freest worker has too few cores the scan below stops at its
-        // first entry.
-        if self
-            .cap_index
-            .last()
-            .is_none_or(|&(free, _)| free < alloc.cores)
-        {
+        // freest worker has too few cores the walk below has no bucket to
+        // visit.
+        if self.cap_index.max_free().is_none_or(|f| f < alloc.cores) {
             return None;
         }
         // Holder sets of the task's cacheable inputs. With no cacheable
@@ -439,18 +433,16 @@ impl IndexedSched {
             }
         }
         let mut fallback = None;
-        for &(free, Reverse(id)) in self.cap_index.iter().rev() {
-            // Once free cores drop below the request nothing later can fit.
-            if free < alloc.cores {
-                break;
-            }
+        // Below `alloc.cores` free cores nothing can fit.
+        for (_, id) in self.cap_index.iter_desc(alloc.cores) {
             #[cfg(test)]
             PICK_PROBES.with(|c| c.set(c.get() + 1));
             let cached = holder_sets.iter().all(|s| s.contains(&id));
             if !cached && fallback.is_some() {
                 continue;
             }
-            if !workers[&id].node.can_fit(alloc) {
+            let worker = workers.get(id).expect("indexed worker is connected");
+            if !worker.node.can_fit(alloc) {
                 continue;
             }
             if cached {
@@ -459,6 +451,96 @@ impl IndexedSched {
             fallback = Some(id);
         }
         fallback
+    }
+}
+
+/// Worker ids as a bitset: bit `id % 64` of word `id / 64`.
+#[derive(Debug, Default)]
+struct IdSet {
+    words: Vec<u64>,
+    len: u32,
+}
+
+impl IdSet {
+    fn insert(&mut self, id: u32) {
+        let (w, bit) = (id as usize / 64, 1u64 << (id % 64));
+        if self.words.len() <= w {
+            self.words.resize(w + 1, 0);
+        }
+        self.len += u32::from(self.words[w] & bit == 0);
+        self.words[w] |= bit;
+    }
+
+    fn remove(&mut self, id: u32) {
+        let (w, bit) = (id as usize / 64, 1u64 << (id % 64));
+        if let Some(word) = self.words.get_mut(w) {
+            self.len -= u32::from(*word & bit != 0);
+            *word &= !bit;
+        }
+    }
+
+    /// Members in ascending id.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    w as u32 * 64 + bit
+                })
+            })
+        })
+    }
+}
+
+/// The capacity index: the set of `(free cores, worker id)` pairs of the
+/// workers placements may go to, held as one [`IdSet`] per free-core count
+/// (`0..=node cores`). Walking the buckets from the highest count down,
+/// each in ascending id, is the reference `pick_worker` preference — most
+/// free cores first, lowest id breaking ties. Removing a pair that is not
+/// there is a no-op: a quarantined worker's entry is withdrawn once and its
+/// later eviction withdraws it again.
+#[derive(Debug, Default)]
+struct CapIndex {
+    buckets: Vec<IdSet>,
+    /// The highest non-empty bucket (0 while every bucket is empty), kept
+    /// current so a full pool is recognised without a scan.
+    top: usize,
+}
+
+impl CapIndex {
+    fn insert(&mut self, free: u32, id: u32) {
+        let free = free as usize;
+        if self.buckets.len() <= free {
+            self.buckets.resize_with(free + 1, IdSet::default);
+        }
+        self.buckets[free].insert(id);
+        self.top = self.top.max(free);
+    }
+
+    fn remove(&mut self, free: u32, id: u32) {
+        if let Some(bucket) = self.buckets.get_mut(free as usize) {
+            bucket.remove(id);
+            while self.top > 0 && self.buckets[self.top].len == 0 {
+                self.top -= 1;
+            }
+        }
+    }
+
+    /// The most free cores any indexed worker has.
+    fn max_free(&self) -> Option<u32> {
+        let top = self.buckets.get(self.top)?;
+        (top.len > 0).then_some(self.top as u32)
+    }
+
+    /// `(free cores, id)` of every indexed worker with at least `min_free`
+    /// free cores: most free first, lowest id first among equals.
+    fn iter_desc(&self, min_free: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let live = &self.buckets[..self.buckets.len().min(self.top + 1)];
+        let floor = (min_free as usize).min(live.len());
+        (live[floor..].iter().enumerate().rev())
+            .flat_map(move |(i, b)| b.iter().map(move |id| ((floor + i) as u32, id)))
     }
 }
 
@@ -474,9 +556,11 @@ mod tests {
     use super::*;
     use crate::files::FileRef;
     use crate::task::TaskId;
+    use crate::worker::Worker;
     use lfm_monitor::sim::SimTaskProfile;
     use lfm_simcluster::node::NodeSpec;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
 
     fn task(id: u64, mem: u64, inputs: Vec<FileRef>) -> TaskSpec {
         TaskSpec::new(
@@ -574,9 +658,9 @@ mod tests {
     #[test]
     fn pick_worker_prefers_cached_then_free_cores() {
         let spec = NodeSpec::new(8, 8192, 16384);
-        let mut workers = BTreeMap::new();
+        let mut workers = WorkerTable::default();
         for id in 0..3u32 {
-            workers.insert(id, Worker::new(id, spec));
+            workers.insert(Worker::new(id, spec));
         }
         let mut ix = IndexedSched::new(SchedulePolicy::Fifo);
         for id in 0..3u32 {
@@ -584,10 +668,10 @@ mod tests {
         }
         let env = FileRef::environment("env", 100, 600, 10, 1);
         // Worker 2 holds the env; worker 0 has more free cores.
-        assert!(workers.get_mut(&2).unwrap().insert_cached(&env));
+        assert!(workers.get_mut(2).unwrap().insert_cached(&env));
         ix.file_cached("env", 2);
         assert!(workers
-            .get_mut(&2)
+            .get_mut(2)
             .unwrap()
             .node
             .allocate(Resources::new(4, 1, 1)));
@@ -601,7 +685,7 @@ mod tests {
         assert_eq!(ix.pick_worker(&workers, &t2, &alloc), Some(0));
         // Cached worker full: fall back to the most-free fitting worker.
         assert!(workers
-            .get_mut(&2)
+            .get_mut(2)
             .unwrap()
             .node
             .allocate(Resources::new(4, 1, 1)));
@@ -639,13 +723,13 @@ mod tests {
     #[test]
     fn worker_removal_tears_down_indexes() {
         let spec = NodeSpec::new(8, 8192, 16384);
-        let mut workers = BTreeMap::new();
-        workers.insert(1u32, Worker::new(1, spec));
+        let mut workers = WorkerTable::default();
+        workers.insert(Worker::new(1, spec));
         let mut ix = IndexedSched::new(SchedulePolicy::Fifo);
         ix.worker_added(1, 8);
         ix.worker_added(2, 8);
         let env = FileRef::environment("env", 100, 600, 10, 1);
-        workers.get_mut(&1).unwrap().insert_cached(&env);
+        workers.get_mut(1).unwrap().insert_cached(&env);
         ix.file_cached("env", 2);
         ix.worker_removed(2, 8, std::iter::once("env"));
         let t = task(0, 1, vec![env]);
@@ -663,47 +747,47 @@ mod tests {
     /// master makes (`worker_added`, `update_free`, `file_cached`,
     /// `worker_offline`).
     struct Pool {
-        workers: BTreeMap<u32, Worker>,
+        workers: WorkerTable,
         ix: IndexedSched,
     }
 
     impl Pool {
         fn new(n: u32, spec: NodeSpec) -> Self {
             let mut pool = Pool {
-                workers: BTreeMap::new(),
+                workers: WorkerTable::default(),
                 ix: IndexedSched::new(SchedulePolicy::Fifo),
             };
             for id in 0..n {
-                pool.workers.insert(id, Worker::new(id, spec));
+                pool.workers.insert(Worker::new(id, spec));
                 pool.ix.worker_added(id, spec.resources.cores);
             }
             pool
         }
 
         fn free_cores(&self, id: u32) -> u32 {
-            self.workers[&id].node.available().cores
+            self.workers.get(id).unwrap().node.available().cores
         }
 
         fn allocate(&mut self, id: u32, r: Resources) {
             let old = self.free_cores(id);
-            assert!(self.workers.get_mut(&id).unwrap().node.allocate(r));
+            assert!(self.workers.get_mut(id).unwrap().node.allocate(r));
             self.ix.update_free(id, old, self.free_cores(id));
         }
 
         fn free(&mut self, id: u32, r: Resources) {
             let old = self.free_cores(id);
-            self.workers.get_mut(&id).unwrap().node.free(r);
+            self.workers.get_mut(id).unwrap().node.free(r);
             self.ix.update_free(id, old, self.free_cores(id));
         }
 
         fn cache(&mut self, id: u32, file: &FileRef) {
-            if self.workers.get_mut(&id).unwrap().insert_cached(file) {
+            if self.workers.get_mut(id).unwrap().insert_cached(file) {
                 self.ix.file_cached(&file.name, id);
             }
         }
 
         fn quarantine(&mut self, id: u32) {
-            self.workers.get_mut(&id).unwrap().quarantined = true;
+            self.workers.get_mut(id).unwrap().quarantined = true;
             self.ix.worker_offline(id, self.free_cores(id));
         }
 
@@ -788,6 +872,101 @@ mod tests {
                 .filter(|w| !w.quarantined && w.node.available().cores >= want_cores)
                 .count() as u64;
             prop_assert!(probes <= could_fit_cores, "{probes} probes > {could_fit_cores}");
+        }
+    }
+
+    /// The capacity index this module kept before the bucketed one: an
+    /// ordered set of `(free cores, Reverse(worker id))`, read backwards.
+    #[derive(Default)]
+    struct CapOracle(BTreeSet<(u32, Reverse<u32>)>);
+
+    impl CapOracle {
+        fn worker_added(&mut self, id: u32, free_cores: u32) {
+            self.0.insert((free_cores, Reverse(id)));
+        }
+        fn worker_removed(&mut self, id: u32, free_cores: u32) {
+            self.0.remove(&(free_cores, Reverse(id)));
+        }
+        fn worker_offline(&mut self, id: u32, free_cores: u32) {
+            self.0.remove(&(free_cores, Reverse(id)));
+        }
+        fn worker_online(&mut self, id: u32, free_cores: u32) {
+            self.0.insert((free_cores, Reverse(id)));
+        }
+        fn update_free(&mut self, id: u32, old_free: u32, new_free: u32) {
+            if old_free != new_free {
+                self.0.remove(&(old_free, Reverse(id)));
+                self.0.insert((new_free, Reverse(id)));
+            }
+        }
+        fn max_free(&self) -> Option<u32> {
+            self.0.last().map(|&(free, _)| free)
+        }
+        fn iter_desc(&self) -> Vec<(u32, u32)> {
+            (self.0.iter().rev())
+                .map(|&(free, Reverse(id))| (free, id))
+                .collect()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The bucketed index holds the pairs the ordered set held and walks
+        /// them in its order, under the calls the master makes and under
+        /// ones it must shrug off: a removal or a move of a pair that is not
+        /// there (a stale free-core count, a worker withdrawn twice).
+        #[test]
+        fn capacity_buckets_equal_the_ordered_set_oracle(
+            ops in prop::collection::vec(
+                (0u8..5, 0u32..300, 0u32..=64, 0u32..=64, any::<bool>()),
+                1..200,
+            ),
+            cores in 1u32..=64,
+        ) {
+            let mut ix = IndexedSched::new(SchedulePolicy::Fifo);
+            let mut oracle = CapOracle::default();
+            // Where each id was last put, so most removals hit an entry.
+            let mut last: BTreeMap<u32, u32> = BTreeMap::new();
+            for (kind, id, a, b, stale) in ops {
+                let (a, b) = (a % (cores + 1), b % (cores + 1));
+                let known = if stale { a } else { last.get(&id).copied().unwrap_or(a) };
+                match kind {
+                    0 => {
+                        ix.worker_added(id, cores);
+                        oracle.worker_added(id, cores);
+                        last.insert(id, cores);
+                    }
+                    1 => {
+                        ix.update_free(id, known, b);
+                        oracle.update_free(id, known, b);
+                        last.insert(id, b);
+                    }
+                    2 => {
+                        ix.worker_offline(id, known);
+                        oracle.worker_offline(id, known);
+                    }
+                    3 => {
+                        ix.worker_online(id, known);
+                        oracle.worker_online(id, known);
+                        last.insert(id, known);
+                    }
+                    _ => {
+                        ix.worker_removed(id, known, std::iter::empty());
+                        oracle.worker_removed(id, known);
+                    }
+                }
+                prop_assert_eq!(ix.cap_index.max_free(), oracle.max_free());
+                prop_assert_eq!(
+                    ix.cap_index.iter_desc(0).collect::<Vec<_>>(),
+                    oracle.iter_desc()
+                );
+            }
+            // A floor cuts the walk where the ordered set's scan broke off.
+            let floor = cores / 2;
+            let above: Vec<_> =
+                (oracle.iter_desc().into_iter()).filter(|&(free, _)| free >= floor).collect();
+            prop_assert_eq!(ix.cap_index.iter_desc(floor).collect::<Vec<_>>(), above);
         }
     }
 

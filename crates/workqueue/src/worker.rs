@@ -18,6 +18,9 @@ pub struct Worker {
     staging: BTreeMap<String, SimTime>,
     /// Tasks currently executing here.
     pub running: u32,
+    /// Ids of the live placements here (zombies excluded), in no particular
+    /// order: at most one per core, so membership is a short scan.
+    pub(crate) placements: Vec<u64>,
     /// Injected execution slowdown factor (1.0 = healthy; a fault plan's
     /// straggler spec can set it above 1).
     pub slowdown: f64,
@@ -42,6 +45,7 @@ impl Worker {
             cache_bytes: 0,
             staging: BTreeMap::new(),
             running: 0,
+            placements: Vec::new(),
             slowdown: 1.0,
             quarantined: false,
             infra_failures: 0,
@@ -146,6 +150,48 @@ impl Worker {
     }
 }
 
+/// The master's connected workers, indexed by worker id. The batch system
+/// hands ids out 0, 1, 2, …, so a worker's row is an array read where an
+/// ordered map paid a tree descent; iterating the rows is id order, the
+/// order of the map this replaces. An id never seen, or seen and evicted,
+/// reads as absent.
+#[derive(Debug, Default)]
+pub(crate) struct WorkerTable {
+    rows: Vec<Option<Worker>>,
+}
+
+impl WorkerTable {
+    /// Add a worker under its own id, returning the one it replaced.
+    pub fn insert(&mut self, worker: Worker) -> Option<Worker> {
+        let id = worker.id() as usize;
+        if self.rows.len() <= id {
+            self.rows.resize_with(id + 1, || None);
+        }
+        self.rows[id].replace(worker)
+    }
+
+    pub fn get(&self, id: u32) -> Option<&Worker> {
+        self.rows.get(id as usize)?.as_ref()
+    }
+
+    pub fn get_mut(&mut self, id: u32) -> Option<&mut Worker> {
+        self.rows.get_mut(id as usize)?.as_mut()
+    }
+
+    pub fn remove(&mut self, id: u32) -> Option<Worker> {
+        self.rows.get_mut(id as usize)?.take()
+    }
+
+    /// The connected workers in ascending id.
+    pub fn values(&self) -> impl Iterator<Item = &Worker> {
+        self.rows.iter().flatten()
+    }
+
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut Worker> {
+        self.rows.iter_mut().flatten()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,6 +257,55 @@ mod tests {
         w.mark_staging("env", SimTime::ZERO + 5.0);
         w.abort_staging("env");
         assert!(w.staging_ready("env").is_some());
+    }
+
+    proptest::proptest! {
+        /// The table is the ordered map it replaced, for the four things
+        /// the master does with it: a never-seen or removed id is absent,
+        /// re-inserting an id replaces its row, and the rows come in id
+        /// order. `running` stamps each insertion so rows are told apart.
+        #[test]
+        fn worker_table_equals_the_btreemap_oracle(
+            ops in proptest::collection::vec((0u8..4, 0u32..40), 1..120),
+        ) {
+            let stamp = |w: &Worker| (w.id(), w.running);
+            let mut table = WorkerTable::default();
+            let mut oracle: BTreeMap<u32, Worker> = BTreeMap::new();
+            for (n, (kind, id)) in ops.into_iter().enumerate() {
+                match kind {
+                    0 | 1 => {
+                        let mut w = Worker::new(id, NodeSpec::new(8, 8192, 16384));
+                        w.running = n as u32;
+                        let replaced = table.insert(w.clone());
+                        proptest::prop_assert_eq!(
+                            replaced.as_ref().map(stamp),
+                            oracle.insert(id, w).as_ref().map(stamp)
+                        );
+                    }
+                    2 => proptest::prop_assert_eq!(
+                        table.remove(id).as_ref().map(stamp),
+                        oracle.remove(&id).as_ref().map(stamp)
+                    ),
+                    _ => {
+                        if let Some(w) = table.get_mut(id) {
+                            w.running += 1000;
+                        }
+                        if let Some(w) = oracle.get_mut(&id) {
+                            w.running += 1000;
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(table.get(id).map(stamp), oracle.get(&id).map(stamp));
+                proptest::prop_assert_eq!(
+                    table.values().map(stamp).collect::<Vec<_>>(),
+                    oracle.values().map(stamp).collect::<Vec<_>>()
+                );
+                proptest::prop_assert_eq!(
+                    table.values_mut().map(|w| stamp(w)).collect::<Vec<_>>(),
+                    oracle.values_mut().map(|w| stamp(w)).collect::<Vec<_>>()
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Verification gate: format, release build, the full workspace test suite
-# (tests/ and crates/bench are workspace members, so every named suite —
-# scheduler equivalence, chaos, federation, recovery, serving, telemetry —
-# runs here, once), the out-of-workspace benchmark package with a smoke of
-# all six workloads, then bench/doc/clippy. The workspace vendors all
-# external dependencies under vendor/, so everything runs with --offline (no
-# registry, no network).
+# Verification gate: format, release build of the workspace and of the
+# out-of-workspace benchmark package, the full workspace test suite (tests/
+# and crates/bench are workspace members, so every named suite — scheduler
+# equivalence, chaos, federation, recovery, serving, telemetry — runs here,
+# once), the benchmark package's tests with a smoke of all six workloads,
+# then bench/doc/clippy. The workspace vendors all external dependencies
+# under vendor/, so everything runs with --offline (no registry, no network).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,11 +15,16 @@ cargo fmt --all -- --check
 echo "==> cargo build --release"
 cargo build --release --offline
 
+# Outside the workspace, so nothing above or below compiles it; built here,
+# before the long test suite, because a product change that breaks it is
+# what the PR gate refuses first.
+echo "==> cargo build --release (benchmark package)"
+cargo build --release --offline --manifest-path lfm_benchmark/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q --offline
 
-echo "==> benchmark package (outside the workspace: root cargo test does not build it)"
-cargo build --release --offline --manifest-path lfm_benchmark/Cargo.toml
+echo "==> benchmark package: its tests and a smoke of every workload"
 cargo test --release --offline -q --manifest-path lfm_benchmark/Cargo.toml
 # Journal bytes per task on master_dag_chaos: 904 B with delta images (9.7 KB
 # while every compaction wrote the whole run so far). The ceiling is twice
