@@ -46,7 +46,7 @@ fn sweep_bench(c: &mut Criterion) {
 /// shard push per event, nothing on the sim's hot paths.
 fn telemetry_overhead_bench(c: &mut Criterion) {
     use lfm_core::telemetry::Recorder;
-    use lfm_core::workqueue::master::run_workload;
+    use lfm_core::workqueue::master::run_prepared;
     let job = build_jobs().remove(0);
     let mut group = c.benchmark_group("telemetry_overhead");
     group.sample_size(10);
@@ -60,8 +60,7 @@ fn telemetry_overhead_bench(c: &mut Criterion) {
         let config = job.config.clone().with_telemetry(recorder.clone());
         group.bench_function(label, |b| {
             b.iter(|| {
-                let report =
-                    run_workload(&config, job.tasks.as_ref().clone(), job.workers, job.spec);
+                let report = run_prepared(&config, &job.tasks, job.workers, job.spec);
                 // Drain so buffers don't grow across iterations.
                 let _ = recorder.take();
                 report.makespan_secs

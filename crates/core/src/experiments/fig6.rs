@@ -2,7 +2,7 @@
 //! count, worker count, and worker size (2/4/8-core workers with 1 GB
 //! memory + 2 GB disk per core).
 
-use crate::experiments::sweep::{point_jobs, run_jobs, standard_strategies, SweepPoint};
+use crate::experiments::sweep::{point_jobs_owned, run_grid, SweepPoint};
 use lfm_workloads::hep;
 
 /// Vary the number of analysis tasks on a fixed pool.
@@ -12,20 +12,15 @@ pub fn by_tasks(
     worker_cores: u32,
     seed: u64,
 ) -> Vec<SweepPoint> {
-    let mut jobs = Vec::new();
-    for &n in task_counts {
-        let w = hep::build(n, seed ^ n);
-        let strategies = standard_strategies(&w);
-        jobs.extend(point_jobs(
+    run_grid(task_counts, |&n| {
+        point_jobs_owned(
             n,
-            &w,
-            &strategies,
+            hep::build(n, seed ^ n),
             &|s| hep::master_config(s, seed),
             workers,
             hep::worker_spec(worker_cores),
-        ));
-    }
-    run_jobs(jobs)
+        )
+    })
 }
 
 /// Vary the worker count with workload proportional to workers.
@@ -35,39 +30,29 @@ pub fn by_workers(
     worker_cores: u32,
     seed: u64,
 ) -> Vec<SweepPoint> {
-    let mut jobs = Vec::new();
-    for &workers in worker_counts {
+    run_grid(worker_counts, |&workers| {
         let n = tasks_per_worker * workers as u64 * worker_cores as u64;
-        let w = hep::build(n, seed ^ n);
-        let strategies = standard_strategies(&w);
-        jobs.extend(point_jobs(
+        point_jobs_owned(
             workers as u64,
-            &w,
-            &strategies,
+            hep::build(n, seed ^ n),
             &|s| hep::master_config(s, seed),
             workers,
             hep::worker_spec(worker_cores),
-        ));
-    }
-    run_jobs(jobs)
+        )
+    })
 }
 
 /// Vary the worker size (2/4/8 cores) at fixed tasks and workers.
 pub fn by_worker_size(tasks: u64, workers: u32, seed: u64) -> Vec<SweepPoint> {
-    let mut jobs = Vec::new();
-    for cores in [2u32, 4, 8] {
-        let w = hep::build(tasks, seed ^ cores as u64);
-        let strategies = standard_strategies(&w);
-        jobs.extend(point_jobs(
+    run_grid(&[2u32, 4, 8], |&cores| {
+        point_jobs_owned(
             cores as u64,
-            &w,
-            &strategies,
+            hep::build(tasks, seed ^ cores as u64),
             &|s| hep::master_config(s, seed),
             workers,
             hep::worker_spec(cores),
-        ));
-    }
-    run_jobs(jobs)
+        )
+    })
 }
 
 #[cfg(test)]

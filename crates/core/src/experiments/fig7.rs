@@ -2,45 +2,35 @@
 //! the number of molecule batches on 14 nodes. Right panel: varying worker
 //! count with workload proportional to workers.
 
-use crate::experiments::sweep::{point_jobs, run_jobs, standard_strategies, SweepPoint};
+use crate::experiments::sweep::{point_jobs_owned, run_grid, SweepPoint};
 use lfm_workloads::drug;
 
 /// Left panel: vary total batches on a fixed 14-worker pool.
 pub fn by_tasks(batch_counts: &[u64], seed: u64) -> Vec<SweepPoint> {
-    let mut jobs = Vec::new();
-    for &n in batch_counts {
-        let w = drug::build(n, seed ^ n);
-        let strategies = standard_strategies(&w);
-        jobs.extend(point_jobs(
+    run_grid(batch_counts, |&n| {
+        point_jobs_owned(
             n * 6, // 6 tasks per batch — x-axis is task count
-            &w,
-            &strategies,
+            drug::build(n, seed ^ n),
             &|s| drug::master_config(s, seed),
             14,
             drug::worker_spec(),
-        ));
-    }
-    run_jobs(jobs)
+        )
+    })
 }
 
 /// Right panel: vary workers with ~4 tasks per worker.
 pub fn by_workers(worker_counts: &[u32], seed: u64) -> Vec<SweepPoint> {
-    let mut jobs = Vec::new();
-    for &workers in worker_counts {
+    run_grid(worker_counts, |&workers| {
         // 4 tasks/worker ≈ 2/3 batch per worker (6 tasks per batch).
         let batches = ((4 * workers as u64) / 6).max(1);
-        let w = drug::build(batches, seed ^ workers as u64);
-        let strategies = standard_strategies(&w);
-        jobs.extend(point_jobs(
+        point_jobs_owned(
             workers as u64,
-            &w,
-            &strategies,
+            drug::build(batches, seed ^ workers as u64),
             &|s| drug::master_config(s, seed),
             workers,
             drug::worker_spec(),
-        ));
-    }
-    run_jobs(jobs)
+        )
+    })
 }
 
 #[cfg(test)]

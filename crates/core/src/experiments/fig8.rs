@@ -4,43 +4,33 @@
 //! hand-configured Oracle because VEP's usage depends on the variant count
 //! — an artifact this reproduction preserves.
 
-use crate::experiments::sweep::{point_jobs, run_jobs, standard_strategies, SweepPoint};
+use crate::experiments::sweep::{point_jobs_owned, run_grid, SweepPoint};
 use lfm_workloads::genomic;
 
 /// Left panel: vary genome count on 14 workers.
 pub fn by_genomes(genome_counts: &[u64], seed: u64) -> Vec<SweepPoint> {
-    let mut jobs = Vec::new();
-    for &n in genome_counts {
-        let w = genomic::build(n, seed ^ n);
-        let strategies = standard_strategies(&w);
-        jobs.extend(point_jobs(
+    run_grid(genome_counts, |&n| {
+        point_jobs_owned(
             n,
-            &w,
-            &strategies,
+            genomic::build(n, seed ^ n),
             &|s| genomic::master_config(s, seed),
             14,
             genomic::worker_spec(),
-        ));
-    }
-    run_jobs(jobs)
+        )
+    })
 }
 
 /// Right panel: one genome per worker, 1→16 workers.
 pub fn by_workers(worker_counts: &[u32], seed: u64) -> Vec<SweepPoint> {
-    let mut jobs = Vec::new();
-    for &workers in worker_counts {
-        let w = genomic::build(workers as u64, seed ^ workers as u64);
-        let strategies = standard_strategies(&w);
-        jobs.extend(point_jobs(
+    run_grid(worker_counts, |&workers| {
+        point_jobs_owned(
             workers as u64,
-            &w,
-            &strategies,
+            genomic::build(workers as u64, seed ^ workers as u64),
             &|s| genomic::master_config(s, seed),
             workers,
             genomic::worker_spec(),
-        ));
-    }
-    run_jobs(jobs)
+        )
+    })
 }
 
 #[cfg(test)]

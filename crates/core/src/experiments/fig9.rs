@@ -8,6 +8,7 @@ use lfm_funcx::registry::FunctionRegistry;
 use lfm_funcx::service::{Endpoint, ExecutionMode, FuncXService};
 use lfm_workloads::faas;
 use lfm_workqueue::allocate::Strategy;
+use lfm_workqueue::files::FileRef;
 
 /// The three Figure 9 configurations.
 fn modes() -> Vec<(&'static str, ExecutionMode)> {
@@ -24,9 +25,7 @@ fn modes() -> Vec<(&'static str, ExecutionMode)> {
     ]
 }
 
-/// One (batch-size, mode) cell of the Figure 9 grid. The service, registry,
-/// and endpoint are rebuilt inside the job so each simulation is fully
-/// self-contained and can run on any thread.
+/// One (batch-size, mode) cell of the Figure 9 grid.
 struct BatchJob {
     x: u64,
     name: &'static str,
@@ -36,25 +35,33 @@ struct BatchJob {
     seed: u64,
 }
 
-fn run_batch_job(job: BatchJob) -> SweepPoint {
-    let svc = FuncXService::new();
+const FUNCTION: &str = "classify_image";
+
+/// The classifier's packed environment as the service prepares it for a
+/// registered function. It depends on the function alone, so a grid prepares
+/// it once and every cell borrows it.
+fn classifier_env() -> FileRef {
     let mut reg = FunctionRegistry::new();
     let id = reg
-        .register("classify_image", faas::source())
+        .register(FUNCTION, faas::source())
         .expect("source registers");
+    FuncXService::new()
+        .environment_for(&reg, id)
+        .expect("classifier environment resolves")
+}
+
+fn run_batch_job(job: BatchJob, env_file: &FileRef) -> SweepPoint {
     let ep = Endpoint::new("hpc-endpoint", faas::worker_spec(), job.workers);
-    let report = svc
-        .run_batch(
-            &reg,
-            id,
-            job.n_tasks,
-            &ep,
-            &job.mode,
-            faas::resnet_profile(),
-            faas::image_bytes(),
-            job.seed,
-        )
-        .expect("funcx batch runs");
+    let report = FuncXService::run_batch_with_env(
+        FUNCTION,
+        env_file,
+        job.n_tasks,
+        &ep,
+        &job.mode,
+        faas::resnet_profile(),
+        faas::image_bytes(),
+        job.seed,
+    );
     assert_eq!(report.abandoned_tasks, 0, "{}", job.name);
     SweepPoint {
         x: job.x,
@@ -79,22 +86,29 @@ fn batch_jobs(x: u64, n_tasks: u64, workers: u32, seed: u64) -> Vec<BatchJob> {
         .collect()
 }
 
+fn run_batch_jobs(jobs: Vec<BatchJob>) -> Vec<SweepPoint> {
+    let env_file = classifier_env();
+    run_sweep_parallel(jobs, |job| vec![run_batch_job(job, &env_file)])
+}
+
 /// Left panel: vary task count on a fixed pool.
 pub fn by_tasks(task_counts: &[u64], workers: u32, seed: u64) -> Vec<SweepPoint> {
-    let jobs: Vec<BatchJob> = task_counts
-        .iter()
-        .flat_map(|&n| batch_jobs(n, n, workers, seed ^ n))
-        .collect();
-    run_sweep_parallel(jobs, |job| vec![run_batch_job(job)])
+    run_batch_jobs(
+        task_counts
+            .iter()
+            .flat_map(|&n| batch_jobs(n, n, workers, seed ^ n))
+            .collect(),
+    )
 }
 
 /// Right panel: vary workers with tasks proportional to workers.
 pub fn by_workers(worker_counts: &[u32], tasks_per_worker: u64, seed: u64) -> Vec<SweepPoint> {
-    let jobs: Vec<BatchJob> = worker_counts
-        .iter()
-        .flat_map(|&w| batch_jobs(w as u64, tasks_per_worker * w as u64, w, seed ^ w as u64))
-        .collect();
-    run_sweep_parallel(jobs, |job| vec![run_batch_job(job)])
+    run_batch_jobs(
+        worker_counts
+            .iter()
+            .flat_map(|&w| batch_jobs(w as u64, tasks_per_worker * w as u64, w, seed ^ w as u64))
+            .collect(),
+    )
 }
 
 #[cfg(test)]

@@ -4,13 +4,16 @@
 //! (x-value, strategy) pair — each carrying everything its simulation needs.
 //! [`run_jobs`] fans them across cores via [`crate::parallel`]; because every
 //! job is seeded and self-contained, the output is byte-identical to the
-//! serial [`run_point`] loop it generalizes.
+//! serial [`run_point`] loop it generalizes. [`run_grid`] is the same fan-out
+//! with each grid point's workload built inside the pool, once, by whichever
+//! of its jobs starts first.
 
 use lfm_simcluster::node::NodeSpec;
 use lfm_workloads::common::Workload;
 use lfm_workqueue::allocate::Strategy;
-use lfm_workqueue::master::{run_workload, MasterConfig};
-use lfm_workqueue::task::TaskSpec;
+use lfm_workqueue::master::{run_prepared, MasterConfig};
+use lfm_workqueue::prepared::PreparedWorkload;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -36,19 +39,20 @@ pub fn standard_strategies(w: &Workload) -> Vec<Strategy> {
 }
 
 /// One self-contained simulation: a single (x-value, strategy) cell of a
-/// sweep grid. Tasks are shared via `Arc` so the four strategies of a grid
-/// point don't quadruple the workload's memory footprint.
+/// sweep grid. The workload is prepared once per grid point and shared: the
+/// four strategies of a point read one checked, indexed task table.
 #[derive(Debug, Clone)]
 pub struct SweepJob {
     pub x: u64,
     pub strategy: Strategy,
-    pub tasks: Arc<Vec<TaskSpec>>,
+    pub tasks: Arc<PreparedWorkload>,
     pub config: MasterConfig,
     pub workers: u32,
     pub spec: NodeSpec,
 }
 
-/// Decompose one grid point (one workload, all strategies) into jobs.
+/// Decompose one grid point (one workload, all strategies) into jobs. Copies
+/// the workload's tasks; [`point_jobs_owned`] does not.
 pub fn point_jobs(
     x: u64,
     workload: &Workload,
@@ -57,7 +61,32 @@ pub fn point_jobs(
     workers: u32,
     spec: NodeSpec,
 ) -> Vec<SweepJob> {
-    let tasks = Arc::new(workload.tasks.clone());
+    let tasks = Arc::new(PreparedWorkload::new(workload.tasks.clone()));
+    jobs_over(x, tasks, strategies, config_for, workers, spec)
+}
+
+/// [`point_jobs`] under the [`standard_strategies`], taking the workload by
+/// value: its task vector moves into the shared prepared table.
+pub fn point_jobs_owned(
+    x: u64,
+    workload: Workload,
+    config_for: &dyn Fn(Strategy) -> MasterConfig,
+    workers: u32,
+    spec: NodeSpec,
+) -> Vec<SweepJob> {
+    let strategies = standard_strategies(&workload);
+    let tasks = Arc::new(PreparedWorkload::new(workload.tasks));
+    jobs_over(x, tasks, &strategies, config_for, workers, spec)
+}
+
+fn jobs_over(
+    x: u64,
+    tasks: Arc<PreparedWorkload>,
+    strategies: &[Strategy],
+    config_for: &dyn Fn(Strategy) -> MasterConfig,
+    workers: u32,
+    spec: NodeSpec,
+) -> Vec<SweepJob> {
     strategies
         .iter()
         .map(|s| SweepJob {
@@ -96,12 +125,7 @@ pub fn run_job(job: SweepJob) -> SweepPoint {
     let mut span = lfm_telemetry::global().wall_span_key(sk().run_job, sk().cat_sweep);
     span.attr_key(sk().a_strategy, job.strategy.name());
     span.attr_key(sk().a_x, job.x);
-    let report = run_workload(
-        &job.config,
-        job.tasks.as_ref().clone(),
-        job.workers,
-        job.spec,
-    );
+    let report = run_prepared(&job.config, &job.tasks, job.workers, job.spec);
     assert_eq!(
         report.abandoned_tasks,
         0,
@@ -121,6 +145,40 @@ pub fn run_job(job: SweepJob) -> SweepPoint {
 /// Run a batch of jobs across all available cores, output in job order.
 pub fn run_jobs(jobs: Vec<SweepJob>) -> Vec<SweepPoint> {
     crate::parallel::run_sweep_parallel(jobs, |job| vec![run_job(job)])
+}
+
+/// How many jobs [`standard_strategies`] makes of a grid point.
+const STANDARD_STRATEGIES: usize = 4;
+
+/// Run a whole grid under the [`standard_strategies`]: `jobs_of` builds one
+/// point's workload and decomposes it ([`point_jobs_owned`]). It runs inside
+/// the pool — once per point, in front of whichever of the point's jobs a
+/// thread picks up first — so building the grid is spread over the cores
+/// like running it, and a point's workload is freed by the last of its jobs
+/// to finish. Output is in (point, strategy) order, exactly
+/// `points.iter().flat_map(jobs_of).map(run_job)`.
+pub fn run_grid<P: Sync>(
+    points: &[P],
+    jobs_of: impl Fn(&P) -> Vec<SweepJob> + Sync,
+) -> Vec<SweepPoint> {
+    // Per point, its jobs once built (empty until then), each taken by the
+    // cell that runs it.
+    let built: Vec<Mutex<Vec<Option<SweepJob>>>> =
+        points.iter().map(|_| Mutex::new(Vec::new())).collect();
+    let cells = (0..points.len())
+        .flat_map(|p| (0..STANDARD_STRATEGIES).map(move |s| (p, s)))
+        .collect();
+    crate::parallel::run_sweep_parallel(cells, |(p, s)| {
+        let job = {
+            let mut jobs = built[p].lock();
+            if jobs.is_empty() {
+                jobs.extend(jobs_of(&points[p]).into_iter().map(Some));
+                assert_eq!(jobs.len(), STANDARD_STRATEGIES, "one job per strategy");
+            }
+            jobs[s].take().expect("each cell runs once")
+        };
+        vec![run_job(job)]
+    })
 }
 
 /// Run every strategy over one workload instance, serially. Kept as the

@@ -11,7 +11,8 @@
 //! distributed through a [`crossbeam::deque::Injector`] so a long-running
 //! point (e.g. an Unmanaged strategy with many retries) does not serialize the
 //! rest of its batch behind it, and worker threads are scoped
-//! (`std::thread::scope`) so `f` can borrow from the caller's stack.
+//! (`std::thread::scope`) so `f` can borrow from the caller's stack. The
+//! calling thread is one of the workers.
 //!
 //! [`run_sweep_parallel`] is the sweep-shaped entry point used by the fig6–9
 //! runners and the ablation binary: each job yields a `Vec<SweepPoint>`, and
@@ -118,25 +119,30 @@ where
     slots.resize_with(n, || None);
     let slots = Mutex::new(&mut slots);
 
+    let work = || loop {
+        let (i, item) = match queue.steal() {
+            Steal::Success(pair) => pair,
+            Steal::Empty => break,
+            Steal::Retry => {
+                tel.counter_key(pk().steal_retry, 1);
+                continue;
+            }
+        };
+        let result = {
+            let mut span = tel.wall_span_key(pk().job, pk().cat_parallel);
+            span.attr_key(pk().a_index, i as u64);
+            f(item)
+        };
+        slots.lock()[i] = Some(result);
+    };
+    // The caller is one of the `threads` workers, not a parked spectator: it
+    // starts on the queue while the helpers are still being spawned, and what
+    // the jobs allocate lands in `threads` allocator arenas, not one more.
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let (i, item) = match queue.steal() {
-                    Steal::Success(pair) => pair,
-                    Steal::Empty => break,
-                    Steal::Retry => {
-                        tel.counter_key(pk().steal_retry, 1);
-                        continue;
-                    }
-                };
-                let result = {
-                    let mut span = tel.wall_span_key(pk().job, pk().cat_parallel);
-                    span.attr_key(pk().a_index, i as u64);
-                    f(item)
-                };
-                slots.lock()[i] = Some(result);
-            });
+        for _ in 1..threads {
+            scope.spawn(work);
         }
+        work();
     });
 
     slots

@@ -18,8 +18,10 @@ use lfm_pyenv::requirements::RequirementSet;
 use lfm_pyenv::resolve::resolve_cached;
 use lfm_workqueue::files::FileRef;
 use lfm_workqueue::task::{TaskId, TaskSpec};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, OnceLock};
 
 /// What environment preparation produced for one app (Table II's row
 /// ingredients: dependency count, sizes).
@@ -40,10 +42,90 @@ pub struct EnvPlan {
     pub warnings: usize,
 }
 
+/// One remembered [`WqWorkflowBuilder::prepare_environment`] result, with
+/// the parts of its key the map does not hash.
+struct MemoEntry {
+    index: u64,
+    user_env: u64,
+    source: Option<String>,
+    file: FileRef,
+    plan: EnvPlan,
+}
+
+impl MemoEntry {
+    fn is_for(&self, index: u64, user_env: u64, app: &App) -> bool {
+        self.index == index && self.user_env == user_env && self.source == app.source
+    }
+}
+
+/// Process-wide memo of environment preparation. What `prepare_environment`
+/// returns is a pure function of the index's contents, the versions the user
+/// environment pins, and the app's name and source, so it is keyed by
+/// (index fingerprint, user-environment fingerprint, app name, app source):
+/// every builder after the first over the same four does a lookup, not an
+/// analysis. No size bound and no off switch — an entry is two small structs
+/// per distinct (index, environment, app), and errors are never kept.
+#[derive(Default)]
+pub struct EnvMemo {
+    state: Mutex<MemoState>,
+}
+
+#[derive(Default)]
+struct MemoState {
+    /// By app name; the few entries of a name are told apart by scanning.
+    entries: HashMap<String, Vec<MemoEntry>>,
+    stats: EnvMemoStats,
+}
+
+/// Observability counters for the [`EnvMemo`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EnvMemoStats {
+    pub hits: u64,
+    /// Preparations actually performed: each is one source analysis, one
+    /// trip to the resolve cache and one to the pack cache.
+    pub misses: u64,
+}
+
+impl EnvMemo {
+    fn get(&self, index: u64, user_env: u64, app: &App) -> Option<(FileRef, EnvPlan)> {
+        let mut state = self.state.lock();
+        let e = (state.entries.get(&app.name)?.iter()).find(|e| e.is_for(index, user_env, app))?;
+        let hit = (e.file.clone(), e.plan.clone());
+        state.stats.hits += 1;
+        Some(hit)
+    }
+
+    fn insert(&self, index: u64, user_env: u64, app: &App, file: &FileRef, plan: &EnvPlan) {
+        let mut state = self.state.lock();
+        state.stats.misses += 1;
+        let of_name = state.entries.entry(app.name.clone()).or_default();
+        // Two builders may have prepared the same app side by side.
+        if !of_name.iter().any(|e| e.is_for(index, user_env, app)) {
+            of_name.push(MemoEntry {
+                index,
+                user_env,
+                source: app.source.clone(),
+                file: file.clone(),
+                plan: plan.clone(),
+            });
+        }
+    }
+
+    pub fn stats(&self) -> EnvMemoStats {
+        self.state.lock().stats
+    }
+}
+
+/// The memo every [`WqWorkflowBuilder`] in the process shares.
+pub fn env_memo() -> &'static EnvMemo {
+    static MEMO: OnceLock<EnvMemo> = OnceLock::new();
+    MEMO.get_or_init(EnvMemo::default)
+}
+
 /// Builds a Work Queue workload from app invocations.
 pub struct WqWorkflowBuilder {
-    index: PackageIndex,
-    user_env: Environment,
+    index: Arc<PackageIndex>,
+    user_env: Arc<Environment>,
     env_files: BTreeMap<String, FileRef>,
     plans: Vec<EnvPlan>,
     tasks: Vec<TaskSpec>,
@@ -52,11 +134,12 @@ pub struct WqWorkflowBuilder {
 
 impl WqWorkflowBuilder {
     /// `user_env` is the environment the analysis pins versions against —
-    /// typically [`lfm_pyenv::environment::user_environment`].
-    pub fn new(index: PackageIndex, user_env: Environment) -> Self {
+    /// typically [`lfm_pyenv::environment::user_environment`]. Both come by
+    /// value or as shared handles; a builder only reads them.
+    pub fn new(index: impl Into<Arc<PackageIndex>>, user_env: impl Into<Arc<Environment>>) -> Self {
         WqWorkflowBuilder {
-            index,
-            user_env,
+            index: index.into(),
+            user_env: user_env.into(),
             env_files: BTreeMap::new(),
             plans: Vec::new(),
             tasks: Vec::new(),
@@ -64,12 +147,29 @@ impl WqWorkflowBuilder {
         }
     }
 
-    /// Analyze + resolve + pack the environment for `app`, caching per app
-    /// name. Returns the cacheable input file representing the packed env.
+    /// Analyze + resolve + pack the environment for `app`, once per app
+    /// name in this builder and, through the [`EnvMemo`], once per process
+    /// for the same index, user environment and source. Returns the
+    /// cacheable input file representing the packed env.
     pub fn prepare_environment(&mut self, app: &App) -> PyResult<FileRef> {
         if let Some(f) = self.env_files.get(&app.name) {
             return Ok(f.clone());
         }
+        let (index, user_env) = (self.index.fingerprint(), self.user_env.fingerprint());
+        let (file, plan) = match env_memo().get(index, user_env, app) {
+            Some(hit) => hit,
+            None => {
+                let prepared = self.prepare_uncached(app)?;
+                env_memo().insert(index, user_env, app, &prepared.0, &prepared.1);
+                prepared
+            }
+        };
+        self.plans.push(plan);
+        self.env_files.insert(app.name.clone(), file.clone());
+        Ok(file)
+    }
+
+    fn prepare_uncached(&self, app: &App) -> PyResult<(FileRef, EnvPlan)> {
         let analysis = app.analyze()?;
         let direct = RequirementSet::from_analysis(&analysis, &self.index)?;
         // Pin against the user's environment where installed; fall back to
@@ -84,9 +184,9 @@ impl WqWorkflowBuilder {
                 None => pinned.add(r.clone()),
             }
         }
-        // Resolve and pack through the process-wide caches: every sweep
-        // point rebuilds the same per-app environments, so only the first
-        // builder pays the solver and the packer.
+        // The leaf caches stay underneath: apps with different sources
+        // often pin the same closure, and the fig 4–5 and Table II runners
+        // resolve and pack without a builder.
         let resolution = resolve_cached(&self.index, &pinned)?;
         let env = Environment::from_resolution(
             format!("{}-env", app.name),
@@ -102,7 +202,7 @@ impl WqWorkflowBuilder {
             packed.file_count(),
             packed.relocation_ops("/scratch"),
         );
-        self.plans.push(EnvPlan {
+        let plan = EnvPlan {
             app: app.name.clone(),
             direct_requirements: direct.len(),
             resolved_dists: resolution.len(),
@@ -110,9 +210,8 @@ impl WqWorkflowBuilder {
             installed_bytes: packed.installed_bytes(),
             installed_files: packed.file_count(),
             warnings: analysis.warnings.len(),
-        });
-        self.env_files.insert(app.name.clone(), file.clone());
-        Ok(file)
+        };
+        Ok((file, plan))
     }
 
     /// Add one invocation of `app` with the given true behaviour profile.
@@ -239,6 +338,42 @@ mod tests {
         assert!(plan.resolved_dists >= 2);
         // numpy in the user env is the newest; the plan must have used it.
         assert_eq!(expected_numpy, "1.18.5".parse().unwrap());
+    }
+
+    #[test]
+    fn memo_hit_equals_the_cold_preparation_in_each_builders_order() {
+        // App names no other test uses, so the first builder here is cold.
+        let np = |name: &str| {
+            let source = format!("def {name}(x):\n    import numpy\n    return x\n");
+            App::python(name, source, |_| Ok(lfm_pyenv::pickle::PyValue::None))
+        };
+        let (a, b) = (np("memo_order_a"), np("memo_order_b"));
+        let mut cold = builder();
+        let files = [
+            cold.prepare_environment(&a).unwrap(),
+            cold.prepare_environment(&b).unwrap(),
+        ];
+        let misses = env_memo().stats().misses;
+        assert!(misses >= 2);
+
+        // A second builder, other order: served from the memo, same files
+        // and plans, listed in *its* order of first use.
+        let mut warm = builder();
+        assert_eq!(warm.prepare_environment(&b).unwrap(), files[1]);
+        assert_eq!(warm.prepare_environment(&a).unwrap(), files[0]);
+        assert_eq!(warm.prepare_environment(&b).unwrap(), files[1]);
+        let reversed: Vec<EnvPlan> = cold.plans().iter().rev().cloned().collect();
+        assert_eq!(warm.plans(), reversed);
+
+        // The same name over another source is another entry.
+        let heavier = App::python(
+            "memo_order_a",
+            "def memo_order_a(x):\n    import tensorflow\n    return x\n",
+            |_| Ok(lfm_pyenv::pickle::PyValue::None),
+        );
+        let mut other = builder();
+        other.prepare_environment(&heavier).unwrap();
+        assert!(other.plans()[0].installed_bytes > cold.plans()[0].installed_bytes);
     }
 
     #[test]

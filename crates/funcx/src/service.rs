@@ -13,9 +13,9 @@ use crate::registry::{FunctionId, FunctionRegistry};
 use lfm_monitor::sim::SimTaskProfile;
 use lfm_pyenv::environment::Environment;
 use lfm_pyenv::index::PackageIndex;
-use lfm_pyenv::pack::PackedEnv;
+use lfm_pyenv::pack::pack_cached;
 use lfm_pyenv::requirements::{Requirement, RequirementSet};
-use lfm_pyenv::resolve::resolve;
+use lfm_pyenv::resolve::resolve_cached;
 use lfm_simcluster::node::NodeSpec;
 use lfm_simcluster::rng::SimRng;
 use lfm_workqueue::allocate::Strategy;
@@ -23,6 +23,7 @@ use lfm_workqueue::files::FileRef;
 use lfm_workqueue::master::{run_workload, MasterConfig, RunReport};
 use lfm_workqueue::task::{TaskId, TaskSpec};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Where a batch executes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -57,7 +58,7 @@ pub enum ExecutionMode {
 
 /// The service.
 pub struct FuncXService {
-    pub index: PackageIndex,
+    pub index: Arc<PackageIndex>,
 }
 
 impl Default for FuncXService {
@@ -69,7 +70,7 @@ impl Default for FuncXService {
 impl FuncXService {
     pub fn new() -> Self {
         FuncXService {
-            index: PackageIndex::builtin(),
+            index: PackageIndex::builtin_shared(),
         }
     }
 
@@ -89,7 +90,7 @@ impl FuncXService {
             let dist = self.index.dist_for_module(m).map_err(|e| e.to_string())?;
             reqs.add(Requirement::any(dist));
         }
-        let resolution = resolve(&self.index, &reqs).map_err(|e| e.to_string())?;
+        let resolution = resolve_cached(&self.index, &reqs).map_err(|e| e.to_string())?;
         let env = Environment::from_resolution(
             format!("{}-env", f.name),
             format!("/envs/{}", f.name),
@@ -97,7 +98,7 @@ impl FuncXService {
             &resolution,
         )
         .map_err(|e| e.to_string())?;
-        let packed = PackedEnv::pack(&env);
+        let packed = pack_cached(&env);
         Ok(FileRef::environment(
             format!("{}-env.tar.gz", f.name),
             packed.archive_bytes(),
@@ -129,6 +130,32 @@ impl FuncXService {
             .get(id)
             .ok_or_else(|| format!("unknown function {id}"))?;
         let env_file = self.environment_for(registry, id)?;
+        Ok(Self::run_batch_with_env(
+            &f.name,
+            &env_file,
+            n_tasks,
+            endpoint,
+            mode,
+            profile,
+            input_bytes,
+            seed,
+        ))
+    }
+
+    /// [`run_batch`](Self::run_batch) for a function whose packed
+    /// environment is already in hand ([`environment_for`](Self::environment_for)):
+    /// a sweep over batch sizes and modes prepares it once, not per batch.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_batch_with_env(
+        function: &str,
+        env_file: &FileRef,
+        n_tasks: u64,
+        endpoint: &Endpoint,
+        mode: &ExecutionMode,
+        profile: SimTaskProfile,
+        input_bytes: u64,
+        seed: u64,
+    ) -> RunReport {
         let mut rng = SimRng::seeded(seed);
         enum Overhead {
             None,
@@ -164,7 +191,7 @@ impl FuncXService {
                 }
                 TaskSpec::new(
                     TaskId(i),
-                    f.name.clone(),
+                    function.to_string(),
                     vec![
                         env_file.clone(),
                         FileRef::data(format!("img-{i}"), input_bytes),
@@ -175,12 +202,7 @@ impl FuncXService {
             })
             .collect();
         let config = MasterConfig::new(strategy).with_seed(seed);
-        Ok(run_workload(
-            &config,
-            tasks,
-            endpoint.workers,
-            endpoint.node,
-        ))
+        run_workload(&config, tasks, endpoint.workers, endpoint.node)
     }
 
     /// Route a batch across heterogeneous endpoints — funcX "supports

@@ -5,8 +5,11 @@ use crate::index::{DistRelease, PackageIndex};
 use crate::requirements::{Requirement, RequirementSet};
 use crate::resolve::Resolution;
 use crate::version::Version;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
+use std::sync::{Arc, OnceLock};
 
 /// A concrete installed environment: a set of pinned releases plus the prefix
 /// path it was installed into (relevant for relocation when packing).
@@ -18,6 +21,9 @@ pub struct Environment {
     pub prefix: String,
     installed: BTreeMap<String, DistRelease>,
     module_map: BTreeMap<String, String>,
+    /// See [`Environment::fingerprint`]; fixed at construction, as the
+    /// installed set is.
+    fingerprint: u64,
 }
 
 impl Environment {
@@ -36,12 +42,12 @@ impl Environment {
             }
             installed.insert(rel.name.clone(), rel.clone());
         }
-        Ok(Environment {
-            name: name.into(),
-            prefix: prefix.into(),
+        Ok(Self::construct(
+            name.into(),
+            prefix.into(),
             installed,
             module_map,
-        })
+        ))
     }
 
     /// Crate-internal constructor (used by archive unpacking, where the
@@ -52,11 +58,16 @@ impl Environment {
         installed: BTreeMap<String, DistRelease>,
         module_map: BTreeMap<String, String>,
     ) -> Self {
+        let mut h = crate::pack::Fnv1a::new();
+        for r in installed.values() {
+            write!(h, "{}={};", r.name, r.version).expect("hashing cannot fail");
+        }
         Environment {
             name,
             prefix,
             installed,
             module_map,
+            fingerprint: h.finish(),
         }
     }
 
@@ -105,6 +116,12 @@ impl Environment {
             .filter(|r| r.has_native_libs)
             .map(|r| r.file_count as u64)
             .sum()
+    }
+
+    /// A content fingerprint of what is installed (name and version per
+    /// distribution) — what pinning against this environment can observe.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// Exact pins for reproducing this environment elsewhere.
@@ -159,22 +176,19 @@ pub fn user_environment(index: &PackageIndex) -> Result<Environment> {
     Environment::from_resolution("base", "/home/user/conda/envs/base", index, &resolution)
 }
 
-/// [`user_environment`] memoized per index fingerprint. Every experiment's
-/// workflow builder starts from this environment, so across a sweep the
-/// kitchen-sink resolve + materialization runs once instead of per point.
-pub fn user_environment_cached(index: &PackageIndex) -> Result<Environment> {
-    use parking_lot::Mutex;
-    use std::collections::HashMap;
-    use std::sync::{Arc, OnceLock};
+/// [`user_environment`] memoized per index fingerprint, as a shared handle.
+/// Every experiment's workflow builder starts from this environment, so
+/// across a sweep the kitchen-sink resolve + materialization runs once and
+/// no builder copies the result.
+pub fn user_environment_cached(index: &PackageIndex) -> Result<Arc<Environment>> {
     static CACHE: OnceLock<Mutex<HashMap<u64, Arc<Environment>>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let key = index.fingerprint();
     if let Some(env) = cache.lock().get(&key) {
-        return Ok((**env).clone());
+        return Ok(Arc::clone(env));
     }
-    let env = user_environment(index)?;
-    cache.lock().insert(key, Arc::new(env.clone()));
-    Ok(env)
+    let env = Arc::new(user_environment(index)?);
+    Ok(Arc::clone(cache.lock().entry(key).or_insert(env)))
 }
 
 #[cfg(test)]

@@ -14,6 +14,8 @@ use crate::error::{PyEnvError, Result};
 use crate::version::{Version, VersionReq};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
+use std::sync::{Arc, OnceLock};
 
 /// A single release of a distribution.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -49,6 +51,9 @@ pub struct PackageIndex {
     releases: BTreeMap<String, Vec<DistRelease>>,
     /// import module name → distribution name.
     module_map: BTreeMap<String, String>,
+    /// [`fingerprint`](PackageIndex::fingerprint), once computed; `add`
+    /// empties it. A clone carries the value along with the contents.
+    fingerprint: OnceLock<u64>,
 }
 
 impl PackageIndex {
@@ -59,6 +64,7 @@ impl PackageIndex {
 
     /// Register a release. Keeps the per-name list sorted by version.
     pub fn add(&mut self, release: DistRelease) {
+        self.fingerprint.take();
         for m in &release.modules {
             self.module_map.insert(m.clone(), release.name.clone());
         }
@@ -95,28 +101,29 @@ impl PackageIndex {
         self.releases(name).iter().find(|r| r.version == version)
     }
 
-    /// Which distribution provides import name `module`?
-    /// A cheap content fingerprint over every release's identity and
-    /// dependency edges. Used as part of resolve-cache keys so a mutated
-    /// index (tests add releases with [`PackageIndex::add`]) never serves a
-    /// stale cached resolution.
+    /// A content fingerprint over every release's identity and dependency
+    /// edges. Part of every cache key derived from an index, so a mutated
+    /// index (tests add releases with [`PackageIndex::add`], and every `add`
+    /// contributes a line) never serves a stale cached entry. Computed once
+    /// per index and kept until the next `add`.
     pub fn fingerprint(&self) -> u64 {
-        let mut acc = String::new();
-        for (name, releases) in &self.releases {
-            for r in releases {
-                acc.push_str(name);
-                acc.push('=');
-                acc.push_str(&r.version.to_string());
-                acc.push_str(&format!(";{}b{}f", r.size_bytes, r.file_count));
-                for (dep, req) in &r.deps {
-                    acc.push_str(&format!(",{dep}{req}"));
+        *self.fingerprint.get_or_init(|| {
+            let mut h = crate::pack::Fnv1a::new();
+            for (name, releases) in &self.releases {
+                for r in releases {
+                    write!(h, "{name}={};{}b{}f", r.version, r.size_bytes, r.file_count)
+                        .expect("hashing cannot fail");
+                    for (dep, req) in &r.deps {
+                        write!(h, ",{dep}{req}").expect("hashing cannot fail");
+                    }
+                    h.update(b"\n");
                 }
-                acc.push('\n');
             }
-        }
-        crate::pack::fnv1a(acc.as_bytes())
+            h.finish()
+        })
     }
 
+    /// Which distribution provides import name `module`?
     pub fn dist_for_module(&self, module: &str) -> Result<&str> {
         self.module_map
             .get(module)
@@ -169,6 +176,14 @@ impl PackageIndex {
             }
         }
         Ok((bytes, files))
+    }
+
+    /// The builtin ecosystem as one process-wide shared value: what every
+    /// experiment's workflow builder reads, without rebuilding (or
+    /// re-fingerprinting) the index per builder.
+    pub fn builtin_shared() -> Arc<PackageIndex> {
+        static BUILTIN: OnceLock<Arc<PackageIndex>> = OnceLock::new();
+        Arc::clone(BUILTIN.get_or_init(|| Arc::new(PackageIndex::builtin())))
     }
 
     /// The builtin synthetic ecosystem.
@@ -931,6 +946,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `fingerprint` as it was computed before it fed the hash state
+    /// incrementally: one string per index, then hashed.
+    fn fingerprint_oracle(ix: &PackageIndex) -> u64 {
+        let mut acc = String::new();
+        for (name, releases) in &ix.releases {
+            for r in releases {
+                acc.push_str(name);
+                acc.push('=');
+                acc.push_str(&r.version.to_string());
+                acc.push_str(&format!(";{}b{}f", r.size_bytes, r.file_count));
+                for (dep, req) in &r.deps {
+                    acc.push_str(&format!(",{dep}{req}"));
+                }
+                acc.push('\n');
+            }
+        }
+        crate::pack::fnv1a(acc.as_bytes())
+    }
+
+    #[test]
+    fn fingerprint_is_the_string_built_value_and_add_invalidates_it() {
+        let mut ix = PackageIndex::builtin();
+        let before = ix.fingerprint();
+        assert_eq!(before, fingerprint_oracle(&ix));
+        assert_eq!(before, PackageIndex::builtin_shared().fingerprint());
+        assert_eq!(before, ix.clone().fingerprint(), "a clone keeps it");
+        ix.add(DistRelease {
+            name: "numpy".to_string(),
+            version: "9.0.0".parse().unwrap(),
+            size_bytes: 1,
+            file_count: 1,
+            deps: vec![("python".to_string(), VersionReq::any())],
+            modules: vec!["numpy".to_string()],
+            has_native_libs: false,
+        });
+        assert_ne!(ix.fingerprint(), before, "a kept value outlived an add");
+        assert_eq!(ix.fingerprint(), fingerprint_oracle(&ix));
     }
 
     #[test]

@@ -381,12 +381,43 @@ fn get_str(buf: &mut &[u8]) -> Result<String> {
 
 /// FNV-1a 64-bit hash.
 pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+    let mut h = Fnv1a::new();
+    h.update(data);
+    h.finish()
+}
+
+/// FNV-1a 64-bit state, for hashing a byte stream as it is produced.
+/// `write!` into it hashes exactly the bytes `format!` would have built.
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    pub fn new() -> Self {
+        Fnv1a(0xcbf29ce484222325)
     }
-    h
+
+    pub fn update(&mut self, data: &[u8]) {
+        for &b in data {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -33,10 +33,10 @@ impl Workload {
 }
 
 /// A builder primed with the builtin index and the kitchen-sink user env —
-/// the starting state of every experiment. The env resolve is memoized
-/// process-wide; only the first call pays the solver.
+/// the starting state of every experiment. Both are process-wide shared
+/// values: only the first call builds the index and pays the solver.
 pub fn workflow_builder() -> WqWorkflowBuilder {
-    let index = PackageIndex::builtin();
+    let index = PackageIndex::builtin_shared();
     let env = user_environment_cached(&index).expect("builtin user environment resolves");
     WqWorkflowBuilder::new(index, env)
 }

@@ -40,6 +40,7 @@
 
 use crate::faults::FaultKind;
 use crate::master::{Event, Master, MasterConfig, OutMsg, RunReport};
+use crate::prepared::PreparedWorkload;
 use crate::task::{TaskId, TaskSpec};
 use lfm_simcluster::node::NodeSpec;
 use lfm_simcluster::time::SimTime;
@@ -331,8 +332,22 @@ pub fn run_federated(
     worker_count: u32,
     spec: NodeSpec,
 ) -> FederationReport {
-    assert!(worker_count > 0, "need at least one worker");
     assert!(!tasks.is_empty(), "empty workload");
+    let work = Arc::new(PreparedWorkload::new(tasks));
+    run_shards(config, fed, work, worker_count, spec)
+}
+
+/// [`run_federated`] over a workload already prepared: every shard shares
+/// the one table.
+pub(crate) fn run_shards(
+    config: &MasterConfig,
+    fed: &FederationConfig,
+    work: Arc<PreparedWorkload>,
+    worker_count: u32,
+    spec: NodeSpec,
+) -> FederationReport {
+    assert!(worker_count > 0, "need at least one worker");
+    assert!(!work.is_empty(), "empty workload");
     let shards = fed.shards.clamp(1, worker_count);
     let has_master_crash = config
         .faults
@@ -346,18 +361,11 @@ pub fn run_federated(
          stolen tasks and remote releases (breaking task conservation)"
     );
 
-    let owner = Arc::new(partition(&tasks, shards, fed.partition));
-    let total = tasks.len();
+    let owner = Arc::new(partition(work.tasks(), shards, fed.partition));
+    let total = work.len();
     let n = shards as usize;
 
-    let mut masters = build_shards(
-        config,
-        Arc::new(tasks),
-        owner.clone(),
-        shards,
-        worker_count,
-        spec,
-    );
+    let mut masters = build_shards(config, work, owner.clone(), shards, worker_count, spec);
     for m in &mut masters {
         m.start();
     }
@@ -494,12 +502,11 @@ pub fn run_federated(
 }
 
 /// One sub-master per shard of `owner`'s partition (`shards` ≤
-/// `worker_count`). Every shard shares the one task vector and ownership
-/// map, and the workload checks and category interning of the first; only
-/// the per-task state each master keeps is per shard.
+/// `worker_count`). Every shard shares the one prepared workload and
+/// ownership map; only the per-task state each master keeps is per shard.
 fn build_shards(
     config: &MasterConfig,
-    tasks: Arc<Vec<TaskSpec>>,
+    work: Arc<PreparedWorkload>,
     owner: Arc<Vec<u32>>,
     shards: u32,
     worker_count: u32,
@@ -517,16 +524,14 @@ fn build_shards(
         }
         let base = worker_count / shards;
         let w = base + u32::from(s < worker_count % shards);
-        let m = Master::new_shard(
+        masters.push(Master::new_shard(
             cfg,
-            tasks.clone(),
+            work.clone(),
             w,
             spec,
             s,
             owner.clone(),
-            masters.first(),
-        );
-        masters.push(m);
+        ));
     }
     masters
 }
@@ -813,12 +818,12 @@ mod tests {
     #[test]
     fn shards_share_one_task_vector() {
         let cfg = MasterConfig::new(oracle()).with_seed(9);
-        let tasks = Arc::new(chain_tasks(24, 4));
-        let owner = Arc::new(partition(&tasks, 4, PartitionPolicy::ByComponent));
-        let masters = build_shards(&cfg, tasks.clone(), owner, 4, 8, node());
-        assert_eq!(Arc::strong_count(&tasks), 4 + 1, "a shard copied the tasks");
+        let work = Arc::new(PreparedWorkload::new(chain_tasks(24, 4)));
+        let owner = Arc::new(partition(work.tasks(), 4, PartitionPolicy::ByComponent));
+        let masters = build_shards(&cfg, work.clone(), owner, 4, 8, node());
+        assert_eq!(Arc::strong_count(&work), 4 + 1, "a shard copied the tasks");
         for m in &masters {
-            assert!(Arc::ptr_eq(m.shared_tasks(), &tasks));
+            assert!(Arc::ptr_eq(m.shared_work(), &work));
         }
     }
 

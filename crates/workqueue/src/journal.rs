@@ -40,6 +40,7 @@
 
 use crate::allocate::censored_samples;
 use crate::files::{FileKind, FileRef};
+use crate::prepared::PreparedWorkload;
 use crate::sched::Pending;
 use crate::task::{TaskId, TaskResult, TaskSpec};
 use lfm_monitor::report::{MonitorOutcome, ResourceKind, ResourceReport};
@@ -954,11 +955,9 @@ pub(crate) struct Ledger {
 }
 
 /// The dependency topology [`Ledger::apply`] reads to release a finished
-/// task's dependents. Borrowed: the task vector is the workload and the
-/// dependents map is derived from it.
+/// task's dependents: the prepared workload's table, borrowed.
 pub(crate) struct DepGraph<'a> {
-    pub tasks: &'a [TaskSpec],
-    pub dependents: &'a BTreeMap<TaskId, Vec<usize>>,
+    pub work: &'a PreparedWorkload,
     /// `(ownership map, this shard)` on a federated sub-master. Only
     /// locally-owned dependents count down here; remote ones are released
     /// through the federation outbox and their owner's own journal.
@@ -1031,10 +1030,8 @@ impl Ledger {
             Record::Finished { task_idx, success } => {
                 self.completed += 1;
                 if success {
-                    let id = graph.tasks[task_idx as usize].id;
-                    let dependents = graph.dependents.get(&id).map_or(&[][..], Vec::as_slice);
                     return self.satisfy(
-                        dependents.iter().copied().filter(|&d| {
+                        graph.work.dependents(task_idx as usize).filter(|&d| {
                             graph.shard.is_none_or(|(owner, shard)| owner[d] == shard)
                         }),
                     );
@@ -2138,15 +2135,8 @@ mod tests {
         );
     }
 
-    fn graph<'a>(
-        tasks: &'a [TaskSpec],
-        dependents: &'a BTreeMap<TaskId, Vec<usize>>,
-    ) -> DepGraph<'a> {
-        DepGraph {
-            tasks,
-            dependents,
-            shard: None,
-        }
+    fn graph(work: &PreparedWorkload) -> DepGraph<'_> {
+        DepGraph { work, shard: None }
     }
 
     #[test]
@@ -2455,9 +2445,8 @@ mod tests {
         // ones — the second in a category the run had not seen.
         let profile = SimTaskProfile::new(1.0, 1.0, 1, 1);
         let spec = |id: u64, cat: &str| TaskSpec::new(TaskId(id), cat, vec![], 0, profile);
-        let mut tasks = vec![spec(0, "a"), spec(1, "a").after(vec![TaskId(0)])];
-        let mut dependents: BTreeMap<TaskId, Vec<usize>> = BTreeMap::new();
-        dependents.insert(TaskId(0), vec![1]);
+        let mut work =
+            PreparedWorkload::new(vec![spec(0, "a"), spec(1, "a").after(vec![TaskId(0)])]);
         let observe = |cat, rss, violated: Option<ResourceKind>| Record::Observe {
             cat,
             peak_cores: 1.0,
@@ -2470,7 +2459,7 @@ mod tests {
             ledger: Ledger::fresh(vec![0, 1], 1),
             ..Live::default()
         };
-        let g = graph(&tasks, &dependents);
+        let g = graph(&work);
         live.commit(observe(0, 300, None), &g);
         live.commit(Record::Result(Box::new(sample_result())), &g);
         live.commit(enqueue(0, 0, false), &g);
@@ -2517,18 +2506,17 @@ mod tests {
         // Streamed admissions grow the per-task and per-category vectors
         // between images; one of the new tasks is cancelled right away.
         for (idx, cat, name) in [(2u64, 0u32, "a"), (3, 1, "b")] {
-            tasks.push(spec(idx, name));
-            let g = graph(&tasks, &dependents);
+            assert_eq!(work.admit(spec(idx, name)), cat);
             live.commit(
                 Record::Submitted {
                     task_idx: idx,
                     cat,
-                    spec: Some(Box::new(tasks[idx as usize].clone())),
+                    spec: Some(Box::new(spec(idx, name))),
                 },
-                &g,
+                &graph(&work),
             );
         }
-        let g = graph(&tasks, &dependents);
+        let g = graph(&work);
         live.commit(Record::Cancelled { task_idx: 2 }, &g);
         live.commit(observe(1, 50, None), &g);
         live.commit(enqueue(3, 0, false), &g);
@@ -2545,9 +2533,8 @@ mod tests {
         // not: the chain must keep resetting to one segment, total bytes
         // must stay within a constant of the last full image plus the rows,
         // and what it decodes to must be the live image throughout.
-        let tasks: Vec<TaskSpec> = Vec::new();
-        let dependents = BTreeMap::new();
-        let g = graph(&tasks, &dependents);
+        let work = PreparedWorkload::new(Vec::new());
+        let g = graph(&work);
         let mut live = Live {
             ledger: Ledger::fresh(Vec::new(), 1),
             ..Live::default()
@@ -2664,19 +2651,16 @@ mod tests {
             TaskSpec::new(TaskId(id), "x", vec![], 0, profile)
                 .after(deps.into_iter().map(TaskId).collect())
         };
-        let tasks = vec![
+        let work = PreparedWorkload::new(vec![
             task(0, vec![]),
             task(1, vec![]),
             task(2, vec![0, 0, 1]),
             task(3, vec![0]),
-        ];
-        let mut dependents: BTreeMap<TaskId, Vec<usize>> = BTreeMap::new();
-        dependents.insert(TaskId(0), vec![2, 2, 3]);
-        dependents.insert(TaskId(1), vec![2]);
+        ]);
         let owner = [0, 0, 0, 1];
         let sharded = DepGraph {
             shard: Some((&owner, 0)),
-            ..graph(&tasks, &dependents)
+            ..graph(&work)
         };
         let finished = |task_idx, success| Record::Finished { task_idx, success };
         let mut l = Ledger::fresh(vec![0, 0, 3, 1], 1);
@@ -2687,10 +2671,7 @@ mod tests {
         assert_eq!(l.apply(finished(1, true), &sharded), vec![2]);
         // Unsharded, the same success also releases task 3.
         let mut l = Ledger::fresh(vec![0, 0, 3, 1], 1);
-        assert_eq!(
-            l.apply(finished(0, true), &graph(&tasks, &dependents)),
-            vec![3]
-        );
+        assert_eq!(l.apply(finished(0, true), &graph(&work)), vec![3]);
         // A cancelled dependent stays cancelled.
         let mut l = Ledger::fresh(vec![0, 0, usize::MAX, 1], 1);
         assert!(l.apply(finished(1, true), &sharded).is_empty());

@@ -16,6 +16,8 @@
 //!   groups, capacity/file indexes) behind [`sched::SchedImpl`].
 //! * [`journal`] — write-ahead journal + compacting snapshots making the
 //!   master crash-recoverable ([`journal::DurabilityConfig`]).
+//! * [`prepared`] — a workload checked and indexed once
+//!   ([`prepared::PreparedWorkload`]), shared by every run over it.
 //! * [`master`] — the discrete-event scheduler producing [`master::RunReport`]s.
 //! * [`federation`] — the hierarchical foreman layer: N sub-masters over a
 //!   partitioned DAG with cross-shard handoff and work stealing.
@@ -28,6 +30,7 @@ pub mod federation;
 pub mod files;
 pub mod journal;
 pub mod master;
+pub mod prepared;
 #[cfg(test)]
 mod proptests;
 pub mod sched;
@@ -45,9 +48,10 @@ pub mod prelude {
     pub use crate::files::{FileKind, FileRef};
     pub use crate::journal::DurabilityConfig;
     pub use crate::master::{
-        run_workload, DistMode, MasterConfig, Provisioning, RunReport, SchedulePolicy,
-        StagingConfig,
+        run_prepared, run_workload, DistMode, MasterConfig, Provisioning, RunReport,
+        SchedulePolicy, StagingConfig,
     };
+    pub use crate::prepared::PreparedWorkload;
     pub use crate::sched::SchedImpl;
     pub use crate::streaming::StreamingMaster;
     pub use crate::task::{TaskId, TaskResult, TaskSpec};

@@ -14,6 +14,7 @@ use crate::journal::{
     observe_into, CategorySnap, CounterKey, DepGraph, DurabilityConfig, Journal, Ledger,
     MasterImage, PendingFold, Record,
 };
+use crate::prepared::PreparedWorkload;
 use crate::sched::{policy_rank, IndexedSched, ParkReason, Pending, SchedImpl, Src};
 use crate::task::{TaskId, TaskResult, TaskSpec};
 use crate::worker::{Worker, WorkerTable};
@@ -713,19 +714,35 @@ pub fn run_workload(
     spec: NodeSpec,
 ) -> RunReport {
     assert!(!tasks.is_empty(), "empty workload");
+    let work = Arc::new(PreparedWorkload::new(tasks));
+    run_prepared(config, &work, worker_count, spec)
+}
+
+/// [`run_workload`] over a workload prepared once and shared: every run over
+/// the same tasks (a grid point's four strategies, concurrent sweep jobs)
+/// reads the one checked, indexed table and copies nothing.
+pub fn run_prepared(
+    config: &MasterConfig,
+    work: &Arc<PreparedWorkload>,
+    worker_count: u32,
+    spec: NodeSpec,
+) -> RunReport {
+    assert!(!work.is_empty(), "empty workload");
     if config.shards > 1 {
         let fed = crate::federation::FederationConfig::new(config.shards);
-        return crate::federation::run_federated(config, &fed, tasks, worker_count, spec).merged;
+        let work = Arc::clone(work);
+        return crate::federation::run_shards(config, &fed, work, worker_count, spec).merged;
     }
-    Master::new(config.clone(), tasks, worker_count, spec).run()
+    Master::new(config.clone(), Arc::clone(work), worker_count, spec).run()
 }
 
 pub(crate) struct Master {
     config: MasterConfig,
-    /// The workload, shared by every shard of a federated run (per-task
-    /// *state* below stays per master). Only streamed admission writes it,
-    /// and a streaming master is its vector's sole owner.
-    tasks: Arc<Vec<TaskSpec>>,
+    /// The workload and what is derived from it alone, shared by every run
+    /// over it (per-task *state* below stays per master). Only streamed
+    /// admission writes it, and a streaming master is its table's sole
+    /// owner.
+    work: Arc<PreparedWorkload>,
     workers: WorkerTable,
     sched: SchedState,
     queue: EventQueue<Event>,
@@ -736,11 +753,7 @@ pub(crate) struct Master {
     spec: NodeSpec,
     worker_count: u32,
     in_flight: usize,
-    /// Interned category table: `cat_of[task_idx]` indexes `cat_names` and
-    /// `running_by_cat`, so the dispatch hot path never clones or hashes a
-    /// category string.
-    cat_of: Vec<u32>,
-    cat_names: Vec<String>,
+    /// Attempts running per category id (`work.cat_of[task_idx]`).
     running_by_cat: Vec<u32>,
     /// Sum of free cores across live workers, maintained on worker
     /// up/place/finish/evict so elastic scaling never re-sums the pool.
@@ -753,9 +766,6 @@ pub(crate) struct Master {
     /// Everything journaled that is plain data. Changed only through
     /// [`Master::commit`], so replaying the journal reproduces it.
     ledger: Ledger,
-    /// Dependents listed per task id for O(1) release on completion.
-    /// Cancellation prunes it as it walks.
-    dependents: BTreeMap<TaskId, Vec<usize>>,
     /// The write-ahead journal (`None` when durability is off).
     journal: Option<Journal>,
     /// Events handled so far — the crash clock `FaultKind::MasterCrash`
@@ -784,28 +794,14 @@ pub(crate) struct Master {
 }
 
 impl Master {
-    /// Construct a master. An empty task vector is allowed only for
-    /// streaming mode (`streaming.rs`), where tasks arrive via
-    /// [`Event::Submit`]; batch entry points assert non-emptiness.
+    /// Construct a master. An empty workload is allowed only for streaming
+    /// mode (`streaming.rs`), where tasks arrive via [`Event::Submit`];
+    /// batch entry points assert non-emptiness.
     pub(crate) fn new(
         config: MasterConfig,
-        tasks: Vec<TaskSpec>,
+        work: Arc<PreparedWorkload>,
         worker_count: u32,
         spec: NodeSpec,
-    ) -> Self {
-        Self::build(config, Arc::new(tasks), worker_count, spec, None)
-    }
-
-    /// `sibling` is a master already built over the same task vector (a
-    /// federation's earlier shard): what depends on the tasks alone — the
-    /// workload checks and the category interning — is taken from it
-    /// instead of being derived once per shard.
-    fn build(
-        config: MasterConfig,
-        tasks: Arc<Vec<TaskSpec>>,
-        worker_count: u32,
-        spec: NodeSpec,
-        sibling: Option<&Master>,
     ) -> Self {
         assert!(worker_count > 0, "need at least one worker");
         let allocator = Allocator::new(config.strategy.clone());
@@ -821,32 +817,21 @@ impl Master {
         // Event volume is predictable from the workload: each task produces
         // a handful of lifecycle events and each worker a provision/poll
         // stream; pre-size the calendar to skip heap regrowth.
-        let event_capacity = tasks.len() * 4 + worker_count as usize * 2;
-        let (cat_of, cat_names) = match sibling {
-            Some(m) => {
-                debug_assert!(Arc::ptr_eq(&m.tasks, &tasks));
-                (m.cat_of.clone(), m.cat_names.clone())
-            }
-            None => Self::check_and_intern(&tasks),
-        };
-        let running_by_cat = vec![0u32; cat_names.len()];
+        let event_capacity = work.len() * 4 + worker_count as usize * 2;
         let sched = match config.sched {
             SchedImpl::Reference => SchedState::Reference(VecDeque::new()),
             SchedImpl::Indexed => SchedState::Indexed(IndexedSched::new(config.policy)),
         };
-        let initial_task_count = tasks.len();
-        let initial_cat_count = cat_names.len();
         Master {
-            ledger: Ledger::fresh(Self::fresh_deps(&tasks), cat_names.len()),
-            dependents: Self::dependency_graph(&tasks),
-            cat_of,
-            cat_names,
-            running_by_cat,
+            ledger: Ledger::fresh(work.dep_counts.clone(), work.cat_names.len()),
+            running_by_cat: vec![0u32; work.cat_names.len()],
+            initial_task_count: work.len(),
+            initial_cat_count: work.cat_names.len(),
             free_cores: 0,
             batch,
             faults,
             net_rng,
-            tasks,
+            work,
             workers: WorkerTable::default(),
             sched,
             queue: EventQueue::with_capacity(event_capacity),
@@ -865,54 +850,25 @@ impl Master {
             master_crashes: 0,
             recoveries: 0,
             replayed_events: 0,
-            initial_task_count,
-            initial_cat_count,
             probe_done: false,
             fed: None,
             config,
         }
     }
 
-    /// Reject a malformed workload (duplicate ids, dependencies on ids not
-    /// in the batch) and intern categories so the hot path works with small
-    /// ids: per-task category id, and the names by id.
-    fn check_and_intern(tasks: &[TaskSpec]) -> (Vec<u32>, Vec<String>) {
-        let ids: BTreeMap<TaskId, usize> =
-            tasks.iter().enumerate().map(|(i, t)| (t.id, i)).collect();
-        assert_eq!(ids.len(), tasks.len(), "duplicate task ids in workload");
-        for t in tasks.iter() {
-            for d in &t.deps {
-                assert!(ids.contains_key(d), "task {} depends on unknown {d}", t.id);
-            }
-        }
-        let mut cat_ids: BTreeMap<&str, u32> = BTreeMap::new();
-        let mut cat_names: Vec<String> = Vec::new();
-        let cat_of = tasks
-            .iter()
-            .map(|t| {
-                *cat_ids.entry(&t.category).or_insert_with(|| {
-                    cat_names.push(t.category.clone());
-                    (cat_names.len() - 1) as u32
-                })
-            })
-            .collect();
-        (cat_of, cat_names)
-    }
-
     /// Construct a federated sub-master: shard `shard` of the ownership map
-    /// `owner` (one entry per task in `tasks`, value = owning shard). All
-    /// shards of a run share the one task vector.
+    /// `owner` (one entry per task of `work`, value = owning shard). All
+    /// shards of a run share the one prepared workload.
     pub(crate) fn new_shard(
         config: MasterConfig,
-        tasks: Arc<Vec<TaskSpec>>,
+        work: Arc<PreparedWorkload>,
         worker_count: u32,
         spec: NodeSpec,
         shard: u32,
         owner: Arc<Vec<u32>>,
-        sibling: Option<&Master>,
     ) -> Self {
-        debug_assert_eq!(owner.len(), tasks.len());
-        let mut m = Master::build(config, tasks, worker_count, spec, sibling);
+        debug_assert_eq!(owner.len(), work.len());
+        let mut m = Master::new(config, work, worker_count, spec);
         m.fed = Some(FedState {
             shard,
             owner,
@@ -957,7 +913,7 @@ impl Master {
         };
         self.commit(Record::RunStart {
             seed: self.config.seed,
-            task_count: self.tasks.len() as u64,
+            task_count: self.work.len() as u64,
             worker_count: self.worker_count,
         });
         self.submit_pilots(SimTime::ZERO, initial);
@@ -966,7 +922,7 @@ impl Master {
 
     /// Enqueue every owned task with no dependencies left.
     fn enqueue_roots(&mut self, since: SimTime) {
-        for idx in 0..self.tasks.len() {
+        for idx in 0..self.work.len() {
             if self.ledger.dep_remaining[idx] == 0 && self.owned(idx) {
                 self.enqueue_back(Pending {
                     task_idx: idx,
@@ -985,8 +941,8 @@ impl Master {
         let Some((now, event)) = self.queue.pop() else {
             panic!(
                 "deadlock: {} of {} tasks unfinished with no events pending",
-                self.tasks.len() - self.ledger.completed,
-                self.tasks.len()
+                self.work.len() - self.ledger.completed,
+                self.work.len()
             );
         };
         if self.down {
@@ -1006,7 +962,7 @@ impl Master {
 
     fn run(mut self) -> RunReport {
         self.start();
-        while self.ledger.completed < self.tasks.len() {
+        while self.ledger.completed < self.work.len() {
             self.step();
         }
         self.finish()
@@ -1026,7 +982,7 @@ impl Master {
             strategy: self.config.strategy.name().to_string(),
             dist_mode: self.config.staging.dist_mode,
             makespan_secs: makespan,
-            task_count: self.tasks.len(),
+            task_count: self.work.len(),
             retried_tasks: ledger.retried.len() as u64,
             abandoned_tasks: ledger.abandoned,
             cache_hits: hits,
@@ -1174,24 +1130,19 @@ impl Master {
              independent invocations",
             spec.id
         );
-        let task_idx = self.tasks.len();
-        let cat = match self.cat_names.iter().position(|c| c == &spec.category) {
-            Some(i) => i as u32,
-            None => {
-                self.cat_names.push(spec.category.clone());
-                self.running_by_cat.push(0);
-                (self.cat_names.len() - 1) as u32
-            }
-        };
-        self.cat_of.push(cat);
+        let task_idx = self.work.len();
         // The record carries a copy of the spec for the journal to keep.
         let kept = self.journal.is_some().then(|| Box::new(spec.clone()));
+        // Sole owner: `make_mut` appends in place, it never copies.
+        let cat = Arc::make_mut(&mut self.work).admit(spec);
+        if cat as usize == self.running_by_cat.len() {
+            self.running_by_cat.push(0);
+        }
         self.commit(Record::Submitted {
             task_idx: task_idx as u64,
             cat,
             spec: kept,
         });
-        Arc::make_mut(&mut self.tasks).push(spec);
         self.enqueue_back(Pending {
             task_idx,
             attempt: 0,
@@ -1269,8 +1220,7 @@ impl Master {
     /// satisfied.
     fn commit(&mut self, rec: Record) -> Vec<usize> {
         let graph = DepGraph {
-            tasks: &self.tasks,
-            dependents: &self.dependents,
+            work: &self.work,
             shard: self.fed.as_ref().map(|f| (f.owner.as_slice(), f.shard)),
         };
         match &mut self.journal {
@@ -1347,10 +1297,7 @@ impl Master {
         self.queue.schedule_at(resume_at, Event::Recovered);
         match tail {
             Some(replayed) => {
-                // Built once per crash: replay reads it and the restored
-                // master keeps it.
-                let dependents = Self::dependency_graph(&self.tasks);
-                let img = self.recover_image(&dependents);
+                let img = self.recover_image();
                 // The guard that no site changed the ledger without
                 // committing a record: what the journal folds to is what
                 // the live master held.
@@ -1359,7 +1306,7 @@ impl Master {
                 self.config
                     .telemetry
                     .counter_at_key(tk().journal_replayed_events, replayed, now);
-                self.restore_from_image(img, dependents, resume_at);
+                self.restore_from_image(img, resume_at);
                 self.recoveries += 1;
             }
             None => self.full_restart(resume_at),
@@ -1387,16 +1334,9 @@ impl Master {
             .gauge_key(tk().master_pending_tasks, self.pending_len() as f64, now);
     }
 
-    /// The dependency counts a master constructed over `tasks` starts from.
-    fn fresh_deps(tasks: &[TaskSpec]) -> Vec<usize> {
-        tasks.iter().map(|t| t.deps.len()).collect()
-    }
-
     /// Fold the journal (image chain plus record tail) into the image the
-    /// crashed master must resume from. `dependents` is the full graph as
-    /// built at construction: the live map cannot serve, cancellation prunes
-    /// it as it walks.
-    fn recover_image(&self, dependents: &BTreeMap<TaskId, Vec<usize>>) -> MasterImage {
+    /// crashed master must resume from.
+    fn recover_image(&self) -> MasterImage {
         let journal = self.journal.as_ref().expect("journaled recovery");
         let mut img = journal
             .base_image()
@@ -1406,14 +1346,13 @@ impl Master {
                 // streamed in after run start re-grow the ledger as their
                 // `Submitted` records replay.
                 ledger: Ledger::fresh(
-                    Self::fresh_deps(&self.tasks[..self.initial_task_count]),
+                    self.work.dep_counts[..self.initial_task_count].to_vec(),
                     self.initial_cat_count,
                 ),
                 ..MasterImage::default()
             });
         let graph = DepGraph {
-            tasks: &self.tasks,
-            dependents,
+            work: &self.work,
             shard: self.fed.as_ref().map(|f| (f.owner.as_slice(), f.shard)),
         };
         let mut queue = PendingFold::new(std::mem::take(&mut img.pending));
@@ -1438,7 +1377,7 @@ impl Master {
                 worker_count,
             } => {
                 debug_assert_eq!(*seed, self.config.seed, "journal from another run");
-                // `self.tasks` may have grown past the header count via
+                // `self.work.tasks` may have grown past the header count via
                 // streamed admissions; the header pins the constructed size.
                 debug_assert_eq!(*task_count, self.initial_task_count as u64);
                 debug_assert_eq!(*worker_count, self.worker_count);
@@ -1474,7 +1413,7 @@ impl Master {
         pending.sort_by_key(|p| {
             policy_rank(
                 self.config.policy,
-                self.tasks[p.task_idx].profile.peak_memory_mb,
+                self.work.tasks[p.task_idx].profile.peak_memory_mb,
             )
         });
     }
@@ -1490,7 +1429,8 @@ impl Master {
     /// The allocator's sample stores, dense by category id and in canonical
     /// order (see [`Allocator::snapshot_category`]).
     fn alloc_stats(&self) -> Vec<CategorySnap> {
-        self.cat_names
+        self.work
+            .cat_names
             .iter()
             .map(|cat| {
                 self.allocator
@@ -1518,27 +1458,19 @@ impl Master {
         }
     }
 
-    /// Overwrite the master's logical state from an image: take its ledger
-    /// and a freshly built dependents graph, rebuild everything derived from
-    /// them and the active scheduler implementation, and re-arm master-side
-    /// timers clamped to the recovery instant. World state (workers, caches, running executions)
-    /// is untouched — it survived the crash.
-    fn restore_from_image(
-        &mut self,
-        img: MasterImage,
-        dependents: BTreeMap<TaskId, Vec<usize>>,
-        resume_at: SimTime,
-    ) {
+    /// Overwrite the master's logical state from an image: take its ledger,
+    /// rebuild everything derived from it and the active scheduler
+    /// implementation, and re-arm master-side timers clamped to the recovery
+    /// instant. World state (workers, caches, running executions) is
+    /// untouched — it survived the crash — and so is the prepared workload,
+    /// which no run ever writes.
+    fn restore_from_image(&mut self, img: MasterImage, resume_at: SimTime) {
         self.ledger = img.ledger;
-        // The fresh graph is unpruned, but pruning is an optimization:
-        // every re-walk of an already-cancelled branch is stopped by the
-        // ledger's `usize::MAX` markers.
-        self.dependents = dependents;
 
         // The allocator's labels are a pure function of the sample multiset,
         // so replaying the exported samples reproduces every decision.
         self.allocator = Allocator::new(self.config.strategy.clone());
-        for (cat, s) in self.cat_names.iter().zip(&img.alloc_stats) {
+        for (cat, s) in self.work.cat_names.iter().zip(&img.alloc_stats) {
             if s.cores.is_empty()
                 && s.memory_mb.is_empty()
                 && s.disk_mb.is_empty()
@@ -1570,7 +1502,7 @@ impl Master {
                     .expect("a live placement's worker is connected");
                 worker.placements.push(id);
                 self.in_flight += 1;
-                self.running_by_cat[self.cat_of[p.task_idx] as usize] += 1;
+                self.running_by_cat[self.work.cat_of[p.task_idx] as usize] += 1;
             }
         }
         self.free_cores = self.pool_free_cores();
@@ -1622,7 +1554,7 @@ impl Master {
             next_placement: old.next_placement,
             quarantines: old.quarantines,
             counters: old.counters,
-            ..Ledger::fresh(Self::fresh_deps(&self.tasks), self.cat_names.len())
+            ..Ledger::fresh(self.work.dep_counts.clone(), self.work.cat_names.len())
         };
         for p in old.placements.values().filter(|p| !p.zombie) {
             if let Some(w) = self.workers.get_mut(p.worker) {
@@ -1630,7 +1562,11 @@ impl Master {
                 w.running -= 1;
                 // Forget in-flight staging marks for torn-down placements
                 // so the re-run re-stages cleanly.
-                for f in self.tasks[p.task_idx].inputs.iter().filter(|f| f.cacheable) {
+                for f in self.work.tasks[p.task_idx]
+                    .inputs
+                    .iter()
+                    .filter(|f| f.cacheable)
+                {
                     w.abort_staging(&f.name);
                 }
             }
@@ -1644,7 +1580,6 @@ impl Master {
         }
         self.free_cores = self.pool_free_cores();
         self.allocator = Allocator::new(self.config.strategy.clone());
-        self.dependents = Self::dependency_graph(&self.tasks);
         self.rebuild_sched(Vec::new());
         self.enqueue_roots(resume_at);
     }
@@ -1672,23 +1607,11 @@ impl Master {
                 self.sched = SchedState::Indexed(ix);
                 if let SchedState::Indexed(ix) = &mut self.sched {
                     for item in pending {
-                        ix.push_back(&self.tasks[item.task_idx], item);
+                        ix.push_back(&self.work.tasks[item.task_idx], item);
                     }
                 }
             }
         }
-    }
-
-    /// The full dependents graph, as built at construction (recovery cannot
-    /// use the live map — cancellation prunes it as it walks).
-    fn dependency_graph(tasks: &[TaskSpec]) -> BTreeMap<TaskId, Vec<usize>> {
-        let mut dependents: BTreeMap<TaskId, Vec<usize>> = BTreeMap::new();
-        for (i, t) in tasks.iter().enumerate() {
-            for d in &t.deps {
-                dependents.entry(*d).or_default().push(i);
-            }
-        }
-        dependents
     }
 
     /// Test hook (`DurabilityConfig::probe_restore_at`): serialize the
@@ -1708,7 +1631,7 @@ impl Master {
         // no master-side timers, so this keeps the code path honest at zero
         // observable cost.
         self.queue.retain(Event::is_world);
-        self.restore_from_image(decoded, Self::dependency_graph(&self.tasks), now);
+        self.restore_from_image(decoded, now);
     }
 
     fn submit_pilots(&mut self, now: SimTime, count: u32) {
@@ -1777,7 +1700,7 @@ impl Master {
             self.in_flight -= 1;
             let lost_secs = p.allocated.cores as f64 * (now - p.started_at);
             self.count(CounterKey::LostCoreSecs, lost_secs);
-            let cat = self.cat_of[p.task_idx];
+            let cat = self.work.cat_of[p.task_idx];
             self.running_by_cat[cat as usize] -= 1;
             if let SchedState::Indexed(ix) = &mut self.sched {
                 // The category's running count fell: a slow-start verdict
@@ -1787,7 +1710,7 @@ impl Master {
             self.instant(tk().task_lost, tk().cat_master)
                 .at(now)
                 .track(id as u64)
-                .task(self.tasks[p.task_idx].id.0)
+                .task(self.work.tasks[p.task_idx].id.0)
                 .attempt(p.attempt)
                 .emit();
             self.enqueue_front(Pending {
@@ -1820,7 +1743,7 @@ impl Master {
         });
         match &mut self.sched {
             SchedState::Reference(q) => q.push_back(item),
-            SchedState::Indexed(ix) => ix.push_back(&self.tasks[item.task_idx], item),
+            SchedState::Indexed(ix) => ix.push_back(&self.work.tasks[item.task_idx], item),
         }
     }
 
@@ -1833,7 +1756,7 @@ impl Master {
         });
         match &mut self.sched {
             SchedState::Reference(q) => q.push_front(item),
-            SchedState::Indexed(ix) => ix.push_front(&self.tasks[item.task_idx], item),
+            SchedState::Indexed(ix) => ix.push_front(&self.work.tasks[item.task_idx], item),
         }
     }
 
@@ -1877,15 +1800,15 @@ impl Master {
         &mut self,
         item: &Pending,
     ) -> Result<(u32, AllocationDecision, Resources), ParkReason> {
-        let cat = self.cat_of[item.task_idx] as usize;
+        let cat = self.work.cat_of[item.task_idx] as usize;
         let capacity = self.spec.resources;
         let decision = self
             .allocator
-            .decide(&self.cat_names[cat], item.attempt, &capacity);
+            .decide(&self.work.cat_names[cat], item.attempt, &capacity);
         // Slow-start: immature Auto labels dispatch gradually so one bad
         // label cannot kill an entire wave at once.
         if matches!(decision, AllocationDecision::Sized(_)) && item.attempt == 0 {
-            if let Some(cap) = self.allocator.concurrency_cap(&self.cat_names[cat]) {
+            if let Some(cap) = self.allocator.concurrency_cap(&self.work.cat_names[cat]) {
                 if self.running_by_cat[cat] >= cap {
                     return Err(ParkReason::SlowStart);
                 }
@@ -1895,7 +1818,7 @@ impl Master {
         let picked = match &self.sched {
             SchedState::Reference(_) => self.pick_worker(item.task_idx, &alloc),
             SchedState::Indexed(ix) => {
-                ix.pick_worker(&self.workers, &self.tasks[item.task_idx], &alloc)
+                ix.pick_worker(&self.workers, &self.work.tasks[item.task_idx], &alloc)
             }
         };
         match picked {
@@ -1913,12 +1836,14 @@ impl Master {
             SchedulePolicy::Fifo => {}
             SchedulePolicy::LargestFirst => {
                 let mut v: Vec<Pending> = self.ref_queue().drain(..).collect();
-                v.sort_by_key(|p| std::cmp::Reverse(self.tasks[p.task_idx].profile.peak_memory_mb));
+                v.sort_by_key(|p| {
+                    std::cmp::Reverse(self.work.tasks[p.task_idx].profile.peak_memory_mb)
+                });
                 self.ref_queue().extend(v);
             }
             SchedulePolicy::SmallestFirst => {
                 let mut v: Vec<Pending> = self.ref_queue().drain(..).collect();
-                v.sort_by_key(|p| self.tasks[p.task_idx].profile.peak_memory_mb);
+                v.sort_by_key(|p| self.work.tasks[p.task_idx].profile.peak_memory_mb);
                 self.ref_queue().extend(v);
             }
         }
@@ -1949,7 +1874,7 @@ impl Master {
             match src {
                 Src::Ready => {
                     let (key, item) = self.ix_mut().pop_ready();
-                    let gk = (self.cat_of[item.task_idx], item.attempt > 0);
+                    let gk = (self.work.cat_of[item.task_idx], item.attempt > 0);
                     if let Some((_, reason)) = settled.iter().find(|(g, _)| *g == gk) {
                         let reason = reason.clone();
                         self.ix_mut().park(gk, Some(reason), key, item);
@@ -2007,7 +1932,7 @@ impl Master {
     /// local (Work Queue "prefers to schedule tasks where needed data is
     /// cached"), then the one with most free cores.
     fn pick_worker(&self, task_idx: usize, alloc: &Resources) -> Option<u32> {
-        let task = &self.tasks[task_idx];
+        let task = &self.work.tasks[task_idx];
         let mut best: Option<(bool, u32, u32)> = None; // (cached, free_cores, id)
         for w in self.workers.values() {
             if w.quarantined || !w.node.can_fit(alloc) {
@@ -2040,7 +1965,7 @@ impl Master {
         let concurrent = self.in_flight.max(1);
         // ---- schedule/dispatch telemetry ----
         if self.config.telemetry.is_enabled() {
-            let tid = self.tasks[task_idx].id.0;
+            let tid = self.work.tasks[task_idx].id.0;
             if now > item.since {
                 self.span(tk().queue_wait, tk().cat_master)
                     .at(item.since, now)
@@ -2054,7 +1979,7 @@ impl Master {
                 .track(wid as u64)
                 .task(tid)
                 .attempt(attempt)
-                .attr_key(tk().a_category, self.tasks[task_idx].category.as_str())
+                .attr_key(tk().a_category, self.work.tasks[task_idx].category.as_str())
                 .attr_key(tk().a_cores, alloc.cores as u64)
                 .attr_key(tk().a_memory_mb, alloc.memory_mb)
                 .emit();
@@ -2072,7 +1997,7 @@ impl Master {
         self.free_cores -= alloc.cores as u64;
         worker.running += 1;
         self.in_flight += 1;
-        self.running_by_cat[self.cat_of[task_idx] as usize] += 1;
+        self.running_by_cat[self.work.cat_of[task_idx] as usize] += 1;
         // The placement itself enters the ledger with its `Placed` record,
         // once the lease deadline is known.
         let placement = self.ledger.next_placement;
@@ -2090,7 +2015,7 @@ impl Master {
         let mut infra: Option<InfraFault> = None;
         let mut transferred = false;
         let mut env_transfer = false;
-        for f in &self.tasks[task_idx].inputs {
+        for f in &self.work.tasks[task_idx].inputs {
             let is_env = matches!(f.kind, FileKind::EnvironmentPack { .. });
             if is_env && direct_env {
                 // Conventional deployment: every task imports the whole
@@ -2241,8 +2166,8 @@ impl Master {
         let io_slow = 1.0 + self.config.staging.io_interference * co_resident as f64;
         let slowdown = io_slow * straggler;
         let profile = SimTaskProfile {
-            duration_secs: self.tasks[task_idx].profile.duration_secs * slowdown,
-            ..self.tasks[task_idx].profile
+            duration_secs: self.work.tasks[task_idx].profile.duration_secs * slowdown,
+            ..self.work.tasks[task_idx].profile
         };
         let mut sim = self.config.monitor.run(&profile, &limits);
         if sim.outcome.is_success() {
@@ -2255,7 +2180,7 @@ impl Master {
         }
 
         // ---- stage-out ----
-        let output_bytes = self.tasks[task_idx].output_bytes;
+        let output_bytes = self.work.tasks[task_idx].output_bytes;
         let mut infra_out: Option<InfraFault> = None;
         let stage_out = if output_bytes > 0 && sim.outcome.is_success() {
             let tr = self
@@ -2295,7 +2220,7 @@ impl Master {
         // and zombies whose completion never arrives both get reclaimed.
         let lease_at = if self.faults.active() {
             let nominal = stage_in
-                + self.tasks[task_idx].profile.duration_secs * io_slow
+                + self.work.tasks[task_idx].profile.duration_secs * io_slow
                 + output_bytes as f64 / self.net.params.per_link_bw;
             let r = &self.config.resilience;
             let lease = (r.lease_factor * nominal).max(r.min_lease_secs);
@@ -2333,7 +2258,7 @@ impl Master {
     /// allocation bookkeeping in `place()`; quarantined workers keep their
     /// capacity withdrawn from the pool and the index.
     fn free_placement(&mut self, wid: u32, placement: u64, task_idx: usize, allocated: Resources) {
-        let cat = self.cat_of[task_idx];
+        let cat = self.work.cat_of[task_idx];
         let worker = self.workers.get_mut(wid).expect("worker exists");
         let listed = (worker.placements.iter().position(|&p| p == placement))
             .expect("a live placement is on its worker's list");
@@ -2369,7 +2294,7 @@ impl Master {
     fn cache_staged_inputs(&mut self, wid: u32, task_idx: usize) {
         let packed = self.effective_dist_mode() == DistMode::PackedTransfer;
         let worker = self.workers.get_mut(wid).expect("worker exists");
-        for f in &self.tasks[task_idx].inputs {
+        for f in &self.work.tasks[task_idx].inputs {
             let is_env = matches!(f.kind, FileKind::EnvironmentPack { .. });
             if (!is_env || packed) && worker.insert_cached(f) {
                 if let SchedState::Indexed(ix) = &mut self.sched {
@@ -2395,7 +2320,7 @@ impl Master {
         self.instant(tk().result_lost, tk().cat_faults)
             .at(now)
             .track(info.worker as u64)
-            .task(self.tasks[info.task_idx].id.0)
+            .task(self.work.tasks[info.task_idx].id.0)
             .attempt(info.attempt)
             .emit();
         self.note_worker_fault(now, info.worker);
@@ -2419,7 +2344,7 @@ impl Master {
         self.instant(tk().lease_reclaim, tk().cat_faults)
             .at(now)
             .track(p.worker as u64)
-            .task(self.tasks[p.task_idx].id.0)
+            .task(self.work.tasks[p.task_idx].id.0)
             .attempt(p.attempt)
             .attr_key(tk().a_zombie, if p.zombie { 1u64 } else { 0u64 })
             .emit();
@@ -2508,7 +2433,7 @@ impl Master {
             self.cancel_dependents(task_idx);
             return;
         }
-        let cat = self.cat_of[task_idx] as usize;
+        let cat = self.work.cat_of[task_idx] as usize;
         // Saturate rather than wrap: a pathological streak past u32::MAX
         // attempts must pin at the backoff ceiling, not reset to zero.
         let streak = self.ledger.cat_streak[cat].saturating_add(1);
@@ -2519,7 +2444,7 @@ impl Master {
         let delay = backoff_delay(streak, &self.config.resilience);
         self.instant(tk().infra_requeue, tk().cat_faults)
             .at(now)
-            .task(self.tasks[task_idx].id.0)
+            .task(self.work.tasks[task_idx].id.0)
             .attempt(attempt)
             .attr_key(tk().a_backoff_s, delay)
             .emit();
@@ -2548,7 +2473,7 @@ impl Master {
     fn infra_finish(&mut self, now: SimTime, info: DoneInfo) {
         let fault = info.infra.expect("infra completion");
         let worker = self.workers.get_mut(info.worker).expect("worker exists");
-        for f in &self.tasks[info.task_idx].inputs {
+        for f in &self.work.tasks[info.task_idx].inputs {
             if f.cacheable {
                 worker.abort_staging(&f.name);
             }
@@ -2574,7 +2499,7 @@ impl Master {
         self.instant(Name::intern(fault.label()), tk().cat_faults)
             .at(now)
             .track(info.worker as u64)
-            .task(self.tasks[info.task_idx].id.0)
+            .task(self.work.tasks[info.task_idx].id.0)
             .attempt(info.attempt)
             .emit();
         self.note_worker_fault(now, info.worker);
@@ -2582,7 +2507,7 @@ impl Master {
     }
 
     fn finish_task(&mut self, now: SimTime, info: DoneInfo) {
-        let cat = self.cat_of[info.task_idx];
+        let cat = self.work.cat_of[info.task_idx];
         self.free_placement(info.worker, info.placement, info.task_idx, info.allocated);
         if info.infra.is_some() {
             self.infra_finish(now, info);
@@ -2615,7 +2540,7 @@ impl Master {
                 violated,
             });
             self.allocator.observe_outcome_notify(
-                &self.cat_names[cat as usize],
+                &self.work.cat_names[cat as usize],
                 info.outcome.report(),
                 completed,
                 violated,
@@ -2629,7 +2554,7 @@ impl Master {
                 ix.wake_category(cat, true);
             }
         }
-        let task = &self.tasks[info.task_idx];
+        let task = &self.work.tasks[info.task_idx];
         let task_id = task.id;
 
         // Per-attempt trace spans. Nothing below touches sim state: the
@@ -2795,13 +2720,13 @@ impl Master {
         let Some(f) = self.fed.as_mut() else {
             return;
         };
-        let task = &self.tasks[task_idx];
-        for &dep_idx in self.dependents.get(&task.id).map_or(&[][..], Vec::as_slice) {
+        let bytes = self.work.tasks[task_idx].output_bytes;
+        for dep_idx in self.work.dependents(task_idx) {
             if f.owner[dep_idx] != f.shard {
                 f.outbox.push(OutMsg::Release {
                     task_idx: dep_idx,
                     at: now,
-                    bytes: task.output_bytes,
+                    bytes,
                 });
             }
         }
@@ -2811,14 +2736,20 @@ impl Master {
     /// so the run still terminates, counting the casualties as abandoned.
     /// Remotely-owned dependents get a `Cancel` handoff message instead —
     /// the owning shard accounts for them and continues the cascade there.
+    ///
+    /// The graph is shared and read-only, so nothing is pruned behind the
+    /// walk; no node is walked twice all the same. A node enters the stack
+    /// either as the root — a task that ran to a permanent failure, or one a
+    /// remote `Cancel` just marked, each once per task — or right behind its
+    /// own fresh `Cancelled` commit, which the `usize::MAX` marker allows
+    /// once. A task cannot be both: it only runs once every dependency has
+    /// succeeded. So no remote dependent is sent a second `Cancel`.
     fn cancel_dependents(&mut self, task_idx: usize) {
         let now = self.queue.now();
-        let mut stack = vec![self.tasks[task_idx].id];
-        while let Some(id) = stack.pop() {
-            let Some(deps) = self.dependents.remove(&id) else {
-                continue;
-            };
-            for dep_idx in deps {
+        let work = Arc::clone(&self.work);
+        let mut stack = vec![task_idx];
+        while let Some(idx) = stack.pop() {
+            for dep_idx in work.dependents(idx) {
                 if !self.owned(dep_idx) {
                     if let Some(f) = self.fed.as_mut() {
                         f.outbox.push(OutMsg::Cancel {
@@ -2834,7 +2765,7 @@ impl Master {
                 self.commit(Record::Cancelled {
                     task_idx: dep_idx as u64,
                 });
-                stack.push(self.tasks[dep_idx].id);
+                stack.push(dep_idx);
             }
         }
     }
@@ -2899,11 +2830,11 @@ impl Master {
         self.processed_events
     }
 
-    /// The task vector's `Arc`, for the sharing guards (federation shards
-    /// share one; a streaming master owns its own alone).
+    /// The prepared workload's `Arc`, for the sharing guards (federation
+    /// shards share one; a streaming master owns its own alone).
     #[cfg(test)]
-    pub(crate) fn shared_tasks(&self) -> &Arc<Vec<TaskSpec>> {
-        &self.tasks
+    pub(crate) fn shared_work(&self) -> &Arc<PreparedWorkload> {
+        &self.work
     }
 
     // ---- streaming driver surface (see `streaming.rs`) ----
@@ -2949,7 +2880,7 @@ impl Master {
         let stolen: Vec<Pending> = match &mut self.sched {
             SchedState::Indexed(ix) => ix.steal_last(max),
             SchedState::Reference(q) => {
-                Self::steal_back_reference(q, &self.tasks, self.config.policy, max)
+                Self::steal_back_reference(q, &self.work.tasks, self.config.policy, max)
             }
         };
         stolen
@@ -3030,6 +2961,10 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    fn prepared(tasks: Vec<TaskSpec>) -> Arc<PreparedWorkload> {
+        Arc::new(PreparedWorkload::new(tasks))
     }
 
     fn oracle() -> Strategy {
@@ -3489,7 +3424,7 @@ mod tests {
         // what it loses in ascending placement id: the `Freed`/`Enqueue`
         // records are journal bytes and the front-enqueues are queue order.
         let cfg = MasterConfig::new(oracle()).with_durability(DurabilityConfig::journal_only());
-        let mut m = Master::new(cfg, hep_tasks(5), 1, node());
+        let mut m = Master::new(cfg, prepared(hep_tasks(5)), 1, node());
         m.start();
         m.step(); // the pilot starts and takes every task
         let list = &mut m.workers.get_mut(0).unwrap().placements;
@@ -3527,7 +3462,7 @@ mod tests {
             quarantine_threshold: Some(1),
             ..ResilienceConfig::default()
         });
-        let mut m = Master::new(cfg, hep_tasks(12), 2, node());
+        let mut m = Master::new(cfg, prepared(hep_tasks(12)), 2, node());
         m.start();
         m.step();
         m.step(); // both pilots up: eight tasks on worker 0, four on worker 1
@@ -3724,7 +3659,7 @@ mod tests {
             quarantine_threshold: Some(1),
             ..ResilienceConfig::default()
         });
-        let mut m = Master::new(cfg, hep_tasks(1), 1, node());
+        let mut m = Master::new(cfg, prepared(hep_tasks(1)), 1, node());
         m.handle_event(SimTime::ZERO, Event::WorkerUp { id: 0 });
         let full = m.free_cores;
         assert_eq!(full, 8);
@@ -3765,7 +3700,7 @@ mod tests {
         // (and therefore the labels) exactly, not re-pay exploration.
         let mut m = Master::new(
             MasterConfig::new(Strategy::Auto(AutoConfig::default())),
-            hep_tasks(4),
+            prepared(hep_tasks(4)),
             1,
             node(),
         );
@@ -3788,8 +3723,7 @@ mod tests {
         );
         let stats = m.allocator.snapshot_category("hep").expect("stats");
         let img = m.snapshot_image();
-        let dependents = Master::dependency_graph(&m.tasks);
-        m.restore_from_image(img, dependents, SimTime::ZERO);
+        m.restore_from_image(img, SimTime::ZERO);
         assert_eq!(
             m.allocator.snapshot_category("hep").expect("stats"),
             stats,
@@ -3930,7 +3864,7 @@ mod tests {
                 .with(FaultSpec::master_crash(40.0, 1))
                 .with(FaultSpec::worker_churn(60.0)),
         );
-        let mut m = Master::new(churned, hep_tasks(40), 4, node());
+        let mut m = Master::new(churned, prepared(hep_tasks(40)), 4, node());
         m.start();
         let mut before = m.ledger.clone();
         while m.master_crashes == 0 {
@@ -3947,7 +3881,7 @@ mod tests {
         // Everything about the run itself is gone.
         assert!(m.ledger.placements.is_empty() && m.ledger.results.is_empty());
         assert_eq!((m.ledger.completed, m.ledger.abandoned), (0, 0));
-        while m.ledger.completed < m.tasks.len() {
+        while m.ledger.completed < m.work.len() {
             m.step();
             assert!(
                 m.ledger.placements.keys().all(|&id| id >= fence),

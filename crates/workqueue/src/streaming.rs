@@ -41,9 +41,11 @@
 //! [`run_workload`]: crate::master::run_workload
 
 use crate::master::{Event, Master, MasterConfig, RunReport};
+use crate::prepared::PreparedWorkload;
 use crate::task::{TaskResult, TaskSpec};
 use lfm_simcluster::node::NodeSpec;
 use lfm_simcluster::time::SimTime;
+use std::sync::Arc;
 
 /// Why a [`MasterConfig`] cannot drive a streaming master. Unsupported
 /// configurations fail loudly at construction instead of quietly
@@ -97,7 +99,12 @@ impl StreamingMaster {
             });
         }
         Ok(StreamingMaster {
-            master: Master::new(config.clone(), Vec::new(), worker_count, spec),
+            master: Master::new(
+                config.clone(),
+                Arc::new(PreparedWorkload::new(Vec::new())),
+                worker_count,
+                spec,
+            ),
             started: false,
             results_cursor: 0,
             submitted: 0,
@@ -236,7 +243,6 @@ mod tests {
     use crate::task::TaskId;
     use lfm_monitor::sim::SimTaskProfile;
     use std::collections::BTreeMap;
-    use std::sync::Arc;
 
     fn node() -> NodeSpec {
         NodeSpec::new(8, 8192, 16384)
@@ -533,27 +539,27 @@ mod tests {
 
     #[test]
     fn submit_grows_the_masters_own_task_vector() {
-        // The task vector sits behind an `Arc` (federation shards share
-        // one). A streaming master is its vector's sole owner, so every
-        // admission appends in place — `Arc::make_mut` never copies —
-        // before and after a journaled crash recovery.
+        // The prepared workload sits behind an `Arc` (federation shards
+        // and sweep jobs share one). A streaming master is its table's sole
+        // owner, so every admission appends in place — `Arc::make_mut`
+        // never copies — before and after a journaled crash recovery.
         let cfg = MasterConfig::new(oracle())
             .with_seed(41)
             .with_durability(DurabilityConfig::journal_with_snapshots(200))
             .with_faults(FaultPlan::reliable().with(FaultSpec::master_crash(60.0, 3)));
         let mut sm = streaming(&cfg, 4);
-        assert!(sm.master.shared_tasks().is_empty());
+        assert!(sm.master.shared_work().is_empty());
         for wave in 0..10u64 {
             let at = SimTime::from_secs(wave as f64 * 3.0);
             sm.submit(at, invocations(6, wave * 6));
             sm.run_until(at);
-            assert_eq!(Arc::strong_count(sm.master.shared_tasks()), 1);
+            assert_eq!(Arc::strong_count(sm.master.shared_work()), 1);
         }
         sm.drain();
         assert!(sm.recoveries() > 0, "crash points never fired");
-        let tasks = sm.master.shared_tasks();
-        assert_eq!(Arc::strong_count(tasks), 1);
-        let ids: Vec<u64> = tasks.iter().map(|t| t.id.0).collect();
+        let work = sm.master.shared_work();
+        assert_eq!(Arc::strong_count(work), 1);
+        let ids: Vec<u64> = work.tasks().iter().map(|t| t.id.0).collect();
         assert_eq!(ids, (0..60).collect::<Vec<u64>>(), "admission order");
     }
 

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Verification gate: format, release build of the workspace and of the
-# out-of-workspace benchmark package, the full workspace test suite (tests/
-# and crates/bench are workspace members, so every named suite — scheduler
-# equivalence, chaos, federation, recovery, serving, telemetry — runs here,
-# once), the benchmark package's tests with a smoke of all six workloads,
-# then bench/doc/clippy. The workspace vendors all external dependencies
-# under vendor/, so everything runs with --offline (no registry, no network).
+# out-of-workspace benchmark package with a smoke *run* of all six of its
+# workloads, the full workspace test suite (tests/ and crates/bench are
+# workspace members, so every named suite — scheduler equivalence, chaos,
+# federation, recovery, serving, telemetry — runs here, once), the benchmark
+# package's tests, then bench/doc/clippy, and last `scripts/loc.sh`'s table.
+# The workspace vendors all external dependencies under vendor/, so
+# everything runs with --offline (no registry, no network).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,17 +16,11 @@ cargo fmt --all -- --check
 echo "==> cargo build --release"
 cargo build --release --offline
 
-# Outside the workspace, so nothing above or below compiles it; built here,
-# before the long test suite, because a product change that breaks it is
-# what the PR gate refuses first.
-echo "==> cargo build --release (benchmark package)"
+# Outside the workspace, so nothing above or below compiles it; built and
+# *run* here, before the long test suite, because a product change that
+# breaks a benchmark build or run is what the PR gate refuses first.
+echo "==> cargo build --release (benchmark package) and a smoke of every workload"
 cargo build --release --offline --manifest-path lfm_benchmark/Cargo.toml
-
-echo "==> cargo test -q"
-cargo test -q --offline
-
-echo "==> benchmark package: its tests and a smoke of every workload"
-cargo test --release --offline -q --manifest-path lfm_benchmark/Cargo.toml
 # Journal bytes per task on master_dag_chaos: 904 B with delta images (9.7 KB
 # while every compaction wrote the whole run so far). The ceiling is twice
 # that, so a term that grows with tasks² cannot come back unnoticed. Only
@@ -52,6 +47,12 @@ for w in master_batch master_dag_chaos federation_8shard serving_steady serving_
     fi
 done
 
+echo "==> cargo test -q"
+cargo test -q --offline
+
+echo "==> benchmark package: its tests"
+cargo test --release --offline -q --manifest-path lfm_benchmark/Cargo.toml
+
 echo "==> cargo bench --no-run"
 cargo bench --no-run --offline
 
@@ -60,5 +61,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace --quiet
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "==> scripts/loc.sh (production lines and pub items, for the PR log)"
+scripts/loc.sh
 
 echo "verify: OK"
