@@ -77,12 +77,14 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// Runtime token bucket for one tenant's [`RateQuota`].
-#[derive(Debug, Clone)]
+/// Runtime token bucket for one tenant's [`RateQuota`]. The fill, the
+/// refill clock and the (retargetable) rate are the bucket's whole mutable
+/// state; the gateway's state codec reads and writes them in place.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TokenBucket {
-    quota: RateQuota,
-    tokens: f64,
-    last_refill_secs: f64,
+    pub(crate) quota: RateQuota,
+    pub(crate) tokens: f64,
+    pub(crate) last_refill_secs: f64,
 }
 
 impl TokenBucket {
@@ -106,24 +108,6 @@ impl TokenBucket {
         } else {
             false
         }
-    }
-
-    /// Current fill and refill clock — the bucket's whole mutable state,
-    /// captured into the gateway journal image.
-    pub fn level(&self) -> (f64, f64) {
-        (self.tokens, self.last_refill_secs)
-    }
-
-    /// Restore state captured by [`TokenBucket::level`].
-    pub fn restore(&mut self, tokens: f64, last_refill_secs: f64) {
-        assert!(tokens >= 0.0 && tokens.is_finite(), "bad token level");
-        self.tokens = tokens.min(self.quota.burst);
-        self.last_refill_secs = last_refill_secs;
-    }
-
-    /// Effective refill rate, tokens per second.
-    pub fn rate_per_sec(&self) -> f64 {
-        self.quota.rate_per_sec
     }
 
     /// Retarget the refill rate (the control loop's quota-tightening
@@ -212,24 +196,25 @@ mod tests {
     }
 
     #[test]
-    fn bucket_level_round_trips_and_rate_retargets() {
+    fn set_rate_keeps_accrued_tokens() {
         let mut a = TokenBucket::new(RateQuota::new(2.0, 4.0));
         assert!(a.try_take(0.5));
         assert!(a.try_take(0.5));
-        let (tokens, at) = a.level();
-        let mut b = TokenBucket::new(RateQuota::new(2.0, 4.0));
-        b.restore(tokens, at);
-        assert_eq!(b.level(), a.level());
-        // Identical draws after restore.
-        for t in [1.0, 1.25, 1.5, 4.0] {
-            assert_eq!(a.try_take(t), b.try_take(t));
-            assert_eq!(a.level(), b.level());
-        }
         // Halving the rate halves the refill, not the accrued tokens.
-        let (before, _) = a.level();
+        let before = a.clone();
         a.set_rate(1.0);
-        assert_eq!(a.rate_per_sec(), 1.0);
-        assert_eq!(a.level().0, before);
+        assert_eq!(a.quota.rate_per_sec, 1.0);
+        assert_eq!((a.tokens, a.last_refill_secs), (2.0, 0.5));
+        // One second refills one token at the new rate (two at the old).
+        let (mut fast, mut slow) = (before, a);
+        for bucket in [&mut fast, &mut slow] {
+            for _ in 0..2 {
+                assert!(bucket.try_take(0.5));
+            }
+            assert!(!bucket.try_take(0.5));
+        }
+        assert!(fast.try_take(1.5) && fast.try_take(1.5));
+        assert!(slow.try_take(1.5) && !slow.try_take(1.5));
     }
 
     #[test]

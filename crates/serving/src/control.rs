@@ -151,10 +151,6 @@ impl ControlPolicy {
         }
     }
 
-    pub fn config(&self) -> &ControlConfig {
-        &self.config
-    }
-
     /// Feed one alert edge for `tenant` at `now_secs`; `rising` is true
     /// when the alert fired, false when it resolved. Returns what (if
     /// anything) changed — the caller applies the new knob values.

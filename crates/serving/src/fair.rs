@@ -18,17 +18,19 @@ use crate::tenant::{PriorityClass, TenantId};
 /// for distinct small weights stay distinct.
 const STRIDE_SCALE: u64 = 1 << 20;
 
-#[derive(Debug, Clone)]
-struct TenantSched {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct TenantSched {
     class: PriorityClass,
     stride: u64,
-    pass: u64,
+    /// The only mutable part: class and stride are pure configuration, so
+    /// the gateway's state codec carries the passes alone.
+    pub(crate) pass: u64,
 }
 
 /// Stride scheduler state over a fixed tenant set.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FairScheduler {
-    tenants: Vec<TenantSched>,
+    pub(crate) tenants: Vec<TenantSched>,
 }
 
 impl FairScheduler {
@@ -65,23 +67,6 @@ impl FairScheduler {
         let (_, _, idx) = best?;
         self.tenants[idx].pass += self.tenants[idx].stride;
         Some(TenantId(idx as u32))
-    }
-
-    /// Current pass values in tenant order — the scheduler's whole mutable
-    /// state, snapshotted into the gateway journal image so a recovered
-    /// gateway resumes the fair-share rotation where it stopped instead of
-    /// restarting every tenant at pass zero.
-    pub fn passes(&self) -> Vec<u64> {
-        self.tenants.iter().map(|t| t.pass).collect()
-    }
-
-    /// Restore pass values captured by [`FairScheduler::passes`]. Strides
-    /// and classes are pure configuration and are not part of the image.
-    pub fn restore_passes(&mut self, passes: &[u64]) {
-        assert_eq!(passes.len(), self.tenants.len(), "pass vector mismatch");
-        for (t, &p) in self.tenants.iter_mut().zip(passes) {
-            t.pass = p;
-        }
     }
 
     /// Reset a returning tenant's pass to the current minimum of its
@@ -167,22 +152,6 @@ mod tests {
             counts[&0].abs_diff(counts[&1]) <= 2,
             "banked credit: {counts:?}"
         );
-    }
-
-    #[test]
-    fn pass_snapshot_round_trips() {
-        let mut a =
-            FairScheduler::new(&[(PriorityClass::Standard, 1), (PriorityClass::Standard, 3)]);
-        for _ in 0..37 {
-            a.pick(|_| true);
-        }
-        let snap = a.passes();
-        let mut b =
-            FairScheduler::new(&[(PriorityClass::Standard, 1), (PriorityClass::Standard, 3)]);
-        b.restore_passes(&snap);
-        assert_eq!(b.passes(), snap);
-        // Restored scheduler continues the rotation identically.
-        assert_eq!(run_picks(&mut a, 100), run_picks(&mut b, 100));
     }
 
     #[test]

@@ -28,17 +28,23 @@
 //!
 //! ## Crash safety
 //!
+//! What a crash carries over is one private `GatewayState` — per-tenant
+//! queues, the in-flight match table, stride passes, token buckets, depth
+//! bounds, counters, `lost`, the warm pool — in the representation the
+//! tick loop works on. It is its own image: it encodes its borrowed fields
+//! and decodes over `GatewayState::fresh`, the one cold start that
+//! [`ServingGateway::new`], an unjournaled restart and the decoder share.
+//!
 //! With [`ServingConfig::with_durability`] the streaming master journals
-//! every admission, and the gateway rides the same journal: at each
-//! detected master crash it pushes its own state image — per-tenant
-//! admitted-but-undispatched queues, stride passes, token-bucket levels,
-//! warm-pool entries, and the in-flight match table — through the full
-//! encode → decode → restore path (`GatewayImage` internally), so a
-//! recovered gateway neither double-admits nor forgets an admission:
-//! `admitted == completed + failed + lost` holds with `lost == 0`.
-//! Without a journal a crash is a full restart — the master re-runs
-//! everything it had admitted, while the gateway's queues, bucket levels,
-//! warm instances, and in-flight matches are gone; the forgotten
+//! every admission and the gateway rides its crash points: at each one it
+//! encodes the state, decodes the bytes (corrupt input is a typed error,
+//! never a panic), requires decoded ≡ live and carries on from the decoded
+//! one, so `admitted == completed + failed + lost` holds with nothing lost
+//! to the crash. Recovery still restores from live memory at the crash
+//! instant: it proves the codec, not durability (the write-ahead half is
+//! ROADMAP item 1). Without a journal a crash is a full restart — the
+//! master re-runs everything it had admitted while the gateway is `fresh`
+//! again but for invocation ids, counters and `lost`; the forgotten
 //! invocations are counted in [`ServingReport::lost`] (the recovery
 //! bench's baseline) and the conservation invariant still balances.
 //!
@@ -59,7 +65,7 @@ use crate::control::{ControlConfig, ControlDecision, ControlPolicy};
 use crate::fair::FairScheduler;
 use crate::report::{AlertReport, ControlActionReport, LatencyStats, ServingReport, TenantReport};
 use crate::tenant::{TenantConfig, TenantId};
-use crate::warmpool::{WarmPool, WarmPoolConfig, WarmPoolImage};
+use crate::warmpool::{Entry, WarmPool, WarmPoolConfig};
 use lfm_funcx::container::{ActivationModel, ActivationTech};
 use lfm_funcx::registry::{FunctionId, FunctionRegistry};
 use lfm_funcx::service::FuncXService;
@@ -271,8 +277,8 @@ impl ServingConfig {
 
     /// Journal the serving run. The master logs every admission and
     /// recovers from injected crashes; the gateway rides the same crash
-    /// points, probing its own state image through the full encode →
-    /// decode → restore path so recovery loses nothing.
+    /// points, putting its state through its own codec (see the module
+    /// docs, "Crash safety") so recovery loses nothing.
     pub fn with_durability(mut self, durability: DurabilityConfig) -> Self {
         self.durability = durability;
         self
@@ -305,197 +311,15 @@ struct SloRuntime {
 }
 
 /// An admitted invocation waiting in its tenant queue.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Queued {
     invocation: u64,
     function: usize,
     arrival_secs: f64,
 }
 
-/// Serializable image of the gateway's whole mutable policy state,
-/// journaled alongside the master's own snapshot at each crash. Recovery
-/// probes the full encode → decode → restore path (not a memcpy), so the
-/// codec itself is under test on every crash: per-tenant admission
-/// queues, the in-flight match table, stride passes, token-bucket
-/// levels, effective depth bounds, accounting counters, and the warm
-/// pool all survive bitwise.
-#[derive(Debug, Clone, PartialEq)]
-struct GatewayImage {
-    next_invocation: u64,
-    lost: u64,
-    /// Per tenant: `(invocation, function, arrival_secs)` in queue order.
-    queues: Vec<Vec<(u64, usize, f64)>>,
-    /// `(invocation, tenant, arrival_secs, dispatch_secs, warm)`.
-    in_flight: Vec<(u64, u32, f64, f64, bool)>,
-    passes: Vec<u64>,
-    /// Per tenant: `(tokens, last_refill_secs, rate_per_sec)` if quota'd.
-    buckets: Vec<Option<(f64, f64, f64)>>,
-    depth_limit: Vec<u64>,
-    /// Per tenant, field order of [`TenantCounters`].
-    counters: Vec<[u64; 8]>,
-    pool: WarmPoolImage,
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-struct ImageReader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl ImageReader<'_> {
-    fn u64(&mut self) -> Option<u64> {
-        let end = self.at.checked_add(8)?;
-        let v = u64::from_le_bytes(self.bytes.get(self.at..end)?.try_into().ok()?);
-        self.at = end;
-        Some(v)
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-
-    fn len(&mut self) -> Option<usize> {
-        usize::try_from(self.u64()?).ok().filter(|&n| n <= 1 << 32)
-    }
-}
-
-impl GatewayImage {
-    fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        put_u64(&mut buf, self.next_invocation);
-        put_u64(&mut buf, self.lost);
-        put_u64(&mut buf, self.queues.len() as u64);
-        for q in &self.queues {
-            put_u64(&mut buf, q.len() as u64);
-            for &(inv, function, arrival) in q {
-                put_u64(&mut buf, inv);
-                put_u64(&mut buf, function as u64);
-                put_f64(&mut buf, arrival);
-            }
-        }
-        put_u64(&mut buf, self.in_flight.len() as u64);
-        for &(inv, tenant, arrival, dispatch, warm) in &self.in_flight {
-            put_u64(&mut buf, inv);
-            put_u64(&mut buf, tenant as u64);
-            put_f64(&mut buf, arrival);
-            put_f64(&mut buf, dispatch);
-            put_u64(&mut buf, warm as u64);
-        }
-        put_u64(&mut buf, self.passes.len() as u64);
-        for &p in &self.passes {
-            put_u64(&mut buf, p);
-        }
-        put_u64(&mut buf, self.buckets.len() as u64);
-        for b in &self.buckets {
-            match b {
-                Some((tokens, at, rate)) => {
-                    put_u64(&mut buf, 1);
-                    put_f64(&mut buf, *tokens);
-                    put_f64(&mut buf, *at);
-                    put_f64(&mut buf, *rate);
-                }
-                None => put_u64(&mut buf, 0),
-            }
-        }
-        put_u64(&mut buf, self.depth_limit.len() as u64);
-        for &d in &self.depth_limit {
-            put_u64(&mut buf, d);
-        }
-        put_u64(&mut buf, self.counters.len() as u64);
-        for c in &self.counters {
-            for &v in c {
-                put_u64(&mut buf, v);
-            }
-        }
-        put_u64(&mut buf, self.pool.entries.len() as u64);
-        for &(id, function, last_used) in &self.pool.entries {
-            put_u64(&mut buf, id);
-            put_u64(&mut buf, function as u64);
-            put_f64(&mut buf, last_used);
-        }
-        put_u64(&mut buf, self.pool.next_id);
-        put_u64(&mut buf, self.pool.capacity as u64);
-        put_u64(&mut buf, self.pool.hits);
-        put_u64(&mut buf, self.pool.misses);
-        put_u64(&mut buf, self.pool.expirations);
-        buf
-    }
-
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut r = ImageReader { bytes, at: 0 };
-        let next_invocation = r.u64()?;
-        let lost = r.u64()?;
-        let tenant_count = r.len()?;
-        let mut queues = Vec::new();
-        for _ in 0..tenant_count {
-            let mut q = Vec::new();
-            for _ in 0..r.len()? {
-                q.push((r.u64()?, r.u64()? as usize, r.f64()?));
-            }
-            queues.push(q);
-        }
-        let mut in_flight = Vec::new();
-        for _ in 0..r.len()? {
-            in_flight.push((r.u64()?, r.u64()? as u32, r.f64()?, r.f64()?, r.u64()? != 0));
-        }
-        let mut passes = Vec::new();
-        for _ in 0..r.len()? {
-            passes.push(r.u64()?);
-        }
-        let mut buckets = Vec::new();
-        for _ in 0..r.len()? {
-            buckets.push(match r.u64()? {
-                0 => None,
-                _ => Some((r.f64()?, r.f64()?, r.f64()?)),
-            });
-        }
-        let mut depth_limit = Vec::new();
-        for _ in 0..r.len()? {
-            depth_limit.push(r.u64()?);
-        }
-        let mut counters = Vec::new();
-        for _ in 0..r.len()? {
-            let mut c = [0u64; 8];
-            for v in &mut c {
-                *v = r.u64()?;
-            }
-            counters.push(c);
-        }
-        let mut entries = Vec::new();
-        for _ in 0..r.len()? {
-            entries.push((r.u64()?, r.u64()? as usize, r.f64()?));
-        }
-        let pool = WarmPoolImage {
-            entries,
-            next_id: r.u64()?,
-            capacity: r.u64()? as usize,
-            hits: r.u64()?,
-            misses: r.u64()?,
-            expirations: r.u64()?,
-        };
-        (r.at == bytes.len()).then_some(GatewayImage {
-            next_invocation,
-            lost,
-            queues,
-            in_flight,
-            passes,
-            buckets,
-            depth_limit,
-            counters,
-            pool,
-        })
-    }
-}
-
 /// Everything known about a dispatched invocation until it completes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct InFlight {
     tenant: u32,
     arrival_secs: f64,
@@ -504,7 +328,7 @@ struct InFlight {
 }
 
 /// Per-tenant accounting counters.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct TenantCounters {
     offered: u64,
     admitted: u64,
@@ -516,6 +340,251 @@ struct TenantCounters {
     dispatched_steady: u64,
     completed: u64,
     failed: u64,
+}
+
+/// The gateway's journaled policy state (module docs, "Crash safety"):
+/// [`ServingGateway`] owns one and reaches these fields nowhere else.
+#[derive(Debug, Clone, PartialEq)]
+struct GatewayState {
+    next_invocation: u64,
+    /// Admitted invocations dropped before completion: forgotten by an
+    /// unjournaled crash restart, or trimmed by a control-loop tighten.
+    lost: u64,
+    /// Per tenant, admitted and not yet dispatched, in arrival order.
+    queues: Vec<VecDeque<Queued>>,
+    /// Dispatched and not yet terminal, by invocation.
+    in_flight: BTreeMap<u64, InFlight>,
+    sched: FairScheduler,
+    buckets: Vec<Option<TokenBucket>>,
+    /// Effective per-tenant depth bound (config baseline unless the
+    /// control loop tightened it).
+    depth_limit: Vec<usize>,
+    counters: Vec<TenantCounters>,
+    pool: WarmPool,
+}
+
+/// Why bytes are not the image of a state of this gateway.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StateError {
+    /// Ran out of bytes mid-field.
+    Truncated,
+    /// The named field does not fit the gateway the bytes are decoded for.
+    Inconsistent(&'static str),
+}
+
+fn fits(ok: bool, field: &'static str) -> Result<(), StateError> {
+    ok.then_some(()).ok_or(StateError::Inconsistent(field))
+}
+
+fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_f64(buf: &mut Vec<u8>, v: f64) {
+    put_u64(buf, v.to_bits());
+}
+
+/// The bytes of an image not yet read.
+struct StateReader<'a>(&'a [u8]);
+
+impl StateReader<'_> {
+    fn u64(&mut self) -> Result<u64, StateError> {
+        let (word, rest) = self.0.split_first_chunk().ok_or(StateError::Truncated)?;
+        self.0 = rest;
+        Ok(u64::from_le_bytes(*word))
+    }
+
+    fn f64(&mut self) -> Result<f64, StateError> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// An index, a bound or a length prefix. Nothing is allocated from a
+    /// length: the caller reads that many entries, each at least one word,
+    /// and runs out of bytes first if the prefix lied.
+    fn usize(&mut self) -> Result<usize, StateError> {
+        usize::try_from(self.u64()?).map_err(|_| StateError::Inconsistent("word above usize"))
+    }
+}
+
+impl GatewayState {
+    /// The cold start. Nothing else builds the gateway's scheduler,
+    /// buckets, depth bounds or warm pool.
+    fn fresh(config: &ServingConfig, tenants: &[TenantConfig]) -> Self {
+        let classes: Vec<_> = tenants.iter().map(|t| (t.class, t.weight)).collect();
+        GatewayState {
+            next_invocation: 0,
+            lost: 0,
+            queues: vec![VecDeque::new(); tenants.len()],
+            in_flight: BTreeMap::new(),
+            sched: FairScheduler::new(&classes),
+            buckets: tenants
+                .iter()
+                .map(|t| t.quota.map(TokenBucket::new))
+                .collect(),
+            depth_limit: tenants.iter().map(|t| t.max_queue_depth).collect(),
+            counters: vec![TenantCounters::default(); tenants.len()],
+            pool: WarmPool::new(config.warm_pool),
+        }
+    }
+
+    /// The state's image, length-prefixed little-endian words (pinned by
+    /// `gateway_image_layout_is_pinned`). Strides, classes, burst and TTL
+    /// are configuration: not written, they come back from `fresh`.
+    fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_u64(&mut buf, self.next_invocation);
+        put_u64(&mut buf, self.lost);
+        put_u64(&mut buf, self.queues.len() as u64);
+        for q in &self.queues {
+            put_u64(&mut buf, q.len() as u64);
+            for e in q {
+                put_u64(&mut buf, e.invocation);
+                put_u64(&mut buf, e.function as u64);
+                put_f64(&mut buf, e.arrival_secs);
+            }
+        }
+        put_u64(&mut buf, self.in_flight.len() as u64);
+        for (&invocation, f) in &self.in_flight {
+            put_u64(&mut buf, invocation);
+            put_u64(&mut buf, f.tenant as u64);
+            put_f64(&mut buf, f.arrival_secs);
+            put_f64(&mut buf, f.dispatch_secs);
+            put_u64(&mut buf, f.warm as u64);
+        }
+        put_u64(&mut buf, self.sched.tenants.len() as u64);
+        for t in &self.sched.tenants {
+            put_u64(&mut buf, t.pass);
+        }
+        put_u64(&mut buf, self.buckets.len() as u64);
+        for b in &self.buckets {
+            match b {
+                Some(b) => {
+                    put_u64(&mut buf, 1);
+                    put_f64(&mut buf, b.tokens);
+                    put_f64(&mut buf, b.last_refill_secs);
+                    put_f64(&mut buf, b.quota.rate_per_sec);
+                }
+                None => put_u64(&mut buf, 0),
+            }
+        }
+        put_u64(&mut buf, self.depth_limit.len() as u64);
+        for &d in &self.depth_limit {
+            put_u64(&mut buf, d as u64);
+        }
+        put_u64(&mut buf, self.counters.len() as u64);
+        for c in &self.counters {
+            for v in [
+                c.offered,
+                c.admitted,
+                c.rejected_rate,
+                c.rejected_queue_full,
+                c.shed,
+                c.dispatched_steady,
+                c.completed,
+                c.failed,
+            ] {
+                put_u64(&mut buf, v);
+            }
+        }
+        put_u64(&mut buf, self.pool.entries.len() as u64);
+        for (&id, e) in &self.pool.entries {
+            put_u64(&mut buf, id);
+            put_u64(&mut buf, e.function as u64);
+            put_f64(&mut buf, e.last_used_secs);
+        }
+        put_u64(&mut buf, self.pool.next_id);
+        put_u64(&mut buf, self.pool.config.capacity as u64);
+        put_u64(&mut buf, self.pool.hits);
+        put_u64(&mut buf, self.pool.misses);
+        put_u64(&mut buf, self.pool.expirations);
+        buf
+    }
+
+    /// Read an image back over `fresh`, the cold start of the gateway the
+    /// bytes claim to describe (`functions`: the size of its function
+    /// table). Whatever the gateway would index with or assert on is
+    /// checked here, so corrupt input is an error and never a later panic.
+    fn decode(bytes: &[u8], fresh: GatewayState, functions: usize) -> Result<Self, StateError> {
+        let mut state = fresh;
+        let tenants = state.queues.len();
+        let mut r = StateReader(bytes);
+        state.next_invocation = r.u64()?;
+        state.lost = r.u64()?;
+        fits(r.usize()? == tenants, "queue count")?;
+        for q in &mut state.queues {
+            for _ in 0..r.usize()? {
+                let (invocation, function, arrival_secs) = (r.u64()?, r.usize()?, r.f64()?);
+                fits(function < functions, "queued function")?;
+                q.push_back(Queued {
+                    invocation,
+                    function,
+                    arrival_secs,
+                });
+            }
+        }
+        for _ in 0..r.usize()? {
+            let (invocation, tenant) = (r.u64()?, r.usize()?);
+            fits(tenant < tenants, "in-flight tenant")?;
+            let entry = InFlight {
+                tenant: tenant as u32,
+                arrival_secs: r.f64()?,
+                dispatch_secs: r.f64()?,
+                warm: r.u64()? != 0,
+            };
+            // A repeat would silently drop an entry.
+            let repeat = state.in_flight.insert(invocation, entry);
+            fits(repeat.is_none(), "repeated in-flight invocation")?;
+        }
+        fits(r.usize()? == tenants, "pass count")?;
+        for t in &mut state.sched.tenants {
+            t.pass = r.u64()?;
+        }
+        fits(r.usize()? == tenants, "bucket count")?;
+        for bucket in &mut state.buckets {
+            fits((r.u64()? != 0) == bucket.is_some(), "bucket presence")?;
+            if let Some(b) = bucket {
+                (b.tokens, b.last_refill_secs, b.quota.rate_per_sec) =
+                    (r.f64()?, r.f64()?, r.f64()?);
+                // Both written so that a NaN fails them.
+                fits((0.0..=b.quota.burst).contains(&b.tokens), "token level")?;
+                let rate = b.quota.rate_per_sec;
+                fits(rate > 0.0 && rate.is_finite(), "quota rate")?;
+            }
+        }
+        fits(r.usize()? == tenants, "depth-limit count")?;
+        for d in &mut state.depth_limit {
+            *d = r.usize()?;
+        }
+        fits(r.usize()? == tenants, "counter count")?;
+        for c in &mut state.counters {
+            *c = TenantCounters {
+                offered: r.u64()?,
+                admitted: r.u64()?,
+                rejected_rate: r.u64()?,
+                rejected_queue_full: r.u64()?,
+                shed: r.u64()?,
+                dispatched_steady: r.u64()?,
+                completed: r.u64()?,
+                failed: r.u64()?,
+            };
+        }
+        for _ in 0..r.usize()? {
+            let id = r.u64()?;
+            let entry = Entry {
+                function: r.usize()?,
+                last_used_secs: r.f64()?,
+            };
+            let repeat = state.pool.entries.insert(id, entry);
+            fits(repeat.is_none(), "repeated warm instance")?;
+        }
+        state.pool.next_id = r.u64()?;
+        state.pool.config.capacity = r.usize()?;
+        state.pool.hits = r.u64()?;
+        state.pool.misses = r.u64()?;
+        state.pool.expirations = r.u64()?;
+        fits(r.0.is_empty(), "trailing bytes")?;
+        Ok(state)
+    }
 }
 
 /// Per-tenant pre-interned telemetry names. The admission path runs once
@@ -569,17 +638,12 @@ pub struct ServingGateway {
     functions: Vec<ServingFunction>,
     tenants: Vec<TenantConfig>,
     master: StreamingMaster,
-    sched: FairScheduler,
-    pool: WarmPool,
+    /// Everything a journaled crash carries over; see [`GatewayState`].
+    state: GatewayState,
     arrivals: Vec<ArrivalProcess>,
     /// Peeked next arrival per tenant (for the global merge).
     next_arrival: Vec<f64>,
-    buckets: Vec<Option<TokenBucket>>,
-    queues: Vec<VecDeque<Queued>>,
     overhead_rng: SimRng,
-    in_flight: BTreeMap<u64, InFlight>,
-    next_invocation: u64,
-    counters: Vec<TenantCounters>,
     tel_keys: Vec<TenantTelKeys>,
     latency: SparseHistogram,
     queue_wait: SparseHistogram,
@@ -587,9 +651,6 @@ pub struct ServingGateway {
     batches_submitted: u64,
     in_steady_phase: bool,
     slo_rt: Option<SloRuntime>,
-    /// Effective per-tenant depth bound (config baseline unless the
-    /// control loop tightened it).
-    depth_limit: Vec<usize>,
     control: Option<ControlPolicy>,
     control_log: Vec<ControlActionReport>,
     /// Per-tenant count of alert windows currently raised (rising edges
@@ -600,9 +661,6 @@ pub struct ServingGateway {
     seen_crashes: u32,
     gateway_recoveries: u32,
     gateway_journal_bytes: u64,
-    /// Admitted invocations dropped before completion: forgotten by an
-    /// unjournaled crash restart, or trimmed by a control-loop tighten.
-    lost: u64,
 }
 
 impl ServingGateway {
@@ -647,12 +705,6 @@ impl ServingGateway {
             .with_faults(config.faults.clone());
         let master = StreamingMaster::new(&master_cfg, config.workers, config.node)
             .expect("single-shard streaming config");
-        let sched = FairScheduler::new(
-            &tenants
-                .iter()
-                .map(|t| (t.class, t.weight))
-                .collect::<Vec<_>>(),
-        );
         let mut arrivals = Vec::with_capacity(tenants.len());
         let mut next_arrival = Vec::with_capacity(tenants.len());
         for (i, t) in tenants.iter().enumerate() {
@@ -664,34 +716,22 @@ impl ServingGateway {
             next_arrival.push(p.next_arrival().as_secs());
             arrivals.push(p);
         }
-        let buckets = tenants
-            .iter()
-            .map(|t| t.quota.map(TokenBucket::new))
-            .collect();
-        let pool = WarmPool::new(config.warm_pool);
         let tel_keys = tenants
             .iter()
             .map(|t| TenantTelKeys::new(&t.name))
             .collect();
         let overhead_rng = SimRng::seeded(config.seed).fork(0xac71_7a7e);
         let n = tenants.len();
-        let depth_limit = tenants.iter().map(|t| t.max_queue_depth).collect();
         let control = config.control.map(|c| ControlPolicy::new(c, n));
         ServingGateway {
+            state: GatewayState::fresh(&config, &tenants),
             config,
             functions,
             tenants,
             master,
-            sched,
-            pool,
             arrivals,
             next_arrival,
-            buckets,
-            queues: vec![VecDeque::new(); n],
             overhead_rng,
-            in_flight: BTreeMap::new(),
-            next_invocation: 0,
-            counters: vec![TenantCounters::default(); n],
             tel_keys,
             latency: SparseHistogram::new(),
             queue_wait: SparseHistogram::new(),
@@ -699,19 +739,17 @@ impl ServingGateway {
             batches_submitted: 0,
             in_steady_phase: true,
             slo_rt,
-            depth_limit,
             control,
             control_log: Vec::new(),
             alert_raised: vec![0; n],
             seen_crashes: 0,
             gateway_recoveries: 0,
             gateway_journal_bytes: 0,
-            lost: 0,
         }
     }
 
     fn total_queued(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.state.queues.iter().map(VecDeque::len).sum()
     }
 
     /// Accept every arrival strictly before `until_secs`, merging tenant
@@ -731,48 +769,48 @@ impl ServingGateway {
     }
 
     fn on_arrival(&mut self, tenant: usize, at_secs: f64) {
-        self.counters[tenant].offered += 1;
+        self.state.counters[tenant].offered += 1;
         let total_depth = self.total_queued();
         let outcome = admit(
             &self.config.admission,
             at_secs,
-            self.queues[tenant].len(),
-            self.depth_limit[tenant],
+            self.state.queues[tenant].len(),
+            self.state.depth_limit[tenant],
             total_depth,
-            self.buckets[tenant].as_mut(),
+            self.state.buckets[tenant].as_mut(),
         );
         let at = SimTime::from_secs(at_secs);
         match outcome {
             AdmissionOutcome::Admitted => {
-                self.counters[tenant].admitted += 1;
+                self.state.counters[tenant].admitted += 1;
                 self.config
                     .telemetry
                     .counter_at_key(self.tel_keys[tenant].admitted, 1, at);
-                let was_empty = self.queues[tenant].is_empty();
-                self.queues[tenant].push_back(Queued {
-                    invocation: self.next_invocation,
+                let was_empty = self.state.queues[tenant].is_empty();
+                self.state.queues[tenant].push_back(Queued {
+                    invocation: self.state.next_invocation,
                     function: self.tenants[tenant].function,
                     arrival_secs: at_secs,
                 });
-                self.next_invocation += 1;
+                self.state.next_invocation += 1;
                 if was_empty {
-                    self.sched.on_tenant_active(TenantId(tenant as u32));
+                    self.state.sched.on_tenant_active(TenantId(tenant as u32));
                 }
             }
             AdmissionOutcome::RejectedRate => {
-                self.counters[tenant].rejected_rate += 1;
+                self.state.counters[tenant].rejected_rate += 1;
                 self.config
                     .telemetry
                     .counter_at_key(self.tel_keys[tenant].rejected, 1, at);
             }
             AdmissionOutcome::RejectedQueueFull => {
-                self.counters[tenant].rejected_queue_full += 1;
+                self.state.counters[tenant].rejected_queue_full += 1;
                 self.config
                     .telemetry
                     .counter_at_key(self.tel_keys[tenant].rejected, 1, at);
             }
             AdmissionOutcome::ShedOverload => {
-                self.counters[tenant].shed += 1;
+                self.state.counters[tenant].shed += 1;
                 self.config
                     .telemetry
                     .counter_at_key(self.tel_keys[tenant].shed, 1, at);
@@ -790,15 +828,18 @@ impl ServingGateway {
             .saturating_sub(outstanding)
             .min(self.config.batch_max);
         let mut batch = Vec::new();
+        let state = &mut self.state;
         while budget > 0 {
-            let queues = &self.queues;
-            let Some(tid) = self.sched.pick(|id| !queues[id.0 as usize].is_empty()) else {
+            let queues = &state.queues;
+            let Some(tid) = state.sched.pick(|id| !queues[id.0 as usize].is_empty()) else {
                 break;
             };
             let tenant = tid.0 as usize;
-            let q = self.queues[tenant].pop_front().expect("picked empty queue");
+            let q = state.queues[tenant]
+                .pop_front()
+                .expect("picked empty queue");
             let f = &self.functions[q.function];
-            let warm = self.pool.acquire(q.function, now_secs);
+            let warm = state.pool.acquire(q.function, now_secs);
             let overhead = if warm {
                 f.activation.sample_warm(&mut self.overhead_rng)
             } else {
@@ -816,7 +857,7 @@ impl ServingGateway {
                 4 << 10,
                 profile,
             ));
-            self.in_flight.insert(
+            state.in_flight.insert(
                 q.invocation,
                 InFlight {
                     tenant: tid.0,
@@ -826,7 +867,7 @@ impl ServingGateway {
                 },
             );
             if self.in_steady_phase {
-                self.counters[tenant].dispatched_steady += 1;
+                state.counters[tenant].dispatched_steady += 1;
             }
             budget -= 1;
         }
@@ -839,14 +880,14 @@ impl ServingGateway {
     /// Match newly-terminal master results back to invocations.
     fn collect(&mut self) {
         for result in self.master.take_new_results() {
-            let Some(inv) = self.in_flight.remove(&result.task.0) else {
+            let Some(inv) = self.state.in_flight.remove(&result.task.0) else {
                 // Retried attempt already accounted on its terminal record.
                 continue;
             };
             let tenant = inv.tenant as usize;
             let finish = result.finished_at.as_secs();
             if result.outcome.is_success() {
-                self.counters[tenant].completed += 1;
+                self.state.counters[tenant].completed += 1;
                 let latency = finish - inv.arrival_secs;
                 let wait = inv.dispatch_secs - inv.arrival_secs;
                 self.latency.record(latency);
@@ -870,7 +911,7 @@ impl ServingGateway {
                     .attr_key(stk().a_warm, u64::from(inv.warm))
                     .emit();
             } else {
-                self.counters[tenant].failed += 1;
+                self.state.counters[tenant].failed += 1;
             }
         }
     }
@@ -879,7 +920,7 @@ impl ServingGateway {
         if !self.config.telemetry.is_enabled() {
             return;
         }
-        for (i, q) in self.queues.iter().enumerate() {
+        for (i, q) in self.state.queues.iter().enumerate() {
             self.config.telemetry.gauge_key(
                 self.tel_keys[i].queue_depth,
                 q.len() as f64,
@@ -902,122 +943,17 @@ impl ServingGateway {
         rt.monitor.evaluate(now_secs);
     }
 
-    /// Capture the gateway's whole mutable policy state.
-    fn snapshot_image(&self) -> GatewayImage {
-        GatewayImage {
-            next_invocation: self.next_invocation,
-            lost: self.lost,
-            queues: self
-                .queues
-                .iter()
-                .map(|q| {
-                    q.iter()
-                        .map(|e| (e.invocation, e.function, e.arrival_secs))
-                        .collect()
-                })
-                .collect(),
-            in_flight: self
-                .in_flight
-                .iter()
-                .map(|(&inv, f)| (inv, f.tenant, f.arrival_secs, f.dispatch_secs, f.warm))
-                .collect(),
-            passes: self.sched.passes(),
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| {
-                    b.as_ref().map(|b| {
-                        let (tokens, at) = b.level();
-                        (tokens, at, b.rate_per_sec())
-                    })
-                })
-                .collect(),
-            depth_limit: self.depth_limit.iter().map(|&d| d as u64).collect(),
-            counters: self
-                .counters
-                .iter()
-                .map(|c| {
-                    [
-                        c.offered,
-                        c.admitted,
-                        c.rejected_rate,
-                        c.rejected_queue_full,
-                        c.shed,
-                        c.dispatched_steady,
-                        c.completed,
-                        c.failed,
-                    ]
-                })
-                .collect(),
-            pool: self.pool.snapshot(),
-        }
-    }
-
-    /// Rebuild live state from a decoded image.
-    fn restore_image(&mut self, image: &GatewayImage) {
-        self.next_invocation = image.next_invocation;
-        self.lost = image.lost;
-        self.queues = image
-            .queues
-            .iter()
-            .map(|q| {
-                q.iter()
-                    .map(|&(invocation, function, arrival_secs)| Queued {
-                        invocation,
-                        function,
-                        arrival_secs,
-                    })
-                    .collect()
-            })
-            .collect();
-        self.in_flight = image
-            .in_flight
-            .iter()
-            .map(|&(inv, tenant, arrival_secs, dispatch_secs, warm)| {
-                (
-                    inv,
-                    InFlight {
-                        tenant,
-                        arrival_secs,
-                        dispatch_secs,
-                        warm,
-                    },
-                )
-            })
-            .collect();
-        self.sched.restore_passes(&image.passes);
-        for (bucket, level) in self.buckets.iter_mut().zip(&image.buckets) {
-            if let (Some(bucket), Some(&(tokens, at, rate))) = (bucket.as_mut(), level.as_ref()) {
-                bucket.set_rate(rate);
-                bucket.restore(tokens, at);
-            }
-        }
-        self.depth_limit = image.depth_limit.iter().map(|&d| d as usize).collect();
-        for (c, img) in self.counters.iter_mut().zip(&image.counters) {
-            *c = TenantCounters {
-                offered: img[0],
-                admitted: img[1],
-                rejected_rate: img[2],
-                rejected_queue_full: img[3],
-                shed: img[4],
-                dispatched_steady: img[5],
-                completed: img[6],
-                failed: img[7],
-            };
-        }
-        self.pool.restore(&image.pool);
-    }
-
-    /// Durable recovery: push the live state through the full snapshot →
-    /// encode → decode → restore path and require bitwise identity, so
-    /// every injected crash also proves the image codec is lossless.
+    /// Durable recovery: the state goes through its own codec — encode,
+    /// decode over a cold start, require equality, replace — so every
+    /// injected crash also proves the image is lossless. What is encoded is
+    /// still live memory at the crash instant, not bytes written before it.
     fn recover_from_journal(&mut self) {
-        let image = self.snapshot_image();
-        let bytes = image.encode();
-        let decoded = GatewayImage::decode(&bytes).expect("gateway image decode");
-        assert_eq!(decoded, image, "gateway image must round-trip bitwise");
-        self.restore_image(&decoded);
-        debug_assert_eq!(self.snapshot_image(), image, "restore must be lossless");
+        let bytes = self.state.encode();
+        let fresh = GatewayState::fresh(&self.config, &self.tenants);
+        let decoded = GatewayState::decode(&bytes, fresh, self.functions.len())
+            .expect("the gateway's own image decodes");
+        assert_eq!(decoded, self.state, "gateway state must round-trip");
+        self.state = decoded;
         self.gateway_journal_bytes += bytes.len() as u64;
         self.gateway_recoveries += 1;
     }
@@ -1026,28 +962,19 @@ impl ServingGateway {
     /// Admitted-but-incomplete invocations are forgotten (counted in
     /// `lost`; the master's own full restart re-runs whatever it had
     /// accepted, but the gateway can no longer match those results), and
-    /// every policy structure cold-starts.
+    /// every policy structure cold-starts. Invocation ids keep counting (a
+    /// re-run task must never share one with a new admission) and the
+    /// report still owes what was counted before the crash.
     fn full_restart(&mut self) {
-        let mut lost = 0u64;
-        for q in &mut self.queues {
-            lost += q.len() as u64;
-            q.clear();
-        }
-        lost += self.in_flight.len() as u64;
-        self.in_flight.clear();
-        self.lost += lost;
-        self.buckets = self
-            .tenants
-            .iter()
-            .map(|t| t.quota.map(TokenBucket::new))
-            .collect();
-        self.sched.restore_passes(&vec![0; self.tenants.len()]);
-        self.pool = WarmPool::new(self.config.warm_pool);
-        self.depth_limit = self.tenants.iter().map(|t| t.max_queue_depth).collect();
-        if let Some(policy) = self.control.as_mut() {
-            let cfg = *policy.config();
-            *policy = ControlPolicy::new(cfg, self.tenants.len());
-        }
+        let forgotten = self.total_queued() + self.state.in_flight.len();
+        self.state = GatewayState {
+            next_invocation: self.state.next_invocation,
+            lost: self.state.lost + forgotten as u64,
+            counters: std::mem::take(&mut self.state.counters),
+            ..GatewayState::fresh(&self.config, &self.tenants)
+        };
+        let tenants = self.tenants.len();
+        self.control = self.config.control.map(|c| ControlPolicy::new(c, tenants));
     }
 
     /// React to master crashes that fired since the last tick.
@@ -1108,26 +1035,26 @@ impl ServingGateway {
             ControlDecision::Hold => return,
         };
         let depth = policy.depth_for(tenant, self.tenants[tenant].max_queue_depth);
-        self.depth_limit[tenant] = depth;
+        self.state.depth_limit[tenant] = depth;
         let quota_rate = self.tenants[tenant].quota.map(|q| {
             let rate = policy.rate_for(tenant, q.rate_per_sec);
-            if let Some(bucket) = self.buckets[tenant].as_mut() {
+            if let Some(bucket) = self.state.buckets[tenant].as_mut() {
                 bucket.set_rate(rate);
             }
             rate
         });
         let pool_capacity = policy.pool_capacity(self.config.warm_pool.capacity);
-        self.pool.set_capacity(pool_capacity);
+        self.state.pool.set_capacity(pool_capacity);
         // Staged degradation: a tighten sheds the over-bound backlog
         // now instead of serving it at unbounded latency. Oldest first:
         // those entries carry the largest accrued wait (the SLO is
         // already burned on them), so the survivors are the freshest.
         let mut trimmed = 0u64;
-        while self.queues[tenant].len() > depth {
-            self.queues[tenant].pop_front();
+        while self.state.queues[tenant].len() > depth {
+            self.state.queues[tenant].pop_front();
             trimmed += 1;
         }
-        self.lost += trimmed;
+        self.state.lost += trimmed;
         self.control_log.push(ControlActionReport {
             at_secs: now_secs,
             tenant: self.tenants[tenant].name.clone(),
@@ -1147,7 +1074,7 @@ impl ServingGateway {
         self.master.run_until(SimTime::from_secs(t_end));
         self.handle_crashes();
         self.collect();
-        self.pool.expire(t_end);
+        self.state.pool.expire(t_end);
         self.dispatch(t_end);
         self.emit_queue_gauges(t_end);
         self.observe_slo(t_end);
@@ -1172,13 +1099,14 @@ impl ServingGateway {
         // work — an unjournaled restart re-runs tasks whose invocations
         // the gateway already wrote off, and those must still finish.
         loop {
-            let admitted: u64 = self.counters.iter().map(|c| c.admitted).sum();
+            let admitted: u64 = self.state.counters.iter().map(|c| c.admitted).sum();
             let done: u64 = self
+                .state
                 .counters
                 .iter()
                 .map(|c| c.completed + c.failed)
                 .sum::<u64>()
-                + self.lost;
+                + self.state.lost;
             if done >= admitted && self.master.completed() >= self.master.submitted() {
                 break;
             }
@@ -1221,7 +1149,7 @@ impl ServingGateway {
         let tenants: Vec<TenantReport> = self
             .tenants
             .iter()
-            .zip(&self.counters)
+            .zip(&self.state.counters)
             .zip(&self.tenant_latency)
             .map(|((cfg, c), hist)| TenantReport {
                 name: cfg.name.clone(),
@@ -1238,7 +1166,7 @@ impl ServingGateway {
                 latency: LatencyStats::from_histogram(hist),
             })
             .collect();
-        let totals = |f: fn(&TenantCounters) -> u64| self.counters.iter().map(f).sum::<u64>();
+        let totals = |f: fn(&TenantCounters) -> u64| self.state.counters.iter().map(f).sum::<u64>();
         let master_crashes = self.master.crashes();
         let master_recoveries = self.master.recoveries();
         let journal_bytes = self.master.journal_bytes() + self.gateway_journal_bytes;
@@ -1256,10 +1184,10 @@ impl ServingGateway {
             failed: totals(|c| c.failed),
             latency: LatencyStats::from_histogram(&self.latency),
             queue_wait: LatencyStats::from_histogram(&self.queue_wait),
-            warm_hits: self.pool.hits(),
-            warm_misses: self.pool.misses(),
-            warm_hit_rate: self.pool.hit_rate(),
-            warm_expirations: self.pool.expirations(),
+            warm_hits: self.state.pool.hits(),
+            warm_misses: self.state.pool.misses(),
+            warm_hit_rate: self.state.pool.hit_rate(),
+            warm_expirations: self.state.pool.expirations(),
             batches_submitted: self.batches_submitted,
             master_makespan_secs: report.makespan_secs,
             master_cache_hits: report.cache_hits,
@@ -1269,7 +1197,7 @@ impl ServingGateway {
             master_recoveries,
             gateway_recoveries: self.gateway_recoveries,
             journal_bytes,
-            lost: self.lost,
+            lost: self.state.lost,
             alerts,
             control_actions: self.control_log,
             tenants,
@@ -1700,6 +1628,313 @@ mod tests {
         let cfg = base_config().with_control(ControlConfig::new());
         ServingGateway::new(cfg, vec![fast_fn()], one_tenant(1.0));
     }
+
+    /// The gateway [`pinned_state`] is a state of: two tenants over two
+    /// functions, the second tenant quota'd.
+    fn pinned_gateway() -> (ServingConfig, Vec<TenantConfig>) {
+        let cfg = ServingConfig::new(1, node()).with_warm_pool(WarmPoolConfig::new(8, 30.0));
+        let tenants = vec![
+            TenantConfig::new("web", 2, ArrivalConfig::poisson(1.0))
+                .with_class(PriorityClass::Critical)
+                .with_max_queue_depth(64),
+            TenantConfig::new("batch", 1, ArrivalConfig::poisson(1.0))
+                .with_max_queue_depth(64)
+                .with_quota(RateQuota::new(9.0, 12.0))
+                .with_function(1),
+        ];
+        (cfg, tenants)
+    }
+
+    fn pinned_fresh() -> GatewayState {
+        let (cfg, tenants) = pinned_gateway();
+        GatewayState::fresh(&cfg, &tenants)
+    }
+
+    /// A hand-built state mid-run: a backlog behind the quota'd tenant, two
+    /// invocations in flight, three warm instances, and the control loop's
+    /// marks on it (depth 64 → 16, refill 9 → 4.5 /s, pool 8 → 6).
+    fn pinned_state() -> GatewayState {
+        let mut s = pinned_fresh();
+        s.next_invocation = 9;
+        s.lost = 2;
+        for (invocation, arrival_secs) in [(7, 1.5), (8, 1.75)] {
+            s.queues[1].push_back(Queued {
+                invocation,
+                function: 1,
+                arrival_secs,
+            });
+        }
+        for (invocation, tenant, arrival_secs, dispatch_secs, warm) in
+            [(3, 0, 0.5, 0.75, true), (5, 1, 1.0, 1.25, false)]
+        {
+            let entry = InFlight {
+                tenant,
+                arrival_secs,
+                dispatch_secs,
+                warm,
+            };
+            s.in_flight.insert(invocation, entry);
+        }
+        s.sched.tenants[0].pass = 3 << 19;
+        s.sched.tenants[1].pass = 2 << 20;
+        let bucket = s.buckets[1].as_mut().unwrap();
+        bucket.tokens = 2.5;
+        bucket.last_refill_secs = 1.75;
+        bucket.quota.rate_per_sec = 4.5;
+        s.depth_limit[1] = 16;
+        for (c, base) in s.counters.iter_mut().zip([11, 21]) {
+            *c = TenantCounters {
+                offered: base,
+                admitted: base + 1,
+                rejected_rate: base + 2,
+                rejected_queue_full: base + 3,
+                shed: base + 4,
+                dispatched_steady: base + 5,
+                completed: base + 6,
+                failed: base + 7,
+            };
+        }
+        for (id, function, last_used_secs) in [(0, 0, 0.25), (2, 1, 0.75), (3, 0, 1.25)] {
+            let entry = Entry {
+                function,
+                last_used_secs,
+            };
+            s.pool.entries.insert(id, entry);
+        }
+        s.pool.next_id = 4;
+        s.pool.config.capacity = 6;
+        s.pool.hits = 5;
+        s.pool.misses = 4;
+        s.pool.expirations = 1;
+        s
+    }
+
+    fn decode_pinned(bytes: &[u8]) -> Result<GatewayState, StateError> {
+        GatewayState::decode(bytes, pinned_fresh(), 2)
+    }
+
+    #[test]
+    fn gateway_image_layout_is_pinned() {
+        // A round trip cannot see a layout change made to encoder and
+        // decoder together; these bytes were written by the encoder of the
+        // commit before `GatewayState` existed.
+        let state = pinned_state();
+        assert_eq!(state.encode(), PINNED_IMAGE);
+        assert_eq!(decode_pinned(&PINNED_IMAGE), Ok(state));
+
+        // Damaged bytes are an error or some other well-formed state
+        // (every count in the layout is followed by that many entries, so
+        // a state that decodes re-encodes to the same length); no panic.
+        for cut in 0..PINNED_IMAGE.len() {
+            assert_eq!(
+                decode_pinned(&PINNED_IMAGE[..cut]),
+                Err(StateError::Truncated),
+                "prefix of {cut} bytes"
+            );
+        }
+        for at in 0..PINNED_IMAGE.len() {
+            for mask in [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xff] {
+                let mut bytes = PINNED_IMAGE;
+                bytes[at] ^= mask;
+                if let Ok(state) = decode_pinned(&bytes) {
+                    assert_eq!(state.encode().len(), bytes.len(), "byte {at} ^ {mask:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_rejects_what_restore_used_to_trip_on() {
+        // (word of `PINNED_IMAGE`, what to put there, the field refused).
+        let nan = f64::NAN.to_bits();
+        let cases: [(usize, u64, &str); 24] = [
+            // A section one tenant short used to be silently zipped short;
+            // one long was dropped (or, for passes, panicked).
+            (2, 1, "queue count"),
+            (2, 3, "queue count"),
+            (22, 1, "pass count"),
+            (22, 3, "pass count"),
+            (25, 1, "bucket count"),
+            (25, 3, "bucket count"),
+            (31, 1, "depth-limit count"),
+            (31, 3, "depth-limit count"),
+            (34, 1, "counter count"),
+            (34, 3, "counter count"),
+            // `dispatch` indexes the function table with it.
+            (6, 2, "queued function"),
+            // `collect` indexes the counters with it; the check comes
+            // before any narrowing to 32 bits.
+            (13, 2, "in-flight tenant"),
+            (13, (1 << 32) | 1, "in-flight tenant"),
+            (17, 3, "repeated in-flight invocation"),
+            (55, 0, "repeated warm instance"),
+            // A bucket for the unmetered tenant, none for the quota'd one.
+            (26, 1, "bucket presence"),
+            (27, 0, "bucket presence"),
+            // `TokenBucket::restore` asserted on the first two.
+            (28, nan, "token level"),
+            (28, (-1.0f64).to_bits(), "token level"),
+            (28, 12.5f64.to_bits(), "token level"),
+            // `TokenBucket::set_rate` asserted on these.
+            (30, nan, "quota rate"),
+            (30, 0.0f64.to_bits(), "quota rate"),
+            (30, (-4.5f64).to_bits(), "quota rate"),
+            (30, f64::INFINITY.to_bits(), "quota rate"),
+        ];
+        for (word, value, field) in cases {
+            let mut bytes = PINNED_IMAGE;
+            bytes[word * 8..][..8].copy_from_slice(&value.to_le_bytes());
+            assert_eq!(
+                decode_pinned(&bytes),
+                Err(StateError::Inconsistent(field)),
+                "word {word} = {value:#x}"
+            );
+        }
+        let mut long = PINNED_IMAGE.to_vec();
+        long.push(0);
+        assert_eq!(
+            decode_pinned(&long),
+            Err(StateError::Inconsistent("trailing bytes"))
+        );
+        // The same bytes against a gateway they were not written by.
+        assert_eq!(
+            GatewayState::decode(&PINNED_IMAGE, pinned_fresh(), 1),
+            Err(StateError::Inconsistent("queued function"))
+        );
+    }
+
+    #[test]
+    fn journaled_crash_run_is_pinned() {
+        // The overloaded, controlled, journaled run of
+        // `control_loop_stages_degradation_on_overload` with crashes in it.
+        // The numbers are the ones the commit before `GatewayState`
+        // printed: the image bytes (inside `journal_bytes`), the recoveries
+        // and everything downstream of a recovered state did not move.
+        let cfg = base_config()
+            .with_admission(AdmissionConfig::new(100_000))
+            .with_horizon(20.0)
+            .with_slo(burn_slo())
+            .with_control(ControlConfig::new().with_cooldown(4.0))
+            .with_durability(DurabilityConfig::journal_with_snapshots(256))
+            .with_faults(crashy(600.0, 3));
+        let tenants = vec![TenantConfig::new("flood", 1, ArrivalConfig::poisson(400.0))
+            .with_max_queue_depth(2048)
+            .with_quota(RateQuota::new(300.0, 400.0))];
+        let r = ServingGateway::new(cfg, vec![fast_fn()], tenants).run();
+        assert_eq!(
+            (
+                r.journal_bytes,
+                r.gateway_recoveries,
+                r.lost,
+                r.completed,
+                r.control_actions.len()
+            ),
+            (701_377, 2, 1898, 668, 5)
+        );
+    }
+
+    #[test]
+    fn full_restart_is_fresh_plus_what_it_carries() {
+        // Two seconds of overload: a backlog, a full dispatch window, warm
+        // instances, a drained bucket and advanced passes, none of which
+        // may survive the restart `handle_crashes` runs without a journal.
+        let tenants = vec![TenantConfig::new("flood", 1, ArrivalConfig::poisson(400.0))
+            .with_max_queue_depth(128)
+            .with_quota(RateQuota::new(300.0, 400.0))];
+        let mut gw = ServingGateway::new(base_config(), vec![fast_fn()], tenants);
+        for tick in 1..=8 {
+            gw.tick(tick as f64 * 0.25, true);
+        }
+        let before = gw.state.clone();
+        let fresh = GatewayState::fresh(&gw.config, &gw.tenants);
+        let forgotten = (gw.total_queued() + before.in_flight.len()) as u64;
+        assert!(!before.queues[0].is_empty() && !before.in_flight.is_empty());
+        assert_ne!(before.sched, fresh.sched);
+        assert_ne!(before.buckets, fresh.buckets);
+        assert_ne!(before.pool, fresh.pool);
+        gw.full_restart();
+        assert_eq!(
+            gw.state,
+            GatewayState {
+                next_invocation: before.next_invocation,
+                lost: before.lost + forgotten,
+                counters: before.counters,
+                ..fresh
+            }
+        );
+    }
+
+    /// What the hand-mirrored image type of the commit before `GatewayState`
+    /// encoded for [`pinned_state`], one little-endian word per line.
+    #[rustfmt::skip]
+    const PINNED_IMAGE: [u8; 528] = [
+        0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // next_invocation = 9
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // lost = 2
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // queues: 2 tenants
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 0: empty
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 1: 2 queued
+        0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //     invocation 7
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //     function 1
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, //     arrival 1.5
+        0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //     invocation 8
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //     function 1
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xfc, 0x3f, //     arrival 1.75
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // in_flight: 2
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   invocation 3
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 0
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, //   arrival 0.5
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe8, 0x3f, //   dispatch 0.75
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   warm
+        0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   invocation 5
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 1
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, //   arrival 1.0
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf4, 0x3f, //   dispatch 1.25
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   cold
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // passes: 2
+        0x00, 0x00, 0x18, 0x00, 0x00, 0x00, 0x00, 0x00, //   3 << 19
+        0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, //   2 << 20
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // buckets: 2
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 0: unmetered
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 1: quota'd
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40, //     tokens 2.5
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xfc, 0x3f, //     last refill 1.75
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x12, 0x40, //     rate 4.5
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // depth_limit: 2
+        0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   64
+        0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   16
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // counters: 2 tenants
+        0x0b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 0 offered
+        0x0c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 0 admitted
+        0x0d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 0 rejected_rate
+        0x0e, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 0 rejected_queue_full
+        0x0f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 0 shed
+        0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 0 dispatched_steady
+        0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 0 completed
+        0x12, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 0 failed
+        0x15, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 1 offered
+        0x16, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 1 admitted
+        0x17, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 1 rejected_rate
+        0x18, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 1 rejected_queue_full
+        0x19, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 1 shed
+        0x1a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 1 dispatched_steady
+        0x1b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 1 completed
+        0x1c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   tenant 1 failed
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // pool entries: 3
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   id 0
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   function 0
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x3f, //   last used 0.25
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   id 2
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   function 1
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe8, 0x3f, //   last used 0.75
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   id 3
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   function 0
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf4, 0x3f, //   last used 1.25
+        0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // pool next_id
+        0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // pool capacity
+        0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // pool hits
+        0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // pool misses
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // pool expirations
+    ];
 
     /// Satellite regression: alert firing must not depend on whether the
     /// caller exports a telemetry trace — the gateway swaps in a private

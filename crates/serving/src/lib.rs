@@ -19,9 +19,9 @@
 //!   cold vs warm activation costs from the funcX container models.
 //! * [`gateway`] — the tick loop tying it together: accept → advance
 //!   master → collect → dispatch batched task groups; with a journal it
-//!   recovers its own state image at every injected master crash, and
-//!   without one a crash is the full-restart baseline (lost work counted,
-//!   never hidden).
+//!   puts its one `GatewayState` through its own codec at every injected
+//!   master crash, and without one a crash is the full-restart baseline
+//!   (lost work counted, never hidden).
 //! * [`control`] — the alert-driven admission loop: SLO burn-rate alert
 //!   edges stage per-tenant degradation (depth, quota, warm-pool size)
 //!   with cooldown hysteresis.
@@ -52,5 +52,5 @@ pub mod prelude {
         AlertReport, ControlActionReport, LatencyStats, ServingReport, TenantReport,
     };
     pub use crate::tenant::{PriorityClass, RateQuota, TenantConfig, TenantId};
-    pub use crate::warmpool::{WarmPool, WarmPoolConfig, WarmPoolImage};
+    pub use crate::warmpool::{WarmPool, WarmPoolConfig};
 }

@@ -40,35 +40,25 @@ impl WarmPoolConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    function: usize,
-    last_used_secs: f64,
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Entry {
+    pub(crate) function: usize,
+    pub(crate) last_used_secs: f64,
 }
 
-/// Serializable snapshot of a pool's entire mutable state, captured into
-/// the gateway journal image so a recovered gateway keeps its resident
-/// warm instances instead of cold-starting every tenant after a crash.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WarmPoolImage {
-    /// `(id, function, last_used_secs)` in id order.
-    pub entries: Vec<(u64, usize, f64)>,
-    pub next_id: u64,
-    pub capacity: usize,
-    pub hits: u64,
-    pub misses: u64,
-    pub expirations: u64,
-}
-
-/// The pool. `function` keys are gateway function-table indices.
-#[derive(Debug, Clone)]
+/// The pool. `function` keys are gateway function-table indices. Everything
+/// but the TTL is mutable state (the control loop moves the capacity), and
+/// the gateway's state codec reads and writes it in place, so a recovered
+/// gateway keeps its resident warm instances instead of cold-starting every
+/// tenant after a crash.
+#[derive(Debug, Clone, PartialEq)]
 pub struct WarmPool {
-    config: WarmPoolConfig,
-    entries: BTreeMap<u64, Entry>,
-    next_id: u64,
-    hits: u64,
-    misses: u64,
-    expirations: u64,
+    pub(crate) config: WarmPoolConfig,
+    pub(crate) entries: BTreeMap<u64, Entry>,
+    pub(crate) next_id: u64,
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+    pub(crate) expirations: u64,
 }
 
 impl WarmPool {
@@ -200,44 +190,6 @@ impl WarmPool {
             self.expirations += 1;
         }
     }
-
-    /// Capture the pool's whole mutable state.
-    pub fn snapshot(&self) -> WarmPoolImage {
-        WarmPoolImage {
-            entries: self
-                .entries
-                .iter()
-                .map(|(&id, e)| (id, e.function, e.last_used_secs))
-                .collect(),
-            next_id: self.next_id,
-            capacity: self.config.capacity,
-            hits: self.hits,
-            misses: self.misses,
-            expirations: self.expirations,
-        }
-    }
-
-    /// Restore state captured by [`WarmPool::snapshot`].
-    pub fn restore(&mut self, image: &WarmPoolImage) {
-        self.entries = image
-            .entries
-            .iter()
-            .map(|&(id, function, last_used_secs)| {
-                (
-                    id,
-                    Entry {
-                        function,
-                        last_used_secs,
-                    },
-                )
-            })
-            .collect();
-        self.next_id = image.next_id;
-        self.config.capacity = image.capacity;
-        self.hits = image.hits;
-        self.misses = image.misses;
-        self.expirations = image.expirations;
-    }
 }
 
 #[cfg(test)]
@@ -290,24 +242,6 @@ mod tests {
         assert_eq!(p.resident(), 0);
         assert_eq!(p.expirations(), 1);
         assert!(!p.acquire(0, 12.0), "expired instance is gone");
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips_exactly() {
-        let mut p = WarmPool::new(WarmPoolConfig::new(4, 100.0));
-        for (f, t) in [(0, 1.0), (1, 2.0), (0, 3.0), (2, 4.0)] {
-            p.acquire(f, t);
-        }
-        p.expire(5.0);
-        let img = p.snapshot();
-        let mut q = WarmPool::new(WarmPoolConfig::new(4, 100.0));
-        q.restore(&img);
-        assert_eq!(q.snapshot(), img);
-        // Restored pool behaves identically from here on.
-        for (f, t) in [(0, 6.0), (1, 6.0), (3, 7.0), (2, 8.0)] {
-            assert_eq!(p.acquire(f, t), q.acquire(f, t), "f{f}@t{t}");
-        }
-        assert_eq!(p.snapshot(), q.snapshot());
     }
 
     #[test]

@@ -11,13 +11,28 @@
 #               constants, statics, modules and re-exports. Fields are not
 #               items and are not counted.
 #
-# Usage: scripts/loc.sh [-v] [repo-root]     (-v adds a row per file)
+# Usage: scripts/loc.sh [-v] [--against <rev>] [repo-root]
+#   -v               adds a row per file
+#   --against <rev>  measures that git revision's crates/ too (from `git
+#                    archive`, no checkout) and prints before, after and the
+#                    difference per crate: the before/after a PR reports
 set -euo pipefail
 verbose=0
-if [[ "${1:-}" == "-v" ]]; then
-    verbose=1
+against=""
+while [[ "${1:-}" == -* ]]; do
+    case $1 in
+    -v) verbose=1 ;;
+    --against)
+        against=${2:?--against needs a revision}
+        shift
+        ;;
+    *)
+        echo "loc.sh: unknown option $1" >&2
+        exit 2
+        ;;
+    esac
     shift
-fi
+done
 cd "${1:-$(dirname "$0")/..}"
 
 # "<prod_lines> <pub_items>" for one file. A test module is `#[cfg(test)]`
@@ -47,25 +62,58 @@ test_files() {
         sed -nE 's|^(.*)/[^/]*\.rs-[0-9]+-[[:space:]]*mod ([a-z_0-9]+);.*$|\1/\2.rs \1/\2/mod.rs|p'
 }
 
-printf '%-28s %10s %9s\n' "crate" "prod_lines" "pub_items"
-total_lines=0
-total_pubs=0
-for dir in crates/*/src; do
-    crate=$(basename "$(dirname "$dir")")
-    skip=" $(test_files "$dir" | tr '\n' ' ')"
-    lines=0
-    pubs=0
-    rows=""
-    while IFS= read -r file; do
-        [[ "$skip" == *" $file "* ]] && continue
-        read -r l p < <(count "$file")
-        lines=$((lines + l))
-        pubs=$((pubs + p))
-        rows+=$(printf '  %-26s %10d %9d' "${file#"$dir"/}" "$l" "$p")$'\n'
-    done < <(find "$dir" -name '*.rs' | sort)
-    printf '%-28s %10d %9d\n' "$crate" "$lines" "$pubs"
-    ((verbose)) && printf '%s' "$rows"
-    total_lines=$((total_lines + lines))
-    total_pubs=$((total_pubs + pubs))
-done
-printf '%-28s %10d %9d\n' "total" "$total_lines" "$total_pubs"
+# The table for the crates/ under the current directory.
+table() {
+    printf '%-28s %10s %9s\n' "crate" "prod_lines" "pub_items"
+    local total_lines=0 total_pubs=0 dir crate skip lines pubs rows file l p
+    for dir in crates/*/src; do
+        crate=$(basename "$(dirname "$dir")")
+        skip=" $(test_files "$dir" | tr '\n' ' ')"
+        lines=0
+        pubs=0
+        rows=""
+        while IFS= read -r file; do
+            [[ "$skip" == *" $file "* ]] && continue
+            read -r l p < <(count "$file")
+            lines=$((lines + l))
+            pubs=$((pubs + p))
+            rows+=$(printf '  %-26s %10d %9d' "${file#"$dir"/}" "$l" "$p")$'\n'
+        done < <(find "$dir" -name '*.rs' | sort)
+        printf '%-28s %10d %9d\n' "$crate" "$lines" "$pubs"
+        ((verbose)) && printf '%s' "$rows"
+        total_lines=$((total_lines + lines))
+        total_pubs=$((total_pubs + pubs))
+    done
+    printf '%-28s %10d %9d\n' "total" "$total_lines" "$total_pubs"
+}
+
+if [[ -z $against ]]; then
+    table
+    exit
+fi
+
+before=$(mktemp -d)
+trap 'rm -rf "$before"' EXIT
+git archive "$against" crates | tar -x -C "$before"
+# Both tables joined row by row on crate (and, under -v, crate/file), in
+# this tree's order; a row only the revision has comes last, against zeros.
+printf '%-28s %10s %10s %7s %9s %9s %6s\n' \
+    "crate" "lines@$against" "now" "delta" "pubs@$against" "now" "delta"
+awk '
+    function row(name, bl, bp, al, ap) {
+        printf "%-28s %10d %10d %+7d %9d %9d %+6d\n", name, bl, al, al - bl, bp, ap, ap - bp
+    }
+    FNR == 1 { side++; next } # the header of each table
+    {
+        name = $0
+        sub(/ +[0-9]+ +[0-9]+$/, "", name)
+        if (name ~ /^[^ ]/) crate = name
+        key = (name == crate) ? name : crate "/" name
+    }
+    side == 1 { lines[key] = $(NF - 1); pubs[key] = $NF; label[++n] = name; keys[n] = key; next }
+    { seen[key] = 1; row(name, lines[key], pubs[key], $(NF - 1), $NF) }
+    END {
+        for (i = 1; i <= n; i++)
+            if (!(keys[i] in seen)) row(label[i], lines[keys[i]], pubs[keys[i]], 0, 0)
+    }
+' <(cd "$before" && table) <(table)

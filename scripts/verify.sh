@@ -4,7 +4,8 @@
 # workloads, the full workspace test suite (tests/ and crates/bench are
 # workspace members, so every named suite — scheduler equivalence, chaos,
 # federation, recovery, serving, telemetry — runs here, once), the benchmark
-# package's tests, then bench/doc/clippy, and last `scripts/loc.sh`'s table.
+# package's tests, then bench/doc/clippy, and last `scripts/loc.sh`'s table
+# against the parent commit.
 # The workspace vendors all external dependencies under vendor/, so
 # everything runs with --offline (no registry, no network).
 set -euo pipefail
@@ -24,27 +25,35 @@ cargo build --release --offline --manifest-path lfm_benchmark/Cargo.toml
 # Journal bytes per task on master_dag_chaos: 904 B with delta images (9.7 KB
 # while every compaction wrote the whole run so far). The ceiling is twice
 # that, so a term that grows with tasks² cannot come back unnoticed. Only
-# the traced pass prints per-layer counts, so that workload runs with it.
+# the traced pass prints per-layer counts, so that workload runs with it;
+# so does serving_overload, the one workload whose 2 master crashes take the
+# gateway through its recovery path, which must not silently stop running.
 journal_bytes_per_task_ceiling=1808
+# Fails unless the traced pass in $out printed per-layer count $1 and awk
+# condition $2 holds of its value v.
+layer_count() {
+    awk -v name="$1" '
+        $2 == name { seen = 1; v = $3 }
+        END {
+            if (!seen || !('"$2"')) {
+                print name " = " v ", want " "'"$2"'" > "/dev/stderr"
+                exit 1
+            }
+        }' <<<"$out"
+}
 for w in master_batch master_dag_chaos federation_8shard serving_steady serving_overload paper_figs; do
     echo "    workload $w"
     trace=0
-    [[ $w == master_dag_chaos ]] && trace=1
+    [[ $w == master_dag_chaos || $w == serving_overload ]] && trace=1
     out=$(cargo run --release --offline --quiet --manifest-path lfm_benchmark/Cargo.toml -- \
         --workload "$w" --seconds 1 --trace "$trace")
     last=$(tail -n 1 <<<"$out")
     grep -q '"correct": true' <<<"$last"
     grep -q '"failed": 0' <<<"$last"
-    if [[ $w == master_dag_chaos ]]; then
-        awk -v ceiling="$journal_bytes_per_task_ceiling" '
-            $2 == "workqueue.journal.bytes_per_op" { seen = 1; bytes = $3 }
-            END {
-                if (!seen || bytes > ceiling) {
-                    print "journal bytes per task " bytes " above " ceiling > "/dev/stderr"
-                    exit 1
-                }
-            }' <<<"$out"
-    fi
+    case $w in
+    master_dag_chaos) layer_count workqueue.journal.bytes_per_op "v <= $journal_bytes_per_task_ceiling" ;;
+    serving_overload) layer_count serving.gateway.recoveries "v >= 1" ;;
+    esac
 done
 
 echo "==> cargo test -q"
@@ -62,7 +71,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace --quiet
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> scripts/loc.sh (production lines and pub items, for the PR log)"
-scripts/loc.sh
+echo "==> scripts/loc.sh (production lines and pub items against the parent, for the PR log)"
+if git rev-parse --verify --quiet HEAD~1 >/dev/null; then
+    scripts/loc.sh --against HEAD~1
+else
+    scripts/loc.sh
+fi
 
 echo "verify: OK"
