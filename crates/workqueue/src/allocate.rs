@@ -24,6 +24,7 @@
 //! the scheduler supplies. Minimizing this trades retry waste against
 //! packing density exactly as \[21\] describes.
 
+use crate::prepared::Interner;
 use lfm_monitor::report::{ResourceKind, ResourceReport};
 use lfm_simcluster::node::Resources;
 use serde::{Deserialize, Serialize};
@@ -180,6 +181,9 @@ struct CategoryStats {
     memory_mb: PeakCounts,
     disk_mb: PeakCounts,
     completed: usize,
+    /// [`Strategy::Oracle`]'s entry for the category, resolved when it is
+    /// interned.
+    oracle: Option<Resources>,
     /// Memoized Auto label for a given worker capacity, invalidated on every
     /// new observation. The scheduler consults the label once per dispatch
     /// examination and twice per completion (the change-notification hook);
@@ -226,10 +230,16 @@ pub(crate) fn censored_samples(
 /// `(cores, memory_mb, disk_mb, completed)`.
 pub(crate) type CategorySnapshot = (Vec<f64>, Vec<f64>, Vec<f64>, usize);
 
+/// Categories are dense ids, handed out by [`intern`](Allocator::intern) in
+/// first-seen order. A master interns its workload's category table in
+/// order, so its category ids *are* the allocator's; the by-name methods
+/// resolve the name and call the id form.
 #[derive(Debug)]
 pub struct Allocator {
     strategy: Strategy,
-    stats: BTreeMap<String, CategoryStats>,
+    ids: Interner,
+    /// By category id.
+    stats: Vec<CategoryStats>,
     /// Count of label-exceeded retries, for the <1%-retries claim.
     pub retries: u64,
     /// Total first-attempt dispatches.
@@ -240,7 +250,8 @@ impl Allocator {
     pub fn new(strategy: Strategy) -> Self {
         Allocator {
             strategy,
-            stats: BTreeMap::new(),
+            ids: Interner::default(),
+            stats: Vec::new(),
             retries: 0,
             first_attempts: 0,
         }
@@ -248,6 +259,22 @@ impl Allocator {
 
     pub fn strategy(&self) -> &Strategy {
         &self.strategy
+    }
+
+    /// The id of `category`, assigned on first sight.
+    pub fn intern(&mut self, category: &str) -> u32 {
+        let id = self.ids.intern(category);
+        if id as usize == self.stats.len() {
+            let oracle = match &self.strategy {
+                Strategy::Oracle(map) => map.get(category).copied(),
+                _ => None,
+            };
+            self.stats.push(CategoryStats {
+                oracle,
+                ..CategoryStats::default()
+            });
+        }
+        id
     }
 
     /// Decide the allocation for an attempt of `category`, on workers of
@@ -261,35 +288,45 @@ impl Allocator {
         attempt: u32,
         capacity: &Resources,
     ) -> AllocationDecision {
+        let cat = self.intern(category);
+        self.decide_id(cat, attempt, capacity)
+    }
+
+    /// [`decide`](Self::decide) for an interned category.
+    pub fn decide_id(
+        &mut self,
+        cat: u32,
+        attempt: u32,
+        capacity: &Resources,
+    ) -> AllocationDecision {
         if attempt == 0 {
             self.first_attempts += 1;
         } else {
             self.retries += 1;
             return AllocationDecision::WholeWorker;
         }
-        self.peek_decision(category, capacity)
+        self.peek_decision_id(cat, capacity)
     }
 
     /// The first-attempt decision [`decide`](Self::decide) would return,
-    /// without bumping the attempt counters. The master's indexed scheduler
-    /// snapshots this before and after an observation to detect label
-    /// changes (`&mut` because Auto labeling fills the category's memo).
+    /// without bumping the attempt counters (`&mut` because Auto labeling
+    /// fills the category's memo).
     pub fn peek_decision(&mut self, category: &str, capacity: &Resources) -> AllocationDecision {
-        match &self.strategy {
-            Strategy::Unmanaged => AllocationDecision::WholeWorker,
-            Strategy::Guess(r) => AllocationDecision::Sized(*r),
-            Strategy::Oracle(map) => map
-                .get(category)
-                .map(|r| AllocationDecision::Sized(*r))
-                .unwrap_or(AllocationDecision::WholeWorker),
+        let cat = self.intern(category);
+        self.peek_decision_id(cat, capacity)
+    }
+
+    fn peek_decision_id(&mut self, cat: u32, capacity: &Resources) -> AllocationDecision {
+        let label = match &self.strategy {
+            Strategy::Unmanaged => None,
+            Strategy::Guess(r) => Some(*r),
+            Strategy::Oracle(_) => self.stats[cat as usize].oracle,
             Strategy::Auto(cfg) => {
                 let cfg = *cfg;
-                match self.auto_label(category, &cfg, capacity) {
-                    Some(r) => AllocationDecision::Sized(r),
-                    None => AllocationDecision::WholeWorker,
-                }
+                self.auto_label(cat, &cfg, capacity)
             }
-        }
+        };
+        label.map_or(AllocationDecision::WholeWorker, AllocationDecision::Sized)
     }
 
     /// Feed back a finished attempt's measured usage.
@@ -313,15 +350,18 @@ impl Allocator {
         completed: bool,
         violated: Option<ResourceKind>,
     ) {
-        // Allocate the key only on a category's first observation.
-        if !self.stats.contains_key(category) {
-            self.stats
-                .insert(category.to_string(), CategoryStats::default());
-        }
-        let s = self
-            .stats
-            .get_mut(category)
-            .expect("present or just inserted");
+        let cat = self.intern(category);
+        self.observe_id(cat, report, completed, violated)
+    }
+
+    fn observe_id(
+        &mut self,
+        cat: u32,
+        report: &ResourceReport,
+        completed: bool,
+        violated: Option<ResourceKind>,
+    ) {
+        let s = &mut self.stats[cat as usize];
         s.label_memo = None;
         let [cores, memory_mb, disk_mb] = censored_samples(
             report.peak_cores,
@@ -356,12 +396,26 @@ impl Allocator {
         violated: Option<ResourceKind>,
         capacity: &Resources,
     ) -> ObservationEffects {
-        let label_before = self.peek_decision(category, capacity);
-        let cap_before = self.concurrency_cap(category);
-        self.observe_outcome(category, report, completed, violated);
+        let cat = self.intern(category);
+        self.observe_outcome_notify_id(cat, report, completed, violated, capacity)
+    }
+
+    /// [`observe_outcome_notify`](Self::observe_outcome_notify) for an
+    /// interned category.
+    pub fn observe_outcome_notify_id(
+        &mut self,
+        cat: u32,
+        report: &ResourceReport,
+        completed: bool,
+        violated: Option<ResourceKind>,
+        capacity: &Resources,
+    ) -> ObservationEffects {
+        let label_before = self.peek_decision_id(cat, capacity);
+        let cap_before = self.concurrency_cap_id(cat);
+        self.observe_id(cat, report, completed, violated);
         ObservationEffects {
-            label_changed: self.peek_decision(category, capacity) != label_before,
-            cap_changed: self.concurrency_cap(category) != cap_before,
+            label_changed: self.peek_decision_id(cat, capacity) != label_before,
+            cap_changed: self.concurrency_cap_id(cat) != cap_before,
         }
     }
 
@@ -370,9 +424,10 @@ impl Allocator {
     /// function of the sample *multiset*, so snapshot bytes are identical
     /// wherever the multiset is, whatever order the samples arrived in. The
     /// memory and disk multisets are already in that order; only the raw
-    /// core peaks need sorting.
+    /// core peaks need sorting. An interned category never observed exports
+    /// empty stores; a name never seen, none.
     pub(crate) fn snapshot_category(&self, category: &str) -> Option<CategorySnapshot> {
-        let s = self.stats.get(category)?;
+        let s = &self.stats[self.ids.get(category)? as usize];
         let mut cores = s.cores.clone();
         cores.sort_unstable_by(f64::total_cmp);
         Some((
@@ -395,7 +450,8 @@ impl Allocator {
         disk_mb: &[f64],
         completed: usize,
     ) {
-        let s = self.stats.entry(category.to_string()).or_default();
+        let cat = self.intern(category);
+        let s = &mut self.stats[cat as usize];
         assert!(
             s.cores.is_empty() && s.memory_mb.is_empty() && s.disk_mb.is_empty(),
             "restore_category over live stats for {category}"
@@ -412,18 +468,26 @@ impl Allocator {
         s.completed = completed;
     }
 
-    /// Completed-sample count for a category (None until first observation).
+    /// Completed-sample count for a category (0 until first observation).
     pub fn samples_for(&self, category: &str) -> usize {
-        self.stats.get(category).map(|s| s.completed).unwrap_or(0)
+        (self.ids.get(category)).map_or(0, |cat| self.stats[cat as usize].completed)
     }
 
     /// Slow-start concurrency cap for sized first attempts of `category`,
     /// or `None` once the category has matured (or for non-Auto strategies).
     pub fn concurrency_cap(&self, category: &str) -> Option<u32> {
+        self.slow_start_cap(self.samples_for(category))
+    }
+
+    /// [`concurrency_cap`](Self::concurrency_cap) for an interned category.
+    pub fn concurrency_cap_id(&self, cat: u32) -> Option<u32> {
+        self.slow_start_cap(self.stats[cat as usize].completed)
+    }
+
+    fn slow_start_cap(&self, samples: usize) -> Option<u32> {
         let Strategy::Auto(cfg) = &self.strategy else {
             return None;
         };
-        let samples = self.samples_for(category);
         if samples >= cfg.slow_start_until {
             None
         } else {
@@ -433,11 +497,11 @@ impl Allocator {
 
     fn auto_label(
         &mut self,
-        category: &str,
+        cat: u32,
         cfg: &AutoConfig,
         capacity: &Resources,
     ) -> Option<Resources> {
-        let s = self.stats.get_mut(category)?;
+        let s = &mut self.stats[cat as usize];
         if s.completed < cfg.min_samples {
             return None;
         }
@@ -841,6 +905,261 @@ mod tests {
             for cap in &CAPS {
                 prop_assert_eq!(restored.peek_decision("cat", cap), a.peek_decision("cat", cap));
             }
+        }
+    }
+
+    // ---- oracle: the allocator keyed by category *name* ----
+
+    /// The allocator as it was before categories were interned: the same
+    /// stores behind a `BTreeMap<String, _>`, resolved by name on every
+    /// call.
+    #[derive(Debug)]
+    struct NameKeyedAllocator {
+        strategy: Strategy,
+        stats: BTreeMap<String, CategoryStats>,
+        retries: u64,
+        first_attempts: u64,
+    }
+
+    impl NameKeyedAllocator {
+        fn new(strategy: Strategy) -> Self {
+            NameKeyedAllocator {
+                strategy,
+                stats: BTreeMap::new(),
+                retries: 0,
+                first_attempts: 0,
+            }
+        }
+
+        fn decide(
+            &mut self,
+            category: &str,
+            attempt: u32,
+            capacity: &Resources,
+        ) -> AllocationDecision {
+            if attempt == 0 {
+                self.first_attempts += 1;
+            } else {
+                self.retries += 1;
+                return AllocationDecision::WholeWorker;
+            }
+            self.peek_decision(category, capacity)
+        }
+
+        fn peek_decision(&mut self, category: &str, capacity: &Resources) -> AllocationDecision {
+            match &self.strategy {
+                Strategy::Unmanaged => AllocationDecision::WholeWorker,
+                Strategy::Guess(r) => AllocationDecision::Sized(*r),
+                Strategy::Oracle(map) => map
+                    .get(category)
+                    .map(|r| AllocationDecision::Sized(*r))
+                    .unwrap_or(AllocationDecision::WholeWorker),
+                Strategy::Auto(cfg) => {
+                    let cfg = *cfg;
+                    match self.auto_label(category, &cfg, capacity) {
+                        Some(r) => AllocationDecision::Sized(r),
+                        None => AllocationDecision::WholeWorker,
+                    }
+                }
+            }
+        }
+
+        fn observe_outcome(
+            &mut self,
+            category: &str,
+            report: &ResourceReport,
+            completed: bool,
+            violated: Option<ResourceKind>,
+        ) {
+            // Allocate the key only on a category's first observation.
+            if !self.stats.contains_key(category) {
+                self.stats
+                    .insert(category.to_string(), CategoryStats::default());
+            }
+            let s = self
+                .stats
+                .get_mut(category)
+                .expect("present or just inserted");
+            s.label_memo = None;
+            let [cores, memory_mb, disk_mb] = censored_samples(
+                report.peak_cores,
+                report.peak_rss_mb,
+                report.peak_disk_mb,
+                violated,
+            );
+            if let Some(x) = cores {
+                s.record_cores(x);
+            }
+            if let Some(x) = memory_mb {
+                s.memory_mb.record(x);
+            }
+            if let Some(x) = disk_mb {
+                s.disk_mb.record(x);
+            }
+            if completed {
+                s.completed += 1;
+            }
+        }
+
+        fn observe_outcome_notify(
+            &mut self,
+            category: &str,
+            report: &ResourceReport,
+            completed: bool,
+            violated: Option<ResourceKind>,
+            capacity: &Resources,
+        ) -> ObservationEffects {
+            let label_before = self.peek_decision(category, capacity);
+            let cap_before = self.concurrency_cap(category);
+            self.observe_outcome(category, report, completed, violated);
+            ObservationEffects {
+                label_changed: self.peek_decision(category, capacity) != label_before,
+                cap_changed: self.concurrency_cap(category) != cap_before,
+            }
+        }
+
+        fn snapshot_category(&self, category: &str) -> Option<CategorySnapshot> {
+            let s = self.stats.get(category)?;
+            let mut cores = s.cores.clone();
+            cores.sort_unstable_by(f64::total_cmp);
+            Some((
+                cores,
+                s.memory_mb.expanded(),
+                s.disk_mb.expanded(),
+                s.completed,
+            ))
+        }
+
+        fn samples_for(&self, category: &str) -> usize {
+            self.stats.get(category).map(|s| s.completed).unwrap_or(0)
+        }
+
+        fn concurrency_cap(&self, category: &str) -> Option<u32> {
+            let Strategy::Auto(cfg) = &self.strategy else {
+                return None;
+            };
+            let samples = self.samples_for(category);
+            if samples >= cfg.slow_start_until {
+                None
+            } else {
+                Some((2 * samples).max(4) as u32)
+            }
+        }
+
+        fn auto_label(
+            &mut self,
+            category: &str,
+            cfg: &AutoConfig,
+            capacity: &Resources,
+        ) -> Option<Resources> {
+            let s = self.stats.get_mut(category)?;
+            if s.completed < cfg.min_samples {
+                return None;
+            }
+            if let Some((memo_cap, label)) = &s.label_memo {
+                if memo_cap == capacity {
+                    return *label;
+                }
+            }
+            let label = (|| {
+                let mem = s.memory_mb.choose_label(capacity.memory_mb as f64)? * cfg.headroom;
+                let disk = s.disk_mb.choose_label(capacity.disk_mb as f64)? * cfg.headroom;
+                let cores = s.cores_max?.ceil().max(1.0);
+                Some(Resources::new(
+                    cores as u32,
+                    mem.ceil() as u64,
+                    disk.ceil() as u64,
+                ))
+            })();
+            s.label_memo = Some((*capacity, label));
+            label
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Under each of the four strategies, on random interleavings of
+        /// decisions, observations and cap reads over five categories — two
+        /// of them first seen mid-stream, as a streamed admission interns
+        /// them — the id-keyed calls answer what the name-keyed allocator
+        /// answers, the by-name wrappers agree with both, the attempt
+        /// counters match, and every category snapshots alike: one interned
+        /// but never observed exactly as the map's absent one,
+        /// `CategorySnapshot`'s default.
+        #[test]
+        fn id_keyed_allocator_equals_the_name_keyed_oracle(
+            ops in prop::collection::vec(
+                (0u8..5, 0usize..5, 0u32..2, (1u64..24, 1u64..6, 1u32..40), 0u8..8, any::<bool>()),
+                1..120,
+            ),
+            strategy in 0u8..4,
+            min_samples in 0usize..4,
+            slow_start_until in 0usize..12,
+        ) {
+            const NAMES: [&str; 5] = ["hep", "drug", "genomic", "late-a", "late-b"];
+            let strategy = match strategy {
+                0 => Strategy::Oracle(BTreeMap::from([
+                    ("hep".to_string(), Resources::new(1, 110, 1024)),
+                    ("late-a".to_string(), Resources::new(2, 900, 64)),
+                ])),
+                1 => Strategy::Guess(Resources::new(1, 1536, 2048)),
+                2 => Strategy::Unmanaged,
+                _ => Strategy::Auto(AutoConfig { min_samples, headroom: 1.25, slow_start_until }),
+            };
+            let mut a = Allocator::new(strategy.clone());
+            let mut oracle = NameKeyedAllocator::new(strategy);
+            // A master interns its workload's table up front, in order.
+            let mut ids: Vec<u32> = NAMES[..3].iter().map(|name| a.intern(name)).collect();
+            prop_assert_eq!(&ids, &[0, 1, 2]);
+            for (kind, cat, attempt, (mem, disk, cores), outcome, completed) in ops {
+                let name = NAMES[cat.min(ids.len())];
+                if cat >= ids.len() {
+                    ids.push(a.intern(name));
+                }
+                let id = ids[cat.min(ids.len() - 1)];
+                prop_assert_eq!(id, a.intern(name), "an id is for good");
+                match kind {
+                    0 => prop_assert_eq!(
+                        a.decide_id(id, attempt, &CAPS[0]),
+                        oracle.decide(name, attempt, &CAPS[0])
+                    ),
+                    1 | 2 => {
+                        let violated = match outcome {
+                            0 => Some(ResourceKind::Cores),
+                            1 => Some(ResourceKind::Memory),
+                            2 => Some(ResourceKind::Disk),
+                            3 => Some(ResourceKind::WallTime),
+                            _ => None,
+                        };
+                        let completed = completed || violated.is_none();
+                        let r = report(cores as f64 / 8.0, mem * 13, disk * 97);
+                        prop_assert_eq!(
+                            a.observe_outcome_notify_id(id, &r, completed, violated, &CAPS[0]),
+                            oracle.observe_outcome_notify(name, &r, completed, violated, &CAPS[0])
+                        );
+                    }
+                    3 => prop_assert_eq!(a.concurrency_cap_id(id), oracle.concurrency_cap(name)),
+                    // The frozen by-name surface resolves to the same rows.
+                    _ => {
+                        prop_assert_eq!(a.decide(name, attempt, &CAPS[1]), oracle.decide(name, attempt, &CAPS[1]));
+                        prop_assert_eq!(a.concurrency_cap(name), oracle.concurrency_cap(name));
+                        prop_assert_eq!(a.samples_for(name), oracle.samples_for(name));
+                    }
+                }
+                for cap in &CAPS {
+                    prop_assert_eq!(a.peek_decision(name, cap), oracle.peek_decision(name, cap));
+                }
+                prop_assert_eq!((a.retries, a.first_attempts), (oracle.retries, oracle.first_attempts));
+            }
+            for name in &NAMES[..ids.len()] {
+                let got = a.snapshot_category(name).expect("interned");
+                let want = oracle.snapshot_category(name).unwrap_or_default();
+                prop_assert_eq!(bits(&got), bits(&want), "{}", name);
+            }
+            // A name neither has seen reads as nothing learned.
+            prop_assert_eq!(a.snapshot_category("never"), None);
+            prop_assert_eq!((a.samples_for("never"), a.concurrency_cap("never")), (0, oracle.concurrency_cap("never")));
         }
     }
 

@@ -893,6 +893,114 @@ pub(crate) struct PlacementInfo {
     pub lease_at: Option<SimTime>,
 }
 
+/// The live placements by id. Ids only grow and most placements die young,
+/// so the live ones sit in a narrow band below the newest: `window[i]` is
+/// the slot of id `base + i`, found by subtraction. What outlives the band
+/// — a zombie awaiting its lease, one long attempt among many short ones —
+/// moves to `spill`, so the slots held are O(live) whatever span the ids
+/// cover.
+///
+/// Every spilled id is below `base`, every held id below `base +
+/// window.len()`, `spill` ascends, and a non-empty window starts on a live
+/// slot: spill then window is ascending id, the order of the map this
+/// replaces — hence its bytes, its equality and its timer re-arm order.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Placements {
+    window: VecDeque<Option<PlacementInfo>>,
+    base: u64,
+    spill: Vec<(u64, PlacementInfo)>,
+    len: usize,
+}
+
+impl Placements {
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Where `id` would be: its window slot, or its place in the spill.
+    fn slot(&self, id: u64) -> Result<usize, Result<usize, usize>> {
+        match id.checked_sub(self.base) {
+            Some(i) => Ok(usize::try_from(i).unwrap_or(usize::MAX)),
+            None => Err(self.spill.binary_search_by_key(&id, |&(i, _)| i)),
+        }
+    }
+
+    pub fn get(&self, id: u64) -> Option<&PlacementInfo> {
+        match self.slot(id) {
+            Ok(i) => self.window.get(i)?.as_ref(),
+            Err(at) => Some(&self.spill[at.ok()?].1),
+        }
+    }
+
+    pub fn get_mut(&mut self, id: u64) -> Option<&mut PlacementInfo> {
+        match self.slot(id) {
+            Ok(i) => self.window.get_mut(i)?.as_mut(),
+            Err(at) => Some(&mut self.spill[at.ok()?].1),
+        }
+    }
+
+    /// Add a placement whose id is above every id held so far; any other id
+    /// is refused (`false`).
+    pub fn insert(&mut self, id: u64, info: PlacementInfo) -> bool {
+        if id < self.base + self.window.len() as u64 {
+            return false;
+        }
+        // A few slots per live placement: while `id` would stretch the
+        // window past that, its oldest entry — above all that spilled
+        // before it — spills.
+        while id - self.base >= 4 * self.len as u64 + 64 {
+            let Some(oldest) = self.window.pop_front() else {
+                break;
+            };
+            let oldest = oldest.expect("a window starts on a live slot");
+            self.spill.push((self.base, oldest));
+            self.base += 1;
+            self.trim();
+        }
+        if self.window.is_empty() {
+            self.base = id;
+        }
+        let gap = (id - self.base) as usize - self.window.len();
+        self.window.extend(std::iter::repeat_n(None, gap));
+        self.window.push_back(Some(info));
+        self.len += 1;
+        true
+    }
+
+    pub fn remove(&mut self, id: u64) -> Option<PlacementInfo> {
+        let gone = match self.slot(id) {
+            Ok(i) => self.window.get_mut(i)?.take()?,
+            Err(at) => self.spill.remove(at.ok()?).1,
+        };
+        self.trim();
+        self.len -= 1;
+        Some(gone)
+    }
+
+    /// Drop the dead slots a window starts with.
+    fn trim(&mut self) {
+        while let Some(None) = self.window.front() {
+            self.window.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// `(id, placement)` in ascending id.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &PlacementInfo)> {
+        let window = (self.window.iter().enumerate())
+            .filter_map(|(i, p)| Some((self.base + i as u64, p.as_ref()?)));
+        self.spill.iter().map(|(id, p)| (*id, p)).chain(window)
+    }
+}
+
+/// Equal when they hold the same placements: where the window starts and
+/// what has spilled is history, not state.
+impl PartialEq for Placements {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
 /// The report counters that journal as [`Record::Counter`] deltas. They
 /// count what happened in the *world* (pilots submitted, workers and
 /// attempts lost), so a journal-less full restart carries them over whole.
@@ -929,7 +1037,7 @@ pub(crate) struct Ledger {
     /// Consecutive infra failures per category — the backoff streak, reset
     /// on any success in the category.
     pub cat_streak: Vec<u32>,
-    pub placements: BTreeMap<u64, PlacementInfo>,
+    pub placements: Placements,
     /// Never reset, not even by a full restart: a stale completion is
     /// recognised by its placement id no longer being live.
     pub next_placement: u64,
@@ -1004,27 +1112,28 @@ impl Ledger {
                 started_at,
                 lease_at,
             } => {
-                self.placements.insert(
-                    placement,
-                    PlacementInfo {
-                        worker,
-                        task_idx: task_idx as usize,
-                        attempt,
-                        allocated: alloc,
-                        started_at,
-                        zombie: false,
-                        lease_at,
-                    },
+                let info = PlacementInfo {
+                    worker,
+                    task_idx: task_idx as usize,
+                    attempt,
+                    allocated: alloc,
+                    started_at,
+                    zombie: false,
+                    lease_at,
+                };
+                assert!(
+                    self.placements.insert(placement, info),
+                    "placement ids only grow"
                 );
                 self.next_placement = placement + 1;
             }
             Record::Zombie { placement } => {
-                if let Some(p) = self.placements.get_mut(&placement) {
+                if let Some(p) = self.placements.get_mut(placement) {
                     p.zombie = true;
                 }
             }
             Record::Freed { placement } => {
-                self.placements.remove(&placement);
+                self.placements.remove(placement);
             }
             Record::Result(row) => self.results.push(*row),
             Record::Finished { task_idx, success } => {
@@ -1292,7 +1401,7 @@ fn put_live(out: &mut Vec<u8>, l: &Ledger) {
         put_time(out, at);
     }
     put_u64(out, l.placements.len() as u64);
-    for (&id, p) in &l.placements {
+    for (id, p) in l.placements.iter() {
         put_u64(out, id);
         put_u32(out, p.worker);
         put_u64(out, p.task_idx as u64);
@@ -1311,21 +1420,21 @@ fn read_live(r: &mut Reader<'_>, l: &mut Ledger) -> Result<(), JournalError> {
     for _ in 0..r.u64()? {
         l.backoffs.push((r.u64()? as usize, r.u32()?, r.time()?));
     }
-    l.placements.clear();
+    l.placements = Placements::default();
     for _ in 0..r.u64()? {
         let id = r.u64()?;
-        l.placements.insert(
-            id,
-            PlacementInfo {
-                worker: r.u32()?,
-                task_idx: r.u64()? as usize,
-                attempt: r.u32()?,
-                allocated: r.resources()?,
-                started_at: r.time()?,
-                zombie: r.bool()?,
-                lease_at: read_lease(r)?,
-            },
-        );
+        let info = PlacementInfo {
+            worker: r.u32()?,
+            task_idx: r.u64()? as usize,
+            attempt: r.u32()?,
+            allocated: r.resources()?,
+            started_at: r.time()?,
+            zombie: r.bool()?,
+            lease_at: read_lease(r)?,
+        };
+        if !l.placements.insert(id, info) {
+            return Err(JournalError::Inconsistent("placement ids do not ascend"));
+        }
     }
     l.next_placement = r.u64()?;
     Ok(())
@@ -2354,7 +2463,8 @@ mod tests {
 
     fn placed(task_idx: u64, attempt: u32) -> Record {
         Record::Placed {
-            placement: task_idx,
+            // A fresh id per attempt, as the master's counter hands out.
+            placement: 2 * task_idx + u64::from(attempt),
             worker: 0,
             task_idx,
             attempt,
@@ -2681,6 +2791,213 @@ mod tests {
         assert_eq!(
             l.apply(Record::RemoteDep { task_idx: 3 }, &sharded),
             vec![3]
+        );
+    }
+
+    // ---- oracle: the id-ordered map the placement window replaced ----
+
+    fn info(id: u64) -> PlacementInfo {
+        PlacementInfo {
+            worker: (id % 7) as u32,
+            task_idx: id as usize * 3,
+            attempt: (id % 2) as u32,
+            allocated: Resources::new(1, 100 + id, 1000),
+            started_at: SimTime::from_secs(id as f64 * 0.5),
+            zombie: false,
+            lease_at: id
+                .is_multiple_of(3)
+                .then(|| SimTime::from_secs(id as f64 + 90.0)),
+        }
+    }
+
+    /// [`put_live`] as it was written over `BTreeMap<u64, PlacementInfo>`
+    /// (no backoffs armed).
+    fn put_live_oracle(map: &BTreeMap<u64, PlacementInfo>, next_placement: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u64(&mut out, 0);
+        put_u64(&mut out, map.len() as u64);
+        for (&id, p) in map {
+            put_u64(&mut out, id);
+            put_u32(&mut out, p.worker);
+            put_u64(&mut out, p.task_idx as u64);
+            put_u32(&mut out, p.attempt);
+            put_resources(&mut out, &p.allocated);
+            put_time(&mut out, p.started_at);
+            put_bool(&mut out, p.zombie);
+            put_lease(&mut out, p.lease_at);
+        }
+        put_u64(&mut out, next_placement);
+        out
+    }
+
+    /// Slots held, live or not.
+    fn slots(p: &Placements) -> usize {
+        p.window.len() + p.spill.len()
+    }
+
+    fn live_bytes(l: &Ledger) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_live(&mut out, l);
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The window is the map it replaced for everything the master and
+        /// the codec do with it — `get`, `len`, ascending
+        /// iteration, the bytes `put_live` writes and what `read_live` makes
+        /// of them — under ids that only grow (now and then by a jump) and
+        /// removals of the oldest, the newest, a uniform pick or an absent
+        /// id, with zombies marked along the way. Slots stay O(live).
+        #[test]
+        fn placement_window_equals_the_btreemap_oracle(
+            ops in proptest::collection::vec((0u8..9, 0u64..1 << 20, 0u64..40), 1..400),
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let mut l = Ledger::default();
+            let mut oracle: BTreeMap<u64, PlacementInfo> = BTreeMap::new();
+            for (kind, pick, jump) in ops {
+                let live: Vec<u64> = oracle.keys().copied().collect();
+                // One of the four oldest, or of the four newest.
+                let nth = |from_old: bool| {
+                    let i = (pick % 4) as usize % live.len().max(1);
+                    let at = if from_old { i } else { live.len().wrapping_sub(1 + i) };
+                    live.get(at).copied()
+                };
+                match kind {
+                    // Arrivals outnumber departures, so the live set grows.
+                    0..=3 => {
+                        // Mostly the next id; sometimes a jump, small or vast.
+                        let id = l.next_placement + match jump {
+                            0 => pick << 20,
+                            1..=4 => jump,
+                            _ => 0,
+                        };
+                        prop_assert!(l.placements.insert(id, info(id)));
+                        oracle.insert(id, info(id));
+                        l.next_placement = id + 1;
+                    }
+                    4 => if let Some(id) = nth(true) {
+                        prop_assert_eq!(l.placements.remove(id), oracle.remove(&id));
+                    },
+                    5 => if let Some(id) = nth(false) {
+                        prop_assert_eq!(l.placements.remove(id), oracle.remove(&id));
+                    },
+                    6 => if let Some(&id) = live.get(pick as usize % live.len().max(1)) {
+                        prop_assert_eq!(l.placements.remove(id), oracle.remove(&id));
+                    },
+                    7 => if let Some(&id) = live.get(pick as usize % live.len().max(1)) {
+                        l.placements.get_mut(id).expect("live").zombie = true;
+                        oracle.get_mut(&id).expect("live").zombie = true;
+                    },
+                    // An id that is not held: dead, never issued, or stale.
+                    _ => {
+                        let id = if jump % 2 == 0 { pick } else { l.next_placement + jump };
+                        prop_assert_eq!(l.placements.remove(id), oracle.remove(&id));
+                        // No id at or below one ever held is taken back.
+                        if let Some(&newest) = live.last() {
+                            let reissued = newest - pick % (newest + 1);
+                            prop_assert!(!l.placements.insert(reissued, info(0)));
+                        }
+                    }
+                }
+                prop_assert_eq!(l.placements.len(), oracle.len());
+                for id in live.iter().copied().chain([pick, l.next_placement, l.next_placement + jump]) {
+                    prop_assert_eq!(l.placements.get(id), oracle.get(&id));
+                }
+                prop_assert_eq!(
+                    l.placements.iter().map(|(id, p)| (id, *p)).collect::<Vec<_>>(),
+                    oracle.iter().map(|(&id, p)| (id, *p)).collect::<Vec<_>>()
+                );
+                let bytes = live_bytes(&l);
+                prop_assert_eq!(&bytes, &put_live_oracle(&oracle, l.next_placement));
+                prop_assert!(
+                    slots(&l.placements) <= 5 * oracle.len() + 64,
+                    "{} slots for {} live", slots(&l.placements), oracle.len()
+                );
+                // Decoded, it is the same set of placements (whatever its
+                // window and spill look like) and writes the same bytes.
+                let mut back = Ledger::default();
+                read_live(&mut Reader::new(&bytes), &mut back).expect("decodes");
+                prop_assert_eq!(&back.placements, &l.placements);
+                prop_assert_eq!(live_bytes(&back), bytes);
+            }
+        }
+    }
+
+    #[test]
+    fn pinned_old_placements_cost_no_slots_for_the_ids_between() {
+        // Two zombies await their leases while 10^5 placements come and go,
+        // at most eight live at a time.
+        let mut p = Placements::default();
+        for id in 0..8 {
+            assert!(p.insert(id, info(id)));
+        }
+        for id in [1, 5] {
+            p.get_mut(id).unwrap().zombie = true;
+        }
+        for id in [0, 2, 3, 4, 6, 7] {
+            assert_eq!(p.remove(id), Some(info(id)));
+        }
+        for id in 8..100_008u64 {
+            assert!(p.insert(id, info(id)));
+            if id >= 16 {
+                assert!(p.remove(id - 8).is_some());
+            }
+            assert!(slots(&p) <= 5 * p.len() + 64, "{} slots", slots(&p));
+        }
+        assert_eq!(p.len(), 2 + 8);
+        let ids: Vec<u64> = p.iter().map(|(id, _)| id).collect();
+        assert_eq!(ids[..2], [1, 5]);
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "ascending: {ids:?}");
+        assert!(p.get(1).unwrap().zombie && p.get(5).is_some() && p.get(6).is_none());
+        assert_eq!(p.remove(5).map(|z| z.zombie), Some(true));
+        assert_eq!(p.len(), 9);
+    }
+
+    #[test]
+    fn read_live_takes_any_id_sequence_without_panic_or_span_allocation() {
+        let live_section = |ids: &[u64]| {
+            let mut out = Vec::new();
+            put_u64(&mut out, 0);
+            put_u64(&mut out, ids.len() as u64);
+            for &id in ids {
+                put_u64(&mut out, id);
+                put_u32(&mut out, 1);
+                put_u64(&mut out, 2);
+                put_u32(&mut out, 0);
+                put_resources(&mut out, &Resources::new(1, 1, 1));
+                put_time(&mut out, SimTime::ZERO);
+                put_bool(&mut out, false);
+                put_lease(&mut out, None);
+            }
+            put_u64(&mut out, ids.last().map_or(0, |id| id.wrapping_add(1)));
+            out
+        };
+        let decode = |ids: &[u64]| {
+            let mut l = Ledger::default();
+            read_live(&mut Reader::new(&live_section(ids)), &mut l).map(|()| l.placements)
+        };
+        // A vast gap decodes into a handful of slots.
+        let far = decode(&[0, 1 << 60, (1 << 60) + 3, u64::MAX]).expect("ascending ids decode");
+        assert_eq!(far.len(), 4);
+        assert!(slots(&far) <= 8, "{} slots", slots(&far));
+        assert!([0, 1 << 60, u64::MAX]
+            .iter()
+            .all(|&id| far.get(id).is_some()));
+        // Ids out of order or repeated are a typed error.
+        let bad = Err(JournalError::Inconsistent("placement ids do not ascend"));
+        assert_eq!(decode(&[5, 3]), bad);
+        assert_eq!(decode(&[4, 4]), bad);
+        assert_eq!(decode(&[0, 1 << 60, 7]), bad);
+        // A count the bytes cannot back is a truncation, not an allocation.
+        let mut lying = live_section(&[1, 2]);
+        lying[8..16].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        let mut l = Ledger::default();
+        assert_eq!(
+            read_live(&mut Reader::new(&lying), &mut l),
+            Err(JournalError::Truncated)
         );
     }
 

@@ -701,6 +701,9 @@ thread_local! {
     /// Placements examined by `evict_worker`, for the linearity regression
     /// test (eviction must scan only the evicted worker's own placements).
     static EVICT_SCANNED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Attempts examined for placement, failing or not (see
+    /// [`Master::examine`]): the count the wake rule decides.
+    static EXAMINATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Run a workload to completion under `config`, on `worker_count` workers of
@@ -734,6 +737,19 @@ pub fn run_prepared(
         return crate::federation::run_shards(config, &fed, work, worker_count, spec).merged;
     }
     Master::new(config.clone(), Arc::clone(work), worker_count, spec).run()
+}
+
+/// An allocator that has learned nothing and knows every category of `work`
+/// under the workload's own id — the invariant the id-keyed calls of the
+/// per-task path rest on, re-established wherever a crash replaces the
+/// allocator.
+fn fresh_allocator(strategy: &Strategy, work: &PreparedWorkload) -> Allocator {
+    let mut allocator = Allocator::new(strategy.clone());
+    for (cat, name) in work.cat_names.iter().enumerate() {
+        let id = allocator.intern(name);
+        debug_assert_eq!(id as usize, cat, "allocator ids are category ids");
+    }
+    allocator
 }
 
 pub(crate) struct Master {
@@ -804,7 +820,7 @@ impl Master {
         spec: NodeSpec,
     ) -> Self {
         assert!(worker_count > 0, "need at least one worker");
-        let allocator = Allocator::new(config.strategy.clone());
+        let allocator = fresh_allocator(&config.strategy, &work);
         let fs = SharedFs::new(config.staging.fs);
         let faults = FaultState::new(&config.faults, config.seed);
         let net_rng = SimRng::seeded(faults.net_seed);
@@ -917,6 +933,19 @@ impl Master {
             worker_count: self.worker_count,
         });
         self.submit_pilots(SimTime::ZERO, initial);
+        // One result row per task this master will run: a batch master its
+        // whole workload, a streaming master nothing yet, a shard its
+        // partition and an eighth more — a shard that runs dry steals, and
+        // one stolen row past an exact reserve doubles the vector at the end
+        // of the run, when memory peaks. Unused capacity is never touched.
+        let rows = match &self.fed {
+            None => self.work.len(),
+            Some(f) => {
+                let owned = f.owner.iter().filter(|&&s| s == f.shard).count();
+                owned + owned / 8
+            }
+        };
+        self.ledger.results.reserve(rows);
         self.enqueue_roots(SimTime::ZERO);
     }
 
@@ -1053,7 +1082,7 @@ impl Master {
                 // A placement lost with its worker (or reclaimed by its
                 // lease) was already rescheduled; drop the stale
                 // completion.
-                if !self.ledger.placements.contains_key(&info.placement) {
+                if self.ledger.placements.get(info.placement).is_none() {
                     return;
                 }
                 if info.infra == Some(InfraFault::ResultLost) {
@@ -1137,6 +1166,8 @@ impl Master {
         let cat = Arc::make_mut(&mut self.work).admit(spec);
         if cat as usize == self.running_by_cat.len() {
             self.running_by_cat.push(0);
+            let id = self.allocator.intern(&self.work.cat_names[cat as usize]);
+            debug_assert_eq!(id, cat, "allocator ids are category ids");
         }
         self.commit(Record::Submitted {
             task_idx: task_idx as u64,
@@ -1208,7 +1239,7 @@ impl Master {
     fn is_quiescent(&self) -> bool {
         self.ledger.backoffs.is_empty()
             && self.ledger.quarantined_until.is_empty()
-            && (self.ledger.placements.values()).all(|p| p.lease_at.is_none())
+            && (self.ledger.placements.iter()).all(|(_, p)| p.lease_at.is_none())
     }
 
     // ---- durability: journaling, crash, and recovery ----
@@ -1469,7 +1500,7 @@ impl Master {
 
         // The allocator's labels are a pure function of the sample multiset,
         // so replaying the exported samples reproduces every decision.
-        self.allocator = Allocator::new(self.config.strategy.clone());
+        self.allocator = fresh_allocator(&self.config.strategy, &self.work);
         for (cat, s) in self.work.cat_names.iter().zip(&img.alloc_stats) {
             if s.cores.is_empty()
                 && s.memory_mb.is_empty()
@@ -1494,7 +1525,7 @@ impl Master {
         }
         self.running_by_cat.fill(0);
         self.in_flight = 0;
-        for (&id, p) in &self.ledger.placements {
+        for (id, p) in self.ledger.placements.iter() {
             if !p.zombie {
                 // Zombies already freed their resources; they stay live only
                 // to block duplicate completions until the lease reclaims.
@@ -1512,7 +1543,7 @@ impl Master {
         // the master was down to the recovery instant. Each class re-arms
         // in its original arm order, so equal-time timers keep their FIFO
         // tie-break.
-        for (&placement, p) in &self.ledger.placements {
+        for (placement, p) in self.ledger.placements.iter() {
             if let Some(t) = p.lease_at {
                 self.queue
                     .schedule_at(t.max(resume_at), Event::LeaseExpired { placement });
@@ -1556,18 +1587,19 @@ impl Master {
             counters: old.counters,
             ..Ledger::fresh(self.work.dep_counts.clone(), self.work.cat_names.len())
         };
-        for p in old.placements.values().filter(|p| !p.zombie) {
+        for (_, p) in old.placements.iter().filter(|(_, p)| !p.zombie) {
             if let Some(w) = self.workers.get_mut(p.worker) {
                 w.node.free(p.allocated);
                 w.running -= 1;
                 // Forget in-flight staging marks for torn-down placements
                 // so the re-run re-stages cleanly.
-                for f in self.work.tasks[p.task_idx]
-                    .inputs
+                for file in self
+                    .work
+                    .inputs_of(p.task_idx)
                     .iter()
-                    .filter(|f| f.cacheable)
+                    .filter_map(|r| r.file())
                 {
-                    w.abort_staging(&f.name);
+                    w.abort_staging(file);
                 }
             }
         }
@@ -1579,7 +1611,7 @@ impl Master {
             w.infra_failures = 0;
         }
         self.free_cores = self.pool_free_cores();
-        self.allocator = Allocator::new(self.config.strategy.clone());
+        self.allocator = fresh_allocator(&self.config.strategy, &self.work);
         self.rebuild_sched(Vec::new());
         self.enqueue_roots(resume_at);
     }
@@ -1693,7 +1725,7 @@ impl Master {
         for placement in lost {
             #[cfg(test)]
             EVICT_SCANNED.with(|c| c.set(c.get() + 1));
-            let p = *(self.ledger.placements.get(&placement)).expect("indexed placement is live");
+            let p = *(self.ledger.placements.get(placement)).expect("indexed placement is live");
             debug_assert_eq!(p.worker, id);
             self.commit(Record::Freed { placement });
             self.count(CounterKey::TasksLost, 1.0);
@@ -1800,15 +1832,15 @@ impl Master {
         &mut self,
         item: &Pending,
     ) -> Result<(u32, AllocationDecision, Resources), ParkReason> {
+        #[cfg(test)]
+        EXAMINATIONS.with(|c| c.set(c.get() + 1));
         let cat = self.work.cat_of[item.task_idx] as usize;
         let capacity = self.spec.resources;
-        let decision = self
-            .allocator
-            .decide(&self.work.cat_names[cat], item.attempt, &capacity);
+        let decision = (self.allocator).decide_id(cat as u32, item.attempt, &capacity);
         // Slow-start: immature Auto labels dispatch gradually so one bad
         // label cannot kill an entire wave at once.
         if matches!(decision, AllocationDecision::Sized(_)) && item.attempt == 0 {
-            if let Some(cap) = self.allocator.concurrency_cap(&self.work.cat_names[cat]) {
+            if let Some(cap) = self.allocator.concurrency_cap_id(cat as u32) {
                 if self.running_by_cat[cat] >= cap {
                     return Err(ParkReason::SlowStart);
                 }
@@ -1818,7 +1850,7 @@ impl Master {
         let picked = match &self.sched {
             SchedState::Reference(_) => self.pick_worker(item.task_idx, &alloc),
             SchedState::Indexed(ix) => {
-                ix.pick_worker(&self.workers, &self.work.tasks[item.task_idx], &alloc)
+                ix.pick_worker(&self.workers, self.work.inputs_of(item.task_idx), &alloc)
             }
         };
         match picked {
@@ -1863,36 +1895,24 @@ impl Master {
     /// park groups' heads, in exactly the reference examination order. One
     /// failed head examination settles its whole group for the pass (within
     /// a pass capacity only shrinks and per-category running counts only
-    /// grow, so every later member would fail identically); fresh arrivals
-    /// whose group is asleep or already settled are parked directly under
-    /// the group's standing failure certificate.
+    /// grow, so every later member would fail identically): the failure
+    /// leaves the group non-empty and asleep under the fresh verdict, and
+    /// nothing inside a pass wakes a group, so fresh arrivals of the group
+    /// are parked directly under that standing certificate — as are those
+    /// of a group asleep since an earlier pass.
     fn dispatch_indexed(&mut self, now: SimTime) {
-        // Groups that failed examination *this pass*, with the reason.
-        // At most one entry per park group, so a scan finds it.
-        let mut settled: Vec<((u32, bool), ParkReason)> = Vec::new();
         while let Some(src) = self.ix().peek_min() {
             match src {
                 Src::Ready => {
                     let (key, item) = self.ix_mut().pop_ready();
                     let gk = (self.work.cat_of[item.task_idx], item.attempt > 0);
-                    if let Some((_, reason)) = settled.iter().find(|(g, _)| *g == gk) {
-                        let reason = reason.clone();
-                        self.ix_mut().park(gk, Some(reason), key, item);
-                        continue;
-                    }
                     if self.ix().is_asleep(gk) {
                         self.ix_mut().park(gk, None, key, item);
                         continue;
                     }
                     match self.examine(&item) {
-                        Ok((wid, decision, alloc)) => {
-                            self.place(now, wid, &item, decision, alloc);
-                            self.ix_mut().drop_group_if_empty(gk);
-                        }
-                        Err(reason) => {
-                            settled.push((gk, reason.clone()));
-                            self.ix_mut().park(gk, Some(reason), key, item);
-                        }
+                        Ok((wid, decision, alloc)) => self.place(now, wid, &item, decision, alloc),
+                        Err(reason) => self.ix_mut().park(gk, Some(reason), key, item),
                     }
                 }
                 Src::Group(gk) => {
@@ -1901,12 +1921,8 @@ impl Master {
                         Ok((wid, decision, alloc)) => {
                             self.ix_mut().pop_group_head(gk);
                             self.place(now, wid, &item, decision, alloc);
-                            self.ix_mut().drop_group_if_empty(gk);
                         }
-                        Err(reason) => {
-                            settled.push((gk, reason.clone()));
-                            self.ix_mut().sleep_group(gk, reason);
-                        }
+                        Err(reason) => self.ix_mut().sleep_group(gk, reason),
                     }
                 }
             }
@@ -1932,17 +1948,13 @@ impl Master {
     /// local (Work Queue "prefers to schedule tasks where needed data is
     /// cached"), then the one with most free cores.
     fn pick_worker(&self, task_idx: usize, alloc: &Resources) -> Option<u32> {
-        let task = &self.work.tasks[task_idx];
+        let inputs = self.work.inputs_of(task_idx);
         let mut best: Option<(bool, u32, u32)> = None; // (cached, free_cores, id)
         for w in self.workers.values() {
             if w.quarantined || !w.node.can_fit(alloc) {
                 continue;
             }
-            let cached = task
-                .inputs
-                .iter()
-                .filter(|f| f.cacheable)
-                .all(|f| w.has_cached(&f.name));
+            let cached = (inputs.iter().filter_map(|r| r.file())).all(|f| w.has_cached(f));
             let free = w.node.available().cores;
             let key = (cached, free, w.id());
             match best {
@@ -2015,8 +2027,9 @@ impl Master {
         let mut infra: Option<InfraFault> = None;
         let mut transferred = false;
         let mut env_transfer = false;
-        for f in &self.work.tasks[task_idx].inputs {
-            let is_env = matches!(f.kind, FileKind::EnvironmentPack { .. });
+        let inputs = &self.work.tasks[task_idx].inputs;
+        for (f, row) in inputs.iter().zip(self.work.inputs_of(task_idx)) {
+            let is_env = row.is_env();
             if is_env && direct_env {
                 // Conventional deployment: every task imports the whole
                 // environment straight from the shared filesystem.
@@ -2036,13 +2049,13 @@ impl Master {
                 }
                 continue;
             }
-            if f.cacheable {
-                if worker.has_cached(&f.name) {
+            if let Some(file) = row.file() {
+                if worker.has_cached(file) {
                     worker.cache_hits += 1;
                     self.config
                         .telemetry
                         .counter_at_key(tk().worker_cache_hit, 1, now);
-                } else if let Some(ready) = worker.staging_ready(&f.name) {
+                } else if let Some(ready) = worker.staging_ready(file) {
                     // Share the in-flight transfer.
                     worker.cache_hits += 1;
                     self.config
@@ -2091,7 +2104,7 @@ impl Master {
                             *relocation_ops,
                         );
                     }
-                    worker.mark_staging(&f.name, now + cost);
+                    worker.mark_staging(file, now + cost);
                     cacheable_wait = cacheable_wait.max(cost);
                 }
             } else {
@@ -2294,11 +2307,11 @@ impl Master {
     fn cache_staged_inputs(&mut self, wid: u32, task_idx: usize) {
         let packed = self.effective_dist_mode() == DistMode::PackedTransfer;
         let worker = self.workers.get_mut(wid).expect("worker exists");
-        for f in &self.work.tasks[task_idx].inputs {
-            let is_env = matches!(f.kind, FileKind::EnvironmentPack { .. });
-            if (!is_env || packed) && worker.insert_cached(f) {
+        for row in self.work.inputs_of(task_idx) {
+            let Some(file) = row.file() else { continue };
+            if (!row.is_env() || packed) && worker.insert_cached(file) {
                 if let SchedState::Indexed(ix) = &mut self.sched {
-                    ix.file_cached(&f.name, wid);
+                    ix.file_cached(file, wid);
                 }
             }
         }
@@ -2331,7 +2344,7 @@ impl Master {
     /// straggler still running (whose eventual completion will be dropped
     /// as stale). Either way the task is requeued with backoff.
     fn reclaim_lease(&mut self, now: SimTime, placement: u64) {
-        let Some(p) = self.ledger.placements.get(&placement).copied() else {
+        let Some(p) = self.ledger.placements.get(placement).copied() else {
             return; // completed (or was lost with its worker) long ago
         };
         self.commit(Record::Freed { placement });
@@ -2473,10 +2486,8 @@ impl Master {
     fn infra_finish(&mut self, now: SimTime, info: DoneInfo) {
         let fault = info.infra.expect("infra completion");
         let worker = self.workers.get_mut(info.worker).expect("worker exists");
-        for f in &self.work.tasks[info.task_idx].inputs {
-            if f.cacheable {
-                worker.abort_staging(&f.name);
-            }
+        for file in (self.work.inputs_of(info.task_idx).iter()).filter_map(|r| r.file()) {
+            worker.abort_staging(file);
         }
         self.count(CounterKey::StageInFailures, 1.0);
         let lost_secs = info.allocated.cores as f64 * info.stage_in_secs;
@@ -2539,8 +2550,8 @@ impl Master {
                 completed,
                 violated,
             });
-            self.allocator.observe_outcome_notify(
-                &self.work.cat_names[cat as usize],
+            self.allocator.observe_outcome_notify_id(
+                cat,
                 info.outcome.report(),
                 completed,
                 violated,
@@ -3398,6 +3409,103 @@ mod tests {
         assert_eq!(reference, indexed);
     }
 
+    /// The benchmark's `master_batch` workload (`lfm_benchmark`'s
+    /// `batch_tasks`, `batch_config`, `batch_node` and its seed derivation):
+    /// `n` one-core tasks in four categories sharing an environment pack
+    /// and a calibration file, each with an input of its own, under Auto on
+    /// 16-core nodes.
+    fn batch_shape(n: u64, seed: u64) -> (MasterConfig, Vec<TaskSpec>, NodeSpec) {
+        let derive = |salt: u64| {
+            let mut z = seed.wrapping_add(salt.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut rng = SimRng::seeded(derive(1));
+        let env = FileRef::environment("bench-env", 100 << 20, 300 << 20, 2000, 400);
+        let calib = FileRef::shared_data("bench-calib", 4 << 20);
+        let tasks = (0..n)
+            .map(|i| {
+                let cat = i % 4;
+                let duration = rng.uniform(30.0, 41.0);
+                let memory = (rng.uniform(0.8, 1.0) * (300 + 50 * cat) as f64) as u64;
+                TaskSpec::new(
+                    TaskId(i),
+                    format!("cat{cat}"),
+                    vec![
+                        FileRef::data(format!("in-{i}"), 64 << 10),
+                        env.clone(),
+                        calib.clone(),
+                    ],
+                    1 << 20,
+                    SimTaskProfile::new(duration, 1.0, memory, 200),
+                )
+            })
+            .collect();
+        let config = MasterConfig::new(Strategy::Auto(AutoConfig::default())).with_seed(derive(2));
+        (config, tasks, NodeSpec::new(16, 64 * 1024, 128 * 1024))
+    }
+
+    #[test]
+    fn examinations_per_completion_are_pinned() {
+        // How many attempts a run examines is decided by the wake rule
+        // (every freed slot wakes every group whose allocation fits), not
+        // by what an examination costs. These two counts are the baseline a
+        // change to that rule is judged against.
+        let examined = |n: u64, workers: u32| {
+            let (config, tasks, node) = batch_shape(n, 7);
+            EXAMINATIONS.with(|c| c.set(0));
+            let report = run_workload(&config, tasks, workers, node);
+            assert_eq!(report.results.len() as u64, n + report.retried_tasks);
+            EXAMINATIONS.with(|c| c.get())
+        };
+        assert_eq!(examined(2_000, 10), 9_221);
+        // `master_batch` itself: 4.689 examinations per completion.
+        assert_eq!(examined(50_000, 256), 234_466);
+    }
+
+    #[test]
+    fn a_run_resolves_no_name() {
+        use crate::prepared::NAME_WORK;
+        // Names are compared and copied where tasks enter — one interned
+        // entry per distinct category and cacheable file, the 50 000
+        // per-task input names never — and nowhere on the way to 50 000
+        // completions.
+        let (config, tasks, node) = batch_shape(50_000, 7);
+        NAME_WORK.with(|c| c.set((0, 0)));
+        let work = prepared(tasks);
+        let (_, interned) = NAME_WORK.with(|c| c.get());
+        assert_eq!(interned, 4 + 2, "four categories, two cacheable files");
+        let mut m = Master::new(config, work, 256, node);
+        let at_the_door = NAME_WORK.with(|c| c.get());
+        assert_eq!(at_the_door.1, interned + 4, "the allocator's own table");
+        m.start();
+        while m.ledger.completed < m.work.len() {
+            m.step();
+        }
+        assert_eq!(NAME_WORK.with(|c| c.get()), at_the_door);
+        assert_eq!(m.finish().results.len(), 50_000);
+    }
+
+    #[test]
+    fn results_are_reserved_for_the_tasks_a_master_owns() {
+        let cfg = MasterConfig::new(oracle());
+        let work = prepared(hep_tasks(40));
+        let mut whole = Master::new(cfg.clone(), Arc::clone(&work), 2, node());
+        assert_eq!(whole.ledger.results.capacity(), 0, "not before `start`");
+        whole.start();
+        assert!(whole.ledger.results.capacity() >= 40);
+        // A shard reserves its partition, not the workload.
+        let owner = Arc::new((0..40).map(|i| u32::from(i >= 10)).collect::<Vec<u32>>());
+        let mut shard = Master::new_shard(cfg.clone(), work, 2, node(), 0, owner);
+        shard.start();
+        assert!((10..20).contains(&shard.ledger.results.capacity()));
+        // A streaming master owns nothing yet.
+        let mut streaming = Master::new(cfg, prepared(Vec::new()), 2, node());
+        streaming.start();
+        assert_eq!(streaming.ledger.results.capacity(), 0);
+    }
+
     #[test]
     fn eviction_scan_is_linear_in_lost_placements() {
         // Eviction must only touch the evicted worker's own placements (via
@@ -3690,7 +3798,7 @@ mod tests {
         });
         m.dispatch(SimTime::from_secs(3.0));
         assert_eq!(m.ledger.placements.len(), 1, "released worker unused");
-        assert_eq!(m.ledger.placements.values().next().unwrap().worker, 0);
+        assert_eq!(m.ledger.placements.iter().next().unwrap().1.worker, 0);
     }
 
     #[test]
@@ -3733,6 +3841,81 @@ mod tests {
             m.allocator.peek_decision("hep", &cap),
             label,
             "label diverged across restore"
+        );
+    }
+
+    #[test]
+    fn restore_lands_every_category_on_its_own_id() {
+        // The per-task path calls the allocator by category *id*, so a
+        // restored allocator must know every category under the workload's
+        // id again — also one the image carries no sample of.
+        let profile = SimTaskProfile::new(50.0, 1.0, 100, 900);
+        let tasks = (["hep", "drug", "idle", "genomic"].iter().enumerate())
+            .map(|(i, cat)| TaskSpec::new(TaskId(i as u64), *cat, vec![], 0, profile))
+            .collect();
+        let mut m = Master::new(
+            MasterConfig::new(Strategy::Auto(AutoConfig::default())),
+            prepared(tasks),
+            1,
+            node(),
+        );
+        let rep = |mem: u64| lfm_monitor::report::ResourceReport {
+            peak_cores: 1.0,
+            peak_rss_mb: mem,
+            peak_disk_mb: 900,
+            ..Default::default()
+        };
+        let cap = node().resources;
+        // Observed out of id order; `idle` (id 2) never.
+        for (cat, mem) in [
+            (3u32, 700u64),
+            (0, 100),
+            (3, 720),
+            (1, 300),
+            (0, 104),
+            (1, 310),
+        ] {
+            m.allocator
+                .observe_outcome_notify_id(cat, &rep(mem), true, None, &cap);
+        }
+        let names = m.work.cat_names.clone();
+        let before: Vec<_> = (names.iter())
+            .map(|n| {
+                (
+                    m.allocator.snapshot_category(n),
+                    m.allocator.peek_decision(n, &cap),
+                )
+            })
+            .collect();
+        let img = m.snapshot_image();
+        assert_eq!(
+            img.alloc_stats[2],
+            CategorySnap::default(),
+            "never observed"
+        );
+        m.restore_from_image(img, SimTime::ZERO);
+        for (cat, name) in names.iter().enumerate() {
+            assert_eq!(m.allocator.intern(name), cat as u32, "{name}");
+            assert_eq!(
+                (
+                    m.allocator.snapshot_category(name),
+                    m.allocator.peek_decision(name, &cap)
+                ),
+                before[cat],
+                "{name}"
+            );
+            // The id-keyed read is the by-name read.
+            assert_eq!(
+                m.allocator.concurrency_cap_id(cat as u32),
+                m.allocator.concurrency_cap(name)
+            );
+        }
+        assert_eq!(
+            m.allocator.decide_id(2, 0, &cap),
+            AllocationDecision::WholeWorker
+        );
+        assert!(
+            matches!(m.allocator.decide_id(3, 0, &cap), AllocationDecision::Sized(r) if r.memory_mb >= 720)
         );
     }
 
@@ -3872,19 +4055,19 @@ mod tests {
             m.step();
         }
         assert!(before.counters.workers_lost > 0 && before.counters.lost_core_secs > 0.0);
-        assert!(!before.placements.is_empty() && !before.results.is_empty());
+        assert!(before.placements.len() > 0 && !before.results.is_empty());
         let fence = m.ledger.next_placement;
-        assert!(before.placements.keys().all(|&id| id < fence));
+        assert!(before.placements.iter().all(|(id, _)| id < fence));
         assert!(m.ledger.counters.workers_lost >= before.counters.workers_lost);
         assert!(m.ledger.counters.lost_core_secs >= before.counters.lost_core_secs);
         assert!(m.ledger.counters.workers_provisioned >= before.counters.workers_provisioned);
         // Everything about the run itself is gone.
-        assert!(m.ledger.placements.is_empty() && m.ledger.results.is_empty());
+        assert!(m.ledger.placements.len() == 0 && m.ledger.results.is_empty());
         assert_eq!((m.ledger.completed, m.ledger.abandoned), (0, 0));
         while m.ledger.completed < m.work.len() {
             m.step();
             assert!(
-                m.ledger.placements.keys().all(|&id| id >= fence),
+                m.ledger.placements.iter().all(|(id, _)| id >= fence),
                 "a pre-restart placement id was reissued"
             );
         }

@@ -8,13 +8,67 @@
 //! A streaming master owns its table alone and grows it one dependency-free
 //! task at a time.
 
+use crate::files::FileKind;
 use crate::task::{TaskId, TaskSpec};
 use std::collections::{BTreeMap, HashMap};
 
+/// Names to dense ids in first-seen order: the one place a category or file
+/// *name* is compared. Everything past submission runs on the ids.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Interner(BTreeMap<String, u32>);
+
+impl Interner {
+    /// The id of `name`; a name not seen before gets the next one.
+    pub fn intern(&mut self, name: &str) -> u32 {
+        self.get(name).unwrap_or_else(|| {
+            #[cfg(test)]
+            NAME_WORK.with(|c| c.set((c.get().0, c.get().1 + 1)));
+            let id = self.0.len() as u32;
+            self.0.insert(name.to_string(), id);
+            id
+        })
+    }
+
+    pub fn get(&self, name: &str) -> Option<u32> {
+        #[cfg(test)]
+        NAME_WORK.with(|c| c.set((c.get().0 + 1, c.get().1)));
+        self.0.get(name).copied()
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `(probes, names interned)` by this thread's [`Interner`]s: a probe
+    /// compares names, an interned name allocates one; a run does neither.
+    pub(crate) static NAME_WORK: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+/// One input of one task as the per-task path reads it: the dense id of a
+/// cacheable file (per-task data files get the `NO_FILE` sentinel, so their
+/// names never enter a table) and, in the top bit, whether it is an
+/// environment pack.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InputRow(u32);
+
+impl InputRow {
+    const ENV: u32 = 1 << 31;
+    const NO_FILE: u32 = Self::ENV - 1;
+
+    /// The file's id when it is cacheable.
+    pub fn file(self) -> Option<u32> {
+        let id = self.0 & Self::NO_FILE;
+        (id != Self::NO_FILE).then_some(id)
+    }
+
+    pub fn is_env(self) -> bool {
+        self.0 & Self::ENV != 0
+    }
+}
+
 /// The task vector plus what is derived from it: the malformed-workload
-/// checks (done, by construction), the interned category table, the initial
-/// dependency counts, and the dependents graph in CSR form indexed by task
-/// *index*.
+/// checks (done, by construction), the interned category and file tables,
+/// the initial dependency counts, and the dependents graph in CSR form
+/// indexed by task *index*.
 #[derive(Debug, Clone)]
 pub struct PreparedWorkload {
     pub(crate) tasks: Vec<TaskSpec>,
@@ -22,6 +76,12 @@ pub struct PreparedWorkload {
     /// never clones or hashes a category string.
     pub(crate) cat_of: Vec<u32>,
     pub(crate) cat_names: Vec<String>,
+    cat_ids: Interner,
+    file_ids: Interner,
+    /// Task `i`'s inputs are `input_rows[input_offsets[i]..input_offsets[i + 1]]`,
+    /// parallel to `tasks[i].inputs`.
+    input_offsets: Vec<u32>,
+    input_rows: Vec<InputRow>,
     /// `deps.len()` per task: the countdown a fresh ledger starts from.
     pub(crate) dep_counts: Vec<usize>,
     /// Task `i`'s dependents are `dep_targets[dep_offsets[i]..dep_offsets[i + 1]]`,
@@ -80,25 +140,49 @@ impl PreparedWorkload {
             }
         }
 
-        let mut cat_ids: BTreeMap<&str, u32> = BTreeMap::new();
-        let mut cat_names: Vec<String> = Vec::new();
-        let cat_of = tasks
-            .iter()
-            .map(|t| {
-                *cat_ids.entry(&t.category).or_insert_with(|| {
-                    cat_names.push(t.category.clone());
-                    (cat_names.len() - 1) as u32
-                })
-            })
-            .collect();
-        PreparedWorkload {
+        let mut w = PreparedWorkload {
             dep_counts: tasks.iter().map(|t| t.deps.len()).collect(),
-            cat_of,
-            cat_names,
+            cat_of: Vec::with_capacity(n),
+            cat_names: Vec::new(),
+            cat_ids: Interner::default(),
+            file_ids: Interner::default(),
+            input_offsets: vec![0],
+            input_rows: Vec::new(),
             dep_offsets,
             dep_targets,
-            tasks,
+            tasks: Vec::new(),
+        };
+        for t in &tasks {
+            w.intern_names(t);
         }
+        w.tasks = tasks;
+        w
+    }
+
+    /// Resolve an entering task's names: its category id onto `cat_of`, its
+    /// input rows onto the CSR table. Returns the category id.
+    fn intern_names(&mut self, spec: &TaskSpec) -> u32 {
+        let cat = self.cat_ids.intern(&spec.category);
+        if cat as usize == self.cat_names.len() {
+            self.cat_names.push(spec.category.clone());
+        }
+        self.cat_of.push(cat);
+        for f in &spec.inputs {
+            let id = match f.cacheable {
+                true => self.file_ids.intern(&f.name),
+                false => InputRow::NO_FILE,
+            };
+            let env = matches!(f.kind, FileKind::EnvironmentPack { .. });
+            self.input_rows
+                .push(InputRow(id | if env { InputRow::ENV } else { 0 }));
+        }
+        // File ids are handed out one per row at most, so this bounds both.
+        assert!(
+            self.input_rows.len() < InputRow::NO_FILE as usize,
+            "too many inputs to index"
+        );
+        self.input_offsets.push(self.input_rows.len() as u32);
+        cat
     }
 
     /// The tasks, in submission order.
@@ -122,18 +206,25 @@ impl PreparedWorkload {
             .map(|&d| d as usize)
     }
 
-    /// Append one streamed, dependency-free task; a first-seen category is
-    /// interned on the fly. Returns its category id.
+    /// Task `task_idx`'s inputs, parallel to its spec's `inputs`.
+    pub fn inputs_of(&self, task_idx: usize) -> &[InputRow] {
+        let (lo, hi) = (
+            self.input_offsets[task_idx],
+            self.input_offsets[task_idx + 1],
+        );
+        &self.input_rows[lo as usize..hi as usize]
+    }
+
+    /// The id of a cacheable file some task names, if any does.
+    pub fn file_id(&self, name: &str) -> Option<u32> {
+        self.file_ids.get(name)
+    }
+
+    /// Append one streamed, dependency-free task; a first-seen category or
+    /// cacheable file is interned on the fly. Returns its category id.
     pub(crate) fn admit(&mut self, spec: TaskSpec) -> u32 {
         debug_assert!(spec.deps.is_empty());
-        let cat = match self.cat_names.iter().position(|c| c == &spec.category) {
-            Some(i) => i as u32,
-            None => {
-                self.cat_names.push(spec.category.clone());
-                (self.cat_names.len() - 1) as u32
-            }
-        };
-        self.cat_of.push(cat);
+        let cat = self.intern_names(&spec);
         self.dep_counts.push(0);
         self.dep_offsets.push(self.dep_targets.len() as u32);
         self.tasks.push(spec);
@@ -144,6 +235,7 @@ impl PreparedWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::files::FileRef;
     use lfm_monitor::sim::SimTaskProfile;
 
     fn task(id: u64, cat: &str, deps: &[u64]) -> TaskSpec {
@@ -212,6 +304,51 @@ mod tests {
         grown.admit(task(2, "a", &[]));
         assert_eq!(grown.dependents(0).collect::<Vec<_>>(), vec![1]);
         assert!(grown.dependents(2).next().is_none());
+    }
+
+    #[test]
+    fn input_rows_intern_cacheable_names_only() {
+        let env = FileRef::environment("env", 100, 600, 10, 1);
+        let calib = FileRef::shared_data("calib", 50);
+        let with = |id: u64, inputs: Vec<FileRef>| TaskSpec {
+            inputs,
+            ..task(id, "a", &[])
+        };
+        // A pack someone marked uncacheable is still an environment.
+        let loose_env = FileRef {
+            cacheable: false,
+            ..env.clone()
+        };
+        let mut w = PreparedWorkload::new(vec![
+            with(
+                0,
+                vec![FileRef::data("in-0", 1), env.clone(), calib.clone()],
+            ),
+            with(1, vec![]),
+            with(2, vec![calib.clone(), FileRef::data("in-2", 1), loose_env]),
+        ]);
+        let rows = |w: &PreparedWorkload, i: usize| -> Vec<(Option<u32>, bool)> {
+            assert_eq!(w.inputs_of(i).len(), w.tasks()[i].inputs.len());
+            (w.inputs_of(i).iter())
+                .map(|r| (r.file(), r.is_env()))
+                .collect()
+        };
+        assert_eq!(
+            rows(&w, 0),
+            vec![(None, false), (Some(0), true), (Some(1), false)]
+        );
+        assert_eq!(rows(&w, 1), vec![]);
+        assert_eq!(
+            rows(&w, 2),
+            vec![(Some(1), false), (None, false), (None, true)]
+        );
+        assert_eq!((w.file_id("env"), w.file_id("calib")), (Some(0), Some(1)));
+        assert_eq!((w.file_id("in-0"), w.file_id("late")), (None, None));
+        // A streamed task names a known file and a new one.
+        let late = FileRef::shared_data("late", 5);
+        w.admit(with(3, vec![late, env]));
+        assert_eq!(rows(&w, 3), vec![(Some(2), false), (Some(0), true)]);
+        assert_eq!(w.file_id("late"), Some(2));
     }
 
     #[test]

@@ -21,10 +21,10 @@
 //!   most-free-cores preference is a walk down the buckets with early exit
 //!   instead of a full-pool sweep, and a worker changing its free cores is
 //!   two bit flips.
-//! * **File index** — inverted cache map (file name → workers holding it),
-//!   so the cached-inputs preference is a set-membership test per worker
-//!   the capacity scan visits instead of a probe of that worker's cache
-//!   for every input.
+//! * **File index** — inverted cache map (file id → workers holding it),
+//!   so the cached-inputs preference is a bit test per worker the capacity
+//!   scan visits instead of a probe of that worker's cache for every
+//!   input.
 //!
 //! Exactness: see `DESIGN.md` §Scheduler for the argument that every skipped
 //! examination would have failed in the reference matcher, and that failed
@@ -32,11 +32,12 @@
 //! make the indexed scheduler placement-for-placement identical.
 
 use crate::master::SchedulePolicy;
+use crate::prepared::InputRow;
 use crate::task::TaskSpec;
 use crate::worker::WorkerTable;
 use lfm_simcluster::node::Resources;
 use lfm_simcluster::time::SimTime;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Which dispatch implementation a run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -79,11 +80,12 @@ pub(crate) fn policy_rank(policy: SchedulePolicy, peak_memory_mb: u64) -> u64 {
 /// Why a group failed its last examination. The stored reason is a
 /// *certificate* that re-examining the group is pointless until a wake
 /// condition specific to the reason occurs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub(crate) enum ParkReason {
     /// Sized first attempts hit the slow-start concurrency cap. Invalidated
     /// by any completion/eviction of the category (running count fell, or
     /// the cap itself moved with the new sample).
+    #[default]
     SlowStart,
     /// No worker could fit this resolved allocation. Invalidated by a
     /// worker arrival, by freed capacity that fits the stored vector, or by
@@ -91,10 +93,21 @@ pub(crate) enum ParkReason {
     NoFit(Resources),
 }
 
-#[derive(Debug)]
+/// One slot of the park table. A group *exists* while it has members; an
+/// empty slot's reason and flag mean nothing.
+#[derive(Debug, Default)]
 struct ParkGroup {
     reason: ParkReason,
     members: BTreeMap<OrderKey, Pending>,
+    /// A wake is pending: the head competes with `ready` in the next
+    /// dispatch pass. Waking is lazy — members never move.
+    runnable: bool,
+}
+
+/// A group's slot in the park table: `2·cat + retry`, so that slot order is
+/// the `(category id, retry)` order of [`GroupKey`].
+fn slot(gk: GroupKey) -> usize {
+    gk.0 as usize * 2 + gk.1 as usize
 }
 
 /// Where the next-in-order candidate lives.
@@ -111,11 +124,9 @@ pub(crate) struct IndexedSched {
     policy: SchedulePolicy,
     /// Tasks awaiting their first examination since (re-)enqueue.
     ready: BTreeMap<OrderKey, Pending>,
-    /// Tasks whose last examination failed, grouped by (category, retry).
-    groups: BTreeMap<GroupKey, ParkGroup>,
-    /// Groups with a pending wake: their heads compete with `ready` in the
-    /// next dispatch pass. Waking is lazy — members never move.
-    runnable: BTreeSet<GroupKey>,
+    /// Tasks whose last examination failed, grouped by (category, retry):
+    /// the group of `gk` is `groups[slot(gk)]`.
+    groups: Vec<ParkGroup>,
     /// Total members across all groups (so `len` is O(1)).
     parked: usize,
     /// `push_front` seqs: start at -1 and decrease.
@@ -124,8 +135,8 @@ pub(crate) struct IndexedSched {
     back_seq: i64,
     /// Every schedulable worker under its free-core count.
     cap_index: CapIndex,
-    /// file name → workers with it cached (mirrors `Worker::insert_cached`).
-    file_index: BTreeMap<String, BTreeSet<u32>>,
+    /// file id → workers with it cached (mirrors `Worker::insert_cached`).
+    file_index: Vec<IdSet>,
 }
 
 impl IndexedSched {
@@ -133,13 +144,12 @@ impl IndexedSched {
         IndexedSched {
             policy,
             ready: BTreeMap::new(),
-            groups: BTreeMap::new(),
-            runnable: BTreeSet::new(),
+            groups: Vec::new(),
             parked: 0,
             front_seq: -1,
             back_seq: 0,
             cap_index: CapIndex::default(),
-            file_index: BTreeMap::new(),
+            file_index: Vec::new(),
         }
     }
 
@@ -158,7 +168,7 @@ impl IndexedSched {
         let mut all: Vec<(OrderKey, Pending)> = self
             .ready
             .iter()
-            .chain(self.groups.values().flat_map(|g| g.members.iter()))
+            .chain(self.groups.iter().flat_map(|g| g.members.iter()))
             .map(|(&k, p)| (k, p.clone()))
             .collect();
         all.sort_by_key(|&(k, _)| k);
@@ -189,14 +199,13 @@ impl IndexedSched {
     /// runnable group heads, or None when nothing is examinable.
     pub fn peek_min(&self) -> Option<Src> {
         let mut best: Option<(OrderKey, Src)> = self.ready.keys().next().map(|&k| (k, Src::Ready));
-        for &gk in &self.runnable {
-            let head = *self.groups[&gk]
-                .members
-                .keys()
-                .next()
-                .expect("runnable group is non-empty");
+        for (i, g) in self.groups.iter().enumerate() {
+            if !g.runnable {
+                continue;
+            }
+            let head = *(g.members.keys().next()).expect("runnable group is non-empty");
             if best.is_none_or(|(bk, _)| head < bk) {
-                best = Some((head, Src::Group(gk)));
+                best = Some((head, Src::Group((i as u32 / 2, i % 2 == 1))));
             }
         }
         best.map(|(_, src)| src)
@@ -209,29 +218,25 @@ impl IndexedSched {
     /// The head of a runnable group, left in place: most head examinations
     /// fail, and a failed one only renews the group's certificate.
     pub fn group_head(&self, gk: GroupKey) -> &Pending {
-        let g = self.groups.get(&gk).expect("runnable group exists");
+        let g = &self.groups[slot(gk)];
         g.members.values().next().expect("runnable group non-empty")
     }
 
+    /// Take the head of a runnable group for placement. A group emptied
+    /// this way is gone, its pending wake with it.
     pub fn pop_group_head(&mut self, gk: GroupKey) -> (OrderKey, Pending) {
-        let g = self.groups.get_mut(&gk).expect("runnable group exists");
+        let g = &mut self.groups[slot(gk)];
         let (key, item) = g.members.pop_first().expect("runnable group non-empty");
+        g.runnable &= !g.members.is_empty();
         self.parked -= 1;
         (key, item)
     }
 
     /// The examined head failed: the group sleeps under the fresh verdict.
     pub fn sleep_group(&mut self, gk: GroupKey, reason: ParkReason) {
-        self.groups.get_mut(&gk).expect("group exists").reason = reason;
-        self.runnable.remove(&gk);
-    }
-
-    /// Remove a group emptied by successful placements.
-    pub fn drop_group_if_empty(&mut self, gk: GroupKey) {
-        if self.groups.get(&gk).is_some_and(|g| g.members.is_empty()) {
-            self.groups.remove(&gk);
-            self.runnable.remove(&gk);
-        }
+        let g = &mut self.groups[slot(gk)];
+        g.reason = reason;
+        g.runnable = false;
     }
 
     /// Is this group parked and *not* scheduled for re-examination? Fresh
@@ -239,28 +244,25 @@ impl IndexedSched {
     /// occurred since the group's last failed examination, so the same
     /// failure certificate covers them.
     pub fn is_asleep(&self, gk: GroupKey) -> bool {
-        self.groups.contains_key(&gk) && !self.runnable.contains(&gk)
+        (self.groups.get(slot(gk))).is_some_and(|g| !g.members.is_empty() && !g.runnable)
     }
 
     /// Park `item` under `gk`. `reason: Some` records a fresh failure
     /// verdict (overwriting any stale one) and puts the group to sleep;
     /// `None` joins an existing group without touching its certificate.
     pub fn park(&mut self, gk: GroupKey, reason: Option<ParkReason>, key: OrderKey, item: Pending) {
+        if self.groups.len() <= slot(gk) {
+            self.groups.resize_with(slot(gk) + 1, ParkGroup::default);
+        }
+        let g = &mut self.groups[slot(gk)];
         match reason {
             Some(r) => {
-                let g = self.groups.entry(gk).or_insert_with(|| ParkGroup {
-                    reason: r.clone(),
-                    members: BTreeMap::new(),
-                });
                 g.reason = r;
-                self.runnable.remove(&gk);
-                g.members.insert(key, item);
+                g.runnable = false;
             }
-            None => {
-                let g = self.groups.get_mut(&gk).expect("joining an existing group");
-                g.members.insert(key, item);
-            }
+            None => debug_assert!(!g.members.is_empty(), "joining an existing group"),
         }
+        g.members.insert(key, item);
         self.parked += 1;
     }
 
@@ -272,10 +274,9 @@ impl IndexedSched {
     /// invalidates a NoFit verdict: the parked allocation vector itself is
     /// no longer what the group would be offered.
     pub fn wake_category(&mut self, cat: u32, label_changed: bool) {
-        let gk = (cat, false);
-        if let Some(g) = self.groups.get(&gk) {
-            if label_changed || g.reason == ParkReason::SlowStart {
-                self.runnable.insert(gk);
+        if let Some(g) = self.groups.get_mut(slot((cat, false))) {
+            if !g.members.is_empty() && (label_changed || g.reason == ParkReason::SlowStart) {
+                g.runnable = true;
             }
         }
     }
@@ -285,10 +286,10 @@ impl IndexedSched {
     /// still doesn't fit keep their certificate — no other worker's
     /// capacity grew since they parked.
     pub fn wake_fitting(&mut self, avail: &Resources) {
-        for (gk, g) in &self.groups {
+        for g in &mut self.groups {
             if let ParkReason::NoFit(r) = &g.reason {
-                if r.fits_in(avail) {
-                    self.runnable.insert(*gk);
+                if !g.members.is_empty() && r.fits_in(avail) {
+                    g.runnable = true;
                 }
             }
         }
@@ -298,9 +299,9 @@ impl IndexedSched {
     /// worker (resolution clamps to the node spec), so every NoFit
     /// certificate is void.
     pub fn wake_all_nofit(&mut self) {
-        for (gk, g) in &self.groups {
-            if matches!(g.reason, ParkReason::NoFit(_)) {
-                self.runnable.insert(*gk);
+        for g in &mut self.groups {
+            if !g.members.is_empty() && matches!(g.reason, ParkReason::NoFit(_)) {
+                g.runnable = true;
             }
         }
     }
@@ -311,19 +312,16 @@ impl IndexedSched {
         self.cap_index.insert(free_cores, id);
     }
 
-    pub fn worker_removed<'a>(
+    pub fn worker_removed(
         &mut self,
         id: u32,
         free_cores: u32,
-        cached_files: impl Iterator<Item = &'a str>,
+        cached_files: impl Iterator<Item = u32>,
     ) {
         self.cap_index.remove(free_cores, id);
         for f in cached_files {
-            if let Some(set) = self.file_index.get_mut(f) {
-                set.remove(&id);
-                if set.is_empty() {
-                    self.file_index.remove(f);
-                }
+            if let Some(set) = self.file_index.get_mut(f as usize) {
+                set.remove(id);
             }
         }
     }
@@ -348,11 +346,12 @@ impl IndexedSched {
     }
 
     /// `file` newly entered `id`'s cache.
-    pub fn file_cached(&mut self, file: &str, id: u32) {
-        self.file_index
-            .entry(file.to_string())
-            .or_default()
-            .insert(id);
+    pub fn file_cached(&mut self, file: u32, id: u32) {
+        if self.file_index.len() <= file as usize {
+            self.file_index
+                .resize_with(file as usize + 1, IdSet::default);
+        }
+        self.file_index[file as usize].insert(id);
     }
 
     /// Give up to `max` first-attempt pending items from the *back* of the
@@ -368,28 +367,25 @@ impl IndexedSched {
             // `ready` and in every park group. Groups are searched whether
             // runnable or asleep — parked work is exactly what a hot shard
             // cannot start soon.
-            let mut best: Option<(OrderKey, Option<GroupKey>)> = None;
+            let mut best: Option<(OrderKey, Option<usize>)> = None;
             if let Some((&k, _)) = self.ready.iter().rev().find(|(_, p)| p.attempt == 0) {
                 best = Some((k, None));
             }
-            for (&gk, g) in &self.groups {
+            for (slot, g) in self.groups.iter().enumerate() {
                 if let Some((&k, _)) = g.members.iter().rev().find(|(_, p)| p.attempt == 0) {
                     if best.is_none_or(|(bk, _)| k > bk) {
-                        best = Some((k, Some(gk)));
+                        best = Some((k, Some(slot)));
                     }
                 }
             }
             let Some((key, src)) = best else { break };
             let item = match src {
                 None => self.ready.remove(&key).expect("found in ready"),
-                Some(gk) => {
-                    let g = self.groups.get_mut(&gk).expect("found in group");
+                Some(slot) => {
+                    let g = &mut self.groups[slot];
                     let item = g.members.remove(&key).expect("found member");
                     self.parked -= 1;
-                    if g.members.is_empty() {
-                        self.groups.remove(&gk);
-                        self.runnable.remove(&gk);
-                    }
+                    g.runnable &= !g.members.is_empty();
                     item
                 }
             };
@@ -399,18 +395,18 @@ impl IndexedSched {
         out
     }
 
-    /// Choose a worker for `task` under `alloc`: prefer one with all the
-    /// task's cacheable inputs already local, then the one with most free
-    /// cores, lowest id breaking ties — exactly the reference preference,
-    /// as one descending walk of the capacity index. The walk order *is*
-    /// the `(free cores, id)` preference, so the first fitting worker found
-    /// in every holder set is the answer, and the first fitting worker of
-    /// any kind is the fallback when no holder fits. Quarantined workers
-    /// are absent from the index.
+    /// Choose a worker for a task with `inputs` under `alloc`: prefer one
+    /// with all the task's cacheable inputs already local, then the one with
+    /// most free cores, lowest id breaking ties — exactly the reference
+    /// preference, as one descending walk of the capacity index. The walk
+    /// order *is* the `(free cores, id)` preference, so the first fitting
+    /// worker found holding every input is the answer, and the first fitting
+    /// worker of any kind is the fallback when no holder fits. Quarantined
+    /// workers are absent from the index.
     pub fn pick_worker(
         &self,
         workers: &WorkerTable,
-        task: &TaskSpec,
+        inputs: &[InputRow],
         alloc: &Resources,
     ) -> Option<u32> {
         // A full pool answers before any per-input work: when even the
@@ -419,25 +415,22 @@ impl IndexedSched {
         if self.cap_index.max_free().is_none_or(|f| f < alloc.cores) {
             return None;
         }
-        // Holder sets of the task's cacheable inputs. With no cacheable
-        // input, or one nobody holds, no worker is preferred over another
-        // and the empty list makes the first fitting worker win outright.
-        let mut holder_sets: Vec<&BTreeSet<u32>> = Vec::new();
-        for f in task.inputs.iter().filter(|f| f.cacheable) {
-            match self.file_index.get(&f.name) {
-                Some(set) => holder_sets.push(set),
-                None => {
-                    holder_sets.clear();
-                    break;
-                }
-            }
-        }
+        let files = || inputs.iter().filter_map(|row| row.file());
+        // With an input nobody holds no worker is preferred over another,
+        // and the first fitting worker wins outright (as it does with no
+        // cacheable input at all).
+        let held = |f: u32| {
+            self.file_index
+                .get(f as usize)
+                .is_some_and(|set| set.len > 0)
+        };
+        let preference = files().all(held);
         let mut fallback = None;
         // Below `alloc.cores` free cores nothing can fit.
         for (_, id) in self.cap_index.iter_desc(alloc.cores) {
             #[cfg(test)]
             PICK_PROBES.with(|c| c.set(c.get() + 1));
-            let cached = holder_sets.iter().all(|s| s.contains(&id));
+            let cached = !preference || files().all(|f| self.file_index[f as usize].contains(id));
             if !cached && fallback.is_some() {
                 continue;
             }
@@ -454,15 +447,20 @@ impl IndexedSched {
     }
 }
 
-/// Worker ids as a bitset: bit `id % 64` of word `id / 64`.
-#[derive(Debug, Default)]
-struct IdSet {
+/// Dense ids (workers here, files in a worker's cache) as a bitset: bit
+/// `id % 64` of word `id / 64`.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct IdSet {
     words: Vec<u64>,
     len: u32,
 }
 
 impl IdSet {
-    fn insert(&mut self, id: u32) {
+    pub fn contains(&self, id: u32) -> bool {
+        (self.words.get(id as usize / 64)).is_some_and(|w| w & (1u64 << (id % 64)) != 0)
+    }
+
+    pub fn insert(&mut self, id: u32) {
         let (w, bit) = (id as usize / 64, 1u64 << (id % 64));
         if self.words.len() <= w {
             self.words.resize(w + 1, 0);
@@ -480,7 +478,7 @@ impl IdSet {
     }
 
     /// Members in ascending id.
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         self.words.iter().enumerate().flat_map(|(w, &word)| {
             let mut rest = word;
             std::iter::from_fn(move || {
@@ -555,12 +553,14 @@ thread_local! {
 mod tests {
     use super::*;
     use crate::files::FileRef;
+    use crate::prepared::PreparedWorkload;
     use crate::task::TaskId;
     use crate::worker::Worker;
     use lfm_monitor::sim::SimTaskProfile;
     use lfm_simcluster::node::NodeSpec;
     use proptest::prelude::*;
     use std::cmp::Reverse;
+    use std::collections::BTreeSet;
 
     fn task(id: u64, mem: u64, inputs: Vec<FileRef>) -> TaskSpec {
         TaskSpec::new(
@@ -570,6 +570,28 @@ mod tests {
             0,
             SimTaskProfile::new(10.0, 1.0, mem, 100),
         )
+    }
+
+    /// The cacheable files these tests name, interned as a master's workload
+    /// would intern them.
+    fn file_table() -> PreparedWorkload {
+        let files = vec![
+            FileRef::environment("env", 100, 600, 10, 1),
+            FileRef::shared_data("calib", 50),
+            FileRef::shared_data("unheld", 10),
+        ];
+        PreparedWorkload::new(vec![task(0, 1, files)])
+    }
+
+    fn fid(file: &FileRef) -> u32 {
+        (file_table().file_id(&file.name)).expect("a file of the table")
+    }
+
+    /// `task`'s input rows under [`file_table`]'s ids.
+    fn rows(task: &TaskSpec) -> Vec<InputRow> {
+        let mut table = file_table();
+        table.admit(task.clone());
+        table.inputs_of(table.len() - 1).to_vec()
     }
 
     fn pending(idx: usize) -> Pending {
@@ -668,8 +690,8 @@ mod tests {
         }
         let env = FileRef::environment("env", 100, 600, 10, 1);
         // Worker 2 holds the env; worker 0 has more free cores.
-        assert!(workers.get_mut(2).unwrap().insert_cached(&env));
-        ix.file_cached("env", 2);
+        assert!(workers.get_mut(2).unwrap().insert_cached(fid(&env)));
+        ix.file_cached(fid(&env), 2);
         assert!(workers
             .get_mut(2)
             .unwrap()
@@ -679,10 +701,10 @@ mod tests {
         let t = task(0, 1, vec![env.clone()]);
         let alloc = Resources::new(1, 100, 100);
         // Cached worker wins despite fewer free cores.
-        assert_eq!(ix.pick_worker(&workers, &t, &alloc), Some(2));
+        assert_eq!(ix.pick_worker(&workers, &rows(&t), &alloc), Some(2));
         // Without cacheable inputs, most free cores + lowest id wins.
         let t2 = task(1, 1, vec![]);
-        assert_eq!(ix.pick_worker(&workers, &t2, &alloc), Some(0));
+        assert_eq!(ix.pick_worker(&workers, &rows(&t2), &alloc), Some(0));
         // Cached worker full: fall back to the most-free fitting worker.
         assert!(workers
             .get_mut(2)
@@ -690,7 +712,7 @@ mod tests {
             .node
             .allocate(Resources::new(4, 1, 1)));
         ix.update_free(2, 4, 0);
-        assert_eq!(ix.pick_worker(&workers, &t, &alloc), Some(0));
+        assert_eq!(ix.pick_worker(&workers, &rows(&t), &alloc), Some(0));
     }
 
     #[test]
@@ -729,14 +751,14 @@ mod tests {
         ix.worker_added(1, 8);
         ix.worker_added(2, 8);
         let env = FileRef::environment("env", 100, 600, 10, 1);
-        workers.get_mut(1).unwrap().insert_cached(&env);
-        ix.file_cached("env", 2);
-        ix.worker_removed(2, 8, std::iter::once("env"));
+        workers.get_mut(1).unwrap().insert_cached(fid(&env));
+        ix.file_cached(fid(&env), 2);
+        ix.worker_removed(2, 8, std::iter::once(fid(&env)));
         let t = task(0, 1, vec![env]);
         // Worker 2 gone from both indexes: the env holder set is empty, and
         // capacity falls back to worker 1.
         assert_eq!(
-            ix.pick_worker(&workers, &t, &Resources::new(1, 1, 1)),
+            ix.pick_worker(&workers, &rows(&t), &Resources::new(1, 1, 1)),
             Some(1)
         );
     }
@@ -781,8 +803,8 @@ mod tests {
         }
 
         fn cache(&mut self, id: u32, file: &FileRef) {
-            if self.workers.get_mut(id).unwrap().insert_cached(file) {
-                self.ix.file_cached(&file.name, id);
+            if self.workers.get_mut(id).unwrap().insert_cached(fid(file)) {
+                self.ix.file_cached(fid(file), id);
             }
         }
 
@@ -792,7 +814,7 @@ mod tests {
         }
 
         fn pick(&self, task: &TaskSpec, alloc: &Resources) -> Option<u32> {
-            self.ix.pick_worker(&self.workers, task, alloc)
+            self.ix.pick_worker(&self.workers, &rows(task), alloc)
         }
 
         /// The reference scan (`Master::pick_worker`): the `(cached, free
@@ -806,7 +828,7 @@ mod tests {
                         .inputs
                         .iter()
                         .filter(|f| f.cacheable)
-                        .all(|f| w.has_cached(&f.name));
+                        .all(|f| w.has_cached(fid(f)));
                     (cached, w.node.available().cores, Reverse(w.id()))
                 })
                 .max()
@@ -872,6 +894,516 @@ mod tests {
                 .filter(|w| !w.quarantined && w.node.available().cores >= want_cores)
                 .count() as u64;
             prop_assert!(probes <= could_fit_cores, "{probes} probes > {could_fit_cores}");
+        }
+    }
+
+    // ---- oracle: file cache, staging and file index keyed by file *name* ----
+
+    /// A worker's cache and in-flight staging as `Worker` kept them.
+    #[derive(Default)]
+    struct NameCache {
+        cache: BTreeSet<String>,
+        staging: BTreeMap<String, SimTime>,
+    }
+
+    impl NameCache {
+        fn has_cached(&self, name: &str) -> bool {
+            self.cache.contains(name)
+        }
+
+        fn insert_cached(&mut self, file: &FileRef) -> bool {
+            let newly_cached = file.cacheable
+                && !self.cache.contains(&file.name)
+                && self.cache.insert(file.name.clone());
+            self.staging.remove(&file.name);
+            newly_cached
+        }
+
+        fn staging_ready(&self, name: &str) -> Option<SimTime> {
+            self.staging.get(name).copied()
+        }
+
+        fn mark_staging(&mut self, name: &str, ready: SimTime) {
+            self.staging.insert(name.to_string(), ready);
+        }
+
+        fn abort_staging(&mut self, name: &str) {
+            if !self.cache.contains(name) {
+                self.staging.remove(name);
+            }
+        }
+    }
+
+    /// The scheduler's file index as it was, with the holder-set walk of
+    /// `pick_worker` over it (the capacity index is the live one's).
+    #[derive(Default)]
+    struct NameIndex(BTreeMap<String, BTreeSet<u32>>);
+
+    impl NameIndex {
+        fn file_cached(&mut self, file: &str, id: u32) {
+            self.0.entry(file.to_string()).or_default().insert(id);
+        }
+
+        fn worker_removed<'a>(&mut self, id: u32, cached_files: impl Iterator<Item = &'a str>) {
+            for f in cached_files {
+                if let Some(set) = self.0.get_mut(f) {
+                    set.remove(&id);
+                    if set.is_empty() {
+                        self.0.remove(f);
+                    }
+                }
+            }
+        }
+
+        fn pick_worker(
+            &self,
+            cap_index: &CapIndex,
+            workers: &WorkerTable,
+            task: &TaskSpec,
+            alloc: &Resources,
+        ) -> Option<u32> {
+            if cap_index.max_free().is_none_or(|f| f < alloc.cores) {
+                return None;
+            }
+            let mut holder_sets: Vec<&BTreeSet<u32>> = Vec::new();
+            for f in task.inputs.iter().filter(|f| f.cacheable) {
+                match self.0.get(&f.name) {
+                    Some(set) => holder_sets.push(set),
+                    None => {
+                        holder_sets.clear();
+                        break;
+                    }
+                }
+            }
+            let mut fallback = None;
+            for (_, id) in cap_index.iter_desc(alloc.cores) {
+                let cached = holder_sets.iter().all(|s| s.contains(&id));
+                if !cached && fallback.is_some() {
+                    continue;
+                }
+                let worker = workers.get(id).expect("indexed worker is connected");
+                if !worker.node.can_fit(alloc) {
+                    continue;
+                }
+                if cached {
+                    return Some(id);
+                }
+                fallback = Some(id);
+            }
+            fallback
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Worker caches, in-flight staging and the scheduler's file index
+        /// by interned file id are the name-keyed trio they replaced, under
+        /// the calls the master makes — cache, stage, abort, evict,
+        /// quarantine, `rebuild_sched` after a crash — with one file first
+        /// named by a streamed admission: equal answers per worker and file,
+        /// equal holder sets, and the same worker picked for every task.
+        #[test]
+        fn file_ids_equal_the_name_keyed_oracle(
+            ops in prop::collection::vec((0u8..10, 0u32..5, 0usize..4, 1u32..50), 1..150),
+        ) {
+            let files = [
+                FileRef::environment("env", 100, 600, 10, 1),
+                FileRef::shared_data("calib", 50),
+                FileRef::shared_data("ref", 70),
+                FileRef::shared_data("late", 10),
+            ];
+            let own = FileRef::data("in", 10);
+            let mut work = PreparedWorkload::new(vec![
+                task(0, 1, vec![own.clone(), files[0].clone(), files[1].clone()]),
+                task(1, 1, vec![files[2].clone()]),
+                task(2, 1, vec![own.clone()]),
+                task(3, 1, vec![files[1].clone(), files[2].clone(), files[0].clone()]),
+            ]);
+            let streamed = task(4, 1, vec![files[3].clone(), own, files[0].clone()]);
+            let spec = NodeSpec::new(8, 8192, 16384);
+            let alloc = Resources::new(2, 1024, 10);
+
+            let mut workers = WorkerTable::default();
+            let mut ix = IndexedSched::new(SchedulePolicy::Fifo);
+            let mut caches: BTreeMap<u32, NameCache> = BTreeMap::new();
+            let mut index = NameIndex::default();
+            // Slot `i` of the pool is worker `pool[i]`; an evicted worker's
+            // replacement comes under a fresh id.
+            let mut pool: Vec<u32> = Vec::new();
+            let mut next_id = 0u32;
+            let join = |workers: &mut WorkerTable, ix: &mut IndexedSched, caches: &mut BTreeMap<u32, NameCache>, id: u32| {
+                let mut w = Worker::new(id, spec);
+                assert!(w.node.allocate(Resources::new(id % 4 * 2, 1, 1)));
+                ix.worker_added(id, w.node.available().cores);
+                workers.insert(w);
+                caches.insert(id, NameCache::default());
+            };
+            for _ in 0..5 {
+                join(&mut workers, &mut ix, &mut caches, next_id);
+                pool.push(next_id);
+                next_id += 1;
+            }
+
+            for (kind, slot, file, t) in ops {
+                let wid = pool[slot as usize];
+                let f = &files[file];
+                // A file no admitted task names has no id — and no way to be
+                // staged or cached.
+                let fid = work.file_id(&f.name);
+                let ready = SimTime::ZERO + t as f64;
+                let w = workers.get_mut(wid).expect("pooled");
+                let c = caches.get_mut(&wid).expect("pooled");
+                match (kind, fid) {
+                    (0..=2, Some(fid)) => {
+                        let newly = w.insert_cached(fid);
+                        prop_assert_eq!(newly, c.insert_cached(f));
+                        if newly {
+                            ix.file_cached(fid, wid);
+                            index.file_cached(&f.name, wid);
+                        }
+                    }
+                    (3 | 4, Some(fid)) => {
+                        w.mark_staging(fid, ready);
+                        c.mark_staging(&f.name, ready);
+                    }
+                    (5, Some(fid)) => {
+                        w.abort_staging(fid);
+                        c.abort_staging(&f.name);
+                    }
+                    (6, _) => {
+                        let free = w.node.available().cores;
+                        let gone = workers.remove(wid).expect("pooled");
+                        ix.worker_removed(wid, free, gone.cached_files());
+                        let c = caches.remove(&wid).expect("pooled");
+                        index.worker_removed(wid, c.cache.iter().map(String::as_str));
+                        join(&mut workers, &mut ix, &mut caches, next_id);
+                        pool[slot as usize] = next_id;
+                        next_id += 1;
+                    }
+                    (7, _) if !w.quarantined => {
+                        w.quarantined = true;
+                        ix.worker_offline(wid, w.node.available().cores);
+                    }
+                    // `Master::rebuild_sched`, and the index it rebuilt then.
+                    (8, _) => {
+                        ix = IndexedSched::new(SchedulePolicy::Fifo);
+                        index = NameIndex::default();
+                        for w in workers.values() {
+                            if !w.quarantined {
+                                ix.worker_added(w.id(), w.node.available().cores);
+                            }
+                            for f in w.cached_files() {
+                                ix.file_cached(f, w.id());
+                            }
+                            for name in &caches[&w.id()].cache {
+                                index.file_cached(name, w.id());
+                            }
+                        }
+                    }
+                    (9, None) => {
+                        work.admit(streamed.clone());
+                        prop_assert_eq!(work.file_id("late"), Some(3));
+                    }
+                    _ => {}
+                }
+
+                let known: Vec<(&FileRef, u32)> = (files.iter())
+                    .filter_map(|f| Some((f, work.file_id(&f.name)?)))
+                    .collect();
+                for w in workers.values() {
+                    let c = &caches[&w.id()];
+                    for &(f, fid) in &known {
+                        prop_assert_eq!(w.has_cached(fid), c.has_cached(&f.name));
+                        prop_assert_eq!(w.staging_ready(fid), c.staging_ready(&f.name));
+                    }
+                    let cached: BTreeSet<&str> = (w.cached_files())
+                        .map(|fid| known.iter().find(|k| k.1 == fid).expect("a known id").0.name.as_str())
+                        .collect();
+                    prop_assert_eq!(cached, c.cache.iter().map(String::as_str).collect::<BTreeSet<_>>());
+                }
+                for &(f, fid) in &known {
+                    let holders: BTreeSet<u32> =
+                        ix.file_index.get(fid as usize).map(|s| s.iter().collect()).unwrap_or_default();
+                    prop_assert_eq!(&holders, index.0.get(&f.name).unwrap_or(&BTreeSet::new()), "{}", &f.name);
+                }
+                for (i, t) in work.tasks().iter().enumerate() {
+                    prop_assert_eq!(
+                        ix.pick_worker(&workers, work.inputs_of(i), &alloc),
+                        index.pick_worker(&ix.cap_index, &workers, t, &alloc),
+                        "task {}", i
+                    );
+                }
+            }
+        }
+    }
+
+    // ---- oracle: park groups as an ordered map plus an ordered wake set ----
+
+    struct MapGroup {
+        reason: ParkReason,
+        members: BTreeMap<OrderKey, Pending>,
+    }
+
+    /// The queue half of `IndexedSched` as it was before the park table:
+    /// `groups` a `BTreeMap` that holds a group only while it has members
+    /// (or is between a successful pop and `drop_group_if_empty`),
+    /// `runnable` a `BTreeSet`. Order keys come from the caller.
+    #[derive(Default)]
+    struct MapGroups {
+        ready: BTreeMap<OrderKey, Pending>,
+        groups: BTreeMap<GroupKey, MapGroup>,
+        runnable: BTreeSet<GroupKey>,
+        parked: usize,
+    }
+
+    impl MapGroups {
+        fn len(&self) -> usize {
+            self.ready.len() + self.parked
+        }
+
+        fn snapshot_pending(&self) -> Vec<Pending> {
+            let mut all: Vec<(OrderKey, Pending)> = self
+                .ready
+                .iter()
+                .chain(self.groups.values().flat_map(|g| g.members.iter()))
+                .map(|(&k, p)| (k, p.clone()))
+                .collect();
+            all.sort_by_key(|&(k, _)| k);
+            all.into_iter().map(|(_, p)| p).collect()
+        }
+
+        fn peek_min(&self) -> Option<Src> {
+            let mut best: Option<(OrderKey, Src)> =
+                self.ready.keys().next().map(|&k| (k, Src::Ready));
+            for &gk in &self.runnable {
+                let head = *self.groups[&gk]
+                    .members
+                    .keys()
+                    .next()
+                    .expect("runnable group is non-empty");
+                if best.is_none_or(|(bk, _)| head < bk) {
+                    best = Some((head, Src::Group(gk)));
+                }
+            }
+            best.map(|(_, src)| src)
+        }
+
+        fn pop_ready(&mut self) -> (OrderKey, Pending) {
+            self.ready.pop_first().expect("peek_min said ready")
+        }
+
+        fn group_head(&self, gk: GroupKey) -> &Pending {
+            let g = self.groups.get(&gk).expect("runnable group exists");
+            g.members.values().next().expect("runnable group non-empty")
+        }
+
+        fn pop_group_head(&mut self, gk: GroupKey) -> (OrderKey, Pending) {
+            let g = self.groups.get_mut(&gk).expect("runnable group exists");
+            let (key, item) = g.members.pop_first().expect("runnable group non-empty");
+            self.parked -= 1;
+            (key, item)
+        }
+
+        fn sleep_group(&mut self, gk: GroupKey, reason: ParkReason) {
+            self.groups.get_mut(&gk).expect("group exists").reason = reason;
+            self.runnable.remove(&gk);
+        }
+
+        fn drop_group_if_empty(&mut self, gk: GroupKey) {
+            if self.groups.get(&gk).is_some_and(|g| g.members.is_empty()) {
+                self.groups.remove(&gk);
+                self.runnable.remove(&gk);
+            }
+        }
+
+        fn is_asleep(&self, gk: GroupKey) -> bool {
+            self.groups.contains_key(&gk) && !self.runnable.contains(&gk)
+        }
+
+        fn park(&mut self, gk: GroupKey, reason: Option<ParkReason>, key: OrderKey, item: Pending) {
+            match reason {
+                Some(r) => {
+                    let g = self.groups.entry(gk).or_insert_with(|| MapGroup {
+                        reason: r.clone(),
+                        members: BTreeMap::new(),
+                    });
+                    g.reason = r;
+                    self.runnable.remove(&gk);
+                    g.members.insert(key, item);
+                }
+                None => {
+                    let g = self.groups.get_mut(&gk).expect("joining an existing group");
+                    g.members.insert(key, item);
+                }
+            }
+            self.parked += 1;
+        }
+
+        fn wake_category(&mut self, cat: u32, label_changed: bool) {
+            let gk = (cat, false);
+            if let Some(g) = self.groups.get(&gk) {
+                if label_changed || g.reason == ParkReason::SlowStart {
+                    self.runnable.insert(gk);
+                }
+            }
+        }
+
+        fn wake_fitting(&mut self, avail: &Resources) {
+            for (gk, g) in &self.groups {
+                if let ParkReason::NoFit(r) = &g.reason {
+                    if r.fits_in(avail) {
+                        self.runnable.insert(*gk);
+                    }
+                }
+            }
+        }
+
+        fn wake_all_nofit(&mut self) {
+            for (gk, g) in &self.groups {
+                if matches!(g.reason, ParkReason::NoFit(_)) {
+                    self.runnable.insert(*gk);
+                }
+            }
+        }
+
+        fn steal_last(&mut self, max: usize) -> Vec<Pending> {
+            let mut out: Vec<Pending> = Vec::new();
+            while out.len() < max {
+                let mut best: Option<(OrderKey, Option<GroupKey>)> = None;
+                if let Some((&k, _)) = self.ready.iter().rev().find(|(_, p)| p.attempt == 0) {
+                    best = Some((k, None));
+                }
+                for (&gk, g) in &self.groups {
+                    if let Some((&k, _)) = g.members.iter().rev().find(|(_, p)| p.attempt == 0) {
+                        if best.is_none_or(|(bk, _)| k > bk) {
+                            best = Some((k, Some(gk)));
+                        }
+                    }
+                }
+                let Some((key, src)) = best else { break };
+                let item = match src {
+                    None => self.ready.remove(&key).expect("found in ready"),
+                    Some(gk) => {
+                        let g = self.groups.get_mut(&gk).expect("found in group");
+                        let item = g.members.remove(&key).expect("found member");
+                        self.parked -= 1;
+                        if g.members.is_empty() {
+                            self.groups.remove(&gk);
+                            self.runnable.remove(&gk);
+                        }
+                        item
+                    }
+                };
+                out.push(item);
+            }
+            out.reverse();
+            out
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The park table is the map-and-set pair it replaced: over random
+        /// arrivals at both ends, dispatch steps that place, park or put to
+        /// sleep as `dispatch_indexed` does, the three wakes and steals,
+        /// across six categories x {first, retry}, both yield the same
+        /// `peek_min` sequence, the same wake set and sleepers, the same
+        /// `snapshot_pending` and the same stolen items.
+        #[test]
+        fn park_table_equals_the_map_and_set_oracle(
+            ops in prop::collection::vec(
+                (0u8..12, 0u32..6, any::<bool>(), 1u64..4, any::<bool>()),
+                1..250,
+            ),
+        ) {
+            let nofit = |cores: u64| ParkReason::NoFit(Resources::new(cores as u32, 100 * cores, 10));
+            let mut ix = IndexedSched::new(SchedulePolicy::SmallestFirst);
+            let mut oracle = MapGroups::default();
+            // (category, attempt) of every task pushed so far, by task index.
+            let mut tasks: Vec<(u32, u32)> = Vec::new();
+            let (mut front_seq, mut back_seq) = (-1i64, 0i64);
+            for (kind, cat, retry, size, coin) in ops {
+                let gk_of = |item: &Pending| (tasks[item.task_idx].0, item.attempt > 0);
+                match kind {
+                    0..=3 => {
+                        let item = Pending { task_idx: tasks.len(), attempt: retry as u32, since: SimTime::ZERO };
+                        tasks.push((cat, item.attempt));
+                        let spec = task(0, size * 100, vec![]);
+                        let rank = policy_rank(SchedulePolicy::SmallestFirst, size * 100);
+                        if kind == 0 {
+                            ix.push_front(&spec, item.clone());
+                            oracle.ready.insert((rank, front_seq), item);
+                            front_seq -= 1;
+                        } else {
+                            ix.push_back(&spec, item.clone());
+                            oracle.ready.insert((rank, back_seq), item);
+                            back_seq += 1;
+                        }
+                    }
+                    // One step of a dispatch pass.
+                    4..=7 => {
+                        let src = ix.peek_min();
+                        prop_assert_eq!(src, oracle.peek_min());
+                        let reason = if coin { ParkReason::SlowStart } else { nofit(size) };
+                        match src {
+                            None => {}
+                            Some(Src::Ready) => {
+                                let (key, item) = ix.pop_ready();
+                                prop_assert_eq!((key, item.clone()), oracle.pop_ready());
+                                let gk = gk_of(&item);
+                                prop_assert_eq!(ix.is_asleep(gk), oracle.is_asleep(gk));
+                                if ix.is_asleep(gk) {
+                                    ix.park(gk, None, key, item.clone());
+                                    oracle.park(gk, None, key, item);
+                                } else if kind == 4 {
+                                    // Placed: the old pass then swept the group.
+                                    oracle.drop_group_if_empty(gk);
+                                } else {
+                                    ix.park(gk, Some(reason.clone()), key, item.clone());
+                                    oracle.park(gk, Some(reason), key, item);
+                                }
+                            }
+                            Some(Src::Group(gk)) => {
+                                prop_assert_eq!(ix.group_head(gk), oracle.group_head(gk));
+                                if kind <= 5 {
+                                    prop_assert_eq!(ix.pop_group_head(gk), oracle.pop_group_head(gk));
+                                    oracle.drop_group_if_empty(gk);
+                                } else {
+                                    ix.sleep_group(gk, reason.clone());
+                                    oracle.sleep_group(gk, reason);
+                                }
+                            }
+                        }
+                    }
+                    8 => {
+                        ix.wake_category(cat, coin);
+                        oracle.wake_category(cat, coin);
+                    }
+                    9 => {
+                        let avail = Resources::new(size as u32, 100 * size, 10);
+                        ix.wake_fitting(&avail);
+                        oracle.wake_fitting(&avail);
+                    }
+                    10 => {
+                        ix.wake_all_nofit();
+                        oracle.wake_all_nofit();
+                    }
+                    _ => prop_assert_eq!(ix.steal_last(size as usize), oracle.steal_last(size as usize)),
+                }
+                prop_assert_eq!(ix.len(), oracle.len());
+                prop_assert_eq!(ix.peek_min(), oracle.peek_min());
+                prop_assert_eq!(ix.snapshot_pending(), oracle.snapshot_pending());
+                let woken: Vec<GroupKey> = (0..6)
+                    .flat_map(|c| [(c, false), (c, true)])
+                    .filter(|&gk| ix.groups.get(slot(gk)).is_some_and(|g| g.runnable))
+                    .collect();
+                prop_assert_eq!(woken, oracle.runnable.iter().copied().collect::<Vec<_>>());
+                for gk in (0..6).flat_map(|c| [(c, false), (c, true)]) {
+                    prop_assert_eq!(ix.is_asleep(gk), oracle.is_asleep(gk), "{:?}", gk);
+                }
+            }
         }
     }
 

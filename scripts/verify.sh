@@ -27,7 +27,10 @@ cargo build --release --offline --manifest-path lfm_benchmark/Cargo.toml
 # that, so a term that grows with tasks² cannot come back unnoticed. Only
 # the traced pass prints per-layer counts, so that workload runs with it;
 # so does serving_overload, the one workload whose 2 master crashes take the
-# gateway through its recovery path, which must not silently stop running.
+# gateway through its recovery path, which must not silently stop running;
+# and master_batch, whose 256 workers each miss the two cacheable files once
+# and hit them ever after — the cheapest tripwire for a file-id table that
+# forgets or invents a cached file.
 journal_bytes_per_task_ceiling=1808
 # Fails unless the traced pass in $out printed per-layer count $1 and awk
 # condition $2 holds of its value v.
@@ -44,13 +47,17 @@ layer_count() {
 for w in master_batch master_dag_chaos federation_8shard serving_steady serving_overload paper_figs; do
     echo "    workload $w"
     trace=0
-    [[ $w == master_dag_chaos || $w == serving_overload ]] && trace=1
+    [[ $w == master_batch || $w == master_dag_chaos || $w == serving_overload ]] && trace=1
     out=$(cargo run --release --offline --quiet --manifest-path lfm_benchmark/Cargo.toml -- \
-        --workload "$w" --seconds 1 --trace "$trace")
+        --workload "$w" --seed 7 --seconds 1 --trace "$trace")
     last=$(tail -n 1 <<<"$out")
     grep -q '"correct": true' <<<"$last"
     grep -q '"failed": 0' <<<"$last"
     case $w in
+    master_batch)
+        layer_count workqueue.master.cache_hits "v == 99488"
+        layer_count workqueue.master.cache_misses "v == 512"
+        ;;
     master_dag_chaos) layer_count workqueue.journal.bytes_per_op "v <= $journal_bytes_per_task_ceiling" ;;
     serving_overload) layer_count serving.gateway.recoveries "v >= 1" ;;
     esac
