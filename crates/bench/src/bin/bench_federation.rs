@@ -1,7 +1,8 @@
 //! Host cost of a federated run vs shard count: runs the same workload
 //! under 1, 2, 4, and 8 foreman shards and writes `BENCH_federation.json`.
 //! The headline is end to end — tasks ÷ `driver_wall_secs`, the host
-//! seconds of the whole `run_federated` call on this one core — and
+//! seconds of the whole `run_federated` call, whose shards step on up to
+//! one thread per host core — and
 //! `speedup_vs_1shard` is the ratio of those walls. Each row also keeps
 //! `aggregate_tasks_per_sec` (sum over shards of terminal tasks ÷ wall
 //! seconds stepping that shard's event loop): a derived per-shard figure,

@@ -36,7 +36,9 @@
 //!
 //! The driver itself is deterministic: shards advance strictly in global
 //! event-time order (ties to the lowest shard index), so a federated run
-//! is a pure function of its inputs, exactly like the single master.
+//! is a pure function of its inputs, exactly like the single master — also
+//! when the shards advance on several threads between steals, in *parallel
+//! windows* that replay the run sequentially if a steal turns out due.
 
 use crate::faults::FaultKind;
 use crate::master::{Event, Master, MasterConfig, OutMsg, RunReport};
@@ -44,9 +46,12 @@ use crate::prepared::PreparedWorkload;
 use crate::task::{TaskId, TaskSpec};
 use lfm_simcluster::node::NodeSpec;
 use lfm_simcluster::time::SimTime;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
+use std::thread::Scope;
 use std::time::Instant;
 
 /// Process-global default shard count, read by [`MasterConfig::new`] so
@@ -154,7 +159,7 @@ impl FederationConfig {
 }
 
 /// Assign every task an owning shard under `policy`. Deterministic in the
-/// task order.
+/// task order. A dependency on an id outside `tasks` is ignored.
 pub fn partition(tasks: &[TaskSpec], shards: u32, policy: PartitionPolicy) -> Vec<u32> {
     assert!(shards > 0, "need at least one shard");
     if shards == 1 {
@@ -163,70 +168,102 @@ pub fn partition(tasks: &[TaskSpec], shards: u32, policy: PartitionPolicy) -> Ve
     match policy {
         PartitionPolicy::RoundRobin => (0..tasks.len()).map(|i| i as u32 % shards).collect(),
         PartitionPolicy::ByCategory => {
-            let mut cat_shard: BTreeMap<&str, u32> = BTreeMap::new();
-            let mut next = 0u32;
-            tasks
-                .iter()
+            // Category ids in first-seen order, as a prepared workload has them.
+            let mut ids: BTreeMap<&str, u32> = BTreeMap::new();
+            (tasks.iter())
                 .map(|t| {
-                    *cat_shard.entry(&t.category).or_insert_with(|| {
-                        let s = next % shards;
-                        next += 1;
-                        s
-                    })
+                    let next = ids.len() as u32;
+                    *ids.entry(&t.category).or_insert(next) % shards
                 })
                 .collect()
         }
         PartitionPolicy::ByComponent => {
-            // Union-find over weakly-connected dependency components.
-            let ids: BTreeMap<TaskId, usize> =
+            let ids: HashMap<TaskId, usize> =
                 tasks.iter().enumerate().map(|(i, t)| (t.id, i)).collect();
-            let mut parent: Vec<usize> = (0..tasks.len()).collect();
-            fn find(parent: &mut [usize], mut x: usize) -> usize {
-                while parent[x] != x {
-                    parent[x] = parent[parent[x]];
-                    x = parent[x];
-                }
-                x
-            }
-            for (i, t) in tasks.iter().enumerate() {
-                for d in &t.deps {
-                    if let Some(&j) = ids.get(d) {
-                        let (a, b) = (find(&mut parent, i), find(&mut parent, j));
-                        if a != b {
-                            parent[a.max(b)] = a.min(b);
-                        }
-                    }
-                }
-            }
-            // A root is its component's first index, so per-component data
-            // are flat arrays indexed by root. Weight = total duration; the
-            // heaviest component (ties: earliest) goes to the least-loaded shard.
-            let mut weight = vec![0.0f64; tasks.len()];
-            for (i, task) in tasks.iter().enumerate() {
-                weight[find(&mut parent, i)] += task.profile.duration_secs;
-            }
-            let mut roots: Vec<usize> = (0..tasks.len()).filter(|&i| parent[i] == i).collect();
-            roots.sort_by(|&a, &b| {
-                weight[b]
-                    .partial_cmp(&weight[a])
-                    .expect("durations are finite")
-                    .then(a.cmp(&b))
-            });
-            let mut load = vec![0.0f64; shards as usize];
-            let mut comp_shard = vec![0u32; tasks.len()];
-            for root in roots {
-                let s = load.iter().enumerate().fold(
-                    0usize,
-                    |best, (i, &l)| if l < load[best] { i } else { best },
-                );
-                load[s] += weight[root];
-                comp_shard[root] = s as u32;
-            }
-            (0..tasks.len())
-                .map(|i| comp_shard[find(&mut parent, i)])
-                .collect()
+            let ids = &ids;
+            let edges = (tasks.iter().enumerate())
+                .flat_map(|(i, t)| t.deps.iter().filter_map(move |d| Some((i, *ids.get(d)?))));
+            by_component(tasks.len(), shards, edges, |i| {
+                tasks[i].profile.duration_secs
+            })
         }
     }
+}
+
+/// [`partition`] of a prepared workload: categories are already ids in
+/// first-seen order, dependency edges a table by index.
+pub(crate) fn partition_prepared(
+    work: &PreparedWorkload,
+    shards: u32,
+    policy: PartitionPolicy,
+) -> Vec<u32> {
+    assert!(shards > 0, "need at least one shard");
+    let n = work.len();
+    if shards == 1 {
+        return vec![0; n];
+    }
+    match policy {
+        PartitionPolicy::RoundRobin => (0..n).map(|i| i as u32 % shards).collect(),
+        PartitionPolicy::ByCategory => work.cat_of.iter().map(|&c| c % shards).collect(),
+        PartitionPolicy::ByComponent => {
+            let edges = (0..n).flat_map(|i| work.dependents(i).map(move |d| (i, d)));
+            by_component(n, shards, edges, |i| work.tasks[i].profile.duration_secs)
+        }
+    }
+}
+
+/// `ByComponent` over `n` tasks joined by `edges` (index pairs, any order):
+/// whole weakly-connected components by summed `duration`, heaviest first
+/// (ties: earliest), onto the least-loaded shard.
+fn by_component(
+    n: usize,
+    shards: u32,
+    edges: impl Iterator<Item = (usize, usize)>,
+    duration: impl Fn(usize) -> f64,
+) -> Vec<u32> {
+    let mut parent: Vec<usize> = (0..n).collect();
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    for (i, j) in edges {
+        let (a, b) = (find(&mut parent, i), find(&mut parent, j));
+        if a != b {
+            parent[a.max(b)] = a.min(b);
+        }
+    }
+    // A root is its component's first index, so per-component data are flat
+    // arrays indexed by root.
+    let mut weight = vec![0.0f64; n];
+    for i in 0..n {
+        weight[find(&mut parent, i)] += duration(i);
+    }
+    // Heaviest first, ties to the earliest root. A weight's bits with the
+    // sign flipped (all of them when negative) order like the number; a sum
+    // from +0.0 is never -0.0, the one value where they would not.
+    let mut comps: Vec<(Reverse<u64>, usize)> = (0..n)
+        .filter(|&i| parent[i] == i)
+        .map(|root| {
+            let bits = weight[root].to_bits();
+            assert!(!weight[root].is_nan(), "durations are finite");
+            (Reverse(bits ^ ((bits as i64 >> 63) as u64 | 1 << 63)), root)
+        })
+        .collect();
+    comps.sort_unstable();
+    let mut load = vec![0.0f64; shards as usize];
+    let mut comp_shard = vec![0u32; n];
+    for (_, root) in comps {
+        let s = load.iter().enumerate().fold(
+            0usize,
+            |best, (i, &l)| if l < load[best] { i } else { best },
+        );
+        load[s] += weight[root];
+        comp_shard[root] = s as u32;
+    }
+    (0..n).map(|i| comp_shard[find(&mut parent, i)]).collect()
 }
 
 /// The result of a federated run: the merged report plus per-shard
@@ -240,7 +277,8 @@ pub struct FederationReport {
     pub merged: RunReport,
     /// Each shard's own report. Note `task_count` on these equals the full
     /// workload size — the shards share one task vector (addressed by
-    /// global index) and each enqueues only its owned slice.
+    /// global index) and each enqueues only its owned slice. For N > 1
+    /// shards their `results` are empty: the rows were moved into `merged`.
     pub shard_reports: Vec<RunReport>,
     pub shards: u32,
     /// Steal batches executed.
@@ -256,15 +294,17 @@ pub struct FederationReport {
     /// Tasks that reached a terminal state per shard (stolen tasks count on
     /// the thief).
     pub shard_completed: Vec<u64>,
-    /// Host wall-clock seconds spent stepping each shard's event loop.
+    /// Host wall-clock seconds spent stepping each shard's event loop. Shards
+    /// step concurrently inside parallel windows, so the sum may exceed the
+    /// wall seconds of the whole run.
     pub shard_wall_secs: Vec<f64>,
 }
 
 impl FederationReport {
     /// Σ over shards of (terminal tasks ÷ host wall seconds stepping that
-    /// shard). A derived per-shard figure — the shards step one at a time
-    /// on one core, so this is not a throughput; end to end is tasks ÷ the
-    /// wall seconds of the whole [`run_federated`] call.
+    /// shard). A derived per-shard figure, not a throughput — the shards share
+    /// the host's cores; end to end is tasks ÷ the wall seconds of the whole
+    /// [`run_federated`] call.
     pub fn aggregate_tasks_per_sec(&self) -> f64 {
         self.shard_completed
             .iter()
@@ -275,50 +315,27 @@ impl FederationReport {
 
     /// A hand-rolled JSON summary for the federation bench artifact.
     pub fn summary_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!("\"shards\": {}", self.shards));
-        s.push_str(&format!(", \"tasks\": {}", self.merged.task_count));
-        s.push_str(&format!(
-            ", \"aggregate_tasks_per_sec\": {:.3}",
-            self.aggregate_tasks_per_sec()
-        ));
-        s.push_str(&format!(
-            ", \"makespan_secs\": {:.3}",
-            self.merged.makespan_secs
-        ));
-        s.push_str(&format!(", \"steals\": {}", self.steals));
-        s.push_str(&format!(", \"stolen_tasks\": {}", self.stolen_tasks));
-        s.push_str(&format!(
-            ", \"cross_shard_releases\": {}",
-            self.cross_shard_releases
-        ));
-        s.push_str(&format!(", \"handoff_bytes\": {}", self.handoff_bytes));
-        s.push_str(&format!(
-            ", \"shard_completed\": [{}]",
-            self.shard_completed
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str(&format!(
-            ", \"shard_events\": [{}]",
-            self.shard_events
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str(&format!(
-            ", \"shard_wall_secs\": [{}]",
-            self.shard_wall_secs
-                .iter()
-                .map(|w| format!("{w:.6}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push('}');
-        s
+        let list = |v: Vec<String>| v.join(", ");
+        let counts = |v: &[u64]| list(v.iter().map(u64::to_string).collect());
+        let walls = (self.shard_wall_secs.iter()).map(|w| format!("{w:.6}"));
+        let walls = list(walls.collect());
+        format!(
+            "{{\"shards\": {}, \"tasks\": {}, \"aggregate_tasks_per_sec\": {:.3}, \
+             \"makespan_secs\": {:.3}, \"steals\": {}, \"stolen_tasks\": {}, \
+             \"cross_shard_releases\": {}, \"handoff_bytes\": {}, \"shard_completed\": [{}], \
+             \"shard_events\": [{}], \"shard_wall_secs\": [{}]}}",
+            self.shards,
+            self.merged.task_count,
+            self.aggregate_tasks_per_sec(),
+            self.merged.makespan_secs,
+            self.steals,
+            self.stolen_tasks,
+            self.cross_shard_releases,
+            self.handoff_bytes,
+            counts(&self.shard_completed),
+            counts(&self.shard_events),
+            walls,
+        )
     }
 }
 
@@ -338,13 +355,26 @@ pub fn run_federated(
 }
 
 /// [`run_federated`] over a workload already prepared: every shard shares
-/// the one table.
+/// the one table. The shards step on up to one host thread per core.
 pub(crate) fn run_shards(
     config: &MasterConfig,
     fed: &FederationConfig,
     work: Arc<PreparedWorkload>,
     worker_count: u32,
     spec: NodeSpec,
+) -> FederationReport {
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    run_shards_on(config, fed, work, worker_count, spec, threads)
+}
+
+/// [`run_shards`] on at most `threads` host threads: the same report.
+fn run_shards_on(
+    config: &MasterConfig,
+    fed: &FederationConfig,
+    work: Arc<PreparedWorkload>,
+    worker_count: u32,
+    spec: NodeSpec,
+    threads: usize,
 ) -> FederationReport {
     assert!(worker_count > 0, "need at least one worker");
     assert!(!work.is_empty(), "empty workload");
@@ -361,136 +391,159 @@ pub(crate) fn run_shards(
          stolen tasks and remote releases (breaking task conservation)"
     );
 
-    let owner = Arc::new(partition(work.tasks(), shards, fed.partition));
-    let total = work.len();
-    let n = shards as usize;
+    let owner = partition_prepared(&work, shards, fed.partition);
+    let mut owned = vec![Vec::new(); shards as usize];
+    for (i, &s) in owner.iter().enumerate() {
+        owned[s as usize].push(i as u32);
+    }
+    let owned: Vec<Arc<[u32]>> = owned.into_iter().map(Arc::from).collect();
+    // Windows need shards that message no one, and an unshared recorder.
+    let windows = shards > 1
+        && threads > 1
+        && !config.telemetry.is_enabled()
+        && (0..work.len()).all(|i| work.dependents(i).all(|d| owner[d] == owner[i]));
+    let owner = Arc::new(owner);
+    let build = || build_shards(config, &work, &owner, &owned, worker_count, spec);
+    if windows {
+        if let Some(report) = drive(fed, &owner, build(), threads.min(shards as usize)) {
+            return report;
+        }
+        #[cfg(test)]
+        tests::tally(|d| d.aborts += 1);
+    }
+    drive(fed, &owner, build(), 1).expect("the sequential driver never aborts")
+}
 
-    let mut masters = build_shards(config, work, owner.clone(), shards, worker_count, spec);
+/// Step `masters` (started here) until every task is terminal, and report.
+/// Given `threads > 1` it also runs parallel windows where no steal can
+/// fire (DESIGN.md §5f), and `None` once a window broke that assumption.
+fn drive(
+    fed: &FederationConfig,
+    owner: &[u32],
+    mut masters: Vec<Master>,
+    threads: usize,
+) -> Option<FederationReport> {
+    let n = masters.len();
     for m in &mut masters {
         m.start();
     }
-
+    let total = owner.len();
     let mut wall = vec![0.0f64; n];
     let mut steals = 0u64;
     let mut stolen_tasks = 0u64;
     let mut releases = 0u64;
     let mut handoff_bytes = 0u64;
+    let mut done = 0usize;
+    let mut hungry: Vec<bool> = masters.iter().map(Master::hungry).collect();
 
-    loop {
-        let done: usize = masters.iter().map(Master::completed_count).sum();
-        if done >= total {
-            break;
-        }
-        // Globally minimal next event, ties to the lowest shard index —
-        // every pop is monotone in global time, so handoff deliveries can
-        // never land in a destination shard's past.
-        let mut pick: Option<(usize, SimTime)> = None;
-        for (i, m) in masters.iter().enumerate() {
-            if let Some(t) = m.next_time() {
-                if pick.is_none_or(|(_, bt)| t < bt) {
-                    pick = Some((i, t));
-                }
-            }
-        }
-        let Some((i, _)) = pick else {
-            panic!(
-                "federation deadlock: {} of {total} tasks unfinished with no \
-                 events pending on any shard",
-                total - done
-            );
-        };
-        let t0 = Instant::now();
-        masters[i].step();
-        wall[i] += t0.elapsed().as_secs_f64();
-        let now = masters[i].now();
-
-        // Route this shard's cross-shard effects to their owners.
-        for msg in masters[i].drain_outbox() {
-            match msg {
-                OutMsg::Release {
-                    task_idx,
-                    at,
-                    bytes,
-                } => {
-                    let dest = owner[task_idx] as usize;
-                    let deliver = at
-                        + fed.handoff.latency_secs
-                        + bytes as f64 / fed.handoff.bandwidth_bytes_per_sec;
-                    masters[dest].inject_at(
-                        deliver,
-                        Event::RemoteRelease {
-                            task_idx,
-                            success: true,
-                        },
-                    );
-                    releases += 1;
-                    handoff_bytes += bytes;
-                }
-                OutMsg::Cancel { task_idx, at } => {
-                    let dest = owner[task_idx] as usize;
-                    masters[dest].inject_at(
-                        at + fed.handoff.latency_secs,
-                        Event::RemoteRelease {
-                            task_idx,
-                            success: false,
-                        },
-                    );
-                    releases += 1;
-                }
-            }
-        }
-
-        // Work stealing: hungry shards (empty queue, nothing already in
-        // flight toward them) rob the hottest victim.
-        if shards > 1 && fed.stealing.max_batch > 0 {
-            for thief in 0..n {
-                if masters[thief].is_down()
-                    || masters[thief].queued_len() > 0
-                    || masters[thief].inbound_pending() > 0
-                {
+    std::thread::scope(|scope| {
+        let helpers: Vec<Helper> = (1..threads).map(|_| spawn_helper(scope)).collect();
+        while done < total {
+            if !helpers.is_empty() && !hungry.contains(&true) {
+                if let Some(until) = window_end(&masters) {
+                    #[cfg(test)]
+                    tests::tally(|d| d.windows += 1);
+                    let held = run_window(&mut masters, &mut wall, until, &helpers);
+                    done = masters.iter().map(Master::completed_count).sum();
+                    // The sequential driver stops the moment the last task
+                    // ends, so a window must not contain that moment either.
+                    if !held || done >= total {
+                        return None;
+                    }
                     continue;
                 }
-                let mut victim: Option<(usize, usize)> = None;
-                for (v, m) in masters.iter().enumerate() {
-                    if v == thief || m.is_down() {
+            }
+            // Globally minimal next event, ties to the lowest shard index —
+            // every pop is monotone in global time, so handoff deliveries
+            // can never land in a destination shard's past.
+            let pick = (masters.iter().enumerate())
+                .filter_map(|(i, m)| Some((m.next_time()?, i)))
+                .min();
+            let Some((_, i)) = pick else {
+                panic!(
+                    "federation deadlock: {} of {total} tasks unfinished with no \
+                     events pending on any shard",
+                    total - done
+                );
+            };
+            #[cfg(test)]
+            tests::tally(|d| d.steps += 1);
+            let t0 = Instant::now();
+            let before = masters[i].completed_count();
+            masters[i].step();
+            wall[i] += t0.elapsed().as_secs_f64();
+            done = done - before + masters[i].completed_count();
+            hungry[i] = masters[i].hungry();
+            let now = masters[i].now();
+
+            // Route this shard's cross-shard effects to their owners.
+            for msg in masters[i].drain_outbox() {
+                let (task_idx, deliver, success) = match msg {
+                    OutMsg::Release {
+                        task_idx,
+                        at,
+                        bytes,
+                    } => {
+                        handoff_bytes += bytes;
+                        let link = bytes as f64 / fed.handoff.bandwidth_bytes_per_sec;
+                        (task_idx, at + fed.handoff.latency_secs + link, true)
+                    }
+                    OutMsg::Cancel { task_idx, at } => {
+                        (task_idx, at + fed.handoff.latency_secs, false)
+                    }
+                };
+                releases += 1;
+                let event = Event::RemoteRelease { task_idx, success };
+                masters[owner[task_idx] as usize].inject_at(deliver, event);
+            }
+
+            // Work stealing: hungry shards rob the hottest victim (ties to
+            // the lowest index). Hunger changes only on a shard's own steps
+            // and in this pass, so with no hungry shard it would do nothing.
+            if n > 1 && fed.stealing.max_batch > 0 && hungry.contains(&true) {
+                for thief in 0..n {
+                    if !masters[thief].hungry() {
                         continue;
                     }
-                    let q = m.queued_len();
-                    if q >= fed.stealing.min_victim.max(1) && victim.is_none_or(|(_, bq)| q > bq) {
-                        victim = Some((v, q));
+                    let victim = (masters.iter().enumerate())
+                        .filter(|&(v, m)| v != thief && !m.is_down())
+                        .map(|(v, m)| (Reverse(m.queued_len()), v))
+                        .filter(|&(Reverse(q), _)| q >= fed.stealing.min_victim.max(1))
+                        .min();
+                    let Some((Reverse(q), v)) = victim else {
+                        continue;
+                    };
+                    let moved = masters[v].steal_back(fed.stealing.max_batch.min(q / 2).max(1));
+                    if moved.is_empty() {
+                        continue;
+                    }
+                    steals += 1;
+                    stolen_tasks += moved.len() as u64;
+                    let arrive = now + fed.handoff.latency_secs;
+                    for (task_idx, attempt) in moved {
+                        masters[thief].note_inbound();
+                        masters[thief].inject_at(arrive, Event::StolenArrive { task_idx, attempt });
                     }
                 }
-                let Some((v, q)) = victim else { continue };
-                let batch = fed.stealing.max_batch.min(q / 2).max(1);
-                let moved = masters[v].steal_back(batch);
-                if moved.is_empty() {
-                    continue;
-                }
-                steals += 1;
-                stolen_tasks += moved.len() as u64;
-                let arrive = now + fed.handoff.latency_secs;
-                for (task_idx, attempt) in moved {
-                    masters[thief].note_inbound();
-                    masters[thief].inject_at(arrive, Event::StolenArrive { task_idx, attempt });
-                }
+                hungry = masters.iter().map(Master::hungry).collect();
             }
         }
-    }
+        Some(())
+    })?;
 
     let shard_events: Vec<u64> = masters.iter().map(Master::events_processed).collect();
     let shard_completed: Vec<u64> = masters.iter().map(|m| m.completed_count() as u64).collect();
-    let shard_reports: Vec<RunReport> = masters.into_iter().map(Master::finish).collect();
-
-    let merged = if shards == 1 {
+    let mut shard_reports: Vec<RunReport> = masters.into_iter().map(Master::finish).collect();
+    let merged = if n == 1 {
         shard_reports[0].clone()
     } else {
-        merge_reports(&shard_reports, total)
+        merge_reports(&mut shard_reports, total)
     };
 
-    FederationReport {
+    Some(FederationReport {
         merged,
         shard_reports,
-        shards,
+        shards: n as u32,
         steals,
         stolen_tasks,
         cross_shard_releases: releases,
@@ -498,22 +551,93 @@ pub(crate) fn run_shards(
         shard_events,
         shard_completed,
         shard_wall_secs: wall,
-    }
+    })
 }
 
-/// One sub-master per shard of `owner`'s partition (`shards` ≤
-/// `worker_count`). Every shard shares the one prepared workload and
+/// Where a window may end, if one may start here: shorter than any placement
+/// so far, it will hardly drain a queue longer than its shard's cores.
+fn window_end(masters: &[Master]) -> Option<SimTime> {
+    if masters.iter().any(|m| m.queued_len() <= m.capacity_cores()) {
+        return None;
+    }
+    let hold = (masters.iter().map(Master::min_hold)).fold(f64::INFINITY, f64::min);
+    let gvt = masters.iter().filter_map(Master::next_time).min()?;
+    let until = gvt + hold.is_finite().then_some(hold)?;
+    (until > gvt).then_some(until)
+}
+
+/// A thread for the run's lifetime: it steps the shards (and wall seconds)
+/// it is sent through a window and sends them back, with whether it held.
+type Helper = (
+    Sender<(SimTime, Vec<Master>, Vec<f64>)>,
+    Receiver<(Vec<Master>, Vec<f64>, bool)>,
+);
+
+fn spawn_helper<'scope>(scope: &'scope Scope<'scope, '_>) -> Helper {
+    let (to, windows) = mpsc::channel::<(SimTime, Vec<Master>, Vec<f64>)>();
+    let (back, from) = mpsc::channel();
+    scope.spawn(move || {
+        for (until, mut masters, mut wall) in windows {
+            let held = step_window(&mut masters, &mut wall, until);
+            back.send((masters, wall, held)).ok();
+        }
+    });
+    (to, from)
+}
+
+/// One window, the caller stepping the first shards; false if one broke it.
+fn run_window(
+    masters: &mut Vec<Master>,
+    wall: &mut Vec<f64>,
+    until: SimTime,
+    helpers: &[Helper],
+) -> bool {
+    let per = masters.len().div_ceil(helpers.len() + 1);
+    for (k, (to, _)) in helpers.iter().enumerate().rev() {
+        let at = masters.len().min(per * (k + 1));
+        let lent = (until, masters.split_off(at), wall.split_off(at));
+        to.send(lent).expect("helpers outlive the run");
+    }
+    let mut held = step_window(masters, wall, until);
+    for (_, from) in helpers {
+        let (mut lent, mut secs, ok) = from.recv().expect("a shard panicked on a helper");
+        masters.append(&mut lent);
+        wall.append(&mut secs);
+        held &= ok;
+    }
+    held
+}
+
+/// Step each shard through every event before `until`; false, stepping no
+/// more, once a step leaves its shard hungry or sends a message.
+fn step_window(masters: &mut [Master], wall: &mut [f64], until: SimTime) -> bool {
+    for (m, secs) in masters.iter_mut().zip(wall) {
+        let t0 = Instant::now();
+        while m.next_time().is_some_and(|t| t < until) {
+            m.step();
+            if m.hungry() || !m.drain_outbox().is_empty() {
+                return false;
+            }
+        }
+        *secs += t0.elapsed().as_secs_f64();
+    }
+    true
+}
+
+/// One sub-master per shard, shard `s` owning `owned[s]` (at most
+/// `worker_count` shards). Every shard shares the one prepared workload and
 /// ownership map; only the per-task state each master keeps is per shard.
 fn build_shards(
     config: &MasterConfig,
-    work: Arc<PreparedWorkload>,
-    owner: Arc<Vec<u32>>,
-    shards: u32,
+    work: &Arc<PreparedWorkload>,
+    owner: &Arc<Vec<u32>>,
+    owned: &[Arc<[u32]>],
     worker_count: u32,
     spec: NodeSpec,
 ) -> Vec<Master> {
-    let mut masters: Vec<Master> = Vec::with_capacity(shards as usize);
-    for s in 0..shards {
+    let shards = owned.len() as u32;
+    let mut masters: Vec<Master> = Vec::with_capacity(owned.len());
+    for (s, own) in (0..shards).zip(owned) {
         let mut cfg = config.clone();
         cfg.shards = 1;
         if shards > 1 {
@@ -526,19 +650,24 @@ fn build_shards(
         let w = base + u32::from(s < worker_count % shards);
         masters.push(Master::new_shard(
             cfg,
-            work.clone(),
+            Arc::clone(work),
             w,
             spec,
             s,
-            owner.clone(),
+            Arc::clone(owner),
+            Arc::clone(own),
         ));
     }
     masters
 }
 
-/// Sum counters, max the makespan, concatenate results shard-major, and
+/// Sum counters, max the makespan, move the results in shard-major, and
 /// recompute the derived overcommit from the summed integrals.
-fn merge_reports(reports: &[RunReport], total_tasks: usize) -> RunReport {
+fn merge_reports(reports: &mut [RunReport], total_tasks: usize) -> RunReport {
+    let mut results = Vec::with_capacity(reports.iter().map(|r| r.results.len()).sum());
+    for r in reports.iter_mut() {
+        results.extend(std::mem::take(&mut r.results));
+    }
     let first = &reports[0];
     let allocated: f64 = reports.iter().map(|r| r.allocated_core_secs).sum();
     let used: f64 = reports.iter().map(|r| r.used_core_secs).sum();
@@ -571,7 +700,7 @@ fn merge_reports(reports: &[RunReport], total_tasks: usize) -> RunReport {
         recoveries: reports.iter().map(|r| r.recoveries).sum(),
         journal_bytes: reports.iter().map(|r| r.journal_bytes).sum(),
         replayed_events: reports.iter().map(|r| r.replayed_events).sum(),
-        results: reports.iter().flat_map(|r| r.results.clone()).collect(),
+        results,
     }
 }
 
@@ -820,7 +949,10 @@ mod tests {
         let cfg = MasterConfig::new(oracle()).with_seed(9);
         let work = Arc::new(PreparedWorkload::new(chain_tasks(24, 4)));
         let owner = Arc::new(partition(work.tasks(), 4, PartitionPolicy::ByComponent));
-        let masters = build_shards(&cfg, work.clone(), owner, 4, 8, node());
+        let owned: Vec<Arc<[u32]>> = (0..4)
+            .map(|s| (0..24).filter(|&i| owner[i as usize] == s).collect())
+            .collect();
+        let masters = build_shards(&cfg, &work, &owner, &owned, 8, node());
         assert_eq!(Arc::strong_count(&work), 4 + 1, "a shard copied the tasks");
         for m in &masters {
             assert!(Arc::ptr_eq(m.shared_work(), &work));
@@ -968,5 +1100,233 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"shards\": 2"));
         assert!(json.contains("aggregate_tasks_per_sec"));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The prepared table's partition is the public one: the same
+        /// components from the dependents table instead of an id map, and
+        /// the same category order from the interned ids. A dependency on
+        /// an id outside the batch, which `partition` ignores and a prepared
+        /// workload rejects, is dropped first. Durations of -10, 0 and 10 s
+        /// give components negative and zero weights too.
+        #[test]
+        fn prepared_partition_matches_partition_and_the_oracle(
+            rows in proptest::collection::vec(
+                (1u64..4, 0u64..4, 0u8..7, 0usize..64, 0usize..64),
+                1..48,
+            )
+        ) {
+            let mut tasks = shaped_tasks(&rows);
+            for t in &mut tasks {
+                t.profile.duration_secs -= 20.0;
+            }
+            let ids: Vec<TaskId> = tasks.iter().map(|t| t.id).collect();
+            let known: Vec<TaskSpec> = (tasks.iter().cloned())
+                .map(|mut t| {
+                    t.deps.retain(|d| ids.contains(d));
+                    t
+                })
+                .collect();
+            let work = PreparedWorkload::new(known);
+            for policy in POLICIES {
+                for shards in 1..=9 {
+                    let flat = partition(&tasks, shards, policy);
+                    proptest::prop_assert_eq!(&flat, &partition_oracle(&tasks, shards, policy));
+                    proptest::prop_assert_eq!(&partition_prepared(&work, shards, policy), &flat);
+                }
+            }
+        }
+    }
+
+    /// Windows hand shards to other threads.
+    const _: fn() = || {
+        fn send<T: Send>() {}
+        send::<Master>();
+    };
+
+    /// What the drivers on one thread did: parallel windows run, sequential
+    /// steps taken, runs aborted to the sequential driver.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub(super) struct Driven {
+        pub windows: u64,
+        pub steps: u64,
+        pub aborts: u64,
+    }
+
+    thread_local! {
+        static DRIVEN: std::cell::Cell<Driven> = std::cell::Cell::new(Driven::default());
+    }
+
+    pub(super) fn tally(count: impl FnOnce(&mut Driven)) {
+        DRIVEN.with(|d| {
+            let mut driven = d.get();
+            count(&mut driven);
+            d.set(driven);
+        });
+    }
+
+    /// A run on `threads` host threads, and what its drivers did.
+    fn run_on(
+        cfg: &MasterConfig,
+        fed: &FederationConfig,
+        tasks: Vec<TaskSpec>,
+        workers: u32,
+        spec: NodeSpec,
+        threads: usize,
+    ) -> (FederationReport, Driven) {
+        let before = DRIVEN.with(|d| d.take());
+        let work = Arc::new(PreparedWorkload::new(tasks));
+        let report = run_shards_on(cfg, fed, work, workers, spec, threads);
+        let driven = DRIVEN.with(|d| d.replace(before));
+        (report, driven)
+    }
+
+    /// Everything a federated run reports that the host clock does not
+    /// decide.
+    fn assert_same_run(label: &str, a: &FederationReport, b: &FederationReport) {
+        assert_eq!(a.merged, b.merged, "{label}: merged report");
+        assert_eq!(a.shard_reports, b.shard_reports, "{label}: shard reports");
+        assert_eq!(
+            (a.steals, a.stolen_tasks),
+            (b.steals, b.stolen_tasks),
+            "{label}: steals"
+        );
+        assert_eq!(
+            (a.cross_shard_releases, a.handoff_bytes),
+            (b.cross_shard_releases, b.handoff_bytes),
+            "{label}: handoffs"
+        );
+        assert_eq!(a.shard_events, b.shard_events, "{label}: events");
+        assert_eq!(a.shard_completed, b.shard_completed, "{label}: completions");
+    }
+
+    #[test]
+    fn parallel_windows_equal_the_sequential_driver() {
+        use crate::faults::{FaultPlan, FaultSpec};
+        use crate::journal::DurabilityConfig;
+        use crate::sched::SchedImpl;
+        let chaos = FaultPlan::reliable()
+            .with(FaultSpec::worker_churn(400.0))
+            .with(FaultSpec::straggler(0.2, 1.5, 3.0))
+            .with(FaultSpec::message_loss(0.05))
+            .with(FaultSpec::stage_in_failure(0.05))
+            .with(FaultSpec::spurious_kill(0.05));
+        let crashes = FaultPlan::reliable().with(FaultSpec::master_crash(60.0, 2));
+        let plans = [
+            ("reliable", FaultPlan::reliable()),
+            ("chaos", chaos),
+            ("crash", crashes),
+        ];
+        for (name, plan) in &plans {
+            for sched in [SchedImpl::Reference, SchedImpl::Indexed] {
+                for policy in POLICIES {
+                    for shards in [2u32, 3, 4, 8] {
+                        for seed in 1..=3u64 {
+                            let mut cfg = MasterConfig::new(oracle())
+                                .with_sched(sched)
+                                .with_faults(plan.clone())
+                                .with_seed(seed);
+                            if *name == "crash" {
+                                cfg = cfg
+                                    .with_durability(DurabilityConfig::journal_with_snapshots(64));
+                            }
+                            // Chains for the partition that keeps them whole;
+                            // the other two would cut them and never take a
+                            // window, so they get a batch without edges.
+                            let chain = if policy == PartitionPolicy::ByComponent {
+                                4
+                            } else {
+                                0
+                            };
+                            let tasks = chain_tasks(40 * u64::from(shards), chain);
+                            let f = FederationConfig::new(shards).with_partition(policy);
+                            let label = format!("{name}/{sched:?}/{policy:?}/{shards}/{seed}");
+                            let (seq, _) = run_on(&cfg, &f, tasks.clone(), shards, node(), 1);
+                            let threads = shards.min(3) as usize;
+                            let (par, driven) = run_on(&cfg, &f, tasks, shards, node(), threads);
+                            assert_same_run(&label, &seq, &par);
+                            // Two categories leave ByCategory's third shard
+                            // onwards empty, hence hungry from the start.
+                            if policy != PartitionPolicy::ByCategory || shards == 2 {
+                                assert!(driven.windows > 0, "{label}: no window ran");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_that_drains_a_queue_aborts_to_the_sequential_run() {
+        // Shard 1 runs 100 s tasks, so windows are 100 s wide. Shard 0's
+        // first placements hold their cores for 120 s and the one-second
+        // tasks behind them drain its queue well inside a window, where the
+        // sequential driver would have had it steal from shard 1.
+        let tasks: Vec<TaskSpec> = chain_tasks(400, 0)
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut t)| {
+                t.profile.duration_secs = match (i % 2, i < 16) {
+                    (1, _) => 100.0,
+                    (_, true) => 120.0,
+                    _ => 1.0,
+                };
+                t
+            })
+            .collect();
+        let cfg = MasterConfig::new(oracle()).with_seed(3);
+        let f = FederationConfig::new(2).with_partition(PartitionPolicy::RoundRobin);
+        let (seq, _) = run_on(&cfg, &f, tasks.clone(), 2, node(), 1);
+        let (par, driven) = run_on(&cfg, &f, tasks, 2, node(), 2);
+        assert_eq!(driven.aborts, 1, "{driven:?}");
+        assert_same_run("abort", &seq, &par);
+    }
+
+    #[test]
+    fn a_window_that_sends_a_release_aborts_to_the_sequential_run() {
+        // Two-task chains of one category on shard 0, four loose tasks of
+        // the other on shard 1, one core each: shard 1 runs dry, steals
+        // chain heads, and finishing one inside a window sends shard 0 a
+        // `Release` although no edge crosses the partition.
+        let tasks: Vec<TaskSpec> = chain_tasks(64, 2)
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut t)| {
+                t.category = if i < 60 { "big" } else { "small" }.to_string();
+                if i >= 60 {
+                    t.deps.clear();
+                }
+                t
+            })
+            .collect();
+        let cfg = MasterConfig::new(oracle()).with_seed(5);
+        let f = FederationConfig::new(2).with_partition(PartitionPolicy::ByCategory);
+        let spec = NodeSpec::new(1, 8192, 16384);
+        let (seq, _) = run_on(&cfg, &f, tasks.clone(), 2, spec, 1);
+        let (par, driven) = run_on(&cfg, &f, tasks, 2, spec, 2);
+        assert!(seq.cross_shard_releases > 0, "no stolen head released");
+        assert_eq!(driven.aborts, 1, "{driven:?}");
+        assert_same_run("release", &seq, &par);
+    }
+
+    #[test]
+    fn the_eight_shard_batch_runs_mostly_in_windows() {
+        // `federation_8shard` at a fifth of its tasks and cores, six workers
+        // a shard: the run steps sequentially only before its first
+        // placement and once a queue is down to a shard's cores.
+        let (cfg, tasks, spec) = crate::master::tests::batch_shape(20_000, 7);
+        let f = FederationConfig::new(8).with_partition(PartitionPolicy::ByComponent);
+        let (report, driven) = run_on(&cfg, &f, tasks, 48, spec, 2);
+        let events: u64 = report.shard_events.iter().sum();
+        assert_eq!(driven.aborts, 0, "{driven:?}");
+        // Nothing crashes, so every sequential step handled one event.
+        let in_windows = events - driven.steps;
+        assert!(
+            in_windows as f64 >= 0.85 * events as f64,
+            "{driven:?}: {in_windows} of {events} events in windows"
+        );
     }
 }

@@ -659,6 +659,8 @@ pub(crate) enum OutMsg {
 pub(crate) struct FedState {
     pub shard: u32,
     pub owner: Arc<Vec<u32>>,
+    /// The indices `owner` maps to this shard, ascending.
+    pub owned: Arc<[u32]>,
     pub outbox: Vec<OutMsg>,
     /// Stolen-task arrivals injected but not yet handled — the stealing
     /// balancer must not treat a shard as hungry while work is in flight
@@ -807,6 +809,8 @@ pub(crate) struct Master {
     /// Federation role (`None` for the classic standalone master). See
     /// `FedState` and `federation.rs`.
     fed: Option<FedState>,
+    /// The shortest time any placement so far held its worker.
+    min_hold: f64,
 }
 
 impl Master {
@@ -868,13 +872,14 @@ impl Master {
             replayed_events: 0,
             probe_done: false,
             fed: None,
+            min_hold: f64::INFINITY,
             config,
         }
     }
 
     /// Construct a federated sub-master: shard `shard` of the ownership map
-    /// `owner` (one entry per task of `work`, value = owning shard). All
-    /// shards of a run share the one prepared workload.
+    /// `owner` (one entry per task of `work`, value = owning shard), whose
+    /// indices for this shard are `owned`. All shards share one workload.
     pub(crate) fn new_shard(
         config: MasterConfig,
         work: Arc<PreparedWorkload>,
@@ -882,12 +887,14 @@ impl Master {
         spec: NodeSpec,
         shard: u32,
         owner: Arc<Vec<u32>>,
+        owned: Arc<[u32]>,
     ) -> Self {
         debug_assert_eq!(owner.len(), work.len());
         let mut m = Master::new(config, work, worker_count, spec);
         m.fed = Some(FedState {
             shard,
             owner,
+            owned,
             outbox: Vec::new(),
             inbound_pending: 0,
         });
@@ -940,25 +947,26 @@ impl Master {
         // of the run, when memory peaks. Unused capacity is never touched.
         let rows = match &self.fed {
             None => self.work.len(),
-            Some(f) => {
-                let owned = f.owner.iter().filter(|&&s| s == f.shard).count();
-                owned + owned / 8
-            }
+            Some(f) => f.owned.len() + f.owned.len() / 8,
         };
         self.ledger.results.reserve(rows);
         self.enqueue_roots(SimTime::ZERO);
     }
 
-    /// Enqueue every owned task with no dependencies left.
+    /// Enqueue every owned task with no dependencies left, in index order.
     fn enqueue_roots(&mut self, since: SimTime) {
-        for idx in 0..self.work.len() {
-            if self.ledger.dep_remaining[idx] == 0 && self.owned(idx) {
-                self.enqueue_back(Pending {
-                    task_idx: idx,
+        let root = |m: &mut Self, task_idx: usize| {
+            if m.ledger.dep_remaining[task_idx] == 0 {
+                m.enqueue_back(Pending {
+                    task_idx,
                     attempt: 0,
                     since,
                 });
             }
+        };
+        match self.fed.as_ref().map(|f| Arc::clone(&f.owned)) {
+            Some(owned) => owned.iter().for_each(|&i| root(self, i as usize)),
+            None => (0..self.work.len()).for_each(|i| root(self, i)),
         }
     }
 
@@ -1226,7 +1234,7 @@ impl Master {
         self.maybe_scale(self.queue.now());
         self.config.telemetry.gauge_key(
             tk().master_pending_tasks,
-            self.pending_len() as f64,
+            self.queued_len() as f64,
             self.queue.now(),
         );
     }
@@ -1362,7 +1370,7 @@ impl Master {
         self.maybe_scale(now);
         self.config
             .telemetry
-            .gauge_key(tk().master_pending_tasks, self.pending_len() as f64, now);
+            .gauge_key(tk().master_pending_tasks, self.queued_len() as f64, now);
     }
 
     /// Fold the journal (image chain plus record tail) into the image the
@@ -1683,7 +1691,7 @@ impl Master {
         else {
             return;
         };
-        let pending = self.pending_len();
+        let pending = self.queued_len();
         let provisioned = self.ledger.counters.workers_provisioned;
         if pending == 0 || provisioned >= max_workers {
             return;
@@ -1759,7 +1767,8 @@ impl Master {
 
     // ---- queue plumbing shared by both dispatch implementations ----
 
-    fn pending_len(&self) -> usize {
+    /// Ready tasks queued (the stealing balancer's heat measure).
+    pub(crate) fn queued_len(&self) -> usize {
         match &self.sched {
             SchedState::Reference(q) => q.len(),
             SchedState::Indexed(ix) => ix.len(),
@@ -2154,6 +2163,7 @@ impl Master {
                     env_transfer,
                 })),
             );
+            self.min_hold = self.min_hold.min(stage_in);
             // No execution, no lease: the stage-in failure event itself
             // bounds the attempt.
             self.commit(Record::Placed {
@@ -2208,6 +2218,7 @@ impl Master {
         };
 
         let total = stage_in + sim.occupied_secs + stage_out;
+        self.min_hold = self.min_hold.min(total);
         self.queue.schedule_in(
             total,
             Event::TaskDone(Box::new(DoneInfo {
@@ -2804,15 +2815,20 @@ impl Master {
         self.down
     }
 
-    /// Ready tasks queued on this shard (the stealing balancer's heat
-    /// measure).
-    pub(crate) fn queued_len(&self) -> usize {
-        self.pending_len()
+    /// Every core this master may ever hold or have free.
+    pub(crate) fn capacity_cores(&self) -> usize {
+        self.worker_count as usize * self.spec.resources.cores as usize
     }
 
-    /// Stolen-task arrivals injected but not yet handled.
-    pub(crate) fn inbound_pending(&self) -> u32 {
-        self.fed.as_ref().map_or(0, |f| f.inbound_pending)
+    /// The shortest time any placement so far held its worker.
+    pub(crate) fn min_hold(&self) -> f64 {
+        self.min_hold
+    }
+
+    /// Up, with nothing queued or stolen toward it: the balancer robs for it.
+    pub(crate) fn hungry(&self) -> bool {
+        let inbound = self.fed.as_ref().map_or(0, |f| f.inbound_pending);
+        !self.down && self.queued_len() == 0 && inbound == 0
     }
 
     /// Record an in-flight stolen-task arrival (the balancer injected a
@@ -2948,7 +2964,7 @@ pub fn task_ids(n: u64) -> Vec<TaskId> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::allocate::AutoConfig;
     use crate::files::FileRef;
@@ -3414,7 +3430,7 @@ mod tests {
     /// `n` one-core tasks in four categories sharing an environment pack
     /// and a calibration file, each with an input of its own, under Auto on
     /// 16-core nodes.
-    fn batch_shape(n: u64, seed: u64) -> (MasterConfig, Vec<TaskSpec>, NodeSpec) {
+    pub(crate) fn batch_shape(n: u64, seed: u64) -> (MasterConfig, Vec<TaskSpec>, NodeSpec) {
         let derive = |salt: u64| {
             let mut z = seed.wrapping_add(salt.wrapping_mul(0x9e37_79b9_7f4a_7c15));
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -3497,7 +3513,8 @@ mod tests {
         assert!(whole.ledger.results.capacity() >= 40);
         // A shard reserves its partition, not the workload.
         let owner = Arc::new((0..40).map(|i| u32::from(i >= 10)).collect::<Vec<u32>>());
-        let mut shard = Master::new_shard(cfg.clone(), work, 2, node(), 0, owner);
+        let owned: Arc<[u32]> = (0..10).collect();
+        let mut shard = Master::new_shard(cfg.clone(), work, 2, node(), 0, owner, owned);
         shard.start();
         assert!((10..20).contains(&shard.ledger.results.capacity()));
         // A streaming master owns nothing yet.

@@ -30,7 +30,10 @@ cargo build --release --offline --manifest-path lfm_benchmark/Cargo.toml
 # gateway through its recovery path, which must not silently stop running;
 # and master_batch, whose 256 workers each miss the two cacheable files once
 # and hit them ever after — the cheapest tripwire for a file-id table that
-# forgets or invents a cached file.
+# forgets or invents a cached file. federation_8shard is traced for its steal
+# and event counts, and then run again on one core (`taskset -c 0`: one
+# available core, so no parallel windows): the sequential driver must print the
+# digest the windowed run did.
 journal_bytes_per_task_ceiling=1808
 # Fails unless the traced pass in $out printed per-layer count $1 and awk
 # condition $2 holds of its value v.
@@ -47,7 +50,8 @@ layer_count() {
 for w in master_batch master_dag_chaos federation_8shard serving_steady serving_overload paper_figs; do
     echo "    workload $w"
     trace=0
-    [[ $w == master_batch || $w == master_dag_chaos || $w == serving_overload ]] && trace=1
+    [[ $w == master_batch || $w == master_dag_chaos || $w == federation_8shard ||
+        $w == serving_overload ]] && trace=1
     out=$(cargo run --release --offline --quiet --manifest-path lfm_benchmark/Cargo.toml -- \
         --workload "$w" --seed 7 --seconds 1 --trace "$trace")
     last=$(tail -n 1 <<<"$out")
@@ -59,6 +63,18 @@ for w in master_batch master_dag_chaos federation_8shard serving_steady serving_
         layer_count workqueue.master.cache_misses "v == 512"
         ;;
     master_dag_chaos) layer_count workqueue.journal.bytes_per_op "v <= $journal_bytes_per_task_ceiling" ;;
+    federation_8shard)
+        layer_count workqueue.federation.steals "v == 9"
+        layer_count workqueue.federation.stolen_tasks "v == 53"
+        layer_count workqueue.federation.events_total "v == 100309"
+        one_core=$(taskset -c 0 cargo run --release --offline --quiet \
+            --manifest-path lfm_benchmark/Cargo.toml -- --workload "$w" --seed 7 --seconds 1 --trace 0)
+        digest=$(grep '^sim_digest' <<<"$out")
+        [[ -n $digest && $digest == "$(grep '^sim_digest' <<<"$one_core")" ]] || {
+            echo "federation_8shard: $digest on two cores, not on one" >&2
+            exit 1
+        }
+        ;;
     serving_overload) layer_count serving.gateway.recoveries "v >= 1" ;;
     esac
 done
