@@ -17,10 +17,10 @@
 //!
 //! This crate adds:
 //! * [`experiments`] — one module per paper table/figure, each producing
-//!   the data its regenerator binary prints;
+//!   the data one `paper` subcommand prints (`src/bin/paper.rs`);
 //! * [`planner`] — environment-distribution planning (direct shared-FS vs.
 //!   packed transfer);
-//! * [`render`] — text-table rendering for the regenerators.
+//! * [`render`] — text-table rendering for `paper`.
 //!
 //! ## Quickstart
 //!

@@ -75,7 +75,6 @@
 //! [`Recorder::counter_key`], ...), which take pre-interned ids and touch
 //! no string machinery at all.
 
-pub mod bench_api;
 pub mod export;
 pub mod intern;
 pub mod metrics;

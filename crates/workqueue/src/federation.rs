@@ -55,13 +55,12 @@ use std::thread::Scope;
 use std::time::Instant;
 
 /// Process-global default shard count, read by [`MasterConfig::new`] so
-/// sweep binaries can turn `--shards N` into federated runs without
+/// the `paper` binary can turn `--shards N` into federated runs without
 /// threading a parameter through every call site.
 static DEFAULT_SHARDS: AtomicU32 = AtomicU32::new(1);
 
 /// Install the default shard count for subsequently constructed
-/// [`MasterConfig`]s (clamped to at least 1). Used by `lfm_bench`'s
-/// `--shards N` flag.
+/// [`MasterConfig`]s (clamped to at least 1). Used by `paper --shards N`.
 pub fn set_default_shards(n: u32) {
     DEFAULT_SHARDS.store(n.max(1), Ordering::Relaxed);
 }

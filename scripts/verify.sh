@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Verification gate: format, release build of the workspace and of the
 # out-of-workspace benchmark package with a smoke *run* of all six of its
-# workloads, the full workspace test suite (tests/ and crates/bench are
-# workspace members, so every named suite — scheduler equivalence, chaos,
-# federation, recovery, serving, telemetry — runs here, once), the benchmark
-# package's tests, then bench/doc/clippy, and last `scripts/loc.sh`'s table
-# against the parent commit.
+# workloads, the `paper` figures run twice (two cores and one) and diffed,
+# the full workspace test suite (tests/ is a workspace member, so every named
+# suite — scheduler equivalence, chaos and recovery sweeps, federation,
+# serving, telemetry — runs here, once), the benchmark package's tests, then
+# doc/clippy, and last `scripts/loc.sh`'s table against the parent commit.
 # The workspace vendors all external dependencies under vendor/, so
 # everything runs with --offline (no registry, no network).
 set -euo pipefail
@@ -79,14 +79,39 @@ for w in master_batch master_dag_chaos federation_8shard serving_steady serving_
     esac
 done
 
+# Every figure except the host-timed table2 and pynamic is a pure function
+# of its seeds: `paper all` on two cores and on one (`taskset -c 0`, so the
+# sweep pool and the federation run on one thread) must print the same
+# tables and write the same CSVs.
+echo "==> paper all, two cores against one"
+paper=$PWD/target/release/paper
+runs=$(mktemp -d)
+trap 'rm -rf "$runs"' EXIT
+for side in two one; do
+    mkdir "$runs/$side"
+    pin=()
+    [[ $side == one ]] && pin=(taskset -c 0)
+    (cd "$runs/$side" && "${pin[@]}" "$paper" all |
+        awk '/^== paper / { timed = ($3 == "table2" || $3 == "pynamic") } !timed' >stdout.txt)
+done
+diff -r "$runs/two" "$runs/one"
+# A live-streamed trace lands whole and well formed: one flat JSON object
+# per line.
+(cd "$runs/two" && "$paper" fig7 --trace "jsonl:stream=$runs/fig7.jsonl" >/dev/null)
+awk '!/^\{"type":"[a-z]+",.*\}$/ { bad++ } END { if (bad || NR < 1000) { print NR " records, " bad+0 " malformed" > "/dev/stderr"; exit 1 } }' "$runs/fig7.jsonl"
+# An unknown flag is a usage error, not a silently ignored one.
+status=0
+"$paper" fig6 --shard 4 2>/dev/null || status=$?
+[[ $status == 2 ]] || {
+    echo "paper fig6 --shard 4 exited $status, want 2" >&2
+    exit 1
+}
+
 echo "==> cargo test -q"
 cargo test -q --offline
 
 echo "==> benchmark package: its tests"
 cargo test --release --offline -q --manifest-path lfm_benchmark/Cargo.toml
-
-echo "==> cargo bench --no-run"
-cargo bench --no-run --offline
 
 echo "==> cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace --quiet

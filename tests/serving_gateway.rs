@@ -172,4 +172,95 @@ fn admission_bounds_overload_while_baseline_buffers() {
         bounded.end_secs < unbounded.end_secs,
         "the baseline drains its backlog long after the horizon"
     );
+
+    // The same claim across offered load, as fractions of a calibrated
+    // capacity: three tenants (weights 1/2/4, the heaviest with a diurnal
+    // cycle and bursts) on 4 × 16 cores, with admission (shed threshold 300
+    // behind a 256-invocation dispatch window) and without.
+    const SHED: usize = 300;
+    const WINDOW: usize = 256;
+    let horizon = 60.0;
+    let run = |tenants: Vec<TenantConfig>, admission: AdmissionConfig| {
+        let cfg = config(11)
+            .with_horizon(horizon)
+            .with_dispatch_window(WINDOW)
+            .with_admission(admission);
+        ServingGateway::new(cfg, vec![classify_fn()], tenants).run()
+    };
+    // Capacity: steady completions per sim-second under a bounded flood.
+    let flood =
+        vec![TenantConfig::new("cal", 1, ArrivalConfig::poisson(2000.0)).with_max_queue_depth(512)];
+    let cal = run(flood, AdmissionConfig::new(SHED));
+    let capacity = cal.completed as f64 / cal.end_secs;
+    assert!(capacity > 0.0, "calibration completed nothing");
+    let tenants = |rate: f64| {
+        let unit = rate / 7.0;
+        vec![
+            TenantConfig::new("free", 1, ArrivalConfig::poisson(unit)).with_max_queue_depth(256),
+            TenantConfig::new("pro", 2, ArrivalConfig::poisson(2.0 * unit))
+                .with_max_queue_depth(256),
+            TenantConfig::new(
+                "enterprise",
+                4,
+                ArrivalConfig::poisson(4.0 * unit)
+                    .with_diurnal(0.25, horizon)
+                    .with_bursts(0.01, 2.0, 2.0),
+            )
+            .with_max_queue_depth(256),
+        ]
+    };
+    // With admission, queue wait is bounded by queued plus in-flight work
+    // over the service rate.
+    let p99_bound = (SHED + WINDOW) as f64 / capacity + 3.0;
+    for frac in [0.25, 0.5, 0.75, 1.0, 1.5, 2.0] {
+        let rate = frac * capacity;
+        let with = run(tenants(rate), AdmissionConfig::new(SHED));
+        let without = run(tenants(rate), AdmissionConfig::unlimited());
+        if frac == 0.25 {
+            let again = run(tenants(rate), AdmissionConfig::new(SHED));
+            assert_eq!(with.summary_json(), again.summary_json());
+        }
+        assert_eq!(
+            with.failed, 0,
+            "{frac}x: admitted invocations must all complete"
+        );
+        assert!(with.warm_hit_rate > 0.0, "{frac}x: warm pool never hit");
+        assert!(
+            with.latency.p99 < p99_bound,
+            "{frac}x: admission p99 {} above its bound {p99_bound:.1}",
+            with.latency.p99
+        );
+        if frac <= 0.75 {
+            assert!(
+                with.success_rate() > 0.99,
+                "{frac}x is underloaded, yet success {}",
+                with.success_rate()
+            );
+        }
+        if frac >= 1.5 {
+            // Without admission the backlog, and the wait, grows with how
+            // long the overload lasts: ~(frac - 1) * horizon by the end.
+            assert!(
+                without.latency.p99 > 1.5 * with.latency.p99,
+                "{frac}x: baseline p99 {} does not diverge from {}",
+                without.latency.p99,
+                with.latency.p99
+            );
+            assert!(
+                without.latency.p99 > with.latency.p99 + 0.2 * (frac - 1.0) * horizon,
+                "{frac}x: baseline p99 {} does not grow with the overload",
+                without.latency.p99
+            );
+            // Graceful degradation: goodput tracks capacity, not collapse.
+            assert!(
+                with.success_rate() > 0.6 / frac,
+                "{frac}x: success {} collapsed",
+                with.success_rate()
+            );
+            assert!(
+                with.rejection_rate() > 0.0,
+                "{frac}x: no explicit rejection"
+            );
+        }
+    }
 }

@@ -30,32 +30,129 @@ fn crash_plan(mean_events: f64, max: u32) -> FaultPlan {
     FaultPlan::reliable().with(FaultSpec::master_crash(mean_events, max))
 }
 
+/// Completions per simulated second.
+fn goodput(r: &ServingReport) -> f64 {
+    r.completed as f64 / r.end_secs
+}
+
 #[test]
 fn journaled_recovery_conserves_where_full_restart_loses() {
-    let run = |durability: DurabilityConfig| {
-        let cfg = config(11)
-            .with_durability(durability)
-            .with_faults(crash_plan(800.0, 2));
-        let tenants = vec![TenantConfig::new("acme", 1, ArrivalConfig::poisson(50.0))];
-        ServingGateway::new(cfg, vec![classify_fn()], tenants).run()
-    };
-    let journaled = run(DurabilityConfig::journal_with_snapshots(256));
-    let restart = run(DurabilityConfig::none());
-    for (name, r) in [("journaled", &journaled), ("restart", &restart)] {
-        assert!(r.master_crashes > 0, "{name}: crash points never fired");
-        assert!(r.invocations_conserved(), "{name}: {r:?}");
+    // Up to `max` crash points at mean gaps of `mean_events`, so that about
+    // `max` of them land inside the 20 s run.
+    for (mean_events, max) in [(800.0, 2), (1000.0, 1), (400.0, 4), (220.0, 8)] {
+        let run = |durability: DurabilityConfig| {
+            let cfg = config(11)
+                .with_durability(durability)
+                .with_faults(crash_plan(mean_events, max));
+            let tenants = vec![TenantConfig::new("acme", 1, ArrivalConfig::poisson(50.0))];
+            ServingGateway::new(cfg, vec![classify_fn()], tenants).run()
+        };
+        let journaled = run(DurabilityConfig::journal_with_snapshots(256));
+        let restart = run(DurabilityConfig::none());
+        for (name, r) in [("journaled", &journaled), ("restart", &restart)] {
+            assert!(
+                r.master_crashes > 0,
+                "{name} ({max}): crash points never fired"
+            );
+            assert!(r.invocations_conserved(), "{name} ({max}): {r:?}");
+        }
+        // The journaled gateway rides every crash and forgets nothing.
+        assert_eq!(journaled.gateway_recoveries, journaled.master_crashes);
+        assert_eq!(journaled.lost, 0);
+        assert_eq!(journaled.completed, journaled.admitted);
+        assert!(journaled.journal_bytes > 0);
+        // The baseline restarts from scratch: admitted work is lost (counted,
+        // not hidden) and nothing was journaled.
+        assert_eq!(restart.gateway_recoveries, 0);
+        assert!(restart.lost > 0, "a full restart must forget admissions");
+        assert!(restart.completed < restart.admitted);
+        assert_eq!(restart.journal_bytes, 0);
+        assert!(
+            goodput(&journaled) > goodput(&restart),
+            "{max} crashes: journaled goodput {:.1} not ahead of full restart {:.1}",
+            goodput(&journaled),
+            goodput(&restart)
+        );
     }
-    // The journaled gateway rides every crash and forgets nothing.
-    assert_eq!(journaled.gateway_recoveries, journaled.master_crashes);
-    assert_eq!(journaled.lost, 0);
-    assert_eq!(journaled.completed, journaled.admitted);
-    assert!(journaled.journal_bytes > 0);
-    // The baseline restarts from scratch: admitted work is lost (counted,
-    // not hidden) and nothing was journaled.
-    assert_eq!(restart.gateway_recoveries, 0);
-    assert!(restart.lost > 0, "a full restart must forget admissions");
-    assert!(restart.completed < restart.admitted);
-    assert_eq!(restart.journal_bytes, 0);
+}
+
+/// Offered load past a calibrated capacity into deep queues with no shed
+/// bound: static admission buffers the excess, so its p99 grows with how
+/// long the overload lasts, while the alert-driven control loop (latency
+/// burn alert → staged depth tightening, trimming the burned backlog)
+/// keeps p99 bounded.
+#[test]
+fn control_bounds_p99_where_static_admission_buffers() {
+    let horizon = 30.0;
+    let flood =
+        vec![TenantConfig::new("cal", 1, ArrivalConfig::poisson(2000.0)).with_max_queue_depth(512)];
+    let cal = ServingGateway::new(
+        config(11)
+            .with_horizon(horizon)
+            .with_admission(AdmissionConfig::new(300)),
+        vec![classify_fn()],
+        flood,
+    )
+    .run();
+    let capacity = goodput(&cal);
+    assert!(capacity > 0.0, "calibration completed nothing");
+    for factor in [2.0, 3.0] {
+        let run = |controlled: bool| {
+            // A tight dispatch window keeps the backlog in the gateway
+            // queue, where a control trim can reach it.
+            let mut cfg = config(11)
+                .with_horizon(horizon)
+                .with_admission(AdmissionConfig::new(1_000_000))
+                .with_dispatch_window(96);
+            if controlled {
+                cfg = cfg
+                    .with_slo(
+                        SloConfig::new(0.95)
+                            .with_bucket_secs(1.0)
+                            .with_latency_threshold(3.0)
+                            .with_windows(vec![BurnWindow::new(3.0, 9.0, 2.0, Severity::Page)]),
+                    )
+                    .with_control(
+                        ControlConfig::new()
+                            .with_cooldown(2.0)
+                            .with_depth_factor(0.25)
+                            .with_max_level(5),
+                    );
+            }
+            let tenants =
+                vec![
+                    TenantConfig::new("flood", 1, ArrivalConfig::poisson(factor * capacity))
+                        .with_max_queue_depth(4096),
+                ];
+            ServingGateway::new(cfg, vec![classify_fn()], tenants).run()
+        };
+        let control = run(true);
+        let fixed = run(false);
+        assert!(
+            control.invocations_conserved(),
+            "{factor}x control: {control:?}"
+        );
+        assert!(fixed.invocations_conserved(), "{factor}x static: {fixed:?}");
+        assert!(
+            !control.alerts.is_empty(),
+            "{factor}x must fire the burn alert"
+        );
+        assert!(
+            !control.control_actions.is_empty(),
+            "{factor}x: alert edges must drive control actions"
+        );
+        assert!(
+            control.latency.p99 < 0.5 * fixed.latency.p99,
+            "{factor}x: control p99 {:.1} s not bounded against static {:.1} s",
+            control.latency.p99,
+            fixed.latency.p99
+        );
+        assert!(
+            fixed.latency.p99 > 0.2 * (factor - 1.0) * horizon,
+            "{factor}x: static p99 {:.1} s does not grow with the overload",
+            fixed.latency.p99
+        );
+    }
 }
 
 #[test]

@@ -14,16 +14,27 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Drain `recorder` from a background thread until `stop`, then finish;
-/// returns the merged live stream plus the accumulated drop count.
-fn tail_live<R>(recorder: &Recorder, run: impl FnOnce() -> R) -> (R, Vec<Record>, u64) {
+/// What a live tail saw: the merged stream, the accumulated drop count,
+/// and the high-water mark of bytes the cursor held undecoded.
+struct Tailed {
+    records: Vec<Record>,
+    dropped: u64,
+    peak_buffered_bytes: usize,
+}
+
+/// Drain `recorder` from a background thread until `run` returns, then
+/// finish the tail.
+fn tail_live<R>(recorder: &Recorder, run: impl FnOnce() -> R) -> (R, Tailed) {
     let stop = Arc::new(AtomicBool::new(false));
     let tail_rec = recorder.clone();
     let tail_stop = Arc::clone(&stop);
     let handle = std::thread::spawn(move || {
         let mut cursor = tail_rec.cursor();
-        let mut records = Vec::new();
-        let mut dropped = 0u64;
+        let mut tailed = Tailed {
+            records: Vec::new(),
+            dropped: 0,
+            peak_buffered_bytes: 0,
+        };
         loop {
             let done = tail_stop.load(Ordering::Acquire);
             let batch = if done {
@@ -31,29 +42,32 @@ fn tail_live<R>(recorder: &Recorder, run: impl FnOnce() -> R) -> (R, Vec<Record>
             } else {
                 tail_rec.drain_since(&mut cursor)
             };
-            records.extend(batch.records);
-            dropped += batch.dropped_delta;
+            tailed.records.extend(batch.records);
+            tailed.dropped += batch.dropped_delta;
+            tailed.peak_buffered_bytes = tailed.peak_buffered_bytes.max(cursor.buffered_bytes());
             assert!(
                 cursor.errors().is_empty(),
                 "live tail hit decode errors: {:?}",
                 cursor.errors()
             );
             if done {
-                return (records, dropped);
+                return tailed;
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
     });
     let out = run();
     stop.store(true, Ordering::Release);
-    let (records, dropped) = handle.join().expect("tailer panicked");
-    (out, records, dropped)
+    (out, handle.join().expect("tailer panicked"))
 }
 
 /// A fig7-scale drug-screening run tailed live must be record-identical
-/// to the post-hoc `take()` of an identically seeded run.
+/// to the post-hoc `take()` of an identically seeded run, while the tail
+/// holds at most two ring capacities of undecoded bytes: a bound set by
+/// the ring, not by how long the run is.
 #[test]
 fn fig7_live_tail_matches_posthoc_decode() {
+    const RING_CAPACITY: usize = 1 << 18; // records per shard, the default
     let run = |recorder: &Recorder| {
         let workload = drug::build(300, 1234);
         let config = drug::master_config(Strategy::Auto(AutoConfig::default()), 1234)
@@ -62,13 +76,19 @@ fn fig7_live_tail_matches_posthoc_decode() {
         assert_eq!(report.abandoned_tasks, 0);
     };
 
-    let live_rec = Recorder::enabled();
-    let ((), live, dropped) = tail_live(&live_rec, || run(&live_rec));
-    assert_eq!(dropped, 0, "default capacity must not drop");
+    let live_rec = Recorder::enabled_with_capacity(RING_CAPACITY);
+    let ((), tailed) = tail_live(&live_rec, || run(&live_rec));
+    assert_eq!(tailed.dropped, 0, "default capacity must not drop");
     assert!(
         live_rec.take().is_empty(),
         "the tailer must have consumed the whole stream"
     );
+    assert!(
+        tailed.peak_buffered_bytes <= 2 * RING_CAPACITY,
+        "tailer held {} undecoded bytes, beyond the ring-capacity bound",
+        tailed.peak_buffered_bytes
+    );
+    let live = tailed.records;
 
     let posthoc_rec = Recorder::enabled();
     run(&posthoc_rec);
@@ -105,8 +125,9 @@ fn serving_live_tail_matches_posthoc_decode() {
     };
 
     let live_rec = Recorder::enabled();
-    let (report_live, live, dropped) = tail_live(&live_rec, || run(&live_rec));
-    assert_eq!(dropped, 0);
+    let (report_live, tailed) = tail_live(&live_rec, || run(&live_rec));
+    assert_eq!(tailed.dropped, 0);
+    let live = tailed.records;
 
     let posthoc_rec = Recorder::enabled();
     let report_posthoc = run(&posthoc_rec);
