@@ -170,40 +170,8 @@ fn descriptor_packet(desc: &[u8]) -> Vec<u8> {
     p
 }
 
-/// Render a record stream as a binary Perfetto trace.
-pub fn perfetto_trace(records: &[Record]) -> Vec<u8> {
-    // Pass 1: assign track uuids by first appearance so descriptors can
-    // all be emitted ahead of every event that references them.
-    let mut lane_uuid: BTreeMap<u64, u64> = BTreeMap::new(); // sim track id → uuid
-    let mut counter_uuid: BTreeMap<&str, u64> = BTreeMap::new(); // metric name → uuid
-    let mut next_uuid = PROCESS_UUID + 1;
-    for record in records {
-        match record {
-            Record::Span(s) => {
-                lane_uuid.entry(s.track).or_insert_with(|| {
-                    next_uuid += 1;
-                    next_uuid - 1
-                });
-            }
-            Record::Instant(i) => {
-                lane_uuid.entry(i.track).or_insert_with(|| {
-                    next_uuid += 1;
-                    next_uuid - 1
-                });
-            }
-            Record::Metric(m) if m.at_secs.is_some() => {
-                counter_uuid.entry(m.name.as_str()).or_insert_with(|| {
-                    next_uuid += 1;
-                    next_uuid - 1
-                });
-            }
-            Record::Metric(_) => {} // untimed: aggregates only, no timeline
-        }
-    }
-
-    let mut out = Vec::with_capacity(records.len() * 24 + 64);
-
-    // Process track.
+/// The process track every lane and counter track hangs under.
+fn process_packet() -> Vec<u8> {
     let mut process = Vec::new();
     put_varint_field(&mut process, PDESC_PID, 1);
     put_str_field(&mut process, PDESC_NAME, "lfm-sim");
@@ -211,118 +179,119 @@ pub fn perfetto_trace(records: &[Record]) -> Vec<u8> {
     put_varint_field(&mut desc, TDESC_UUID, PROCESS_UUID);
     put_str_field(&mut desc, TDESC_NAME, "lfm-sim");
     put_len_field(&mut desc, TDESC_PROCESS, &process);
-    put_len_field(&mut out, 1, &descriptor_packet(&desc));
+    descriptor_packet(&desc)
+}
 
-    // Lane and counter tracks, in uuid (= first appearance) order.
-    let mut tracks: Vec<(u64, String, bool)> = lane_uuid
-        .iter()
-        .map(|(lane, &uuid)| (uuid, format!("track-{lane}"), false))
-        .chain(
-            counter_uuid
-                .iter()
-                .map(|(name, &uuid)| (uuid, (*name).to_string(), true)),
-        )
-        .collect();
-    tracks.sort_by_key(|(uuid, _, _)| *uuid);
-    for (uuid, name, is_counter) in &tracks {
-        let mut desc = Vec::new();
-        put_varint_field(&mut desc, TDESC_UUID, *uuid);
-        put_str_field(&mut desc, TDESC_NAME, name);
-        put_varint_field(&mut desc, TDESC_PARENT_UUID, PROCESS_UUID);
-        if *is_counter {
-            put_len_field(&mut desc, TDESC_COUNTER, &[]); // presence marks the track type
+/// What one record becomes on the timeline: packets with their timestamps
+/// in ns.
+enum Events {
+    /// A span's `SLICE_BEGIN` (carrying its annotations) and `SLICE_END`.
+    Slice {
+        start: u64,
+        end: u64,
+        begin: Vec<u8>,
+        close: Vec<u8>,
+    },
+    Instant(u64, Vec<u8>),
+    Counter(u64, Vec<u8>),
+    /// An untimed metric: aggregates only, no timeline.
+    Untimed,
+}
+
+/// The per-record encoder both exporters share: track uuids by first
+/// appearance (sim track ids and counter names drawing from one sequence),
+/// and each counter track's running total.
+struct Encoder {
+    lanes: BTreeMap<u64, u64>,
+    /// Counter name → (uuid, running total).
+    counters: BTreeMap<String, (u64, f64)>,
+    next_uuid: u64,
+}
+
+impl Encoder {
+    fn new() -> Self {
+        Encoder {
+            lanes: BTreeMap::new(),
+            counters: BTreeMap::new(),
+            next_uuid: PROCESS_UUID + 1,
         }
-        put_len_field(&mut out, 1, &descriptor_packet(&desc));
     }
 
-    // Pass 2: encode events with nesting-stable sort keys.
-    let mut packets: Vec<Packet> = Vec::with_capacity(records.len() * 2);
-    let mut totals: BTreeMap<&str, f64> = BTreeMap::new();
-    for (idx, record) in records.iter().enumerate() {
+    /// A fresh uuid for a track named `name`, its descriptor packet pushed
+    /// onto `declared`.
+    fn declare(&mut self, name: &str, counter: bool, declared: &mut Vec<Vec<u8>>) -> u64 {
+        let uuid = self.next_uuid;
+        self.next_uuid += 1;
+        let mut desc = Vec::new();
+        put_varint_field(&mut desc, TDESC_UUID, uuid);
+        put_str_field(&mut desc, TDESC_NAME, name);
+        put_varint_field(&mut desc, TDESC_PARENT_UUID, PROCESS_UUID);
+        if counter {
+            put_len_field(&mut desc, TDESC_COUNTER, &[]); // presence marks the track type
+        }
+        declared.push(descriptor_packet(&desc));
+        uuid
+    }
+
+    fn lane(&mut self, lane: u64, declared: &mut Vec<Vec<u8>>) -> u64 {
+        if let Some(&uuid) = self.lanes.get(&lane) {
+            return uuid;
+        }
+        let uuid = self.declare(&format!("track-{lane}"), false, declared);
+        self.lanes.insert(lane, uuid);
+        uuid
+    }
+
+    fn counter(&mut self, name: &str, declared: &mut Vec<Vec<u8>>) -> &mut (u64, f64) {
+        if !self.counters.contains_key(name) {
+            let uuid = self.declare(name, true, declared);
+            self.counters.insert(name.to_string(), (uuid, 0.0));
+        }
+        self.counters.get_mut(name).expect("declared above")
+    }
+
+    /// Encode `record`, pushing a descriptor packet onto `declared` for
+    /// each track it is the first to name.
+    fn encode(&mut self, record: &Record, declared: &mut Vec<Vec<u8>>) -> Events {
         match record {
             Record::Span(s) => {
-                let uuid = lane_uuid[&s.track];
+                let uuid = self.lane(s.track, declared);
                 let (start, end) = (ns(s.start_secs), ns(s.end_secs));
-                let dur = end.saturating_sub(start);
-                let mut begin = Vec::new();
-                for (k, v) in &s.attrs {
-                    put_len_field(&mut begin, TEV_DEBUG_ANNOTATION, &annotation(k, v));
-                }
-                if let Some(t) = s.task {
-                    put_len_field(
-                        &mut begin,
-                        TEV_DEBUG_ANNOTATION,
-                        &annotation("task", &AttrValue::U64(t)),
-                    );
-                }
-                if let Some(a) = s.attempt {
-                    put_len_field(
-                        &mut begin,
-                        TEV_DEBUG_ANNOTATION,
-                        &annotation("attempt", &AttrValue::U64(a as u64)),
-                    );
-                }
+                let mut begin = annotations(&s.attrs, s.task, s.attempt);
                 put_varint_field(&mut begin, TEV_TYPE, TYPE_SLICE_BEGIN);
                 put_varint_field(&mut begin, TEV_TRACK_UUID, uuid);
                 put_str_field(&mut begin, TEV_CATEGORY, &s.cat);
                 put_str_field(&mut begin, TEV_NAME, &s.name);
-                let mut end_ev = Vec::new();
-                put_varint_field(&mut end_ev, TEV_TYPE, TYPE_SLICE_END);
-                put_varint_field(&mut end_ev, TEV_TRACK_UUID, uuid);
-                // Begins open outermost (longest) first; ends close
-                // innermost (shortest) first. A zero-duration slice keeps
-                // its end glued right after its begin (same rank/idx,
-                // sub-order 1) so track depth never dips negative.
-                packets.push(Packet {
-                    key: (start, 1, u64::MAX - dur, idx, 0),
-                    bytes: packet(Some(start), &begin),
-                });
-                packets.push(Packet {
-                    key: if dur == 0 {
-                        (end, 1, u64::MAX, idx, 1)
-                    } else {
-                        (end, 0, dur, idx, 0)
-                    },
-                    bytes: packet(Some(end), &end_ev),
-                });
+                let mut close = Vec::new();
+                put_varint_field(&mut close, TEV_TYPE, TYPE_SLICE_END);
+                put_varint_field(&mut close, TEV_TRACK_UUID, uuid);
+                Events::Slice {
+                    start,
+                    end,
+                    begin: packet(Some(start), &begin),
+                    close: packet(Some(end), &close),
+                }
             }
             Record::Instant(i) => {
-                let uuid = lane_uuid[&i.track];
+                let uuid = self.lane(i.track, declared);
                 let at = ns(i.at_secs);
-                let mut ev = Vec::new();
-                for (k, v) in &i.attrs {
-                    put_len_field(&mut ev, TEV_DEBUG_ANNOTATION, &annotation(k, v));
-                }
-                if let Some(t) = i.task {
-                    put_len_field(
-                        &mut ev,
-                        TEV_DEBUG_ANNOTATION,
-                        &annotation("task", &AttrValue::U64(t)),
-                    );
-                }
-                if let Some(a) = i.attempt {
-                    put_len_field(
-                        &mut ev,
-                        TEV_DEBUG_ANNOTATION,
-                        &annotation("attempt", &AttrValue::U64(a as u64)),
-                    );
-                }
+                let mut ev = annotations(&i.attrs, i.task, i.attempt);
                 put_varint_field(&mut ev, TEV_TYPE, TYPE_INSTANT);
                 put_varint_field(&mut ev, TEV_TRACK_UUID, uuid);
                 put_str_field(&mut ev, TEV_CATEGORY, &i.cat);
                 put_str_field(&mut ev, TEV_NAME, &i.name);
-                packets.push(Packet {
-                    key: (at, 2, 0, idx, 0),
-                    bytes: packet(Some(at), &ev),
-                });
+                Events::Instant(at, packet(Some(at), &ev))
             }
             Record::Metric(m) => {
-                let Some(at_secs) = m.at_secs else { continue };
-                let uuid = counter_uuid[m.name.as_str()];
+                let Some(at_secs) = m.at_secs else {
+                    return Events::Untimed;
+                };
+                let (uuid, total) = self.counter(&m.name, declared);
+                let uuid = *uuid;
                 let at = ns(at_secs);
+                // Counters plot running totals, like the Chrome exporter.
                 let value = match m.kind {
                     MetricKind::Counter => {
-                        let total = totals.entry(m.name.as_str()).or_insert(0.0);
                         *total += m.value;
                         *total
                     }
@@ -337,16 +306,75 @@ pub fn perfetto_trace(records: &[Record]) -> Vec<u8> {
                 } else {
                     put_double_field(&mut ev, TEV_DOUBLE_COUNTER_VALUE, value);
                 }
-                packets.push(Packet {
-                    key: (at, 3, 0, idx, 0),
-                    bytes: packet(Some(at), &ev),
-                });
+                Events::Counter(at, packet(Some(at), &ev))
             }
         }
     }
+}
+
+/// A track event's debug annotations: the record's attrs, then its task and
+/// attempt ids.
+fn annotations(attrs: &[(String, AttrValue)], task: Option<u64>, attempt: Option<u32>) -> Vec<u8> {
+    let mut ev = Vec::new();
+    for (k, v) in attrs {
+        put_len_field(&mut ev, TEV_DEBUG_ANNOTATION, &annotation(k, v));
+    }
+    for (k, id) in [("task", task), ("attempt", attempt.map(u64::from))] {
+        if let Some(id) = id {
+            let a = annotation(k, &AttrValue::U64(id));
+            put_len_field(&mut ev, TEV_DEBUG_ANNOTATION, &a);
+        }
+    }
+    ev
+}
+
+/// Render a record stream as a binary Perfetto trace: every track
+/// descriptor first, then the events in nesting-stable time order.
+pub fn perfetto_trace(records: &[Record]) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    let mut declared = vec![process_packet()];
+    let mut packets: Vec<Packet> = Vec::with_capacity(records.len() * 2);
+    for (idx, record) in records.iter().enumerate() {
+        match enc.encode(record, &mut declared) {
+            Events::Slice {
+                start,
+                end,
+                begin,
+                close,
+            } => {
+                let dur = end.saturating_sub(start);
+                // Begins open outermost (longest) first; ends close
+                // innermost (shortest) first. A zero-duration slice keeps
+                // its end glued right after its begin (same rank/idx,
+                // sub-order 1) so track depth never dips negative.
+                packets.push(Packet {
+                    key: (start, 1, u64::MAX - dur, idx, 0),
+                    bytes: begin,
+                });
+                packets.push(Packet {
+                    key: if dur == 0 {
+                        (end, 1, u64::MAX, idx, 1)
+                    } else {
+                        (end, 0, dur, idx, 0)
+                    },
+                    bytes: close,
+                });
+            }
+            Events::Instant(at, bytes) => packets.push(Packet {
+                key: (at, 2, 0, idx, 0),
+                bytes,
+            }),
+            Events::Counter(at, bytes) => packets.push(Packet {
+                key: (at, 3, 0, idx, 0),
+                bytes,
+            }),
+            Events::Untimed => {}
+        }
+    }
     packets.sort_by_key(|p| p.key);
-    for p in packets {
-        put_len_field(&mut out, 1, &p.bytes);
+    let mut out = Vec::with_capacity(records.len() * 24 + 64);
+    for bytes in declared.iter().chain(packets.iter().map(|p| &p.bytes)) {
+        put_len_field(&mut out, 1, bytes);
     }
     out
 }
@@ -415,26 +443,20 @@ impl<W: Write> TraceSink for PerfettoSink<W> {
 /// [`PerfettoSink`].
 pub struct PerfettoStreamSink<W: Write> {
     w: W,
-    lane_uuid: BTreeMap<u64, u64>,
-    counter_uuid: BTreeMap<String, u64>,
-    next_uuid: u64,
-    totals: BTreeMap<String, f64>,
+    enc: Encoder,
 }
 
 impl<W: Write> PerfettoStreamSink<W> {
     pub fn new(w: W) -> Self {
         PerfettoStreamSink {
             w,
-            lane_uuid: BTreeMap::new(),
-            counter_uuid: BTreeMap::new(),
-            next_uuid: PROCESS_UUID + 1,
-            totals: BTreeMap::new(),
+            enc: Encoder::new(),
         }
     }
 
     /// Tracks declared so far (memory-bound diagnostics).
     pub fn tracks_declared(&self) -> usize {
-        self.lane_uuid.len() + self.counter_uuid.len()
+        self.enc.lanes.len() + self.enc.counters.len()
     }
 
     fn write_packet(&mut self, bytes: &[u8]) -> std::io::Result<()> {
@@ -442,129 +464,26 @@ impl<W: Write> PerfettoStreamSink<W> {
         put_len_field(&mut framed, 1, bytes);
         self.w.write_all(&framed)
     }
-
-    fn lane_track(&mut self, lane: u64) -> std::io::Result<u64> {
-        if let Some(&uuid) = self.lane_uuid.get(&lane) {
-            return Ok(uuid);
-        }
-        let uuid = self.next_uuid;
-        self.next_uuid += 1;
-        self.lane_uuid.insert(lane, uuid);
-        let mut desc = Vec::new();
-        put_varint_field(&mut desc, TDESC_UUID, uuid);
-        put_str_field(&mut desc, TDESC_NAME, &format!("track-{lane}"));
-        put_varint_field(&mut desc, TDESC_PARENT_UUID, PROCESS_UUID);
-        self.write_packet(&descriptor_packet(&desc))?;
-        Ok(uuid)
-    }
-
-    fn counter_track(&mut self, name: &str) -> std::io::Result<u64> {
-        if let Some(&uuid) = self.counter_uuid.get(name) {
-            return Ok(uuid);
-        }
-        let uuid = self.next_uuid;
-        self.next_uuid += 1;
-        self.counter_uuid.insert(name.to_string(), uuid);
-        let mut desc = Vec::new();
-        put_varint_field(&mut desc, TDESC_UUID, uuid);
-        put_str_field(&mut desc, TDESC_NAME, name);
-        put_varint_field(&mut desc, TDESC_PARENT_UUID, PROCESS_UUID);
-        put_len_field(&mut desc, TDESC_COUNTER, &[]); // presence marks the track type
-        self.write_packet(&descriptor_packet(&desc))?;
-        Ok(uuid)
-    }
-}
-
-fn annotate_ids(
-    ev: &mut Vec<u8>,
-    attrs: &[(String, AttrValue)],
-    task: Option<u64>,
-    attempt: Option<u32>,
-) {
-    for (k, v) in attrs {
-        put_len_field(ev, TEV_DEBUG_ANNOTATION, &annotation(k, v));
-    }
-    if let Some(t) = task {
-        put_len_field(
-            ev,
-            TEV_DEBUG_ANNOTATION,
-            &annotation("task", &AttrValue::U64(t)),
-        );
-    }
-    if let Some(a) = attempt {
-        put_len_field(
-            ev,
-            TEV_DEBUG_ANNOTATION,
-            &annotation("attempt", &AttrValue::U64(a as u64)),
-        );
-    }
 }
 
 impl<W: Write> TraceSink for PerfettoStreamSink<W> {
     fn begin(&mut self) -> std::io::Result<()> {
-        let mut process = Vec::new();
-        put_varint_field(&mut process, PDESC_PID, 1);
-        put_str_field(&mut process, PDESC_NAME, "lfm-sim");
-        let mut desc = Vec::new();
-        put_varint_field(&mut desc, TDESC_UUID, PROCESS_UUID);
-        put_str_field(&mut desc, TDESC_NAME, "lfm-sim");
-        put_len_field(&mut desc, TDESC_PROCESS, &process);
-        self.write_packet(&descriptor_packet(&desc))
+        self.write_packet(&process_packet())
     }
 
     fn record(&mut self, record: &Record) -> std::io::Result<()> {
-        match record {
-            Record::Span(s) => {
-                let uuid = self.lane_track(s.track)?;
-                let (start, end) = (ns(s.start_secs), ns(s.end_secs));
-                let mut begin = Vec::new();
-                annotate_ids(&mut begin, &s.attrs, s.task, s.attempt);
-                put_varint_field(&mut begin, TEV_TYPE, TYPE_SLICE_BEGIN);
-                put_varint_field(&mut begin, TEV_TRACK_UUID, uuid);
-                put_str_field(&mut begin, TEV_CATEGORY, &s.cat);
-                put_str_field(&mut begin, TEV_NAME, &s.name);
-                self.write_packet(&packet(Some(start), &begin))?;
-                let mut end_ev = Vec::new();
-                put_varint_field(&mut end_ev, TEV_TYPE, TYPE_SLICE_END);
-                put_varint_field(&mut end_ev, TEV_TRACK_UUID, uuid);
-                self.write_packet(&packet(Some(end), &end_ev))
+        let mut declared = Vec::new();
+        let events = self.enc.encode(record, &mut declared);
+        for desc in &declared {
+            self.write_packet(desc)?;
+        }
+        match events {
+            Events::Slice { begin, close, .. } => {
+                self.write_packet(&begin)?;
+                self.write_packet(&close)
             }
-            Record::Instant(i) => {
-                let uuid = self.lane_track(i.track)?;
-                let at = ns(i.at_secs);
-                let mut ev = Vec::new();
-                annotate_ids(&mut ev, &i.attrs, i.task, i.attempt);
-                put_varint_field(&mut ev, TEV_TYPE, TYPE_INSTANT);
-                put_varint_field(&mut ev, TEV_TRACK_UUID, uuid);
-                put_str_field(&mut ev, TEV_CATEGORY, &i.cat);
-                put_str_field(&mut ev, TEV_NAME, &i.name);
-                self.write_packet(&packet(Some(at), &ev))
-            }
-            Record::Metric(m) => {
-                let Some(at_secs) = m.at_secs else {
-                    return Ok(()); // untimed: aggregates only, no timeline
-                };
-                let uuid = self.counter_track(&m.name)?;
-                let at = ns(at_secs);
-                let value = match m.kind {
-                    MetricKind::Counter => {
-                        let total = self.totals.entry(m.name.clone()).or_insert(0.0);
-                        *total += m.value;
-                        *total
-                    }
-                    _ => m.value,
-                };
-                let mut ev = Vec::new();
-                put_varint_field(&mut ev, TEV_TYPE, TYPE_COUNTER);
-                put_varint_field(&mut ev, TEV_TRACK_UUID, uuid);
-                if (0.0..9_007_199_254_740_992.0).contains(&value) && (value as u64) as f64 == value
-                {
-                    put_varint_field(&mut ev, TEV_COUNTER_VALUE, value as u64);
-                } else {
-                    put_double_field(&mut ev, TEV_DOUBLE_COUNTER_VALUE, value);
-                }
-                self.write_packet(&packet(Some(at), &ev))
-            }
+            Events::Instant(_, ev) | Events::Counter(_, ev) => self.write_packet(&ev),
+            Events::Untimed => Ok(()),
         }
     }
 
@@ -857,6 +776,25 @@ mod tests {
         assert_eq!(sink.buffered_records(), records.len());
         drop(sink);
         assert_eq!(buf, slice);
+    }
+
+    #[test]
+    fn slice_and_stream_bytes_are_pinned() {
+        // Length and FNV-1a of both exporters' output, computed before they
+        // shared one per-record encoder.
+        let fnv = |bytes: &[u8]| {
+            (bytes.iter()).fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            })
+        };
+        let records = busy_recorder().take();
+        let slice = perfetto_trace(&records);
+        assert_eq!((slice.len(), fnv(&slice)), (5213, 0xfff1_327c_3bb9_3002));
+        let mut stream = Vec::new();
+        let mut sink = PerfettoStreamSink::new(&mut stream);
+        crate::export::export_records(&mut sink, records.iter().cloned()).unwrap();
+        drop(sink);
+        assert_eq!((stream.len(), fnv(&stream)), (5213, 0x2170_6bab_ee18_133e));
     }
 
     #[test]

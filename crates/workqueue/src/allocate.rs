@@ -293,7 +293,7 @@ impl Allocator {
     }
 
     /// [`decide`](Self::decide) for an interned category.
-    pub fn decide_id(
+    pub(crate) fn decide_id(
         &mut self,
         cat: u32,
         attempt: u32,
@@ -311,7 +311,12 @@ impl Allocator {
     /// The first-attempt decision [`decide`](Self::decide) would return,
     /// without bumping the attempt counters (`&mut` because Auto labeling
     /// fills the category's memo).
-    pub fn peek_decision(&mut self, category: &str, capacity: &Resources) -> AllocationDecision {
+    #[cfg(test)]
+    pub(crate) fn peek_decision(
+        &mut self,
+        category: &str,
+        capacity: &Resources,
+    ) -> AllocationDecision {
         let cat = self.intern(category);
         self.peek_decision_id(cat, capacity)
     }
@@ -343,7 +348,7 @@ impl Allocator {
     }
 
     /// [`observe`](Self::observe) with the violated axis of a killed attempt.
-    pub fn observe_outcome(
+    pub(crate) fn observe_outcome(
         &mut self,
         category: &str,
         report: &ResourceReport,
@@ -383,11 +388,11 @@ impl Allocator {
         }
     }
 
-    /// [`observe_outcome`](Self::observe_outcome), reporting whether the
-    /// observation changed the category's first-attempt decision or its
-    /// slow-start cap. This is the notification hook the indexed scheduler
-    /// uses to wake parked tasks of `category` exactly when an allocation
-    /// they would be offered has actually changed.
+    /// `observe_outcome`, reporting whether the observation changed the
+    /// category's first-attempt decision or its slow-start cap. This is the
+    /// notification hook the indexed scheduler uses to wake parked tasks of
+    /// `category` exactly when an allocation they would be offered has
+    /// actually changed.
     pub fn observe_outcome_notify(
         &mut self,
         category: &str,
@@ -402,7 +407,7 @@ impl Allocator {
 
     /// [`observe_outcome_notify`](Self::observe_outcome_notify) for an
     /// interned category.
-    pub fn observe_outcome_notify_id(
+    pub(crate) fn observe_outcome_notify_id(
         &mut self,
         cat: u32,
         report: &ResourceReport,
@@ -475,12 +480,14 @@ impl Allocator {
 
     /// Slow-start concurrency cap for sized first attempts of `category`,
     /// or `None` once the category has matured (or for non-Auto strategies).
-    pub fn concurrency_cap(&self, category: &str) -> Option<u32> {
+    #[cfg(test)]
+    pub(crate) fn concurrency_cap(&self, category: &str) -> Option<u32> {
         self.slow_start_cap(self.samples_for(category))
     }
 
-    /// [`concurrency_cap`](Self::concurrency_cap) for an interned category.
-    pub fn concurrency_cap_id(&self, cat: u32) -> Option<u32> {
+    /// The slow-start concurrency cap of an interned category: `None` once
+    /// it has matured (or for non-Auto strategies).
+    pub(crate) fn concurrency_cap_id(&self, cat: u32) -> Option<u32> {
         self.slow_start_cap(self.stats[cat as usize].completed)
     }
 

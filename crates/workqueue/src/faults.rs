@@ -154,14 +154,6 @@ impl FaultSpec {
         self.seed = seed;
         self
     }
-
-    /// For churn specs: do not submit replacement pilots.
-    pub fn without_replacement(mut self) -> Self {
-        if let FaultKind::WorkerChurn { replace, .. } = &mut self.kind {
-            *replace = false;
-        }
-        self
-    }
 }
 
 /// A composition of independent fault sources — the single public failure
@@ -191,7 +183,7 @@ impl FaultPlan {
     }
 
     /// Does this plan inject anything?
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         !self.specs.is_empty()
     }
 
@@ -268,7 +260,7 @@ impl ResilienceConfig {
 
 /// Exponential backoff delay for the `streak`-th consecutive infra failure
 /// (1-based): `base × 2^(streak-1)`, capped.
-pub fn backoff_delay(streak: u32, cfg: &ResilienceConfig) -> f64 {
+pub(crate) fn backoff_delay(streak: u32, cfg: &ResilienceConfig) -> f64 {
     if cfg.backoff_base_secs <= 0.0 {
         return 0.0;
     }
@@ -291,7 +283,7 @@ pub(crate) enum InfraFault {
 }
 
 impl InfraFault {
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             InfraFault::StageInFailed => "stage_in_failed",
             InfraFault::DiskFull => "disk_full",
@@ -337,7 +329,7 @@ pub(crate) struct FaultState {
 }
 
 impl FaultState {
-    pub fn new(plan: &FaultPlan, master_seed: u64) -> Self {
+    pub(crate) fn new(plan: &FaultPlan, master_seed: u64) -> Self {
         let mut s = FaultState {
             churn: None,
             straggler: None,
@@ -420,19 +412,19 @@ impl FaultState {
     }
 
     /// Sorted absolute processed-event indices at which the master crashes.
-    pub fn crash_points(&self) -> &[u64] {
+    pub(crate) fn crash_points(&self) -> &[u64] {
         &self.crash_points
     }
 
     /// Is any fault source configured? Leases are only armed when true, so
     /// fault-free runs schedule no extra events.
-    pub fn active(&self) -> bool {
+    pub(crate) fn active(&self) -> bool {
         self.active
     }
 
     /// Keyed draw: this worker's eviction time after coming up, if churn is
     /// configured.
-    pub fn worker_lifetime(&self, worker: u32) -> Option<f64> {
+    pub(crate) fn worker_lifetime(&self, worker: u32) -> Option<f64> {
         let (mean, _, seed) = self.churn?;
         let mut rng = SimRng::seeded(mix(seed ^ mix(worker as u64)));
         let u = rng.uniform(1e-9, 1.0);
@@ -440,12 +432,12 @@ impl FaultState {
     }
 
     /// Submit a replacement pilot when a worker dies?
-    pub fn replace_evicted(&self) -> bool {
+    pub(crate) fn replace_evicted(&self) -> bool {
         self.churn.map(|(_, replace, _)| replace).unwrap_or(false)
     }
 
     /// Keyed draw: this worker's execution slowdown factor (1.0 = healthy).
-    pub fn worker_slowdown(&self, worker: u32) -> f64 {
+    pub(crate) fn worker_slowdown(&self, worker: u32) -> f64 {
         let Some((prob, min_f, max_f, seed)) = self.straggler else {
             return 1.0;
         };
@@ -458,7 +450,7 @@ impl FaultState {
     }
 
     /// Stream draw: does this staging attempt fail outright?
-    pub fn stage_in_fails(&mut self) -> bool {
+    pub(crate) fn stage_in_fails(&mut self) -> bool {
         match &mut self.stage_fail {
             Some((p, rng)) => rng.chance(*p),
             None => false,
@@ -466,7 +458,7 @@ impl FaultState {
     }
 
     /// Stream draw: does this env-pack unpack hit disk-full?
-    pub fn unpack_disk_full(&mut self) -> bool {
+    pub(crate) fn unpack_disk_full(&mut self) -> bool {
         match &mut self.disk_full {
             Some((p, rng)) => rng.chance(*p),
             None => false,
@@ -475,7 +467,7 @@ impl FaultState {
 
     /// Stream draw: is this execution spuriously killed? Returns the
     /// fraction of the run at which the false kill lands.
-    pub fn spurious_kill(&mut self) -> Option<f64> {
+    pub(crate) fn spurious_kill(&mut self) -> Option<f64> {
         let (p, rng) = self.spurious.as_mut()?;
         if rng.chance(*p) {
             Some(rng.uniform(0.05, 0.95))

@@ -145,16 +145,6 @@ impl FederationConfig {
         self.partition = p;
         self
     }
-
-    pub fn with_stealing(mut self, s: StealingConfig) -> Self {
-        self.stealing = s;
-        self
-    }
-
-    pub fn with_handoff(mut self, h: HandoffConfig) -> Self {
-        self.handoff = h;
-        self
-    }
 }
 
 /// Assign every task an owning shard under `policy`. Deterministic in the
@@ -297,45 +287,6 @@ pub struct FederationReport {
     /// step concurrently inside parallel windows, so the sum may exceed the
     /// wall seconds of the whole run.
     pub shard_wall_secs: Vec<f64>,
-}
-
-impl FederationReport {
-    /// Σ over shards of (terminal tasks ÷ host wall seconds stepping that
-    /// shard). A derived per-shard figure, not a throughput — the shards share
-    /// the host's cores; end to end is tasks ÷ the wall seconds of the whole
-    /// [`run_federated`] call.
-    pub fn aggregate_tasks_per_sec(&self) -> f64 {
-        self.shard_completed
-            .iter()
-            .zip(&self.shard_wall_secs)
-            .map(|(&c, &w)| if w > 0.0 { c as f64 / w } else { 0.0 })
-            .sum()
-    }
-
-    /// A hand-rolled JSON summary for the federation bench artifact.
-    pub fn summary_json(&self) -> String {
-        let list = |v: Vec<String>| v.join(", ");
-        let counts = |v: &[u64]| list(v.iter().map(u64::to_string).collect());
-        let walls = (self.shard_wall_secs.iter()).map(|w| format!("{w:.6}"));
-        let walls = list(walls.collect());
-        format!(
-            "{{\"shards\": {}, \"tasks\": {}, \"aggregate_tasks_per_sec\": {:.3}, \
-             \"makespan_secs\": {:.3}, \"steals\": {}, \"stolen_tasks\": {}, \
-             \"cross_shard_releases\": {}, \"handoff_bytes\": {}, \"shard_completed\": [{}], \
-             \"shard_events\": [{}], \"shard_wall_secs\": [{}]}}",
-            self.shards,
-            self.merged.task_count,
-            self.aggregate_tasks_per_sec(),
-            self.merged.makespan_secs,
-            self.steals,
-            self.stolen_tasks,
-            self.cross_shard_releases,
-            self.handoff_bytes,
-            counts(&self.shard_completed),
-            counts(&self.shard_events),
-            walls,
-        )
-    }
 }
 
 /// Run `tasks` across a federation of sub-masters. `worker_count` workers
@@ -1083,22 +1034,6 @@ mod tests {
             2,
             node(),
         );
-    }
-
-    #[test]
-    fn summary_json_is_well_formed_enough() {
-        let cfg = MasterConfig::new(oracle()).with_seed(5);
-        let fed = run_federated(
-            &cfg,
-            &FederationConfig::new(2).with_partition(PartitionPolicy::RoundRobin),
-            chain_tasks(20, 5),
-            4,
-            node(),
-        );
-        let json = fed.summary_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"shards\": 2"));
-        assert!(json.contains("aggregate_tasks_per_sec"));
     }
 
     proptest::proptest! {

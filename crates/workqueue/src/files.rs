@@ -77,7 +77,8 @@ impl FileRef {
 
     /// Disk footprint once present on the worker (unpacked envs occupy their
     /// installed size, not the archive size).
-    pub fn disk_footprint(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn disk_footprint(&self) -> u64 {
         match &self.kind {
             FileKind::Data => self.size_bytes,
             FileKind::EnvironmentPack { unpacked_bytes, .. } => self.size_bytes + unpacked_bytes,

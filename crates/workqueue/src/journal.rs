@@ -257,7 +257,7 @@ pub(crate) enum Record {
 
 /// Why a journal or snapshot failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JournalError {
+pub(crate) enum JournalError {
     /// Ran out of bytes mid-record.
     Truncated,
     /// An unknown tag byte for the named field.
@@ -913,7 +913,7 @@ pub(crate) struct Placements {
 }
 
 impl Placements {
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
@@ -925,14 +925,14 @@ impl Placements {
         }
     }
 
-    pub fn get(&self, id: u64) -> Option<&PlacementInfo> {
+    pub(crate) fn get(&self, id: u64) -> Option<&PlacementInfo> {
         match self.slot(id) {
             Ok(i) => self.window.get(i)?.as_ref(),
             Err(at) => Some(&self.spill[at.ok()?].1),
         }
     }
 
-    pub fn get_mut(&mut self, id: u64) -> Option<&mut PlacementInfo> {
+    pub(crate) fn get_mut(&mut self, id: u64) -> Option<&mut PlacementInfo> {
         match self.slot(id) {
             Ok(i) => self.window.get_mut(i)?.as_mut(),
             Err(at) => Some(&mut self.spill[at.ok()?].1),
@@ -941,7 +941,7 @@ impl Placements {
 
     /// Add a placement whose id is above every id held so far; any other id
     /// is refused (`false`).
-    pub fn insert(&mut self, id: u64, info: PlacementInfo) -> bool {
+    pub(crate) fn insert(&mut self, id: u64, info: PlacementInfo) -> bool {
         if id < self.base + self.window.len() as u64 {
             return false;
         }
@@ -967,7 +967,7 @@ impl Placements {
         true
     }
 
-    pub fn remove(&mut self, id: u64) -> Option<PlacementInfo> {
+    pub(crate) fn remove(&mut self, id: u64) -> Option<PlacementInfo> {
         let gone = match self.slot(id) {
             Ok(i) => self.window.get_mut(i)?.take()?,
             Err(at) => self.spill.remove(at.ok()?).1,
@@ -986,7 +986,7 @@ impl Placements {
     }
 
     /// `(id, placement)` in ascending id.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &PlacementInfo)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &PlacementInfo)> {
         let window = (self.window.iter().enumerate())
             .filter_map(|(i, p)| Some((self.base + i as u64, p.as_ref()?)));
         self.spill.iter().map(|(id, p)| (*id, p)).chain(window)
@@ -1075,7 +1075,7 @@ pub(crate) struct DepGraph<'a> {
 impl Ledger {
     /// The ledger of a freshly constructed master (nothing enqueued yet —
     /// the root enqueues are the first journal records).
-    pub fn fresh(dep_remaining: Vec<usize>, cat_count: usize) -> Self {
+    pub(crate) fn fresh(dep_remaining: Vec<usize>, cat_count: usize) -> Self {
         Ledger {
             infra_fail_count: vec![0; dep_remaining.len()],
             cat_streak: vec![0; cat_count],
@@ -1089,7 +1089,7 @@ impl Ledger {
     /// record satisfied (the live master enqueues them; in a journal their
     /// `Enqueue` records follow). The record comes by value so that what it
     /// carries (a result row) moves in; a journal keeps its own copy.
-    pub fn apply(&mut self, rec: Record, graph: &DepGraph<'_>) -> Vec<usize> {
+    pub(crate) fn apply(&mut self, rec: Record, graph: &DepGraph<'_>) -> Vec<usize> {
         match rec {
             // An enqueue of an attempt retires any armed backoff for it:
             // the timer fired.
@@ -1316,7 +1316,7 @@ pub(crate) struct PendingFold {
 }
 
 impl PendingFold {
-    pub fn new(queue: VecDeque<Pending>) -> Self {
+    pub(crate) fn new(queue: VecDeque<Pending>) -> Self {
         PendingFold {
             position: (queue.iter().enumerate())
                 .map(|(i, p)| ((p.task_idx, p.attempt), i as i64))
@@ -1326,7 +1326,7 @@ impl PendingFold {
         }
     }
 
-    pub fn apply(&mut self, rec: &Record) {
+    pub(crate) fn apply(&mut self, rec: &Record) {
         match rec {
             Record::Enqueue {
                 task_idx,
@@ -1363,7 +1363,7 @@ impl PendingFold {
         }
     }
 
-    pub fn finish(self) -> VecDeque<Pending> {
+    pub(crate) fn finish(self) -> VecDeque<Pending> {
         self.slots.into_iter().flatten().collect()
     }
 }
@@ -1626,7 +1626,7 @@ fn encode_delta(
 
 impl MasterImage {
     /// Encode as a full image.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         let pending: Vec<Pending> = self.pending.iter().cloned().collect();
         encode_full(
@@ -1640,7 +1640,7 @@ impl MasterImage {
     }
 
     /// Decode a full image.
-    pub fn decode(buf: &[u8]) -> Result<Self, JournalError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<Self, JournalError> {
         let mut r = Reader::new(buf);
         let mut img = MasterImage::default();
         for _ in 0..r.u64()? {
@@ -1764,7 +1764,7 @@ pub(crate) struct Journal {
 
 impl Journal {
     /// Append one record: its bytes are flushed and the tail keeps a copy.
-    pub fn append(&mut self, rec: &Record) {
+    pub(crate) fn append(&mut self, rec: &Record) {
         self.scratch.clear();
         rec.encode(&mut self.scratch);
         if cfg!(debug_assertions) {
@@ -1779,13 +1779,13 @@ impl Journal {
         self.tail.push(rec.clone());
     }
 
-    pub fn bytes_written(&self) -> u64 {
+    pub(crate) fn bytes_written(&self) -> u64 {
         self.bytes_written
     }
 
     /// Should the master install a compacting image now? An interval of 0
     /// (reachable by struct literal) reads as 1.
-    pub fn wants_snapshot(&self, every: Option<u64>) -> bool {
+    pub(crate) fn wants_snapshot(&self, every: Option<u64>) -> bool {
         every.is_some_and(|k| self.tail.len() as u64 >= k.max(1))
     }
 
@@ -1798,7 +1798,7 @@ impl Journal {
     /// `full_views` — the pending queue in canonical order and the
     /// allocator's sample stores — is called for a full image only: a delta
     /// takes queue operations and samples from the tail.
-    pub fn compact(
+    pub(crate) fn compact(
         &mut self,
         ledger: &Ledger,
         worker_faults: &BTreeMap<u32, u32>,
@@ -1824,7 +1824,7 @@ impl Journal {
     /// deltas folded in, read from the encoded bytes alone — or `None` when
     /// recovery must replay from the fresh image. Once a delta is folded in
     /// the pending queue is in deque order, as after tail replay.
-    pub fn base_image(&self) -> Result<Option<MasterImage>, JournalError> {
+    pub(crate) fn base_image(&self) -> Result<Option<MasterImage>, JournalError> {
         let Some((full, deltas)) = self.chain.split_first() else {
             return Ok(None);
         };
@@ -1847,16 +1847,16 @@ impl Journal {
     }
 
     /// Records appended since the last image (what a recovery replays).
-    pub fn tail(&self) -> &[Record] {
+    pub(crate) fn tail(&self) -> &[Record] {
         &self.tail
     }
 }
 
-/// Opaque entry points for the journal micro-benchmarks. The journal's
-/// types are crate-private (they are an implementation detail of the
-/// durable master), so the bench crate drives representative encode/decode
-/// and snapshot round-trip work through these functions instead.
-pub mod bench_api {
+/// Representative record streams, images and deltas built through the
+/// journal's crate-private types, for the in-crate codec tests (the pinned
+/// wire layout, and the never-panic decoders in `proptests.rs`).
+#[cfg(test)]
+pub(crate) mod bench_api {
     use super::*;
 
     fn sample_record(i: u64) -> Record {
@@ -1921,7 +1921,7 @@ pub mod bench_api {
     }
 
     /// Encode `n` representative records, returning the byte stream.
-    pub fn encode_records(n: u64) -> Vec<u8> {
+    pub(crate) fn encode_records(n: u64) -> Vec<u8> {
         let mut out = Vec::new();
         for i in 0..n {
             sample_record(i).encode(&mut out);
@@ -1929,23 +1929,11 @@ pub mod bench_api {
         out
     }
 
-    /// Decode a stream produced by [`encode_records`], returning the record
-    /// count. Panics on malformed input.
-    pub fn decode_records(buf: &[u8]) -> usize {
-        let mut r = Reader::new(buf);
-        let mut n = 0;
-        while !r.is_empty() {
-            Record::decode(&mut r).expect("bench stream decodes");
-            n += 1;
-        }
-        n
-    }
-
     /// Decode an arbitrary byte stream as journal records, returning how
     /// many decoded cleanly before the stream ended or the first error.
-    /// Unlike [`decode_records`] this never panics — it is the entry point
-    /// the decoder-robustness proptests drive with corrupt/truncated input.
-    pub fn try_decode_records(buf: &[u8]) -> Result<usize, crate::journal::JournalError> {
+    /// Never panics: the decoder-robustness proptests drive it with
+    /// corrupt and truncated input.
+    pub(crate) fn try_decode_records(buf: &[u8]) -> Result<usize, crate::journal::JournalError> {
         let mut r = Reader::new(buf);
         let mut n = 0;
         while !r.is_empty() {
@@ -1999,27 +1987,20 @@ pub mod bench_api {
     }
 
     /// Encode a populated full image for a `tasks`-task run.
-    pub fn encode_image(tasks: usize) -> Vec<u8> {
+    pub(crate) fn encode_image(tasks: usize) -> Vec<u8> {
         sample_image(tasks).encode()
     }
 
-    /// Decode + re-encode a full image, returning whether it round-trips
-    /// bitwise (always true; the comparison keeps the work honest).
-    pub fn image_roundtrips(bytes: &[u8]) -> bool {
-        let img = MasterImage::decode(bytes).expect("bench image decodes");
-        img.encode() == bytes
-    }
-
-    /// A master state and the record tail that led to it, built once
-    /// outside the timed loop: the [`encode_image`] state of a `tasks`-task
-    /// run after `records` more records of the [`encode_records`] mix.
-    pub struct DeltaCase {
+    /// A master state and the record tail that led to it: the
+    /// [`encode_image`] state of a `tasks`-task run after `records` more
+    /// records of the [`encode_records`] mix.
+    pub(crate) struct DeltaCase {
         img: MasterImage,
         tail: Vec<Record>,
     }
 
     impl DeltaCase {
-        pub fn new(tasks: usize, records: u64) -> Self {
+        pub(crate) fn new(tasks: usize, records: u64) -> Self {
             let mut img = sample_image(tasks);
             let tail: Vec<Record> = (0..records).map(sample_record).collect();
             for rec in &tail {
@@ -2034,7 +2015,7 @@ pub mod bench_api {
         /// Encode the state as a delta image over the one before the tail:
         /// cost and size follow `records` (plus the live placements), not
         /// `tasks`.
-        pub fn encode_delta(&self) -> Vec<u8> {
+        pub(crate) fn encode_delta(&self) -> Vec<u8> {
             let mut out = Vec::new();
             let img = &self.img;
             encode_delta(&mut out, &img.ledger, &img.worker_faults, &self.tail);
@@ -2043,15 +2024,9 @@ pub mod bench_api {
     }
 
     /// Decode `full ⊕ delta` the way recovery does, returning the result
-    /// rows plus pending attempts the image ends up with. Panics on
-    /// malformed input.
-    pub fn chain_decodes(full: &[u8], delta: &[u8]) -> usize {
-        try_chain_decodes(full, delta).expect("bench chain decodes")
-    }
-
-    /// [`chain_decodes`] for arbitrary bytes: an error, never a panic — the
-    /// entry point the decoder-robustness proptests drive.
-    pub fn try_chain_decodes(
+    /// rows plus pending attempts the image ends up with — or an error,
+    /// never a panic, for the decoder-robustness proptests.
+    pub(crate) fn try_chain_decodes(
         full: &[u8],
         delta: &[u8],
     ) -> Result<usize, crate::journal::JournalError> {

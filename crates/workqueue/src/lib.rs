@@ -34,6 +34,8 @@ pub mod prepared;
 #[cfg(test)]
 mod proptests;
 pub mod sched;
+#[cfg(test)]
+mod sched_equivalence;
 pub mod streaming;
 pub mod task;
 pub mod worker;
@@ -55,5 +57,4 @@ pub mod prelude {
     pub use crate::sched::SchedImpl;
     pub use crate::streaming::StreamingMaster;
     pub use crate::task::{TaskId, TaskResult, TaskSpec};
-    pub use crate::worker::Worker;
 }

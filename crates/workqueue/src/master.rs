@@ -16,7 +16,7 @@ use crate::journal::{
 };
 use crate::prepared::PreparedWorkload;
 use crate::sched::{policy_rank, IndexedSched, ParkReason, Pending, SchedImpl, Src};
-use crate::task::{TaskId, TaskResult, TaskSpec};
+use crate::task::{TaskResult, TaskSpec};
 use crate::worker::{Worker, WorkerTable};
 use lfm_monitor::limits::ResourceLimits;
 use lfm_monitor::report::MonitorOutcome;
@@ -32,8 +32,11 @@ use lfm_simcluster::storage::LocalDisk;
 use lfm_simcluster::time::SimTime;
 use lfm_telemetry::{InstantBuilder, Name, Recorder, SpanBuilder};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 /// Pre-interned telemetry names for the master's emission sites.
 ///
@@ -236,8 +239,8 @@ pub struct MasterConfig {
     pub durability: DurabilityConfig,
     pub provisioning: Provisioning,
     pub policy: SchedulePolicy,
-    /// Dispatch implementation: the indexed scheduler (default) or the
-    /// reference rescan matcher it is placement-for-placement equal to.
+    /// Dispatch implementation: the indexed scheduler, the one a
+    /// production build has (see [`SchedImpl`]).
     pub sched: SchedImpl,
     /// Shard count for the foreman federation (`federation.rs`). `1` (the
     /// default) runs the classic single master; `> 1` makes
@@ -298,7 +301,8 @@ impl MasterConfig {
     }
 
     /// Replace the whole staging group.
-    pub fn with_staging(mut self, staging: StagingConfig) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_staging(mut self, staging: StagingConfig) -> Self {
         self.staging = staging;
         self
     }
@@ -434,8 +438,8 @@ impl RunReport {
     /// "<1% of tasks were retried"). Infrastructure retries — staging
     /// failures, lost results, lease reclaims, spurious kills — are
     /// deliberately excluded: the task did nothing wrong, so they count in
-    /// [`RunReport::infra_retry_fraction`] instead. The two sets are
-    /// tracked independently and one task can appear in both.
+    /// [`RunReport::infra_retried_tasks`] instead. The two sets are tracked
+    /// independently and one task can appear in both.
     pub fn retry_fraction(&self) -> f64 {
         if self.task_count == 0 {
             0.0
@@ -447,7 +451,7 @@ impl RunReport {
     /// Fraction of tasks that consumed at least one infrastructure retry.
     /// See [`RunReport::retry_fraction`] for the resource-kill counterpart
     /// and the boundary between the two.
-    pub fn infra_retry_fraction(&self) -> f64 {
+    pub(crate) fn infra_retry_fraction(&self) -> f64 {
         if self.task_count == 0 {
             0.0
         } else {
@@ -559,7 +563,7 @@ impl RunReport {
 
     /// Distribution of task turnaround (submit → completion) over
     /// successful final attempts — the paper reports tails, not just means.
-    pub fn turnaround_histogram(&self) -> Histogram {
+    pub(crate) fn turnaround_histogram(&self) -> Histogram {
         let mut h = Histogram::new();
         for r in self.results.iter().filter(|r| r.outcome.is_success()) {
             h.record(r.finished_at - r.submitted_at);
@@ -688,14 +692,6 @@ pub(crate) struct DoneInfo {
     env_transfer: bool,
 }
 
-/// The active dispatch implementation's queue state (see `sched.rs`).
-enum SchedState {
-    /// The original greedy matcher's plain deque.
-    Reference(VecDeque<Pending>),
-    /// The indexed scheduler.
-    Indexed(IndexedSched),
-}
-
 #[cfg(test)]
 thread_local! {
     /// Span and instant builders constructed (see [`Master::span`]).
@@ -762,7 +758,7 @@ pub(crate) struct Master {
     /// owner.
     work: Arc<PreparedWorkload>,
     workers: WorkerTable,
-    sched: SchedState,
+    sched: IndexedSched,
     queue: EventQueue<Event>,
     allocator: Allocator,
     fs: SharedFs,
@@ -838,10 +834,6 @@ impl Master {
         // a handful of lifecycle events and each worker a provision/poll
         // stream; pre-size the calendar to skip heap regrowth.
         let event_capacity = work.len() * 4 + worker_count as usize * 2;
-        let sched = match config.sched {
-            SchedImpl::Reference => SchedState::Reference(VecDeque::new()),
-            SchedImpl::Indexed => SchedState::Indexed(IndexedSched::new(config.policy)),
-        };
         Master {
             ledger: Ledger::fresh(work.dep_counts.clone(), work.cat_names.len()),
             running_by_cat: vec![0u32; work.cat_names.len()],
@@ -853,7 +845,7 @@ impl Master {
             net_rng,
             work,
             workers: WorkerTable::default(),
-            sched,
+            sched: config.sched.build(config.policy),
             queue: EventQueue::with_capacity(event_capacity),
             allocator,
             fs,
@@ -1064,12 +1056,10 @@ impl Master {
                 let replaced = self.workers.insert(worker);
                 debug_assert!(replaced.is_none(), "the batch system reuses no id");
                 self.free_cores += self.spec.resources.cores as u64;
-                if let SchedState::Indexed(ix) = &mut self.sched {
-                    ix.worker_added(id, self.spec.resources.cores);
-                    // An empty worker fits any resolved allocation:
-                    // every NoFit certificate is void.
-                    ix.wake_all_nofit();
-                }
+                self.sched.worker_added(id, self.spec.resources.cores);
+                // An empty worker fits any resolved allocation: every NoFit
+                // certificate is void.
+                self.sched.wake_all_nofit();
                 // Sample an eviction time for unreliable pools.
                 if let Some(lifetime) = self.faults.worker_lifetime(id) {
                     self.queue.schedule_in(lifetime, Event::WorkerDown { id });
@@ -1281,7 +1271,7 @@ impl Master {
     fn compact(&mut self) {
         let mut journal = self.journal.take().expect("the journal asked for it");
         journal.compact(&self.ledger, &self.worker_faults(), || {
-            (self.pending_in_order(), self.alloc_stats())
+            (self.sched.snapshot_pending(), self.alloc_stats())
         });
         self.ledger.dirty.clear();
         self.config
@@ -1432,20 +1422,6 @@ impl Master {
         }
     }
 
-    /// The pending queue in its canonical enumeration (policy-sorted,
-    /// stable), so both scheduler implementations emit byte-identical
-    /// images.
-    fn pending_in_order(&self) -> Vec<Pending> {
-        match &self.sched {
-            SchedState::Reference(q) => {
-                let mut v: Vec<Pending> = q.iter().cloned().collect();
-                self.sort_by_rank(&mut v);
-                v
-            }
-            SchedState::Indexed(ix) => ix.snapshot_pending(),
-        }
-    }
-
     /// Stable sort into examination order: by policy rank, queue order
     /// within a rank.
     fn sort_by_rank(&self, pending: &mut [Pending]) {
@@ -1491,7 +1467,7 @@ impl Master {
     fn snapshot_image(&self) -> MasterImage {
         MasterImage {
             ledger: self.ledger.clone(),
-            pending: self.pending_in_order().into(),
+            pending: self.sched.snapshot_pending().into(),
             alloc_stats: self.alloc_stats(),
             worker_faults: self.worker_faults(),
         }
@@ -1624,33 +1600,23 @@ impl Master {
         self.enqueue_roots(resume_at);
     }
 
-    /// Point the active scheduler implementation at a restored pending
-    /// sequence (already in examination order) and the surviving worker
-    /// pool.
+    /// Point a fresh scheduler at a restored pending sequence (already in
+    /// examination order) and the surviving worker pool.
     fn rebuild_sched(&mut self, pending: Vec<Pending>) {
-        match self.config.sched {
-            SchedImpl::Reference => {
-                self.sched = SchedState::Reference(pending.into_iter().collect());
+        let mut sched = self.config.sched.build(self.config.policy);
+        for w in self.workers.values() {
+            if !w.quarantined {
+                sched.worker_added(w.id(), w.node.available().cores);
             }
-            SchedImpl::Indexed => {
-                let mut ix = IndexedSched::new(self.config.policy);
-                for w in self.workers.values() {
-                    if !w.quarantined {
-                        ix.worker_added(w.id(), w.node.available().cores);
-                    }
-                    // The file index keeps quarantined workers' caches (they
-                    // rejoin with caches intact), matching live maintenance.
-                    for f in w.cached_files() {
-                        ix.file_cached(f, w.id());
-                    }
-                }
-                self.sched = SchedState::Indexed(ix);
-                if let SchedState::Indexed(ix) = &mut self.sched {
-                    for item in pending {
-                        ix.push_back(&self.work.tasks[item.task_idx], item);
-                    }
-                }
+            // The file index keeps quarantined workers' caches (they rejoin
+            // with caches intact), matching live maintenance.
+            for f in w.cached_files() {
+                sched.file_cached(f, w.id());
             }
+        }
+        self.sched = sched;
+        for item in pending {
+            self.sched.push_back(&self.work.tasks[item.task_idx], item);
         }
     }
 
@@ -1720,11 +1686,10 @@ impl Master {
         if !worker.quarantined {
             self.free_cores -= worker.node.available().cores as u64;
         }
-        if let SchedState::Indexed(ix) = &mut self.sched {
-            // For quarantined workers the capacity entry is already gone;
-            // removal is a no-op there but still tears down the file index.
-            ix.worker_removed(id, worker.node.available().cores, worker.cached_files());
-        }
+        // For quarantined workers the capacity entry is already gone; removal
+        // is a no-op there but still tears down the file index.
+        self.sched
+            .worker_removed(id, worker.node.available().cores, worker.cached_files());
         // Only the evicted worker's own placements are touched, in ascending
         // placement id: the order they are freed and requeued in is journal
         // bytes and queue order, and the worker's list keeps none.
@@ -1742,11 +1707,9 @@ impl Master {
             self.count(CounterKey::LostCoreSecs, lost_secs);
             let cat = self.work.cat_of[p.task_idx];
             self.running_by_cat[cat as usize] -= 1;
-            if let SchedState::Indexed(ix) = &mut self.sched {
-                // The category's running count fell: a slow-start verdict
-                // for its parked first attempts is stale.
-                ix.wake_category(cat, false);
-            }
+            // The category's running count fell: a slow-start verdict for
+            // its parked first attempts is stale.
+            self.sched.wake_category(cat, false);
             self.instant(tk().task_lost, tk().cat_master)
                 .at(now)
                 .track(id as u64)
@@ -1765,14 +1728,11 @@ impl Master {
         }
     }
 
-    // ---- queue plumbing shared by both dispatch implementations ----
+    // ---- queue plumbing ----
 
     /// Ready tasks queued (the stealing balancer's heat measure).
     pub(crate) fn queued_len(&self) -> usize {
-        match &self.sched {
-            SchedState::Reference(q) => q.len(),
-            SchedState::Indexed(ix) => ix.len(),
-        }
+        self.sched.len()
     }
 
     fn enqueue_back(&mut self, item: Pending) {
@@ -1782,10 +1742,7 @@ impl Master {
             front: false,
             since: item.since,
         });
-        match &mut self.sched {
-            SchedState::Reference(q) => q.push_back(item),
-            SchedState::Indexed(ix) => ix.push_back(&self.work.tasks[item.task_idx], item),
-        }
+        self.sched.push_back(&self.work.tasks[item.task_idx], item);
     }
 
     fn enqueue_front(&mut self, item: Pending) {
@@ -1795,38 +1752,7 @@ impl Master {
             front: true,
             since: item.since,
         });
-        match &mut self.sched {
-            SchedState::Reference(q) => q.push_front(item),
-            SchedState::Indexed(ix) => ix.push_front(&self.work.tasks[item.task_idx], item),
-        }
-    }
-
-    fn ref_queue(&mut self) -> &mut VecDeque<Pending> {
-        match &mut self.sched {
-            SchedState::Reference(q) => q,
-            SchedState::Indexed(_) => unreachable!("reference path on indexed state"),
-        }
-    }
-
-    fn ix(&self) -> &IndexedSched {
-        match &self.sched {
-            SchedState::Indexed(ix) => ix,
-            SchedState::Reference(_) => unreachable!("indexed path on reference state"),
-        }
-    }
-
-    fn ix_mut(&mut self) -> &mut IndexedSched {
-        match &mut self.sched {
-            SchedState::Indexed(ix) => ix,
-            SchedState::Reference(_) => unreachable!("indexed path on reference state"),
-        }
-    }
-
-    fn dispatch(&mut self, now: SimTime) {
-        match self.config.sched {
-            SchedImpl::Reference => self.dispatch_reference(now),
-            SchedImpl::Indexed => self.dispatch_indexed(now),
-        }
+        self.sched.push_front(&self.work.tasks[item.task_idx], item);
     }
 
     /// Examine one queued attempt: decide its allocation, apply the
@@ -1856,51 +1782,14 @@ impl Master {
             }
         }
         let alloc = self.resolve_allocation(decision);
-        let picked = match &self.sched {
-            SchedState::Reference(_) => self.pick_worker(item.task_idx, &alloc),
-            SchedState::Indexed(ix) => {
-                ix.pick_worker(&self.workers, self.work.inputs_of(item.task_idx), &alloc)
-            }
-        };
-        match picked {
+        let inputs = self.work.inputs_of(item.task_idx);
+        match self.sched.pick_worker(&self.workers, inputs, &alloc) {
             Some(wid) => Ok((wid, decision, alloc)),
             None => Err(ParkReason::NoFit(alloc)),
         }
     }
 
-    /// The reference matcher: one greedy pass over the whole pending queue
-    /// (drain-sort-refill under the size policies, then examine every item).
-    /// Kept as the oracle the indexed scheduler is proven equal against, and
-    /// as the benchmark baseline.
-    fn dispatch_reference(&mut self, now: SimTime) {
-        match self.config.policy {
-            SchedulePolicy::Fifo => {}
-            SchedulePolicy::LargestFirst => {
-                let mut v: Vec<Pending> = self.ref_queue().drain(..).collect();
-                v.sort_by_key(|p| {
-                    std::cmp::Reverse(self.work.tasks[p.task_idx].profile.peak_memory_mb)
-                });
-                self.ref_queue().extend(v);
-            }
-            SchedulePolicy::SmallestFirst => {
-                let mut v: Vec<Pending> = self.ref_queue().drain(..).collect();
-                v.sort_by_key(|p| self.work.tasks[p.task_idx].profile.peak_memory_mb);
-                self.ref_queue().extend(v);
-            }
-        }
-        let rounds = self.ref_queue().len();
-        for _ in 0..rounds {
-            let Some(item) = self.ref_queue().pop_front() else {
-                break;
-            };
-            match self.examine(&item) {
-                Ok((wid, decision, alloc)) => self.place(now, wid, &item, decision, alloc),
-                Err(_) => self.ref_queue().push_back(item),
-            }
-        }
-    }
-
-    /// The indexed pass: a k-way merge over the ready queue and the woken
+    /// The dispatch pass: a k-way merge over the ready queue and the woken
     /// park groups' heads, in exactly the reference examination order. One
     /// failed head examination settles its whole group for the pass (within
     /// a pass capacity only shrinks and per-category running counts only
@@ -1909,29 +1798,33 @@ impl Master {
     /// nothing inside a pass wakes a group, so fresh arrivals of the group
     /// are parked directly under that standing certificate — as are those
     /// of a group asleep since an earlier pass.
-    fn dispatch_indexed(&mut self, now: SimTime) {
-        while let Some(src) = self.ix().peek_min() {
+    fn dispatch(&mut self, now: SimTime) {
+        #[cfg(test)]
+        if self.sched.reference.is_some() {
+            return self.dispatch_reference(now);
+        }
+        while let Some(src) = self.sched.peek_min() {
             match src {
                 Src::Ready => {
-                    let (key, item) = self.ix_mut().pop_ready();
+                    let (key, item) = self.sched.pop_ready();
                     let gk = (self.work.cat_of[item.task_idx], item.attempt > 0);
-                    if self.ix().is_asleep(gk) {
-                        self.ix_mut().park(gk, None, key, item);
+                    if self.sched.is_asleep(gk) {
+                        self.sched.park(gk, None, key, item);
                         continue;
                     }
                     match self.examine(&item) {
                         Ok((wid, decision, alloc)) => self.place(now, wid, &item, decision, alloc),
-                        Err(reason) => self.ix_mut().park(gk, Some(reason), key, item),
+                        Err(reason) => self.sched.park(gk, Some(reason), key, item),
                     }
                 }
                 Src::Group(gk) => {
-                    let item = self.ix().group_head(gk).clone();
+                    let item = self.sched.group_head(gk).clone();
                     match self.examine(&item) {
                         Ok((wid, decision, alloc)) => {
-                            self.ix_mut().pop_group_head(gk);
+                            self.sched.pop_group_head(gk);
                             self.place(now, wid, &item, decision, alloc);
                         }
-                        Err(reason) => self.ix_mut().sleep_group(gk, reason),
+                        Err(reason) => self.sched.sleep_group(gk, reason),
                     }
                 }
             }
@@ -1951,27 +1844,6 @@ impl Master {
                 }
             }
         }
-    }
-
-    /// Choose a worker: prefer one with the task's cacheable inputs already
-    /// local (Work Queue "prefers to schedule tasks where needed data is
-    /// cached"), then the one with most free cores.
-    fn pick_worker(&self, task_idx: usize, alloc: &Resources) -> Option<u32> {
-        let inputs = self.work.inputs_of(task_idx);
-        let mut best: Option<(bool, u32, u32)> = None; // (cached, free_cores, id)
-        for w in self.workers.values() {
-            if w.quarantined || !w.node.can_fit(alloc) {
-                continue;
-            }
-            let cached = (inputs.iter().filter_map(|r| r.file())).all(|f| w.has_cached(f));
-            let free = w.node.available().cores;
-            let key = (cached, free, w.id());
-            match best {
-                Some((bc, bf, _)) if (bc, bf) >= (cached, free) => {}
-                _ => best = Some(key),
-            }
-        }
-        best.map(|(_, _, id)| id)
     }
 
     fn place(
@@ -2012,9 +1884,8 @@ impl Master {
         let co_resident = worker.running;
         let old_free = worker.node.available().cores;
         assert!(worker.node.allocate(alloc), "pick_worker guaranteed fit");
-        if let SchedState::Indexed(ix) = &mut self.sched {
-            ix.update_free(wid, old_free, worker.node.available().cores);
-        }
+        self.sched
+            .update_free(wid, old_free, worker.node.available().cores);
         self.free_cores -= alloc.cores as u64;
         worker.running += 1;
         self.in_flight += 1;
@@ -2297,18 +2168,14 @@ impl Master {
         }
         self.in_flight -= 1;
         self.running_by_cat[cat as usize] -= 1;
-        if let SchedState::Indexed(ix) = &mut self.sched {
-            if !quarantined {
-                ix.update_free(wid, old_free, avail.cores);
-            }
-            // The category's running count fell: a slow-start verdict for
-            // its parked first attempts is stale.
-            ix.wake_category(cat, false);
-            if !quarantined {
-                // Freed capacity can unblock any group whose allocation now
-                // fits this worker.
-                ix.wake_fitting(&avail);
-            }
+        // The category's running count fell: a slow-start verdict for its
+        // parked first attempts is stale.
+        self.sched.wake_category(cat, false);
+        if !quarantined {
+            self.sched.update_free(wid, old_free, avail.cores);
+            // Freed capacity can unblock any group whose allocation now fits
+            // this worker.
+            self.sched.wake_fitting(&avail);
         }
     }
 
@@ -2321,9 +2188,7 @@ impl Master {
         for row in self.work.inputs_of(task_idx) {
             let Some(file) = row.file() else { continue };
             if (!row.is_env() || packed) && worker.insert_cached(file) {
-                if let SchedState::Indexed(ix) = &mut self.sched {
-                    ix.file_cached(file, wid);
-                }
+                self.sched.file_cached(file, wid);
             }
         }
     }
@@ -2397,9 +2262,7 @@ impl Master {
             let worker = self.workers.get_mut(wid).expect("worker exists");
             let avail = worker.node.available();
             self.free_cores -= avail.cores as u64;
-            if let SchedState::Indexed(ix) = &mut self.sched {
-                ix.worker_offline(wid, avail.cores);
-            }
+            self.sched.worker_offline(wid, avail.cores);
             self.instant(tk().quarantine, tk().cat_faults)
                 .at(now)
                 .track(wid as u64)
@@ -2428,10 +2291,8 @@ impl Master {
         let avail = worker.node.available();
         self.commit(Record::QuarantineLifted { worker: id });
         self.free_cores += avail.cores as u64;
-        if let SchedState::Indexed(ix) = &mut self.sched {
-            ix.worker_online(id, avail.cores);
-            ix.wake_fitting(&avail);
-        }
+        self.sched.worker_online(id, avail.cores);
+        self.sched.wake_fitting(&avail);
         self.instant(tk().quarantine_release, tk().cat_faults)
             .at(now)
             .track(id as u64)
@@ -2570,11 +2431,9 @@ impl Master {
             )
         };
         if effects.label_changed {
-            if let SchedState::Indexed(ix) = &mut self.sched {
-                // On a label change the category's NoFit parks hold a stale
-                // allocation vector: wake them for re-examination.
-                ix.wake_category(cat, true);
-            }
+            // On a label change the category's NoFit parks hold a stale
+            // allocation vector: wake them for re-examination.
+            self.sched.wake_category(cat, true);
         }
         let task = &self.work.tasks[info.task_idx];
         let task_id = task.id;
@@ -2904,14 +2763,7 @@ impl Master {
         if max == 0 || self.down {
             return Vec::new();
         }
-        let stolen: Vec<Pending> = match &mut self.sched {
-            SchedState::Indexed(ix) => ix.steal_last(max),
-            SchedState::Reference(q) => {
-                Self::steal_back_reference(q, &self.work.tasks, self.config.policy, max)
-            }
-        };
-        stolen
-            .into_iter()
+        (self.sched.steal_last(max).into_iter())
             .map(|p| {
                 self.commit(Record::Stolen {
                     task_idx: p.task_idx as u64,
@@ -2921,46 +2773,6 @@ impl Master {
             })
             .collect()
     }
-
-    /// Reference-scheduler stealing: mirror the canonical policy-sorted
-    /// enumeration (`snapshot_pending`) and take the last `max`
-    /// first-attempt items of that view.
-    fn steal_back_reference(
-        q: &mut VecDeque<Pending>,
-        tasks: &[TaskSpec],
-        policy: SchedulePolicy,
-        max: usize,
-    ) -> Vec<Pending> {
-        // Stable-sort the queue positions by policy rank, exactly like the
-        // snapshot enumeration, then walk that view from the back.
-        let mut order: Vec<usize> = (0..q.len()).collect();
-        order.sort_by_key(|&i| policy_rank(policy, tasks[q[i].task_idx].profile.peak_memory_mb));
-        // Picked in descending policy-view order; keep that order for the
-        // output so both scheduler implementations hand over the same
-        // sequence.
-        let picked: Vec<usize> = order
-            .into_iter()
-            .rev()
-            .filter(|&i| q[i].attempt == 0)
-            .take(max)
-            .collect();
-        let mut out: Vec<Pending> = picked.iter().map(|&i| q[i].clone()).collect();
-        // Remove back-to-front so earlier indices stay valid.
-        let mut doomed = picked;
-        doomed.sort_unstable();
-        for i in doomed.into_iter().rev() {
-            q.remove(i);
-        }
-        // Coldest (policy-last) task last: the thief enqueues in warm-first
-        // order.
-        out.reverse();
-        out
-    }
-}
-
-/// Convenience: task ids for a generated batch.
-pub fn task_ids(n: u64) -> Vec<TaskId> {
-    (0..n).map(TaskId).collect()
 }
 
 #[cfg(test)]
@@ -2968,9 +2780,10 @@ pub(crate) mod tests {
     use super::*;
     use crate::allocate::AutoConfig;
     use crate::files::FileRef;
+    use crate::task::TaskId;
 
     /// A uniform batch of HEP-like tasks (§VI-C1's numbers).
-    fn hep_tasks(n: u64) -> Vec<TaskSpec> {
+    pub(crate) fn hep_tasks(n: u64) -> Vec<TaskSpec> {
         let env = FileRef::environment("hep-env", 240 << 20, 600 << 20, 5000, 800);
         let common = FileRef::shared_data("calib", 1 << 20);
         (0..n)
@@ -2994,7 +2807,7 @@ pub(crate) mod tests {
         Arc::new(PreparedWorkload::new(tasks))
     }
 
-    fn oracle() -> Strategy {
+    pub(crate) fn oracle() -> Strategy {
         let mut map = BTreeMap::new();
         map.insert("hep".to_string(), Resources::new(1, 110, 1024));
         Strategy::Oracle(map)
@@ -3571,7 +3384,9 @@ pub(crate) mod tests {
             .collect();
         assert_eq!(freed, [0, 1, 2, 3, 4]);
         // Each loss is enqueued in front of the one before it.
-        let queued: Vec<usize> = m.pending_in_order().iter().map(|p| p.task_idx).collect();
+        let queued: Vec<usize> = (m.sched.snapshot_pending().iter())
+            .map(|p| p.task_idx)
+            .collect();
         assert_eq!(queued, [4, 3, 2, 1, 0]);
         assert_eq!((m.in_flight, m.ledger.placements.len()), (0, 0));
     }

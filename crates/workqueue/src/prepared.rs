@@ -19,7 +19,7 @@ pub(crate) struct Interner(BTreeMap<String, u32>);
 
 impl Interner {
     /// The id of `name`; a name not seen before gets the next one.
-    pub fn intern(&mut self, name: &str) -> u32 {
+    pub(crate) fn intern(&mut self, name: &str) -> u32 {
         self.get(name).unwrap_or_else(|| {
             #[cfg(test)]
             NAME_WORK.with(|c| c.set((c.get().0, c.get().1 + 1)));
@@ -29,7 +29,7 @@ impl Interner {
         })
     }
 
-    pub fn get(&self, name: &str) -> Option<u32> {
+    pub(crate) fn get(&self, name: &str) -> Option<u32> {
         #[cfg(test)]
         NAME_WORK.with(|c| c.set((c.get().0 + 1, c.get().1)));
         self.0.get(name).copied()
@@ -48,19 +48,19 @@ thread_local! {
 /// names never enter a table) and, in the top bit, whether it is an
 /// environment pack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InputRow(u32);
+pub(crate) struct InputRow(u32);
 
 impl InputRow {
     const ENV: u32 = 1 << 31;
     const NO_FILE: u32 = Self::ENV - 1;
 
     /// The file's id when it is cacheable.
-    pub fn file(self) -> Option<u32> {
+    pub(crate) fn file(self) -> Option<u32> {
         let id = self.0 & Self::NO_FILE;
         (id != Self::NO_FILE).then_some(id)
     }
 
-    pub fn is_env(self) -> bool {
+    pub(crate) fn is_env(self) -> bool {
         self.0 & Self::ENV != 0
     }
 }
@@ -207,7 +207,7 @@ impl PreparedWorkload {
     }
 
     /// Task `task_idx`'s inputs, parallel to its spec's `inputs`.
-    pub fn inputs_of(&self, task_idx: usize) -> &[InputRow] {
+    pub(crate) fn inputs_of(&self, task_idx: usize) -> &[InputRow] {
         let (lo, hi) = (
             self.input_offsets[task_idx],
             self.input_offsets[task_idx + 1],
@@ -216,7 +216,8 @@ impl PreparedWorkload {
     }
 
     /// The id of a cacheable file some task names, if any does.
-    pub fn file_id(&self, name: &str) -> Option<u32> {
+    #[cfg(test)]
+    pub(crate) fn file_id(&self, name: &str) -> Option<u32> {
         self.file_ids.get(name)
     }
 

@@ -3,7 +3,8 @@
 //! The reference matcher re-runs a full greedy pass over the entire pending
 //! queue on every event, and every placement attempt scans every worker and
 //! re-probes every input file for cache affinity — O(events × pending ×
-//! workers × inputs). This module replaces that with event-driven state:
+//! workers × inputs). It survives only in this crate's tests, as the oracle
+//! (`master::reference`). This module replaces it with event-driven state:
 //!
 //! * **Order keys** — the reference examination order (stable policy sort
 //!   over a deque fed by `push_back`/`push_front`) is a total order
@@ -31,6 +32,8 @@
 //! reference examinations have no observable side effects — which together
 //! make the indexed scheduler placement-for-placement identical.
 
+#[cfg(test)]
+use crate::master::reference::{self, RefQueue};
 use crate::master::SchedulePolicy;
 use crate::prepared::InputRow;
 use crate::task::TaskSpec;
@@ -39,15 +42,53 @@ use lfm_simcluster::node::Resources;
 use lfm_simcluster::time::SimTime;
 use std::collections::BTreeMap;
 
-/// Which dispatch implementation a run uses.
+/// Which dispatch implementation a run uses. A production build has one,
+/// the indexed scheduler. The reference matcher it is proven
+/// placement-for-placement equal against is compiled into this crate's own
+/// tests only, so nothing outside the crate can select it:
+///
+/// ```compile_fail
+/// use lfm_workqueue::allocate::Strategy;
+/// use lfm_workqueue::master::MasterConfig;
+/// use lfm_workqueue::sched::SchedImpl;
+///
+/// MasterConfig::new(Strategy::Unmanaged).with_sched(SchedImpl::Reference);
+/// ```
+///
+/// while the same call naming the indexed scheduler compiles:
+///
+/// ```
+/// use lfm_workqueue::allocate::Strategy;
+/// use lfm_workqueue::master::MasterConfig;
+/// use lfm_workqueue::sched::SchedImpl;
+///
+/// MasterConfig::new(Strategy::Unmanaged).with_sched(SchedImpl::Indexed);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedImpl {
-    /// The original rescan-everything greedy matcher, kept as the test
-    /// oracle for seed-equivalence suites (and as the benchmark baseline).
+    /// The original rescan-everything greedy matcher: the oracle of the
+    /// seed-equivalence suites.
+    #[cfg(test)]
     Reference,
-    /// The indexed, event-driven scheduler (behavior-identical, default).
+    /// The indexed, event-driven scheduler.
     #[default]
     Indexed,
+}
+
+impl SchedImpl {
+    /// An empty scheduler of this implementation, examining in `policy`
+    /// order.
+    pub(crate) fn build(self, policy: SchedulePolicy) -> IndexedSched {
+        let sched = IndexedSched::new(policy);
+        match self {
+            #[cfg(test)]
+            SchedImpl::Reference => IndexedSched {
+                reference: Some(RefQueue::default()),
+                ..sched
+            },
+            SchedImpl::Indexed => sched,
+        }
+    }
 }
 
 /// A queued task attempt.
@@ -117,8 +158,7 @@ pub(crate) enum Src {
     Group(GroupKey),
 }
 
-/// The indexed scheduler state. Owned by the master when
-/// [`SchedImpl::Indexed`] is active.
+/// The indexed scheduler state, owned by the master.
 #[derive(Debug)]
 pub(crate) struct IndexedSched {
     policy: SchedulePolicy,
@@ -137,10 +177,14 @@ pub(crate) struct IndexedSched {
     cap_index: CapIndex,
     /// file id → workers with it cached (mirrors `Worker::insert_cached`).
     file_index: Vec<IdSet>,
+    /// Under [`SchedImpl::Reference`], the oracle's queue: pending work,
+    /// `len`, the pending snapshot, steals and the pick all route to it.
+    #[cfg(test)]
+    pub(crate) reference: Option<RefQueue>,
 }
 
 impl IndexedSched {
-    pub fn new(policy: SchedulePolicy) -> Self {
+    pub(crate) fn new(policy: SchedulePolicy) -> Self {
         IndexedSched {
             policy,
             ready: BTreeMap::new(),
@@ -150,11 +194,17 @@ impl IndexedSched {
             back_seq: 0,
             cap_index: CapIndex::default(),
             file_index: Vec::new(),
+            #[cfg(test)]
+            reference: None,
         }
     }
 
     /// Ready + parked tasks (the reference queue length).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
+        #[cfg(test)]
+        if let Some(q) = &self.reference {
+            return q.len();
+        }
         self.ready.len() + self.parked
     }
 
@@ -164,7 +214,11 @@ impl IndexedSched {
     /// identical sequence by stable-sorting its deque by
     /// [`policy_rank`], because within a rank, deque order always equals
     /// seq order.
-    pub fn snapshot_pending(&self) -> Vec<Pending> {
+    pub(crate) fn snapshot_pending(&self) -> Vec<Pending> {
+        #[cfg(test)]
+        if let Some(q) = &self.reference {
+            return q.in_order();
+        }
         let mut all: Vec<(OrderKey, Pending)> = self
             .ready
             .iter()
@@ -180,16 +234,24 @@ impl IndexedSched {
     }
 
     /// Enqueue at the back of the examination order (new arrivals).
-    pub fn push_back(&mut self, task: &TaskSpec, item: Pending) {
+    pub(crate) fn push_back(&mut self, task: &TaskSpec, item: Pending) {
         let key = (self.rank(task), self.back_seq);
         self.back_seq += 1;
-        self.ready.insert(key, item);
+        self.enqueue(key, item);
     }
 
     /// Enqueue at the front of the examination order (retries, evictions).
-    pub fn push_front(&mut self, task: &TaskSpec, item: Pending) {
+    pub(crate) fn push_front(&mut self, task: &TaskSpec, item: Pending) {
         let key = (self.rank(task), self.front_seq);
         self.front_seq -= 1;
+        self.enqueue(key, item);
+    }
+
+    fn enqueue(&mut self, key: OrderKey, item: Pending) {
+        #[cfg(test)]
+        if let Some(q) = &mut self.reference {
+            return q.push(key, item);
+        }
         self.ready.insert(key, item);
     }
 
@@ -197,7 +259,7 @@ impl IndexedSched {
 
     /// The source holding the smallest order key among `ready` and all
     /// runnable group heads, or None when nothing is examinable.
-    pub fn peek_min(&self) -> Option<Src> {
+    pub(crate) fn peek_min(&self) -> Option<Src> {
         let mut best: Option<(OrderKey, Src)> = self.ready.keys().next().map(|&k| (k, Src::Ready));
         for (i, g) in self.groups.iter().enumerate() {
             if !g.runnable {
@@ -211,20 +273,20 @@ impl IndexedSched {
         best.map(|(_, src)| src)
     }
 
-    pub fn pop_ready(&mut self) -> (OrderKey, Pending) {
+    pub(crate) fn pop_ready(&mut self) -> (OrderKey, Pending) {
         self.ready.pop_first().expect("peek_min said ready")
     }
 
     /// The head of a runnable group, left in place: most head examinations
     /// fail, and a failed one only renews the group's certificate.
-    pub fn group_head(&self, gk: GroupKey) -> &Pending {
+    pub(crate) fn group_head(&self, gk: GroupKey) -> &Pending {
         let g = &self.groups[slot(gk)];
         g.members.values().next().expect("runnable group non-empty")
     }
 
     /// Take the head of a runnable group for placement. A group emptied
     /// this way is gone, its pending wake with it.
-    pub fn pop_group_head(&mut self, gk: GroupKey) -> (OrderKey, Pending) {
+    pub(crate) fn pop_group_head(&mut self, gk: GroupKey) -> (OrderKey, Pending) {
         let g = &mut self.groups[slot(gk)];
         let (key, item) = g.members.pop_first().expect("runnable group non-empty");
         g.runnable &= !g.members.is_empty();
@@ -233,7 +295,7 @@ impl IndexedSched {
     }
 
     /// The examined head failed: the group sleeps under the fresh verdict.
-    pub fn sleep_group(&mut self, gk: GroupKey, reason: ParkReason) {
+    pub(crate) fn sleep_group(&mut self, gk: GroupKey, reason: ParkReason) {
         let g = &mut self.groups[slot(gk)];
         g.reason = reason;
         g.runnable = false;
@@ -243,14 +305,20 @@ impl IndexedSched {
     /// arrivals for such groups are parked directly: no wake event has
     /// occurred since the group's last failed examination, so the same
     /// failure certificate covers them.
-    pub fn is_asleep(&self, gk: GroupKey) -> bool {
+    pub(crate) fn is_asleep(&self, gk: GroupKey) -> bool {
         (self.groups.get(slot(gk))).is_some_and(|g| !g.members.is_empty() && !g.runnable)
     }
 
     /// Park `item` under `gk`. `reason: Some` records a fresh failure
     /// verdict (overwriting any stale one) and puts the group to sleep;
     /// `None` joins an existing group without touching its certificate.
-    pub fn park(&mut self, gk: GroupKey, reason: Option<ParkReason>, key: OrderKey, item: Pending) {
+    pub(crate) fn park(
+        &mut self,
+        gk: GroupKey,
+        reason: Option<ParkReason>,
+        key: OrderKey,
+        item: Pending,
+    ) {
         if self.groups.len() <= slot(gk) {
             self.groups.resize_with(slot(gk) + 1, ParkGroup::default);
         }
@@ -273,7 +341,7 @@ impl IndexedSched {
     /// category's first attempts is stale. `label_changed` additionally
     /// invalidates a NoFit verdict: the parked allocation vector itself is
     /// no longer what the group would be offered.
-    pub fn wake_category(&mut self, cat: u32, label_changed: bool) {
+    pub(crate) fn wake_category(&mut self, cat: u32, label_changed: bool) {
         if let Some(g) = self.groups.get_mut(slot((cat, false))) {
             if !g.members.is_empty() && (label_changed || g.reason == ParkReason::SlowStart) {
                 g.runnable = true;
@@ -285,7 +353,7 @@ impl IndexedSched {
     /// NoFit group whose stored allocation fits it. Groups whose vector
     /// still doesn't fit keep their certificate — no other worker's
     /// capacity grew since they parked.
-    pub fn wake_fitting(&mut self, avail: &Resources) {
+    pub(crate) fn wake_fitting(&mut self, avail: &Resources) {
         for g in &mut self.groups {
             if let ParkReason::NoFit(r) = &g.reason {
                 if !g.members.is_empty() && r.fits_in(avail) {
@@ -298,7 +366,7 @@ impl IndexedSched {
     /// A fresh worker arrived: every resolved allocation fits an empty
     /// worker (resolution clamps to the node spec), so every NoFit
     /// certificate is void.
-    pub fn wake_all_nofit(&mut self) {
+    pub(crate) fn wake_all_nofit(&mut self) {
         for g in &mut self.groups {
             if !g.members.is_empty() && matches!(g.reason, ParkReason::NoFit(_)) {
                 g.runnable = true;
@@ -308,11 +376,11 @@ impl IndexedSched {
 
     // ---- worker capacity / file-cache indexes ----
 
-    pub fn worker_added(&mut self, id: u32, free_cores: u32) {
+    pub(crate) fn worker_added(&mut self, id: u32, free_cores: u32) {
         self.cap_index.insert(free_cores, id);
     }
 
-    pub fn worker_removed(
+    pub(crate) fn worker_removed(
         &mut self,
         id: u32,
         free_cores: u32,
@@ -329,16 +397,16 @@ impl IndexedSched {
     /// Take a worker out of the capacity index without tearing down its
     /// file index (quarantine: the worker is alive, its cache intact, but
     /// it must not receive placements).
-    pub fn worker_offline(&mut self, id: u32, free_cores: u32) {
+    pub(crate) fn worker_offline(&mut self, id: u32, free_cores: u32) {
         self.cap_index.remove(free_cores, id);
     }
 
     /// Put a quarantined worker back into the capacity index on release.
-    pub fn worker_online(&mut self, id: u32, free_cores: u32) {
+    pub(crate) fn worker_online(&mut self, id: u32, free_cores: u32) {
         self.cap_index.insert(free_cores, id);
     }
 
-    pub fn update_free(&mut self, id: u32, old_free: u32, new_free: u32) {
+    pub(crate) fn update_free(&mut self, id: u32, old_free: u32, new_free: u32) {
         if old_free != new_free {
             self.cap_index.remove(old_free, id);
             self.cap_index.insert(new_free, id);
@@ -346,7 +414,7 @@ impl IndexedSched {
     }
 
     /// `file` newly entered `id`'s cache.
-    pub fn file_cached(&mut self, file: u32, id: u32) {
+    pub(crate) fn file_cached(&mut self, file: u32, id: u32) {
         if self.file_index.len() <= file as usize {
             self.file_index
                 .resize_with(file as usize + 1, IdSet::default);
@@ -360,7 +428,11 @@ impl IndexedSched {
     /// taken: their accounting is anchored to the home shard. Returns the
     /// stolen items warm-first (ascending order key), matching the
     /// reference scheduler's policy-view enumeration.
-    pub fn steal_last(&mut self, max: usize) -> Vec<Pending> {
+    pub(crate) fn steal_last(&mut self, max: usize) -> Vec<Pending> {
+        #[cfg(test)]
+        if let Some(q) = &mut self.reference {
+            return q.steal_last(max);
+        }
         let mut out: Vec<Pending> = Vec::new();
         while out.len() < max {
             // The largest order key among stealable (attempt == 0) items in
@@ -403,12 +475,16 @@ impl IndexedSched {
     /// worker found holding every input is the answer, and the first fitting
     /// worker of any kind is the fallback when no holder fits. Quarantined
     /// workers are absent from the index.
-    pub fn pick_worker(
+    pub(crate) fn pick_worker(
         &self,
         workers: &WorkerTable,
         inputs: &[InputRow],
         alloc: &Resources,
     ) -> Option<u32> {
+        #[cfg(test)]
+        if self.reference.is_some() {
+            return reference::pick(workers, inputs, alloc);
+        }
         // A full pool answers before any per-input work: when even the
         // freest worker has too few cores the walk below has no bucket to
         // visit.
@@ -456,11 +532,11 @@ pub(crate) struct IdSet {
 }
 
 impl IdSet {
-    pub fn contains(&self, id: u32) -> bool {
+    pub(crate) fn contains(&self, id: u32) -> bool {
         (self.words.get(id as usize / 64)).is_some_and(|w| w & (1u64 << (id % 64)) != 0)
     }
 
-    pub fn insert(&mut self, id: u32) {
+    pub(crate) fn insert(&mut self, id: u32) {
         let (w, bit) = (id as usize / 64, 1u64 << (id % 64));
         if self.words.len() <= w {
             self.words.resize(w + 1, 0);
@@ -478,7 +554,7 @@ impl IdSet {
     }
 
     /// Members in ascending id.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         self.words.iter().enumerate().flat_map(|(w, &word)| {
             let mut rest = word;
             std::iter::from_fn(move || {
@@ -817,22 +893,8 @@ mod tests {
             self.ix.pick_worker(&self.workers, &rows(task), alloc)
         }
 
-        /// The reference scan (`Master::pick_worker`): the `(cached, free
-        /// cores, lowest id)` maximum over non-quarantined fitting workers.
         fn reference_pick(&self, task: &TaskSpec, alloc: &Resources) -> Option<u32> {
-            self.workers
-                .values()
-                .filter(|w| !w.quarantined && w.node.can_fit(alloc))
-                .map(|w| {
-                    let cached = task
-                        .inputs
-                        .iter()
-                        .filter(|f| f.cacheable)
-                        .all(|f| w.has_cached(fid(f)));
-                    (cached, w.node.available().cores, Reverse(w.id()))
-                })
-                .max()
-                .map(|(_, _, Reverse(id))| id)
+            reference::pick(&self.workers, &rows(task), alloc)
         }
     }
 
@@ -1307,7 +1369,7 @@ mod tests {
 
         /// The park table is the map-and-set pair it replaced: over random
         /// arrivals at both ends, dispatch steps that place, park or put to
-        /// sleep as `dispatch_indexed` does, the three wakes and steals,
+        /// sleep as `Master::dispatch` does, the three wakes and steals,
         /// across six categories x {first, retry}, both yield the same
         /// `peek_min` sequence, the same wake set and sleepers, the same
         /// `snapshot_pending` and the same stolen items.

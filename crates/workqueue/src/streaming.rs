@@ -162,11 +162,6 @@ impl StreamingMaster {
         self.master.now()
     }
 
-    /// Timestamp of the next scheduled event, if any.
-    pub fn next_time(&self) -> Option<SimTime> {
-        self.master.next_time()
-    }
-
     /// Total invocations submitted so far.
     pub fn submitted(&self) -> usize {
         self.submitted

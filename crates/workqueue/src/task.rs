@@ -94,17 +94,18 @@ pub struct TaskResult {
 
 impl TaskResult {
     /// Core-seconds this attempt held allocated.
-    pub fn allocated_core_secs(&self) -> f64 {
+    pub(crate) fn allocated_core_secs(&self) -> f64 {
         self.allocated.cores as f64 * (self.finished_at - self.started_at)
     }
 
     /// Core-seconds actually used (CPU time).
-    pub fn used_core_secs(&self) -> f64 {
+    pub(crate) fn used_core_secs(&self) -> f64 {
         self.outcome.report().cpu_secs
     }
 
     /// Memory·seconds held vs used, for waste accounting.
-    pub fn allocated_mb_secs(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn allocated_mb_secs(&self) -> f64 {
         self.allocated.memory_mb as f64 * (self.finished_at - self.started_at)
     }
 }

@@ -6,9 +6,9 @@ use lfm_simcluster::time::SimTime;
 
 /// A connected worker. Files are named by the dense ids the prepared
 /// workload interned for cacheable inputs
-/// ([`PreparedWorkload::file_id`](crate::prepared::PreparedWorkload::file_id)).
+/// ([`InputRow::file`](crate::prepared::InputRow::file)).
 #[derive(Debug, Clone)]
-pub struct Worker {
+pub(crate) struct Worker {
     pub node: Node,
     cache: IdSet,
     /// Files currently being transferred to this worker and the time they
@@ -39,7 +39,7 @@ pub struct Worker {
 }
 
 impl Worker {
-    pub fn new(id: u32, spec: NodeSpec) -> Self {
+    pub(crate) fn new(id: u32, spec: NodeSpec) -> Self {
         Worker {
             node: Node::new(id, spec),
             cache: IdSet::default(),
@@ -55,12 +55,12 @@ impl Worker {
         }
     }
 
-    pub fn id(&self) -> u32 {
+    pub(crate) fn id(&self) -> u32 {
         self.node.id
     }
 
     /// Is this file already on local storage?
-    pub fn has_cached(&self, file: u32) -> bool {
+    pub(crate) fn has_cached(&self, file: u32) -> bool {
         self.cache.contains(file)
     }
 
@@ -68,7 +68,7 @@ impl Worker {
     /// was in flight has landed. Returns true when the file newly entered
     /// the cache (callers maintaining a file → workers inverted index
     /// mirror exactly these insertions).
-    pub fn insert_cached(&mut self, file: u32) -> bool {
+    pub(crate) fn insert_cached(&mut self, file: u32) -> bool {
         let newly_cached = !self.cache.contains(file);
         if newly_cached {
             self.cache.insert(file);
@@ -79,17 +79,17 @@ impl Worker {
 
     /// Every cached file, ascending (for index teardown when the worker is
     /// evicted).
-    pub fn cached_files(&self) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn cached_files(&self) -> impl Iterator<Item = u32> + '_ {
         self.cache.iter()
     }
 
     /// If `file` is already being transferred here, when does it land?
-    pub fn staging_ready(&self, file: u32) -> Option<SimTime> {
+    pub(crate) fn staging_ready(&self, file: u32) -> Option<SimTime> {
         (self.staging.iter()).find_map(|&(f, ready)| (f == file).then_some(ready))
     }
 
     /// Record an in-flight transfer of `file`, landing at `ready`.
-    pub fn mark_staging(&mut self, file: u32, ready: SimTime) {
+    pub(crate) fn mark_staging(&mut self, file: u32, ready: SimTime) {
         match self.staging.iter_mut().find(|(f, _)| *f == file) {
             Some(entry) => entry.1 = ready,
             None => self.staging.push((file, ready)),
@@ -98,7 +98,7 @@ impl Worker {
 
     /// A staging attempt failed: forget the in-flight transfer of `file`
     /// (the bytes never landed) unless the file is already cached.
-    pub fn abort_staging(&mut self, file: u32) {
+    pub(crate) fn abort_staging(&mut self, file: u32) {
         if !self.cache.contains(file) {
             self.staging.retain(|&(f, _)| f != file);
         }
@@ -117,7 +117,7 @@ pub(crate) struct WorkerTable {
 
 impl WorkerTable {
     /// Add a worker under its own id, returning the one it replaced.
-    pub fn insert(&mut self, worker: Worker) -> Option<Worker> {
+    pub(crate) fn insert(&mut self, worker: Worker) -> Option<Worker> {
         let id = worker.id() as usize;
         if self.rows.len() <= id {
             self.rows.resize_with(id + 1, || None);
@@ -125,24 +125,24 @@ impl WorkerTable {
         self.rows[id].replace(worker)
     }
 
-    pub fn get(&self, id: u32) -> Option<&Worker> {
+    pub(crate) fn get(&self, id: u32) -> Option<&Worker> {
         self.rows.get(id as usize)?.as_ref()
     }
 
-    pub fn get_mut(&mut self, id: u32) -> Option<&mut Worker> {
+    pub(crate) fn get_mut(&mut self, id: u32) -> Option<&mut Worker> {
         self.rows.get_mut(id as usize)?.as_mut()
     }
 
-    pub fn remove(&mut self, id: u32) -> Option<Worker> {
+    pub(crate) fn remove(&mut self, id: u32) -> Option<Worker> {
         self.rows.get_mut(id as usize)?.take()
     }
 
     /// The connected workers in ascending id.
-    pub fn values(&self) -> impl Iterator<Item = &Worker> {
+    pub(crate) fn values(&self) -> impl Iterator<Item = &Worker> {
         self.rows.iter().flatten()
     }
 
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut Worker> {
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut Worker> {
         self.rows.iter_mut().flatten()
     }
 }

@@ -55,11 +55,16 @@ count() {
     ' "$1"
 }
 
-# Files that are test modules whole: `#[cfg(test)]` then `mod name;` in
-# dir/{lib,mod}.rs names dir/name.rs or dir/name/mod.rs.
+# Files that are test modules whole: `#[cfg(test)]` then `mod name;`. In a
+# crate root or a mod.rs (dir/{lib,main,mod}.rs, or a binary's dir/bin/x.rs)
+# it names dir/name.rs or dir/name/mod.rs; in any other dir/foo.rs it names
+# dir/foo/name.rs or dir/foo/name/mod.rs.
 test_files() {
+    local decl='\.rs-[0-9]+-[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod ([a-z_0-9]+);.*$'
     grep -rn -A1 --include='*.rs' '^[[:space:]]*#\[cfg(test)\][[:space:]]*$' "$1" |
-        sed -nE 's|^(.*)/[^/]*\.rs-[0-9]+-[[:space:]]*mod ([a-z_0-9]+);.*$|\1/\2.rs \1/\2/mod.rs|p'
+        sed -nE -e "s@^(.*)/(lib|main|mod)$decl@\\1/\\5.rs \\1/\\5/mod.rs@p;t" \
+            -e "s@^(.*/bin)/[^/]*$decl@\\1/\\4.rs \\1/\\4/mod.rs@p;t" \
+            -e "s@^(.*)/([^/]*)$decl@\\1/\\2/\\5.rs \\1/\\2/\\5/mod.rs@p"
 }
 
 # The table for the crates/ under the current directory.

@@ -3,9 +3,12 @@
 # out-of-workspace benchmark package with a smoke *run* of all six of its
 # workloads, the `paper` figures run twice (two cores and one) and diffed,
 # the full workspace test suite (tests/ is a workspace member, so every named
-# suite — scheduler equivalence, chaos and recovery sweeps, federation,
-# serving, telemetry — runs here, once), the benchmark package's tests, then
-# doc/clippy, and last `scripts/loc.sh`'s table against the parent commit.
+# suite — chaos and recovery sweeps, federation, serving, telemetry, and the
+# in-crate Reference ≡ Indexed scheduler matrix, whose oracle exists only in
+# `lfm-workqueue`'s test build — runs here, once), the doctests among them
+# (one must fail to compile: naming the oracle from outside the crate), the
+# benchmark package's tests, then doc/clippy, and last `scripts/loc.sh`'s
+# table against the parent commit.
 # The workspace vendors all external dependencies under vendor/, so
 # everything runs with --offline (no registry, no network).
 set -euo pipefail

@@ -1,7 +1,7 @@
 //! Federation equivalence and conservation: a 1-shard federation must be
 //! *bitwise identical* to the single master (same `RunReport`, same
 //! results order, bit-identical floats) across the policy × provisioning ×
-//! scheduler × fault matrix, and an N-shard federation must conserve tasks
+//! fault matrix, and an N-shard federation must conserve tasks
 //! — successes plus abandoned equals submitted, no double completion —
 //! under random fault plans including per-shard master crashes with
 //! journal recovery.
@@ -12,7 +12,7 @@ use lfm_core::workqueue::allocate::Strategy;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// Same mixed shape as `sched_equivalence.rs`: mixed-memory categories,
+/// The mixed shape of the in-crate scheduler matrix: mixed-memory categories,
 /// cacheable shared inputs, and a chain dependency every fifth task (which
 /// round-robin partitioning turns into a cross-shard handoff).
 fn mixed_tasks(n: u64) -> Vec<TaskSpec> {
@@ -114,6 +114,8 @@ fn assert_conserves(label: &str, fed: &lfm_core::workqueue::federation::Federati
     assert_eq!(before, succeeded.len(), "{label}: a task succeeded twice");
 }
 
+/// The reference matcher's half of this matrix runs in-crate, where that
+/// matcher is built (`one_shard_reference_matrix_is_bitwise_identical`).
 #[test]
 fn one_shard_matrix_is_bitwise_identical() {
     for policy in POLICIES {
@@ -125,18 +127,14 @@ fn one_shard_matrix_is_bitwise_identical() {
                 batch: 1,
             },
         ] {
-            for sched in [SchedImpl::Reference, SchedImpl::Indexed] {
-                for failures in [FaultPlan::reliable(), FaultPlan::evicting(150.0)] {
-                    let cfg = MasterConfig::new(Strategy::Auto(AutoConfig::default()))
-                        .with_policy(policy)
-                        .with_provisioning(provisioning)
-                        .with_sched(sched)
-                        .with_faults(failures.clone())
-                        .with_seed(11);
-                    let label =
-                        format!("1shard/{policy:?}/{provisioning:?}/{sched:?}/{failures:?}");
-                    assert_one_shard_bitwise(&label, &cfg, &mixed_tasks(48), 4);
-                }
+            for failures in [FaultPlan::reliable(), FaultPlan::evicting(150.0)] {
+                let cfg = MasterConfig::new(Strategy::Auto(AutoConfig::default()))
+                    .with_policy(policy)
+                    .with_provisioning(provisioning)
+                    .with_faults(failures.clone())
+                    .with_seed(11);
+                let label = format!("1shard/{policy:?}/{provisioning:?}/{failures:?}");
+                assert_one_shard_bitwise(&label, &cfg, &mixed_tasks(48), 4);
             }
         }
     }
