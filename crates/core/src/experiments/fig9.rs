@@ -9,6 +9,7 @@ use lfm_funcx::service::{Endpoint, ExecutionMode, FuncXService};
 use lfm_workloads::faas;
 use lfm_workqueue::allocate::Strategy;
 use lfm_workqueue::files::FileRef;
+use std::cmp::Reverse;
 
 /// The three Figure 9 configurations.
 fn modes() -> Vec<(&'static str, ExecutionMode)> {
@@ -88,7 +89,11 @@ fn batch_jobs(x: u64, n_tasks: u64, workers: u32, seed: u64) -> Vec<BatchJob> {
 
 fn run_batch_jobs(jobs: Vec<BatchJob>) -> Vec<SweepPoint> {
     let env_file = classifier_env();
-    run_sweep_parallel(jobs, |job| vec![run_batch_job(job, &env_file)])
+    // Most tasks first, so the fork-join ends on small batches.
+    let largest_first = |job: &BatchJob| Reverse(job.n_tasks);
+    run_sweep_parallel(jobs, largest_first, |job| {
+        vec![run_batch_job(job, &env_file)]
+    })
 }
 
 /// Left panel: vary task count on a fixed pool.
@@ -115,6 +120,21 @@ pub fn by_workers(worker_counts: &[u32], tasks_per_worker: u64, seed: u64) -> Ve
 mod tests {
     use super::*;
     use crate::experiments::sweep::series;
+    use crate::parallel::tests::with_threads;
+
+    #[test]
+    fn batches_match_the_serial_loop_at_2_and_4_threads() {
+        let (counts, workers, seed) = ([16u64, 48, 32], 4, 9);
+        let env_file = classifier_env();
+        let serial: Vec<SweepPoint> = (counts.iter())
+            .flat_map(|&n| batch_jobs(n, n, workers, seed ^ n))
+            .map(|job| run_batch_job(job, &env_file))
+            .collect();
+        for threads in [2, 4] {
+            let parallel = with_threads(threads, || by_tasks(&counts, workers, seed));
+            assert_eq!(parallel, serial, "{threads} threads");
+        }
+    }
 
     #[test]
     fn lfm_auto_near_oracle_beats_unmanaged() {

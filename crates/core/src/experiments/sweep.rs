@@ -5,8 +5,9 @@
 //! [`run_jobs`] fans them across cores via [`crate::parallel`]; because every
 //! job is seeded and self-contained, the output is byte-identical to the
 //! serial [`run_point`] loop it generalizes. [`run_grid`] is the same fan-out
-//! with each grid point's workload built inside the pool, once, by whichever
-//! of its jobs starts first.
+//! with each grid point's workload built inside the pool, once, by the
+//! point's first strategy, in a round that runs every point's first strategy
+//! before any second one.
 
 use lfm_simcluster::node::NodeSpec;
 use lfm_workloads::common::Workload;
@@ -144,41 +145,53 @@ pub fn run_job(job: SweepJob) -> SweepPoint {
 
 /// Run a batch of jobs across all available cores, output in job order.
 pub fn run_jobs(jobs: Vec<SweepJob>) -> Vec<SweepPoint> {
-    crate::parallel::run_sweep_parallel(jobs, |job| vec![run_job(job)])
+    crate::parallel::run_sweep_parallel(jobs, |_| (), |job| vec![run_job(job)])
 }
 
 /// How many jobs [`standard_strategies`] makes of a grid point.
 const STANDARD_STRATEGIES: usize = 4;
 
 /// Run a whole grid under the [`standard_strategies`]: `jobs_of` builds one
-/// point's workload and decomposes it ([`point_jobs_owned`]). It runs inside
-/// the pool — once per point, in front of whichever of the point's jobs a
-/// thread picks up first — so building the grid is spread over the cores
-/// like running it, and a point's workload is freed by the last of its jobs
-/// to finish. Output is in (point, strategy) order, exactly
-/// `points.iter().flat_map(jobs_of).map(run_job)`.
+/// point's workload and decomposes it ([`point_jobs_owned`]) inside the pool,
+/// once per point, and the last of the point's jobs to finish frees it.
+/// Output is exactly `points.iter().flat_map(jobs_of).map(run_job)`. Cells
+/// are dispatched strategy-major — round `s` is strategy `s` of every point —
+/// so round 0 builds every point, and no later cell waits on a build another
+/// thread is doing unless the grid has fewer points than threads.
 pub fn run_grid<P: Sync>(
     points: &[P],
     jobs_of: impl Fn(&P) -> Vec<SweepJob> + Sync,
 ) -> Vec<SweepPoint> {
+    grid_cells(points, jobs_of, run_job)
+}
+
+/// [`run_grid`] over any job type and runner.
+fn grid_cells<P: Sync, J: Send>(
+    points: &[P],
+    jobs_of: impl Fn(&P) -> Vec<J> + Sync,
+    run: impl Fn(J) -> SweepPoint + Sync,
+) -> Vec<SweepPoint> {
     // Per point, its jobs once built (empty until then), each taken by the
     // cell that runs it.
-    let built: Vec<Mutex<Vec<Option<SweepJob>>>> =
-        points.iter().map(|_| Mutex::new(Vec::new())).collect();
+    let built: Vec<Mutex<Vec<Option<J>>>> = points.iter().map(|_| Mutex::new(Vec::new())).collect();
     let cells = (0..points.len())
         .flat_map(|p| (0..STANDARD_STRATEGIES).map(move |s| (p, s)))
         .collect();
-    crate::parallel::run_sweep_parallel(cells, |(p, s)| {
-        let job = {
-            let mut jobs = built[p].lock();
-            if jobs.is_empty() {
-                jobs.extend(jobs_of(&points[p]).into_iter().map(Some));
-                assert_eq!(jobs.len(), STANDARD_STRATEGIES, "one job per strategy");
-            }
-            jobs[s].take().expect("each cell runs once")
-        };
-        vec![run_job(job)]
-    })
+    crate::parallel::run_sweep_parallel(
+        cells,
+        |&(_, s)| s,
+        |(p, s)| {
+            let job = {
+                let mut jobs = built[p].lock();
+                if jobs.is_empty() {
+                    jobs.extend(jobs_of(&points[p]).into_iter().map(Some));
+                    assert_eq!(jobs.len(), STANDARD_STRATEGIES, "one job per strategy");
+                }
+                jobs[s].take().expect("each cell runs once")
+            };
+            vec![run(job)]
+        },
+    )
 }
 
 /// Run every strategy over one workload instance, serially. Kept as the
@@ -207,7 +220,82 @@ pub fn series<'a>(points: &'a [SweepPoint], strategy: &str) -> Vec<&'a SweepPoin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::tests::with_threads;
     use lfm_workloads::hep;
+
+    /// One fig6 `by_tasks` point, as that runner decomposes it.
+    fn hep_jobs(&n: &u64) -> Vec<SweepJob> {
+        let seed = 2021;
+        point_jobs_owned(
+            n,
+            hep::build(n, seed ^ n),
+            &|s| hep::master_config(s, seed),
+            4,
+            hep::worker_spec(8),
+        )
+    }
+
+    #[test]
+    fn grid_and_jobs_match_the_serial_loop_at_2_and_4_threads() {
+        let points = [12u64, 36, 24];
+        let serial: Vec<SweepPoint> = points.iter().flat_map(hep_jobs).map(run_job).collect();
+        for threads in [2, 4] {
+            let grid = with_threads(threads, || run_grid(&points, hep_jobs));
+            assert_eq!(grid, serial, "run_grid, {threads} threads");
+            let jobs = points.iter().flat_map(hep_jobs).collect();
+            let jobs = with_threads(threads, || run_jobs(jobs));
+            assert_eq!(jobs, serial, "run_jobs, {threads} threads");
+        }
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Step {
+        Build(usize),
+        Run(usize, usize),
+    }
+
+    #[test]
+    fn one_thread_builds_every_point_before_any_second_strategy() {
+        let points: Vec<usize> = (0..5).collect();
+        let cell = |p: usize, s: usize| SweepPoint {
+            x: (10 * p + s) as u64,
+            strategy: format!("s{s}"),
+            makespan_secs: 1.0,
+            retry_fraction: 0.0,
+            core_efficiency: 1.0,
+        };
+        let in_point_order: Vec<SweepPoint> = (points.iter())
+            .flat_map(|&p| (0..STANDARD_STRATEGIES).map(move |s| cell(p, s)))
+            .collect();
+        for threads in [1, 2, 4] {
+            let log = Mutex::new(Vec::new());
+            let out = with_threads(threads, || {
+                grid_cells(
+                    &points,
+                    |&p| {
+                        log.lock().push(Step::Build(p));
+                        (0..STANDARD_STRATEGIES).map(|s| (p, s)).collect()
+                    },
+                    |(p, s)| {
+                        log.lock().push(Step::Run(p, s));
+                        cell(p, s)
+                    },
+                )
+            });
+            assert_eq!(out, in_point_order, "{threads} threads");
+            if threads == 1 {
+                // Round 0 builds and runs each point; rounds 1-3 only run.
+                let rounds: Vec<Step> = (points.iter())
+                    .flat_map(|&p| [Step::Build(p), Step::Run(p, 0)])
+                    .chain(
+                        (1..STANDARD_STRATEGIES)
+                            .flat_map(|s| points.iter().map(move |&p| Step::Run(p, s))),
+                    )
+                    .collect();
+                assert_eq!(log.into_inner(), rounds);
+            }
+        }
+    }
 
     #[test]
     fn run_point_covers_all_strategies() {

@@ -15,9 +15,9 @@
 //! calling thread is one of the workers.
 //!
 //! [`run_sweep_parallel`] is the sweep-shaped entry point used by the fig6–9
-//! runners and the ablation binary: each job yields a `Vec<SweepPoint>`, and
-//! the engine flattens them in job order so downstream CSV/pivot code sees
-//! the same stream the serial loops produced.
+//! runners: each job yields a `Vec<SweepPoint>`, and the engine flattens them
+//! in job order so downstream CSV/pivot code sees the same stream the serial
+//! loops produced, whatever order a caller-given key hands the jobs out in.
 
 use crate::experiments::sweep::SweepPoint;
 use crossbeam::deque::{Injector, Steal};
@@ -26,10 +26,12 @@ use std::num::NonZeroUsize;
 
 /// Number of worker threads `par_map` will use for `n` items: one per
 /// available core, never more than there are items.
-pub fn worker_threads(n: usize) -> usize {
+fn worker_threads(n: usize) -> usize {
     let cores = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1);
+    #[cfg(test)]
+    let cores = tests::FORCED_THREADS.get().unwrap_or(cores);
     cores.min(n).max(1)
 }
 
@@ -37,7 +39,8 @@ pub fn worker_threads(n: usize) -> usize {
 ///
 /// The result is exactly `items.into_iter().map(f).collect()` — same order,
 /// same values — regardless of how many threads run or how work interleaves.
-/// With one core (or one item) this degrades to the plain serial loop, so
+/// With one core (or one item) the caller alone drains the queue in input
+/// order, so it runs the same calls in the same order as the serial loop and
 /// single-core CI produces identical output by construction, not just by
 /// test assertion.
 ///
@@ -83,36 +86,34 @@ fn pk() -> &'static ParKeys {
 /// [`par_map`] with an explicit thread count. Exists so the threaded path
 /// (injector queue, scoped workers, slot writes) can be exercised and
 /// equivalence-tested even on machines where `available_parallelism` is 1
-/// and [`par_map`] would take the serial fallback.
+/// and [`par_map`] would run on the calling thread alone.
 pub fn par_map_with_threads<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let n = items.len();
+    map_in_order(items.into_iter().enumerate().collect(), threads, f)
+}
+
+/// The pool behind every map here: hands `queue` out front to back, each item
+/// beside its input index `i`, and returns item `i`'s result in slot `i` (its
+/// `job` span says `index = i`). One thread is the serial loop over `queue`.
+fn map_in_order<T, R, F>(queue: Vec<(usize, T)>, threads: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    let n = queue.len();
     let tel = lfm_telemetry::global();
     if n > 0 {
         tel.counter_key(pk().jobs, n as u64);
     }
-    if threads <= 1 || n <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let mut span = tel.wall_span_key(pk().job, pk().cat_parallel);
-                span.attr_key(pk().a_index, i as u64);
-                f(item)
-            })
-            .collect();
-    }
     let threads = threads.min(n);
-
-    // Index every item so results can be written straight into their output
-    // slot no matter which thread picks them up.
-    let queue: Injector<(usize, T)> = Injector::new();
-    for pair in items.into_iter().enumerate() {
-        queue.push(pair);
+    let injector: Injector<(usize, T)> = Injector::new();
+    for pair in queue {
+        injector.push(pair);
     }
 
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
@@ -120,7 +121,7 @@ where
     let slots = Mutex::new(&mut slots);
 
     let work = || loop {
-        let (i, item) = match queue.steal() {
+        let (i, item) = match injector.steal() {
             Steal::Success(pair) => pair,
             Steal::Empty => break,
             Steal::Retry => {
@@ -155,24 +156,52 @@ where
 /// Run a sweep: execute `run` on every job in parallel and flatten the
 /// per-job point vectors in job order.
 ///
-/// This is the engine behind all fig6–fig9 grid runners and the ablation
-/// binary. Each job is one self-contained simulation batch (a grid point, or
-/// a (grid point, strategy) pair); `run` must be a pure function of its job,
-/// which every runner in this workspace satisfies because the simulations
-/// are seeded and share no mutable state.
-pub fn run_sweep_parallel<J, F>(jobs: Vec<J>, run: F) -> Vec<SweepPoint>
+/// This is the engine behind all fig6–fig9 grid runners. Each job is one
+/// self-contained simulation batch (a (grid point, strategy) cell, or a
+/// funcX batch); `run` must be a pure function of its job, which every
+/// runner in this workspace satisfies because the simulations are seeded and
+/// share no mutable state.
+///
+/// Jobs are handed to the pool in ascending `dispatch_key` order, ties in
+/// job order (`|_| ()` keeps job order). The key decides only which job a
+/// free thread takes next: the output is the same for every key.
+pub fn run_sweep_parallel<J, K, F>(
+    jobs: Vec<J>,
+    dispatch_key: impl Fn(&J) -> K,
+    run: F,
+) -> Vec<SweepPoint>
 where
     J: Send,
+    K: Ord,
     F: Fn(J) -> Vec<SweepPoint> + Sync,
 {
+    let n = jobs.len();
     let mut span = lfm_telemetry::global().wall_span_key(pk().run_sweep, pk().cat_sweep);
-    span.attr_key(pk().a_jobs, jobs.len() as u64);
-    par_map(jobs, run).into_iter().flatten().collect()
+    span.attr_key(pk().a_jobs, n as u64);
+    let mut queue: Vec<(usize, J)> = jobs.into_iter().enumerate().collect();
+    queue.sort_by_key(|(_, job)| dispatch_key(job));
+    let points = map_in_order(queue, worker_threads(n), run);
+    points.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    thread_local! {
+        /// The core count this thread's pools see while [`with_threads`] runs.
+        pub(super) static FORCED_THREADS: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+    }
+
+    /// Run `f` as if the host had `threads` cores: every pool it starts from
+    /// this thread uses that many workers, so a test drives the threaded path
+    /// at 2 or 4 threads on any host.
+    pub(crate) fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        FORCED_THREADS.set(Some(threads));
+        let result = f();
+        FORCED_THREADS.set(None);
+        result
+    }
 
     #[test]
     fn par_map_matches_serial_order_and_values() {
@@ -200,22 +229,74 @@ mod tests {
         assert_eq!(par_map(vec![7], |x| x + 1), vec![8]);
     }
 
+    fn point(x: u64) -> SweepPoint {
+        SweepPoint {
+            x,
+            strategy: format!("s{x}"),
+            makespan_secs: x as f64,
+            retry_fraction: 0.0,
+            core_efficiency: 1.0,
+        }
+    }
+
     #[test]
     fn run_sweep_parallel_flattens_in_job_order() {
         let jobs: Vec<u64> = vec![3, 1, 2];
-        let points = run_sweep_parallel(jobs, |n| {
-            (0..n)
-                .map(|i| SweepPoint {
-                    x: n * 10 + i,
-                    strategy: format!("s{n}"),
-                    makespan_secs: n as f64,
-                    retry_fraction: 0.0,
-                    core_efficiency: 1.0,
-                })
-                .collect()
+        // Dispatched smallest first; flattened in job order all the same.
+        for threads in [1, 2, 4] {
+            let points = with_threads(threads, || {
+                run_sweep_parallel(
+                    jobs.clone(),
+                    |&n| n,
+                    |n| (0..n).map(|i| point(n * 10 + i)).collect(),
+                )
+            });
+            let xs: Vec<u64> = points.iter().map(|p| p.x).collect();
+            assert_eq!(xs, vec![30, 31, 32, 10, 20, 21], "{threads} threads");
+        }
+    }
+
+    /// Sizes in job order, the order one thread ran them in, and the output.
+    fn largest_first(sizes: &[u64], threads: usize) -> (Vec<u64>, Vec<SweepPoint>) {
+        let ran = Mutex::new(Vec::new());
+        let points = with_threads(threads, || {
+            run_sweep_parallel(
+                sizes.to_vec(),
+                |&size| std::cmp::Reverse(size),
+                |size| {
+                    ran.lock().push(size);
+                    vec![point(size)]
+                },
+            )
         });
-        let xs: Vec<u64> = points.iter().map(|p| p.x).collect();
-        assert_eq!(xs, vec![30, 31, 32, 10, 20, 21]);
+        (ran.into_inner(), points)
+    }
+
+    #[test]
+    fn dispatch_follows_the_key_and_output_keeps_job_order() {
+        let sizes = [3, 9, 1, 7, 5, 7];
+        let (ran, points) = largest_first(&sizes, 1);
+        assert_eq!(ran, vec![9, 7, 7, 5, 3, 1]);
+        let in_job_order: Vec<SweepPoint> = sizes.iter().map(|&s| point(s)).collect();
+        assert_eq!(points, in_job_order);
+        for threads in [2, 4] {
+            assert_eq!(
+                largest_first(&sizes, threads).1,
+                in_job_order,
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn largest_first_is_decided_by_size_not_position() {
+        let sizes = [40, 10, 30, 20, 50];
+        let reversed: Vec<u64> = sizes.iter().rev().copied().collect();
+        let (forward, _) = largest_first(&sizes, 1);
+        let (backward, points) = largest_first(&reversed, 1);
+        assert_eq!(forward, vec![50, 40, 30, 20, 10]);
+        assert_eq!(backward, forward, "the same jobs go first");
+        assert_eq!(points.iter().map(|p| p.x).collect::<Vec<_>>(), reversed);
     }
 
     #[test]
@@ -223,5 +304,7 @@ mod tests {
         assert_eq!(worker_threads(0), 1);
         assert_eq!(worker_threads(1), 1);
         assert!(worker_threads(1000) >= 1);
+        assert_eq!(with_threads(4, || worker_threads(3)), 3);
+        assert_eq!(with_threads(4, || worker_threads(1000)), 4);
     }
 }

@@ -591,21 +591,26 @@ impl GatewayState {
 /// per arrival and the queue-depth gauge once per tenant per tick; the
 /// old `format!("serving.admitted.{tenant}")` strings allocated and
 /// hashed on every emission, so the names are interned once at gateway
-/// construction instead.
+/// construction instead — as are the `tenant` and `function` attrs of every
+/// completed invocation's spans (a tenant invokes one function).
 struct TenantTelKeys {
     admitted: Name,
     rejected: Name,
     shed: Name,
     queue_depth: Name,
+    tenant: Name,
+    function: Name,
 }
 
 impl TenantTelKeys {
-    fn new(tenant: &str) -> Self {
+    fn new(tenant: &str, function: &str) -> Self {
         TenantTelKeys {
             admitted: Name::intern(&format!("serving.admitted.{tenant}")),
             rejected: Name::intern(&format!("serving.rejected.{tenant}")),
             shed: Name::intern(&format!("serving.shed.{tenant}")),
             queue_depth: Name::intern(&format!("serving.queue_depth.{tenant}")),
+            tenant: Name::intern(tenant),
+            function: Name::intern(function),
         }
     }
 }
@@ -718,7 +723,7 @@ impl ServingGateway {
         }
         let tel_keys = tenants
             .iter()
-            .map(|t| TenantTelKeys::new(&t.name))
+            .map(|t| TenantTelKeys::new(&t.name, &functions[t.function].name))
             .collect();
         let overhead_rng = SimRng::seeded(config.seed).fork(0xac71_7a7e);
         let n = tenants.len();
@@ -893,7 +898,11 @@ impl ServingGateway {
                 self.latency.record(latency);
                 self.tenant_latency[tenant].record(latency);
                 self.queue_wait.record(wait);
-                let tname = &self.tenants[tenant].name;
+                let keys = &self.tel_keys[tenant];
+                debug_assert_eq!(
+                    result.category,
+                    self.functions[self.tenants[tenant].function].name
+                );
                 let rec = &self.config.telemetry;
                 rec.span_key(stk().queue, stk().cat_serving)
                     .at(
@@ -901,13 +910,13 @@ impl ServingGateway {
                         SimTime::from_secs(inv.dispatch_secs),
                     )
                     .task(result.task.0)
-                    .attr_key(stk().a_tenant, tname.as_str())
+                    .attr_key(stk().a_tenant, keys.tenant)
                     .emit();
                 rec.span_key(stk().invoke, stk().cat_serving)
                     .at(SimTime::from_secs(inv.arrival_secs), result.finished_at)
                     .task(result.task.0)
-                    .attr_key(stk().a_tenant, tname.as_str())
-                    .attr_key(stk().a_function, result.category.as_str())
+                    .attr_key(stk().a_tenant, keys.tenant)
+                    .attr_key(stk().a_function, keys.function)
                     .attr_key(stk().a_warm, u64::from(inv.warm))
                     .emit();
             } else {

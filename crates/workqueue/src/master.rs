@@ -1872,7 +1872,10 @@ impl Master {
                 .track(wid as u64)
                 .task(tid)
                 .attempt(attempt)
-                .attr_key(tk().a_category, self.work.tasks[task_idx].category.as_str())
+                .attr_key(
+                    tk().a_category,
+                    self.work.cat_attr(self.work.cat_of[task_idx]),
+                )
                 .attr_key(tk().a_cores, alloc.cores as u64)
                 .attr_key(tk().a_memory_mb, alloc.memory_mb)
                 .emit();
@@ -2466,7 +2469,7 @@ impl Master {
                 .track(track)
                 .task(tid)
                 .attempt(info.attempt)
-                .attr_key(tk().a_category, task.category.as_str())
+                .attr_key(tk().a_category, self.work.cat_attr(cat))
                 .attr_key(tk().a_status, status)
                 .attr_key(tk().a_polls, report.polls)
                 .attr_key(tk().a_peak_rss_mb, report.peak_rss_mb)
@@ -3430,17 +3433,19 @@ pub(crate) mod tests {
     #[test]
     fn disabled_recorder_builds_nothing_and_enabled_trace_is_pinned() {
         use lfm_pyenv::pack::fnv1a;
+        let work = Arc::new(PreparedWorkload::new(hep_tasks(2000)));
         let run = |tel: Recorder| {
             let cfg = MasterConfig::new(Strategy::Auto(AutoConfig::default()))
                 .with_telemetry(tel)
                 .with_seed(7);
-            run_workload(&cfg, hep_tasks(2000), 16, node())
+            run_prepared(&cfg, &work, 16, node())
         };
         // A recorder that keeps nothing must not be handed descriptions of
-        // what it will not keep.
+        // what it will not keep, nor have a category name resolved for it.
         BUILDERS.with(|c| c.set(0));
         let off = run(Recorder::disabled());
         assert_eq!(BUILDERS.with(|c| c.get()), 0);
+        assert!(work.cat_attrs.iter().all(|name| name.get().is_none()));
         let tel = Recorder::enabled();
         let on = run(tel.clone());
         assert!(BUILDERS.with(|c| c.get()) > 4 * 2000);

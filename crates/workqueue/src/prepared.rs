@@ -10,7 +10,9 @@
 
 use crate::files::FileKind;
 use crate::task::{TaskId, TaskSpec};
+use lfm_telemetry::Name;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
 
 /// Names to dense ids in first-seen order: the one place a category or file
 /// *name* is compared. Everything past submission runs on the ids.
@@ -76,6 +78,8 @@ pub struct PreparedWorkload {
     /// never clones or hashes a category string.
     pub(crate) cat_of: Vec<u32>,
     pub(crate) cat_names: Vec<String>,
+    /// Per category, its telemetry name once a traced run resolved it.
+    pub(crate) cat_attrs: Vec<OnceLock<Name>>,
     cat_ids: Interner,
     file_ids: Interner,
     /// Task `i`'s inputs are `input_rows[input_offsets[i]..input_offsets[i + 1]]`,
@@ -144,6 +148,7 @@ impl PreparedWorkload {
             dep_counts: tasks.iter().map(|t| t.deps.len()).collect(),
             cat_of: Vec::with_capacity(n),
             cat_names: Vec::new(),
+            cat_attrs: Vec::new(),
             cat_ids: Interner::default(),
             file_ids: Interner::default(),
             input_offsets: vec![0],
@@ -165,6 +170,7 @@ impl PreparedWorkload {
         let cat = self.cat_ids.intern(&spec.category);
         if cat as usize == self.cat_names.len() {
             self.cat_names.push(spec.category.clone());
+            self.cat_attrs.push(OnceLock::new());
         }
         self.cat_of.push(cat);
         for f in &spec.inputs {
@@ -183,6 +189,13 @@ impl PreparedWorkload {
         );
         self.input_offsets.push(self.input_rows.len() as u32);
         cat
+    }
+
+    /// Category `cat`'s telemetry name (a span's `category` attr), interned
+    /// the first time a traced run asks, so an untraced run never does.
+    pub(crate) fn cat_attr(&self, cat: u32) -> Name {
+        let cat = cat as usize;
+        *self.cat_attrs[cat].get_or_init(|| Name::intern(&self.cat_names[cat]))
     }
 
     /// The tasks, in submission order.

@@ -34,10 +34,27 @@ cargo build --release --offline --manifest-path lfm_benchmark/Cargo.toml
 # and master_batch, whose 256 workers each miss the two cacheable files once
 # and hit them ever after — the cheapest tripwire for a file-id table that
 # forgets or invents a cached file. federation_8shard is traced for its steal
-# and event counts, and then run again on one core (`taskset -c 0`: one
-# available core, so no parallel windows): the sequential driver must print the
-# digest the windowed run did.
+# and event counts. It and paper_figs, the two multi-threaded workloads, then
+# run again on one core (`taskset -c 0`: one available core, so no parallel
+# windows and a one-thread sweep pool, which takes the cells in dispatch
+# order): each must print the digest its two-core run did. The `paper all`
+# diff below runs the same fig runners, but at one seed per figure and with
+# makespans rounded to 3 decimals in the CSVs; paper_figs's digest hashes
+# every point of 40 seeds at full f64 precision, so an order-dependent last
+# bit that rounding hides fails here.
 journal_bytes_per_task_ceiling=1808
+# Fails unless workload $w, rerun on one core, prints the sim_digest its run
+# in $out did.
+same_digest_on_one_core() {
+    local one_core digest
+    one_core=$(taskset -c 0 cargo run --release --offline --quiet \
+        --manifest-path lfm_benchmark/Cargo.toml -- --workload "$w" --seed 7 --seconds 1 --trace 0)
+    digest=$(grep '^sim_digest' <<<"$out")
+    [[ -n $digest && $digest == "$(grep '^sim_digest' <<<"$one_core")" ]] || {
+        echo "$w: $digest on two cores, not on one" >&2
+        exit 1
+    }
+}
 # Fails unless the traced pass in $out printed per-layer count $1 and awk
 # condition $2 holds of its value v.
 layer_count() {
@@ -70,15 +87,10 @@ for w in master_batch master_dag_chaos federation_8shard serving_steady serving_
         layer_count workqueue.federation.steals "v == 9"
         layer_count workqueue.federation.stolen_tasks "v == 53"
         layer_count workqueue.federation.events_total "v == 100309"
-        one_core=$(taskset -c 0 cargo run --release --offline --quiet \
-            --manifest-path lfm_benchmark/Cargo.toml -- --workload "$w" --seed 7 --seconds 1 --trace 0)
-        digest=$(grep '^sim_digest' <<<"$out")
-        [[ -n $digest && $digest == "$(grep '^sim_digest' <<<"$one_core")" ]] || {
-            echo "federation_8shard: $digest on two cores, not on one" >&2
-            exit 1
-        }
+        same_digest_on_one_core
         ;;
     serving_overload) layer_count serving.gateway.recoveries "v >= 1" ;;
+    paper_figs) same_digest_on_one_core ;;
     esac
 done
 

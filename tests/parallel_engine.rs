@@ -55,20 +55,24 @@ fn parallel_sweep_matches_serial_reference() {
 #[test]
 fn flatten_order_is_job_order_under_skew() {
     let jobs: Vec<u64> = (0..32).rev().collect();
-    let points = run_sweep_parallel(jobs.clone(), |n| {
-        // Heavier work for larger n: late-submitted small jobs finish first.
-        let mut acc = 0u64;
-        for i in 0..(n * 20_000) {
-            acc = acc.wrapping_add(i);
-        }
-        vec![sweep::SweepPoint {
-            x: n,
-            strategy: format!("acc{}", acc % 2),
-            makespan_secs: 1.0,
-            retry_fraction: 0.0,
-            core_efficiency: 1.0,
-        }]
-    });
+    let points = run_sweep_parallel(
+        jobs.clone(),
+        |_| (),
+        |n| {
+            // Heavier work for larger n: late-submitted small jobs finish first.
+            let mut acc = 0u64;
+            for i in 0..(n * 20_000) {
+                acc = acc.wrapping_add(i);
+            }
+            vec![sweep::SweepPoint {
+                x: n,
+                strategy: format!("acc{}", acc % 2),
+                makespan_secs: 1.0,
+                retry_fraction: 0.0,
+                core_efficiency: 1.0,
+            }]
+        },
+    );
     let xs: Vec<u64> = points.iter().map(|p| p.x).collect();
     assert_eq!(xs, jobs);
 }
