@@ -509,6 +509,14 @@ mod tests {
     }
 
     #[test]
+    fn archive_layout_is_pinned() {
+        // Round trips cannot see a layout change made to encoder and decoder
+        // together. Computed before the formats shared one codec.
+        let bytes = PackedEnv::pack(&sample_env()).to_bytes();
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (1574, 0x3c91_4924_ec7d_5aa9));
+    }
+
+    #[test]
     fn corrupt_magic_rejected() {
         let env = sample_env();
         let mut bytes = PackedEnv::pack(&env).to_bytes().to_vec();

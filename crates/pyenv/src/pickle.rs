@@ -310,6 +310,30 @@ mod tests {
     }
 
     #[test]
+    fn payload_layout_is_pinned() {
+        // Round trips cannot see a layout change made to encoder and decoder
+        // together. Every tag; computed before the formats shared one codec.
+        let v = PyValue::List(vec![
+            PyValue::None,
+            PyValue::Bool(true),
+            PyValue::Int(-42),
+            PyValue::Float(0.1),
+            PyValue::Str("μ-pt".into()),
+            PyValue::Bytes(vec![0, 1, 255]),
+            PyValue::Tuple(vec![PyValue::Int(i64::MIN), PyValue::Bool(false)]),
+            dict(vec![
+                ("score", PyValue::Float(-0.0)),
+                ("empty", PyValue::List(vec![])),
+            ]),
+        ]);
+        let bytes = v.dumps();
+        assert_eq!(
+            (bytes.len(), crate::pack::fnv1a(&bytes)),
+            (99, 0x21ff_13f3_8d20_65b8)
+        );
+    }
+
+    #[test]
     fn dict_lookup() {
         let v = dict(vec![("a", PyValue::Int(1)), ("b", PyValue::Int(2))]);
         assert_eq!(v.get("b").unwrap().as_int(), Some(2));

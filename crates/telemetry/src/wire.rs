@@ -934,6 +934,77 @@ mod tests {
     }
 
     #[test]
+    fn record_layout_is_pinned() {
+        // Round trips cannot see a layout change made to encoder and decoder
+        // together. Every record kind, on the varint and the raw-f64 time
+        // paths, with fixed name ids (encoding never resolves them). The
+        // constants were computed before the formats shared one codec.
+        let fnv = |bytes: &[u8]| {
+            (bytes.iter()).fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            })
+        };
+        let attrs = || {
+            let mut a = AttrList::default();
+            a.push(Name(7), WireVal::U64(300));
+            a.push(Name(8), WireVal::F64(0.1));
+            a.push(Name(9), WireVal::F64(4.0));
+            a.push(Name(10), WireVal::Str(Name(11)));
+            a
+        };
+        let raw = 0.1 + 0.2; // not a whole number of µs: the raw-f64 path
+        let mut buf = Vec::new();
+        let mut st = CodecState::default();
+        let mut seq = 0;
+        let mut next = || {
+            seq += 3;
+            seq
+        };
+        for (start_secs, end_secs) in [(1.5, 2.25), (0.75, 0.75), (raw, 2.0)] {
+            let span = PendingSpan {
+                name: Name(1),
+                cat: Name(2),
+                start_secs,
+                end_secs,
+                track: 3,
+                depth: 1,
+                task: Some(1 << 40),
+                attempt: Some(2),
+                attrs: attrs(),
+            };
+            encode_span(&mut buf, &mut st, next(), &span);
+        }
+        for (at_secs, task) in [(3.0, None), (raw, Some(9))] {
+            let instant = PendingInstant {
+                name: Name(4),
+                cat: Name(2),
+                at_secs,
+                track: 129,
+                task,
+                attempt: task.map(|_| 1),
+                attrs: if task.is_some() {
+                    attrs()
+                } else {
+                    AttrList::default()
+                },
+            };
+            encode_instant(&mut buf, &mut st, next(), &instant);
+        }
+        for (kind, value, at) in [
+            (MetricKind::Counter, 5.0, None),
+            (MetricKind::Counter, 1.0, Some(2.5)),
+            (MetricKind::Counter, 1.0, Some(raw)),
+            (MetricKind::Gauge, 17.0, Some(2.75)),
+            (MetricKind::Gauge, 0.336, Some(raw)),
+            (MetricKind::Histogram, 9.0, None),
+            (MetricKind::Histogram, -123.456, None),
+        ] {
+            encode_metric(&mut buf, &mut st, next(), Name(5), kind, value, at);
+        }
+        assert_eq!((buf.len(), fnv(&buf)), (224, 0x3be6_d9f0_a0a0_5cdf));
+    }
+
+    #[test]
     fn truncated_input_errors_instead_of_panicking() {
         let (buf, _) = span(0, 1.0, 2.0);
         for cut in 0..buf.len() {
