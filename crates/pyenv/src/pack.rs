@@ -12,7 +12,10 @@ use crate::environment::Environment;
 use crate::error::{PyEnvError, Result};
 use crate::index::DistRelease;
 use crate::version::Version;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+use lfm_telemetry::codec::{
+    self, put_bool, put_bytes_u32, put_bytes_u64, put_u32, put_u64, Reader,
+};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -235,82 +238,85 @@ impl PackedEnv {
     /// written to the shared filesystem or streamed to a worker.
     pub fn to_bytes(&self) -> Bytes {
         let manifest = self.encode_manifest();
-        let mut buf = BytesMut::with_capacity(manifest.len() + 24);
-        buf.put_slice(MAGIC);
-        buf.put_u64_le(self.checksum);
-        buf.put_u64_le(manifest.len() as u64);
-        buf.put_slice(&manifest);
-        buf.freeze()
+        let mut out = Vec::with_capacity(manifest.len() + 24);
+        out.extend_from_slice(MAGIC);
+        put_u64(&mut out, self.checksum);
+        put_bytes_u64(&mut out, &manifest);
+        Bytes::from(out)
     }
 
     /// Parse an archive produced by [`to_bytes`](Self::to_bytes).
     pub fn from_bytes(data: &[u8]) -> Result<Self> {
-        let mut buf = data;
-        if buf.remaining() < 24 {
-            return Err(PyEnvError::CorruptArchive("truncated header".into()));
+        Self::decode(&mut Reader::new(data)).map_err(|e| PyEnvError::CorruptArchive(e.to_string()))
+    }
+
+    fn decode(r: &mut Reader<'_>) -> codec::Result<Self> {
+        if r.bytes(8)? != MAGIC {
+            return Err(codec::Error::Corrupt {
+                at: 0,
+                what: "bad magic",
+            });
         }
-        let mut magic = [0u8; 8];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(PyEnvError::CorruptArchive("bad magic".into()));
-        }
-        let checksum = buf.get_u64_le();
-        let len = buf.get_u64_le() as usize;
-        if buf.remaining() < len {
-            return Err(PyEnvError::CorruptArchive("truncated manifest".into()));
-        }
-        let manifest = &buf[..len];
+        let checksum = r.u64()?;
+        let len = r.u64()?;
+        let at = r.position();
+        let manifest = r.bytes(len)?;
         if fnv1a(manifest) != checksum {
-            return Err(PyEnvError::CorruptArchive("checksum mismatch".into()));
+            return Err(codec::Error::Corrupt {
+                at,
+                what: "manifest checksum mismatch",
+            });
         }
         Self::decode_manifest(manifest, checksum)
     }
 
     fn encode_manifest(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        put_str(&mut buf, &self.name);
-        put_str(&mut buf, &self.source_prefix);
-        buf.put_u32_le(self.entries.len() as u32);
+        let mut out = Vec::new();
+        put_bytes_u32(&mut out, self.name.as_bytes());
+        put_bytes_u32(&mut out, self.source_prefix.as_bytes());
+        put_u32(&mut out, self.entries.len() as u32);
         for e in &self.entries {
-            put_str(&mut buf, &e.dist);
-            buf.put_u32_le(e.version.major);
-            buf.put_u32_le(e.version.minor);
-            buf.put_u32_le(e.version.patch);
-            buf.put_u64_le(e.size_bytes);
-            buf.put_u32_le(e.file_count);
-            buf.put_u8(e.has_native_libs as u8);
-            buf.put_u32_le(e.modules.len() as u32);
+            put_bytes_u32(&mut out, e.dist.as_bytes());
+            put_u32(&mut out, e.version.major);
+            put_u32(&mut out, e.version.minor);
+            put_u32(&mut out, e.version.patch);
+            put_u64(&mut out, e.size_bytes);
+            put_u32(&mut out, e.file_count);
+            put_bool(&mut out, e.has_native_libs);
+            put_u32(&mut out, e.modules.len() as u32);
             for m in &e.modules {
-                put_str(&mut buf, m);
+                put_bytes_u32(&mut out, m.as_bytes());
             }
         }
-        buf.to_vec()
+        out
     }
 
-    fn decode_manifest(mut buf: &[u8], checksum: u64) -> Result<Self> {
-        let name = get_str(&mut buf)?;
-        let source_prefix = get_str(&mut buf)?;
-        let n = get_u32(&mut buf)? as usize;
-        let mut entries = Vec::with_capacity(n);
+    /// The inverse of [`encode_manifest`](Self::encode_manifest); error
+    /// offsets count from the manifest's first byte. No count allocates
+    /// more entries than the bytes left could hold.
+    fn decode_manifest(manifest: &[u8], checksum: u64) -> codec::Result<Self> {
+        let r = &mut Reader::new(manifest);
+        let name = read_str(r)?;
+        let source_prefix = read_str(r)?;
+        let n = r.u32()?;
+        let mut entries = Vec::with_capacity(r.count(n.into(), ENTRY_MIN_BYTES)?);
         for _ in 0..n {
-            let dist = get_str(&mut buf)?;
-            let major = get_u32(&mut buf)?;
-            let minor = get_u32(&mut buf)?;
-            let patch = get_u32(&mut buf)?;
-            let size_bytes = get_u64(&mut buf)?;
-            let file_count = get_u32(&mut buf)?;
-            let native = get_u8(&mut buf)? != 0;
-            let m = get_u32(&mut buf)? as usize;
-            let mut modules = Vec::with_capacity(m);
+            let dist = read_str(r)?;
+            let version = Version::new(r.u32()?, r.u32()?, r.u32()?);
+            let size_bytes = r.u64()?;
+            let file_count = r.u32()?;
+            let has_native_libs = r.bool()?;
+            let m = r.u32()?;
+            let mut modules = Vec::with_capacity(r.count(m.into(), 4)?);
             for _ in 0..m {
-                modules.push(get_str(&mut buf)?);
+                modules.push(read_str(r)?);
             }
             entries.push(PackEntry {
                 dist,
-                version: Version::new(major, minor, patch),
+                version,
                 size_bytes,
                 file_count,
-                has_native_libs: native,
+                has_native_libs,
                 modules,
             });
         }
@@ -321,6 +327,15 @@ impl PackedEnv {
             checksum,
         })
     }
+}
+
+/// The fewest bytes a manifest entry encodes to: an empty name, the version,
+/// size, file count and flag, and an empty module list.
+const ENTRY_MIN_BYTES: usize = 4 + 3 * 4 + 8 + 4 + 1 + 4;
+
+fn read_str(r: &mut Reader<'_>) -> codec::Result<String> {
+    let len = r.u32()?;
+    Ok(r.str(len.into())?.to_owned())
 }
 
 impl Environment {
@@ -334,49 +349,6 @@ impl Environment {
     ) -> Self {
         Environment::construct(name, prefix, installed, module_map)
     }
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_u8(buf: &mut &[u8]) -> Result<u8> {
-    if buf.remaining() < 1 {
-        return Err(PyEnvError::CorruptArchive(
-            "unexpected end of manifest".into(),
-        ));
-    }
-    Ok(buf.get_u8())
-}
-
-fn get_u32(buf: &mut &[u8]) -> Result<u32> {
-    if buf.remaining() < 4 {
-        return Err(PyEnvError::CorruptArchive(
-            "unexpected end of manifest".into(),
-        ));
-    }
-    Ok(buf.get_u32_le())
-}
-
-fn get_u64(buf: &mut &[u8]) -> Result<u64> {
-    if buf.remaining() < 8 {
-        return Err(PyEnvError::CorruptArchive(
-            "unexpected end of manifest".into(),
-        ));
-    }
-    Ok(buf.get_u64_le())
-}
-
-fn get_str(buf: &mut &[u8]) -> Result<String> {
-    let len = get_u32(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(PyEnvError::CorruptArchive("string runs past end".into()));
-    }
-    let s = String::from_utf8(buf[..len].to_vec())
-        .map_err(|_| PyEnvError::CorruptArchive("invalid utf-8 in manifest".into()))?;
-    buf.advance(len);
-    Ok(s)
 }
 
 /// FNV-1a 64-bit hash.
@@ -549,6 +521,42 @@ mod tests {
                 "cut at {cut}"
             );
         }
+    }
+
+    #[test]
+    fn manifest_length_bomb_rejected() {
+        // A good header and checksum over a manifest `["", "", u32::MAX
+        // entries]`: 36 bytes that once made the decoder reserve u32::MAX
+        // entries up front and abort the process.
+        let archive = |manifest: &[u8]| {
+            let mut out = MAGIC.to_vec();
+            put_u64(&mut out, fnv1a(manifest));
+            put_bytes_u64(&mut out, manifest);
+            out
+        };
+        let mut manifest = Vec::new();
+        for word in [0, 0, u32::MAX] {
+            put_u32(&mut manifest, word);
+        }
+        let bomb = archive(&manifest);
+        assert_eq!(bomb.len(), 36);
+        assert_eq!(
+            PackedEnv::from_bytes(&bomb),
+            Err(PyEnvError::CorruptArchive("truncated at byte 12".into()))
+        );
+        // The same through one entry's module count.
+        manifest[8..].copy_from_slice(&1u32.to_le_bytes());
+        for word in [0, 1, 2, 3] {
+            put_u32(&mut manifest, word); // name length, version
+        }
+        put_u64(&mut manifest, 1 << 20);
+        put_u32(&mut manifest, 9);
+        put_bool(&mut manifest, false);
+        put_u32(&mut manifest, u32::MAX);
+        assert!(matches!(
+            PackedEnv::from_bytes(&archive(&manifest)),
+            Err(PyEnvError::CorruptArchive(_))
+        ));
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! encoding for it.
 
 use crate::error::{PyEnvError, Result};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+use lfm_telemetry::codec::{
+    self, put_bool, put_bytes_u32, put_f64, put_i64, put_u32, put_u8, Reader,
+};
 use serde::{Deserialize, Serialize};
 
 /// A Python-ish value: what can cross the wire between master and LFM.
@@ -48,22 +51,14 @@ impl PyValue {
 
     /// Serialize ("pickle") to bytes.
     pub fn dumps(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_size());
-        encode(self, &mut buf);
-        buf.freeze()
+        let mut out = Vec::with_capacity(self.encoded_size());
+        encode(self, &mut out);
+        Bytes::from(out)
     }
 
     /// Deserialize ("unpickle") from bytes, requiring full consumption.
     pub fn loads(data: &[u8]) -> Result<PyValue> {
-        let mut buf = data;
-        let v = decode(&mut buf, 0)?;
-        if buf.has_remaining() {
-            return Err(PyEnvError::CorruptPickle(format!(
-                "{} trailing bytes",
-                buf.remaining()
-            )));
-        }
-        Ok(v)
+        decode_all(data).map_err(|e| PyEnvError::CorruptPickle(e.to_string()))
     }
 
     /// Convenience accessors used by workload code.
@@ -113,110 +108,94 @@ const T_LIST: u8 = 6;
 const T_TUPLE: u8 = 7;
 const T_DICT: u8 = 8;
 
-fn encode(v: &PyValue, buf: &mut BytesMut) {
+fn encode(v: &PyValue, out: &mut Vec<u8>) {
     match v {
-        PyValue::None => buf.put_u8(T_NONE),
+        PyValue::None => put_u8(out, T_NONE),
         PyValue::Bool(b) => {
-            buf.put_u8(T_BOOL);
-            buf.put_u8(*b as u8);
+            put_u8(out, T_BOOL);
+            put_bool(out, *b);
         }
         PyValue::Int(i) => {
-            buf.put_u8(T_INT);
-            buf.put_i64_le(*i);
+            put_u8(out, T_INT);
+            put_i64(out, *i);
         }
         PyValue::Float(f) => {
-            buf.put_u8(T_FLOAT);
-            buf.put_f64_le(*f);
+            put_u8(out, T_FLOAT);
+            put_f64(out, *f);
         }
         PyValue::Str(s) => {
-            buf.put_u8(T_STR);
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s.as_bytes());
+            put_u8(out, T_STR);
+            put_bytes_u32(out, s.as_bytes());
         }
         PyValue::Bytes(b) => {
-            buf.put_u8(T_BYTES);
-            buf.put_u32_le(b.len() as u32);
-            buf.put_slice(b);
+            put_u8(out, T_BYTES);
+            put_bytes_u32(out, b);
         }
         PyValue::List(items) => {
-            buf.put_u8(T_LIST);
-            buf.put_u32_le(items.len() as u32);
+            put_u8(out, T_LIST);
+            put_u32(out, items.len() as u32);
             for i in items {
-                encode(i, buf);
+                encode(i, out);
             }
         }
         PyValue::Tuple(items) => {
-            buf.put_u8(T_TUPLE);
-            buf.put_u32_le(items.len() as u32);
+            put_u8(out, T_TUPLE);
+            put_u32(out, items.len() as u32);
             for i in items {
-                encode(i, buf);
+                encode(i, out);
             }
         }
         PyValue::Dict(pairs) => {
-            buf.put_u8(T_DICT);
-            buf.put_u32_le(pairs.len() as u32);
+            put_u8(out, T_DICT);
+            put_u32(out, pairs.len() as u32);
             for (k, val) in pairs {
-                encode(k, buf);
-                encode(val, buf);
+                encode(k, out);
+                encode(val, out);
             }
         }
     }
 }
 
-fn decode(buf: &mut &[u8], depth: usize) -> Result<PyValue> {
-    if depth > MAX_DEPTH {
-        return Err(PyEnvError::CorruptPickle("nesting too deep".into()));
+/// One value that takes every byte of `data`.
+fn decode_all(data: &[u8]) -> codec::Result<PyValue> {
+    let r = &mut Reader::new(data);
+    let v = decode(r, 0)?;
+    if !r.is_empty() {
+        return Err(codec::Error::Corrupt {
+            at: r.position(),
+            what: "trailing bytes",
+        });
     }
-    let need = |buf: &&[u8], n: usize| -> Result<()> {
-        if buf.remaining() < n {
-            Err(PyEnvError::CorruptPickle("unexpected end of data".into()))
-        } else {
-            Ok(())
-        }
-    };
-    need(buf, 1)?;
-    let tag = buf.get_u8();
-    Ok(match tag {
+    Ok(v)
+}
+
+/// One value. Every element of a list or tuple takes at least a byte and
+/// every dict pair two, so no count allocates more than the bytes left
+/// could hold.
+fn decode(r: &mut Reader<'_>, depth: usize) -> codec::Result<PyValue> {
+    let at = r.position();
+    let corrupt = |what| codec::Error::Corrupt { at, what };
+    if depth > MAX_DEPTH {
+        return Err(corrupt("nesting too deep"));
+    }
+    Ok(match r.u8()? {
         T_NONE => PyValue::None,
-        T_BOOL => {
-            need(buf, 1)?;
-            PyValue::Bool(buf.get_u8() != 0)
-        }
-        T_INT => {
-            need(buf, 8)?;
-            PyValue::Int(buf.get_i64_le())
-        }
-        T_FLOAT => {
-            need(buf, 8)?;
-            PyValue::Float(buf.get_f64_le())
-        }
+        T_BOOL => PyValue::Bool(r.bool()?),
+        T_INT => PyValue::Int(r.i64()?),
+        T_FLOAT => PyValue::Float(r.f64()?),
         T_STR => {
-            need(buf, 4)?;
-            let len = buf.get_u32_le() as usize;
-            need(buf, len)?;
-            let s = String::from_utf8(buf[..len].to_vec())
-                .map_err(|_| PyEnvError::CorruptPickle("invalid utf-8".into()))?;
-            buf.advance(len);
-            PyValue::Str(s)
+            let len = r.u32()?;
+            PyValue::Str(r.str(len.into())?.to_owned())
         }
         T_BYTES => {
-            need(buf, 4)?;
-            let len = buf.get_u32_le() as usize;
-            need(buf, len)?;
-            let b = buf[..len].to_vec();
-            buf.advance(len);
-            PyValue::Bytes(b)
+            let len = r.u32()?;
+            PyValue::Bytes(r.bytes(len.into())?.to_vec())
         }
-        T_LIST | T_TUPLE => {
-            need(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            if n > buf.remaining() {
-                // Each element takes at least 1 byte; cheap bomb guard.
-                return Err(PyEnvError::CorruptPickle("length exceeds data".into()));
-            }
-            let mut items = Vec::with_capacity(n);
+        tag @ (T_LIST | T_TUPLE) => {
+            let n = r.u32()?;
+            let mut items = Vec::with_capacity(r.count(n.into(), 1)?);
             for _ in 0..n {
-                items.push(decode(buf, depth + 1)?);
+                items.push(decode(r, depth + 1)?);
             }
             if tag == T_LIST {
                 PyValue::List(items)
@@ -225,22 +204,14 @@ fn decode(buf: &mut &[u8], depth: usize) -> Result<PyValue> {
             }
         }
         T_DICT => {
-            need(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            if n > buf.remaining() {
-                return Err(PyEnvError::CorruptPickle("length exceeds data".into()));
-            }
-            let mut pairs = Vec::with_capacity(n);
+            let n = r.u32()?;
+            let mut pairs = Vec::with_capacity(r.count(n.into(), 2)?);
             for _ in 0..n {
-                let k = decode(buf, depth + 1)?;
-                let v = decode(buf, depth + 1)?;
-                pairs.push((k, v));
+                pairs.push((decode(r, depth + 1)?, decode(r, depth + 1)?));
             }
             PyValue::Dict(pairs)
         }
-        other => {
-            return Err(PyEnvError::CorruptPickle(format!("unknown tag {other}")));
-        }
+        _ => return Err(corrupt("unknown tag")),
     })
 }
 
@@ -366,9 +337,8 @@ mod tests {
     #[test]
     fn length_bomb_rejected() {
         // A list claiming 4 billion elements with no payload.
-        let mut buf = BytesMut::new();
-        buf.put_u8(T_LIST);
-        buf.put_u32_le(u32::MAX);
+        let mut buf = vec![T_LIST];
+        put_u32(&mut buf, u32::MAX);
         assert!(PyValue::loads(&buf).is_err());
     }
 

@@ -74,6 +74,7 @@ use lfm_simcluster::metrics::SparseHistogram;
 use lfm_simcluster::node::NodeSpec;
 use lfm_simcluster::rng::SimRng;
 use lfm_simcluster::time::SimTime;
+use lfm_telemetry::codec::{self, put_f64, put_u64, Reader};
 use lfm_telemetry::slo::{SloConfig, SloMonitor};
 use lfm_telemetry::{Name, Recorder, TailCursor};
 use lfm_workqueue::allocate::{AutoConfig, Strategy};
@@ -367,7 +368,7 @@ struct GatewayState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StateError {
     /// Ran out of bytes mid-field.
-    Truncated,
+    Codec(codec::Error),
     /// The named field does not fit the gateway the bytes are decoded for.
     Inconsistent(&'static str),
 }
@@ -376,34 +377,17 @@ fn fits(ok: bool, field: &'static str) -> Result<(), StateError> {
     ok.then_some(()).ok_or(StateError::Inconsistent(field))
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+impl From<codec::Error> for StateError {
+    fn from(e: codec::Error) -> Self {
+        StateError::Codec(e)
+    }
 }
 
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-/// The bytes of an image not yet read.
-struct StateReader<'a>(&'a [u8]);
-
-impl StateReader<'_> {
-    fn u64(&mut self) -> Result<u64, StateError> {
-        let (word, rest) = self.0.split_first_chunk().ok_or(StateError::Truncated)?;
-        self.0 = rest;
-        Ok(u64::from_le_bytes(*word))
-    }
-
-    fn f64(&mut self) -> Result<f64, StateError> {
-        self.u64().map(f64::from_bits)
-    }
-
-    /// An index, a bound or a length prefix. Nothing is allocated from a
-    /// length: the caller reads that many entries, each at least one word,
-    /// and runs out of bytes first if the prefix lied.
-    fn usize(&mut self) -> Result<usize, StateError> {
-        usize::try_from(self.u64()?).map_err(|_| StateError::Inconsistent("word above usize"))
-    }
+/// An index, a bound or a length prefix. Nothing is allocated from a
+/// length: the caller reads that many entries, each at least one word, and
+/// runs out of bytes first if the prefix lied.
+fn index(r: &mut Reader<'_>) -> Result<usize, StateError> {
+    usize::try_from(r.u64()?).map_err(|_| StateError::Inconsistent("word above usize"))
 }
 
 impl GatewayState {
@@ -507,13 +491,13 @@ impl GatewayState {
     fn decode(bytes: &[u8], fresh: GatewayState, functions: usize) -> Result<Self, StateError> {
         let mut state = fresh;
         let tenants = state.queues.len();
-        let mut r = StateReader(bytes);
+        let r = &mut Reader::new(bytes);
         state.next_invocation = r.u64()?;
         state.lost = r.u64()?;
-        fits(r.usize()? == tenants, "queue count")?;
+        fits(index(r)? == tenants, "queue count")?;
         for q in &mut state.queues {
-            for _ in 0..r.usize()? {
-                let (invocation, function, arrival_secs) = (r.u64()?, r.usize()?, r.f64()?);
+            for _ in 0..index(r)? {
+                let (invocation, function, arrival_secs) = (r.u64()?, index(r)?, r.f64()?);
                 fits(function < functions, "queued function")?;
                 q.push_back(Queued {
                     invocation,
@@ -522,8 +506,8 @@ impl GatewayState {
                 });
             }
         }
-        for _ in 0..r.usize()? {
-            let (invocation, tenant) = (r.u64()?, r.usize()?);
+        for _ in 0..index(r)? {
+            let (invocation, tenant) = (r.u64()?, index(r)?);
             fits(tenant < tenants, "in-flight tenant")?;
             let entry = InFlight {
                 tenant: tenant as u32,
@@ -535,11 +519,11 @@ impl GatewayState {
             let repeat = state.in_flight.insert(invocation, entry);
             fits(repeat.is_none(), "repeated in-flight invocation")?;
         }
-        fits(r.usize()? == tenants, "pass count")?;
+        fits(index(r)? == tenants, "pass count")?;
         for t in &mut state.sched.tenants {
             t.pass = r.u64()?;
         }
-        fits(r.usize()? == tenants, "bucket count")?;
+        fits(index(r)? == tenants, "bucket count")?;
         for bucket in &mut state.buckets {
             fits((r.u64()? != 0) == bucket.is_some(), "bucket presence")?;
             if let Some(b) = bucket {
@@ -551,11 +535,11 @@ impl GatewayState {
                 fits(rate > 0.0 && rate.is_finite(), "quota rate")?;
             }
         }
-        fits(r.usize()? == tenants, "depth-limit count")?;
+        fits(index(r)? == tenants, "depth-limit count")?;
         for d in &mut state.depth_limit {
-            *d = r.usize()?;
+            *d = index(r)?;
         }
-        fits(r.usize()? == tenants, "counter count")?;
+        fits(index(r)? == tenants, "counter count")?;
         for c in &mut state.counters {
             *c = TenantCounters {
                 offered: r.u64()?,
@@ -568,21 +552,21 @@ impl GatewayState {
                 failed: r.u64()?,
             };
         }
-        for _ in 0..r.usize()? {
+        for _ in 0..index(r)? {
             let id = r.u64()?;
             let entry = Entry {
-                function: r.usize()?,
+                function: index(r)?,
                 last_used_secs: r.f64()?,
             };
             let repeat = state.pool.entries.insert(id, entry);
             fits(repeat.is_none(), "repeated warm instance")?;
         }
         state.pool.next_id = r.u64()?;
-        state.pool.config.capacity = r.usize()?;
+        state.pool.config.capacity = index(r)?;
         state.pool.hits = r.u64()?;
         state.pool.misses = r.u64()?;
         state.pool.expirations = r.u64()?;
-        fits(r.0.is_empty(), "trailing bytes")?;
+        fits(r.is_empty(), "trailing bytes")?;
         Ok(state)
     }
 }
@@ -1735,9 +1719,12 @@ mod tests {
         // (every count in the layout is followed by that many entries, so
         // a state that decodes re-encodes to the same length); no panic.
         for cut in 0..PINNED_IMAGE.len() {
+            // Every field is one word: the read that runs out starts at the
+            // last word boundary.
+            let at = cut / 8 * 8;
             assert_eq!(
                 decode_pinned(&PINNED_IMAGE[..cut]),
-                Err(StateError::Truncated),
+                Err(StateError::Codec(codec::Error::Truncated { at })),
                 "prefix of {cut} bytes"
             );
         }

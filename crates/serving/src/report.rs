@@ -1,11 +1,12 @@
 //! Serving run reports: per-tenant and aggregate accounting with bounded
 //! latency sketches, serialized as deterministic JSON.
 //!
-//! `summary_json` hand-rolls its output with a fixed field order and
-//! Rust's shortest-roundtrip float formatting, so two runs with identical
-//! seeds produce byte-identical strings — the determinism acceptance
-//! check compares these directly.
+//! `summary_json` writes through [`JsonObject`] with a fixed field order
+//! and Rust's shortest-roundtrip float formatting, so two runs with
+//! identical seeds produce byte-identical strings — the determinism
+//! acceptance check compares these directly — and names are escaped.
 
+use lfm_monitor::summary::JsonObject;
 use lfm_simcluster::metrics::SparseHistogram;
 use serde::{Deserialize, Serialize};
 
@@ -35,10 +36,15 @@ impl LatencyStats {
     }
 
     fn json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"p999\":{},\"max\":{}}}",
-            self.count, self.mean, self.p50, self.p95, self.p99, self.p999, self.max
-        )
+        let mut o = JsonObject::new();
+        o.field_u64("count", self.count)
+            .field_f64("mean", self.mean)
+            .field_f64("p50", self.p50)
+            .field_f64("p95", self.p95)
+            .field_f64("p99", self.p99)
+            .field_f64("p999", self.p999)
+            .field_f64("max", self.max);
+        o.finish()
     }
 }
 
@@ -83,23 +89,25 @@ pub struct AlertReport {
 
 impl AlertReport {
     fn json(&self) -> String {
-        let resolved = match self.resolved_at_secs {
-            Some(t) => t.to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"tenant\":\"{}\",\"severity\":\"{}\",\"short_secs\":{},\"long_secs\":{},\
-             \"threshold\":{},\"fired_at_secs\":{},\"resolved_at_secs\":{},\"peak_burn\":{}}}",
-            self.tenant,
-            self.severity,
-            self.short_secs,
-            self.long_secs,
-            self.threshold,
-            self.fired_at_secs,
-            resolved,
-            self.peak_burn
-        )
+        let mut o = JsonObject::new();
+        o.field_str("tenant", &self.tenant)
+            .field_str("severity", &self.severity)
+            .field_f64("short_secs", self.short_secs)
+            .field_f64("long_secs", self.long_secs)
+            .field_f64("threshold", self.threshold)
+            .field_f64("fired_at_secs", self.fired_at_secs);
+        field_opt_f64(&mut o, "resolved_at_secs", self.resolved_at_secs);
+        o.field_f64("peak_burn", self.peak_burn);
+        o.finish()
     }
+}
+
+/// `v`, or `null` when there is none.
+fn field_opt_f64(o: &mut JsonObject, key: &str, v: Option<f64>) {
+    match v {
+        Some(v) => o.field_f64(key, v),
+        None => o.field_raw(key, "null"),
+    };
 }
 
 /// One accepted control-loop action (see [`crate::control`]): which
@@ -125,22 +133,16 @@ pub struct ControlActionReport {
 
 impl ControlActionReport {
     fn json(&self) -> String {
-        let quota = match self.quota_rate {
-            Some(r) => r.to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"at_secs\":{},\"tenant\":\"{}\",\"action\":\"{}\",\"level\":{},\
-             \"queue_depth\":{},\"quota_rate\":{},\"pool_capacity\":{},\"trimmed\":{}}}",
-            self.at_secs,
-            self.tenant,
-            self.action,
-            self.level,
-            self.queue_depth,
-            quota,
-            self.pool_capacity,
-            self.trimmed
-        )
+        let mut o = JsonObject::new();
+        o.field_f64("at_secs", self.at_secs)
+            .field_str("tenant", &self.tenant)
+            .field_str("action", &self.action)
+            .field_u64("level", self.level.into())
+            .field_u64("queue_depth", self.queue_depth as u64);
+        field_opt_f64(&mut o, "quota_rate", self.quota_rate);
+        o.field_u64("pool_capacity", self.pool_capacity as u64)
+            .field_u64("trimmed", self.trimmed);
+        o.finish()
     }
 }
 
@@ -227,77 +229,60 @@ impl ServingReport {
 
     /// Deterministic single-line JSON summary (fixed field order).
     pub fn summary_json(&self) -> String {
-        let alerts: Vec<String> = self.alerts.iter().map(AlertReport::json).collect();
-        let actions: Vec<String> = self
-            .control_actions
-            .iter()
-            .map(ControlActionReport::json)
-            .collect();
-        let tenants: Vec<String> = self
-            .tenants
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"name\":\"{}\",\"weight\":{},\"class\":\"{}\",\"offered\":{},\
-                     \"admitted\":{},\"rejected_rate\":{},\"rejected_queue_full\":{},\
-                     \"shed\":{},\"dispatched_steady\":{},\"completed\":{},\"failed\":{},\
-                     \"latency\":{}}}",
-                    t.name,
-                    t.weight,
-                    t.class,
-                    t.offered,
-                    t.admitted,
-                    t.rejected_rate,
-                    t.rejected_queue_full,
-                    t.shed,
-                    t.dispatched_steady,
-                    t.completed,
-                    t.failed,
-                    t.latency.json()
-                )
-            })
-            .collect();
-        format!(
-            "{{\"seed\":{},\"horizon_secs\":{},\"end_secs\":{},\"offered\":{},\"admitted\":{},\
-             \"rejected_rate\":{},\"rejected_queue_full\":{},\"shed\":{},\"completed\":{},\
-             \"failed\":{},\"success_rate\":{},\"latency\":{},\"queue_wait\":{},\
-             \"warm_hits\":{},\"warm_misses\":{},\"warm_hit_rate\":{},\"warm_expirations\":{},\
-             \"batches_submitted\":{},\"master_makespan_secs\":{},\"master_cache_hits\":{},\
-             \"master_cache_misses\":{},\"master_net_bytes\":{},\"master_crashes\":{},\
-             \"master_recoveries\":{},\"gateway_recoveries\":{},\"journal_bytes\":{},\
-             \"lost\":{},\"alerts\":[{}],\"control_actions\":[{}],\
-             \"tenants\":[{}]}}",
-            self.seed,
-            self.horizon_secs,
-            self.end_secs,
-            self.offered,
-            self.admitted,
-            self.rejected_rate,
-            self.rejected_queue_full,
-            self.shed,
-            self.completed,
-            self.failed,
-            self.success_rate(),
-            self.latency.json(),
-            self.queue_wait.json(),
-            self.warm_hits,
-            self.warm_misses,
-            self.warm_hit_rate,
-            self.warm_expirations,
-            self.batches_submitted,
-            self.master_makespan_secs,
-            self.master_cache_hits,
-            self.master_cache_misses,
-            self.master_net_bytes,
-            self.master_crashes,
-            self.master_recoveries,
-            self.gateway_recoveries,
-            self.journal_bytes,
-            self.lost,
-            alerts.join(","),
-            actions.join(","),
-            tenants.join(",")
-        )
+        fn array<T>(items: &[T], json: impl Fn(&T) -> String) -> String {
+            format!("[{}]", items.iter().map(json).collect::<Vec<_>>().join(","))
+        }
+        let tenant = |t: &TenantReport| {
+            let mut o = JsonObject::new();
+            o.field_str("name", &t.name)
+                .field_u64("weight", t.weight.into())
+                .field_str("class", &t.class)
+                .field_u64("offered", t.offered)
+                .field_u64("admitted", t.admitted)
+                .field_u64("rejected_rate", t.rejected_rate)
+                .field_u64("rejected_queue_full", t.rejected_queue_full)
+                .field_u64("shed", t.shed)
+                .field_u64("dispatched_steady", t.dispatched_steady)
+                .field_u64("completed", t.completed)
+                .field_u64("failed", t.failed)
+                .field_raw("latency", &t.latency.json());
+            o.finish()
+        };
+        let mut o = JsonObject::new();
+        o.field_u64("seed", self.seed)
+            .field_f64("horizon_secs", self.horizon_secs)
+            .field_f64("end_secs", self.end_secs)
+            .field_u64("offered", self.offered)
+            .field_u64("admitted", self.admitted)
+            .field_u64("rejected_rate", self.rejected_rate)
+            .field_u64("rejected_queue_full", self.rejected_queue_full)
+            .field_u64("shed", self.shed)
+            .field_u64("completed", self.completed)
+            .field_u64("failed", self.failed)
+            .field_f64("success_rate", self.success_rate())
+            .field_raw("latency", &self.latency.json())
+            .field_raw("queue_wait", &self.queue_wait.json())
+            .field_u64("warm_hits", self.warm_hits)
+            .field_u64("warm_misses", self.warm_misses)
+            .field_f64("warm_hit_rate", self.warm_hit_rate)
+            .field_u64("warm_expirations", self.warm_expirations)
+            .field_u64("batches_submitted", self.batches_submitted)
+            .field_f64("master_makespan_secs", self.master_makespan_secs)
+            .field_u64("master_cache_hits", self.master_cache_hits)
+            .field_u64("master_cache_misses", self.master_cache_misses)
+            .field_u64("master_net_bytes", self.master_net_bytes)
+            .field_u64("master_crashes", self.master_crashes.into())
+            .field_u64("master_recoveries", self.master_recoveries.into())
+            .field_u64("gateway_recoveries", self.gateway_recoveries.into())
+            .field_u64("journal_bytes", self.journal_bytes)
+            .field_u64("lost", self.lost)
+            .field_raw("alerts", &array(&self.alerts, AlertReport::json))
+            .field_raw(
+                "control_actions",
+                &array(&self.control_actions, ControlActionReport::json),
+            )
+            .field_raw("tenants", &array(&self.tenants, tenant));
+        o.finish()
     }
 }
 
@@ -322,9 +307,8 @@ mod tests {
         assert_eq!(s.max, 10.0);
     }
 
-    #[test]
-    fn summary_json_is_valid_and_deterministic() {
-        let report = ServingReport {
+    fn sample_report() -> ServingReport {
+        ServingReport {
             seed: 7,
             horizon_secs: 60.0,
             end_secs: 61.5,
@@ -397,7 +381,12 @@ mod tests {
                 failed: 0,
                 latency: stats(),
             }],
-        };
+        }
+    }
+
+    #[test]
+    fn summary_json_is_valid_and_deterministic() {
+        let report = sample_report();
         let a = report.summary_json();
         let b = report.clone().summary_json();
         assert_eq!(a, b);
@@ -424,5 +413,17 @@ mod tests {
              \"trimmed\":12}]"
         ));
         assert!(report.invocations_conserved());
+    }
+
+    #[test]
+    fn names_are_escaped() {
+        let name = "a\"b\\";
+        let mut report = sample_report();
+        report.alerts[0].tenant = name.into();
+        report.control_actions[0].tenant = name.into();
+        report.tenants[0].name = name.into();
+        let json = report.summary_json();
+        lfm_telemetry::export::validate_json(&json).expect("summary must be valid JSON");
+        assert_eq!(json.matches(r#":"a\"b\\""#).count(), 3, "{json}");
     }
 }

@@ -66,6 +66,11 @@
 //! [`MetricsRegistry`] aggregates the metric samples into the existing
 //! `lfm_simcluster::metrics` types.
 //!
+//! [`codec`] holds the byte primitives every binary format in the workspace
+//! is written with — this wire, Perfetto, the master's journal, the
+//! gateway's image, packs and pickles. It lives here because this is the
+//! lowest crate all of them already depend on.
+//!
 //! ### Hot call sites: pre-interned keys
 //!
 //! `span("exec", "lfm")` interns both strings on every call — a hash
@@ -75,6 +80,7 @@
 //! [`Recorder::counter_key`], ...), which take pre-interned ids and touch
 //! no string machinery at all.
 
+pub mod codec;
 pub mod export;
 pub mod intern;
 pub mod metrics;

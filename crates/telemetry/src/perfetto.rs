@@ -43,6 +43,7 @@
 //! that every `track_uuid` was declared by a descriptor packet first, and
 //! that slice begin/end depth stays balanced per track.
 
+use crate::codec::{self, put_f64, put_varint, Reader};
 use crate::export::TraceSink;
 use crate::record::{AttrValue, MetricKind, Record};
 use std::collections::BTreeMap;
@@ -92,14 +93,6 @@ const SEQUENCE_ID: u64 = 1;
 // protobuf writer primitives
 // -------------------------------------------------------------------
 
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push((v as u8) | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
-}
-
 fn put_tag(buf: &mut Vec<u8>, field: u64, wire_type: u64) {
     put_varint(buf, field << 3 | wire_type);
 }
@@ -111,7 +104,7 @@ fn put_varint_field(buf: &mut Vec<u8>, field: u64, v: u64) {
 
 fn put_double_field(buf: &mut Vec<u8>, field: u64, v: f64) {
     put_tag(buf, field, 1);
-    buf.extend_from_slice(&v.to_le_bytes());
+    put_f64(buf, v);
 }
 
 fn put_len_field(buf: &mut Vec<u8>, field: u64, bytes: &[u8]) {
@@ -506,81 +499,37 @@ pub struct TraceStats {
     pub counter_samples: usize,
 }
 
-struct Reader<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn done(&self) -> bool {
-        self.pos >= self.b.len()
-    }
-
-    fn varint(&mut self) -> Result<u64, String> {
-        let mut out = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = *self
-                .b
-                .get(self.pos)
-                .ok_or_else(|| format!("varint truncated at byte {}", self.pos))?;
-            self.pos += 1;
-            if shift >= 64 {
-                return Err(format!("varint too long at byte {}", self.pos));
-            }
-            out |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(out);
-            }
-            shift += 7;
-        }
-    }
-
-    fn skip(&mut self, n: usize) -> Result<(), String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.b.len())
-            .ok_or_else(|| format!("field truncated at byte {}", self.pos))?;
-        self.pos = end;
-        Ok(())
-    }
-
-    fn len_delimited(&mut self) -> Result<&'a [u8], String> {
-        let n = self.varint()? as usize;
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.b.len())
-            .ok_or_else(|| format!("length-delimited field truncated at byte {}", self.pos))?;
-        let out = &self.b[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    /// Read one field tag and its payload; returns `(field, varint value
-    /// if wiretype 0, bytes if wiretype 2)`.
-    #[allow(clippy::type_complexity)]
-    fn field(&mut self) -> Result<(u64, Option<u64>, Option<&'a [u8]>), String> {
-        let key = self.varint()?;
+/// Read one field tag and its payload: `(field, varint value if wiretype 0,
+/// bytes if wiretype 2)`.
+#[allow(clippy::type_complexity)]
+fn next_field<'a>(r: &mut Reader<'a>) -> Result<(u64, Option<u64>, Option<&'a [u8]>), String> {
+    let mut read = || -> codec::Result<_> {
+        let at = r.position();
+        let key = r.varint()?;
         let field = key >> 3;
-        match key & 7 {
-            0 => Ok((field, Some(self.varint()?), None)),
+        Ok(match key & 7 {
+            0 => (field, Some(r.varint()?), None),
             1 => {
-                self.skip(8)?;
-                Ok((field, None, None))
+                r.bytes(8)?;
+                (field, None, None)
             }
             2 => {
-                let bytes = self.len_delimited()?;
-                Ok((field, None, Some(bytes)))
+                let n = r.varint()?;
+                (field, None, Some(r.bytes(n)?))
             }
             5 => {
-                self.skip(4)?;
-                Ok((field, None, None))
+                r.bytes(4)?;
+                (field, None, None)
             }
-            wt => Err(format!("unsupported wire type {wt} at byte {}", self.pos)),
-        }
-    }
+            _ => {
+                return Err(codec::Error::Corrupt {
+                    at,
+                    what: "unsupported wire type",
+                })
+            }
+        })
+    };
+    read().map_err(|e| e.to_string())
 }
 
 /// Structurally validate a Perfetto trace produced by [`perfetto_trace`]
@@ -591,29 +540,26 @@ impl<'a> Reader<'a> {
 pub fn validate_trace(bytes: &[u8]) -> Result<TraceStats, String> {
     let mut stats = TraceStats::default();
     let mut known_tracks: BTreeMap<u64, i64> = BTreeMap::new(); // uuid → open slice depth
-    let mut r = Reader { b: bytes, pos: 0 };
-    while !r.done() {
-        let (field, _, payload) = r.field()?;
+    let mut r = Reader::new(bytes);
+    while !r.is_empty() {
+        let (field, _, payload) = next_field(&mut r)?;
         if field != 1 {
             return Err(format!("unexpected top-level field {field}"));
         }
         let payload = payload.ok_or("packet must be length-delimited")?;
         stats.packets += 1;
-        let mut pkt = Reader { b: payload, pos: 0 };
-        while !pkt.done() {
-            let (field, value, bytes) = pkt.field()?;
+        let mut pkt = Reader::new(payload);
+        while !pkt.is_empty() {
+            let (field, value, bytes) = next_field(&mut pkt)?;
             match field {
                 PKT_TIMESTAMP | PKT_SEQUENCE_ID => {
                     value.ok_or("timestamp/sequence id must be varint")?;
                 }
                 PKT_TRACK_DESCRIPTOR => {
-                    let mut desc = Reader {
-                        b: bytes.ok_or("track descriptor must be a message")?,
-                        pos: 0,
-                    };
+                    let mut desc = Reader::new(bytes.ok_or("track descriptor must be a message")?);
                     let mut uuid = None;
-                    while !desc.done() {
-                        let (f, v, _) = desc.field()?;
+                    while !desc.is_empty() {
+                        let (f, v, _) = next_field(&mut desc)?;
                         if f == TDESC_UUID {
                             uuid = Some(v.ok_or("uuid must be varint")?);
                         }
@@ -625,13 +571,10 @@ pub fn validate_trace(bytes: &[u8]) -> Result<TraceStats, String> {
                     stats.tracks += 1;
                 }
                 PKT_TRACK_EVENT => {
-                    let mut ev = Reader {
-                        b: bytes.ok_or("track event must be a message")?,
-                        pos: 0,
-                    };
+                    let mut ev = Reader::new(bytes.ok_or("track event must be a message")?);
                     let (mut ev_type, mut uuid) = (None, None);
-                    while !ev.done() {
-                        let (f, v, _) = ev.field()?;
+                    while !ev.is_empty() {
+                        let (f, v, _) = next_field(&mut ev)?;
                         match f {
                             TEV_TYPE => ev_type = Some(v.ok_or("event type must be varint")?),
                             TEV_TRACK_UUID => uuid = Some(v.ok_or("track uuid must be varint")?),

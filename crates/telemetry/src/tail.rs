@@ -37,6 +37,7 @@
 //! encoder appends atomically under the shard lock), so `NeedMoreData`
 //! there only means "buffer exhausted".
 
+use crate::codec;
 use crate::record::Record;
 use crate::wire::{CodecState, DecodeError, ShardDecoder};
 use std::collections::VecDeque;
@@ -107,7 +108,7 @@ impl ShardTail {
                     committed = (dec.position(), dec.state());
                     self.ready.push_back(record);
                 }
-                Some(Err(DecodeError::Truncated { .. })) | None => break,
+                Some(Err(DecodeError::Codec(codec::Error::Truncated { .. }))) | None => break,
                 Some(Err(e)) => {
                     self.failed = Some(e);
                     break;

@@ -48,6 +48,7 @@
 //! whole stream first. Decoding is fully bounds-checked: truncated or
 //! corrupt input yields [`DecodeError`], never a panic.
 
+use crate::codec::{self, put_f64, put_u8, put_varint, unzigzag, zigzag, Reader};
 use crate::intern::Name;
 use crate::record::{AttrValue, InstantRecord, MetricKind, MetricRecord, Record, SpanRecord};
 
@@ -191,29 +192,6 @@ pub(crate) struct CodecState {
     last_us: u64,
 }
 
-// ---------------------------------------------------------------------
-// varint primitives
-// ---------------------------------------------------------------------
-
-#[inline]
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push((v as u8) | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
-}
-
-#[inline]
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-#[inline]
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
 /// `Some(µs)` iff dividing back by 1e6 reproduces `secs` bit-exactly —
 /// the condition under which the varint time path is lossless.
 #[inline]
@@ -266,7 +244,7 @@ fn put_attrs(buf: &mut Vec<u8>, attrs: &AttrList) {
                     put_varint(buf, u);
                 } else {
                     put_varint(buf, (key.0 as u64) << 2 | 1);
-                    buf.extend_from_slice(&v.to_le_bytes());
+                    put_f64(buf, *v);
                 }
             }
             WireVal::Str(id) => {
@@ -302,7 +280,7 @@ pub(crate) fn encode_span(buf: &mut Vec<u8>, st: &mut CodecState, seq: u64, s: &
     if !s.attrs.is_empty() {
         tag |= FLAG_ATTRS;
     }
-    buf.push(tag);
+    put_u8(buf, tag);
     put_seq(buf, st, seq);
     put_varint(buf, s.name.0 as u64);
     put_varint(buf, s.cat.0 as u64);
@@ -313,8 +291,8 @@ pub(crate) fn encode_span(buf: &mut Vec<u8>, st: &mut CodecState, seq: u64, s: &
             st.last_us = start_us;
         }
         None => {
-            buf.extend_from_slice(&s.start_secs.to_le_bytes());
-            buf.extend_from_slice(&s.end_secs.to_le_bytes());
+            put_f64(buf, s.start_secs);
+            put_f64(buf, s.end_secs);
         }
     }
     put_varint(buf, s.track);
@@ -346,7 +324,7 @@ pub(crate) fn encode_instant(buf: &mut Vec<u8>, st: &mut CodecState, seq: u64, i
     if !i.attrs.is_empty() {
         tag |= FLAG_ATTRS;
     }
-    buf.push(tag);
+    put_u8(buf, tag);
     put_seq(buf, st, seq);
     put_varint(buf, i.name.0 as u64);
     put_varint(buf, i.cat.0 as u64);
@@ -355,7 +333,7 @@ pub(crate) fn encode_instant(buf: &mut Vec<u8>, st: &mut CodecState, seq: u64, i
             put_varint(buf, zigzag(us as i64 - st.last_us as i64));
             st.last_us = us;
         }
-        None => buf.extend_from_slice(&i.at_secs.to_le_bytes()),
+        None => put_f64(buf, i.at_secs),
     }
     put_varint(buf, i.track);
     if let Some(t) = i.task {
@@ -399,7 +377,7 @@ pub(crate) fn encode_metric(
             false
         }
     };
-    buf.push(tag);
+    put_u8(buf, tag);
     put_seq(buf, st, seq);
     put_varint(buf, name.0 as u64);
     if let Some(secs) = at_secs {
@@ -408,13 +386,13 @@ pub(crate) fn encode_metric(
                 put_varint(buf, zigzag(us as i64 - st.last_us as i64));
                 st.last_us = us;
             }
-            None => buf.extend_from_slice(&secs.to_le_bytes()),
+            None => put_f64(buf, secs),
         }
     }
     if value_packed {
         put_varint(buf, value as u64);
     } else {
-        buf.extend_from_slice(&value.to_le_bytes());
+        put_f64(buf, value);
     }
 }
 
@@ -427,25 +405,29 @@ pub(crate) fn encode_metric(
 /// and the already-decoded prefix stands.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
-    /// Input ended inside a record at this byte offset.
-    Truncated { at: usize },
+    /// The record runs past the input (`Truncated`: a live tail waits for
+    /// more bytes), or a field holds an impossible value (`Corrupt`: an
+    /// oversized varint, a time below zero, ...).
+    Codec(codec::Error),
     /// An undefined record kind.
     BadTag { at: usize, tag: u8 },
     /// A string id that was never interned in this process.
     BadName { at: usize, id: u64 },
-    /// A field that decodes to an impossible value (negative time delta
-    /// below zero, oversized varint, ...).
-    Corrupt { at: usize, what: &'static str },
 }
 
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DecodeError::Truncated { at } => write!(f, "record truncated at byte {at}"),
+            DecodeError::Codec(e) => write!(f, "record {e}"),
             DecodeError::BadTag { at, tag } => write!(f, "bad record tag {tag:#x} at byte {at}"),
             DecodeError::BadName { at, id } => write!(f, "unknown string id {id} at byte {at}"),
-            DecodeError::Corrupt { at, what } => write!(f, "corrupt field ({what}) at byte {at}"),
         }
+    }
+}
+
+impl From<codec::Error> for DecodeError {
+    fn from(e: codec::Error) -> Self {
+        DecodeError::Codec(e)
     }
 }
 
@@ -453,8 +435,7 @@ impl std::fmt::Display for DecodeError {
 /// (= seq) order; stops at the first error, which [`Iterator::next`]
 /// reports once and then fuses.
 pub struct ShardDecoder<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+    r: Reader<'a>,
     st: CodecState,
     failed: bool,
 }
@@ -471,8 +452,7 @@ impl<'a> ShardDecoder<'a> {
     /// with the state it saved rather than re-decoding the prefix.
     pub(crate) fn with_state(bytes: &'a [u8], st: CodecState) -> Self {
         ShardDecoder {
-            bytes,
-            pos: 0,
+            r: Reader::new(bytes),
             st,
             failed: false,
         }
@@ -480,7 +460,7 @@ impl<'a> ShardDecoder<'a> {
 
     /// Bytes consumed so far (diagnostics).
     pub fn position(&self) -> usize {
-        self.pos
+        self.r.position()
     }
 
     /// The codec state after the last successfully decoded record — save
@@ -490,56 +470,9 @@ impl<'a> ShardDecoder<'a> {
         self.st
     }
 
-    fn get_u8(&mut self) -> Result<u8, DecodeError> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or(DecodeError::Truncated { at: self.pos })?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn get_varint(&mut self) -> Result<u64, DecodeError> {
-        let start = self.pos;
-        let mut out: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let b = self.get_u8()?;
-            if shift == 63 && b > 1 {
-                return Err(DecodeError::Corrupt {
-                    at: start,
-                    what: "varint overflow",
-                });
-            }
-            out |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(out);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(DecodeError::Corrupt {
-                    at: start,
-                    what: "varint too long",
-                });
-            }
-        }
-    }
-
-    fn get_f64(&mut self) -> Result<f64, DecodeError> {
-        let end = self
-            .pos
-            .checked_add(8)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(DecodeError::Truncated { at: self.pos })?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.bytes[self.pos..end]);
-        self.pos = end;
-        Ok(f64::from_le_bytes(raw))
-    }
-
     fn get_name(&mut self) -> Result<&'static str, DecodeError> {
-        let at = self.pos;
-        let id = self.get_varint()?;
+        let at = self.r.position();
+        let id = self.r.varint()?;
         u32::try_from(id)
             .ok()
             .and_then(|id| Name(id).resolve())
@@ -549,57 +482,59 @@ impl<'a> ShardDecoder<'a> {
     /// A timestamp: varint µs delta against shard state, or raw f64.
     fn get_time(&mut self, raw: bool) -> Result<f64, DecodeError> {
         if raw {
-            return self.get_f64();
+            return Ok(self.r.f64()?);
         }
-        let at = self.pos;
-        let delta = unzigzag(self.get_varint()?);
+        let at = self.r.position();
+        let delta = unzigzag(self.r.varint()?);
         let us = (self.st.last_us as i64)
             .checked_add(delta)
-            .ok_or(DecodeError::Corrupt {
+            .ok_or(codec::Error::Corrupt {
                 at,
                 what: "time delta overflow",
             })?;
         if us < 0 {
-            return Err(DecodeError::Corrupt {
+            return Err(codec::Error::Corrupt {
                 at,
                 what: "negative time",
-            });
+            }
+            .into());
         }
         self.st.last_us = us as u64;
         Ok(us as f64 / 1e6)
     }
 
     fn get_attrs(&mut self) -> Result<Vec<(String, AttrValue)>, DecodeError> {
-        let at = self.pos;
-        let n = self.get_varint()?;
+        let at = self.r.position();
+        let n = self.r.varint()?;
         if n > 1 << 20 {
-            return Err(DecodeError::Corrupt {
+            return Err(codec::Error::Corrupt {
                 at,
                 what: "absurd attr count",
-            });
+            }
+            .into());
         }
         let mut attrs = Vec::with_capacity(n as usize);
         for _ in 0..n {
-            let at = self.pos;
-            let packed = self.get_varint()?;
+            let at = self.r.position();
+            let packed = self.r.varint()?;
             let key_id = packed >> 2;
             let key = u32::try_from(key_id)
                 .ok()
                 .and_then(|id| Name(id).resolve())
                 .ok_or(DecodeError::BadName { at, id: key_id })?;
             let value = match packed & 3 {
-                0 => AttrValue::U64(self.get_varint()?),
-                1 => AttrValue::F64(self.get_f64()?),
+                0 => AttrValue::U64(self.r.varint()?),
+                1 => AttrValue::F64(self.r.f64()?),
                 2 => {
-                    let at = self.pos;
-                    let id = self.get_varint()?;
+                    let at = self.r.position();
+                    let id = self.r.varint()?;
                     let s = u32::try_from(id)
                         .ok()
                         .and_then(|id| Name(id).resolve())
                         .ok_or(DecodeError::BadName { at, id })?;
                     AttrValue::Str(s.to_string())
                 }
-                _ => AttrValue::F64(self.get_varint()? as f64),
+                _ => AttrValue::F64(self.r.varint()? as f64),
             };
             attrs.push((key.to_string(), value));
         }
@@ -607,38 +542,38 @@ impl<'a> ShardDecoder<'a> {
     }
 
     fn decode_one(&mut self) -> Result<Record, DecodeError> {
-        let at = self.pos;
-        let tag = self.get_u8()?;
+        let at = self.r.position();
+        let tag = self.r.u8()?;
         let kind = tag & KIND_MASK;
         let raw_time = tag & FLAG_TIME_RAW != 0;
-        let seq = self.st.last_seq.wrapping_add(self.get_varint()?);
+        let seq = self.st.last_seq.wrapping_add(self.r.varint()?);
         self.st.last_seq = seq;
         match kind {
             KIND_SPAN => {
                 let name = self.get_name()?.to_string();
                 let cat = self.get_name()?.to_string();
                 let (start_secs, end_secs) = if raw_time {
-                    (self.get_f64()?, self.get_f64()?)
+                    (self.r.f64()?, self.r.f64()?)
                 } else {
                     let start = self.get_time(false)?;
-                    let dur_us = self.get_varint()?;
+                    let dur_us = self.r.varint()?;
                     let end_us =
                         self.st
                             .last_us
                             .checked_add(dur_us)
-                            .ok_or(DecodeError::Corrupt {
+                            .ok_or(codec::Error::Corrupt {
                                 at,
                                 what: "duration overflow",
                             })?;
                     (start, end_us as f64 / 1e6)
                 };
-                let track = self.get_varint()?;
-                let depth = self.get_varint()? as u32;
+                let track = self.r.varint()?;
+                let depth = self.r.varint()? as u32;
                 let task = (tag & FLAG_TASK != 0)
-                    .then(|| self.get_varint())
+                    .then(|| self.r.varint())
                     .transpose()?;
                 let attempt = (tag & FLAG_ATTEMPT != 0)
-                    .then(|| self.get_varint().map(|v| v as u32))
+                    .then(|| self.r.varint().map(|v| v as u32))
                     .transpose()?;
                 let attrs = if tag & FLAG_ATTRS != 0 {
                     self.get_attrs()?
@@ -662,12 +597,12 @@ impl<'a> ShardDecoder<'a> {
                 let name = self.get_name()?.to_string();
                 let cat = self.get_name()?.to_string();
                 let at_secs = self.get_time(raw_time)?;
-                let track = self.get_varint()?;
+                let track = self.r.varint()?;
                 let task = (tag & FLAG_TASK != 0)
-                    .then(|| self.get_varint())
+                    .then(|| self.r.varint())
                     .transpose()?;
                 let attempt = (tag & FLAG_ATTEMPT != 0)
-                    .then(|| self.get_varint().map(|v| v as u32))
+                    .then(|| self.r.varint().map(|v| v as u32))
                     .transpose()?;
                 let attrs = if tag & FLAG_ATTRS != 0 {
                     self.get_attrs()?
@@ -698,9 +633,9 @@ impl<'a> ShardDecoder<'a> {
                     None
                 };
                 let value = if tag & FLAG_VAL_RAW != 0 {
-                    self.get_f64()?
+                    self.r.f64()?
                 } else {
-                    self.get_varint()? as f64
+                    self.r.varint()? as f64
                 };
                 Ok(Record::Metric(MetricRecord {
                     seq,
@@ -719,7 +654,7 @@ impl Iterator for ShardDecoder<'_> {
     type Item = Result<Record, DecodeError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed || self.pos >= self.bytes.len() {
+        if self.failed || self.r.is_empty() {
             return None;
         }
         match self.decode_one() {

@@ -13,17 +13,16 @@
 //!   cross-shard dependency edges), balancing components across shards by
 //!   total duration. `ByCategory` and `RoundRobin` trade cross-shard edges
 //!   for spread.
-//! * **Handoff** ([`HandoffConfig`]) — when a producer finishes on one
-//!   shard and its dependent is owned by another, a `Release` message rides
-//!   a simulated inter-shard link (latency + output bytes over bandwidth)
-//!   and lands as a world event on the owner's calendar. Permanent failures
-//!   ship `Cancel` the same way; the owner accounts the abandonment and
-//!   continues the cascade.
-//! * **Work stealing** ([`StealingConfig`]) — after every step, shards with
-//!   an empty pending queue steal batches of queued *first attempts* from
-//!   the hottest shard (coldest-policy-order tasks first). Migrations are
-//!   journaled on the victim (`Stolen`) so a crash cannot resurrect the
-//!   task there, and complete on the thief.
+//! * **Handoff** — when a producer finishes on one shard and its dependent
+//!   is owned by another, a `Release` message rides a simulated inter-shard
+//!   link (latency + output bytes over bandwidth) and lands as a world event
+//!   on the owner's calendar. Permanent failures ship `Cancel` the same way;
+//!   the owner accounts the abandonment and continues the cascade.
+//! * **Work stealing** — after every step, shards with an empty pending
+//!   queue steal batches of queued *first attempts* from the hottest shard
+//!   (coldest-policy-order tasks first). Migrations are journaled on the
+//!   victim (`Stolen`) so a crash cannot resurrect the task there, and
+//!   complete on the thief.
 //!
 //! **Equivalence discipline:** a 1-shard federation runs the exact
 //! single-master code path (the ownership filter is vacuous, the outbox
@@ -86,51 +85,21 @@ pub enum PartitionPolicy {
     ByComponent,
 }
 
-/// The simulated inter-shard link that `Release`/`Cancel` handoffs and
-/// stolen tasks ride.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HandoffConfig {
-    /// One-way message latency, seconds.
-    pub latency_secs: f64,
-    /// Link bandwidth for dependency outputs (bytes/second).
-    pub bandwidth_bytes_per_sec: f64,
-}
+/// One-way latency of the simulated inter-shard link that `Release`/`Cancel`
+/// handoffs and stolen tasks ride, seconds.
+const HANDOFF_LATENCY_SECS: f64 = 0.05;
+/// That link's bandwidth for dependency outputs, bytes/second.
+const HANDOFF_BANDWIDTH_BYTES_PER_SEC: f64 = 1.25e9;
+/// Most tasks one steal migrates.
+const STEAL_MAX_BATCH: usize = 8;
+/// A victim must have at least this many queued tasks to be robbed.
+const STEAL_MIN_VICTIM: usize = 2;
 
-impl Default for HandoffConfig {
-    fn default() -> Self {
-        HandoffConfig {
-            latency_secs: 0.05,
-            bandwidth_bytes_per_sec: 1.25e9,
-        }
-    }
-}
-
-/// Work-stealing balancer knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StealingConfig {
-    /// Most tasks migrated per steal (0 disables stealing).
-    pub max_batch: usize,
-    /// A victim must have at least this many queued tasks to be robbed.
-    pub min_victim: usize,
-}
-
-impl Default for StealingConfig {
-    fn default() -> Self {
-        StealingConfig {
-            max_batch: 8,
-            min_victim: 2,
-        }
-    }
-}
-
-/// Federation shape: shard count plus the partition, handoff, and stealing
-/// policies.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Federation shape: shard count and partition policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FederationConfig {
     pub shards: u32,
     pub partition: PartitionPolicy,
-    pub handoff: HandoffConfig,
-    pub stealing: StealingConfig,
 }
 
 impl FederationConfig {
@@ -355,24 +324,19 @@ fn run_shards_on(
     let owner = Arc::new(owner);
     let build = || build_shards(config, &work, &owner, &owned, worker_count, spec);
     if windows {
-        if let Some(report) = drive(fed, &owner, build(), threads.min(shards as usize)) {
+        if let Some(report) = drive(&owner, build(), threads.min(shards as usize)) {
             return report;
         }
         #[cfg(test)]
         tests::tally(|d| d.aborts += 1);
     }
-    drive(fed, &owner, build(), 1).expect("the sequential driver never aborts")
+    drive(&owner, build(), 1).expect("the sequential driver never aborts")
 }
 
 /// Step `masters` (started here) until every task is terminal, and report.
 /// Given `threads > 1` it also runs parallel windows where no steal can
 /// fire (DESIGN.md §5f), and `None` once a window broke that assumption.
-fn drive(
-    fed: &FederationConfig,
-    owner: &[u32],
-    mut masters: Vec<Master>,
-    threads: usize,
-) -> Option<FederationReport> {
+fn drive(owner: &[u32], mut masters: Vec<Master>, threads: usize) -> Option<FederationReport> {
     let n = masters.len();
     for m in &mut masters {
         m.start();
@@ -435,12 +399,10 @@ fn drive(
                         bytes,
                     } => {
                         handoff_bytes += bytes;
-                        let link = bytes as f64 / fed.handoff.bandwidth_bytes_per_sec;
-                        (task_idx, at + fed.handoff.latency_secs + link, true)
+                        let link = bytes as f64 / HANDOFF_BANDWIDTH_BYTES_PER_SEC;
+                        (task_idx, at + HANDOFF_LATENCY_SECS + link, true)
                     }
-                    OutMsg::Cancel { task_idx, at } => {
-                        (task_idx, at + fed.handoff.latency_secs, false)
-                    }
+                    OutMsg::Cancel { task_idx, at } => (task_idx, at + HANDOFF_LATENCY_SECS, false),
                 };
                 releases += 1;
                 let event = Event::RemoteRelease { task_idx, success };
@@ -450,7 +412,7 @@ fn drive(
             // Work stealing: hungry shards rob the hottest victim (ties to
             // the lowest index). Hunger changes only on a shard's own steps
             // and in this pass, so with no hungry shard it would do nothing.
-            if n > 1 && fed.stealing.max_batch > 0 && hungry.contains(&true) {
+            if n > 1 && hungry.contains(&true) {
                 for thief in 0..n {
                     if !masters[thief].hungry() {
                         continue;
@@ -458,18 +420,18 @@ fn drive(
                     let victim = (masters.iter().enumerate())
                         .filter(|&(v, m)| v != thief && !m.is_down())
                         .map(|(v, m)| (Reverse(m.queued_len()), v))
-                        .filter(|&(Reverse(q), _)| q >= fed.stealing.min_victim.max(1))
+                        .filter(|&(Reverse(q), _)| q >= STEAL_MIN_VICTIM)
                         .min();
                     let Some((Reverse(q), v)) = victim else {
                         continue;
                     };
-                    let moved = masters[v].steal_back(fed.stealing.max_batch.min(q / 2).max(1));
+                    let moved = masters[v].steal_back(STEAL_MAX_BATCH.min(q / 2).max(1));
                     if moved.is_empty() {
                         continue;
                     }
                     steals += 1;
                     stolen_tasks += moved.len() as u64;
-                    let arrive = now + fed.handoff.latency_secs;
+                    let arrive = now + HANDOFF_LATENCY_SECS;
                     for (task_idx, attempt) in moved {
                         masters[thief].note_inbound();
                         masters[thief].inject_at(arrive, Event::StolenArrive { task_idx, attempt });

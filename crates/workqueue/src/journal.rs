@@ -33,10 +33,11 @@
 //!   the shared filesystem, the network, in-flight completions) survives a
 //!   master crash by definition — only the coordinator's memory is lost.
 //!
-//! Everything is encoded with a small hand-rolled little-endian binary
-//! format (the vendored serde is a stub): `u8` tags, fixed-width LE
-//! integers, `f64` as raw bits (exact round-trip), and length-prefixed
-//! strings. See DESIGN.md §5e for the format and the recovery invariants.
+//! Everything is encoded with the workspace's byte codec
+//! (`lfm_telemetry::codec`; the vendored serde is a stub): `u8` tags,
+//! fixed-width LE integers, `f64` as raw bits (exact round-trip), and
+//! u64-length-prefixed strings. See DESIGN.md §5e for the format and the
+//! recovery invariants.
 
 use crate::allocate::censored_samples;
 use crate::files::{FileKind, FileRef};
@@ -47,6 +48,9 @@ use lfm_monitor::report::{MonitorOutcome, ResourceKind, ResourceReport};
 use lfm_monitor::sim::SimTaskProfile;
 use lfm_simcluster::node::Resources;
 use lfm_simcluster::time::SimTime;
+use lfm_telemetry::codec::{
+    self, put_bool, put_bytes_u64, put_f64, put_i32, put_u32, put_u64, put_u8, Reader,
+};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Durability knobs for the master. Defaults to journaling off — a
@@ -258,12 +262,10 @@ pub(crate) enum Record {
 /// Why a journal or snapshot failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum JournalError {
-    /// Ran out of bytes mid-record.
-    Truncated,
+    /// The bytes ran out mid-record, or a string in them is not UTF-8.
+    Codec(codec::Error),
     /// An unknown tag byte for the named field.
     BadTag(&'static str, u8),
-    /// A length-prefixed string was not UTF-8.
-    BadString,
     /// A delta image does not fit the image it extends, in the named field.
     Inconsistent(&'static str),
 }
@@ -271,9 +273,8 @@ pub(crate) enum JournalError {
 impl std::fmt::Display for JournalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            JournalError::Truncated => write!(f, "journal truncated mid-record"),
+            JournalError::Codec(e) => write!(f, "journal {e}"),
             JournalError::BadTag(what, t) => write!(f, "bad {what} tag byte {t:#x}"),
-            JournalError::BadString => write!(f, "journal string is not UTF-8"),
             JournalError::Inconsistent(what) => {
                 write!(f, "delta image does not fit its base: {what}")
             }
@@ -283,39 +284,29 @@ impl std::fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-// ---- encoding primitives ----
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
+impl From<codec::Error> for JournalError {
+    fn from(e: codec::Error) -> Self {
+        JournalError::Codec(e)
+    }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i32(out: &mut Vec<u8>, v: i32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
-}
+// ---- the journal's composite fields, over the shared byte codec ----
 
 fn put_time(out: &mut Vec<u8>, t: SimTime) {
     put_f64(out, t.as_secs());
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
+fn read_time(r: &mut Reader<'_>) -> Result<SimTime, JournalError> {
+    let secs = r.f64()?;
+    if !(secs.is_finite() && secs >= 0.0) {
+        return Err(JournalError::BadTag("sim-time", 0));
+    }
+    Ok(SimTime::from_secs(secs))
+}
+
+fn read_string(r: &mut Reader<'_>) -> Result<String, JournalError> {
+    let len = r.u64()?;
+    Ok(r.str(len)?.to_owned())
 }
 
 fn put_resources(out: &mut Vec<u8>, r: &Resources) {
@@ -324,75 +315,11 @@ fn put_resources(out: &mut Vec<u8>, r: &Resources) {
     put_u64(out, r.disk_mb);
 }
 
-/// A little-endian byte reader over an encoded journal/snapshot.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], JournalError> {
-        let end = self.pos.checked_add(n).ok_or(JournalError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(JournalError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, JournalError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, JournalError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, JournalError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i32(&mut self) -> Result<i32, JournalError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, JournalError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, JournalError> {
-        Ok(self.u8()? != 0)
-    }
-
-    fn time(&mut self) -> Result<SimTime, JournalError> {
-        let secs = self.f64()?;
-        if !(secs.is_finite() && secs >= 0.0) {
-            return Err(JournalError::BadTag("sim-time", 0));
-        }
-        Ok(SimTime::from_secs(secs))
-    }
-
-    fn string(&mut self) -> Result<String, JournalError> {
-        let len = self.u64()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| JournalError::BadString)
-    }
-
-    fn resources(&mut self) -> Result<Resources, JournalError> {
-        let cores = self.u32()?;
-        let memory_mb = self.u64()?;
-        let disk_mb = self.u64()?;
-        Ok(Resources::new(cores, memory_mb, disk_mb))
-    }
+fn read_resources(r: &mut Reader<'_>) -> Result<Resources, JournalError> {
+    let cores = r.u32()?;
+    let memory_mb = r.u64()?;
+    let disk_mb = r.u64()?;
+    Ok(Resources::new(cores, memory_mb, disk_mb))
 }
 
 fn put_resource_kind(out: &mut Vec<u8>, k: Option<ResourceKind>) {
@@ -432,7 +359,7 @@ fn put_lease(out: &mut Vec<u8>, lease_at: Option<SimTime>) {
 fn read_lease(r: &mut Reader<'_>) -> Result<Option<SimTime>, JournalError> {
     match r.u8()? {
         0 => Ok(None),
-        1 => Ok(Some(r.time()?)),
+        1 => Ok(Some(read_time(r)?)),
         t => Err(JournalError::BadTag("lease-at", t)),
     }
 }
@@ -512,7 +439,7 @@ fn read_outcome(r: &mut Reader<'_>) -> Result<MonitorOutcome, JournalError> {
 
 fn put_result(out: &mut Vec<u8>, tr: &TaskResult) {
     put_u64(out, tr.task.0);
-    put_str(out, &tr.category);
+    put_bytes_u64(out, tr.category.as_bytes());
     put_u32(out, tr.worker);
     put_resources(out, &tr.allocated);
     put_time(out, tr.submitted_at);
@@ -527,12 +454,12 @@ fn put_result(out: &mut Vec<u8>, tr: &TaskResult) {
 fn read_result(r: &mut Reader<'_>) -> Result<TaskResult, JournalError> {
     Ok(TaskResult {
         task: TaskId(r.u64()?),
-        category: r.string()?,
+        category: read_string(r)?,
         worker: r.u32()?,
-        allocated: r.resources()?,
-        submitted_at: r.time()?,
-        started_at: r.time()?,
-        finished_at: r.time()?,
+        allocated: read_resources(r)?,
+        submitted_at: read_time(r)?,
+        started_at: read_time(r)?,
+        finished_at: read_time(r)?,
         stage_in_secs: r.f64()?,
         exec_secs: r.f64()?,
         outcome: read_outcome(r)?,
@@ -541,7 +468,7 @@ fn read_result(r: &mut Reader<'_>) -> Result<TaskResult, JournalError> {
 }
 
 fn put_file_ref(out: &mut Vec<u8>, f: &FileRef) {
-    put_str(out, &f.name);
+    put_bytes_u64(out, f.name.as_bytes());
     put_u64(out, f.size_bytes);
     put_bool(out, f.cacheable);
     match &f.kind {
@@ -560,7 +487,7 @@ fn put_file_ref(out: &mut Vec<u8>, f: &FileRef) {
 }
 
 fn read_file_ref(r: &mut Reader<'_>) -> Result<FileRef, JournalError> {
-    let name = r.string()?;
+    let name = read_string(r)?;
     let size_bytes = r.u64()?;
     let cacheable = r.bool()?;
     let kind = match r.u8()? {
@@ -582,7 +509,7 @@ fn read_file_ref(r: &mut Reader<'_>) -> Result<FileRef, JournalError> {
 
 fn put_spec(out: &mut Vec<u8>, spec: &TaskSpec) {
     put_u64(out, spec.id.0);
-    put_str(out, &spec.category);
+    put_bytes_u64(out, spec.category.as_bytes());
     put_u64(out, spec.inputs.len() as u64);
     for f in &spec.inputs {
         put_file_ref(out, f);
@@ -602,7 +529,7 @@ fn put_spec(out: &mut Vec<u8>, spec: &TaskSpec) {
 
 fn read_spec(r: &mut Reader<'_>) -> Result<TaskSpec, JournalError> {
     let id = TaskId(r.u64()?);
-    let category = r.string()?;
+    let category = read_string(r)?;
     let mut inputs = Vec::new();
     for _ in 0..r.u64()? {
         inputs.push(read_file_ref(r)?);
@@ -798,20 +725,20 @@ impl Record {
                 task_idx: r.u64()?,
                 attempt: r.u32()?,
                 front: r.bool()?,
-                since: r.time()?,
+                since: read_time(r)?,
             },
             2 => Record::BackoffArm {
                 task_idx: r.u64()?,
                 attempt: r.u32()?,
-                at: r.time()?,
+                at: read_time(r)?,
             },
             3 => Record::Placed {
                 placement: r.u64()?,
                 worker: r.u32()?,
                 task_idx: r.u64()?,
                 attempt: r.u32()?,
-                alloc: r.resources()?,
-                started_at: r.time()?,
+                alloc: read_resources(r)?,
+                started_at: read_time(r)?,
                 lease_at: read_lease(r)?,
             },
             4 => Record::Zombie {
@@ -850,7 +777,7 @@ impl Record {
             },
             15 => Record::Quarantined {
                 worker: r.u32()?,
-                release_at: r.time()?,
+                release_at: read_time(r)?,
             },
             16 => Record::QuarantineLifted { worker: r.u32()? },
             17 => Record::EnvFailure { count: r.u32()? },
@@ -1418,7 +1345,8 @@ fn put_live(out: &mut Vec<u8>, l: &Ledger) {
 fn read_live(r: &mut Reader<'_>, l: &mut Ledger) -> Result<(), JournalError> {
     l.backoffs.clear();
     for _ in 0..r.u64()? {
-        l.backoffs.push((r.u64()? as usize, r.u32()?, r.time()?));
+        l.backoffs
+            .push((r.u64()? as usize, r.u32()?, read_time(r)?));
     }
     l.placements = Placements::default();
     for _ in 0..r.u64()? {
@@ -1427,8 +1355,8 @@ fn read_live(r: &mut Reader<'_>, l: &mut Ledger) -> Result<(), JournalError> {
             worker: r.u32()?,
             task_idx: r.u64()? as usize,
             attempt: r.u32()?,
-            allocated: r.resources()?,
-            started_at: r.time()?,
+            allocated: read_resources(r)?,
+            started_at: read_time(r)?,
             zombie: r.bool()?,
             lease_at: read_lease(r)?,
         };
@@ -1505,7 +1433,7 @@ fn read_footer(r: &mut Reader<'_>, img: &mut MasterImage) -> Result<(), JournalE
     }
     l.quarantined_until.clear();
     for _ in 0..r.u64()? {
-        l.quarantined_until.push((r.u32()?, r.time()?));
+        l.quarantined_until.push((r.u32()?, read_time(r)?));
     }
     l.quarantines = r.u32()?;
     l.degraded = r.bool()?;
@@ -1641,29 +1569,29 @@ impl MasterImage {
 
     /// Decode a full image.
     pub(crate) fn decode(buf: &[u8]) -> Result<Self, JournalError> {
-        let mut r = Reader::new(buf);
+        let r = &mut Reader::new(buf);
         let mut img = MasterImage::default();
         for _ in 0..r.u64()? {
             img.pending.push_back(Pending {
                 task_idx: r.u64()? as usize,
                 attempt: r.u32()?,
-                since: r.time()?,
+                since: read_time(r)?,
             });
         }
-        read_live(&mut r, &mut img.ledger)?;
+        read_live(r, &mut img.ledger)?;
         for _ in 0..r.u64()? {
             let mut s = CategorySnap::default();
-            read_samples(&mut r, &mut s)?;
+            read_samples(r, &mut s)?;
             img.alloc_stats.push(s);
         }
         let l = &mut img.ledger;
         for _ in 0..r.u64()? {
-            l.dep_remaining.push(read_dep(&mut r)?);
+            l.dep_remaining.push(read_dep(r)?);
         }
         l.completed = r.u64()? as usize;
         l.abandoned = r.u64()?;
         for _ in 0..r.u64()? {
-            l.results.push(read_result(&mut r)?);
+            l.results.push(read_result(r)?);
         }
         for set in [&mut l.retried, &mut l.infra_retried] {
             for _ in 0..r.u64()? {
@@ -1673,7 +1601,7 @@ impl MasterImage {
         for _ in 0..r.u64()? {
             l.infra_fail_count.push(r.u32()?);
         }
-        read_footer(&mut r, &mut img)?;
+        read_footer(r, &mut img)?;
         Ok(img)
     }
 
@@ -1682,17 +1610,17 @@ impl MasterImage {
     /// order; [`Journal::base_image`] restores the canonical order once the
     /// whole chain is in.
     fn apply_delta(&mut self, queue: &mut PendingFold, buf: &[u8]) -> Result<(), JournalError> {
-        let mut r = Reader::new(buf);
+        let r = &mut Reader::new(buf);
         for _ in 0..r.u64()? {
-            match Record::decode(&mut r)? {
+            match Record::decode(r)? {
                 rec @ (Record::Enqueue { .. } | Record::Stolen { .. }) => queue.apply(&rec),
                 _ => return Err(JournalError::Inconsistent("queue operation")),
             }
         }
-        read_live(&mut r, &mut self.ledger)?;
+        read_live(r, &mut self.ledger)?;
         self.ledger.completed = r.u64()? as usize;
         self.ledger.abandoned = r.u64()?;
-        read_footer(&mut r, self)?;
+        read_footer(r, self)?;
         // Streamed admissions may have interned categories since.
         let cats = self.ledger.cat_streak.len().max(self.alloc_stats.len());
         self.alloc_stats.resize_with(cats, CategorySnap::default);
@@ -1701,12 +1629,12 @@ impl MasterImage {
             return Err(JournalError::Inconsistent("observed category"));
         }
         for s in &mut self.alloc_stats[..observed as usize] {
-            read_samples(&mut r, s)?;
+            read_samples(r, s)?;
         }
         let l = &mut self.ledger;
         for _ in 0..r.u64()? {
             let t = r.u64()? as usize;
-            let dep = read_dep(&mut r)?;
+            let dep = read_dep(r)?;
             let infra_fails = r.u32()?;
             match t.cmp(&l.dep_remaining.len()) {
                 std::cmp::Ordering::Less => {
@@ -1736,7 +1664,7 @@ impl MasterImage {
             return Err(JournalError::Inconsistent("task count"));
         }
         for _ in 0..r.u64()? {
-            l.results.push(read_result(&mut r)?);
+            l.results.push(read_result(r)?);
         }
         Ok(())
     }
@@ -2664,9 +2592,11 @@ mod tests {
             assert!(MasterImage::decode(&full[..cut]).is_err(), "cut at {cut}");
         }
         for cut in 0..delta.len() {
-            assert_eq!(
-                apply(&delta[..cut]),
-                Err(JournalError::Truncated),
+            assert!(
+                matches!(
+                    apply(&delta[..cut]),
+                    Err(JournalError::Codec(codec::Error::Truncated { at })) if at <= cut
+                ),
                 "cut at {cut}"
             );
         }
@@ -2972,7 +2902,9 @@ mod tests {
         let mut l = Ledger::default();
         assert_eq!(
             read_live(&mut Reader::new(&lying), &mut l),
-            Err(JournalError::Truncated)
+            Err(JournalError::Codec(codec::Error::Truncated {
+                at: lying.len()
+            }))
         );
     }
 

@@ -44,8 +44,7 @@ pub mod prelude {
     pub use crate::allocate::{AllocationDecision, Allocator, AutoConfig, Strategy};
     pub use crate::faults::{FaultKind, FaultPlan, FaultSpec, ResilienceConfig};
     pub use crate::federation::{
-        run_federated, set_default_shards, FederationConfig, FederationReport, HandoffConfig,
-        PartitionPolicy, StealingConfig,
+        run_federated, set_default_shards, FederationConfig, FederationReport, PartitionPolicy,
     };
     pub use crate::files::{FileKind, FileRef};
     pub use crate::journal::DurabilityConfig;

@@ -25,6 +25,10 @@ cargo build --release --offline
 # breaks a benchmark build or run is what the PR gate refuses first.
 echo "==> cargo build --release (benchmark package) and a smoke of every workload"
 cargo build --release --offline --manifest-path lfm_benchmark/Cargo.toml
+# The benchmark's lockfile mirrors the workspace's dependency edges, and the
+# build above silently prunes it when a product change drops one (`--locked`
+# does not catch removals). Only a `benchmark` PR may change these files.
+git diff --exit-code -- lfm_benchmark BENCHMARK.json
 # Journal bytes per task on master_dag_chaos: 904 B with delta images (9.7 KB
 # while every compaction wrote the whole run so far). The ceiling is twice
 # that, so a term that grows with tasks² cannot come back unnoticed. Only
