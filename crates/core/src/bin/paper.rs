@@ -16,9 +16,10 @@
 //! `--trace` (repeatable) installs the process-wide telemetry recorder and
 //! writes the run's records in the given format once the figures are done;
 //! with `:stream` a background thread tails the recorder while the run is
-//! live instead. `--shards <n>` routes every master the figures build
-//! through an `n`-shard federation. An unknown subcommand or flag prints
-//! the usage to stderr and exits with status 2.
+//! live instead; both write through the same loop and sinks. `--shards
+//! <n>` routes every master the figures build through an `n`-shard
+//! federation. An unknown subcommand or flag prints the usage to stderr
+//! and exits with status 2.
 
 use lfm_core::experiments::fig5::Method;
 use lfm_core::experiments::sweep::SweepPoint;
@@ -27,9 +28,9 @@ use lfm_core::monitor::sim::SimMonitor;
 use lfm_core::parallel::par_map;
 use lfm_core::render::{fmt_bytes, fmt_secs, render_table};
 use lfm_core::telemetry::export::{
-    self, ChromeSink, JsonlSink, PerfettoSink, PerfettoStreamSink, TraceSink,
+    ChromeSink, JsonlSink, PerfettoSink, PerfettoStreamSink, TraceSink,
 };
-use lfm_core::telemetry::{MetricsRegistry, Recorder};
+use lfm_core::telemetry::{MetricsRegistry, Recorder, TailCursor};
 use lfm_core::workloads::{drug, genomic, hep};
 use lfm_core::workqueue::allocate::{AutoConfig, Strategy};
 use lfm_core::workqueue::master::{run_workload, DistMode, MasterConfig, SchedulePolicy};
@@ -843,12 +844,12 @@ impl TraceSpec {
     }
 }
 
-/// What the background streamer hands back at shutdown.
+/// What the trace loop hands back at shutdown.
 struct StreamResult {
     records: u64,
     dropped: u64,
     /// High-water mark of undecoded bytes plus reorder-pending records
-    /// held by the tail cursor — bounded by ring capacity, not run
+    /// held by the recorder's reader — bounded by ring capacity, not run
     /// length (reported so long runs can see the bound holding).
     peak_buffered_bytes: usize,
     peak_pending_records: usize,
@@ -862,19 +863,21 @@ struct Streamer {
     handle: std::thread::JoinHandle<StreamResult>,
 }
 
-/// The streamer body: poll the recorder's ring buffers, push each merged
-/// record into every sink (and the metrics registry), repeat until told
-/// to stop, then take the final tail — including records stuck behind a
-/// cross-shard gap — and close the sinks. Buffered memory is bounded by
-/// the ring capacity plus each sink's own state, independent of run
-/// length; overflow between polls surfaces as a synthesized
-/// `telemetry.dropped_events` count, never a decode error.
+/// The one trace writer: poll the recorder's ring buffers, push each
+/// merged record into every sink (and the metrics registry), repeat until
+/// told to stop, then take the final tail — including records stuck
+/// behind a cross-shard gap — and close the sinks. Run on the streamer
+/// thread, buffered memory is bounded by the ring capacity plus each
+/// sink's own state, independent of run length; run with `stop` already
+/// set, it is one post-hoc pass over the whole run. Overflow since
+/// `cursor` was opened surfaces as a synthesized `telemetry.dropped_events`
+/// count, never a decode error.
 fn stream_loop(
-    recorder: Recorder,
-    stop: Arc<AtomicBool>,
+    recorder: &Recorder,
+    mut cursor: TailCursor,
+    stop: &AtomicBool,
     mut sinks: Vec<Box<dyn TraceSink + Send>>,
 ) -> StreamResult {
-    let mut cursor = recorder.cursor();
     let mut registry = MetricsRegistry::new();
     let mut records = 0u64;
     let mut dropped = 0u64;
@@ -892,8 +895,9 @@ fn stream_loop(
         };
         dropped += batch.dropped_delta;
         records += batch.records.len() as u64;
-        peak_buffered_bytes = peak_buffered_bytes.max(cursor.buffered_bytes());
-        peak_pending_records = peak_pending_records.max(cursor.pending_len());
+        let held = recorder.reader_health();
+        peak_buffered_bytes = peak_buffered_bytes.max(held.undecoded_bytes);
+        peak_pending_records = peak_pending_records.max(held.held_records);
         for record in &batch.records {
             registry.observe_record(record);
             for sink in &mut sinks {
@@ -926,15 +930,26 @@ fn stream_loop(
 /// A trace session over the `--trace` specs.
 ///
 /// Without `:stream`, records accumulate in the recorder's ring buffers
-/// and are written in one pass at [`TraceOpts::finish`]. With at least
-/// one `:stream` spec, a background thread tails the ring buffers while
-/// the run is live and feeds **all** requested sinks incrementally, so
-/// buffered-record memory stays bounded regardless of run length (the
-/// chrome and jsonl formats produce byte-identical files either way).
+/// and are written in one pass of [`stream_loop`] at
+/// [`TraceOpts::finish`]. With at least one `:stream` spec, a background
+/// thread runs that loop while the run is live and feeds **all**
+/// requested sinks incrementally, so buffered-record memory stays bounded
+/// regardless of run length (the chrome and jsonl formats produce
+/// byte-identical files either way).
 struct TraceOpts {
     specs: Vec<TraceSpec>,
     recorder: Recorder,
-    streamer: Option<Streamer>,
+    writer: TraceWriter,
+}
+
+/// Where [`stream_loop`] runs. Its cursor is opened at
+/// [`TraceOpts::start`] either way, so the trace counts every drop of the
+/// run, not only those after the loop begins.
+enum TraceWriter {
+    /// On a background thread while the run is live.
+    Live(Streamer),
+    /// Once, on the calling thread, at [`TraceOpts::finish`].
+    AtFinish(TailCursor),
 }
 
 impl TraceOpts {
@@ -953,31 +968,26 @@ impl TraceOpts {
     /// Start a session draining `recorder`; opens the sinks and spawns the
     /// streamer now if any spec streams.
     fn start(specs: Vec<TraceSpec>, recorder: Recorder) -> Self {
-        let streamer = if recorder.is_enabled() && specs.iter().any(|s| s.stream) {
-            let sinks: Vec<Box<dyn TraceSink + Send>> = specs
-                .iter()
-                .map(|s| {
-                    s.open()
-                        .unwrap_or_else(|e| panic!("open trace sink {}: {e}", s.path.display()))
-                })
-                .collect();
+        let cursor = recorder.cursor();
+        let writer = if recorder.is_enabled() && specs.iter().any(|s| s.stream) {
+            let sinks = open_sinks(&specs);
             let stop = Arc::new(AtomicBool::new(false));
             let handle = {
                 let recorder = recorder.clone();
                 let stop = Arc::clone(&stop);
                 std::thread::Builder::new()
                     .name("trace-stream".into())
-                    .spawn(move || stream_loop(recorder, stop, sinks))
+                    .spawn(move || stream_loop(&recorder, cursor, &stop, sinks))
                     .expect("spawn trace streamer")
             };
-            Some(Streamer { stop, handle })
+            TraceWriter::Live(Streamer { stop, handle })
         } else {
-            None
+            TraceWriter::AtFinish(cursor)
         };
         TraceOpts {
             specs,
             recorder,
-            streamer,
+            writer,
         }
     }
 
@@ -986,19 +996,31 @@ impl TraceOpts {
         self.recorder.is_enabled() && !self.specs.is_empty()
     }
 
-    /// Close out tracing: stop the live streamer (if any) or drain the
-    /// recorder and write each requested file, then print the aggregated
-    /// metrics as one JSON line. No-op without trace flags.
-    fn finish(self) {
+    /// Close out tracing: stop the live streamer, or run its loop once
+    /// here if nothing streamed, then print each file written and the
+    /// aggregated metrics as one JSON line, and return that registry.
+    /// No-op without trace flags.
+    fn finish(self) -> Option<MetricsRegistry> {
         if !self.enabled() {
-            return;
+            return None;
         }
-        if let Some(streamer) = self.streamer {
-            streamer.stop.store(true, Ordering::Release);
-            let result = streamer.handle.join().expect("trace streamer panicked");
-            for spec in &self.specs {
-                println!("{}", spec.report_line(result.records));
+        let streamed = matches!(self.writer, TraceWriter::Live(_));
+        let result = match self.writer {
+            TraceWriter::Live(streamer) => {
+                streamer.stop.store(true, Ordering::Release);
+                streamer.handle.join().expect("trace streamer panicked")
             }
+            TraceWriter::AtFinish(cursor) => stream_loop(
+                &self.recorder,
+                cursor,
+                &AtomicBool::new(true),
+                open_sinks(&self.specs),
+            ),
+        };
+        for spec in &self.specs {
+            println!("{}", spec.report_line(result.records));
+        }
+        if streamed {
             if result.dropped > 0 {
                 println!(
                     "[trace-stream] {} events dropped on ring overflow",
@@ -1009,34 +1031,28 @@ impl TraceOpts {
                 "[trace-stream] peak buffer: {} bytes undecoded, {} records pending",
                 result.peak_buffered_bytes, result.peak_pending_records
             );
-            let mut registry = result.registry;
-            println!("[metrics] {}", registry.to_json());
-            return;
         }
-        let records = self.recorder.take();
-        for spec in &self.specs {
-            match spec.format {
-                TraceFormat::Chrome => {
-                    export::write_chrome_trace(&spec.path, &records).expect("write chrome trace");
-                }
-                TraceFormat::Jsonl => {
-                    export::write_jsonl(&spec.path, &records).expect("write jsonl trace");
-                }
-                TraceFormat::Perfetto => {
-                    export::write_perfetto_trace(&spec.path, &records)
-                        .expect("write perfetto trace");
-                }
-            }
-            println!("{}", spec.report_line(records.len() as u64));
-        }
-        let mut metrics = MetricsRegistry::from_records(&records);
-        println!("[metrics] {}", metrics.to_json());
+        let mut registry = result.registry;
+        println!("[metrics] {}", registry.to_json());
+        Some(registry)
     }
+}
+
+/// Open every spec's sink, panicking with the path on failure.
+fn open_sinks(specs: &[TraceSpec]) -> Vec<Box<dyn TraceSink + Send>> {
+    specs
+        .iter()
+        .map(|s| {
+            s.open()
+                .unwrap_or_else(|e| panic!("open trace sink {}: {e}", s.path.display()))
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lfm_core::telemetry::export;
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -1305,6 +1321,46 @@ mod tests {
         export::validate_trace(&trace).unwrap();
         std::fs::remove_file(chrome).ok();
         std::fs::remove_file(pftrace).ok();
+    }
+
+    /// Ring overflow reaches the written trace and the `[metrics]`
+    /// registry as one `telemetry.dropped_events` counter, whether the
+    /// trace is written at finish or streamed.
+    #[test]
+    fn buffered_and_streamed_traces_count_ring_overflow() {
+        for (mode, suffix) in [("buffered", ""), ("streamed", ":stream")] {
+            let path = std::env::temp_dir().join(format!("lfm_paper_overflow_{mode}.jsonl"));
+            let rec = Recorder::enabled_with_capacity(4);
+            let opts = TraceOpts::start(
+                specs(&[&format!("jsonl{suffix}={}", path.display())]),
+                rec.clone(),
+            );
+            // One thread, one shard: at most 4 records are buffered at once.
+            for _ in 0..100 {
+                rec.counter("paper.overflow", 1);
+            }
+            let dropped = rec.dropped();
+            if mode == "buffered" {
+                assert_eq!(dropped, 96, "nothing drains a buffered trace early");
+            }
+            let registry = opts.finish().expect("tracing is enabled");
+            assert_eq!(
+                registry.counter("telemetry.dropped_events"),
+                dropped,
+                "{mode}"
+            );
+            let body = std::fs::read_to_string(&path).unwrap();
+            let lines: Vec<&str> = (body.lines())
+                .filter(|l| l.contains("\"telemetry.dropped_events\""))
+                .collect();
+            if dropped > 0 {
+                assert_eq!(lines.len(), 1, "{mode}: {lines:?}");
+                assert!(lines[0].contains(&format!("\"value\":{dropped}")), "{mode}");
+            } else {
+                assert!(lines.is_empty(), "{mode}: {lines:?}");
+            }
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]

@@ -264,13 +264,15 @@ impl ServingConfig {
         self
     }
 
-    /// Enable live SLO burn-rate alerting. The gateway becomes the one
-    /// draining tail consumer of the configured recorder (see
-    /// [`Recorder::cursor`]): `serving.*` records are consumed
-    /// incrementally each tick, so a post-run `take()` on a shared
-    /// recorder only sees records emitted after the final drain. If
-    /// telemetry is disabled the gateway swaps in a private enabled
-    /// recorder so alerting works without an exported trace.
+    /// Enable live SLO burn-rate alerting. The gateway becomes the
+    /// recorder's one consumer for the run (see [`Recorder::cursor`]): it
+    /// drains every record each tick, so a post-run `take()` on a shared
+    /// recorder only sees records emitted after the final drain, and
+    /// nothing else should read the recorder while the run is live. Reads
+    /// before the run are fine: the tail starts at the first record they
+    /// did not return. If telemetry is disabled the gateway swaps in a
+    /// private enabled recorder so alerting works without an exported
+    /// trace.
     pub fn with_slo(mut self, slo: SloConfig) -> Self {
         self.slo = Some(slo);
         self
@@ -1496,6 +1498,27 @@ mod tests {
         // The SLO tail is the one draining consumer: by the time the run
         // returns, every record has been consumed incrementally.
         assert!(rec.take().is_empty());
+    }
+
+    #[test]
+    fn slo_control_on_a_read_recorder_matches_a_fresh_one() {
+        let run = |rec: Recorder| {
+            let cfg = base_config()
+                .with_admission(AdmissionConfig::new(512))
+                .with_horizon(20.0)
+                .with_telemetry(rec)
+                .with_slo(burn_slo())
+                .with_control(ControlConfig::new());
+            ServingGateway::new(cfg, vec![fast_fn()], flood_tenants()).run()
+        };
+        let fresh = run(Recorder::enabled());
+        assert!(!fresh.alerts.is_empty() && !fresh.control_actions.is_empty());
+        // A recorder someone already read: its SLO tail must not wait for
+        // records that read consumed.
+        let read = Recorder::enabled();
+        read.counter("gateway.test.before_run", 1);
+        assert_eq!(read.take().len(), 1);
+        assert_eq!(run(read), fresh);
     }
 
     use lfm_workqueue::faults::{FaultPlan, FaultSpec};

@@ -20,10 +20,9 @@
 //! state; the Perfetto sinks are in [`crate::perfetto`] ([`PerfettoSink`]
 //! buffered + byte-identical to [`perfetto_trace`],
 //! [`PerfettoStreamSink`] incremental + bounded). The slice-based
-//! [`chrome_trace`] / [`jsonl`] / [`write_chrome_trace`] /
-//! [`write_jsonl`] functions are legacy shims implemented over the sinks
-//! (kept because their output is pinned byte-for-byte by golden tests —
-//! prefer the sinks in new code).
+//! [`chrome_trace`] / [`jsonl`] functions are shims implemented over the
+//! sinks (kept because their output is pinned byte-for-byte by golden
+//! tests — prefer the sinks in new code).
 //!
 //! Everything is built with the same hand-rolled JSON writer the resource
 //! monitor's summaries use ([`lfm_monitor::summary::JsonObject`]) — the
@@ -32,8 +31,7 @@
 //! golden integration test).
 
 pub use crate::perfetto::{
-    perfetto_trace, validate_trace, write_perfetto_trace, PerfettoSink, PerfettoStreamSink,
-    TraceStats,
+    perfetto_trace, validate_trace, PerfettoSink, PerfettoStreamSink, TraceStats,
 };
 
 use crate::metrics::MetricsRegistry;
@@ -41,7 +39,6 @@ use crate::record::{AttrValue, Record};
 use lfm_monitor::summary::JsonObject;
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::path::Path;
 
 /// A streaming trace exporter: `begin` once, `record` per record in
 /// merged `seq` order, `finish` once to terminate the document. Sinks
@@ -296,22 +293,6 @@ pub fn jsonl(records: &[Record]) -> String {
     let mut sink = JsonlSink::new(Vec::new());
     export_records(&mut sink, records.iter().cloned()).expect("Vec write is infallible");
     String::from_utf8(sink.into_inner()).expect("JSON writer emits UTF-8")
-}
-
-/// Write the Chrome trace for `records` to `path` (streamed through
-/// [`ChromeSink`]; legacy slice shim).
-pub fn write_chrome_trace(path: &Path, records: &[Record]) -> std::io::Result<()> {
-    let f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    let mut sink = ChromeSink::new(f);
-    export_records(&mut sink, records.iter().cloned())
-}
-
-/// Write the JSONL dump for `records` to `path` (streamed through
-/// [`JsonlSink`]; legacy slice shim).
-pub fn write_jsonl(path: &Path, records: &[Record]) -> std::io::Result<()> {
-    let f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    let mut sink = JsonlSink::new(f);
-    export_records(&mut sink, records.iter().cloned())
 }
 
 /// Strict structural JSON validator (no value model — it only answers "is

@@ -22,11 +22,15 @@
 //!   interned-name ids ([`Name`]) instead of heap `String`s, varint fields,
 //!   delta-coded timestamps. A span that used to cost two `String`
 //!   allocations plus a ~150-byte enum now costs ~10–30 buffer bytes and
-//!   zero allocations (amortised). [`Recorder::take`] / [`Recorder::snapshot`]
-//!   stream-decode the shards back into [`Record`]s through a k-way merge
-//!   on the global sequence number, so exporters and tests see exactly the
-//!   stream the heap-record implementation produced — byte-identical traces
-//!   for identical seeded runs.
+//!   zero allocations (amortised).
+//! * **One reader.** The recorder owns the only decoder of its shard
+//!   streams, a [`tail::TailMerger`] that k-way merges them on the global
+//!   sequence number. [`Recorder::take`], [`Recorder::snapshot`] (on a
+//!   clone of it) and the live [`Recorder::drain_since`] /
+//!   [`Recorder::finish_tail`] all read through it, so exporters and tests
+//!   see exactly the stream the heap-record implementation produced —
+//!   byte-identical traces for identical seeded runs — however reads
+//!   interleave.
 //! * **Sharded buffers.** Live recording appends to one of a fixed set of
 //!   mutex-guarded shards chosen by thread, so parallel sweep jobs sharing
 //!   a recorder do not serialize on one lock. A global sequence number
@@ -46,11 +50,11 @@
 //! * `seq` is bumped with `fetch_add` *while holding the emitting shard's
 //!   mutex*. The total order of the merged stream comes from the **values**
 //!   the counter hands out, not from memory ordering; and the
-//!   happens-before edges that make each encoded record visible to
-//!   `take`/`snapshot` come from the shard mutexes (readers lock every
-//!   shard). Holding the lock across the `fetch_add` also makes sequence
-//!   numbers strictly increasing *within* a shard, which is what lets the
-//!   wire format delta-code them as non-negative varints.
+//!   happens-before edges that make each encoded record visible to the
+//!   reader come from the shard mutexes (every read locks every shard).
+//!   Holding the lock across the `fetch_add` also makes sequence numbers
+//!   strictly increasing *within* a shard, which is what lets the wire
+//!   format delta-code them as non-negative varints.
 //! * `dropped` is a pure statistics counter guarding no data; `swap(0,
 //!   Relaxed)` in `take` is a single atomic read-and-reset, which is all
 //!   the reset needs. Its value is only *reported* (never used to index or
@@ -93,8 +97,8 @@ pub mod wire;
 pub use intern::Name;
 pub use metrics::MetricsRegistry;
 pub use record::{AttrValue, InstantRecord, MetricKind, MetricRecord, Record, SpanRecord};
-pub use tail::{TailBatch, TailCursor};
-pub use wire::{AttrVal, DecodeError, MergeDecoder, ShardDecoder};
+pub use tail::{ReaderHealth, TailBatch, TailCursor};
+pub use wire::{AttrVal, DecodeError, ShardDecoder};
 
 use lfm_simcluster::time::SimTime;
 use parking_lot::Mutex;
@@ -103,6 +107,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+use tail::TailMerger;
 use wire::{CodecState, PendingInstant, PendingSpan};
 
 /// Number of per-thread buffer shards. A small power of two: the stack
@@ -115,7 +120,8 @@ const SHARD_COUNT: usize = 16;
 const DEFAULT_SHARD_CAPACITY: usize = 1 << 18;
 
 /// One shard: an append-only byte buffer of wire-encoded records plus the
-/// codec state both ends of the wire mirror (seq/time deltas).
+/// encoder's codec state (seq/time deltas), which the reader's decoder for
+/// this shard mirrors.
 #[derive(Default)]
 struct Shard {
     buf: Vec<u8>,
@@ -123,15 +129,9 @@ struct Shard {
     /// records, not bytes, preserves the PR-2 overflow semantics exactly).
     records: usize,
     /// Encoder state at the *end* of `buf` (what the next record is
-    /// delta-coded against).
+    /// delta-coded against). Never reset: a read hands `buf` to the reader,
+    /// whose decoder state continues from the same point.
     st: CodecState,
-    /// Decoder state at the *start* of `buf`. Equal to the default until a
-    /// tail consumer drains the shard mid-run: a tail drain takes the
-    /// bytes without resetting `st`, so the remaining stream's first
-    /// record is delta-coded against the drained prefix and any later
-    /// whole-buffer decode ([`Recorder::take`] / [`Recorder::snapshot`])
-    /// must resume from this state.
-    base_st: CodecState,
 }
 
 struct Inner {
@@ -148,11 +148,10 @@ struct Inner {
     /// never reset, so tail cursors can report per-poll deltas no matter
     /// how `take` interleaves with them.
     dropped_total: AtomicU64,
-    /// Bumped by every [`Recorder::take`]; tail cursors compare it to
-    /// detect that records were consumed behind their back and resync
-    /// instead of waiting forever for sequence numbers that will never
-    /// arrive.
-    take_epoch: AtomicU64,
+    /// The one reader of the shard streams. Every read locks it first and
+    /// the shards after it, one at a time, so reads are ordered and
+    /// emission only ever waits on its own shard.
+    reader: Mutex<TailMerger>,
     /// Wall-clock origin for host-side spans ([`Recorder::wall_span`]).
     origin: Instant,
 }
@@ -187,6 +186,46 @@ impl std::fmt::Debug for Recorder {
 impl Inner {
     fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().records).sum()
+    }
+
+    /// Feed every shard's buffered bytes to `reader`, emptying the shards
+    /// if `consume`; returns the number of records fed. Callers hold the
+    /// reader lock (or read into a clone taken under it).
+    fn feed_shards(&self, reader: &mut TailMerger, consume: bool) -> usize {
+        let mut records = 0;
+        for (i, s) in self.shards.iter().enumerate() {
+            let mut shard = s.lock();
+            if shard.buf.is_empty() {
+                continue;
+            }
+            records += shard.records;
+            if consume {
+                shard.records = 0;
+                reader.feed_from(i, &mut shard.buf);
+            } else {
+                reader.feed(i, &shard.buf);
+            }
+        }
+        records
+    }
+
+    /// Drain the shards through the reader: every record released since
+    /// the last read in `seq` order — with `flush`, also those still held
+    /// behind a sequence gap.
+    fn read(&self, flush: bool) -> Vec<Record> {
+        let mut reader = self.reader.lock();
+        let mut out = Vec::with_capacity(self.feed_shards(&mut reader, true) + 1);
+        if flush {
+            reader.flush(&mut out);
+        } else {
+            reader.poll(&mut out);
+        }
+        debug_assert!(
+            reader.health().errors.is_empty(),
+            "self-encoded stream must decode cleanly: {:?}",
+            reader.health().errors
+        );
+        out
     }
 }
 
@@ -226,7 +265,7 @@ impl Recorder {
                 shard_capacity: shard_capacity.max(1),
                 dropped: AtomicU64::new(0),
                 dropped_total: AtomicU64::new(0),
-                take_epoch: AtomicU64::new(0),
+                reader: Mutex::new(TailMerger::default()),
                 origin: Instant::now(),
             })),
         }
@@ -290,19 +329,6 @@ impl Recorder {
         } = &mut *shard;
         encode(seq, buf, st);
         *records += 1;
-    }
-
-    /// The synthetic record surfacing the overflow count: an untimed
-    /// monotonic counter, which the Chrome exporter aggregates into
-    /// `otherData` like any other untimed metric.
-    fn dropped_record(seq: u64, dropped: u64) -> Record {
-        Record::Metric(MetricRecord {
-            seq,
-            name: "telemetry.dropped_events".to_string(),
-            kind: MetricKind::Counter,
-            value: dropped as f64,
-            at_secs: None,
-        })
     }
 
     /// Begin a span description; finish with [`SpanBuilder::emit`]. When
@@ -460,92 +486,50 @@ impl Recorder {
         }
     }
 
-    /// Decode + k-way merge shard buffers into `seq` order, resuming each
-    /// shard from its saved base codec state (non-default only after a
-    /// tail consumer drained a prefix of the stream).
-    fn decode_merged(bufs: &[(Vec<u8>, CodecState)], capacity: usize) -> Vec<Record> {
-        let mut out = Vec::with_capacity(capacity + 1);
-        let mut merge = MergeDecoder::with_states(bufs.iter().map(|(b, st)| (b.as_slice(), *st)));
-        out.extend(merge.by_ref());
-        debug_assert!(
-            merge.errors().is_empty(),
-            "self-encoded stream must decode cleanly: {:?}",
-            merge.errors()
-        );
-        out
-    }
-
-    /// Drain every shard and return the merged stream in `seq` order. If
-    /// any records were dropped at full shards, a synthetic untimed
+    /// Drain every shard and return the merged stream in `seq` order,
+    /// including records a live tail was still holding behind a sequence
+    /// gap. If any records were dropped at full shards, a synthetic
     /// `telemetry.dropped_events` counter carrying the count is appended
-    /// and the drop counter resets.
+    /// (see [`Recorder::synthesize_dropped`]) and the drop counter resets.
     pub fn take(&self) -> Vec<Record> {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
-        let mut total = 0;
-        let bufs: Vec<(Vec<u8>, CodecState)> = inner
-            .shards
-            .iter()
-            .map(|s| {
-                let mut shard = s.lock();
-                total += shard.records;
-                shard.records = 0;
-                shard.st = CodecState::default();
-                let base = shard.base_st;
-                shard.base_st = CodecState::default();
-                (std::mem::take(&mut shard.buf), base)
-            })
-            .collect();
-        inner.take_epoch.fetch_add(1, Ordering::Relaxed);
-        let mut out = Self::decode_merged(&bufs, total);
-        let dropped = inner.dropped.swap(0, Ordering::Relaxed);
-        if dropped > 0 {
-            let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-            out.push(Self::dropped_record(seq, dropped));
-        }
+        let mut out = inner.read(true);
+        out.extend(self.synthesize_dropped(inner.dropped.swap(0, Ordering::Relaxed)));
         out
     }
 
-    /// Clone the merged stream in `seq` order **without draining**:
-    /// repeated snapshots (and a later [`Recorder::take`] or tail drain)
-    /// all see the same buffered records — nothing is consumed or reset.
-    /// A nonzero drop count is surfaced as a trailing synthetic
-    /// `telemetry.dropped_events` counter (without resetting it).
+    /// What [`Recorder::take`] would return, **without draining**: the
+    /// same read on a clone of the reader and of the shard bytes, so
+    /// repeated snapshots (and a later `take` or tail drain) all see the
+    /// same records. A nonzero drop count is surfaced as a trailing
+    /// synthetic `telemetry.dropped_events` counter, without resetting it.
     pub fn snapshot(&self) -> Vec<Record> {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
-        let mut total = 0;
-        let bufs: Vec<(Vec<u8>, CodecState)> = inner
-            .shards
-            .iter()
-            .map(|s| {
-                let shard = s.lock();
-                total += shard.records;
-                (shard.buf.clone(), shard.base_st)
-            })
-            .collect();
-        let mut out = Self::decode_merged(&bufs, total);
-        let dropped = inner.dropped.load(Ordering::Relaxed);
-        if dropped > 0 {
-            out.push(Self::dropped_record(
-                inner.seq.load(Ordering::Relaxed),
-                dropped,
-            ));
-        }
+        // Hold the live reader while copying the shards: a drain in
+        // between would move records out of both copies.
+        let (mut reader, records) = {
+            let live = inner.reader.lock();
+            let mut copy = live.clone();
+            let records = inner.feed_shards(&mut copy, false);
+            (copy, records)
+        };
+        let mut out = Vec::with_capacity(records + 1);
+        reader.flush(&mut out);
+        out.extend(self.synthesize_dropped(inner.dropped.load(Ordering::Relaxed)));
         out
     }
 
     /// Clone the raw binary shard buffers without draining or decoding.
-    /// Each buffer is an independent wire stream for [`ShardDecoder`];
-    /// feed all of them to [`MergeDecoder`] to reconstruct the total
-    /// order. [`Recorder::take`] is the in-process convenience wrapper
-    /// around exactly that; this accessor is for consumers that ship the
-    /// bytes elsewhere (or tests that corrupt them on purpose). Note that
-    /// after a tail drain the buffers no longer start from the default
-    /// codec state, so a fresh [`ShardDecoder`] only decodes them when no
-    /// tail consumer is active.
+    /// Each buffer is an independent wire stream for [`ShardDecoder`]
+    /// (or a [`tail::TailMerger`] fed all of them); this accessor is for
+    /// consumers that ship the bytes elsewhere, or tests that corrupt them
+    /// on purpose. A shard's encoder state is never reset, so once the
+    /// recorder has been read a fresh [`ShardDecoder`] no longer decodes
+    /// what that shard buffers next.
     pub fn raw_shards(&self) -> Vec<Vec<u8>> {
         let Some(inner) = &self.inner else {
             return Vec::new();
@@ -553,86 +537,85 @@ impl Recorder {
         inner.shards.iter().map(|s| s.lock().buf.clone()).collect()
     }
 
-    /// Open a tail cursor at the current take-epoch with zero drained
-    /// records. Hand it to [`Recorder::drain_since`] to consume the
-    /// stream incrementally while the run is live.
+    /// Open a tail cursor: hand it to [`Recorder::drain_since`] to consume
+    /// the stream incrementally while the run is live. Its first poll
+    /// reports the drops since it was opened.
     ///
-    /// A recorder supports **one** draining tail consumer at a time:
-    /// drains consume buffered records (like [`Recorder::take`], but
-    /// incremental), so two cursors — or a cursor raced against periodic
-    /// `take` calls — would each see a disjoint subset of the stream.
+    /// The records come from the recorder's one reader, so a recorder has
+    /// **one** consumer at a time: every read drains, and two cursors — or
+    /// a cursor raced against periodic `take` calls — would each see a
+    /// disjoint part of the stream. A cursor opened after earlier reads
+    /// picks up at the first record they did not return.
     /// [`Recorder::snapshot`] stays safe to mix in: it never consumes, so
     /// a snapshot-then-drain sequence sees each record exactly once in
     /// the drain (no double counting, pinned by a unit test).
     pub fn cursor(&self) -> TailCursor {
-        TailCursor::new(
-            SHARD_COUNT,
-            self.inner
-                .as_ref()
-                .map(|i| i.take_epoch.load(Ordering::Relaxed))
-                .unwrap_or(0),
-        )
+        TailCursor {
+            dropped_seen: (self.inner.as_ref())
+                .map_or(0, |i| i.dropped_total.load(Ordering::Relaxed)),
+        }
     }
 
-    /// Drain every record buffered since the cursor's last poll and merge
-    /// them into `seq` order, without resetting the per-shard codec state
-    /// — successive drains are one continuous wire stream per shard, so
-    /// concatenating the raw chunks reproduces exactly what an undrained
-    /// buffer would have held. Records dropped at full shards since the
-    /// last poll are reported as [`TailBatch::dropped_delta`] (never as a
-    /// decode error). Records whose sequence numbers have gaps still being
-    /// filled by other shards stay buffered in the cursor until the gap
-    /// closes; [`Recorder::finish_tail`] flushes them at end of run.
+    /// Drain every record buffered since the last read and merge them into
+    /// `seq` order. Successive reads continue each shard's wire stream
+    /// where the last one stopped, so they concatenate into exactly what
+    /// one undrained buffer would have held. Records dropped at full
+    /// shards since the last poll are reported as
+    /// [`TailBatch::dropped_delta`] (never as a decode error). Records
+    /// whose sequence numbers have gaps still being filled by other shards
+    /// stay in the reader until the gap closes; [`Recorder::finish_tail`]
+    /// flushes them at end of run.
     pub fn drain_since(&self, cursor: &mut TailCursor) -> TailBatch {
+        self.tail(cursor, false)
+    }
+
+    /// Final tail poll: drain whatever is still buffered and flush any
+    /// records held for sequence-gap contiguity. Call once after the
+    /// producing run has finished.
+    pub fn finish_tail(&self, cursor: &mut TailCursor) -> TailBatch {
+        self.tail(cursor, true)
+    }
+
+    fn tail(&self, cursor: &mut TailCursor, flush: bool) -> TailBatch {
         let Some(inner) = &self.inner else {
             return TailBatch::default();
         };
-        let epoch = inner.take_epoch.load(Ordering::Relaxed);
-        cursor.observe_epoch(epoch);
-        for (i, s) in inner.shards.iter().enumerate() {
-            let mut shard = s.lock();
-            if shard.buf.is_empty() {
-                continue;
-            }
-            shard.records = 0;
-            // Keep `st` (encoder keeps delta-coding against the drained
-            // prefix) and advance `base_st` to match: the buffer now
-            // starts where the encoder stands.
-            shard.base_st = shard.st;
-            cursor.feed(i, &shard.buf);
-            // clear() keeps the allocation: stealing the Vec would force
-            // the emit hot path to regrow it from zero after every poll.
-            shard.buf.clear();
-        }
-        let records = cursor.poll();
-        let dropped_delta = cursor.observe_dropped(inner.dropped_total.load(Ordering::Relaxed));
+        let records = inner.read(flush);
+        let total = inner.dropped_total.load(Ordering::Relaxed);
+        let dropped_delta = total.saturating_sub(cursor.dropped_seen);
+        cursor.dropped_seen = total;
         TailBatch {
             records,
             dropped_delta,
         }
     }
 
-    /// Final tail poll: drain whatever is still buffered, then flush any
-    /// records the cursor was holding for sequence-gap contiguity. Call
-    /// once after the producing run has finished.
-    pub fn finish_tail(&self, cursor: &mut TailCursor) -> TailBatch {
-        let mut batch = self.drain_since(cursor);
-        batch.records.extend(cursor.flush());
-        batch
+    /// What the reader holds between reads: undecoded bytes, records held
+    /// behind a sequence gap, and decode errors (none, for a recorder's own
+    /// bytes). Default for a disabled recorder.
+    pub fn reader_health(&self) -> ReaderHealth {
+        (self.inner.as_ref()).map_or_else(ReaderHealth::default, |i| i.reader.lock().health())
     }
 
-    /// Build the synthetic `telemetry.dropped_events` record a tail
-    /// consumer appends at end of stream, consuming one fresh sequence
-    /// number exactly like [`Recorder::take`] does for its own synthetic
-    /// record. Pure construction: no counters are read or reset — pass
-    /// the drop total the cursor accumulated.
+    /// The synthetic `telemetry.dropped_events` record — an untimed
+    /// monotonic counter, which the Chrome exporter aggregates into
+    /// `otherData` like any other untimed metric — carrying `dropped`, or
+    /// `None` when it is 0. It takes the next sequence number without
+    /// claiming it (the next real record carries the same `seq`), so the
+    /// reader never waits on a `seq` no shard carries. [`Recorder::take`]
+    /// and [`Recorder::snapshot`] append it themselves; a tail consumer
+    /// passes the drop total its cursor accumulated.
     pub fn synthesize_dropped(&self, dropped: u64) -> Option<Record> {
         let inner = self.inner.as_ref()?;
-        if dropped == 0 {
-            return None;
-        }
-        let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-        Some(Self::dropped_record(seq, dropped))
+        (dropped > 0).then(|| {
+            Record::Metric(MetricRecord {
+                seq: inner.seq.load(Ordering::Relaxed),
+                name: "telemetry.dropped_events".to_string(),
+                kind: MetricKind::Counter,
+                value: dropped as f64,
+                at_secs: None,
+            })
+        })
     }
 
     /// Aggregate the buffered metric samples into a registry.

@@ -48,7 +48,6 @@ use crate::export::TraceSink;
 use crate::record::{AttrValue, MetricKind, Record};
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::path::Path;
 
 const NANOS: f64 = 1e9;
 
@@ -370,14 +369,6 @@ pub fn perfetto_trace(records: &[Record]) -> Vec<u8> {
         put_len_field(&mut out, 1, bytes);
     }
     out
-}
-
-/// Write the Perfetto trace for `records` to `path` (legacy slice shim
-/// over [`PerfettoSink`]).
-pub fn write_perfetto_trace(path: &Path, records: &[Record]) -> std::io::Result<()> {
-    let f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    let mut sink = PerfettoSink::new(f);
-    crate::export::export_records(&mut sink, records.iter().cloned())
 }
 
 /// Buffered Perfetto sink: collects the whole stream and renders it with

@@ -1,46 +1,47 @@
-//! Live tailing: incremental consumption of the shard ring buffers while
-//! the run is still producing.
+//! The recorder's reader: incremental decoding and merging of the shard
+//! streams, for live tails and post-hoc reads alike.
 //!
-//! [`crate::Recorder::take`] / [`crate::Recorder::snapshot`] are
-//! post-mortem drains: they decode the whole buffered stream at once. The
-//! tailer turns the same binary wire streams into an *online* source — a
-//! consumer polls [`crate::Recorder::drain_since`] with a [`TailCursor`]
-//! and receives, each poll, exactly the records that became visible since
-//! the previous poll, already k-way merged into global `seq` order.
+//! Every [`crate::Recorder`] owns exactly one [`TailMerger`]. Every read —
+//! [`crate::Recorder::take`], [`crate::Recorder::snapshot`] (on a clone of
+//! it), and the live [`crate::Recorder::drain_since`] /
+//! [`crate::Recorder::finish_tail`] — moves the shards' buffered bytes into
+//! it and collects the records it releases, already k-way merged into
+//! global `seq` order. A read drains; what one reader hands out, no other
+//! read sees again.
 //!
-//! Three invariants make the cursor correct:
+//! Three invariants make that correct:
 //!
-//! 1. **Codec continuity.** A tail drain takes a shard's bytes *without*
-//!    resetting its encoder state, so the chunks a cursor receives over
-//!    time concatenate into the exact byte stream an undrained buffer
-//!    would have held. Each [`ShardTail`] resumes its decoder from the
-//!    state saved after the previous chunk
-//!    ([`crate::wire::ShardDecoder`]'s resumable form) — the prefix is
-//!    never re-decoded.
+//! 1. **Codec continuity.** Nothing ever resets a shard's encoder state,
+//!    and the reader's [`ShardTail`] for that shard continues its decoder
+//!    state, so the chunks a shard hands over across reads concatenate
+//!    into one wire stream and no prefix is ever re-decoded.
 //! 2. **Sequence density.** Overflowing records are dropped *before* a
-//!    sequence number is assigned, so the surviving global stream is
-//!    dense. [`TailMerger`] exploits that: it emits records only while
-//!    the head of its reorder buffer is contiguous with the last emitted
-//!    `seq`, holding cross-shard stragglers (a record written to another
-//!    shard after this poll already passed it) until the gap closes. The
-//!    reorder buffer is therefore bounded by what the shards themselves
-//!    can hold — memory stays constant no matter how long the run is.
+//!    sequence number is assigned, and the synthetic
+//!    `telemetry.dropped_events` records take the next `seq` without
+//!    claiming it, so the shards carry every `seq` the counter handed out.
+//!    [`TailMerger`] exploits that: it releases records only while the
+//!    smallest shard head is contiguous with the last one released,
+//!    holding cross-shard stragglers (a record written to another shard
+//!    after this read already passed it) until the gap closes. Its gate is
+//!    never reset, so a consumer that opens a cursor on a recorder someone
+//!    already read picks up where that read stopped.
 //! 3. **Drop accounting.** Overflow between polls surfaces as
-//!    [`TailBatch::dropped_delta`] (computed from a monotonic lifetime
-//!    counter, so it survives `take`'s reset of the per-epoch counter) —
-//!    never as a decode error and never as a permanently-stalled gap.
+//!    [`TailBatch::dropped_delta`] (from a monotonic lifetime counter,
+//!    which `take`'s reset of the per-take counter does not touch) —
+//!    never as a decode error and never as a gap.
 //!
-//! Truncated input — a consumer tailing *shipped* bytes that end
-//! mid-record — yields [`TailPoll::NeedMoreData`] and resumes cleanly
-//! when the rest arrives; only genuinely corrupt bytes produce a
-//! [`DecodeError`]. In-process drains always hand out whole records (the
-//! encoder appends atomically under the shard lock), so `NeedMoreData`
-//! there only means "buffer exhausted".
+//! Records behind a gap wait as undecoded bytes, not as records: a tail
+//! decodes one record ahead of what it releases, so the reader holds at
+//! most one decoded record per shard. Truncated input — a consumer tailing
+//! *shipped* bytes that end mid-record — yields [`TailPoll::NeedMoreData`]
+//! and resumes cleanly when the rest arrives; only genuinely corrupt bytes,
+//! or a record still cut short at [`TailMerger::flush`], produce a
+//! [`DecodeError`]. In-process reads always hand over whole records (the
+//! encoder appends atomically under the shard lock).
 
 use crate::codec;
 use crate::record::Record;
 use crate::wire::{CodecState, DecodeError, ShardDecoder};
-use std::collections::VecDeque;
 
 /// Result of one [`ShardTail::poll`].
 #[derive(Debug, PartialEq)]
@@ -58,18 +59,17 @@ pub enum TailPoll {
 /// fed; the decoder state only advances past *complete* records, so a
 /// failed attempt is invisible (no partial state, no re-decode of the
 /// prefix once the record completes).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct ShardTail {
     buf: Vec<u8>,
-    /// Consumed prefix of `buf` (compacted away periodically).
+    /// Consumed prefix of `buf`.
     pos: usize,
     /// Decoder state after the last complete record.
     st: CodecState,
-    /// Decoded records not yet handed out. Sequence numbers are claimed
-    /// under the shard lock, so within one shard they are strictly
-    /// increasing — this queue is always sorted, which is what lets
-    /// [`TailMerger`] merge without a per-record reorder structure.
-    ready: VecDeque<Record>,
+    /// The next record, decoded but not handed out. Sequence numbers are
+    /// claimed under the shard lock, so within one shard they strictly
+    /// increase: this head is the shard's smallest pending `seq`.
+    head: Option<Record>,
     /// First real corruption error, if any; the tail fuses on it.
     failed: Option<DecodeError>,
 }
@@ -83,40 +83,46 @@ impl ShardTail {
     pub fn feed(&mut self, bytes: &[u8]) {
         // Compact the consumed prefix before growing: keeps the buffer
         // bounded by (undecoded tail + chunk), not by stream length.
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
+        self.buf.drain(..self.pos);
+        self.pos = 0;
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Decode every complete record currently buffered into the ready
-    /// queue with a single decoder pass, committing position and codec
-    /// state after each success — a trailing truncated record is simply
-    /// never committed, so it retries when more bytes arrive. One decoder
-    /// per fill (not per record) is what keeps the live path within the
-    /// post-hoc decoder's throughput.
+    /// [`ShardTail::feed`] that empties `bytes`. With nothing pending the
+    /// two buffers swap: no byte is copied, and the producer gets this
+    /// tail's spent allocation to refill.
+    fn feed_from(&mut self, bytes: &mut Vec<u8>) {
+        if self.pos == self.buf.len() {
+            self.buf.clear();
+            self.pos = 0;
+            std::mem::swap(&mut self.buf, bytes);
+        } else {
+            self.feed(bytes);
+            bytes.clear();
+        }
+    }
+
+    /// Decode the next complete record into `head`, if none is held. A
+    /// trailing truncated record is never committed, so it retries when
+    /// more bytes arrive.
     fn fill(&mut self) {
-        if self.failed.is_some() || self.pos >= self.buf.len() {
+        if self.head.is_some() || self.failed.is_some() || self.pos == self.buf.len() {
             return;
         }
         let mut dec = ShardDecoder::with_state(&self.buf[self.pos..], self.st);
-        let mut committed = (0usize, self.st);
-        loop {
-            match dec.next() {
-                Some(Ok(record)) => {
-                    committed = (dec.position(), dec.state());
-                    self.ready.push_back(record);
-                }
-                Some(Err(DecodeError::Codec(codec::Error::Truncated { .. }))) | None => break,
-                Some(Err(e)) => {
-                    self.failed = Some(e);
-                    break;
+        match dec.next() {
+            Some(Ok(record)) => {
+                self.pos += dec.position();
+                self.st = dec.state();
+                self.head = Some(record);
+                if self.pos == self.buf.len() {
+                    self.buf.clear();
+                    self.pos = 0;
                 }
             }
+            Some(Err(DecodeError::Codec(codec::Error::Truncated { .. }))) | None => {}
+            Some(Err(e)) => self.failed = Some(e),
         }
-        self.pos += committed.0;
-        self.st = committed.1;
     }
 
     /// Decode the next record, if a complete one is buffered.
@@ -126,29 +132,33 @@ impl ShardTail {
     /// Records decoded before the corruption point are still handed out
     /// first.
     pub fn poll(&mut self) -> Result<TailPoll, DecodeError> {
-        if self.ready.is_empty() {
-            self.fill();
-        }
-        if let Some(record) = self.ready.pop_front() {
+        self.fill();
+        if let Some(record) = self.head.take() {
             return Ok(TailPoll::Record(record));
         }
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
+        match &self.failed {
+            Some(e) => Err(e.clone()),
+            None => Ok(TailPoll::NeedMoreData),
         }
-        Ok(TailPoll::NeedMoreData)
     }
 
-    /// Sequence number of the next ready record, if any is decoded.
-    fn head_seq(&self) -> Option<u64> {
-        self.ready.front().map(Record::seq)
+    /// Sequence number of the next record, decoding it if need be.
+    fn head_seq(&mut self) -> Option<u64> {
+        self.fill();
+        self.head.as_ref().map(Record::seq)
     }
 
-    fn pop_ready(&mut self) -> Record {
-        self.ready.pop_front().expect("pop_ready on empty queue")
-    }
-
-    fn error(&self) -> Option<&DecodeError> {
-        self.failed.as_ref()
+    /// End of stream: bytes left undecoded are a record cut short. A tail
+    /// left empty releases its buffer, so a reader does not keep the peak
+    /// of a large read for the recorder's lifetime.
+    fn close(&mut self) {
+        if self.pos == self.buf.len() {
+            self.buf = Vec::new();
+            self.pos = 0;
+        } else if self.failed.is_none() {
+            let mut dec = ShardDecoder::with_state(&self.buf[self.pos..], self.st);
+            self.failed = dec.next().and_then(Result::err);
+        }
     }
 
     /// Bytes buffered but not yet decoded (diagnostics / memory bound).
@@ -157,139 +167,118 @@ impl ShardTail {
     }
 }
 
-/// Incremental k-way merge of the per-shard tail streams on `seq`.
+/// Incremental k-way merge of per-shard wire streams on `seq`: the one
+/// reader a [`crate::Recorder`] owns.
 ///
-/// The post-hoc [`crate::MergeDecoder`] sees every shard's full stream up
-/// front; this merger accepts mid-stream appends. Because the live global
-/// stream is sequence-dense, emission is gated on contiguity: records are
-/// released only while `seq` matches the next expected value, and
-/// stragglers wait in their shard's (already sorted) ready queue — the
-/// reorder buffer *is* the set of ready queues, so merging costs one
-/// shard-head scan per record and no per-record allocation.
-#[derive(Debug)]
+/// Because the recorder's global stream is sequence-dense, release is
+/// gated on contiguity: records come out only while some shard's head
+/// carries the next expected `seq`, and stragglers wait in their shard's
+/// (already sorted) stream. A hint remembers which shard matched last, so
+/// a run of records from one producer thread costs one probe per record.
+#[derive(Debug, Default, Clone)]
 pub struct TailMerger {
+    /// One tail per shard, grown on first feed: a recorder nobody reads
+    /// allocates nothing here.
     tails: Vec<ShardTail>,
-    /// Next seq to emit; `None` right after a resync, when the merger
-    /// re-bases on the minimum ready seq (the records below it were
-    /// consumed elsewhere and will never arrive).
-    next_seq: Option<u64>,
-    errors: Vec<DecodeError>,
+    /// Next `seq` to release. Only ever advances.
+    next_seq: u64,
+}
+
+/// What a reader is holding between reads, from
+/// [`crate::Recorder::reader_health`] or [`TailMerger::health`].
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct ReaderHealth {
+    /// Bytes taken from the shards but not decoded yet: records waiting
+    /// behind a sequence gap, or a truncated chunk waiting for its rest.
+    pub undecoded_bytes: usize,
+    /// Records decoded and held back (at most one per shard).
+    pub held_records: usize,
+    /// Corruption errors, one per fused shard (truncation mid-stream is
+    /// never an error).
+    pub errors: Vec<DecodeError>,
 }
 
 impl TailMerger {
-    pub fn new(shards: usize) -> Self {
-        TailMerger {
-            tails: (0..shards).map(|_| ShardTail::new()).collect(),
-            next_seq: Some(0),
-            errors: Vec::new(),
-        }
-    }
-
     /// Append a chunk of shard `shard`'s wire stream.
     pub fn feed(&mut self, shard: usize, bytes: &[u8]) {
-        self.tails[shard].feed(bytes);
+        self.tail(shard).feed(bytes);
     }
 
-    /// Decode everything decodable and emit the contiguous run of records
-    /// starting at the next expected `seq`, in global order.
-    pub fn poll(&mut self) -> Vec<Record> {
-        for tail in &mut self.tails {
-            tail.fill();
-            if let Some(e) = tail.error() {
-                // A corrupt shard stops contributing (mirroring
-                // MergeDecoder); the healthy shards keep merging.
-                if !self.errors.contains(e) {
-                    self.errors.push(e.clone());
-                }
-            }
+    /// [`TailMerger::feed`] that empties `bytes`, moving rather than
+    /// copying them when the shard's tail has nothing pending.
+    pub(crate) fn feed_from(&mut self, shard: usize, bytes: &mut Vec<u8>) {
+        self.tail(shard).feed_from(bytes);
+    }
+
+    fn tail(&mut self, shard: usize) -> &mut ShardTail {
+        if shard >= self.tails.len() {
+            self.tails.resize_with(shard + 1, ShardTail::default);
         }
-        // Size for the common case (everything decoded gets emitted):
-        // growing from empty every poll would memcpy the batch log(n)
-        // times, which the post-hoc decoder never pays.
-        let mut out = Vec::with_capacity(self.pending_len());
-        if self.next_seq.is_none() {
-            // Post-resync: adopt the smallest surviving seq as the new
-            // base. (Everything below it was drained by `take`.)
-            self.next_seq = self.tails.iter().filter_map(ShardTail::head_seq).min();
-        }
-        let Some(mut next) = self.next_seq else {
-            return out;
-        };
-        // The stream is dense, so at most one shard head can carry `next`;
-        // `hint` remembers which shard matched last, making the common
-        // case (a run of records from one producer thread) a single probe.
+        &mut self.tails[shard]
+    }
+
+    /// Append to `out` the contiguous run of records starting at the next
+    /// expected `seq`, in global order. A head *below* that `seq` (a read
+    /// raced an emitter and flushed past it) is released as soon as it is
+    /// seen rather than blocking its shard.
+    pub fn poll(&mut self, out: &mut Vec<Record>) {
         let n = self.tails.len();
         let mut hint = 0;
         'merge: loop {
             for off in 0..n {
                 let i = (hint + off) % n;
-                if self.tails[i].head_seq() == Some(next) {
-                    out.push(self.tails[i].pop_ready());
-                    next += 1;
-                    hint = i;
-                    continue 'merge;
+                let tail = &mut self.tails[i];
+                match tail.head_seq() {
+                    Some(seq) if seq <= self.next_seq => {
+                        out.extend(tail.head.take());
+                        self.next_seq = self.next_seq.max(seq + 1);
+                        hint = i;
+                        continue 'merge;
+                    }
+                    _ => {}
                 }
             }
-            break;
+            return;
         }
-        self.next_seq = Some(next);
-        out
     }
 
-    /// Emit everything still pending, gaps and all (end of run: the
-    /// producer is done, so no straggler can fill them anymore).
-    pub fn flush(&mut self) -> Vec<Record> {
-        let mut out: Vec<Record> = Vec::new();
+    /// Append everything pending to `out`, gaps and all, in `seq` order
+    /// (end of run: the producer is done, so no straggler can fill them
+    /// anymore). Bytes still undecoded afterwards are a record cut short
+    /// and fuse their shard with a truncation error.
+    pub fn flush(&mut self, out: &mut Vec<Record>) {
+        self.poll(out);
+        loop {
+            let smallest = (self.tails.iter_mut().enumerate())
+                .filter_map(|(i, t)| t.head_seq().map(|seq| (seq, i)))
+                .min();
+            let Some((seq, i)) = smallest else { break };
+            out.extend(self.tails[i].head.take());
+            self.next_seq = self.next_seq.max(seq + 1);
+        }
         for tail in &mut self.tails {
-            out.extend(tail.ready.drain(..));
+            tail.close();
         }
-        out.sort_by_key(Record::seq);
-        if let (Some(last), Some(next)) = (out.last(), &mut self.next_seq) {
-            *next = (*next).max(last.seq() + 1);
+    }
+
+    /// Undecoded bytes, held records and errors, summed over the shards.
+    pub fn health(&self) -> ReaderHealth {
+        ReaderHealth {
+            undecoded_bytes: self.tails.iter().map(ShardTail::buffered_bytes).sum(),
+            held_records: self.tails.iter().filter(|t| t.head.is_some()).count(),
+            errors: self.tails.iter().filter_map(|t| t.failed.clone()).collect(),
         }
-        out
-    }
-
-    /// Forget per-shard decode state and re-base the contiguity gate: a
-    /// `take` drained (and reset) the shards behind the merger's back, so
-    /// buffered decoder state no longer matches the byte streams and gaps
-    /// below the surviving records will never fill.
-    pub fn resync(&mut self) -> Vec<Record> {
-        let flushed = self.flush();
-        for tail in &mut self.tails {
-            *tail = ShardTail::new();
-        }
-        self.next_seq = None;
-        flushed
-    }
-
-    /// Records decoded but still held back (gated on a sequence gap or
-    /// simply not yet polled); bounded by shard capacity.
-    pub fn pending_len(&self) -> usize {
-        self.tails.iter().map(|t| t.ready.len()).sum()
-    }
-
-    /// Undecoded bytes buffered across all shard tails.
-    pub fn buffered_bytes(&self) -> usize {
-        self.tails.iter().map(ShardTail::buffered_bytes).sum()
-    }
-
-    /// Corruption errors hit so far (never includes truncation).
-    pub fn errors(&self) -> &[DecodeError] {
-        &self.errors
     }
 }
 
-/// Position of one tail consumer in a recorder's live stream. Create with
+/// A tail consumer's position in its recorder's drop count. The records
+/// themselves come from the recorder's one reader. Create with
 /// [`crate::Recorder::cursor`], advance with
 /// [`crate::Recorder::drain_since`].
 #[derive(Debug)]
 pub struct TailCursor {
-    merger: TailMerger,
-    epoch: u64,
-    dropped_seen: u64,
-    /// Records flushed by an epoch resync, delivered with the next poll.
-    carry: Vec<Record>,
+    /// The recorder's lifetime drop total at the last poll.
+    pub(crate) dropped_seen: u64,
 }
 
 /// One poll's worth of the live stream.
@@ -300,62 +289,6 @@ pub struct TailBatch {
     /// Records dropped at full shards since the last poll — the live
     /// counterpart of the synthetic `telemetry.dropped_events` counter.
     pub dropped_delta: u64,
-}
-
-impl TailCursor {
-    pub(crate) fn new(shards: usize, epoch: u64) -> Self {
-        TailCursor {
-            merger: TailMerger::new(shards),
-            epoch,
-            dropped_seen: 0,
-            carry: Vec::new(),
-        }
-    }
-
-    pub(crate) fn observe_epoch(&mut self, epoch: u64) {
-        if epoch != self.epoch {
-            self.epoch = epoch;
-            let flushed = self.merger.resync();
-            self.carry.extend(flushed);
-        }
-    }
-
-    pub(crate) fn feed(&mut self, shard: usize, bytes: &[u8]) {
-        self.merger.feed(shard, bytes);
-    }
-
-    pub(crate) fn poll(&mut self) -> Vec<Record> {
-        let mut out = std::mem::take(&mut self.carry);
-        out.extend(self.merger.poll());
-        out
-    }
-
-    pub(crate) fn flush(&mut self) -> Vec<Record> {
-        let mut out = std::mem::take(&mut self.carry);
-        out.extend(self.merger.flush());
-        out
-    }
-
-    pub(crate) fn observe_dropped(&mut self, total: u64) -> u64 {
-        let delta = total.saturating_sub(self.dropped_seen);
-        self.dropped_seen = total;
-        delta
-    }
-
-    /// Records held for contiguity (bounded by the shard capacities).
-    pub fn pending_len(&self) -> usize {
-        self.merger.pending_len() + self.carry.len()
-    }
-
-    /// Undecoded bytes buffered in the cursor.
-    pub fn buffered_bytes(&self) -> usize {
-        self.merger.buffered_bytes()
-    }
-
-    /// Corruption errors hit so far (truncation is never an error).
-    pub fn errors(&self) -> &[DecodeError] {
-        self.merger.errors()
-    }
 }
 
 #[cfg(test)]
@@ -374,6 +307,10 @@ mod tests {
             encode_metric(&mut buf, &mut st, seq, name, MetricKind::Counter, 1.0, None);
         }
         buf
+    }
+
+    fn seqs(records: &[Record]) -> Vec<u64> {
+        records.iter().map(Record::seq).collect()
     }
 
     #[test]
@@ -406,34 +343,79 @@ mod tests {
         // Shard 0 carries even seqs, shard 1 odd; deliver shard 0 first.
         let even = counter_stream(&[0, 2, 4]);
         let odd = counter_stream(&[1, 3, 5]);
-        let mut m = TailMerger::new(2);
+        let mut m = TailMerger::default();
         m.feed(0, &even);
-        let first = m.poll();
+        let mut first = Vec::new();
+        m.poll(&mut first);
         assert_eq!(
-            first.iter().map(Record::seq).collect::<Vec<_>>(),
+            seqs(&first),
             vec![0],
             "seqs 2 and 4 must wait for the gap at 1"
         );
-        assert_eq!(m.pending_len(), 2);
+        let held = m.health();
+        assert_eq!(held.held_records, 1, "one record decoded ahead");
+        assert!(held.undecoded_bytes > 0, "the rest waits as bytes");
         m.feed(1, &odd);
-        let rest = m.poll();
-        assert_eq!(
-            rest.iter().map(Record::seq).collect::<Vec<_>>(),
-            vec![1, 2, 3, 4, 5]
-        );
-        assert_eq!(m.pending_len(), 0);
+        let mut rest = Vec::new();
+        m.poll(&mut rest);
+        assert_eq!(seqs(&rest), vec![1, 2, 3, 4, 5]);
+        assert_eq!(m.health(), ReaderHealth::default());
     }
 
     #[test]
     fn merger_flush_releases_gapped_records() {
-        let mut m = TailMerger::new(1);
+        let mut m = TailMerger::default();
         m.feed(0, &counter_stream(&[2, 3]));
-        assert!(m.poll().is_empty(), "gated on the gap at 0");
-        let flushed = m.flush();
+        let mut out = Vec::new();
+        m.poll(&mut out);
+        assert!(out.is_empty(), "gated on the gap at 0");
+        m.flush(&mut out);
+        assert_eq!(seqs(&out), vec![2, 3]);
+    }
+
+    #[test]
+    fn merge_reconstructs_total_order() {
+        // Interleave seqs 0..30 across 3 "shards".
+        let mut bufs = vec![Vec::new(); 3];
+        let mut states = [CodecState::default(); 3];
+        let name = Name::intern("tail.test.merge");
+        for seq in 0..30u64 {
+            let shard = (seq % 3) as usize;
+            encode_metric(
+                &mut bufs[shard],
+                &mut states[shard],
+                seq,
+                name,
+                MetricKind::Counter,
+                1.0,
+                None,
+            );
+        }
+        let mut m = TailMerger::default();
+        for (i, buf) in bufs.iter().enumerate() {
+            m.feed(i, buf);
+        }
+        let mut merged = Vec::new();
+        m.flush(&mut merged);
+        assert_eq!(seqs(&merged), (0..30).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn merge_survives_one_truncated_shard() {
+        let good = counter_stream(&[0, 2, 4]);
+        let mut bad = counter_stream(&[1, 3]);
+        bad.truncate(bad.len() - 1); // chop the final record mid-field
+        let mut m = TailMerger::default();
+        m.feed(0, &good);
+        m.feed(1, &bad);
+        let mut merged = Vec::new();
+        m.flush(&mut merged);
         assert_eq!(
-            flushed.iter().map(Record::seq).collect::<Vec<_>>(),
-            vec![2, 3]
+            seqs(&merged),
+            vec![0, 1, 2, 4],
+            "healthy records all survive"
         );
+        assert_eq!(m.health().errors.len(), 1);
     }
 
     #[test]
@@ -519,6 +501,31 @@ mod tests {
     }
 
     #[test]
+    fn cursor_opened_after_take_reads_live() {
+        let r = Recorder::enabled();
+        r.counter("tail.reuse", 1);
+        assert_eq!(r.take().len(), 1);
+        let mut cursor = r.cursor();
+        r.counter("tail.reuse", 2);
+        let batch = r.drain_since(&mut cursor);
+        assert_eq!(seqs(&batch.records), vec![1], "the next record, live");
+        assert!(r.finish_tail(&mut cursor).records.is_empty());
+    }
+
+    #[test]
+    fn second_cursor_after_finish_tail_reads_live() {
+        let r = Recorder::enabled();
+        let mut first = r.cursor();
+        r.counter("tail.reuse", 1);
+        assert_eq!(r.finish_tail(&mut first).records.len(), 1);
+        let mut second = r.cursor();
+        r.counter("tail.reuse", 2);
+        let batch = r.drain_since(&mut second);
+        assert_eq!(seqs(&batch.records), vec![1], "the next record, live");
+        assert!(r.finish_tail(&mut second).records.is_empty());
+    }
+
+    #[test]
     fn snapshot_then_drain_does_not_double_count() {
         let r = Recorder::enabled();
         let mut cursor = r.cursor();
@@ -541,15 +548,15 @@ mod tests {
         let r = Recorder::enabled();
         let mut cursor = r.cursor();
         r.gauge(
-            "tail.base_st",
+            "tail.resumed_gauge",
             1.0,
             lfm_simcluster::time::SimTime::from_secs(5.0),
         );
         r.drain_since(&mut cursor);
         // The next record is delta-coded against the drained prefix; both
-        // snapshot and take must resume from the saved base state.
+        // snapshot and take must resume from the reader's decoder state.
         r.gauge(
-            "tail.base_st",
+            "tail.resumed_gauge",
             2.0,
             lfm_simcluster::time::SimTime::from_secs(6.0),
         );
@@ -564,7 +571,7 @@ mod tests {
     }
 
     #[test]
-    fn synthesize_dropped_consumes_a_fresh_seq() {
+    fn synthesize_dropped_takes_the_next_seq() {
         let r = Recorder::enabled();
         r.counter("tail.synth", 1);
         let rec = r.synthesize_dropped(7).expect("nonzero count");
@@ -575,5 +582,33 @@ mod tests {
         assert_eq!(m.value, 7.0);
         assert_eq!(m.seq, 1);
         assert_eq!(r.synthesize_dropped(0), None);
+        // Not claimed: the next real record carries that seq, and a live
+        // reader never waits on one no shard carries.
+        let mut cursor = r.cursor();
+        r.counter("tail.synth", 2);
+        assert_eq!(seqs(&r.drain_since(&mut cursor).records), vec![0, 1]);
+    }
+
+    #[test]
+    fn reads_move_shard_bytes_and_flush_releases_them() {
+        let r = Recorder::enabled();
+        for i in 0..1000u64 {
+            r.counter("tail.move", i);
+        }
+        let bytes = r.buffered_bytes();
+        let held = |r: &Recorder| -> usize {
+            let inner = r.inner.as_ref().expect("enabled");
+            let reader = inner.reader.lock();
+            reader.tails.iter().map(|t| t.buf.capacity()).sum()
+        };
+        let mut cursor = r.cursor();
+        assert_eq!(r.drain_since(&mut cursor).records.len(), 1000);
+        assert_eq!(r.buffered_bytes(), 0);
+        assert!(held(&r) >= bytes, "the shard's buffer moved to the reader");
+        assert!(r.finish_tail(&mut cursor).records.is_empty());
+        assert_eq!(held(&r), 0, "a flush that empties the reader frees it");
+        r.counter("tail.move", 1000);
+        assert_eq!(r.take().len(), 1);
+        assert_eq!(held(&r), 0);
     }
 }

@@ -42,11 +42,11 @@
 //! with the old heap-record pipeline. Non-µs-representable times (and wall
 //! clock spans) fall back to raw f64 bits, flagged per record.
 //!
-//! [`ShardDecoder`] streams one shard's bytes back into [`Record`]s;
-//! [`MergeDecoder`] k-way-merges the per-shard streams on `seq`,
-//! reconstructing the total order without materialising or sorting the
-//! whole stream first. Decoding is fully bounds-checked: truncated or
-//! corrupt input yields [`DecodeError`], never a panic.
+//! [`ShardDecoder`] streams one shard's bytes back into [`Record`]s. The
+//! k-way merge of the per-shard streams on `seq` lives in
+//! [`crate::tail::TailMerger`], the recorder's one reader. Decoding is
+//! fully bounds-checked: truncated or corrupt input yields [`DecodeError`],
+//! never a panic.
 
 use crate::codec::{self, put_f64, put_u8, put_varint, unzigzag, zigzag, Reader};
 use crate::intern::Name;
@@ -185,7 +185,8 @@ pub(crate) struct PendingInstant {
 }
 
 /// Per-shard codec state: both ends of the wire track it identically, so
-/// it never travels. Reset when a shard buffer is drained.
+/// it never travels. Never reset: a shard's encoder and the reader's
+/// decoder for it both carry it across reads.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct CodecState {
     last_seq: u64,
@@ -446,9 +447,9 @@ impl<'a> ShardDecoder<'a> {
     }
 
     /// A decoder that starts from an explicit codec state instead of the
-    /// default. This is what makes mid-stream resumption possible: a tail
-    /// drain hands out a byte chunk whose first record was delta-coded
-    /// against the *previous* chunk's final state, so the consumer resumes
+    /// default. This is what makes mid-stream resumption possible: a read
+    /// hands the reader a byte chunk whose first record was delta-coded
+    /// against the *previous* chunk's final state, so the reader resumes
     /// with the state it saved rather than re-decoding the prefix.
     pub(crate) fn with_state(bytes: &'a [u8], st: CodecState) -> Self {
         ShardDecoder {
@@ -664,86 +665,6 @@ impl Iterator for ShardDecoder<'_> {
                 Some(Err(e))
             }
         }
-    }
-}
-
-/// K-way merge of per-shard streams on `seq`, reconstructing the global
-/// total order as a stream — no whole-buffer sort, O(shards) per record.
-pub struct MergeDecoder<'a> {
-    decoders: Vec<ShardDecoder<'a>>,
-    heads: Vec<Option<Record>>,
-    errors: Vec<DecodeError>,
-}
-
-impl<'a> MergeDecoder<'a> {
-    pub fn new(shards: impl IntoIterator<Item = &'a [u8]>) -> Self {
-        Self::with_states(
-            shards
-                .into_iter()
-                .map(|bytes| (bytes, CodecState::default())),
-        )
-    }
-
-    /// [`MergeDecoder::new`] with per-shard starting codec states — the
-    /// form [`crate::Recorder::take`] uses after a tail consumer has
-    /// already drained a prefix of each shard's stream (the remaining
-    /// bytes were delta-coded against the drained prefix).
-    pub(crate) fn with_states(shards: impl IntoIterator<Item = (&'a [u8], CodecState)>) -> Self {
-        let mut decoders: Vec<ShardDecoder<'a>> = shards
-            .into_iter()
-            .map(|(bytes, st)| ShardDecoder::with_state(bytes, st))
-            .collect();
-        let mut errors = Vec::new();
-        let heads = decoders
-            .iter_mut()
-            .map(|d| Self::pull(d, &mut errors))
-            .collect();
-        MergeDecoder {
-            decoders,
-            heads,
-            errors,
-        }
-    }
-
-    fn pull(d: &mut ShardDecoder<'a>, errors: &mut Vec<DecodeError>) -> Option<Record> {
-        match d.next() {
-            Some(Ok(r)) => Some(r),
-            Some(Err(e)) => {
-                errors.push(e);
-                None
-            }
-            None => None,
-        }
-    }
-
-    /// Decode errors hit so far (a shard that errors stops contributing
-    /// but the merge continues over the healthy shards).
-    pub fn errors(&self) -> &[DecodeError] {
-        &self.errors
-    }
-}
-
-impl Iterator for MergeDecoder<'_> {
-    type Item = Record;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let mut best: Option<(usize, u64)> = None;
-        for (i, head) in self.heads.iter().enumerate() {
-            if let Some(r) = head {
-                let seq = r.seq();
-                let better = match best {
-                    None => true,
-                    Some((_, s)) => seq < s,
-                };
-                if better {
-                    best = Some((i, seq));
-                }
-            }
-        }
-        let (i, _) = best?;
-        let out = self.heads[i].take();
-        self.heads[i] = Self::pull(&mut self.decoders[i], &mut self.errors);
-        out
     }
 }
 
@@ -964,56 +885,5 @@ mod tests {
         put_varint(&mut buf, 1);
         let mut dec = ShardDecoder::new(&buf);
         assert!(matches!(dec.next(), Some(Err(DecodeError::BadName { .. }))));
-    }
-
-    #[test]
-    fn merge_reconstructs_total_order() {
-        // Interleave seqs 0..30 across 3 "shards".
-        let mut bufs = vec![Vec::new(); 3];
-        let mut states = [CodecState::default(); 3];
-        let name = Name::intern("wire.test.merge");
-        for seq in 0..30u64 {
-            let shard = (seq % 3) as usize;
-            encode_metric(
-                &mut bufs[shard],
-                &mut states[shard],
-                seq,
-                name,
-                MetricKind::Counter,
-                1.0,
-                None,
-            );
-        }
-        let merged: Vec<_> = MergeDecoder::new(bufs.iter().map(|b| b.as_slice())).collect();
-        let seqs: Vec<u64> = merged.iter().map(Record::seq).collect();
-        assert_eq!(seqs, (0..30).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn merge_survives_one_truncated_shard() {
-        let mut good = Vec::new();
-        let mut st = CodecState::default();
-        let name = Name::intern("wire.test.survive");
-        for seq in [0u64, 2, 4] {
-            encode_metric(
-                &mut good,
-                &mut st,
-                seq,
-                name,
-                MetricKind::Counter,
-                1.0,
-                None,
-            );
-        }
-        let mut bad = Vec::new();
-        let mut st = CodecState::default();
-        for seq in [1u64, 3] {
-            encode_metric(&mut bad, &mut st, seq, name, MetricKind::Counter, 1.0, None);
-        }
-        bad.truncate(bad.len() - 1); // chop the final record mid-field
-        let mut merge = MergeDecoder::new([good.as_slice(), bad.as_slice()]);
-        let seqs: Vec<u64> = merge.by_ref().map(|r| r.seq()).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 4], "healthy records all survive");
-        assert_eq!(merge.errors().len(), 1);
     }
 }

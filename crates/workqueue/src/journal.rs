@@ -10,8 +10,9 @@
 //!   to the journal: task (re-)enqueues, placements, attempt outcomes,
 //!   allocator observations, quarantine entries/releases, degradation, and
 //!   plain counter bumps. Records are written at placement-identical points,
-//!   so the Reference and Indexed schedulers produce byte-identical
-//!   journals — the equivalence suites pin recovery for free.
+//!   so the scheduler and its test-only reference oracle produce
+//!   byte-identical journals — the equivalence suites pin recovery for
+//!   free.
 //! * **The ledger** — a `Ledger` is the one home of the master's journaled
 //!   plain data (dependency countdowns, live placements with lease
 //!   deadlines, result rows, retry sets, backoff and quarantine timers,
@@ -28,8 +29,8 @@
 //!   not the run; the chain rebases onto a new full image once its deltas
 //!   outweigh the old one.
 //! * **Recovery** — `image = decode(full) ⊕ deltas ⊕ replay(tail)`, from
-//!   the encoded bytes and the tail alone, then the master rebuilds either
-//!   scheduler implementation from the image. World state (workers, caches,
+//!   the encoded bytes and the tail alone, then the master rebuilds its
+//!   scheduler's indexes from the image. World state (workers, caches,
 //!   the shared filesystem, the network, in-flight completions) survives a
 //!   master crash by definition — only the coordinator's memory is lost.
 //!
@@ -70,8 +71,9 @@ pub struct DurabilityConfig {
     /// Additional downtime per replayed journal record — what snapshot
     /// compaction buys down.
     pub replay_secs_per_event: f64,
-    /// Test hook: at the first quiescent point (no live placements) at or
-    /// after this many processed events, snapshot → wipe → restore the
+    /// Test hook: at the first quiescent point (no armed master-side
+    /// timers: no backoffs, no quarantine releases, and live placements
+    /// only with unarmed leases) at or after this many processed events, snapshot → wipe → restore the
     /// master through the full encode/decode path and keep running. Used by
     /// the recovery-equivalence suites to pin that a restored master is
     /// bitwise-indistinguishable from an uninterrupted one.
@@ -1212,12 +1214,12 @@ pub(crate) fn observe_into(stats: &mut Vec<CategorySnap>, rec: &Record) {
 /// ledger, plus the three views whose live form is an index
 /// (`IndexedSched`) or lives in another module (`Allocator`, `Worker`). The
 /// journal's image chain decodes to one; journal replay folds records into
-/// one; recovery rebuilds either scheduler implementation from one.
+/// one; recovery rebuilds the scheduler's indexes from one.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct MasterImage {
     pub ledger: Ledger,
     /// Pending queue in examination order. A full image enumerates the
-    /// policy-sorted order (identical for both scheduler implementations);
+    /// policy-sorted order (the test-only reference oracle's order too);
     /// delta images and replay fold queue operations into it, which keeps
     /// deque order. Either preserves the within-rank relative order that
     /// determines dispatch.

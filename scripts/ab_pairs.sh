@@ -16,12 +16,13 @@
 # and their ratio, pairs won, the parent's inter-quartile distance, and
 # `setup_s` and `peak_rss_mb` parent -> change. An end-to-end metric whose
 # change median is worse than the parent's by more than the `bound`
-# BENCHMARK.json gives it is named in the row's last column. Exits non-zero
-# on such a row or on a sim-clock difference.
+# BENCHMARK.json gives it, and by more than its absolute floor, is named in
+# the row's last column. Exits non-zero on such a row or on a sim-clock
+# difference.
 set -euo pipefail
 
 if (($# < 3)); then
-    sed -n '2,21p' "$0" >&2
+    sed -n '2,22p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -36,6 +37,10 @@ else
 fi
 # "<metric> <lower|higher> <bound>" per end-to-end metric, from the file.
 mapfile -t bounds < <(sed -n '/"end_to_end"/,/\]/s/.*"name": "\([a-z_]*\)".*"better": "\([a-z]*\)", "bound": \([0-9.]*\).*/\1 \2 \3/p' "$spec")
+# Absolute floors a difference must also exceed, as `--compare` applies
+# them. BENCHMARK.json does not carry these; they mirror the `floor` values
+# of `END_TO_END` in lfm_benchmark/src/metrics.rs (0 for every other metric).
+declare -A floors=([setup_s]=0.02 [success_fraction]=0.001)
 ((${#workloads[@]} > 0 && ${#bounds[@]} > 0)) || {
     echo "ab_pairs.sh: no workloads or bounds read from $spec" >&2
     exit 2
@@ -110,8 +115,11 @@ for workload in "${workloads[@]}"; do
     marks=""
     for b in "${bounds[@]}"; do
         read -r m better bound <<<"$b"
-        marks+=$(awk -v p="$(median p "$m")" -v c="$(median c "$m")" -v hi="$better" -v b="$bound" -v m="$m" \
-            'BEGIN { if (hi == "higher" ? c < p * (1 - b) : c > p * (1 + b)) printf " %s!", m }')
+        marks+=$(awk -v p="$(median p "$m")" -v c="$(median c "$m")" -v hi="$better" -v b="$bound" \
+            -v f="${floors[$m]:-0}" -v m="$m" \
+            'BEGIN { w = (hi == "higher") ? p - c : c - p
+                     a = (p < 0) ? -p : p
+                     if (w > b * a && w > f) printf " %s!", m }')
     done
     [[ $same == yes ]] || marks+=" sim_digest!"
     [[ -z $marks ]] || status=1
@@ -124,7 +132,7 @@ for workload in "${workloads[@]}"; do
         "$(median p peak_rss_mb)" "$(median c peak_rss_mb)" "$marks" >>"$out/table"
 done
 
-echo "seed $seed, $pairs alternating pairs per workload; medians; '!' = worse than the parent beyond its BENCHMARK.json bound"
+echo "seed $seed, $pairs alternating pairs per workload; medians; '!' = worse than the parent beyond its BENCHMARK.json bound and its floor"
 printf '%-18s %9s %9s %6s %7s %9s  %-20s %-18s\n' \
     workload parent_s change_s ratio won parent_iqr 'setup_s p -> c' 'peak_rss_mb p -> c'
 cat "$out/table"

@@ -3,7 +3,8 @@
 //! and the streaming decoder survives truncated and arbitrary bytes
 //! without panicking.
 
-use lfm_core::telemetry::{MergeDecoder, Name, Record, Recorder, ShardDecoder};
+use lfm_core::telemetry::tail::TailMerger;
+use lfm_core::telemetry::{Name, Record, Recorder, ShardDecoder};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -112,8 +113,7 @@ fn truncated_stream_decodes_prefix_then_errors() {
         .emit();
 
     let shards = recorder.raw_shards();
-    let full: Vec<&[u8]> = shards.iter().map(|b| b.as_slice()).collect();
-    let intact: Vec<Record> = MergeDecoder::new(full.iter().copied()).collect();
+    let intact = merge(&shards);
     assert_eq!(intact.len(), 3);
 
     // All three records land in this thread's single shard. Walk the
@@ -146,6 +146,17 @@ fn truncated_stream_decodes_prefix_then_errors() {
     }
 }
 
+/// Every record of whole per-shard streams, merged into `seq` order.
+fn merge(shards: &[Vec<u8>]) -> Vec<Record> {
+    let mut merger = TailMerger::default();
+    for (i, bytes) in shards.iter().enumerate() {
+        merger.feed(i, bytes);
+    }
+    let mut out = Vec::new();
+    merger.flush(&mut out);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -159,7 +170,7 @@ proptest! {
         for pair in decoded.windows(2) {
             prop_assert!(pair[0].seq() <= pair[1].seq());
         }
-        let merged: Vec<Record> = MergeDecoder::new([bytes.as_slice(), bytes.as_slice()]).collect();
+        let merged = merge(&[bytes.clone(), bytes]);
         prop_assert!(merged.len() <= 2 * decoded.len() + 2);
     }
 

@@ -44,11 +44,12 @@ fn tail_live<R>(recorder: &Recorder, run: impl FnOnce() -> R) -> (R, Tailed) {
             };
             tailed.records.extend(batch.records);
             tailed.dropped += batch.dropped_delta;
-            tailed.peak_buffered_bytes = tailed.peak_buffered_bytes.max(cursor.buffered_bytes());
+            let health = tail_rec.reader_health();
+            tailed.peak_buffered_bytes = tailed.peak_buffered_bytes.max(health.undecoded_bytes);
             assert!(
-                cursor.errors().is_empty(),
+                health.errors.is_empty(),
                 "live tail hit decode errors: {:?}",
-                cursor.errors()
+                health.errors
             );
             if done {
                 return tailed;
@@ -157,7 +158,10 @@ fn overflow_between_polls_surfaces_dropped_deltas() {
         let batch = recorder.drain_since(&mut cursor);
         kept.extend(batch.records);
         dropped += batch.dropped_delta;
-        assert!(cursor.errors().is_empty(), "overflow must not corrupt");
+        assert!(
+            recorder.reader_health().errors.is_empty(),
+            "overflow must not corrupt"
+        );
         // Every burst overflows the capacity-8 shard, so every poll
         // reports a fresh drop delta.
         assert!(dropped >= (burst + 1) * (PER_BURST - CAPACITY as u64));
@@ -277,7 +281,7 @@ proptest! {
         kept.extend(tail.records);
         dropped += tail.dropped_delta;
 
-        prop_assert!(cursor.errors().is_empty());
+        prop_assert!(recorder.reader_health().errors.is_empty());
         prop_assert_eq!(kept.len() as u64 + dropped, emitted);
         // Drops never claim a seq, so kept seqs are exactly 0..len and
         // values are a strictly increasing subset of the emission indices.
