@@ -165,7 +165,7 @@ pub(crate) fn partition_prepared(
         PartitionPolicy::ByCategory => work.cat_of.iter().map(|&c| c % shards).collect(),
         PartitionPolicy::ByComponent => {
             let edges = (0..n).flat_map(|i| work.dependents(i).map(move |d| (i, d)));
-            by_component(n, shards, edges, |i| work.tasks[i].profile.duration_secs)
+            by_component(n, shards, edges, |i| work.profiles[i].duration_secs)
         }
     }
 }
@@ -234,7 +234,7 @@ pub struct FederationReport {
     /// concatenated shard-major.
     pub merged: RunReport,
     /// Each shard's own report. Note `task_count` on these equals the full
-    /// workload size — the shards share one task vector (addressed by
+    /// workload size — the shards share one task table (addressed by
     /// global index) and each enqueues only its owned slice. For N > 1
     /// shards their `results` are empty: the rows were moved into `merged`.
     pub shard_reports: Vec<RunReport>,
@@ -860,7 +860,7 @@ mod tests {
     fn shards_share_one_task_vector() {
         let cfg = MasterConfig::new(oracle()).with_seed(9);
         let work = Arc::new(PreparedWorkload::new(chain_tasks(24, 4)));
-        let owner = Arc::new(partition(work.tasks(), 4, PartitionPolicy::ByComponent));
+        let owner = Arc::new(partition_prepared(&work, 4, PartitionPolicy::ByComponent));
         let owned: Vec<Arc<[u32]>> = (0..4)
             .map(|s| (0..24).filter(|&i| owner[i as usize] == s).collect())
             .collect();

@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 /// What a file is, for staging-cost purposes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FileKind {
     /// Ordinary data bytes.
     Data,

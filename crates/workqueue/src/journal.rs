@@ -248,12 +248,12 @@ pub(crate) enum Record {
     /// decrements its remaining-dependency count (the matching `Enqueue`
     /// follows when the count reaches zero).
     RemoteDep { task_idx: u64 },
-    /// A streamed task was admitted mid-run (`Event::Submit`). The full spec
-    /// travels in the record so replay can re-grow the per-task state vectors
-    /// (and intern a brand-new category at index `cat`) exactly as the live
-    /// master did; the `Enqueue` for the fresh attempt follows immediately.
-    /// A master without a journal commits it with no spec: nothing would
-    /// keep the copy.
+    /// A streamed task was admitted mid-run (`Event::Submit`). Replay reads
+    /// `task_idx` and `cat` to re-grow the per-task state vectors (and a
+    /// brand-new category's at index `cat`) exactly as the live master did;
+    /// the `Enqueue` for the fresh attempt follows immediately. The full
+    /// spec travels along only to keep the journal self-contained, and a
+    /// master without a journal commits it with no spec.
     Submitted {
         task_idx: u64,
         cat: u32,
@@ -1107,8 +1107,9 @@ impl Ledger {
             Record::Degraded => self.degraded = true,
             // A streamed admission grows the per-task vectors by one
             // dependency-free slot, and a first-seen category the
-            // per-category one. The spec itself lives in the master's task
-            // vector; the record's copy keeps the journal self-contained.
+            // per-category one. Replay never reads the spec: the master's
+            // table keeps the task's row, and the record's copy keeps the
+            // journal self-contained.
             Record::Submitted { task_idx, cat, .. } => {
                 debug_assert_eq!(
                     task_idx,

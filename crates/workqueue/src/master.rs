@@ -617,8 +617,8 @@ pub(crate) enum Event {
     /// that arrived while it was down, then resume dispatching.
     Recovered,
     /// A batch of new dependency-free tasks arrives at a *running* master
-    /// (streaming submission — see `streaming.rs`). The batch is appended
-    /// to the task vector and enqueued like any other ready work.
+    /// (streaming submission — see `streaming.rs`). Each task becomes a row
+    /// of the prepared table and is enqueued like any other ready work.
     Submit(Vec<TaskSpec>),
 }
 
@@ -794,10 +794,11 @@ pub(crate) struct Master {
     master_crashes: u32,
     recoveries: u32,
     replayed_events: u64,
-    /// Task/category counts at construction. Streamed admissions grow
-    /// `tasks`/`cat_names` past these, so recovery's fresh-image fallback
-    /// must start from the *constructed* sizes and let `Record::Submitted`
-    /// replay re-grow the per-task vectors in admission order.
+    /// Task/category counts at construction. Streamed admissions grow the
+    /// table's rows and `cat_names` past these, so recovery's fresh-image
+    /// fallback must start from the *constructed* sizes and let
+    /// `Record::Submitted` replay re-grow the per-task vectors in admission
+    /// order.
     initial_task_count: usize,
     initial_cat_count: usize,
     /// The `probe_restore_at` test hook already fired.
@@ -830,10 +831,11 @@ impl Master {
         }
         let mut seed_rng = SimRng::seeded(config.seed);
         let batch = BatchSystem::new(config.staging.batch, seed_rng.fork(1));
-        // Event volume is predictable from the workload: each task produces
-        // a handful of lifecycle events and each worker a provision/poll
-        // stream; pre-size the calendar to skip heap regrowth.
-        let event_capacity = work.len() * 4 + worker_count as usize * 2;
+        // Pre-size the calendar to skip heap regrowth: each attempt in
+        // flight holds a handful of lifecycle events, and at most a slot per
+        // core is in flight; each worker adds a provision/poll stream.
+        let slots = worker_count as usize * spec.resources.cores as usize;
+        let event_capacity = (work.len() * 4).min(slots * 2) + worker_count as usize * 2;
         Master {
             ledger: Ledger::fresh(work.dep_counts.clone(), work.cat_names.len()),
             running_by_cat: vec![0u32; work.cat_names.len()],
@@ -1406,7 +1408,7 @@ impl Master {
                 worker_count,
             } => {
                 debug_assert_eq!(*seed, self.config.seed, "journal from another run");
-                // `self.work.tasks` may have grown past the header count via
+                // `self.work` may have grown past the header count via
                 // streamed admissions; the header pins the constructed size.
                 debug_assert_eq!(*task_count, self.initial_task_count as u64);
                 debug_assert_eq!(*worker_count, self.worker_count);
@@ -1428,7 +1430,7 @@ impl Master {
         pending.sort_by_key(|p| {
             policy_rank(
                 self.config.policy,
-                self.work.tasks[p.task_idx].profile.peak_memory_mb,
+                self.work.profiles[p.task_idx].peak_memory_mb,
             )
         });
     }
@@ -1616,7 +1618,8 @@ impl Master {
         }
         self.sched = sched;
         for item in pending {
-            self.sched.push_back(&self.work.tasks[item.task_idx], item);
+            self.sched
+                .push_back(self.work.profiles[item.task_idx].peak_memory_mb, item);
         }
     }
 
@@ -1713,7 +1716,7 @@ impl Master {
             self.instant(tk().task_lost, tk().cat_master)
                 .at(now)
                 .track(id as u64)
-                .task(self.work.tasks[p.task_idx].id.0)
+                .task(self.work.ids[p.task_idx].0)
                 .attempt(p.attempt)
                 .emit();
             self.enqueue_front(Pending {
@@ -1742,7 +1745,8 @@ impl Master {
             front: false,
             since: item.since,
         });
-        self.sched.push_back(&self.work.tasks[item.task_idx], item);
+        self.sched
+            .push_back(self.work.profiles[item.task_idx].peak_memory_mb, item);
     }
 
     fn enqueue_front(&mut self, item: Pending) {
@@ -1752,7 +1756,8 @@ impl Master {
             front: true,
             since: item.since,
         });
-        self.sched.push_front(&self.work.tasks[item.task_idx], item);
+        self.sched
+            .push_front(self.work.profiles[item.task_idx].peak_memory_mb, item);
     }
 
     /// Examine one queued attempt: decide its allocation, apply the
@@ -1858,7 +1863,7 @@ impl Master {
         let concurrent = self.in_flight.max(1);
         // ---- schedule/dispatch telemetry ----
         if self.config.telemetry.is_enabled() {
-            let tid = self.work.tasks[task_idx].id.0;
+            let tid = self.work.ids[task_idx].0;
             if now > item.since {
                 self.span(tk().queue_wait, tk().cat_master)
                     .at(item.since, now)
@@ -1910,8 +1915,7 @@ impl Master {
         let mut infra: Option<InfraFault> = None;
         let mut transferred = false;
         let mut env_transfer = false;
-        let inputs = &self.work.tasks[task_idx].inputs;
-        for (f, row) in inputs.iter().zip(self.work.inputs_of(task_idx)) {
+        for (row, size_bytes, kind) in self.work.staged_inputs_of(task_idx) {
             let is_env = row.is_env();
             if is_env && direct_env {
                 // Conventional deployment: every task imports the whole
@@ -1920,7 +1924,7 @@ impl Master {
                     unpacked_files,
                     unpacked_bytes,
                     ..
-                } = &f.kind
+                } = kind
                 {
                     direct_import +=
                         self.fs
@@ -1952,16 +1956,14 @@ impl Master {
                         .counter_at_key(tk().worker_cache_miss, 1, now);
                     self.config.telemetry.counter_at_key(
                         tk().worker_transfer_bytes,
-                        f.size_bytes,
+                        size_bytes,
                         now,
                     );
                     transferred = true;
                     if is_env {
                         env_transfer = true;
                     }
-                    let tr = self
-                        .net
-                        .transfer(f.size_bytes, concurrent, &mut self.net_rng);
+                    let tr = self.net.transfer(size_bytes, concurrent, &mut self.net_rng);
                     if tr.lost {
                         // The bytes never landed: the time is spent, the
                         // attempt fails, nothing is marked staging.
@@ -1974,7 +1976,7 @@ impl Master {
                         unpacked_files,
                         relocation_ops,
                         unpacked_bytes,
-                    } = &f.kind
+                    } = kind
                     {
                         if self.faults.unpack_disk_full() {
                             infra.get_or_insert(InfraFault::DiskFull);
@@ -1991,7 +1993,7 @@ impl Master {
                     cacheable_wait = cacheable_wait.max(cost);
                 }
             } else {
-                data_bytes += f.size_bytes;
+                data_bytes += size_bytes;
             }
         }
         let mut stage_in = cacheable_wait + direct_import;
@@ -2063,8 +2065,8 @@ impl Master {
         let io_slow = 1.0 + self.config.staging.io_interference * co_resident as f64;
         let slowdown = io_slow * straggler;
         let profile = SimTaskProfile {
-            duration_secs: self.work.tasks[task_idx].profile.duration_secs * slowdown,
-            ..self.work.tasks[task_idx].profile
+            duration_secs: self.work.profiles[task_idx].duration_secs * slowdown,
+            ..self.work.profiles[task_idx]
         };
         let mut sim = self.config.monitor.run(&profile, &limits);
         if sim.outcome.is_success() {
@@ -2077,7 +2079,7 @@ impl Master {
         }
 
         // ---- stage-out ----
-        let output_bytes = self.work.tasks[task_idx].output_bytes;
+        let output_bytes = self.work.output_bytes[task_idx];
         let mut infra_out: Option<InfraFault> = None;
         let stage_out = if output_bytes > 0 && sim.outcome.is_success() {
             let tr = self
@@ -2118,7 +2120,7 @@ impl Master {
         // and zombies whose completion never arrives both get reclaimed.
         let lease_at = if self.faults.active() {
             let nominal = stage_in
-                + self.work.tasks[task_idx].profile.duration_secs * io_slow
+                + self.work.profiles[task_idx].duration_secs * io_slow
                 + output_bytes as f64 / self.net.params.per_link_bw;
             let r = &self.config.resilience;
             let lease = (r.lease_factor * nominal).max(r.min_lease_secs);
@@ -2212,7 +2214,7 @@ impl Master {
         self.instant(tk().result_lost, tk().cat_faults)
             .at(now)
             .track(info.worker as u64)
-            .task(self.work.tasks[info.task_idx].id.0)
+            .task(self.work.ids[info.task_idx].0)
             .attempt(info.attempt)
             .emit();
         self.note_worker_fault(now, info.worker);
@@ -2236,7 +2238,7 @@ impl Master {
         self.instant(tk().lease_reclaim, tk().cat_faults)
             .at(now)
             .track(p.worker as u64)
-            .task(self.work.tasks[p.task_idx].id.0)
+            .task(self.work.ids[p.task_idx].0)
             .attempt(p.attempt)
             .attr_key(tk().a_zombie, if p.zombie { 1u64 } else { 0u64 })
             .emit();
@@ -2332,7 +2334,7 @@ impl Master {
         let delay = backoff_delay(streak, &self.config.resilience);
         self.instant(tk().infra_requeue, tk().cat_faults)
             .at(now)
-            .task(self.work.tasks[task_idx].id.0)
+            .task(self.work.ids[task_idx].0)
             .attempt(attempt)
             .attr_key(tk().a_backoff_s, delay)
             .emit();
@@ -2385,7 +2387,7 @@ impl Master {
         self.instant(Name::intern(fault.label()), tk().cat_faults)
             .at(now)
             .track(info.worker as u64)
-            .task(self.work.tasks[info.task_idx].id.0)
+            .task(self.work.ids[info.task_idx].0)
             .attempt(info.attempt)
             .emit();
         self.note_worker_fault(now, info.worker);
@@ -2438,14 +2440,13 @@ impl Master {
             // allocation vector: wake them for re-examination.
             self.sched.wake_category(cat, true);
         }
-        let task = &self.work.tasks[info.task_idx];
-        let task_id = task.id;
+        let task_id = self.work.ids[info.task_idx];
 
         // Per-attempt trace spans. Nothing below touches sim state: the
         // recorder is strictly observational, so a disabled recorder yields
         // a bit-identical RunReport, at the cost of this one branch.
         if self.config.telemetry.is_enabled() {
-            let tid = task.id.0;
+            let tid = task_id.0;
             let track = info.worker as u64;
             let stage_in_end = info.started_at + info.stage_in_secs;
             let exec_end = stage_in_end + info.exec_secs;
@@ -2504,8 +2505,8 @@ impl Master {
         }
 
         self.commit(Record::Result(Box::new(TaskResult {
-            task: task.id,
-            category: task.category.clone(),
+            task: task_id,
+            category: self.work.cat_names[cat as usize].clone(),
             worker: info.worker,
             allocated: info.allocated,
             submitted_at: SimTime::ZERO,
@@ -2604,7 +2605,7 @@ impl Master {
         let Some(f) = self.fed.as_mut() else {
             return;
         };
-        let bytes = self.work.tasks[task_idx].output_bytes;
+        let bytes = self.work.output_bytes[task_idx];
         for dep_idx in self.work.dependents(task_idx) {
             if f.owner[dep_idx] != f.shard {
                 f.outbox.push(OutMsg::Release {

@@ -1,7 +1,8 @@
 //! A workload, checked and indexed once: everything a master derives from
-//! the task vector *alone*, so that every run over the same tasks — the four
-//! strategies of a fig grid point, the shards of a federation — shares one
-//! copy behind an `Arc` instead of re-deriving (or deep-cloning) it.
+//! the task vector *alone*, kept as columns by task index, so that every run
+//! over the same tasks — the four strategies of a fig grid point, the shards
+//! of a federation — shares one copy behind an `Arc` instead of re-deriving
+//! (or deep-cloning) it. The specs themselves are consumed on the way in.
 //!
 //! Per-task *state* (dependency countdowns, retry sets, results) stays in
 //! each master's journaled ledger; nothing here changes during a batch run.
@@ -10,6 +11,7 @@
 
 use crate::files::FileKind;
 use crate::task::{TaskId, TaskSpec};
+use lfm_monitor::sim::SimTaskProfile;
 use lfm_telemetry::Name;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::OnceLock;
@@ -67,13 +69,18 @@ impl InputRow {
     }
 }
 
-/// The task vector plus what is derived from it: the malformed-workload
-/// checks (done, by construction), the interned category and file tables,
-/// the initial dependency counts, and the dependents graph in CSR form
-/// indexed by task *index*.
+/// What a run reads of a task vector, as columns by task index: each
+/// task's id, output size and true profile, its category id, its input rows
+/// with their sizes and kinds, and its dependency count and dependents (a
+/// CSR table). Building it checks the workload and interns every category
+/// and cacheable file name; the specs themselves are not kept.
 #[derive(Debug, Clone)]
 pub struct PreparedWorkload {
-    pub(crate) tasks: Vec<TaskSpec>,
+    pub(crate) ids: Vec<TaskId>,
+    /// Bytes each task sends back to the master.
+    pub(crate) output_bytes: Vec<u64>,
+    /// Each task's true resource behaviour.
+    pub(crate) profiles: Vec<SimTaskProfile>,
     /// `cat_of[task_idx]` indexes `cat_names`, so the dispatch hot path
     /// never clones or hashes a category string.
     pub(crate) cat_of: Vec<u32>,
@@ -82,10 +89,18 @@ pub struct PreparedWorkload {
     pub(crate) cat_attrs: Vec<OnceLock<Name>>,
     cat_ids: Interner,
     file_ids: Interner,
-    /// Task `i`'s inputs are `input_rows[input_offsets[i]..input_offsets[i + 1]]`,
-    /// parallel to `tasks[i].inputs`.
+    /// Task `i`'s inputs are rows `input_offsets[i]..input_offsets[i + 1]`
+    /// of `input_rows`, `input_sizes` and `input_kinds`, in its spec's order.
     input_offsets: Vec<u32>,
     input_rows: Vec<InputRow>,
+    /// Each input's own transfer size: a cacheable name listed with two
+    /// sizes keeps both, as the specs did.
+    input_sizes: Vec<u64>,
+    /// Each input's index into `kinds`.
+    input_kinds: Vec<u32>,
+    /// The distinct file kinds the inputs name, in first-seen order.
+    kinds: Vec<FileKind>,
+    kind_ids: HashMap<FileKind, u32>,
     /// `deps.len()` per task: the countdown a fresh ledger starts from.
     pub(crate) dep_counts: Vec<usize>,
     /// Task `i`'s dependents are `dep_targets[dep_offsets[i]..dep_offsets[i + 1]]`,
@@ -95,8 +110,8 @@ pub struct PreparedWorkload {
 }
 
 impl PreparedWorkload {
-    /// Check and index `tasks`. Panics on a malformed workload: duplicate
-    /// ids, or a dependency on an id not in the batch.
+    /// Check and index `tasks`, consuming them. Panics on a malformed
+    /// workload: duplicate ids, or a dependency on an id not in the batch.
     pub fn new(tasks: Vec<TaskSpec>) -> Self {
         let n = tasks.len();
         assert!(n < u32::MAX as usize, "workload too large to index");
@@ -144,36 +159,48 @@ impl PreparedWorkload {
             }
         }
 
+        let inputs: usize = tasks.iter().map(|t| t.inputs.len()).sum();
         let mut w = PreparedWorkload {
-            dep_counts: tasks.iter().map(|t| t.deps.len()).collect(),
+            ids: Vec::with_capacity(n),
+            output_bytes: Vec::with_capacity(n),
+            profiles: Vec::with_capacity(n),
             cat_of: Vec::with_capacity(n),
             cat_names: Vec::new(),
             cat_attrs: Vec::new(),
             cat_ids: Interner::default(),
             file_ids: Interner::default(),
-            input_offsets: vec![0],
-            input_rows: Vec::new(),
+            input_offsets: Vec::with_capacity(n + 1),
+            input_rows: Vec::with_capacity(inputs),
+            input_sizes: Vec::with_capacity(inputs),
+            input_kinds: Vec::with_capacity(inputs),
+            kinds: Vec::new(),
+            kind_ids: HashMap::new(),
+            dep_counts: tasks.iter().map(|t| t.deps.len()).collect(),
             dep_offsets,
             dep_targets,
-            tasks: Vec::new(),
         };
-        for t in &tasks {
-            w.intern_names(t);
+        w.input_offsets.push(0);
+        // Each spec is freed as soon as its row is in.
+        for t in tasks {
+            w.push_row(t);
         }
-        w.tasks = tasks;
         w
     }
 
-    /// Resolve an entering task's names: its category id onto `cat_of`, its
-    /// input rows onto the CSR table. Returns the category id.
-    fn intern_names(&mut self, spec: &TaskSpec) -> u32 {
+    /// Append `spec`'s row: its id, output size and profile, its category id
+    /// onto `cat_of`, its inputs onto the input columns. Its names are
+    /// interned on the way. Returns the category id.
+    fn push_row(&mut self, spec: TaskSpec) -> u32 {
         let cat = self.cat_ids.intern(&spec.category);
         if cat as usize == self.cat_names.len() {
-            self.cat_names.push(spec.category.clone());
+            self.cat_names.push(spec.category);
             self.cat_attrs.push(OnceLock::new());
         }
+        self.ids.push(spec.id);
+        self.output_bytes.push(spec.output_bytes);
+        self.profiles.push(spec.profile);
         self.cat_of.push(cat);
-        for f in &spec.inputs {
+        for f in spec.inputs {
             let id = match f.cacheable {
                 true => self.file_ids.intern(&f.name),
                 false => InputRow::NO_FILE,
@@ -181,6 +208,17 @@ impl PreparedWorkload {
             let env = matches!(f.kind, FileKind::EnvironmentPack { .. });
             self.input_rows
                 .push(InputRow(id | if env { InputRow::ENV } else { 0 }));
+            self.input_sizes.push(f.size_bytes);
+            let kind = match self.kind_ids.get(&f.kind) {
+                Some(&kind) => kind,
+                None => {
+                    let kind = self.kinds.len() as u32;
+                    self.kind_ids.insert(f.kind.clone(), kind);
+                    self.kinds.push(f.kind);
+                    kind
+                }
+            };
+            self.input_kinds.push(kind);
         }
         // File ids are handed out one per row at most, so this bounds both.
         assert!(
@@ -198,17 +236,12 @@ impl PreparedWorkload {
         *self.cat_attrs[cat].get_or_init(|| Name::intern(&self.cat_names[cat]))
     }
 
-    /// The tasks, in submission order.
-    pub fn tasks(&self) -> &[TaskSpec] {
-        &self.tasks
-    }
-
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.ids.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.ids.is_empty()
     }
 
     /// The tasks that list `task_idx` as a dependency, by index.
@@ -219,13 +252,26 @@ impl PreparedWorkload {
             .map(|&d| d as usize)
     }
 
-    /// Task `task_idx`'s inputs, parallel to its spec's `inputs`.
+    /// Task `task_idx`'s rows in the input columns.
+    fn input_range(&self, task_idx: usize) -> std::ops::Range<usize> {
+        self.input_offsets[task_idx] as usize..self.input_offsets[task_idx + 1] as usize
+    }
+
+    /// Task `task_idx`'s inputs, in its spec's order.
     pub(crate) fn inputs_of(&self, task_idx: usize) -> &[InputRow] {
-        let (lo, hi) = (
-            self.input_offsets[task_idx],
-            self.input_offsets[task_idx + 1],
-        );
-        &self.input_rows[lo as usize..hi as usize]
+        &self.input_rows[self.input_range(task_idx)]
+    }
+
+    /// Task `task_idx`'s inputs with what staging them costs: each row, its
+    /// transfer size and its kind.
+    pub(crate) fn staged_inputs_of(
+        &self,
+        task_idx: usize,
+    ) -> impl Iterator<Item = (InputRow, u64, &FileKind)> + '_ {
+        self.input_range(task_idx).map(|r| {
+            let kind = &self.kinds[self.input_kinds[r] as usize];
+            (self.input_rows[r], self.input_sizes[r], kind)
+        })
     }
 
     /// The id of a cacheable file some task names, if any does.
@@ -238,11 +284,9 @@ impl PreparedWorkload {
     /// cacheable file is interned on the fly. Returns its category id.
     pub(crate) fn admit(&mut self, spec: TaskSpec) -> u32 {
         debug_assert!(spec.deps.is_empty());
-        let cat = self.intern_names(&spec);
         self.dep_counts.push(0);
         self.dep_offsets.push(self.dep_targets.len() as u32);
-        self.tasks.push(spec);
-        cat
+        self.push_row(spec)
     }
 }
 
@@ -250,7 +294,6 @@ impl PreparedWorkload {
 mod tests {
     use super::*;
     use crate::files::FileRef;
-    use lfm_monitor::sim::SimTaskProfile;
 
     fn task(id: u64, cat: &str, deps: &[u64]) -> TaskSpec {
         TaskSpec::new(
@@ -276,8 +319,8 @@ mod tests {
 
     fn assert_matches_oracle(tasks: Vec<TaskSpec>) {
         let oracle = dependents_oracle(&tasks);
-        let w = PreparedWorkload::new(tasks);
-        for (i, t) in w.tasks().iter().enumerate() {
+        let w = PreparedWorkload::new(tasks.clone());
+        for (i, t) in tasks.iter().enumerate() {
             let expect = oracle.get(&t.id).cloned().unwrap_or_default();
             assert_eq!(w.dependents(i).collect::<Vec<_>>(), expect, "task {i}");
             assert_eq!(w.dep_counts[i], t.deps.len());
@@ -342,7 +385,6 @@ mod tests {
             with(2, vec![calib.clone(), FileRef::data("in-2", 1), loose_env]),
         ]);
         let rows = |w: &PreparedWorkload, i: usize| -> Vec<(Option<u32>, bool)> {
-            assert_eq!(w.inputs_of(i).len(), w.tasks()[i].inputs.len());
             (w.inputs_of(i).iter())
                 .map(|r| (r.file(), r.is_env()))
                 .collect()
@@ -363,6 +405,76 @@ mod tests {
         w.admit(with(3, vec![late, env]));
         assert_eq!(rows(&w, 3), vec![(Some(2), false), (Some(0), true)]);
         assert_eq!(w.file_id("late"), Some(2));
+    }
+
+    /// Every column of `w` equals the spec field it came from, row for row.
+    fn assert_rows_match(w: &PreparedWorkload, specs: &[TaskSpec]) {
+        assert_eq!(w.len(), specs.len());
+        for (i, t) in specs.iter().enumerate() {
+            assert_eq!(w.ids[i], t.id, "task {i}");
+            assert_eq!(w.output_bytes[i], t.output_bytes, "task {i}");
+            assert_eq!(w.profiles[i], t.profile, "task {i}");
+            assert_eq!(w.cat_names[w.cat_of[i] as usize], t.category, "task {i}");
+            assert_eq!(w.dep_counts[i], t.deps.len(), "task {i}");
+            let staged: Vec<_> = w.staged_inputs_of(i).collect();
+            assert_eq!(staged.len(), t.inputs.len(), "task {i}");
+            for ((row, size, kind), f) in staged.into_iter().zip(&t.inputs) {
+                assert_eq!(size, f.size_bytes, "task {i} {}", f.name);
+                assert_eq!(kind, &f.kind, "task {i} {}", f.name);
+                let env = matches!(f.kind, FileKind::EnvironmentPack { .. });
+                assert_eq!(row.is_env(), env, "task {i} {}", f.name);
+                let file = f.cacheable.then(|| w.file_id(&f.name).expect("interned"));
+                assert_eq!(row.file(), file, "task {i} {}", f.name);
+            }
+        }
+    }
+
+    #[test]
+    fn rows_equal_the_specs_they_came_from() {
+        let env = FileRef::environment("env", 100, 600, 10, 1);
+        let other_env = FileRef::environment("env-b", 200, 900, 20, 3);
+        let with = |id: u64, cat: &str, deps: &[u64], inputs: Vec<FileRef>| TaskSpec {
+            inputs,
+            output_bytes: id * 7,
+            profile: SimTaskProfile::new(id as f64 + 0.5, 1.0, 100 + id, 10 + id),
+            ..task(id, cat, deps)
+        };
+        // Sparse, unordered ids; one cacheable name at two sizes; an
+        // environment pack someone marked uncacheable.
+        let mut specs = vec![
+            with(
+                40,
+                "x",
+                &[7],
+                vec![env.clone(), FileRef::shared_data("calib", 50)],
+            ),
+            with(7, "y", &[], vec![FileRef::data("in-7", 3)]),
+            with(
+                19,
+                "x",
+                &[7, 40],
+                vec![
+                    FileRef::shared_data("calib", 70),
+                    FileRef {
+                        cacheable: false,
+                        ..other_env.clone()
+                    },
+                ],
+            ),
+        ];
+        let mut w = PreparedWorkload::new(specs.clone());
+        assert_rows_match(&w, &specs);
+        assert_eq!(w.kinds.len(), 3, "Data and two packs, each kept once");
+        // Admitted: a first-seen category and file, and known ones.
+        for t in [
+            with(3, "z", &[], vec![FileRef::shared_data("late", 5), env]),
+            with(4, "y", &[], vec![other_env, FileRef::data("in-4", 1)]),
+        ] {
+            specs.push(t.clone());
+            w.admit(t);
+            assert_rows_match(&w, &specs);
+        }
+        assert_eq!((w.cat_names.len(), w.kinds.len()), (3, 3));
     }
 
     #[test]

@@ -36,7 +36,6 @@
 use crate::master::reference::{self, RefQueue};
 use crate::master::SchedulePolicy;
 use crate::prepared::InputRow;
-use crate::task::TaskSpec;
 use crate::worker::WorkerTable;
 use lfm_simcluster::node::Resources;
 use lfm_simcluster::time::SimTime;
@@ -229,20 +228,17 @@ impl IndexedSched {
         all.into_iter().map(|(_, p)| p).collect()
     }
 
-    fn rank(&self, task: &TaskSpec) -> u64 {
-        policy_rank(self.policy, task.profile.peak_memory_mb)
-    }
-
-    /// Enqueue at the back of the examination order (new arrivals).
-    pub(crate) fn push_back(&mut self, task: &TaskSpec, item: Pending) {
-        let key = (self.rank(task), self.back_seq);
+    /// Enqueue at the back of the examination order (new arrivals), ranked
+    /// by the task's peak memory.
+    pub(crate) fn push_back(&mut self, peak_memory_mb: u64, item: Pending) {
+        let key = (policy_rank(self.policy, peak_memory_mb), self.back_seq);
         self.back_seq += 1;
         self.enqueue(key, item);
     }
 
     /// Enqueue at the front of the examination order (retries, evictions).
-    pub(crate) fn push_front(&mut self, task: &TaskSpec, item: Pending) {
-        let key = (self.rank(task), self.front_seq);
+    pub(crate) fn push_front(&mut self, peak_memory_mb: u64, item: Pending) {
+        let key = (policy_rank(self.policy, peak_memory_mb), self.front_seq);
         self.front_seq -= 1;
         self.enqueue(key, item);
     }
@@ -630,7 +626,7 @@ mod tests {
     use super::*;
     use crate::files::FileRef;
     use crate::prepared::PreparedWorkload;
-    use crate::task::TaskId;
+    use crate::task::{TaskId, TaskSpec};
     use crate::worker::Worker;
     use lfm_monitor::sim::SimTaskProfile;
     use lfm_simcluster::node::NodeSpec;
@@ -683,9 +679,9 @@ mod tests {
         // LargestFirst: bigger memory → smaller rank → examined first, with
         // insertion order breaking ties.
         let mut ix = IndexedSched::new(SchedulePolicy::LargestFirst);
-        ix.push_back(&task(0, 100, vec![]), pending(0));
-        ix.push_back(&task(1, 500, vec![]), pending(1));
-        ix.push_back(&task(2, 500, vec![]), pending(2));
+        ix.push_back(100, pending(0));
+        ix.push_back(500, pending(1));
+        ix.push_back(500, pending(2));
         let mut order = Vec::new();
         while ix.peek_min() == Some(Src::Ready) {
             order.push(ix.pop_ready().1.task_idx);
@@ -696,9 +692,9 @@ mod tests {
     #[test]
     fn push_front_examines_before_everything() {
         let mut ix = IndexedSched::new(SchedulePolicy::Fifo);
-        ix.push_back(&task(0, 1, vec![]), pending(0));
-        ix.push_front(&task(1, 1, vec![]), pending(1));
-        ix.push_front(&task(2, 1, vec![]), pending(2));
+        ix.push_back(1, pending(0));
+        ix.push_front(1, pending(1));
+        ix.push_front(1, pending(2));
         // Later front pushes land in front of earlier ones (deque order).
         let mut order = Vec::new();
         while ix.peek_min().is_some() {
@@ -710,7 +706,7 @@ mod tests {
     #[test]
     fn parked_groups_hidden_until_woken() {
         let mut ix = IndexedSched::new(SchedulePolicy::Fifo);
-        ix.push_back(&task(0, 1, vec![]), pending(0));
+        ix.push_back(1, pending(0));
         let (key, item) = ix.pop_ready();
         ix.park((0, false), Some(ParkReason::SlowStart), key, item);
         assert_eq!(ix.len(), 1);
@@ -726,7 +722,7 @@ mod tests {
     #[test]
     fn nofit_wakes_only_on_fitting_capacity() {
         let mut ix = IndexedSched::new(SchedulePolicy::Fifo);
-        ix.push_back(&task(0, 1, vec![]), pending(0));
+        ix.push_back(1, pending(0));
         let (key, item) = ix.pop_ready();
         let want = Resources::new(4, 1000, 1000);
         ix.park((0, false), Some(ParkReason::NoFit(want)), key, item);
@@ -741,7 +737,7 @@ mod tests {
     #[test]
     fn label_change_wakes_nofit_group() {
         let mut ix = IndexedSched::new(SchedulePolicy::Fifo);
-        ix.push_back(&task(0, 1, vec![]), pending(0));
+        ix.push_back(1, pending(0));
         let (key, item) = ix.pop_ready();
         ix.park(
             (0, false),
@@ -795,16 +791,16 @@ mod tests {
     fn steal_last_takes_coldest_first_attempts_only() {
         let mut ix = IndexedSched::new(SchedulePolicy::SmallestFirst);
         // Examination order by memory: 1 (100) < 0 (300) < 2 (900).
-        ix.push_back(&task(0, 300, vec![]), pending(0));
-        ix.push_back(&task(1, 100, vec![]), pending(1));
-        ix.push_back(&task(2, 900, vec![]), pending(2));
+        ix.push_back(300, pending(0));
+        ix.push_back(100, pending(1));
+        ix.push_back(900, pending(2));
         // A retry at the very back of the order must not be stealable.
         let retry = Pending {
             task_idx: 3,
             attempt: 2,
             since: SimTime::ZERO,
         };
-        ix.push_back(&task(3, 5000, vec![]), retry);
+        ix.push_back(5000, retry);
         // Park one candidate: parked work is stealable too.
         let (key, item) = ix.pop_ready(); // task 1, warmest
         ix.park((0, false), Some(ParkReason::SlowStart), key, item);
@@ -1076,12 +1072,14 @@ mod tests {
                 FileRef::shared_data("late", 10),
             ];
             let own = FileRef::data("in", 10);
-            let mut work = PreparedWorkload::new(vec![
+            // The specs the table was built from, for the name-keyed side.
+            let mut specs = vec![
                 task(0, 1, vec![own.clone(), files[0].clone(), files[1].clone()]),
                 task(1, 1, vec![files[2].clone()]),
                 task(2, 1, vec![own.clone()]),
                 task(3, 1, vec![files[1].clone(), files[2].clone(), files[0].clone()]),
-            ]);
+            ];
+            let mut work = PreparedWorkload::new(specs.clone());
             let streamed = task(4, 1, vec![files[3].clone(), own, files[0].clone()]);
             let spec = NodeSpec::new(8, 8192, 16384);
             let alloc = Resources::new(2, 1024, 10);
@@ -1165,6 +1163,7 @@ mod tests {
                     }
                     (9, None) => {
                         work.admit(streamed.clone());
+                        specs.push(streamed.clone());
                         prop_assert_eq!(work.file_id("late"), Some(3));
                     }
                     _ => {}
@@ -1189,7 +1188,7 @@ mod tests {
                         ix.file_index.get(fid as usize).map(|s| s.iter().collect()).unwrap_or_default();
                     prop_assert_eq!(&holders, index.0.get(&f.name).unwrap_or(&BTreeSet::new()), "{}", &f.name);
                 }
-                for (i, t) in work.tasks().iter().enumerate() {
+                for (i, t) in specs.iter().enumerate() {
                     prop_assert_eq!(
                         ix.pick_worker(&workers, work.inputs_of(i), &alloc),
                         index.pick_worker(&ix.cap_index, &workers, t, &alloc),
@@ -1392,14 +1391,13 @@ mod tests {
                     0..=3 => {
                         let item = Pending { task_idx: tasks.len(), attempt: retry as u32, since: SimTime::ZERO };
                         tasks.push((cat, item.attempt));
-                        let spec = task(0, size * 100, vec![]);
                         let rank = policy_rank(SchedulePolicy::SmallestFirst, size * 100);
                         if kind == 0 {
-                            ix.push_front(&spec, item.clone());
+                            ix.push_front(size * 100, item.clone());
                             oracle.ready.insert((rank, front_seq), item);
                             front_seq -= 1;
                         } else {
-                            ix.push_back(&spec, item.clone());
+                            ix.push_back(size * 100, item.clone());
                             oracle.ready.insert((rank, back_seq), item);
                             back_seq += 1;
                         }

@@ -31,7 +31,11 @@
 //! crashed master recovers `snapshot ⊕ tail` exactly as the batch path
 //! does — per-task state vectors re-grow in admission order, unprocessed
 //! `Submit` events survive in the calendar as world events, and leases
-//! reclaim orphaned placements. Without a journal a master crash is a
+//! reclaim orphaned placements. Replay reads only the record's `task_idx`
+//! and `cat`, never its spec: recovery keeps the master's prepared table
+//! (one row per admitted task, no spec) from live memory, and rebuilding it
+//! from the journaled specs is part of recovering from bytes alone
+//! (ROADMAP item 1). Without a journal a master crash is a
 //! full restart: the result log is wiped, the wrapper's cursor re-clamps,
 //! and every admitted invocation re-runs (the serving tier's recovery
 //! baseline).
@@ -554,7 +558,7 @@ mod tests {
         assert!(sm.recoveries() > 0, "crash points never fired");
         let work = sm.master.shared_work();
         assert_eq!(Arc::strong_count(work), 1);
-        let ids: Vec<u64> = work.tasks().iter().map(|t| t.id.0).collect();
+        let ids: Vec<u64> = work.ids.iter().map(|t| t.0).collect();
         assert_eq!(ids, (0..60).collect::<Vec<u64>>(), "admission order");
     }
 

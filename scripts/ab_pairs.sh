@@ -9,12 +9,13 @@
 # alternating which side goes first: host speed drifts by tens of percent
 # over minutes here, so two sequential runs compare the host, not the code.
 # Prints every pair, then per side the median, minimum and quartiles of
-# `wall_s`, `setup_s` and `peak_rss_mb`, the pairs the change won, and
-# whether every sim-clock metric and the `sim_digest` are identical on both
-# sides. `all` does that for each workload BENCHMARK.json names, in turn.
-# Either way it ends with one table, a row per workload: `wall_s` medians
-# and their ratio, pairs won, the parent's inter-quartile distance, and
-# `setup_s` and `peak_rss_mb` parent -> change. An end-to-end metric whose
+# `wall_s`, `setup_s` and `peak_rss_mb`, the pairs the change won on each
+# of the three, and whether every sim-clock metric and the `sim_digest` are
+# identical on both sides. `all` does that for each workload BENCHMARK.json
+# names, in turn. Either way it ends with one table, a row per workload:
+# `wall_s` medians and their ratio, pairs won, the parent's inter-quartile
+# distance, and `setup_s` and `peak_rss_mb` parent -> change with the pairs
+# won on each. An end-to-end metric whose
 # change median is worse than the parent's by more than the `bound`
 # BENCHMARK.json gives it, and by more than its absolute floor, is named in
 # the row's last column. Exits non-zero on such a row or on a sim-clock
@@ -22,7 +23,7 @@
 set -euo pipefail
 
 if (($# < 3)); then
-    sed -n '2,22p' "$0" >&2
+    sed -n '2,23p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -76,10 +77,12 @@ quartiles() { # <p|c> <metric>
 }
 median() { quartiles "$1" "$2" | cut -d' ' -f1; }
 
+# The host metrics whose pairs are counted; lower is better on each.
+host=(wall_s setup_s peak_rss_mb)
 status=0
 for workload in "${workloads[@]}"; do
-    printf '%-4s %-8s %12s %12s %8s\n' pair first parent_wall change_wall ratio
-    won=0
+    printf '%-4s %-8s %12s %12s %8s %11s %11s\n' pair first parent_wall change_wall ratio parent_rss change_rss
+    declare -A won=([wall_s]=0 [setup_s]=0 [peak_rss_mb]=0)
     same=yes
     for ((i = 1; i <= pairs; i++)); do
         if ((i % 2)); then
@@ -91,23 +94,28 @@ for workload in "${workloads[@]}"; do
             run "$change" "$out/$workload.c$i"
             run "$parent" "$out/$workload.p$i"
         fi
+        for m in "${host[@]}"; do
+            p=$(metric "$out/$workload.p$i" "$m")
+            c=$(metric "$out/$workload.c$i" "$m")
+            won[$m]=$((won[$m] + $(awk -v p="$p" -v c="$c" 'BEGIN { print (c < p) ? 1 : 0 }')))
+        done
         p=$(metric "$out/$workload.p$i" wall_s)
         c=$(metric "$out/$workload.c$i" wall_s)
-        printf '%-4s %-8s %12.4f %12.4f %8.3f\n' "$i" "$first" "$p" "$c" \
-            "$(awk -v p="$p" -v c="$c" 'BEGIN { print c / p }')"
-        won=$((won + $(awk -v p="$p" -v c="$c" 'BEGIN { print (c < p) ? 1 : 0 }')))
+        printf '%-4s %-8s %12.4f %12.4f %8.3f %11.1f %11.1f\n' "$i" "$first" "$p" "$c" \
+            "$(awk -v p="$p" -v c="$c" 'BEGIN { print c / p }')" \
+            "$(metric "$out/$workload.p$i" peak_rss_mb)" "$(metric "$out/$workload.c$i" peak_rss_mb)"
         [[ "$(sim_state "$out/$workload.p$i")" == "$(sim_state "$out/$workload.c$i")" ]] || same=NO
     done
 
     echo
     echo "$workload seed $seed, $pairs alternating pairs"
-    for m in wall_s setup_s peak_rss_mb; do
+    for m in "${host[@]}"; do
         for side in p c; do
             read -r med min q1 q3 < <(quartiles $side $m)
             echo "  $m $([[ $side == p ]] && echo parent || echo change)  median $med  min $min  q1 $q1  q3 $q3"
         done
+        echo "  change won ${won[$m]} of $pairs pairs on $m"
     done
-    echo "  change won $won of $pairs pairs on wall_s"
     echo "  sim-clock metrics and sim_digest identical: $same"
     echo
 
@@ -124,16 +132,17 @@ for workload in "${workloads[@]}"; do
     [[ $same == yes ]] || marks+=" sim_digest!"
     [[ -z $marks ]] || status=1
     read -r pw _ pq1 pq3 < <(quartiles p wall_s)
-    printf '%-18s %9.4f %9.4f %6.3f %3d/%-3d %9.4f  %8.4f -> %-8.4f %7.1f -> %-7.1f%s\n' \
+    printf '%-18s %9.4f %9.4f %6.3f %3d/%-3d %9.4f  %8.4f -> %-8.4f %3d/%-3d %7.1f -> %-7.1f %3d/%-3d%s\n' \
         "$workload" "$pw" "$(median c wall_s)" \
         "$(awk -v p="$pw" -v c="$(median c wall_s)" 'BEGIN { print c / p }')" \
-        "$won" "$pairs" "$(awk -v a="$pq1" -v b="$pq3" 'BEGIN { print b - a }')" \
-        "$(median p setup_s)" "$(median c setup_s)" \
-        "$(median p peak_rss_mb)" "$(median c peak_rss_mb)" "$marks" >>"$out/table"
+        "${won[wall_s]}" "$pairs" "$(awk -v a="$pq1" -v b="$pq3" 'BEGIN { print b - a }')" \
+        "$(median p setup_s)" "$(median c setup_s)" "${won[setup_s]}" "$pairs" \
+        "$(median p peak_rss_mb)" "$(median c peak_rss_mb)" "${won[peak_rss_mb]}" "$pairs" \
+        "$marks" >>"$out/table"
 done
 
-echo "seed $seed, $pairs alternating pairs per workload; medians; '!' = worse than the parent beyond its BENCHMARK.json bound and its floor"
-printf '%-18s %9s %9s %6s %7s %9s  %-20s %-18s\n' \
-    workload parent_s change_s ratio won parent_iqr 'setup_s p -> c' 'peak_rss_mb p -> c'
+echo "seed $seed, $pairs alternating pairs per workload; medians; won = pairs the change won on the metric before it; '!' = worse than the parent beyond its BENCHMARK.json bound and its floor"
+printf '%-18s %9s %9s %6s %7s %9s  %-20s %7s %-18s %7s\n' \
+    workload parent_s change_s ratio won parent_iqr 'setup_s p -> c' won 'peak_rss_mb p -> c' won
 cat "$out/table"
 exit $status

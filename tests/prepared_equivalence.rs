@@ -46,16 +46,17 @@ fn cases() -> Vec<(String, Workload, ConfigFor, u32, NodeSpec)> {
     cases
 }
 
-/// Run `cfg` over `work` from two threads released together, and over a
-/// deep clone through `run_workload`: three equal reports.
+/// Run `cfg` over `work`, prepared from `tasks`, from two threads released
+/// together, and over a deep clone of `tasks` through `run_workload`: three
+/// equal reports.
 fn assert_prepared_equals_owned(
     label: &str,
     cfg: &MasterConfig,
-    work: &Arc<PreparedWorkload>,
+    (tasks, work): (&[TaskSpec], &Arc<PreparedWorkload>),
     workers: u32,
     node: NodeSpec,
 ) -> RunReport {
-    let owned = run_workload(cfg, work.tasks().to_vec(), workers, node);
+    let owned = run_workload(cfg, tasks.to_vec(), workers, node);
     let gate = Barrier::new(2);
     let shared = || {
         gate.wait();
@@ -73,12 +74,12 @@ fn assert_prepared_equals_owned(
 #[test]
 fn prepared_equals_owned_for_every_workload_and_strategy() {
     for (name, w, config_for, workers, node) in cases() {
-        let strategies = standard_strategies(&w);
-        let work = Arc::new(PreparedWorkload::new(w.tasks));
-        for s in strategies {
+        let work = Arc::new(PreparedWorkload::new(w.tasks.clone()));
+        for s in standard_strategies(&w) {
             let label = format!("{name}/{}", s.name());
+            let shared = (w.tasks.as_slice(), &work);
             let report =
-                assert_prepared_equals_owned(&label, &config_for(s, 11), &work, workers, node);
+                assert_prepared_equals_owned(&label, &config_for(s, 11), shared, workers, node);
             assert_eq!(report.abandoned_tasks, 0, "{label}");
         }
         assert_eq!(Arc::strong_count(&work), 1, "{name}: a run kept the table");
@@ -95,14 +96,14 @@ fn prepared_equals_owned_under_faults_journal_and_crashes() {
         .with(FaultSpec::stage_in_failure(0.1))
         .with(FaultSpec::spurious_kill(0.05));
     for (name, w, config_for, workers, node) in cases() {
-        let strategies = standard_strategies(&w);
-        let work = Arc::new(PreparedWorkload::new(w.tasks));
-        for s in strategies {
+        let work = Arc::new(PreparedWorkload::new(w.tasks.clone()));
+        for s in standard_strategies(&w) {
             let label = format!("chaos/{name}/{}", s.name());
             let cfg = config_for(s, 13)
                 .with_faults(chaos.clone())
                 .with_durability(DurabilityConfig::journal_with_snapshots(32));
-            let report = assert_prepared_equals_owned(&label, &cfg, &work, workers, node);
+            let shared = (w.tasks.as_slice(), &work);
+            let report = assert_prepared_equals_owned(&label, &cfg, shared, workers, node);
             assert_eq!(report.recoveries, report.master_crashes, "{label}");
             assert!(report.journal_bytes > 0, "{label}: nothing journaled");
             if work.len() > 30 {
@@ -117,8 +118,9 @@ fn prepared_equals_owned_through_an_eight_shard_federation() {
     for (name, w, config_for, _, node) in cases() {
         let cfg = config_for(w.oracle_strategy(), 17).with_shards(8);
         let fed = run_federated(&cfg, &FederationConfig::new(8), w.tasks.clone(), 16, node);
-        let work = Arc::new(PreparedWorkload::new(w.tasks));
-        let report = assert_prepared_equals_owned(&format!("fed8/{name}"), &cfg, &work, 16, node);
+        let work = Arc::new(PreparedWorkload::new(w.tasks.clone()));
+        let shared = (w.tasks.as_slice(), &work);
+        let report = assert_prepared_equals_owned(&format!("fed8/{name}"), &cfg, shared, 16, node);
         assert_eq!(report, fed.merged, "fed8/{name}: run_federated diverged");
         assert_eq!(fed.shards, 8);
     }
