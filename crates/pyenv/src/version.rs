@@ -148,13 +148,6 @@ impl VersionReq {
         }
     }
 
-    /// A requirement `>= v`.
-    pub fn at_least(v: Version) -> Self {
-        VersionReq {
-            comparators: vec![Comparator::Ge(v)],
-        }
-    }
-
     /// Does `v` satisfy every comparator?
     pub fn matches(&self, v: Version) -> bool {
         self.comparators.iter().all(|c| c.matches(v))

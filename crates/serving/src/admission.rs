@@ -37,10 +37,6 @@ impl AdmissionOutcome {
             AdmissionOutcome::ShedOverload => "shed_overload",
         }
     }
-
-    pub fn is_admitted(&self) -> bool {
-        matches!(self, AdmissionOutcome::Admitted)
-    }
 }
 
 /// Gateway-level admission policy.

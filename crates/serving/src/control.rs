@@ -34,17 +34,18 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Per-level multiplier on the offending tenant's token refill rate.
+const QUOTA_FACTOR: f64 = 0.5;
+
 /// Degradation-staging knobs. Factors apply per level: at level `n` a
 /// tenant's depth bound is `base × depth_factor^n` (floored) and its
-/// quota refill `base × quota_factor^n`, while the warm pool grows to
+/// quota refill `base × QUOTA_FACTOR^n` (0.5), while the warm pool grows to
 /// `base × pool_factor^total_levels` — all clamped to the floors and
 /// ceilings below.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ControlConfig {
     /// Per-level multiplier on the offending tenant's queue-depth bound.
     pub depth_factor: f64,
-    /// Per-level multiplier on the offending tenant's token refill rate.
-    pub quota_factor: f64,
     /// Depth bound never tightens below this many queued invocations.
     pub min_depth: usize,
     /// Refill rate never tightens below this fraction of the base quota.
@@ -65,7 +66,6 @@ impl Default for ControlConfig {
     fn default() -> Self {
         ControlConfig {
             depth_factor: 0.5,
-            quota_factor: 0.5,
             min_depth: 8,
             min_rate_fraction: 0.125,
             pool_factor: 1.5,
@@ -93,15 +93,6 @@ impl ControlConfig {
             "depth factor must tighten"
         );
         self.depth_factor = depth_factor;
-        self
-    }
-
-    pub fn with_quota_factor(mut self, quota_factor: f64) -> Self {
-        assert!(
-            quota_factor > 0.0 && quota_factor < 1.0,
-            "quota factor must tighten"
-        );
-        self.quota_factor = quota_factor;
         self
     }
 
@@ -204,7 +195,7 @@ impl ControlPolicy {
         if level == 0 {
             return base;
         }
-        let scaled = base * self.config.quota_factor.powi(level as i32);
+        let scaled = base * QUOTA_FACTOR.powi(level as i32);
         scaled.max(base * self.config.min_rate_fraction)
     }
 

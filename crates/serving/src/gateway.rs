@@ -86,6 +86,9 @@ use lfm_workqueue::streaming::StreamingMaster;
 use lfm_workqueue::task::{TaskId, TaskSpec};
 use std::collections::{BTreeMap, VecDeque};
 
+/// Max invocations per master task group (one `Submit` per tick).
+const BATCH_MAX: usize = 64;
+
 /// A function the gateway can serve: registry identity, packed
 /// environment, per-invocation behaviour, and activation cost model.
 #[derive(Debug, Clone)]
@@ -167,12 +170,8 @@ pub struct ServingConfig {
     /// therefore fairness — is decided by its scheduler, not the
     /// master's FIFO.
     pub dispatch_window: usize,
-    /// Max invocations per master task group (one `Submit` per tick).
-    pub batch_max: usize,
     pub admission: AdmissionConfig,
     pub warm_pool: WarmPoolConfig,
-    /// Master allocation strategy for invocation placement.
-    pub strategy: Strategy,
     pub workers: u32,
     pub node: NodeSpec,
     pub telemetry: Recorder,
@@ -198,13 +197,8 @@ impl ServingConfig {
             horizon_secs: 60.0,
             tick_secs: 0.1,
             dispatch_window: 256,
-            batch_max: 64,
             admission: AdmissionConfig::default(),
             warm_pool: WarmPoolConfig::new((workers as usize) * 8, 30.0),
-            // LFM-managed invocations: per-function labels learned from
-            // monitor reports, so invocations pack instead of taking
-            // whole workers (the paper's core claim, applied to serving).
-            strategy: Strategy::Auto(AutoConfig::default()),
             workers,
             node,
             telemetry: Recorder::disabled(),
@@ -242,20 +236,9 @@ impl ServingConfig {
         self
     }
 
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     pub fn with_dispatch_window(mut self, window: usize) -> Self {
         assert!(window > 0, "zero dispatch window");
         self.dispatch_window = window;
-        self
-    }
-
-    pub fn with_batch_max(mut self, batch_max: usize) -> Self {
-        assert!(batch_max > 0, "zero batch size");
-        self.batch_max = batch_max;
         self
     }
 
@@ -689,7 +672,10 @@ impl ServingGateway {
             config.control.is_none() || config.slo.is_some(),
             "alert-driven control requires an SLO (ServingConfig::with_slo)"
         );
-        let master_cfg = MasterConfig::new(config.strategy.clone())
+        // LFM-managed invocations: per-function labels learned from
+        // monitor reports, so invocations pack instead of taking whole
+        // workers (the paper's core claim, applied to serving).
+        let master_cfg = MasterConfig::new(Strategy::Auto(AutoConfig::default()))
             .with_seed(config.seed)
             .with_telemetry(config.telemetry.clone())
             .with_durability(config.durability)
@@ -817,7 +803,7 @@ impl ServingGateway {
             .config
             .dispatch_window
             .saturating_sub(outstanding)
-            .min(self.config.batch_max);
+            .min(BATCH_MAX);
         let mut batch = Vec::new();
         let state = &mut self.state;
         while budget > 0 {
@@ -1829,6 +1815,8 @@ mod tests {
         // The numbers are the ones the commit before `GatewayState`
         // printed: the image bytes (inside `journal_bytes`), the recoveries
         // and everything downstream of a recovered state did not move.
+        // `journal_bytes` moved once since (701 377 before), when the
+        // master's full images took its delta images' layout.
         let cfg = base_config()
             .with_admission(AdmissionConfig::new(100_000))
             .with_horizon(20.0)
@@ -1848,7 +1836,7 @@ mod tests {
                 r.completed,
                 r.control_actions.len()
             ),
-            (701_377, 2, 1898, 668, 5)
+            (715_162, 2, 1898, 668, 5)
         );
     }
 

@@ -40,12 +40,6 @@ impl SimRng {
         self.inner.gen_range(lo..hi)
     }
 
-    /// Uniform integer in `[lo, hi]` inclusive.
-    pub fn uniform_int(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi);
-        self.inner.gen_range(lo..=hi)
-    }
-
     /// Standard normal via Box-Muller.
     pub fn gauss(&mut self) -> f64 {
         if let Some(z) = self.spare_gauss.take() {

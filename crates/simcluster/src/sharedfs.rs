@@ -148,15 +148,6 @@ impl SharedFs {
         self.bytes_served += bytes;
         md_time + data_time
     }
-
-    /// Cost to write `bytes` (output staging). Writes are bandwidth-bound.
-    pub fn write_cost(&mut self, bytes: u64, concurrent_clients: usize) -> f64 {
-        let t = bytes as f64 / self.effective_bw(concurrent_clients)
-            + 2.0 / self.effective_md_rate(concurrent_clients);
-        self.md_ops_served += 2;
-        self.bytes_served += bytes;
-        t
-    }
 }
 
 #[cfg(test)]

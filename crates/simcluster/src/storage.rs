@@ -26,16 +26,6 @@ impl LocalDisk {
         }
     }
 
-    /// SATA-SSD-class local disk.
-    pub fn ssd(capacity: u64) -> Self {
-        LocalDisk {
-            bandwidth: 500e6,
-            per_file_cost: 50e-6,
-            capacity,
-            used: 0,
-        }
-    }
-
     /// Bytes currently allocated.
     pub fn used(&self) -> u64 {
         self.used

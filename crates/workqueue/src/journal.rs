@@ -16,23 +16,24 @@
 //! * **The ledger** — a `Ledger` is the one home of the master's journaled
 //!   plain data (dependency countdowns, live placements with lease
 //!   deadlines, result rows, retry sets, backoff and quarantine timers,
-//!   report counters), and `Ledger::apply` is the one place that says what
-//!   a record does to it. The live master and journal replay both go
-//!   through it, so live ≡ replay holds by construction.
-//! * **Snapshots** — a `MasterImage` is the ledger plus the three views
+//!   worker fault counts, report counters), and `Ledger::apply` is the one
+//!   place that says what a record does to it. The live master and journal
+//!   replay both go through it, so live ≡ replay holds by construction.
+//! * **Snapshots** — a `MasterImage` is the ledger plus the two views
 //!   whose live form is an index or lives in another module (pending queue
-//!   in examination order, allocator sample stores, per-worker fault
-//!   counts). Installing an image compacts the journal: recovery replays
-//!   only the record tail written since. The journal keeps images as a
-//!   chain of encoded segments — one *full* image, then *delta* images that
-//!   carry what their record tail changed — so a compaction costs the tail,
-//!   not the run; the chain rebases onto a new full image once its deltas
-//!   outweigh the old one.
-//! * **Recovery** — `image = decode(full) ⊕ deltas ⊕ replay(tail)`, from
-//!   the encoded bytes and the tail alone, then the master rebuilds its
-//!   scheduler's indexes from the image. World state (workers, caches,
-//!   the shared filesystem, the network, in-flight completions) survives a
-//!   master crash by definition — only the coordinator's memory is lost.
+//!   in examination order, allocator sample stores). Installing an image
+//!   compacts the journal: recovery replays only the record tail written
+//!   since. The journal keeps images as a chain of encoded segments in one
+//!   layout — one *full* image, which is a delta from the empty image, then
+//!   *delta* images that carry what their record tail changed — so a
+//!   compaction costs the tail, not the run; the chain rebases onto a new
+//!   full image once its deltas outweigh the old one.
+//! * **Recovery** — `image = empty ⊕ full ⊕ deltas ⊕ tail`, one fold
+//!   (`MasterImage::apply`) from the encoded bytes and the tail alone,
+//!   then the master rebuilds its scheduler's indexes from the image.
+//!   World state (workers, caches, the shared filesystem, the network,
+//!   in-flight completions) survives a master crash by definition — only
+//!   the coordinator's memory is lost.
 //!
 //! Everything is encoded with the workspace's byte codec
 //! (`lfm_telemetry::codec`; the vendored serde is a stub): `u8` tags,
@@ -268,7 +269,8 @@ pub(crate) enum JournalError {
     Codec(codec::Error),
     /// An unknown tag byte for the named field.
     BadTag(&'static str, u8),
-    /// A delta image does not fit the image it extends, in the named field.
+    /// An image segment does not fit the image it extends, in the named
+    /// field, or bytes follow its last field.
     Inconsistent(&'static str),
 }
 
@@ -277,9 +279,7 @@ impl std::fmt::Display for JournalError {
         match self {
             JournalError::Codec(e) => write!(f, "journal {e}"),
             JournalError::BadTag(what, t) => write!(f, "bad {what} tag byte {t:#x}"),
-            JournalError::Inconsistent(what) => {
-                write!(f, "delta image does not fit its base: {what}")
-            }
+            JournalError::Inconsistent(what) => write!(f, "inconsistent image: {what}"),
         }
     }
 }
@@ -983,12 +983,12 @@ pub(crate) struct Ledger {
     pub degraded: bool,
     pub env_failures: u32,
     pub counters: Counters,
-    /// Tasks whose per-task entries (`dep_remaining`, `infra_fail_count`,
-    /// retry-set membership) changed since the journal's last image — what
-    /// the next delta image carries instead of the whole vectors. Not part
-    /// of any image: [`apply`](Ledger::apply) pushes (duplicates allowed)
-    /// and the master clears it when an image is installed.
-    pub dirty: Vec<usize>,
+    /// Infrastructure failures attributed to each worker since its last
+    /// quarantine release (staging failures, lost results, lease reclaims,
+    /// spurious kills) — the flakiness score the quarantine threshold
+    /// compares against. An evicted worker keeps its count: ids are never
+    /// reused.
+    pub worker_faults: BTreeMap<u32, u32>,
 }
 
 /// The dependency topology [`Ledger::apply`] reads to release a finished
@@ -999,6 +999,14 @@ pub(crate) struct DepGraph<'a> {
     /// locally-owned dependents count down here; remote ones are released
     /// through the federation outbox and their owner's own journal.
     pub shard: Option<(&'a [u32], u32)>,
+}
+
+impl DepGraph<'_> {
+    /// The dependents of `task_idx` that count down on this master.
+    fn owned_dependents(&self, task_idx: usize) -> impl Iterator<Item = usize> + '_ {
+        (self.work.dependents(task_idx))
+            .filter(|&d| self.shard.is_none_or(|(owner, shard)| owner[d] == shard))
+    }
 }
 
 impl Ledger {
@@ -1068,11 +1076,7 @@ impl Ledger {
             Record::Finished { task_idx, success } => {
                 self.completed += 1;
                 if success {
-                    return self.satisfy(
-                        graph.work.dependents(task_idx as usize).filter(|&d| {
-                            graph.shard.is_none_or(|(owner, shard)| owner[d] == shard)
-                        }),
-                    );
+                    return self.satisfy(graph.owned_dependents(task_idx as usize));
                 }
             }
             Record::RemoteDep { task_idx } => return self.satisfy([task_idx as usize]),
@@ -1084,24 +1088,26 @@ impl Ledger {
                 self.dep_remaining[task_idx as usize] = usize::MAX;
                 self.abandoned += 1;
                 self.completed += 1;
-                self.dirty.push(task_idx as usize);
             }
             Record::Retried { task_idx } => {
                 self.retried.insert(task_idx as usize);
-                self.dirty.push(task_idx as usize);
             }
             Record::InfraRetried { task_idx, count } => {
                 self.infra_retried.insert(task_idx as usize);
                 self.infra_fail_count[task_idx as usize] = count;
-                self.dirty.push(task_idx as usize);
             }
             Record::Streak { cat, value } => self.cat_streak[cat as usize] = value,
+            Record::WorkerFault { worker, count } => {
+                self.worker_faults.insert(worker, count);
+            }
             Record::Quarantined { worker, release_at } => {
                 self.quarantined_until.push((worker, release_at));
                 self.quarantines += 1;
             }
+            // A released worker rejoins with a clean flakiness score.
             Record::QuarantineLifted { worker } => {
-                self.quarantined_until.retain(|&(w, _)| w != worker)
+                self.quarantined_until.retain(|&(w, _)| w != worker);
+                self.worker_faults.remove(&worker);
             }
             Record::EnvFailure { count } => self.env_failures = count,
             Record::Degraded => self.degraded = true,
@@ -1118,7 +1124,6 @@ impl Ledger {
                 );
                 self.dep_remaining.push(0);
                 self.infra_fail_count.push(0);
-                self.dirty.push(task_idx as usize);
                 if self.cat_streak.len() <= cat as usize {
                     self.cat_streak.resize(cat as usize + 1, 0);
                 }
@@ -1137,12 +1142,9 @@ impl Ledger {
                 }
             }
             // No ledger state: the header is a sanity check, a steal only
-            // leaves the pending queue, an observation feeds the allocator,
-            // and fault attribution lives on the `Worker`.
-            Record::RunStart { .. }
-            | Record::Stolen { .. }
-            | Record::Observe { .. }
-            | Record::WorkerFault { .. } => {}
+            // leaves the pending queue, and an observation feeds the
+            // allocator.
+            Record::RunStart { .. } | Record::Stolen { .. } | Record::Observe { .. } => {}
         }
         Vec::new()
     }
@@ -1159,7 +1161,6 @@ impl Ledger {
                 continue;
             }
             self.dep_remaining[idx] -= 1;
-            self.dirty.push(idx);
             if self.dep_remaining[idx] == 0 {
                 ready.push(idx);
             }
@@ -1212,10 +1213,10 @@ pub(crate) fn observe_into(stats: &mut Vec<CategorySnap>, rec: &Record) {
 }
 
 /// The complete serializable image of the master's logical state: the
-/// ledger, plus the three views whose live form is an index
-/// (`IndexedSched`) or lives in another module (`Allocator`, `Worker`). The
-/// journal's image chain decodes to one; journal replay folds records into
-/// one; recovery rebuilds the scheduler's indexes from one.
+/// ledger, plus the two views whose live form is an index (`IndexedSched`)
+/// or lives in another module (`Allocator`). The journal's image chain
+/// decodes to one; journal replay folds records into one; recovery
+/// rebuilds the scheduler's indexes from one.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct MasterImage {
     pub ledger: Ledger,
@@ -1224,40 +1225,30 @@ pub(crate) struct MasterImage {
     /// delta images and replay fold queue operations into it, which keeps
     /// deque order. Either preserves the within-rank relative order that
     /// determines dispatch.
-    pub pending: VecDeque<Pending>,
+    pub pending: PendingFold,
     /// Allocator sample stores, dense by interned category id.
     pub alloc_stats: Vec<CategorySnap>,
-    /// Per-worker infra-failure attribution.
-    pub worker_faults: BTreeMap<u32, u32>,
 }
 
-/// A pending queue that records are being folded into: what `Enqueue`,
-/// `Placed` and `Stolen` do to it, for delta images and tail replay alike.
-/// A departure is a map lookup and a vacated slot — searching a deque for
+/// A pending queue that records are folded into: what `Enqueue`, `Placed`
+/// and `Stolen` do to it, for image segments and tail replay alike. A
+/// departure is a map lookup and a vacated slot — searching a deque for
 /// each one would cost the whole backlog per record.
+#[derive(Clone, Default)]
 pub(crate) struct PendingFold {
     /// Slot `i` holds queue position `first + i`; a departed attempt
     /// leaves `None`.
     slots: VecDeque<Option<Pending>>,
     first: i64,
     /// Queue position of each waiting `(task, attempt)` — an attempt is
-    /// pending at most once.
-    position: BTreeMap<(usize, u32), i64>,
+    /// pending at most once. Built at the first departure: a queue that
+    /// only grows, as a full image's does, never needs it.
+    position: Option<BTreeMap<(usize, u32), i64>>,
 }
 
 impl PendingFold {
-    pub(crate) fn new(queue: VecDeque<Pending>) -> Self {
-        PendingFold {
-            position: (queue.iter().enumerate())
-                .map(|(i, p)| ((p.task_idx, p.attempt), i as i64))
-                .collect(),
-            slots: queue.into_iter().map(Some).collect(),
-            first: 0,
-        }
-    }
-
-    pub(crate) fn apply(&mut self, rec: &Record) {
-        match rec {
+    fn apply(&mut self, rec: &Record) {
+        match *rec {
             Record::Enqueue {
                 task_idx,
                 attempt,
@@ -1265,11 +1256,11 @@ impl PendingFold {
                 since,
             } => {
                 let item = Pending {
-                    task_idx: *task_idx as usize,
-                    attempt: *attempt,
-                    since: *since,
+                    task_idx: task_idx as usize,
+                    attempt,
+                    since,
                 };
-                let at = if *front {
+                let at = if front {
                     self.first -= 1;
                     self.slots.push_front(Some(item));
                     self.first
@@ -1277,7 +1268,9 @@ impl PendingFold {
                     self.slots.push_back(Some(item));
                     self.first + self.slots.len() as i64 - 1
                 };
-                self.position.insert((*task_idx as usize, *attempt), at);
+                if let Some(position) = &mut self.position {
+                    position.insert((task_idx as usize, attempt), at);
+                }
             }
             // The attempt left the queue — for a worker, or for the thief
             // shard.
@@ -1285,7 +1278,12 @@ impl PendingFold {
                 task_idx, attempt, ..
             }
             | Record::Stolen { task_idx, attempt } => {
-                if let Some(at) = self.position.remove(&(*task_idx as usize, *attempt)) {
+                let position = self.position.get_or_insert_with(|| {
+                    (self.slots.iter().zip(self.first..))
+                        .filter_map(|(p, at)| p.as_ref().map(|p| ((p.task_idx, p.attempt), at)))
+                        .collect()
+                });
+                if let Some(at) = position.remove(&(task_idx as usize, attempt)) {
                     self.slots[(at - self.first) as usize] = None;
                 }
             }
@@ -1293,20 +1291,50 @@ impl PendingFold {
         }
     }
 
-    pub(crate) fn finish(self) -> VecDeque<Pending> {
+    /// The waiting attempts, in queue order.
+    fn iter(&self) -> impl Iterator<Item = &Pending> + Clone {
+        self.slots.iter().flatten()
+    }
+
+    pub(crate) fn finish(self) -> Vec<Pending> {
         self.slots.into_iter().flatten().collect()
     }
 }
 
-// Both kinds of image are written from borrowed state — the live ledger and
-// the three views — so a compaction copies nothing it does not encode. A
-// *full* image is the whole state in a fixed field order, with indices as
-// `u64` (a cancelled dependency count as `u64::MAX`) and times as `f64`
-// seconds. A *delta* image is what the record tail changed since the
-// previous image: the sections bounded by the cluster (placements, timers,
-// scalars) whole, and for the sections that grow with the run or its
-// backlog — result rows, allocator samples, the per-task vectors, the
-// pending queue — only the changes.
+/// A queue in the given order.
+impl FromIterator<Pending> for PendingFold {
+    fn from_iter<I: IntoIterator<Item = Pending>>(queue: I) -> Self {
+        PendingFold {
+            slots: queue.into_iter().map(Some).collect(),
+            ..PendingFold::default()
+        }
+    }
+}
+
+/// Equal when the same attempts wait in the same order: vacated slots and
+/// the position map are history, not state.
+impl PartialEq for PendingFold {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for PendingFold {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+// Every image is one layout, written from borrowed state — the live ledger
+// and the two views — so a compaction copies nothing it does not encode. A
+// segment says what changed since the image before it: the sections bounded
+// by the cluster (placements, timers, scalars) whole, and for the sections
+// that grow with the run or its backlog — result rows, allocator samples,
+// the per-task entries, the pending queue — only the changes. A *full*
+// image is the segment written against the empty image: every pending
+// attempt as an enqueue, every sample, an entry for every task and every
+// result row. Indices are `u64` (a cancelled dependency count `u64::MAX`)
+// and times `f64` seconds.
 
 fn put_dep(out: &mut Vec<u8>, d: usize) {
     put_u64(out, if d == usize::MAX { u64::MAX } else { d as u64 });
@@ -1322,7 +1350,7 @@ fn read_dep(r: &mut Reader<'_>) -> Result<usize, JournalError> {
 }
 
 /// Armed backoffs, live placements and the placement-id counter. Whole in
-/// both kinds.
+/// every segment.
 fn put_live(out: &mut Vec<u8>, l: &Ledger) {
     put_u64(out, l.backoffs.len() as u64);
     for &(t, a, at) in &l.backoffs {
@@ -1394,14 +1422,14 @@ fn read_samples(r: &mut Reader<'_>, s: &mut CategorySnap) -> Result<(), JournalE
 }
 
 /// Streaks, fault attribution, quarantine, the scalars and the report
-/// counters. Whole in both kinds.
-fn put_footer(out: &mut Vec<u8>, l: &Ledger, worker_faults: &BTreeMap<u32, u32>) {
+/// counters. Whole in every segment.
+fn put_footer(out: &mut Vec<u8>, l: &Ledger) {
     put_u64(out, l.cat_streak.len() as u64);
     for &c in &l.cat_streak {
         put_u32(out, c);
     }
-    put_u64(out, worker_faults.len() as u64);
-    for (&w, &c) in worker_faults {
+    put_u64(out, l.worker_faults.len() as u64);
+    for (&w, &c) in &l.worker_faults {
         put_u32(out, w);
         put_u32(out, c);
     }
@@ -1423,16 +1451,15 @@ fn put_footer(out: &mut Vec<u8>, l: &Ledger, worker_faults: &BTreeMap<u32, u32>)
     put_f64(out, l.counters.lost_core_secs);
 }
 
-/// Inverse of [`put_footer`], replacing what `img` held.
-fn read_footer(r: &mut Reader<'_>, img: &mut MasterImage) -> Result<(), JournalError> {
-    let l = &mut img.ledger;
+/// Inverse of [`put_footer`], replacing what `l` held.
+fn read_footer(r: &mut Reader<'_>, l: &mut Ledger) -> Result<(), JournalError> {
     l.cat_streak.clear();
     for _ in 0..r.u64()? {
         l.cat_streak.push(r.u32()?);
     }
-    img.worker_faults.clear();
+    l.worker_faults.clear();
     for _ in 0..r.u64()? {
-        img.worker_faults.insert(r.u32()?, r.u32()?);
+        l.worker_faults.insert(r.u32()?, r.u32()?);
     }
     l.quarantined_until.clear();
     for _ in 0..r.u64()? {
@@ -1454,56 +1481,103 @@ fn read_footer(r: &mut Reader<'_>, img: &mut MasterImage) -> Result<(), JournalE
     Ok(())
 }
 
-fn encode_full(
+/// Write one image segment: `queue_ops` (enqueues and departures) and the
+/// `samples` observed since the image before it, the entries of `touched`
+/// (ascending, each once), `rows` appended since, and `l`'s bounded
+/// sections whole.
+fn put_image<'a>(
     out: &mut Vec<u8>,
     l: &Ledger,
-    pending: &[Pending],
-    alloc_stats: &[CategorySnap],
-    worker_faults: &BTreeMap<u32, u32>,
+    queue_ops: impl Iterator<Item = Record> + Clone,
+    samples: &[CategorySnap],
+    touched: impl ExactSizeIterator<Item = usize>,
+    rows: impl Iterator<Item = &'a TaskResult> + Clone,
 ) {
-    put_u64(out, pending.len() as u64);
-    for p in pending {
-        put_u64(out, p.task_idx as u64);
-        put_u32(out, p.attempt);
-        put_time(out, p.since);
+    put_u64(out, queue_ops.clone().count() as u64);
+    for op in queue_ops {
+        op.encode(out);
     }
     put_live(out, l);
-    put_u64(out, alloc_stats.len() as u64);
-    for s in alloc_stats {
-        put_samples(out, s);
-    }
-    put_u64(out, l.dep_remaining.len() as u64);
-    for &d in &l.dep_remaining {
-        put_dep(out, d);
-    }
     put_u64(out, l.completed as u64);
     put_u64(out, l.abandoned);
-    put_u64(out, l.results.len() as u64);
-    for tr in &l.results {
+    put_footer(out, l);
+    put_u64(out, samples.len() as u64);
+    for s in samples {
+        put_samples(out, s);
+    }
+    put_u64(out, touched.len() as u64);
+    for t in touched {
+        put_u64(out, t as u64);
+        put_dep(out, l.dep_remaining[t]);
+        put_u32(out, l.infra_fail_count[t]);
+        let retried = l.retried.contains(&t) as u8;
+        put_u8(out, retried | (l.infra_retried.contains(&t) as u8) << 1);
+    }
+    put_u64(out, l.dep_remaining.len() as u64);
+    put_u64(out, rows.clone().count() as u64);
+    for tr in rows {
         put_result(out, tr);
     }
-    for set in [&l.retried, &l.infra_retried] {
-        put_u64(out, set.len() as u64);
-        for &t in set {
-            put_u64(out, t as u64);
+}
+
+/// Encode the whole state as the segment that extends the empty image.
+fn encode_full<'a>(
+    out: &mut Vec<u8>,
+    l: &Ledger,
+    pending: impl Iterator<Item = &'a Pending> + Clone,
+    alloc_stats: &[CategorySnap],
+) {
+    let enqueues = pending.map(|p| Record::Enqueue {
+        task_idx: p.task_idx as u64,
+        attempt: p.attempt,
+        front: false,
+        since: p.since,
+    });
+    let rows = l.results.iter();
+    put_image(
+        out,
+        l,
+        enqueues,
+        alloc_stats,
+        0..l.dep_remaining.len(),
+        rows,
+    );
+}
+
+/// The tasks whose per-task entries (dependency count, infra-failure
+/// count, retry-set membership) `tail` changed, ascending and each once:
+/// what [`Ledger::apply`] writes them for. A countdown skips a cancelled
+/// task, and a task is never uncancelled, so "cancelled now" stands for
+/// "cancelled when counted" — and one cancelled since is named by its
+/// `Cancelled` record.
+fn touched_tasks(l: &Ledger, graph: &DepGraph<'_>, tail: &[Record]) -> Vec<usize> {
+    let counted = |t: &usize| l.dep_remaining[*t] != usize::MAX;
+    let mut touched = Vec::new();
+    for rec in tail {
+        match *rec {
+            Record::Finished {
+                task_idx,
+                success: true,
+            } => touched.extend(graph.owned_dependents(task_idx as usize).filter(counted)),
+            Record::RemoteDep { task_idx } => {
+                touched.extend(Some(task_idx as usize).filter(counted))
+            }
+            Record::Cancelled { task_idx }
+            | Record::Retried { task_idx }
+            | Record::InfraRetried { task_idx, .. }
+            | Record::Submitted { task_idx, .. } => touched.push(task_idx as usize),
+            _ => {}
         }
     }
-    put_u64(out, l.infra_fail_count.len() as u64);
-    for &c in &l.infra_fail_count {
-        put_u32(out, c);
-    }
-    put_footer(out, l, worker_faults);
+    // Ascending, so a streamed admission's new slot reaches the decoder as
+    // the entry one past the end of the vectors it grows.
+    touched.sort_unstable();
+    touched.dedup();
+    touched
 }
 
 /// Encode what `tail` — every record since the previous image — changed.
-/// Result rows, allocator samples and queue operations come from the
-/// tail's own records; the per-task entries are those of `l.dirty`.
-fn encode_delta(
-    out: &mut Vec<u8>,
-    l: &Ledger,
-    worker_faults: &BTreeMap<u32, u32>,
-    tail: &[Record],
-) {
+fn encode_delta(out: &mut Vec<u8>, l: &Ledger, graph: &DepGraph<'_>, tail: &[Record]) {
     // What happened to the pending queue, as the records [`PendingFold`]
     // reads: enqueues verbatim, a placement cut down to the departure it is
     // to the queue.
@@ -1515,115 +1589,75 @@ fn encode_delta(
         | Record::Stolen { task_idx, attempt } => Some(Record::Stolen { task_idx, attempt }),
         _ => None,
     });
-    put_u64(out, queue_ops.clone().count() as u64);
-    for op in queue_ops {
-        op.encode(out);
-    }
-    put_live(out, l);
-    put_u64(out, l.completed as u64);
-    put_u64(out, l.abandoned);
-    put_footer(out, l, worker_faults);
     let mut observed = Vec::new();
     for rec in tail {
         observe_into(&mut observed, rec);
     }
-    put_u64(out, observed.len() as u64);
-    for s in &observed {
-        put_samples(out, s);
-    }
-    // Ascending, so a streamed admission's new slot reaches the decoder as
-    // the entry one past the end of the vectors it grows.
-    let mut touched = l.dirty.clone();
-    touched.sort_unstable();
-    touched.dedup();
-    put_u64(out, touched.len() as u64);
-    for &t in &touched {
-        put_u64(out, t as u64);
-        put_dep(out, l.dep_remaining[t]);
-        put_u32(out, l.infra_fail_count[t]);
-        let retried = l.retried.contains(&t) as u8;
-        put_u8(out, retried | (l.infra_retried.contains(&t) as u8) << 1);
-    }
-    put_u64(out, l.dep_remaining.len() as u64);
+    let touched = touched_tasks(l, graph, tail);
     let rows = tail.iter().filter_map(|rec| match rec {
         Record::Result(tr) => Some(&**tr),
         _ => None,
     });
-    put_u64(out, rows.clone().count() as u64);
-    for tr in rows {
-        put_result(out, tr);
-    }
+    put_image(out, l, queue_ops, &observed, touched.into_iter(), rows);
 }
 
 impl MasterImage {
+    /// What one record does to the image: the ledger's
+    /// [`apply`](Ledger::apply), the queue fold and the sample stores'
+    /// [`observe_into`] — for tail replay and a segment's queue operations
+    /// alike.
+    pub(crate) fn apply(&mut self, rec: Record, graph: &DepGraph<'_>) {
+        self.pending.apply(&rec);
+        observe_into(&mut self.alloc_stats, &rec);
+        self.ledger.apply(rec, graph);
+    }
+
     /// Encode as a full image.
     pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        let pending: Vec<Pending> = self.pending.iter().cloned().collect();
         encode_full(
             &mut out,
             &self.ledger,
-            &pending,
+            self.pending.iter(),
             &self.alloc_stats,
-            &self.worker_faults,
         );
         out
     }
 
-    /// Decode a full image.
-    pub(crate) fn decode(buf: &[u8]) -> Result<Self, JournalError> {
-        let r = &mut Reader::new(buf);
+    /// Fold image segments — a full image, then the deltas written after
+    /// it — into the empty image. Sample stores come out in canonical
+    /// (sorted) order, as a full image carries them; the pending queue in
+    /// deque order, as after tail replay.
+    pub(crate) fn decode<'b>(
+        segments: impl IntoIterator<Item = &'b [u8]>,
+        graph: &DepGraph<'_>,
+    ) -> Result<Self, JournalError> {
         let mut img = MasterImage::default();
-        for _ in 0..r.u64()? {
-            img.pending.push_back(Pending {
-                task_idx: r.u64()? as usize,
-                attempt: r.u32()?,
-                since: read_time(r)?,
-            });
+        for segment in segments {
+            img.apply_delta(segment, graph)?;
         }
-        read_live(r, &mut img.ledger)?;
-        for _ in 0..r.u64()? {
-            let mut s = CategorySnap::default();
-            read_samples(r, &mut s)?;
-            img.alloc_stats.push(s);
-        }
-        let l = &mut img.ledger;
-        for _ in 0..r.u64()? {
-            l.dep_remaining.push(read_dep(r)?);
-        }
-        l.completed = r.u64()? as usize;
-        l.abandoned = r.u64()?;
-        for _ in 0..r.u64()? {
-            l.results.push(read_result(r)?);
-        }
-        for set in [&mut l.retried, &mut l.infra_retried] {
-            for _ in 0..r.u64()? {
-                set.insert(r.u64()? as usize);
+        for s in &mut img.alloc_stats {
+            for axis in [&mut s.cores, &mut s.memory_mb, &mut s.disk_mb] {
+                axis.sort_unstable_by(f64::total_cmp);
             }
         }
-        for _ in 0..r.u64()? {
-            l.infra_fail_count.push(r.u32()?);
-        }
-        read_footer(r, &mut img)?;
         Ok(img)
     }
 
-    /// Fold one delta image into the image it was written against, its
-    /// queue operations into `queue`. Sample stores come out in arrival
-    /// order; [`Journal::base_image`] restores the canonical order once the
-    /// whole chain is in.
-    fn apply_delta(&mut self, queue: &mut PendingFold, buf: &[u8]) -> Result<(), JournalError> {
+    /// Fold one image segment into the image it was written against.
+    /// Sample stores come out in arrival order.
+    fn apply_delta(&mut self, buf: &[u8], graph: &DepGraph<'_>) -> Result<(), JournalError> {
         let r = &mut Reader::new(buf);
         for _ in 0..r.u64()? {
             match Record::decode(r)? {
-                rec @ (Record::Enqueue { .. } | Record::Stolen { .. }) => queue.apply(&rec),
+                rec @ (Record::Enqueue { .. } | Record::Stolen { .. }) => self.apply(rec, graph),
                 _ => return Err(JournalError::Inconsistent("queue operation")),
             }
         }
         read_live(r, &mut self.ledger)?;
         self.ledger.completed = r.u64()? as usize;
         self.ledger.abandoned = r.u64()?;
-        read_footer(r, self)?;
+        read_footer(r, &mut self.ledger)?;
         // Streamed admissions may have interned categories since.
         let cats = self.ledger.cat_streak.len().max(self.alloc_stats.len());
         self.alloc_stats.resize_with(cats, CategorySnap::default);
@@ -1668,6 +1702,9 @@ impl MasterImage {
         }
         for _ in 0..r.u64()? {
             l.results.push(read_result(r)?);
+        }
+        if !r.is_empty() {
+            return Err(JournalError::Inconsistent("trailing bytes"));
         }
         Ok(())
     }
@@ -1728,22 +1765,23 @@ impl Journal {
     /// the run and a recovery reads at most about two full images' worth.
     /// `full_views` — the pending queue in canonical order and the
     /// allocator's sample stores — is called for a full image only: a delta
-    /// takes queue operations and samples from the tail.
+    /// takes queue operations and samples from the tail, and its per-task
+    /// entries from the tail and `graph`.
     pub(crate) fn compact(
         &mut self,
         ledger: &Ledger,
-        worker_faults: &BTreeMap<u32, u32>,
+        graph: &DepGraph<'_>,
         full_views: impl FnOnce() -> (Vec<Pending>, Vec<CategorySnap>),
     ) {
         let mut bytes = Vec::new();
         let rebase = (self.chain.first()).is_none_or(|full| self.delta_bytes > full.len());
         if rebase {
             let (pending, alloc_stats) = full_views();
-            encode_full(&mut bytes, ledger, &pending, &alloc_stats, worker_faults);
+            encode_full(&mut bytes, ledger, pending.iter(), &alloc_stats);
             self.chain.clear();
             self.delta_bytes = 0;
         } else {
-            encode_delta(&mut bytes, ledger, worker_faults, &self.tail);
+            encode_delta(&mut bytes, ledger, graph, &self.tail);
             self.delta_bytes += bytes.len();
         }
         self.bytes_written += bytes.len() as u64;
@@ -1751,30 +1789,17 @@ impl Journal {
         self.tail.clear();
     }
 
-    /// The image to start recovery from — the chain's full image with its
-    /// deltas folded in, read from the encoded bytes alone — or `None` when
-    /// recovery must replay from the fresh image. Once a delta is folded in
-    /// the pending queue is in deque order, as after tail replay.
-    pub(crate) fn base_image(&self) -> Result<Option<MasterImage>, JournalError> {
-        let Some((full, deltas)) = self.chain.split_first() else {
+    /// The image to start recovery from — the chain folded into the empty
+    /// image, read from the encoded bytes alone — or `None` when recovery
+    /// must replay from the fresh image.
+    pub(crate) fn base_image(
+        &self,
+        graph: &DepGraph<'_>,
+    ) -> Result<Option<MasterImage>, JournalError> {
+        if self.chain.is_empty() {
             return Ok(None);
-        };
-        let mut img = MasterImage::decode(full)?;
-        if deltas.is_empty() {
-            return Ok(Some(img));
         }
-        let mut queue = PendingFold::new(std::mem::take(&mut img.pending));
-        for delta in deltas {
-            img.apply_delta(&mut queue, delta)?;
-        }
-        img.pending = queue.finish();
-        // Back to the canonical (sorted) order a full image exports.
-        for s in &mut img.alloc_stats {
-            for axis in [&mut s.cores, &mut s.memory_mb, &mut s.disk_mb] {
-                axis.sort_unstable_by(f64::total_cmp);
-            }
-        }
-        Ok(Some(img))
+        MasterImage::decode(self.chain.iter().map(Vec::as_slice), graph).map(Some)
     }
 
     /// Records appended since the last image (what a recovery replays).
@@ -1875,16 +1900,17 @@ pub(crate) mod bench_api {
     }
 
     /// A populated `MasterImage` for a `tasks`-task run.
-    fn sample_image(tasks: usize) -> MasterImage {
+    pub(crate) fn sample_image(tasks: usize) -> MasterImage {
         let mut img = MasterImage {
             ledger: Ledger::fresh((0..tasks).map(|i| i % 3).collect(), 4),
             alloc_stats: vec![CategorySnap::default(); 4],
             ..MasterImage::default()
         };
+        let mut pending = Vec::new();
         for i in 0..tasks {
             let at = SimTime::from_secs(i as f64);
             match i % 3 {
-                0 => img.pending.push_back(Pending {
+                0 => pending.push(Pending {
                     task_idx: i,
                     attempt: 0,
                     since: at,
@@ -1906,6 +1932,7 @@ pub(crate) mod bench_api {
                 _ => img.ledger.completed += 1,
             }
         }
+        img.pending = pending.into_iter().collect();
         for s in &mut img.alloc_stats {
             for v in 0..64 {
                 s.cores.push(1.0 + v as f64 * 0.01);
@@ -1924,23 +1951,41 @@ pub(crate) mod bench_api {
 
     /// A master state and the record tail that led to it: the
     /// [`encode_image`] state of a `tasks`-task run after `records` more
-    /// records of the [`encode_records`] mix.
+    /// records of the [`encode_records`] mix, each finish naming a task of
+    /// the run.
     pub(crate) struct DeltaCase {
         img: MasterImage,
         tail: Vec<Record>,
+        /// Every task lists itself as its one dependency — a cycle no run
+        /// could finish, but the codec reads only the dependents table —
+        /// so a finished task's countdown entry is its own.
+        work: PreparedWorkload,
     }
 
     impl DeltaCase {
         pub(crate) fn new(tasks: usize, records: u64) -> Self {
-            let mut img = sample_image(tasks);
-            let tail: Vec<Record> = (0..records).map(sample_record).collect();
-            for rec in &tail {
-                // A finished task counts one dependent down.
-                if let Record::Finished { task_idx, .. } = rec {
-                    img.ledger.dirty.push(*task_idx as usize % tasks);
-                }
+            let profile = SimTaskProfile::new(1.0, 1.0, 1, 1);
+            let work = PreparedWorkload::new(
+                (0..tasks as u64)
+                    .map(|i| {
+                        TaskSpec::new(TaskId(i), "x", vec![], 0, profile).after(vec![TaskId(i)])
+                    })
+                    .collect(),
+            );
+            let tail = (0..records)
+                .map(|i| match sample_record(i) {
+                    Record::Finished { task_idx, success } => Record::Finished {
+                        task_idx: task_idx % tasks as u64,
+                        success,
+                    },
+                    rec => rec,
+                })
+                .collect();
+            DeltaCase {
+                img: sample_image(tasks),
+                tail,
+                work,
             }
-            DeltaCase { img, tail }
         }
 
         /// Encode the state as a delta image over the one before the tail:
@@ -1948,8 +1993,11 @@ pub(crate) mod bench_api {
         /// `tasks`.
         pub(crate) fn encode_delta(&self) -> Vec<u8> {
             let mut out = Vec::new();
-            let img = &self.img;
-            encode_delta(&mut out, &img.ledger, &img.worker_faults, &self.tail);
+            let graph = DepGraph {
+                work: &self.work,
+                shard: None,
+            };
+            encode_delta(&mut out, &self.img.ledger, &graph, &self.tail);
             out
         }
     }
@@ -1961,10 +2009,13 @@ pub(crate) mod bench_api {
         full: &[u8],
         delta: &[u8],
     ) -> Result<usize, crate::journal::JournalError> {
-        let mut img = MasterImage::decode(full)?;
-        let mut queue = PendingFold::new(std::mem::take(&mut img.pending));
-        img.apply_delta(&mut queue, delta)?;
-        Ok(img.ledger.results.len() + queue.finish().len())
+        let work = PreparedWorkload::new(Vec::new());
+        let graph = DepGraph {
+            work: &work,
+            shard: None,
+        };
+        let img = MasterImage::decode([full, delta], &graph)?;
+        Ok(img.ledger.results.len() + img.pending.iter().count())
     }
 }
 
@@ -2158,25 +2209,22 @@ mod tests {
     fn image_roundtrips_bitwise() {
         let mut img = MasterImage {
             ledger: Ledger::fresh(vec![0, 2, usize::MAX], 2),
+            pending: [(2, 1, 3.0), (0, 0, 0.0)]
+                .into_iter()
+                .map(|(task_idx, attempt, since)| Pending {
+                    task_idx,
+                    attempt,
+                    since: SimTime::from_secs(since),
+                })
+                .collect(),
             alloc_stats: vec![CategorySnap::default(); 2],
-            ..MasterImage::default()
         };
-        img.pending.push_back(Pending {
-            task_idx: 0,
-            attempt: 0,
-            since: SimTime::ZERO,
-        });
-        img.pending.push_front(Pending {
-            task_idx: 2,
-            attempt: 1,
-            since: SimTime::from_secs(3.0),
-        });
         img.alloc_stats[0].cores.push(1.25);
         img.alloc_stats[0].memory_mb.push(110.0);
         img.alloc_stats[0].disk_mb.push(900.0);
         img.alloc_stats[0].completed = 1;
-        img.worker_faults.insert(1, 4);
         let l = &mut img.ledger;
+        l.worker_faults.insert(1, 4);
         l.backoffs.push((1, 0, SimTime::from_secs(90.0)));
         l.placements.insert(
             5,
@@ -2213,7 +2261,8 @@ mod tests {
             lost_core_secs: 55.5,
         };
         let bytes = img.encode();
-        let back = MasterImage::decode(&bytes).expect("decodes");
+        let work = PreparedWorkload::new(Vec::new());
+        let back = MasterImage::decode([&bytes[..]], &graph(&work)).expect("decodes");
         assert_eq!(back, img);
         // Same image → same bytes (snapshots are deterministic, so the
         // scheduler-equivalence suites pin journal byte-identity too).
@@ -2224,8 +2273,10 @@ mod tests {
     fn wire_layout_is_pinned() {
         // Round-trip tests cannot see a layout change made to encoder and
         // decoder together. The record and full-image constants were
-        // computed at the commit before the ledger refactor and have not
-        // moved since; the delta image's were computed when it was added.
+        // computed at the commit before the ledger refactor; the delta
+        // image's when it was added. The full image's moved once, when it
+        // took the delta layout (8983 B before): every pending attempt an
+        // enqueue, every task an entry.
         use crate::faults::{FaultPlan, FaultSpec};
         use crate::master::{run_workload, MasterConfig};
         use lfm_pyenv::pack::fnv1a;
@@ -2235,7 +2286,7 @@ mod tests {
             (3161, 0xda16_6f30_a06d_81cd)
         );
         let image = bench_api::encode_image(64);
-        assert_eq!((image.len(), fnv1a(&image)), (8983, 0xc72d_6dbd_c0e1_612b));
+        assert_eq!((image.len(), fnv1a(&image)), (9587, 0x1ddb_f7fa_47a6_c819));
         let delta = bench_api::DeltaCase::new(64, 64).encode_delta();
         assert_eq!((delta.len(), fnv1a(&delta)), (4275, 0x6b4d_54d7_b633_27ac));
 
@@ -2273,10 +2324,12 @@ mod tests {
         let report = run_workload(&cfg, tasks, 4, node);
         assert_eq!((report.master_crashes, report.recoveries), (3, 3));
         // `journal_bytes` was 61985 while every compaction wrote a full
-        // image; re-pinned once when all but the rebasing ones became delta
-        // images. The tail is cleared at the same points, so what a
-        // recovery replays did not move.
-        assert_eq!((report.journal_bytes, report.replayed_events), (45178, 98));
+        // image, and 45178 once all but the rebasing ones became delta
+        // images. Re-pinned when full images took the delta layout and
+        // an evicted worker's fault count stayed in the ledger. The tail is
+        // cleared at the same points, so what a recovery replays never
+        // moved.
+        assert_eq!((report.journal_bytes, report.replayed_events), (46436, 98));
     }
 
     /// The parts of a master an image is made of, driven the way the master
@@ -2289,7 +2342,6 @@ mod tests {
         ledger: Ledger,
         pending: VecDeque<Pending>,
         stats: Vec<CategorySnap>,
-        faults: BTreeMap<u32, u32>,
     }
 
     impl Live {
@@ -2339,21 +2391,19 @@ mod tests {
             stats
         }
 
-        fn compact(&mut self) {
+        fn compact(&mut self, graph: &DepGraph<'_>) {
             let views = (
                 self.pending.iter().cloned().collect(),
                 self.canonical_stats(),
             );
-            (self.journal).compact(&self.ledger, &self.faults, || views);
-            self.ledger.dirty.clear();
+            (self.journal).compact(&self.ledger, graph, || views);
         }
 
         fn image(&self) -> MasterImage {
             MasterImage {
                 ledger: self.ledger.clone(),
-                pending: self.pending.clone(),
+                pending: self.pending.iter().cloned().collect(),
                 alloc_stats: self.canonical_stats(),
-                worker_faults: self.faults.clone(),
             }
         }
     }
@@ -2381,7 +2431,50 @@ mod tests {
     }
 
     #[test]
+    fn a_large_full_image_stays_within_the_layout_gate() {
+        // A 48 000-task full image — a third of the tasks pending, a third
+        // placed, a third done — with one result row per task, and without.
+        // Its bytes stay within 1.25× of what the image took in a layout of
+        // its own (9 814 473 and 1 894 473 B). A release build prints the
+        // best of 15 encodes and decodes: `cargo test --release -p
+        // lfm-workqueue large_full_image -- --nocapture`.
+        let work = PreparedWorkload::new(Vec::new());
+        let reps = if cfg!(debug_assertions) { 1 } else { 15 };
+        for (rows, own_layout) in [(true, 9_814_473.0), (false, 1_894_473.0)] {
+            let mut img = bench_api::sample_image(48_000);
+            if rows {
+                img.ledger.results = (0..48_000)
+                    .map(|i| TaskResult {
+                        task: TaskId(i),
+                        ..sample_result()
+                    })
+                    .collect();
+            }
+            let (mut encode, mut decode) = (f64::MAX, f64::MAX);
+            let mut bytes = Vec::new();
+            for _ in 0..reps {
+                let t = std::time::Instant::now();
+                bytes = img.encode();
+                encode = encode.min(t.elapsed().as_secs_f64());
+                let t = std::time::Instant::now();
+                let back = MasterImage::decode([&bytes[..]], &graph(&work)).expect("decodes");
+                decode = decode.min(t.elapsed().as_secs_f64());
+                assert_eq!(back, img);
+            }
+            eprintln!(
+                "48 000 tasks, rows {rows}: {} B, encode {:.2} ms, decode {:.2} ms",
+                bytes.len(),
+                encode * 1e3,
+                decode * 1e3
+            );
+            assert!(bytes.len() as f64 <= 1.25 * own_layout, "{} B", bytes.len());
+        }
+    }
+
+    #[test]
     fn journal_compaction_drops_tail_and_counts_bytes() {
+        let work = PreparedWorkload::new(Vec::new());
+        let g = graph(&work);
         let mut live = Live {
             ledger: Ledger::fresh(vec![0, 0], 1),
             ..Live::default()
@@ -2395,15 +2488,15 @@ mod tests {
         assert_eq!(j.tail().len(), 2);
         let bytes_before = j.bytes_written();
         assert!(bytes_before > 0);
-        live.compact();
+        live.compact(&g);
         let j = &live.journal;
         assert_eq!(j.tail().len(), 0);
         assert!(!j.wants_snapshot(Some(2)));
         assert!(j.bytes_written() > bytes_before, "snapshot bytes count");
-        let base = j.base_image().expect("decodes").expect("present");
+        let base = j.base_image(&g).expect("decodes").expect("present");
         assert_eq!(base, live.image());
         // A fresh journal has no base image.
-        assert!(Journal::default().base_image().unwrap().is_none());
+        assert!(Journal::default().base_image(&g).unwrap().is_none());
     }
 
     #[test]
@@ -2422,7 +2515,7 @@ mod tests {
         // the arrivals, a requeue of a departed attempt, a departure of an
         // attempt that is not queued: the fold ends where a deque that
         // searches for every departure does.
-        let imaged: VecDeque<Pending> = (0..4)
+        let imaged: Vec<Pending> = (0..4)
             .map(|task_idx| Pending {
                 task_idx,
                 attempt: 0,
@@ -2445,13 +2538,11 @@ mod tests {
             enqueue(7, 0, false),
             Record::Degraded,
         ];
-        let mut fold = PendingFold::new(imaged);
+        let mut fold: PendingFold = imaged.into_iter().collect();
         for rec in &ops {
             fold.apply(rec);
         }
-        let order: Vec<(usize, u32)> = (fold.finish().iter())
-            .map(|p| (p.task_idx, p.attempt))
-            .collect();
+        let order: Vec<(usize, u32)> = (fold.iter()).map(|p| (p.task_idx, p.attempt)).collect();
         assert_eq!(order, vec![(2, 0), (1, 0), (3, 0), (9, 1), (7, 0)]);
     }
 
@@ -2480,15 +2571,16 @@ mod tests {
         live.commit(Record::Result(Box::new(sample_result())), &g);
         live.commit(enqueue(0, 0, false), &g);
         live.commit(enqueue(1, 0, false), &g);
-        live.compact();
+        live.compact(&g);
         assert_eq!(live.journal.chain.len(), 1, "the first image is a full one");
-        assert_eq!(live.journal.base_image().unwrap(), Some(live.image()));
+        assert_eq!(live.journal.base_image(&g).unwrap(), Some(live.image()));
 
         // A tail that touches every kind of delta content: queue traffic
         // (a departure from the imaged queue, a front requeue of the same
         // attempt, an arrival that leaves again), a smaller sample than the
         // one imaged (canonical order must be restored), a kill (one
-        // censored axis), a countdown, retry sets, and a result row.
+        // censored axis), a countdown, retry sets, a result row, and a
+        // worker's fault count.
         live.commit(placed(0, 0), &g);
         live.commit(enqueue(0, 0, true), &g);
         live.commit(enqueue(0, 1, false), &g);
@@ -2511,13 +2603,20 @@ mod tests {
             &g,
         );
         live.commit(Record::Result(Box::new(sample_result())), &g);
-        live.faults.insert(3, 1);
-        assert_eq!(live.ledger.dirty, vec![1, 1, 1]);
-        live.compact();
+        live.commit(
+            Record::WorkerFault {
+                worker: 3,
+                count: 1,
+            },
+            &g,
+        );
+        let tail = live.journal.tail();
+        assert_eq!(touched_tasks(&live.ledger, &g, tail), vec![1]);
+        live.compact(&g);
         assert_eq!(live.journal.chain.len(), 2, "then deltas");
         let queued: Vec<usize> = live.pending.iter().map(|p| p.task_idx).collect();
         assert_eq!(queued, vec![0, 1]);
-        assert_eq!(live.journal.base_image().unwrap(), Some(live.image()));
+        assert_eq!(live.journal.base_image(&g).unwrap(), Some(live.image()));
 
         // Streamed admissions grow the per-task and per-category vectors
         // between images; one of the new tasks is cancelled right away.
@@ -2536,11 +2635,70 @@ mod tests {
         live.commit(Record::Cancelled { task_idx: 2 }, &g);
         live.commit(observe(1, 50, None), &g);
         live.commit(enqueue(3, 0, false), &g);
-        live.compact();
+        live.compact(&g);
         let img = live.image();
         assert_eq!(img.ledger.dep_remaining, vec![0, 0, usize::MAX, 0]);
         assert_eq!((img.alloc_stats.len(), img.ledger.cat_streak.len()), (2, 2));
-        assert_eq!(live.journal.base_image().unwrap(), Some(img));
+        assert_eq!(live.journal.base_image(&g).unwrap(), Some(img));
+    }
+
+    #[test]
+    fn every_per_task_change_reaches_the_next_delta() {
+        // One task per kind of record that moves a per-task entry, each
+        // touched by that record alone, on a shard that owns all but task
+        // 6: 0's success counts 1 down, 6's (remote) counts 2 down, 3 is
+        // cancelled, 4 and 5 take a retry each, and 7 streams in. A delta
+        // that derived no entry for one of them would decode to a stale one.
+        let profile = SimTaskProfile::new(1.0, 1.0, 1, 1);
+        let spec = |id: u64, deps: &[u64]| {
+            TaskSpec::new(TaskId(id), "a", vec![], 0, profile)
+                .after(deps.iter().copied().map(TaskId).collect())
+        };
+        let mut work = PreparedWorkload::new(vec![
+            spec(0, &[]),
+            spec(1, &[0]),
+            spec(2, &[6]),
+            spec(3, &[0]),
+            spec(4, &[]),
+            spec(5, &[]),
+            spec(6, &[]),
+        ]);
+        assert_eq!(work.admit(spec(7, &[])), 0);
+        let owner = [0, 0, 0, 0, 0, 0, 1, 0];
+        let g = DepGraph {
+            shard: Some((&owner, 0)),
+            ..graph(&work)
+        };
+        let mut live = Live {
+            ledger: Ledger::fresh(work.dep_counts[..7].to_vec(), 1),
+            ..Live::default()
+        };
+        live.compact(&g);
+        for rec in [
+            Record::Finished {
+                task_idx: 0,
+                success: true,
+            },
+            Record::RemoteDep { task_idx: 2 },
+            Record::Cancelled { task_idx: 3 },
+            Record::Retried { task_idx: 4 },
+            Record::InfraRetried {
+                task_idx: 5,
+                count: 1,
+            },
+            Record::Submitted {
+                task_idx: 7,
+                cat: 0,
+                spec: Some(Box::new(spec(7, &[]))),
+            },
+        ] {
+            live.commit(rec, &g);
+        }
+        let tail = live.journal.tail();
+        assert_eq!(touched_tasks(&live.ledger, &g, tail), [1, 2, 3, 4, 5, 7]);
+        live.compact(&g);
+        assert_eq!(live.journal.chain.len(), 2, "a full image, then a delta");
+        assert_eq!(live.journal.base_image(&g).unwrap(), Some(live.image()));
     }
 
     #[test]
@@ -2558,7 +2716,7 @@ mod tests {
         let (mut fulls, mut longest) = (0, 0);
         for _ in 0..200 {
             live.commit(Record::Result(Box::new(sample_result())), &g);
-            live.compact();
+            live.compact(&g);
             let j = &live.journal;
             fulls += (j.chain.len() == 1) as usize;
             longest = longest.max(j.chain.len());
@@ -2569,7 +2727,7 @@ mod tests {
                 deltas <= j.chain[0].len() + one_delta,
                 "recovery reads at most about two full images"
             );
-            assert_eq!(j.base_image().unwrap(), Some(live.image()));
+            assert_eq!(j.base_image(&g).unwrap(), Some(live.image()));
         }
         assert!(longest > 4, "deltas are the common case");
         assert!((4..=12).contains(&fulls), "{fulls} full images in 200");
@@ -2584,15 +2742,16 @@ mod tests {
 
     #[test]
     fn truncated_or_misfitting_delta_reports_error() {
+        let work = PreparedWorkload::new(Vec::new());
+        let g = graph(&work);
         let full = bench_api::encode_image(12);
         let delta = bench_api::DeltaCase::new(12, 24).encode_delta();
-        let base = MasterImage::decode(&full).expect("decodes");
-        let apply = |delta: &[u8]| {
-            (base.clone()).apply_delta(&mut PendingFold::new(VecDeque::new()), delta)
-        };
+        let decode = |segments: &[&[u8]]| MasterImage::decode(segments.iter().copied(), &g);
+        let base = decode(&[&full]).expect("decodes");
+        let apply = |delta: &[u8]| (base.clone()).apply_delta(delta, &g);
         apply(&delta).expect("whole delta applies");
         for cut in 0..full.len() {
-            assert!(MasterImage::decode(&full[..cut]).is_err(), "cut at {cut}");
+            assert!(decode(&[&full[..cut]]).is_err(), "cut at {cut}");
         }
         for cut in 0..delta.len() {
             assert!(
@@ -2603,15 +2762,27 @@ mod tests {
                 "cut at {cut}"
             );
         }
+        // Bytes past a segment's last field: one byte appended to a full
+        // image or to a delta, or two segments run together.
+        let trailing = Err(JournalError::Inconsistent("trailing bytes"));
+        let longer = |segment: &[u8]| [segment, &[0]].concat();
+        assert_eq!(decode(&[&longer(&full)]).map(|_| ()), trailing);
+        assert_eq!(apply(&longer(&delta)), trailing);
+        assert_eq!(
+            decode(&[&[&full[..], &delta].concat()]).map(|_| ()),
+            trailing
+        );
         // Deltas that decode but do not fit the image they are applied to.
         let l = Ledger::fresh(vec![0; 12], 4);
         let entry_at = |touched: usize| {
             let mut l = l.clone();
-            l.dirty.push(touched);
             l.dep_remaining.resize(touched + 1, 0);
             l.infra_fail_count.resize(touched + 1, 0);
+            let retried = Record::Retried {
+                task_idx: touched as u64,
+            };
             let mut out = Vec::new();
-            encode_delta(&mut out, &l, &BTreeMap::new(), &[]);
+            encode_delta(&mut out, &l, &g, &[retried]);
             out
         };
         apply(&entry_at(11)).expect("in range");
@@ -2622,7 +2793,7 @@ mod tests {
         );
         let mut shrunk = Vec::new();
         let small = Ledger::fresh(vec![0; 11], 4);
-        encode_delta(&mut shrunk, &small, &BTreeMap::new(), &[]);
+        encode_delta(&mut shrunk, &small, &g, &[]);
         assert_eq!(
             apply(&shrunk),
             Err(JournalError::Inconsistent("task count"))
@@ -2636,7 +2807,7 @@ mod tests {
             violated: None,
         }];
         let mut foreign = Vec::new();
-        encode_delta(&mut foreign, &l, &BTreeMap::new(), &tail);
+        encode_delta(&mut foreign, &l, &g, &tail);
         assert_eq!(
             apply(&foreign),
             Err(JournalError::Inconsistent("observed category"))

@@ -11,8 +11,7 @@ use crate::allocate::{AllocationDecision, Allocator, ObservationEffects, Strateg
 use crate::faults::{backoff_delay, FaultPlan, FaultState, InfraFault, ResilienceConfig};
 use crate::files::FileKind;
 use crate::journal::{
-    observe_into, CategorySnap, CounterKey, DepGraph, DurabilityConfig, Journal, Ledger,
-    MasterImage, PendingFold, Record,
+    CategorySnap, CounterKey, DepGraph, DurabilityConfig, Journal, Ledger, MasterImage, Record,
 };
 use crate::prepared::PreparedWorkload;
 use crate::sched::{policy_rank, IndexedSched, ParkReason, Pending, SchedImpl, Src};
@@ -32,7 +31,6 @@ use lfm_simcluster::storage::LocalDisk;
 use lfm_simcluster::time::SimTime;
 use lfm_telemetry::{InstantBuilder, Name, Recorder, SpanBuilder};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 #[cfg(test)]
@@ -1250,21 +1248,21 @@ impl Master {
     /// journal with. Returns the tasks whose last dependency the record
     /// satisfied.
     fn commit(&mut self, rec: Record) -> Vec<usize> {
+        if let Some(journal) = &mut self.journal {
+            journal.append(&rec);
+        }
         let graph = DepGraph {
             work: &self.work,
             shard: self.fed.as_ref().map(|f| (f.owner.as_slice(), f.shard)),
         };
-        match &mut self.journal {
-            Some(journal) => {
-                journal.append(&rec);
-                self.ledger.apply(rec, &graph)
-            }
-            None => {
-                let ready = self.ledger.apply(rec, &graph);
-                // No journal, no delta image to carry it to.
-                self.ledger.dirty.clear();
-                ready
-            }
+        self.ledger.apply(rec, &graph)
+    }
+
+    /// The dependency topology records are applied over.
+    fn graph(&self) -> DepGraph<'_> {
+        DepGraph {
+            work: &self.work,
+            shard: self.fed.as_ref().map(|f| (f.owner.as_slice(), f.shard)),
         }
     }
 
@@ -1272,10 +1270,9 @@ impl Master {
     /// ledger and views as they stand — nothing is cloned to be written.
     fn compact(&mut self) {
         let mut journal = self.journal.take().expect("the journal asked for it");
-        journal.compact(&self.ledger, &self.worker_faults(), || {
+        journal.compact(&self.ledger, &self.graph(), || {
             (self.sched.snapshot_pending(), self.alloc_stats())
         });
-        self.ledger.dirty.clear();
         self.config
             .telemetry
             .counter_at_key(tk().journal_snapshot, 1, self.queue.now());
@@ -1283,10 +1280,12 @@ impl Master {
         // its bytes, is the live master's full image (once its pending
         // queue, which deltas leave in deque order, is ranked like one).
         if cfg!(debug_assertions) {
-            let mut chain = (journal.base_image())
+            let mut chain = (journal.base_image(&self.graph()))
                 .expect("image chain decodes")
                 .expect("just compacted");
-            self.sort_by_rank(chain.pending.make_contiguous());
+            let mut pending = chain.pending.finish();
+            self.sort_by_rank(&mut pending);
+            chain.pending = pending.into_iter().collect();
             assert_eq!(
                 chain,
                 self.snapshot_image(),
@@ -1369,8 +1368,9 @@ impl Master {
     /// crashed master must resume from.
     fn recover_image(&self) -> MasterImage {
         let journal = self.journal.as_ref().expect("journaled recovery");
+        let graph = self.graph();
         let mut img = journal
-            .base_image()
+            .base_image(&graph)
             .expect("snapshot decodes")
             .unwrap_or_else(|| MasterImage {
                 // Start from the *constructed* task/category sizes: tasks
@@ -1382,46 +1382,22 @@ impl Master {
                 ),
                 ..MasterImage::default()
             });
-        let graph = DepGraph {
-            work: &self.work,
-            shard: self.fed.as_ref().map(|f| (f.owner.as_slice(), f.shard)),
-        };
-        let mut queue = PendingFold::new(std::mem::take(&mut img.pending));
         for rec in journal.tail() {
-            img.ledger.apply(rec.clone(), &graph);
-            queue.apply(rec);
-            self.replay_views(&mut img, rec);
-        }
-        img.pending = queue.finish();
-        img
-    }
-
-    /// Replay one record into the image views that are neither ledger state
-    /// nor the pending queue (a [`PendingFold`]'s job). The live master
-    /// never runs this: fault attribution lives on each `Worker`, and
-    /// observations go straight into the `Allocator`'s multisets.
-    fn replay_views(&self, img: &mut MasterImage, rec: &Record) {
-        match rec {
-            Record::RunStart {
+            if let Record::RunStart {
                 seed,
                 task_count,
                 worker_count,
-            } => {
-                debug_assert_eq!(*seed, self.config.seed, "journal from another run");
+            } = *rec
+            {
+                debug_assert_eq!(seed, self.config.seed, "journal from another run");
                 // `self.work` may have grown past the header count via
                 // streamed admissions; the header pins the constructed size.
-                debug_assert_eq!(*task_count, self.initial_task_count as u64);
-                debug_assert_eq!(*worker_count, self.worker_count);
+                debug_assert_eq!(task_count, self.initial_task_count as u64);
+                debug_assert_eq!(worker_count, self.worker_count);
             }
-            Record::WorkerFault { worker, count } => {
-                img.worker_faults.insert(*worker, *count);
-            }
-            Record::QuarantineLifted { worker } => {
-                img.worker_faults.remove(worker);
-            }
-            Record::Observe { .. } => observe_into(&mut img.alloc_stats, rec),
-            _ => {}
+            img.apply(rec.clone(), &graph);
         }
+        img
     }
 
     /// Stable sort into examination order: by policy rank, queue order
@@ -1433,14 +1409,6 @@ impl Master {
                 self.work.profiles[p.task_idx].peak_memory_mb,
             )
         });
-    }
-
-    /// Per-worker infra-failure attribution, as an image carries it.
-    fn worker_faults(&self) -> BTreeMap<u32, u32> {
-        (self.workers.values())
-            .filter(|w| w.infra_failures > 0)
-            .map(|w| (w.id(), w.infra_failures))
-            .collect()
     }
 
     /// The allocator's sample stores, dense by category id and in canonical
@@ -1469,9 +1437,8 @@ impl Master {
     fn snapshot_image(&self) -> MasterImage {
         MasterImage {
             ledger: self.ledger.clone(),
-            pending: self.sched.snapshot_pending().into(),
+            pending: self.sched.snapshot_pending().into_iter().collect(),
             alloc_stats: self.alloc_stats(),
-            worker_faults: self.worker_faults(),
         }
     }
 
@@ -1506,7 +1473,6 @@ impl Master {
 
         for w in self.workers.values_mut() {
             w.placements.clear();
-            w.infra_failures = img.worker_faults.get(&w.id()).copied().unwrap_or(0);
             w.quarantined = (self.ledger.quarantined_until.iter()).any(|&(q, _)| q == w.id());
         }
         self.running_by_cat.fill(0);
@@ -1523,7 +1489,7 @@ impl Master {
             }
         }
         self.free_cores = self.pool_free_cores();
-        self.rebuild_sched(img.pending.into());
+        self.rebuild_sched(img.pending.finish());
 
         // Re-arm master-side timers, clamping deadlines that passed while
         // the master was down to the recovery instant. Each class re-arms
@@ -1594,7 +1560,6 @@ impl Master {
         for w in self.workers.values_mut() {
             w.placements.clear();
             w.quarantined = false;
-            w.infra_failures = 0;
         }
         self.free_cores = self.pool_free_cores();
         self.allocator = fresh_allocator(&self.config.strategy, &self.work);
@@ -1631,10 +1596,7 @@ impl Master {
     fn probe_restore(&mut self, now: SimTime) {
         let img = self.snapshot_image();
         let bytes = img.encode();
-        let mut decoded = MasterImage::decode(&bytes).expect("image round-trips");
-        // Not image state: the dirty list goes with the journal's record
-        // tail, which a probe leaves in place.
-        decoded.ledger.dirty.clone_from(&img.ledger.dirty);
+        let decoded = MasterImage::decode([&bytes[..]], &self.graph()).expect("image round-trips");
         debug_assert_eq!(img, decoded, "image encode/decode must round-trip");
         // Mirror a real crash's timer purge. At a quiescent point there are
         // no master-side timers, so this keeps the code path honest at zero
@@ -2256,8 +2218,7 @@ impl Master {
         let Some(worker) = self.workers.get_mut(wid) else {
             return; // already evicted
         };
-        worker.infra_failures += 1;
-        let count = worker.infra_failures;
+        let count = self.ledger.worker_faults.get(&wid).map_or(1, |c| c + 1);
         let quarantine = count >= threshold && !worker.quarantined;
         if quarantine {
             worker.quarantined = true;
@@ -2292,7 +2253,6 @@ impl Master {
             return;
         }
         worker.quarantined = false;
-        worker.infra_failures = 0;
         let avail = worker.node.available();
         self.commit(Record::QuarantineLifted { worker: id });
         self.free_cores += avail.cores as u64;
@@ -2785,6 +2745,7 @@ pub(crate) mod tests {
     use crate::allocate::AutoConfig;
     use crate::files::FileRef;
     use crate::task::TaskId;
+    use std::collections::BTreeMap;
 
     /// A uniform batch of HEP-like tasks (§VI-C1's numbers).
     pub(crate) fn hep_tasks(n: u64) -> Vec<TaskSpec> {
@@ -3619,8 +3580,8 @@ pub(crate) mod tests {
         m.release_quarantine(SimTime::from_secs(2.0), 0);
         assert!(!m.workers.get(0).unwrap().quarantined);
         assert_eq!(
-            m.workers.get(0).unwrap().infra_failures,
-            0,
+            m.ledger.worker_faults.get(&0),
+            None,
             "flakiness score reset"
         );
         assert_eq!(m.free_cores, full, "capacity restored");

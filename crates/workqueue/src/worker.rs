@@ -28,10 +28,6 @@ pub(crate) struct Worker {
     /// Quarantined workers are excluded from scheduling until released;
     /// their in-flight tasks drain normally.
     pub quarantined: bool,
-    /// Infrastructure failures attributed to this worker (staging failures,
-    /// lost results, lease reclaims, spurious kills) — the flakiness score
-    /// the quarantine threshold compares against. Reset on release.
-    pub infra_failures: u32,
     /// Lifetime counters.
     pub tasks_completed: u64,
     pub cache_hits: u64,
@@ -48,7 +44,6 @@ impl Worker {
             placements: Vec::new(),
             slowdown: 1.0,
             quarantined: false,
-            infra_failures: 0,
             tasks_completed: 0,
             cache_hits: 0,
             cache_misses: 0,

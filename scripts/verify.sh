@@ -29,11 +29,13 @@ cargo build --release --offline --manifest-path lfm_benchmark/Cargo.toml
 # build above silently prunes it when a product change drops one (`--locked`
 # does not catch removals). Only a `benchmark` PR may change these files.
 git diff --exit-code -- lfm_benchmark BENCHMARK.json
-# Journal bytes per task on master_dag_chaos: 904 B with delta images (9.7 KB
-# while every compaction wrote the whole run so far). The ceiling is twice
-# that, so a term that grows with tasks² cannot come back unnoticed. Only
-# the traced pass prints per-layer counts, so that workload runs with it;
-# so does serving_overload, the one workload whose 2 master crashes take the
+# Journal bytes per task: 867 B on master_dag_chaos, where full images take
+# the delta images' layout (904 B while they had their own; 9.7 KB while
+# every compaction wrote the whole run so far), and 1 406 B per admitted
+# invocation on serving_overload. The ceiling is about twice the first, so
+# a term that grows with tasks² cannot come back unnoticed on either. Only
+# the traced pass prints per-layer counts, so both workloads run with it;
+# serving_overload is also the one workload whose 2 master crashes take the
 # gateway through its recovery path, which must not silently stop running;
 # and master_batch, whose 256 workers each miss the two cacheable files once
 # and hit them ever after — the cheapest tripwire for a file-id table that
@@ -93,7 +95,10 @@ for w in master_batch master_dag_chaos federation_8shard serving_steady serving_
         layer_count workqueue.federation.events_total "v == 100309"
         same_digest_on_one_core
         ;;
-    serving_overload) layer_count serving.gateway.recoveries "v >= 1" ;;
+    serving_overload)
+        layer_count serving.gateway.recoveries "v >= 1"
+        layer_count workqueue.journal.bytes_per_op "v <= $journal_bytes_per_task_ceiling"
+        ;;
     paper_figs) same_digest_on_one_core ;;
     esac
 done

@@ -224,12 +224,17 @@ fn journaled_chaos_allocations_and_peak_live_bytes_are_pinned() {
     // With debug assertions the journal's guards allocate too: every
     // appended record decodes again, every compaction decodes the image
     // chain and copies the live image beside it, and every crash checks
-    // replay against the live ledger. Release: 8.72 allocations and
-    // 1 212 B live at the peak per task; debug: 15.47 and 1 775 B.
+    // replay against the live ledger. Release: 8.70 allocations and
+    // 1 205 B live at the peak per task; debug: 15.46 and 1 768 B. Both
+    // moved once since first pinned (20 937 / 2 910 456 release, 37 137 /
+    // 4 260 343 debug), when the ledger stopped keeping a list of the tasks
+    // each compaction must carry (a vector whose capacity followed the
+    // busiest tail) and full images took the delta layout (other image
+    // buffer sizes).
     let pinned = if cfg!(debug_assertions) {
-        (1_111_456, 37_137, 4_260_343)
+        (1_111_456, 37_101, 4_243_335)
     } else {
-        (1_111_456, 20_937, 2_910_456)
+        (1_111_456, 20_882, 2_892_840)
     };
     assert_eq!(
         (input.live, run.allocs, peak),
@@ -288,10 +293,12 @@ fn streamed_allocations_and_peak_live_bytes_are_pinned() {
         run.peak / n as i64,
     );
     // 8.91 allocations and 623 B live at the peak per invocation (894 B
-    // while the streamed table kept every admitted spec).
+    // while the streamed table kept every admitted spec). One allocation
+    // and 160 B of peak fewer since the ledger stopped keeping a list of
+    // the tasks each admission touched.
     assert_eq!(
         (n, run.allocs, run.peak),
-        (17_739, 158_055, 11_058_481),
+        (17_739, 158_054, 11_058_321),
         "invocations, allocations, peak live bytes"
     );
 }
