@@ -1776,10 +1776,13 @@ impl Journal {
         let mut bytes = Vec::new();
         let rebase = (self.chain.first()).is_none_or(|full| self.delta_bytes > full.len());
         if rebase {
-            let (pending, alloc_stats) = full_views();
-            encode_full(&mut bytes, ledger, pending.iter(), &alloc_stats);
+            // A full image is encoded from the live state, not from the
+            // chain it replaces: drop the chain first, so the two are
+            // never held at once.
             self.chain.clear();
             self.delta_bytes = 0;
+            let (pending, alloc_stats) = full_views();
+            encode_full(&mut bytes, ledger, pending.iter(), &alloc_stats);
         } else {
             encode_delta(&mut bytes, ledger, graph, &self.tail);
             self.delta_bytes += bytes.len();
