@@ -1269,6 +1269,12 @@ impl Master {
     /// Install a compacting image in the journal, encoded from the live
     /// ledger and views as they stand — nothing is cloned to be written.
     fn compact(&mut self) {
+        // An evicted worker's fault count is never read again (ids are not
+        // reused), so the image need not carry it: dropped from the ledger
+        // here, at an image boundary, the image and the live ledger still
+        // agree, and no segment grows with the workers evicted so far.
+        let workers = &self.workers;
+        (self.ledger.worker_faults).retain(|&w, _| workers.get(w).is_some());
         let mut journal = self.journal.take().expect("the journal asked for it");
         journal.compact(&self.ledger, &self.graph(), || {
             (self.sched.snapshot_pending(), self.alloc_stats())
@@ -3873,6 +3879,39 @@ pub(crate) mod tests {
         let report = m.finish();
         assert_eq!(distinct_successes(&report), 40);
         assert!(report.workers_lost >= before.counters.workers_lost);
+    }
+
+    #[test]
+    fn images_carry_no_evicted_workers_fault_counts() {
+        // Churn with infrastructure faults: kept, the fault count of every
+        // evicted worker would ride in each later image's footer, so a delta
+        // would grow with the workers evicted so far.
+        use crate::faults::FaultSpec;
+        let cfg = MasterConfig::new(oracle())
+            .with_faults(
+                FaultPlan::evicting(100.0)
+                    .with(FaultSpec::stage_in_failure(0.1))
+                    .with(FaultSpec::spurious_kill(0.1)),
+            )
+            .with_durability(DurabilityConfig::journal_with_snapshots(16))
+            .with_seed(5);
+        let mut m = Master::new(cfg, prepared(hep_tasks(200)), 2, node());
+        m.start();
+        let (mut faulted, mut images) = (std::collections::BTreeSet::new(), 0);
+        while m.ledger.completed + (m.ledger.abandoned as usize) < m.work.len() {
+            m.step();
+            faulted.extend(m.ledger.worker_faults.keys().copied());
+            // An empty tail: the ledger is what the last image holds.
+            if m.journal.as_ref().expect("journaled").tail().is_empty() {
+                images += 1;
+                let live = &m.workers;
+                assert!(
+                    (m.ledger.worker_faults.keys()).all(|&w| live.get(w).is_some()),
+                    "an image kept an evicted worker's fault count"
+                );
+            }
+        }
+        assert!(faulted.len() > 4 && images > 10, "{faulted:?}, {images}");
     }
 
     #[test]

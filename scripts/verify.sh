@@ -134,6 +134,11 @@ status=0
 echo "==> cargo test -q"
 cargo test -q --offline
 
+# The journaled-chaos allocation pin has a release figure of its own: debug
+# builds also count the journal's guards.
+echo "==> alloc_budget in release"
+cargo test --release --offline -q -p lfm-integration-tests --test alloc_budget
+
 echo "==> benchmark package: its tests"
 cargo test --release --offline -q --manifest-path lfm_benchmark/Cargo.toml
 

@@ -87,10 +87,10 @@ fn ledger_replay_equals_live_at_every_crash() {
         (DurabilityConfig::journal_only(), 0x910f_223f_0d9d_2628),
         // Re-pinned when the master's full images took its delta images'
         // layout (0xd625_7118_b7d6_dd45 before): only `journal_bytes`
-        // moved, 111 029 → 120 281.
+        // moved, 111 029 → 120 161.
         (
             DurabilityConfig::journal_with_snapshots(64),
-            0x8034_6722_b6c4_a825,
+            0x4beb_df4b_90e5_634c,
         ),
     ] {
         let cfg = MasterConfig::new(Strategy::Auto(AutoConfig::default()))
