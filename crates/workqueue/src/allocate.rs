@@ -167,8 +167,9 @@ impl PeakCounts {
 #[cfg(test)]
 thread_local! {
     /// Multiset entries visited by `choose_label`, for the scaling guard
-    /// (one evaluation must cost O(distinct values), not O(samples)).
-    static LABEL_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// (one evaluation must cost O(distinct values), not O(samples)) and the
+    /// master's label-work pin.
+    pub(crate) static LABEL_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Per-category observed peak samples.

@@ -3265,6 +3265,39 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn label_visits_per_completion_are_pinned() {
+        use crate::allocate::LABEL_VISITS;
+        // The Auto labeller's work, in multiset runs visited, over whole
+        // runs: a change to how a label is chosen moves these on purpose and
+        // re-pins them; a change to anything else must not.
+        let visits = |(config, tasks, node): (MasterConfig, Vec<TaskSpec>, NodeSpec)| {
+            let n = tasks.len() as u64;
+            LABEL_VISITS.with(|c| c.set(0));
+            let report = run_workload(&config, tasks, 256, node);
+            assert_eq!(report.results.len() as u64, n + report.retried_tasks);
+            (LABEL_VISITS.with(|c| c.get()), report)
+        };
+        // `master_batch`: four categories of a few hundred peaks each.
+        assert_eq!(visits(batch_shape(50_000, 7)).0, 3_776_793);
+        // One category whose memory peaks spread over thousands of
+        // megabytes, as the drug-screening DAG's do.
+        let (config, mut tasks, node) = batch_shape(8_000, 7);
+        let mut rng = SimRng::seeded(41);
+        for task in &mut tasks {
+            task.category = "spread".into();
+            task.profile.peak_memory_mb = rng.uniform(500.0, 6_000.0) as u64;
+        }
+        let (visited, report) = visits((config, tasks, node));
+        let peaks: std::collections::BTreeSet<u64> = report
+            .results
+            .iter()
+            .map(|r| r.outcome.report().peak_rss_mb)
+            .collect();
+        assert!(peaks.len() >= 500, "{} distinct peaks", peaks.len());
+        assert_eq!(visited, 20_913_678);
+    }
+
+    #[test]
     fn a_run_resolves_no_name() {
         use crate::prepared::NAME_WORK;
         // Names are compared and copied where tasks enter — one interned
