@@ -143,22 +143,37 @@ impl PeakCounts {
     /// Candidates are the distinct observed values. Returns the candidate
     /// minimizing `P(u≤a)·a + (1−P(u≤a))·(a + retry_cost)`, where
     /// `retry_cost` is the per-axis size of the whole-worker retry
-    /// allocation; the smallest minimizer wins ties. One ascending pass: the
-    /// running count is the empirical CDF's numerator at each candidate.
+    /// allocation; the smallest minimizer wins ties.
+    ///
+    /// One descending pass that stops early. The largest value costs
+    /// exactly itself (`P = 1`); `above` counts the samples above the next
+    /// candidate, so `total − above` is the CDF's numerator there. The pass
+    /// stops at the first candidate whose `(1 − p)·retry_cost` already
+    /// exceeds the best cost: every lower candidate has at least `above`
+    /// samples above it, so its computed `1 − p` is at least this one's,
+    /// and since IEEE rounding is monotone and every term is non-negative,
+    /// its computed cost is at least `(1 − p)·retry_cost` — strictly worse,
+    /// so no epsilon is needed and the label is the one a full pass picks,
+    /// bit for bit. Taking a candidate on `cost <= best_cost` keeps the
+    /// smallest minimizer on ties.
     fn choose_label(&self, retry_cost: f64) -> Option<f64> {
-        let mut best = self.runs.last()?.0;
-        let mut best_cost = f64::INFINITY;
-        let mut at_or_below = 0usize;
-        for &(a, n) in &self.runs {
+        let (mut best, mut above) = *self.runs.last()?;
+        let mut best_cost = best;
+        #[cfg(test)]
+        LABEL_VISITS.with(|c| c.set(c.get() + 1));
+        for &(a, n) in self.runs.iter().rev().skip(1) {
+            let p = (self.total - above) as f64 / self.total as f64;
+            if (1.0 - p) * retry_cost > best_cost {
+                break;
+            }
             #[cfg(test)]
             LABEL_VISITS.with(|c| c.set(c.get() + 1));
-            at_or_below += n;
-            let p = at_or_below as f64 / self.total as f64;
             let cost = p * a + (1.0 - p) * (a + retry_cost);
-            if cost < best_cost {
+            if cost <= best_cost {
                 best_cost = cost;
                 best = a;
             }
+            above += n;
         }
         Some(best)
     }
@@ -166,7 +181,8 @@ impl PeakCounts {
 
 #[cfg(test)]
 thread_local! {
-    /// Multiset entries visited by `choose_label`, for the scaling guard
+    /// Multiset entries `choose_label` costs (the one that stops its pass is
+    /// not counted), for the scaling guard
     /// (one evaluation must cost O(distinct values), not O(samples)) and the
     /// master's label-work pin.
     pub(crate) static LABEL_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
@@ -721,6 +737,15 @@ mod tests {
         assert_eq!(PeakCounts::default().choose_label(8192.0), None);
     }
 
+    #[test]
+    fn choose_label_ties_go_to_the_smallest() {
+        // Retry cost 20: 10 costs ½·10 + ½·(10 + 20) = 20.0, as does 20.
+        let mut s = PeakCounts::default();
+        s.record(20.0);
+        s.record(10.0);
+        assert_eq!(s.choose_label(20.0), Some(10.0));
+    }
+
     // ---- oracle: the `Samples`-backed labeler the multiset replaced ----
 
     /// The previous `choose_label`, verbatim: sort the whole store, collect
@@ -835,15 +860,21 @@ mod tests {
 
         /// The multiset picks the bit-identical label the sort-and-search
         /// labeler picked, for any sample set — whole, inflated (×2) and
-        /// fractional values, with heavy duplication.
+        /// fractional values up to 100 000 MB, a few or a few thousand
+        /// distinct, heavily duplicated or not — and any retry cost from 0
+        /// to above the largest value, so the descending pass stops at every
+        /// depth.
         #[test]
         fn multiset_label_equals_samples_oracle(
-            values in prop::collection::vec((1u64..40, 0u8..4), 1..120),
-            retry_cost in 1u64..20_000,
+            values in prop::collection::vec((1u64..=100_000, 0u8..4), 1..3_000),
+            spread in prop::sample::select(vec![40u64, 3_000, 100_000]),
+            retry in 0u64..=300_000,
         ) {
+            let retry_cost = (retry % (3 * spread + 1)) as f64;
             let mut counts = PeakCounts::default();
             let mut samples = Samples::new();
-            for &(v, shape) in &values {
+            for (i, &(v, shape)) in values.iter().enumerate() {
+                let v = 1 + v % spread;
                 let x = match shape {
                     0 | 1 => v as f64,
                     2 => v as f64 * 2.0,
@@ -851,8 +882,13 @@ mod tests {
                 };
                 counts.record(x);
                 samples.record(x);
-                let got = counts.choose_label(retry_cost as f64).map(f64::to_bits);
-                let want = choose_label_oracle(&mut samples, retry_cost as f64).map(f64::to_bits);
+                // Every label while the store is small, then every 50th: the
+                // oracle costs O(samples) per evaluation.
+                if i >= 200 && i % 50 != 0 && i + 1 != values.len() {
+                    continue;
+                }
+                let got = counts.choose_label(retry_cost).map(f64::to_bits);
+                let want = choose_label_oracle(&mut samples, retry_cost).map(f64::to_bits);
                 prop_assert_eq!(got, want);
             }
             let mut sorted: Vec<f64> = samples.iter().collect();
