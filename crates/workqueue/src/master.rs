@@ -18,7 +18,7 @@ use crate::sched::{policy_rank, IndexedSched, ParkReason, Pending, SchedImpl, Sr
 use crate::task::{TaskResult, TaskSpec};
 use crate::worker::{Worker, WorkerTable};
 use lfm_monitor::limits::ResourceLimits;
-use lfm_monitor::report::MonitorOutcome;
+use lfm_monitor::report::{MonitorOutcome, ResourceKind};
 use lfm_monitor::sim::{SimMonitor, SimTaskProfile};
 use lfm_simcluster::batch::{BatchParams, BatchSystem};
 use lfm_simcluster::event::EventQueue;
@@ -96,6 +96,12 @@ struct TelKeys {
     a_cpu_s: Name,
     a_monitor_overhead_s: Name,
     a_limit: Name,
+    // attr values (a spurious kill's status is the `spurious_kill` name)
+    s_completed: Name,
+    s_limit_exceeded: Name,
+    s_failed: Name,
+    /// By `ResourceKind as usize`.
+    limits: [Name; 4],
 }
 
 fn tk() -> &'static TelKeys {
@@ -150,6 +156,16 @@ fn tk() -> &'static TelKeys {
         a_cpu_s: Name::intern("cpu_s"),
         a_monitor_overhead_s: Name::intern("monitor_overhead_s"),
         a_limit: Name::intern("limit"),
+        s_completed: Name::intern("completed"),
+        s_limit_exceeded: Name::intern("limit_exceeded"),
+        s_failed: Name::intern("failed"),
+        limits: [
+            ResourceKind::Cores,
+            ResourceKind::Memory,
+            ResourceKind::Disk,
+            ResourceKind::WallTime,
+        ]
+        .map(|kind| Name::intern(&kind.to_string())),
     })
 }
 
@@ -2426,10 +2442,10 @@ impl Master {
             }
             let report = info.outcome.report();
             let status = match &info.outcome {
-                MonitorOutcome::Completed(_) => "completed",
-                MonitorOutcome::LimitExceeded { .. } => "limit_exceeded",
-                MonitorOutcome::SpuriousKill { .. } => "spurious_kill",
-                MonitorOutcome::Failed { .. } => "failed",
+                MonitorOutcome::Completed(_) => tk().s_completed,
+                MonitorOutcome::LimitExceeded { .. } => tk().s_limit_exceeded,
+                MonitorOutcome::SpuriousKill { .. } => tk().spurious_kill,
+                MonitorOutcome::Failed { .. } => tk().s_failed,
             };
             self.span(tk().exec, tk().cat_lfm)
                 .at(stage_in_end, exec_end)
@@ -2450,7 +2466,7 @@ impl Master {
                     .track(track)
                     .task(tid)
                     .attempt(info.attempt)
-                    .attr_key(tk().a_limit, kind.to_string())
+                    .attr_key(tk().a_limit, tk().limits[kind as usize])
                     .emit();
             }
             if now > exec_end {
