@@ -8,22 +8,24 @@
 # --trace 0` on both sides `pairs` times (default 10, seed default 7),
 # alternating which side goes first: host speed drifts by tens of percent
 # over minutes here, so two sequential runs compare the host, not the code.
-# Prints every pair, then per side the median, minimum and quartiles of
-# `wall_s`, `setup_s` and `peak_rss_mb`, the pairs the change won on each
-# of the three, and whether every sim-clock metric and the `sim_digest` are
-# identical on both sides. `all` does that for each workload BENCHMARK.json
-# names, in turn. Either way it ends with one table, a row per workload:
-# `wall_s` medians and their ratio, pairs won, the parent's inter-quartile
-# distance, and `setup_s` and `peak_rss_mb` parent -> change with the pairs
-# won on each. An end-to-end metric whose
-# change median is worse than the parent's by more than the `bound`
-# BENCHMARK.json gives it, and by more than its absolute floor, is named in
-# the row's last column. Exits non-zero on such a row or on a sim-clock
-# difference.
+# Prints every pair with each side's repetition count (a faster side fits
+# more repetitions into the 2 s, and its peak RSS grows with them), then
+# per side the median, minimum and quartiles of `wall_s`, `setup_s` and
+# `peak_rss_mb`, the pairs the change won on each of the three, the median
+# repetition count, and whether every sim-clock metric and the
+# `sim_digest` are identical on both sides. `all` does that for each
+# workload BENCHMARK.json names, in turn. Either way it ends with one
+# table, a row per workload: `wall_s` medians and their ratio, pairs won,
+# the parent's inter-quartile distance, `setup_s` and `peak_rss_mb`
+# parent -> change with the pairs won on each, and the median repetitions
+# parent -> change. An end-to-end metric whose change median is worse than
+# the parent's by more than the `bound` BENCHMARK.json gives it, and by
+# more than its absolute floor, is named in the row's last column. Exits
+# non-zero on such a row or on a sim-clock difference.
 set -euo pipefail
 
 if (($# < 3)); then
-    sed -n '2,23p' "$0" >&2
+    sed -n '2,24p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -65,7 +67,11 @@ run() { # <checkout> <file>
         exit 1
     }
 }
-metric() { awk -v m="$2" '$1 != "workload" && $2 == m && NF == 5 { print $3 }' "$1"; }
+# `reps` reads the repetition count from the run's "workload ... reps N" line.
+metric() {
+    awk -v m="$2" '$1 != "workload" && $2 == m && NF == 5 { print $3 }
+        $1 == "workload" && m == "reps" { for (i = 2; i < NF; i++) if ($i == "reps") print $(i + 1) }' "$1"
+}
 # Everything the sim clock decides, as one comparable string.
 sim_state() { awk '$1 == "sim_digest" || $NF == "sim"' "$1"; }
 # "<median> <min> <q1> <q3>" of one metric over one side's runs of $workload.
@@ -81,7 +87,7 @@ median() { quartiles "$1" "$2" | cut -d' ' -f1; }
 host=(wall_s setup_s peak_rss_mb)
 status=0
 for workload in "${workloads[@]}"; do
-    printf '%-4s %-8s %12s %12s %8s %11s %11s\n' pair first parent_wall change_wall ratio parent_rss change_rss
+    printf '%-4s %-8s %12s %12s %8s %11s %11s %5s %5s\n' pair first parent_wall change_wall ratio parent_rss change_rss p_rep c_rep
     declare -A won=([wall_s]=0 [setup_s]=0 [peak_rss_mb]=0)
     same=yes
     for ((i = 1; i <= pairs; i++)); do
@@ -101,9 +107,10 @@ for workload in "${workloads[@]}"; do
         done
         p=$(metric "$out/$workload.p$i" wall_s)
         c=$(metric "$out/$workload.c$i" wall_s)
-        printf '%-4s %-8s %12.4f %12.4f %8.3f %11.1f %11.1f\n' "$i" "$first" "$p" "$c" \
+        printf '%-4s %-8s %12.4f %12.4f %8.3f %11.1f %11.1f %5d %5d\n' "$i" "$first" "$p" "$c" \
             "$(awk -v p="$p" -v c="$c" 'BEGIN { print c / p }')" \
-            "$(metric "$out/$workload.p$i" peak_rss_mb)" "$(metric "$out/$workload.c$i" peak_rss_mb)"
+            "$(metric "$out/$workload.p$i" peak_rss_mb)" "$(metric "$out/$workload.c$i" peak_rss_mb)" \
+            "$(metric "$out/$workload.p$i" reps)" "$(metric "$out/$workload.c$i" reps)"
         [[ "$(sim_state "$out/$workload.p$i")" == "$(sim_state "$out/$workload.c$i")" ]] || same=NO
     done
 
@@ -116,6 +123,7 @@ for workload in "${workloads[@]}"; do
         done
         echo "  change won ${won[$m]} of $pairs pairs on $m"
     done
+    echo "  reps parent median $(median p reps)  change median $(median c reps)"
     echo "  sim-clock metrics and sim_digest identical: $same"
     echo
 
@@ -132,17 +140,17 @@ for workload in "${workloads[@]}"; do
     [[ $same == yes ]] || marks+=" sim_digest!"
     [[ -z $marks ]] || status=1
     read -r pw _ pq1 pq3 < <(quartiles p wall_s)
-    printf '%-18s %9.4f %9.4f %6.3f %3d/%-3d %9.4f  %8.4f -> %-8.4f %3d/%-3d %7.1f -> %-7.1f %3d/%-3d%s\n' \
+    printf '%-18s %9.4f %9.4f %6.3f %3d/%-3d %9.4f  %8.4f -> %-8.4f %3d/%-3d %7.1f -> %-7.1f %3d/%-3d %4g -> %-4g%s\n' \
         "$workload" "$pw" "$(median c wall_s)" \
         "$(awk -v p="$pw" -v c="$(median c wall_s)" 'BEGIN { print c / p }')" \
         "${won[wall_s]}" "$pairs" "$(awk -v a="$pq1" -v b="$pq3" 'BEGIN { print b - a }')" \
         "$(median p setup_s)" "$(median c setup_s)" "${won[setup_s]}" "$pairs" \
         "$(median p peak_rss_mb)" "$(median c peak_rss_mb)" "${won[peak_rss_mb]}" "$pairs" \
-        "$marks" >>"$out/table"
+        "$(median p reps)" "$(median c reps)" "$marks" >>"$out/table"
 done
 
 echo "seed $seed, $pairs alternating pairs per workload; medians; won = pairs the change won on the metric before it; '!' = worse than the parent beyond its BENCHMARK.json bound and its floor"
-printf '%-18s %9s %9s %6s %7s %9s  %-20s %7s %-18s %7s\n' \
-    workload parent_s change_s ratio won parent_iqr 'setup_s p -> c' won 'peak_rss_mb p -> c' won
+printf '%-18s %9s %9s %6s %7s %9s  %-20s %7s %-18s %7s %s\n' \
+    workload parent_s change_s ratio won parent_iqr 'setup_s p -> c' won 'peak_rss_mb p -> c' won 'reps p -> c'
 cat "$out/table"
 exit $status
