@@ -181,10 +181,9 @@ impl PeakCounts {
 
 #[cfg(test)]
 thread_local! {
-    /// Multiset entries `choose_label` costs (the one that stops its pass is
-    /// not counted), for the scaling guard
-    /// (one evaluation must cost O(distinct values), not O(samples)) and the
-    /// master's label-work pin.
+    /// Multiset runs `choose_label` costs (not the one that stops its pass),
+    /// for the scaling guard (one evaluation must cost O(distinct values),
+    /// not O(samples)) and the master's label-work pin.
     pub(crate) static LABEL_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 

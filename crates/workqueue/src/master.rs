@@ -100,7 +100,7 @@ struct TelKeys {
     s_completed: Name,
     s_limit_exceeded: Name,
     s_failed: Name,
-    /// By `ResourceKind as usize`.
+    /// Indexed by `kind as usize`, so in `ResourceKind`'s declaration order.
     limits: [Name; 4],
 }
 
