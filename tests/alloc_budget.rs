@@ -104,8 +104,9 @@ fn derive_seed(seed: u64, salt: u64) -> u64 {
 
 /// `lfm_benchmark`'s `batch_tasks`: `n` one-core tasks in four categories
 /// sharing an environment pack and a calibration file, each with an input
-/// of its own.
-fn batch_tasks(n: u64, seed: u64) -> Vec<TaskSpec> {
+/// of its own. With `distinct_peaks` task `i` peaks at `200 + i` MB instead
+/// (durations unchanged).
+fn batch_tasks(n: u64, seed: u64, distinct_peaks: bool) -> Vec<TaskSpec> {
     let mut rng = SimRng::seeded(seed);
     let env = FileRef::environment("bench-env", 100 << 20, 300 << 20, 2000, 400);
     let calib = FileRef::shared_data("bench-calib", 4 << 20);
@@ -114,6 +115,7 @@ fn batch_tasks(n: u64, seed: u64) -> Vec<TaskSpec> {
             let cat = i % 4;
             let duration = rng.uniform(30.0, 41.0);
             let memory = (rng.uniform(0.8, 1.0) * (300 + 50 * cat) as f64) as u64;
+            let memory = if distinct_peaks { 200 + i } else { memory };
             TaskSpec::new(
                 TaskId(i),
                 format!("cat{cat}"),
@@ -130,11 +132,12 @@ fn batch_tasks(n: u64, seed: u64) -> Vec<TaskSpec> {
 }
 
 /// One `master_batch`-shaped run at seed 7 (256 workers of 16 cores, Auto,
-/// journal and telemetry off): what the caller's task vector holds, and
-/// what the run allocates with it.
-fn batch_run(n: u64) -> (Tally, Tally, RunReport) {
-    let (tasks, input) = measure(|| batch_tasks(n, derive_seed(7, 1)));
+/// journal and telemetry off) examining in `policy` order: what the
+/// caller's task vector holds, and what the run allocates with it.
+fn batch_run(n: u64, policy: SchedulePolicy, distinct_peaks: bool) -> (Tally, Tally, RunReport) {
+    let (tasks, input) = measure(|| batch_tasks(n, derive_seed(7, 1), distinct_peaks));
     let config = MasterConfig::new(Strategy::Auto(AutoConfig::default()))
+        .with_policy(policy)
         .with_seed(derive_seed(7, 2))
         .with_sched(SchedImpl::Indexed)
         .with_shards(1)
@@ -146,9 +149,9 @@ fn batch_run(n: u64) -> (Tally, Tally, RunReport) {
 
 #[test]
 fn master_batch_allocations_and_peak_live_bytes_are_pinned() {
-    batch_run(200);
+    batch_run(200, SchedulePolicy::Fifo, false);
     const N: u64 = 20_000;
-    let (input, run, report) = batch_run(N);
+    let (input, run, report) = batch_run(N, SchedulePolicy::Fifo, false);
     assert_eq!(report.results.len() as u64, N + report.retried_tasks);
     // The run's peak counts the caller's task vector it consumes: the
     // specs are freed as their rows go into the prepared table, so the peak
@@ -170,6 +173,26 @@ fn master_batch_allocations_and_peak_live_bytes_are_pinned() {
         (input.live, run.allocs, peak),
         (7_794_000, 68_099, 10_515_097),
         "input live bytes, run allocations, run peak live bytes"
+    );
+
+    // The scheduler's worst case: largest first over a distinct peak per
+    // task, so every pending attempt has an order rank of its own. 3.38
+    // allocations per task: the ready queue and the park groups are
+    // B-trees keyed by (rank, seq), whose nodes fill alike whatever the
+    // ranks.
+    let (input, run, report) = batch_run(N, SchedulePolicy::LargestFirst, true);
+    assert_eq!(report.results.len() as u64, N + report.retried_tasks);
+    let peak = input.live + run.peak;
+    eprintln!(
+        "master_batch {N}, largest first, distinct peaks: {} allocs/task, \
+         peak live {} B/task",
+        run.allocs as f64 / N as f64,
+        peak / N as i64,
+    );
+    assert_eq!(
+        (input.live, run.allocs, peak),
+        (7_794_000, 67_596, 10_515_097),
+        "largest first, distinct peaks: input live bytes, run allocations, run peak live bytes"
     );
 }
 
