@@ -10,8 +10,9 @@
 //!   over a deque fed by `push_back`/`push_front`) is a total order
 //!   `(policy_rank, seq)`: ranks are `0` (Fifo), `!peak_mem` (LargestFirst)
 //!   or `peak_mem` (SmallestFirst), and seqs grow at the back / shrink at
-//!   the front. Ready tasks live in a `BTreeMap` keyed by it, so a dispatch
-//!   pass is a k-way merge instead of a drain-sort-refill.
+//!   the front. Ready tasks and each park group's members are held in that
+//!   order as one deque per rank (`Runs`), so a dispatch pass is a k-way
+//!   merge instead of a drain-sort-refill.
 //! * **Park groups** — a task that fails examination is parked under its
 //!   `(category, is_retry)` group together with *why* it failed (slow-start
 //!   cap, or no worker fits its allocation). All members of a group resolve
@@ -39,7 +40,7 @@ use crate::prepared::InputRow;
 use crate::worker::WorkerTable;
 use lfm_simcluster::node::Resources;
 use lfm_simcluster::time::SimTime;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Which dispatch implementation a run uses. A production build has one,
 /// the indexed scheduler. The reference matcher it is proven
@@ -117,6 +118,86 @@ pub(crate) fn policy_rank(policy: SchedulePolicy, peak_memory_mb: u64) -> u64 {
     }
 }
 
+/// Pending attempts in [`OrderKey`] order: one deque per policy rank, each
+/// sorted by seq, a rank's entry dropped when its deque empties. Under
+/// Fifo every key has rank 0, so a queue is a single deque.
+///
+/// An insert appends when its seq is the rank's largest and otherwise
+/// goes in at its `partition_point`, so any insertion order is exact. In
+/// the master's order almost every insert lands at an end. Within a rank
+/// `push_back` seqs only grow and `push_front` seqs only shrink, so the
+/// ready queue takes back pushes at its tail and front pushes at its head.
+/// A park group takes attempts that a dispatch pass pops from the ready
+/// queue, and every pass drains the ready queue in ascending key order.
+/// Every back seq of a pass is larger than any a group already holds, so
+/// back parks append. Every front seq of a pass is smaller than any a group
+/// already holds, and the pass parks them in ascending order: each goes in
+/// just behind that pass's earlier front parks, a shift of the few the pass
+/// has parked there so far.
+#[derive(Debug, Default)]
+struct Runs(BTreeMap<u64, VecDeque<(i64, Pending)>>);
+
+impl Runs {
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn insert(&mut self, (rank, seq): OrderKey, item: Pending) {
+        let run = self.0.entry(rank).or_default();
+        match run.back() {
+            Some(&(last, _)) if last > seq => {
+                let at = run.partition_point(|&(s, _)| s < seq);
+                run.insert(at, (seq, item));
+            }
+            _ => run.push_back((seq, item)),
+        }
+    }
+
+    fn first_key(&self) -> Option<OrderKey> {
+        let (&rank, run) = self.0.first_key_value()?;
+        run.front().map(|&(seq, _)| (rank, seq))
+    }
+
+    fn first(&self) -> Option<&Pending> {
+        let (_, run) = self.0.first_key_value()?;
+        run.front().map(|(_, item)| item)
+    }
+
+    fn pop_first(&mut self) -> Option<(OrderKey, Pending)> {
+        let mut entry = self.0.first_entry()?;
+        let rank = *entry.key();
+        let (seq, item) = entry.get_mut().pop_front()?;
+        if entry.get().is_empty() {
+            entry.remove();
+        }
+        Some(((rank, seq), item))
+    }
+
+    /// Every attempt with its key, ascending; `rev()` walks from the back.
+    fn iter(&self) -> impl DoubleEndedIterator<Item = (OrderKey, &Pending)> + '_ {
+        (self.0.iter()).flat_map(|(&rank, run)| run.iter().map(move |(seq, p)| ((rank, *seq), p)))
+    }
+
+    /// The largest key of a first attempt (the one a steal takes next).
+    fn last_stealable(&self) -> Option<OrderKey> {
+        self.iter()
+            .rev()
+            .find(|(_, p)| p.attempt == 0)
+            .map(|(k, _)| k)
+    }
+
+    /// Take the attempt under `key`, which is present.
+    fn remove(&mut self, (rank, seq): OrderKey) -> Pending {
+        let run = self.0.get_mut(&rank).expect("a held rank");
+        let at = (run.binary_search_by_key(&seq, |&(s, _)| s)).expect("a held seq");
+        let (_, item) = run.remove(at).expect("in range");
+        if run.is_empty() {
+            self.0.remove(&rank);
+        }
+        item
+    }
+}
+
 /// Why a group failed its last examination. The stored reason is a
 /// *certificate* that re-examining the group is pointless until a wake
 /// condition specific to the reason occurs.
@@ -138,7 +219,7 @@ pub(crate) enum ParkReason {
 #[derive(Debug, Default)]
 struct ParkGroup {
     reason: ParkReason,
-    members: BTreeMap<OrderKey, Pending>,
+    members: Runs,
     /// A wake is pending: the head competes with `ready` in the next
     /// dispatch pass. Waking is lazy — members never move.
     runnable: bool,
@@ -162,12 +243,12 @@ pub(crate) enum Src {
 pub(crate) struct IndexedSched {
     policy: SchedulePolicy,
     /// Tasks awaiting their first examination since (re-)enqueue.
-    ready: BTreeMap<OrderKey, Pending>,
+    ready: Runs,
     /// Tasks whose last examination failed, grouped by (category, retry):
     /// the group of `gk` is `groups[slot(gk)]`.
     groups: Vec<ParkGroup>,
-    /// Total members across all groups (so `len` is O(1)).
-    parked: usize,
+    /// Ready and parked attempts together (so `len` is O(1)).
+    queued: usize,
     /// `push_front` seqs: start at -1 and decrease.
     front_seq: i64,
     /// `push_back` seqs: start at 0 and increase.
@@ -186,9 +267,9 @@ impl IndexedSched {
     pub(crate) fn new(policy: SchedulePolicy) -> Self {
         IndexedSched {
             policy,
-            ready: BTreeMap::new(),
+            ready: Runs::default(),
             groups: Vec::new(),
-            parked: 0,
+            queued: 0,
             front_seq: -1,
             back_seq: 0,
             cap_index: CapIndex::default(),
@@ -204,7 +285,7 @@ impl IndexedSched {
         if let Some(q) = &self.reference {
             return q.len();
         }
-        self.ready.len() + self.parked
+        self.queued
     }
 
     /// Every pending task — ready and parked alike — in global examination
@@ -222,7 +303,7 @@ impl IndexedSched {
             .ready
             .iter()
             .chain(self.groups.iter().flat_map(|g| g.members.iter()))
-            .map(|(&k, p)| (k, p.clone()))
+            .map(|(k, p)| (k, p.clone()))
             .collect();
         all.sort_by_key(|&(k, _)| k);
         all.into_iter().map(|(_, p)| p).collect()
@@ -249,6 +330,7 @@ impl IndexedSched {
             return q.push(key, item);
         }
         self.ready.insert(key, item);
+        self.queued += 1;
     }
 
     // ---- dispatch-pass primitives ----
@@ -256,12 +338,12 @@ impl IndexedSched {
     /// The source holding the smallest order key among `ready` and all
     /// runnable group heads, or None when nothing is examinable.
     pub(crate) fn peek_min(&self) -> Option<Src> {
-        let mut best: Option<(OrderKey, Src)> = self.ready.keys().next().map(|&k| (k, Src::Ready));
+        let mut best: Option<(OrderKey, Src)> = self.ready.first_key().map(|k| (k, Src::Ready));
         for (i, g) in self.groups.iter().enumerate() {
             if !g.runnable {
                 continue;
             }
-            let head = *(g.members.keys().next()).expect("runnable group is non-empty");
+            let head = (g.members.first_key()).expect("runnable group is non-empty");
             if best.is_none_or(|(bk, _)| head < bk) {
                 best = Some((head, Src::Group((i as u32 / 2, i % 2 == 1))));
             }
@@ -270,6 +352,7 @@ impl IndexedSched {
     }
 
     pub(crate) fn pop_ready(&mut self) -> (OrderKey, Pending) {
+        self.queued -= 1;
         self.ready.pop_first().expect("peek_min said ready")
     }
 
@@ -277,7 +360,7 @@ impl IndexedSched {
     /// fail, and a failed one only renews the group's certificate.
     pub(crate) fn group_head(&self, gk: GroupKey) -> &Pending {
         let g = &self.groups[slot(gk)];
-        g.members.values().next().expect("runnable group non-empty")
+        g.members.first().expect("runnable group non-empty")
     }
 
     /// Take the head of a runnable group for placement. A group emptied
@@ -286,7 +369,7 @@ impl IndexedSched {
         let g = &mut self.groups[slot(gk)];
         let (key, item) = g.members.pop_first().expect("runnable group non-empty");
         g.runnable &= !g.members.is_empty();
-        self.parked -= 1;
+        self.queued -= 1;
         (key, item)
     }
 
@@ -327,7 +410,7 @@ impl IndexedSched {
             None => debug_assert!(!g.members.is_empty(), "joining an existing group"),
         }
         g.members.insert(key, item);
-        self.parked += 1;
+        self.queued += 1;
     }
 
     // ---- wake protocol ----
@@ -435,12 +518,10 @@ impl IndexedSched {
             // `ready` and in every park group. Groups are searched whether
             // runnable or asleep — parked work is exactly what a hot shard
             // cannot start soon.
-            let mut best: Option<(OrderKey, Option<usize>)> = None;
-            if let Some((&k, _)) = self.ready.iter().rev().find(|(_, p)| p.attempt == 0) {
-                best = Some((k, None));
-            }
+            let mut best: Option<(OrderKey, Option<usize>)> =
+                self.ready.last_stealable().map(|k| (k, None));
             for (slot, g) in self.groups.iter().enumerate() {
-                if let Some((&k, _)) = g.members.iter().rev().find(|(_, p)| p.attempt == 0) {
+                if let Some(k) = g.members.last_stealable() {
                     if best.is_none_or(|(bk, _)| k > bk) {
                         best = Some((k, Some(slot)));
                     }
@@ -448,15 +529,15 @@ impl IndexedSched {
             }
             let Some((key, src)) = best else { break };
             let item = match src {
-                None => self.ready.remove(&key).expect("found in ready"),
+                None => self.ready.remove(key),
                 Some(slot) => {
                     let g = &mut self.groups[slot];
-                    let item = g.members.remove(&key).expect("found member");
-                    self.parked -= 1;
+                    let item = g.members.remove(key);
                     g.runnable &= !g.members.is_empty();
                     item
                 }
             };
+            self.queued -= 1;
             out.push(item);
         }
         out.reverse();
@@ -1363,108 +1444,230 @@ mod tests {
         }
     }
 
+    /// Every group key the park-table tests use.
+    fn all_groups() -> impl Iterator<Item = GroupKey> {
+        (0..6).flat_map(|c| [(c, false), (c, true)])
+    }
+
+    /// One step of a dispatch pass on both sides, taken as `Master::dispatch`
+    /// takes it: `place` says whether the examined attempt is placed,
+    /// `reason` is the verdict when it is not. The source examined, None
+    /// once the pass is over.
+    fn dispatch_step(
+        ix: &mut IndexedSched,
+        oracle: &mut MapGroups,
+        gk_of: impl Fn(&Pending) -> GroupKey,
+        place: impl Fn(Src, &Pending) -> bool,
+        reason: ParkReason,
+    ) -> Result<Option<Src>, TestCaseError> {
+        let src = ix.peek_min();
+        prop_assert_eq!(src, oracle.peek_min());
+        match src {
+            None => {}
+            Some(Src::Ready) => {
+                let (key, item) = ix.pop_ready();
+                prop_assert_eq!((key, item.clone()), oracle.pop_ready());
+                let gk = gk_of(&item);
+                prop_assert_eq!(ix.is_asleep(gk), oracle.is_asleep(gk));
+                if ix.is_asleep(gk) {
+                    ix.park(gk, None, key, item.clone());
+                    oracle.park(gk, None, key, item);
+                } else if place(Src::Ready, &item) {
+                    // Placed: the old pass then swept the group.
+                    oracle.drop_group_if_empty(gk);
+                } else {
+                    ix.park(gk, Some(reason.clone()), key, item.clone());
+                    oracle.park(gk, Some(reason), key, item);
+                }
+            }
+            Some(Src::Group(gk)) => {
+                let head = ix.group_head(gk).clone();
+                prop_assert_eq!(&head, oracle.group_head(gk));
+                if place(Src::Group(gk), &head) {
+                    prop_assert_eq!(ix.pop_group_head(gk), oracle.pop_group_head(gk));
+                    oracle.drop_group_if_empty(gk);
+                } else {
+                    ix.sleep_group(gk, reason.clone());
+                    oracle.sleep_group(gk, reason);
+                }
+            }
+        }
+        Ok(src)
+    }
+
+    /// Both sides hold the same attempts in the same order, queue by queue,
+    /// and agree on everything the master reads.
+    fn assert_same_queues(ix: &IndexedSched, oracle: &MapGroups) -> Result<(), TestCaseError> {
+        prop_assert_eq!(ix.len(), oracle.len());
+        prop_assert_eq!(ix.peek_min(), oracle.peek_min());
+        prop_assert_eq!(ix.snapshot_pending(), oracle.snapshot_pending());
+        let keys = |runs: &Runs| runs.iter().map(|(k, _)| k).collect::<Vec<_>>();
+        prop_assert_eq!(
+            keys(&ix.ready),
+            oracle.ready.keys().copied().collect::<Vec<_>>()
+        );
+        for gk in all_groups() {
+            let ours = ix
+                .groups
+                .get(slot(gk))
+                .map(|g| keys(&g.members))
+                .unwrap_or_default();
+            let theirs: Vec<OrderKey> = oracle
+                .groups
+                .get(&gk)
+                .map(|g| g.members.keys().copied().collect())
+                .unwrap_or_default();
+            prop_assert_eq!(ours, theirs, "members of {:?}", gk);
+            prop_assert_eq!(ix.is_asleep(gk), oracle.is_asleep(gk), "{:?}", gk);
+        }
+        let woken: Vec<GroupKey> = all_groups()
+            .filter(|&gk| ix.groups.get(slot(gk)).is_some_and(|g| g.runnable))
+            .collect();
+        prop_assert_eq!(woken, oracle.runnable.iter().copied().collect::<Vec<_>>());
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The park table is the map-and-set pair it replaced: over random
-        /// arrivals at both ends, dispatch steps that place, park or put to
-        /// sleep as `Master::dispatch` does, the three wakes and steals,
-        /// across six categories x {first, retry}, both yield the same
-        /// `peek_min` sequence, the same wake set and sleepers, the same
-        /// `snapshot_pending` and the same stolen items.
+        /// arrivals at both ends (single, or a burst of front pushes of one
+        /// group), dispatch steps and whole passes that place, park or put
+        /// to sleep as `Master::dispatch` does, the three wakes and steals,
+        /// across six categories x {first, retry}, peaks over forty ranks
+        /// and each policy, both yield the same `peek_min` sequence, the
+        /// same wake set and sleepers, the same `snapshot_pending`, the same
+        /// stolen items, and the ready queue and every group in the same
+        /// order.
         #[test]
         fn park_table_equals_the_map_and_set_oracle(
+            policy in prop::sample::select(vec![
+                SchedulePolicy::Fifo,
+                SchedulePolicy::LargestFirst,
+                SchedulePolicy::SmallestFirst,
+            ]),
             ops in prop::collection::vec(
-                (0u8..12, 0u32..6, any::<bool>(), 1u64..4, any::<bool>()),
+                (0u8..15, 0u32..6, any::<bool>(), 1u64..4, any::<bool>(), 0u64..40),
                 1..250,
             ),
         ) {
             let nofit = |cores: u64| ParkReason::NoFit(Resources::new(cores as u32, 100 * cores, 10));
-            let mut ix = IndexedSched::new(SchedulePolicy::SmallestFirst);
+            let mut ix = IndexedSched::new(policy);
             let mut oracle = MapGroups::default();
             // (category, attempt) of every task pushed so far, by task index.
             let mut tasks: Vec<(u32, u32)> = Vec::new();
             let (mut front_seq, mut back_seq) = (-1i64, 0i64);
-            for (kind, cat, retry, size, coin) in ops {
-                let gk_of = |item: &Pending| (tasks[item.task_idx].0, item.attempt > 0);
+            for (kind, cat, retry, size, coin, peak) in ops {
+                let peak_mb = peak * 100;
+                let reason = if coin { ParkReason::SlowStart } else { nofit(size) };
+                let mut push = |ix: &mut IndexedSched, oracle: &mut MapGroups, front: bool| {
+                    let item = Pending { task_idx: tasks.len(), attempt: retry as u32, since: SimTime::ZERO };
+                    tasks.push((cat, item.attempt));
+                    let rank = policy_rank(policy, peak_mb);
+                    if front {
+                        ix.push_front(peak_mb, item.clone());
+                        oracle.ready.insert((rank, front_seq), item);
+                        front_seq -= 1;
+                    } else {
+                        ix.push_back(peak_mb, item.clone());
+                        oracle.ready.insert((rank, back_seq), item);
+                        back_seq += 1;
+                    }
+                };
                 match kind {
-                    0..=3 => {
-                        let item = Pending { task_idx: tasks.len(), attempt: retry as u32, since: SimTime::ZERO };
-                        tasks.push((cat, item.attempt));
-                        let rank = policy_rank(SchedulePolicy::SmallestFirst, size * 100);
-                        if kind == 0 {
-                            ix.push_front(size * 100, item.clone());
-                            oracle.ready.insert((rank, front_seq), item);
-                            front_seq -= 1;
-                        } else {
-                            ix.push_back(size * 100, item.clone());
-                            oracle.ready.insert((rank, back_seq), item);
-                            back_seq += 1;
+                    0..=3 => push(&mut ix, &mut oracle, kind == 0),
+                    // Several retries of one group at one peak.
+                    4 => {
+                        for _ in 0..=size {
+                            push(&mut ix, &mut oracle, true);
                         }
                     }
                     // One step of a dispatch pass.
-                    4..=7 => {
-                        let src = ix.peek_min();
-                        prop_assert_eq!(src, oracle.peek_min());
-                        let reason = if coin { ParkReason::SlowStart } else { nofit(size) };
-                        match src {
-                            None => {}
-                            Some(Src::Ready) => {
-                                let (key, item) = ix.pop_ready();
-                                prop_assert_eq!((key, item.clone()), oracle.pop_ready());
-                                let gk = gk_of(&item);
-                                prop_assert_eq!(ix.is_asleep(gk), oracle.is_asleep(gk));
-                                if ix.is_asleep(gk) {
-                                    ix.park(gk, None, key, item.clone());
-                                    oracle.park(gk, None, key, item);
-                                } else if kind == 4 {
-                                    // Placed: the old pass then swept the group.
-                                    oracle.drop_group_if_empty(gk);
-                                } else {
-                                    ix.park(gk, Some(reason.clone()), key, item.clone());
-                                    oracle.park(gk, Some(reason), key, item);
-                                }
-                            }
-                            Some(Src::Group(gk)) => {
-                                prop_assert_eq!(ix.group_head(gk), oracle.group_head(gk));
-                                if kind <= 5 {
-                                    prop_assert_eq!(ix.pop_group_head(gk), oracle.pop_group_head(gk));
-                                    oracle.drop_group_if_empty(gk);
-                                } else {
-                                    ix.sleep_group(gk, reason.clone());
-                                    oracle.sleep_group(gk, reason);
-                                }
-                            }
-                        }
+                    5..=8 => {
+                        let place = |src: Src, _: &Pending| match src {
+                            Src::Ready => kind == 5,
+                            Src::Group(_) => kind <= 6,
+                        };
+                        let gk_of = |item: &Pending| (tasks[item.task_idx].0, item.attempt > 0);
+                        dispatch_step(&mut ix, &mut oracle, gk_of, place, reason)?;
                     }
-                    8 => {
+                    // A whole pass: the ready queue drains.
+                    9 => {
+                        let place = |_: Src, item: &Pending| (item.task_idx as u64 + size).is_multiple_of(3);
+                        let gk_of = |item: &Pending| (tasks[item.task_idx].0, item.attempt > 0);
+                        while dispatch_step(&mut ix, &mut oracle, gk_of, place, reason.clone())?.is_some() {}
+                    }
+                    10 => {
                         ix.wake_category(cat, coin);
                         oracle.wake_category(cat, coin);
                     }
-                    9 => {
+                    11 => {
                         let avail = Resources::new(size as u32, 100 * size, 10);
                         ix.wake_fitting(&avail);
                         oracle.wake_fitting(&avail);
                     }
-                    10 => {
+                    12 => {
                         ix.wake_all_nofit();
                         oracle.wake_all_nofit();
                     }
                     _ => prop_assert_eq!(ix.steal_last(size as usize), oracle.steal_last(size as usize)),
                 }
-                prop_assert_eq!(ix.len(), oracle.len());
-                prop_assert_eq!(ix.peek_min(), oracle.peek_min());
-                prop_assert_eq!(ix.snapshot_pending(), oracle.snapshot_pending());
-                let woken: Vec<GroupKey> = (0..6)
-                    .flat_map(|c| [(c, false), (c, true)])
-                    .filter(|&gk| ix.groups.get(slot(gk)).is_some_and(|g| g.runnable))
-                    .collect();
-                prop_assert_eq!(woken, oracle.runnable.iter().copied().collect::<Vec<_>>());
-                for gk in (0..6).flat_map(|c| [(c, false), (c, true)]) {
-                    prop_assert_eq!(ix.is_asleep(gk), oracle.is_asleep(gk), "{:?}", gk);
-                }
+                assert_same_queues(&ix, &oracle)?;
             }
         }
+    }
+
+    /// The in-run insert: one pass parks three front pushes of a group, in
+    /// ascending key order, into the group while it holds back keys. Each
+    /// goes in just behind the pass's earlier ones, ahead of the back keys.
+    #[test]
+    fn front_parks_of_one_pass_keep_their_order() {
+        let mut ix = IndexedSched::new(SchedulePolicy::Fifo);
+        let mut oracle = MapGroups::default();
+        let gk = (0, true);
+        let item = |task_idx| Pending {
+            task_idx,
+            attempt: 1,
+            since: SimTime::ZERO,
+        };
+        let (mut front_seq, mut back_seq) = (-1i64, 0i64);
+        let always_park = |_: Src, _: &Pending| false;
+        // Two back pushes parked asleep in a first pass.
+        for idx in 0..5 {
+            if idx < 2 {
+                ix.push_back(1, item(idx));
+                oracle.ready.insert((0, back_seq), item(idx));
+                back_seq += 1;
+            } else {
+                ix.push_front(1, item(idx));
+                oracle.ready.insert((0, front_seq), item(idx));
+                front_seq -= 1;
+            }
+            if idx == 1 {
+                let reason = ParkReason::SlowStart;
+                while dispatch_step(&mut ix, &mut oracle, |_| gk, always_park, reason.clone())
+                    .unwrap()
+                    .is_some()
+                {}
+            }
+        }
+        // The second pass pops tasks 4, 3, 2 and parks them behind each
+        // other.
+        while dispatch_step(
+            &mut ix,
+            &mut oracle,
+            |_| gk,
+            always_park,
+            ParkReason::SlowStart,
+        )
+        .unwrap()
+        .is_some()
+        {}
+        assert_same_queues(&ix, &oracle).unwrap();
+        let members: Vec<usize> = (ix.groups[slot(gk)].members.iter())
+            .map(|(_, p)| p.task_idx)
+            .collect();
+        assert_eq!(members, vec![4, 3, 2, 0, 1]);
     }
 
     /// The capacity index this module kept before the bucketed one: an

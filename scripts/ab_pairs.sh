@@ -17,15 +17,17 @@
 # workload BENCHMARK.json names, in turn. Either way it ends with one
 # table, a row per workload: `wall_s` medians and their ratio, pairs won,
 # the parent's inter-quartile distance, `setup_s` and `peak_rss_mb`
-# parent -> change with the pairs won on each, and the median repetitions
-# parent -> change. An end-to-end metric whose change median is worse than
-# the parent's by more than the `bound` BENCHMARK.json gives it, and by
-# more than its absolute floor, is named in the row's last column. Exits
-# non-zero on such a row or on a sim-clock difference.
+# parent -> change with the pairs won and the parent's inter-quartile
+# distance on each (the bar a claimed gain on that metric must clear),
+# and the median repetitions parent -> change. An end-to-end metric whose
+# change median is worse than the parent's by more than the `bound`
+# BENCHMARK.json gives it, and by more than its absolute floor, is named in
+# the row's last column. Exits non-zero on such a row or on a sim-clock
+# difference.
 set -euo pipefail
 
 if (($# < 3)); then
-    sed -n '2,24p' "$0" >&2
+    sed -n '2,26p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -82,6 +84,8 @@ quartiles() { # <p|c> <metric>
         END { printf "%.6g %.6g %.6g %.6g\n", q(0.5), v[1], q(0.25), q(0.75) }'
 }
 median() { quartiles "$1" "$2" | cut -d' ' -f1; }
+# The parent's q3 - q1 of one metric.
+iqr() { quartiles p "$1" | awk '{ print $4 - $3 }'; }
 
 # The host metrics whose pairs are counted; lower is better on each.
 host=(wall_s setup_s peak_rss_mb)
@@ -139,18 +143,18 @@ for workload in "${workloads[@]}"; do
     done
     [[ $same == yes ]] || marks+=" sim_digest!"
     [[ -z $marks ]] || status=1
-    read -r pw _ pq1 pq3 < <(quartiles p wall_s)
-    printf '%-18s %9.4f %9.4f %6.3f %3d/%-3d %9.4f  %8.4f -> %-8.4f %3d/%-3d %7.1f -> %-7.1f %3d/%-3d %4g -> %-4g%s\n' \
+    pw=$(median p wall_s)
+    printf '%-18s %9.4f %9.4f %6.3f %3d/%-3d %9.4f  %8.4f -> %-8.4f %3d/%-3d %8.4f  %7.1f -> %-7.1f %3d/%-3d %7.2f  %4g -> %-4g%s\n' \
         "$workload" "$pw" "$(median c wall_s)" \
         "$(awk -v p="$pw" -v c="$(median c wall_s)" 'BEGIN { print c / p }')" \
-        "${won[wall_s]}" "$pairs" "$(awk -v a="$pq1" -v b="$pq3" 'BEGIN { print b - a }')" \
-        "$(median p setup_s)" "$(median c setup_s)" "${won[setup_s]}" "$pairs" \
-        "$(median p peak_rss_mb)" "$(median c peak_rss_mb)" "${won[peak_rss_mb]}" "$pairs" \
+        "${won[wall_s]}" "$pairs" "$(iqr wall_s)" \
+        "$(median p setup_s)" "$(median c setup_s)" "${won[setup_s]}" "$pairs" "$(iqr setup_s)" \
+        "$(median p peak_rss_mb)" "$(median c peak_rss_mb)" "${won[peak_rss_mb]}" "$pairs" "$(iqr peak_rss_mb)" \
         "$(median p reps)" "$(median c reps)" "$marks" >>"$out/table"
 done
 
 echo "seed $seed, $pairs alternating pairs per workload; medians; won = pairs the change won on the metric before it; '!' = worse than the parent beyond its BENCHMARK.json bound and its floor"
-printf '%-18s %9s %9s %6s %7s %9s  %-20s %7s %-18s %7s %s\n' \
-    workload parent_s change_s ratio won parent_iqr 'setup_s p -> c' won 'peak_rss_mb p -> c' won 'reps p -> c'
+printf '%-18s %9s %9s %6s %7s %9s  %-20s %7s %8s  %-18s %7s %7s  %s\n' \
+    workload parent_s change_s ratio won parent_iqr 'setup_s p -> c' won p_iqr 'peak_rss_mb p -> c' won p_iqr 'reps p -> c'
 cat "$out/table"
 exit $status

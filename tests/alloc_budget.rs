@@ -166,20 +166,25 @@ fn master_batch_allocations_and_peak_live_bytes_are_pinned() {
         peak / N as i64,
         run.peak / N as i64,
     );
-    // 389.7 B per task of input; 3.40 allocations and 526 B live at the
+    // 389.7 B per task of input; 3.08 allocations and 526 B live at the
     // peak per task (921 B while the table kept every spec and the calendar
-    // was sized by the task count).
+    // was sized by the task count). 68 099 allocations while the ready
+    // queue and the park groups were B-trees: under Fifo each is one deque
+    // now, which grows by doubling where a tree allocated a node per eleven
+    // attempts.
     assert_eq!(
         (input.live, run.allocs, peak),
-        (7_794_000, 68_099, 10_515_097),
+        (7_794_000, 61_502, 10_515_097),
         "input live bytes, run allocations, run peak live bytes"
     );
 
     // The scheduler's worst case: largest first over a distinct peak per
-    // task, so every pending attempt has an order rank of its own. 3.38
-    // allocations per task: the ready queue and the park groups are
-    // B-trees keyed by (rank, seq), whose nodes fill alike whatever the
-    // ranks.
+    // task, so every pending attempt has an order rank of its own. 5.38
+    // allocations and 565 B live at the peak per task. Each rank's deque
+    // is a buffer of its own, allocated once in the ready queue and once
+    // in a park group: 2 allocations per task more than the B-trees keyed
+    // by (rank, seq) the queues were (67 596 and 10 515 097, the peak then
+    // inside the table's build).
     let (input, run, report) = batch_run(N, SchedulePolicy::LargestFirst, true);
     assert_eq!(report.results.len() as u64, N + report.retried_tasks);
     let peak = input.live + run.peak;
@@ -191,7 +196,7 @@ fn master_batch_allocations_and_peak_live_bytes_are_pinned() {
     );
     assert_eq!(
         (input.live, run.allocs, peak),
-        (7_794_000, 67_596, 10_515_097),
+        (7_794_000, 107_595, 11_294_104),
         "largest first, distinct peaks: input live bytes, run allocations, run peak live bytes"
     );
 }
@@ -247,17 +252,20 @@ fn journaled_chaos_allocations_and_peak_live_bytes_are_pinned() {
     // With debug assertions the journal's guards allocate too: every
     // appended record decodes again, every compaction decodes the image
     // chain and copies the live image beside it, and every crash checks
-    // replay against the live ledger. Release: 8.70 allocations and
-    // 1 205 B live at the peak per task; debug: 15.46 and 1 768 B. Both
-    // moved once since first pinned (20 937 / 2 910 456 release, 37 137 /
+    // replay against the live ledger. Release: 8.66 allocations and
+    // 1 216 B live at the peak per task; debug: 15.41 and 1 779 B. Both
+    // moved twice since first pinned (20 937 / 2 910 456 release, 37 137 /
     // 4 260 343 debug), when the ledger stopped keeping a list of the tasks
     // each compaction must carry (a vector whose capacity followed the
     // busiest tail) and full images took the delta layout (other image
-    // buffer sizes).
+    // buffer sizes). Moved again when the ready queue and the park groups
+    // became one deque per order rank (20 882 / 2 892 840 release, 37 101
+    // / 4 243 335 debug): 109 fewer allocations than B-tree nodes, and a
+    // peak 25 280 B higher, which a doubled deque holds in spare capacity.
     let pinned = if cfg!(debug_assertions) {
-        (1_111_456, 37_101, 4_243_335)
+        (1_111_456, 36_992, 4_268_615)
     } else {
-        (1_111_456, 20_882, 2_892_840)
+        (1_111_456, 20_773, 2_918_120)
     };
     assert_eq!(
         (input.live, run.allocs, peak),
@@ -315,13 +323,15 @@ fn streamed_allocations_and_peak_live_bytes_are_pinned() {
         run.bytes / n,
         run.peak / n as i64,
     );
-    // 8.91 allocations and 623 B live at the peak per invocation (894 B
+    // 8.87 allocations and 623 B live at the peak per invocation (894 B
     // while the streamed table kept every admitted spec). One allocation
     // and 160 B of peak fewer since the ledger stopped keeping a list of
-    // the tasks each admission touched.
+    // the tasks each admission touched. 654 allocations fewer (158 054)
+    // since the ready queue and the park groups became deques: a tick's
+    // arrivals fill one buffer, not a B-tree's nodes.
     assert_eq!(
         (n, run.allocs, run.peak),
-        (17_739, 158_054, 11_058_321),
+        (17_739, 157_400, 11_058_321),
         "invocations, allocations, peak live bytes"
     );
 }
