@@ -1717,7 +1717,8 @@ impl Master {
 
     // ---- queue plumbing ----
 
-    /// Ready tasks queued (the stealing balancer's heat measure).
+    /// Attempts queued, ready and parked alike (the stealing balancer's
+    /// heat measure).
     pub(crate) fn queued_len(&self) -> usize {
         self.sched.len()
     }

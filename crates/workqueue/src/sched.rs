@@ -153,14 +153,9 @@ impl Runs {
         }
     }
 
-    fn first_key(&self) -> Option<OrderKey> {
+    fn first(&self) -> Option<(OrderKey, &Pending)> {
         let (&rank, run) = self.0.first_key_value()?;
-        run.front().map(|&(seq, _)| (rank, seq))
-    }
-
-    fn first(&self) -> Option<&Pending> {
-        let (_, run) = self.0.first_key_value()?;
-        run.front().map(|(_, item)| item)
+        run.front().map(|(seq, item)| ((rank, *seq), item))
     }
 
     fn pop_first(&mut self) -> Option<(OrderKey, Pending)> {
@@ -338,12 +333,12 @@ impl IndexedSched {
     /// The source holding the smallest order key among `ready` and all
     /// runnable group heads, or None when nothing is examinable.
     pub(crate) fn peek_min(&self) -> Option<Src> {
-        let mut best: Option<(OrderKey, Src)> = self.ready.first_key().map(|k| (k, Src::Ready));
+        let mut best: Option<(OrderKey, Src)> = self.ready.first().map(|(k, _)| (k, Src::Ready));
         for (i, g) in self.groups.iter().enumerate() {
             if !g.runnable {
                 continue;
             }
-            let head = (g.members.first_key()).expect("runnable group is non-empty");
+            let (head, _) = (g.members.first()).expect("runnable group is non-empty");
             if best.is_none_or(|(bk, _)| head < bk) {
                 best = Some((head, Src::Group((i as u32 / 2, i % 2 == 1))));
             }
@@ -360,7 +355,7 @@ impl IndexedSched {
     /// fail, and a failed one only renews the group's certificate.
     pub(crate) fn group_head(&self, gk: GroupKey) -> &Pending {
         let g = &self.groups[slot(gk)];
-        g.members.first().expect("runnable group non-empty")
+        g.members.first().expect("runnable group non-empty").1
     }
 
     /// Take the head of a runnable group for placement. A group emptied
