@@ -347,8 +347,9 @@ impl IndexedSched {
     }
 
     pub(crate) fn pop_ready(&mut self) -> (OrderKey, Pending) {
+        let out = self.ready.pop_first().expect("peek_min said ready");
         self.queued -= 1;
-        self.ready.pop_first().expect("peek_min said ready")
+        out
     }
 
     /// The head of a runnable group, left in place: most head examinations
