@@ -232,7 +232,8 @@ fn master_crash_recovery_matrix() {
     // written at placement-identical points, so the Reference and Indexed
     // schedulers write byte-identical journals, recover to the same state,
     // and the whole crashed-and-recovered run stays bitwise-equivalent —
-    // with or without compacting snapshots, alone or layered under chaos.
+    // with or without compacting snapshots, alone or layered under chaos,
+    // under every policy (replay must rank what it requeues as live did).
     let plans: [(&str, FaultPlan); 3] = [
         (
             "crash-only",
@@ -253,21 +254,25 @@ fn master_crash_recovery_matrix() {
                 .with(FaultSpec::stage_in_failure(0.1)),
         ),
     ];
-    for (name, plan) in plans {
-        for durability in [
-            DurabilityConfig::journal_only(),
-            DurabilityConfig::journal_with_snapshots(48),
-        ] {
-            let cfg = MasterConfig::new(Strategy::Auto(AutoConfig::default()))
-                .with_faults(plan.clone())
-                .with_durability(durability)
-                .with_seed(29);
-            let label = format!("recovery/{name}/snap={:?}", durability.snapshot_every);
-            assert_equivalent(&label, &cfg, &mixed_tasks(48), 4, node());
-            // The matrix is only meaningful if the crashes actually fire.
-            let report = run_workload(&cfg, mixed_tasks(48), 4, node());
-            assert!(report.master_crashes > 0, "{label}: no crash fired");
-            assert_eq!(report.recoveries, report.master_crashes, "{label}");
+    for policy in POLICIES {
+        for (name, plan) in &plans {
+            for durability in [
+                DurabilityConfig::journal_only(),
+                DurabilityConfig::journal_with_snapshots(48),
+            ] {
+                let cfg = MasterConfig::new(Strategy::Auto(AutoConfig::default()))
+                    .with_policy(policy)
+                    .with_faults(plan.clone())
+                    .with_durability(durability)
+                    .with_seed(29);
+                let snap = durability.snapshot_every;
+                let label = format!("recovery/{policy:?}/{name}/snap={snap:?}");
+                assert_equivalent(&label, &cfg, &mixed_tasks(48), 4, node());
+                // The matrix is only meaningful if the crashes actually fire.
+                let report = run_workload(&cfg, mixed_tasks(48), 4, node());
+                assert!(report.master_crashes > 0, "{label}: no crash fired");
+                assert_eq!(report.recoveries, report.master_crashes, "{label}");
+            }
         }
     }
 }
