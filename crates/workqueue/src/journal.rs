@@ -20,8 +20,8 @@
 //!   place that says what a record does to it. The live master and journal
 //!   replay both go through it, so live ≡ replay holds by construction.
 //! * **Snapshots** — a `MasterImage` is the ledger plus the two views
-//!   whose live form is an index or lives in another module (pending queue
-//!   in examination order, allocator sample stores). Installing an image
+//!   whose live form is an index or lives in another module (the pending
+//!   queue, as a scheduler of the run's kind; allocator sample stores). Installing an image
 //!   compacts the journal: recovery replays only the record tail written
 //!   since. The journal keeps images as a chain of encoded segments in one
 //!   layout — one *full* image, which is a delta from the empty image, then
@@ -30,7 +30,8 @@
 //!   full image once its deltas outweigh the old one.
 //! * **Recovery** — `image = empty ⊕ full ⊕ deltas ⊕ tail`, one fold
 //!   (`MasterImage::apply`) from the encoded bytes and the tail alone,
-//!   then the master rebuilds its scheduler's indexes from the image.
+//!   which pushes and removes queued attempts in the scheduler the run
+//!   resumes with; the master installs it and indexes its workers in it.
 //!   World state (workers, caches, the shared filesystem, the network,
 //!   in-flight completions) survives a master crash by definition — only
 //!   the coordinator's memory is lost.
@@ -44,7 +45,7 @@
 use crate::allocate::censored_samples;
 use crate::files::{FileKind, FileRef};
 use crate::prepared::PreparedWorkload;
-use crate::sched::Pending;
+use crate::sched::{IndexedSched, Pending};
 use crate::task::{TaskId, TaskResult, TaskSpec};
 use lfm_monitor::report::{MonitorOutcome, ResourceKind, ResourceReport};
 use lfm_monitor::sim::SimTaskProfile;
@@ -1216,115 +1217,34 @@ pub(crate) fn observe_into(stats: &mut Vec<CategorySnap>, rec: &Record) {
 /// ledger, plus the two views whose live form is an index (`IndexedSched`)
 /// or lives in another module (`Allocator`). The journal's image chain
 /// decodes to one; journal replay folds records into one; recovery
-/// rebuilds the scheduler's indexes from one.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// installs its scheduler and rebuilds the worker indexes around it.
+#[derive(Debug)]
 pub(crate) struct MasterImage {
     pub ledger: Ledger,
-    /// Pending queue in examination order. A full image enumerates the
-    /// policy-sorted order (the test-only reference oracle's order too);
-    /// delta images and replay fold queue operations into it, which keeps
-    /// deque order. Either preserves the within-rank relative order that
-    /// determines dispatch.
-    pub pending: PendingFold,
+    /// The pending queue, as the scheduler the run resumes with: what
+    /// `Enqueue`, `Placed` and `Stolen` do to it is folded in as they come,
+    /// for image segments and tail replay alike. A full image enumerates
+    /// the queue in examination order as back enqueues, which keeps it.
+    /// Nothing is parked.
+    pub pending: IndexedSched,
+    /// The seq each task's waiting attempt was queued under, or
+    /// [`UNQUEUED`]: what a departure looks its attempt up by. The live
+    /// master never looks an attempt up by task, so only an image keeps it.
+    queued_seq: Vec<i64>,
     /// Allocator sample stores, dense by interned category id.
     pub alloc_stats: Vec<CategorySnap>,
 }
 
-/// A pending queue that records are folded into: what `Enqueue`, `Placed`
-/// and `Stolen` do to it, for image segments and tail replay alike. A
-/// departure is a map lookup and a vacated slot — searching a deque for
-/// each one would cost the whole backlog per record.
-#[derive(Clone, Default)]
-pub(crate) struct PendingFold {
-    /// Slot `i` holds queue position `first + i`; a departed attempt
-    /// leaves `None`.
-    slots: VecDeque<Option<Pending>>,
-    first: i64,
-    /// Queue position of each waiting `(task, attempt)` — an attempt is
-    /// pending at most once. Built at the first departure, from the queue
-    /// as it then stands: one sorted build packs the map's nodes full,
-    /// where an insert per enqueue leaves them half empty, and the map is
-    /// not live while a full image's task entries and rows are decoded.
-    /// Built per enqueue instead, `master_dag_chaos` peaked 5–7 MB higher.
-    position: Option<BTreeMap<(usize, u32), i64>>,
-}
+/// A task with no attempt waiting, in [`MasterImage::queued_seq`].
+const UNQUEUED: i64 = i64::MIN;
 
-impl PendingFold {
-    fn apply(&mut self, rec: &Record) {
-        match *rec {
-            Record::Enqueue {
-                task_idx,
-                attempt,
-                front,
-                since,
-            } => {
-                let item = Pending {
-                    task_idx: task_idx as usize,
-                    attempt,
-                    since,
-                };
-                let at = if front {
-                    self.first -= 1;
-                    self.slots.push_front(Some(item));
-                    self.first
-                } else {
-                    self.slots.push_back(Some(item));
-                    self.first + self.slots.len() as i64 - 1
-                };
-                if let Some(position) = &mut self.position {
-                    position.insert((task_idx as usize, attempt), at);
-                }
-            }
-            // The attempt left the queue — for a worker, or for the thief
-            // shard.
-            Record::Placed {
-                task_idx, attempt, ..
-            }
-            | Record::Stolen { task_idx, attempt } => {
-                let position = self.position.get_or_insert_with(|| {
-                    (self.slots.iter().zip(self.first..))
-                        .filter_map(|(p, at)| p.as_ref().map(|p| ((p.task_idx, p.attempt), at)))
-                        .collect()
-                });
-                if let Some(at) = position.remove(&(task_idx as usize, attempt)) {
-                    self.slots[(at - self.first) as usize] = None;
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// The waiting attempts, in queue order.
-    fn iter(&self) -> impl Iterator<Item = &Pending> + Clone {
-        self.slots.iter().flatten()
-    }
-
-    pub(crate) fn finish(self) -> Vec<Pending> {
-        self.slots.into_iter().flatten().collect()
-    }
-}
-
-/// A queue in the given order.
-impl FromIterator<Pending> for PendingFold {
-    fn from_iter<I: IntoIterator<Item = Pending>>(queue: I) -> Self {
-        PendingFold {
-            slots: queue.into_iter().map(Some).collect(),
-            ..PendingFold::default()
-        }
-    }
-}
-
-/// Equal when the same attempts wait in the same order: vacated slots and
-/// the position map are history, not state.
-impl PartialEq for PendingFold {
+/// Equal when the ledgers and sample stores are, and the same attempts
+/// wait in the same examination order: seqs are history, not state.
+impl PartialEq for MasterImage {
     fn eq(&self, other: &Self) -> bool {
-        self.iter().eq(other.iter())
-    }
-}
-
-impl std::fmt::Debug for PendingFold {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
+        self.ledger == other.ledger
+            && self.alloc_stats == other.alloc_stats
+            && self.pending.snapshot_pending() == other.pending.snapshot_pending()
     }
 }
 
@@ -1524,7 +1444,7 @@ fn put_image<'a>(
 }
 
 /// Encode the whole state as the segment that extends the empty image.
-fn encode_full<'a>(
+pub(crate) fn encode_full<'a>(
     out: &mut Vec<u8>,
     l: &Ledger,
     pending: impl Iterator<Item = &'a Pending> + Clone,
@@ -1581,9 +1501,9 @@ fn touched_tasks(l: &Ledger, graph: &DepGraph<'_>, tail: &[Record]) -> Vec<usize
 
 /// Encode what `tail` — every record since the previous image — changed.
 fn encode_delta(out: &mut Vec<u8>, l: &Ledger, graph: &DepGraph<'_>, tail: &[Record]) {
-    // What happened to the pending queue, as the records [`PendingFold`]
-    // reads: enqueues verbatim, a placement cut down to the departure it is
-    // to the queue.
+    // What happened to the pending queue, as the records
+    // [`MasterImage::apply`] folds into it: enqueues verbatim, a placement
+    // cut down to the departure it is to the queue.
     let queue_ops = tail.iter().filter_map(|rec| match *rec {
         Record::Enqueue { .. } => Some(rec.clone()),
         Record::Placed {
@@ -1605,37 +1525,84 @@ fn encode_delta(out: &mut Vec<u8>, l: &Ledger, graph: &DepGraph<'_>, tail: &[Rec
 }
 
 impl MasterImage {
+    /// The image of `ledger` with `pending` — an empty scheduler of the
+    /// run's implementation and policy — as its queue, and no samples.
+    pub(crate) fn new(ledger: Ledger, pending: IndexedSched) -> Self {
+        MasterImage {
+            ledger,
+            pending,
+            queued_seq: Vec::new(),
+            alloc_stats: Vec::new(),
+        }
+    }
+
     /// What one record does to the image: the ledger's
     /// [`apply`](Ledger::apply), the queue fold and the sample stores'
     /// [`observe_into`] — for tail replay and a segment's queue operations
     /// alike.
     pub(crate) fn apply(&mut self, rec: Record, graph: &DepGraph<'_>) {
-        self.pending.apply(&rec);
+        let peak = |t: usize| graph.work.profiles[t].peak_memory_mb;
+        match rec {
+            Record::Enqueue {
+                task_idx,
+                attempt,
+                front,
+                since,
+            } => {
+                let t = task_idx as usize;
+                let item = Pending {
+                    task_idx: t,
+                    attempt,
+                    since,
+                };
+                let seq = if front {
+                    self.pending.push_front(peak(t), item)
+                } else {
+                    self.pending.push_back(peak(t), item)
+                };
+                if self.queued_seq.len() <= t {
+                    self.queued_seq.resize(t + 1, UNQUEUED);
+                }
+                self.queued_seq[t] = seq;
+            }
+            // The attempt left the queue — for a worker, or for the thief
+            // shard. One that is not waiting leaves nothing.
+            Record::Placed {
+                task_idx, attempt, ..
+            }
+            | Record::Stolen { task_idx, attempt } => {
+                let t = task_idx as usize;
+                if let Some(seq) = self.queued_seq.get_mut(t) {
+                    if *seq != UNQUEUED && self.pending.depart(peak(t), *seq, t, attempt) {
+                        *seq = UNQUEUED;
+                    }
+                }
+            }
+            _ => {}
+        }
         observe_into(&mut self.alloc_stats, &rec);
         self.ledger.apply(rec, graph);
     }
 
     /// Encode as a full image.
+    #[cfg(test)]
     pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        encode_full(
-            &mut out,
-            &self.ledger,
-            self.pending.iter(),
-            &self.alloc_stats,
-        );
+        let pending = self.pending.snapshot_pending();
+        encode_full(&mut out, &self.ledger, pending.iter(), &self.alloc_stats);
         out
     }
 
     /// Fold image segments — a full image, then the deltas written after
-    /// it — into the empty image. Sample stores come out in canonical
-    /// (sorted) order, as a full image carries them; the pending queue in
-    /// deque order, as after tail replay.
+    /// it — into the empty image with `pending` as its queue: an empty
+    /// scheduler of the run's implementation and policy. Sample stores come
+    /// out in canonical (sorted) order, as a full image carries them.
     pub(crate) fn decode<'b>(
         segments: impl IntoIterator<Item = &'b [u8]>,
         graph: &DepGraph<'_>,
+        pending: IndexedSched,
     ) -> Result<Self, JournalError> {
-        let mut img = MasterImage::default();
+        let mut img = MasterImage::new(Ledger::default(), pending);
         for segment in segments {
             img.apply_delta(segment, graph)?;
         }
@@ -1655,10 +1622,14 @@ impl MasterImage {
         // the live section after it replaces the backoffs an `Enqueue`
         // retired there, so it must come second.
         for _ in 0..r.u64()? {
-            match Record::decode(r)? {
-                rec @ (Record::Enqueue { .. } | Record::Stolen { .. }) => self.apply(rec, graph),
-                _ => return Err(JournalError::Inconsistent("queue operation")),
+            let rec = Record::decode(r)?;
+            let (Record::Enqueue { task_idx, .. } | Record::Stolen { task_idx, .. }) = rec else {
+                return Err(JournalError::Inconsistent("queue operation"));
+            };
+            if task_idx >= graph.work.len() as u64 {
+                return Err(JournalError::Inconsistent("queued task"));
             }
+            self.apply(rec, graph);
         }
         read_live(r, &mut self.ledger)?;
         self.ledger.completed = r.u64()? as usize;
@@ -1799,16 +1770,17 @@ impl Journal {
     }
 
     /// The image to start recovery from — the chain folded into the empty
-    /// image, read from the encoded bytes alone — or `None` when recovery
-    /// must replay from the fresh image.
+    /// image with `pending` as its queue, read from the encoded bytes alone
+    /// — or `None` when recovery must replay from the fresh image.
     pub(crate) fn base_image(
         &self,
         graph: &DepGraph<'_>,
+        pending: IndexedSched,
     ) -> Result<Option<MasterImage>, JournalError> {
         if self.chain.is_empty() {
             return Ok(None);
         }
-        MasterImage::decode(self.chain.iter().map(Vec::as_slice), graph).map(Some)
+        MasterImage::decode(self.chain.iter().map(Vec::as_slice), graph, pending).map(Some)
     }
 
     /// Records appended since the last image (what a recovery replays).
@@ -1823,6 +1795,25 @@ impl Journal {
 #[cfg(test)]
 pub(crate) mod bench_api {
     use super::*;
+    use crate::master::SchedulePolicy;
+
+    /// The empty Fifo queue a test image is built or decoded into.
+    pub(crate) fn fifo() -> IndexedSched {
+        IndexedSched::new(SchedulePolicy::Fifo)
+    }
+
+    /// A `tasks`-task workload for images to decode against. Every task
+    /// lists itself as its one dependency — a cycle no run could finish,
+    /// but the codec reads only the dependents table — so a finished task's
+    /// countdown entry is its own.
+    pub(crate) fn workload(tasks: usize) -> PreparedWorkload {
+        let profile = SimTaskProfile::new(1.0, 1.0, 1, 1);
+        PreparedWorkload::new(
+            (0..tasks as u64)
+                .map(|i| TaskSpec::new(TaskId(i), "x", vec![], 0, profile).after(vec![TaskId(i)]))
+                .collect(),
+        )
+    }
 
     fn sample_record(i: u64) -> Record {
         // A rotating mix weighted toward the hot-path records a real run
@@ -1910,20 +1901,20 @@ pub(crate) mod bench_api {
 
     /// A populated `MasterImage` for a `tasks`-task run.
     pub(crate) fn sample_image(tasks: usize) -> MasterImage {
-        let mut img = MasterImage {
-            ledger: Ledger::fresh((0..tasks).map(|i| i % 3).collect(), 4),
-            alloc_stats: vec![CategorySnap::default(); 4],
-            ..MasterImage::default()
-        };
-        let mut pending = Vec::new();
+        let ledger = Ledger::fresh((0..tasks).map(|i| i % 3).collect(), 4);
+        let mut img = MasterImage::new(ledger, fifo());
+        img.alloc_stats = vec![CategorySnap::default(); 4];
         for i in 0..tasks {
             let at = SimTime::from_secs(i as f64);
             match i % 3 {
-                0 => pending.push(Pending {
-                    task_idx: i,
-                    attempt: 0,
-                    since: at,
-                }),
+                0 => {
+                    let item = Pending {
+                        task_idx: i,
+                        attempt: 0,
+                        since: at,
+                    };
+                    img.pending.push_back(1, item);
+                }
                 1 => {
                     img.ledger.placements.insert(
                         i as u64,
@@ -1941,7 +1932,6 @@ pub(crate) mod bench_api {
                 _ => img.ledger.completed += 1,
             }
         }
-        img.pending = pending.into_iter().collect();
         for s in &mut img.alloc_stats {
             for v in 0..64 {
                 s.cores.push(1.0 + v as f64 * 0.01);
@@ -1960,40 +1950,32 @@ pub(crate) mod bench_api {
 
     /// A master state and the record tail that led to it: the
     /// [`encode_image`] state of a `tasks`-task run after `records` more
-    /// records of the [`encode_records`] mix, each finish naming a task of
-    /// the run.
+    /// records of the [`encode_records`] mix, each naming a task of the
+    /// run.
     pub(crate) struct DeltaCase {
         img: MasterImage,
         tail: Vec<Record>,
-        /// Every task lists itself as its one dependency — a cycle no run
-        /// could finish, but the codec reads only the dependents table —
-        /// so a finished task's countdown entry is its own.
         work: PreparedWorkload,
     }
 
     impl DeltaCase {
         pub(crate) fn new(tasks: usize, records: u64) -> Self {
-            let profile = SimTaskProfile::new(1.0, 1.0, 1, 1);
-            let work = PreparedWorkload::new(
-                (0..tasks as u64)
-                    .map(|i| {
-                        TaskSpec::new(TaskId(i), "x", vec![], 0, profile).after(vec![TaskId(i)])
-                    })
-                    .collect(),
-            );
             let tail = (0..records)
-                .map(|i| match sample_record(i) {
-                    Record::Finished { task_idx, success } => Record::Finished {
-                        task_idx: task_idx % tasks as u64,
-                        success,
-                    },
-                    rec => rec,
+                .map(|i| {
+                    let mut rec = sample_record(i);
+                    if let Record::Enqueue { task_idx, .. }
+                    | Record::Placed { task_idx, .. }
+                    | Record::Finished { task_idx, .. } = &mut rec
+                    {
+                        *task_idx %= tasks as u64;
+                    }
+                    rec
                 })
                 .collect();
             DeltaCase {
                 img: sample_image(tasks),
                 tail,
-                work,
+                work: workload(tasks),
             }
         }
 
@@ -2011,26 +1993,31 @@ pub(crate) mod bench_api {
         }
     }
 
-    /// Decode `full ⊕ delta` the way recovery does, returning the result
-    /// rows plus pending attempts the image ends up with — or an error,
-    /// never a panic, for the decoder-robustness proptests.
+    /// Decode `full ⊕ delta` of a `tasks`-task run the way recovery does,
+    /// returning the result rows plus pending attempts the image ends up
+    /// with — or an error, never a panic, for the decoder-robustness
+    /// proptests.
     pub(crate) fn try_chain_decodes(
+        tasks: usize,
         full: &[u8],
         delta: &[u8],
     ) -> Result<usize, crate::journal::JournalError> {
-        let work = PreparedWorkload::new(Vec::new());
+        let work = workload(tasks);
         let graph = DepGraph {
             work: &work,
             shard: None,
         };
-        let img = MasterImage::decode([full, delta], &graph)?;
-        Ok(img.ledger.results.len() + img.pending.iter().count())
+        let img = MasterImage::decode([full, delta], &graph, fifo())?;
+        Ok(img.ledger.results.len() + img.pending.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::bench_api::fifo;
     use super::*;
+    use crate::master::SchedulePolicy;
+    use crate::sched::{policy_rank, SchedImpl};
 
     fn sample_result() -> TaskResult {
         TaskResult {
@@ -2216,18 +2203,19 @@ mod tests {
 
     #[test]
     fn image_roundtrips_bitwise() {
-        let mut img = MasterImage {
-            ledger: Ledger::fresh(vec![0, 2, usize::MAX], 2),
-            pending: [(2, 1, 3.0), (0, 0, 0.0)]
-                .into_iter()
-                .map(|(task_idx, attempt, since)| Pending {
+        let mut img = MasterImage::new(Ledger::fresh(vec![0, 2, usize::MAX], 2), fifo());
+        for (task_idx, attempt, since) in [(2, 1, 3.0), (0, 0, 0.0)] {
+            let since = SimTime::from_secs(since);
+            (img.pending).push_back(
+                1,
+                Pending {
                     task_idx,
                     attempt,
-                    since: SimTime::from_secs(since),
-                })
-                .collect(),
-            alloc_stats: vec![CategorySnap::default(); 2],
-        };
+                    since,
+                },
+            );
+        }
+        img.alloc_stats = vec![CategorySnap::default(); 2];
         img.alloc_stats[0].cores.push(1.25);
         img.alloc_stats[0].memory_mb.push(110.0);
         img.alloc_stats[0].disk_mb.push(900.0);
@@ -2270,12 +2258,19 @@ mod tests {
             lost_core_secs: 55.5,
         };
         let bytes = img.encode();
-        let work = PreparedWorkload::new(Vec::new());
-        let back = MasterImage::decode([&bytes[..]], &graph(&work)).expect("decodes");
+        let work = bench_api::workload(3);
+        let back = MasterImage::decode([&bytes[..]], &graph(&work), fifo()).expect("decodes");
         assert_eq!(back, img);
         // Same image → same bytes (snapshots are deterministic, so the
         // scheduler-equivalence suites pin journal byte-identity too).
         assert_eq!(back.encode(), bytes);
+        // A queued task the workload does not have is refused, not looked
+        // up: decoding is total.
+        let short = bench_api::workload(2);
+        assert_eq!(
+            MasterImage::decode([&bytes[..]], &graph(&short), fifo()).map(|_| ()),
+            Err(JournalError::Inconsistent("queued task"))
+        );
     }
 
     #[test]
@@ -2408,11 +2403,12 @@ mod tests {
         }
 
         fn image(&self) -> MasterImage {
-            MasterImage {
-                ledger: self.ledger.clone(),
-                pending: self.pending.iter().cloned().collect(),
-                alloc_stats: self.canonical_stats(),
+            let mut img = MasterImage::new(self.ledger.clone(), fifo());
+            for p in &self.pending {
+                img.pending.push_back(1, p.clone());
             }
+            img.alloc_stats = self.canonical_stats();
+            img
         }
     }
 
@@ -2446,7 +2442,7 @@ mod tests {
         // its own (9 814 473 and 1 894 473 B). A release build prints the
         // best of 15 encodes and decodes: `cargo test --release -p
         // lfm-workqueue large_full_image -- --nocapture`.
-        let work = PreparedWorkload::new(Vec::new());
+        let work = bench_api::workload(48_000);
         let reps = if cfg!(debug_assertions) { 1 } else { 15 };
         for (rows, own_layout) in [(true, 9_814_473.0), (false, 1_894_473.0)] {
             let mut img = bench_api::sample_image(48_000);
@@ -2465,7 +2461,8 @@ mod tests {
                 bytes = img.encode();
                 encode = encode.min(t.elapsed().as_secs_f64());
                 let t = std::time::Instant::now();
-                let back = MasterImage::decode([&bytes[..]], &graph(&work)).expect("decodes");
+                let back = MasterImage::decode([&bytes[..]], &graph(&work), fifo());
+                let back = back.expect("decodes");
                 decode = decode.min(t.elapsed().as_secs_f64());
                 assert_eq!(back, img);
             }
@@ -2501,10 +2498,10 @@ mod tests {
         assert_eq!(j.tail().len(), 0);
         assert!(!j.wants_snapshot(Some(2)));
         assert!(j.bytes_written() > bytes_before, "snapshot bytes count");
-        let base = j.base_image(&g).expect("decodes").expect("present");
+        let base = j.base_image(&g, fifo()).expect("decodes").expect("present");
         assert_eq!(base, live.image());
         // A fresh journal has no base image.
-        assert!(Journal::default().base_image(&g).unwrap().is_none());
+        assert!(Journal::default().base_image(&g, fifo()).unwrap().is_none());
     }
 
     #[test]
@@ -2517,41 +2514,82 @@ mod tests {
         assert!(j.wants_snapshot(Some(1)));
     }
 
-    #[test]
-    fn pending_fold_equals_deque_replay() {
-        // Front and back arrivals, departures from the imaged queue and from
-        // the arrivals, a requeue of a departed attempt, a departure of an
-        // attempt that is not queued: the fold ends where a deque that
-        // searches for every departure does.
-        let imaged: Vec<Pending> = (0..4)
-            .map(|task_idx| Pending {
-                task_idx,
-                attempt: 0,
-                since: SimTime::ZERO,
-            })
-            .collect();
-        let ops = [
-            placed(2, 0),
-            enqueue(7, 0, true),
-            enqueue(8, 0, false),
-            enqueue(2, 0, true),
-            placed(0, 0),
-            placed(8, 0),
-            enqueue(9, 1, false),
-            placed(5, 0),
-            Record::Stolen {
-                task_idx: 7,
-                attempt: 0,
-            },
-            enqueue(7, 0, false),
-            Record::Degraded,
-        ];
-        let mut fold: PendingFold = imaged.into_iter().collect();
-        for rec in &ops {
-            fold.apply(rec);
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Front and back arrivals, departures from any position — placed
+        /// or stolen, of the attempt waiting or of one that is not —,
+        /// re-enqueues after a departure, and a full image of the queue
+        /// decoded midway, under every policy and scheduler with drawn
+        /// peaks: the fold ends where a deque that searches for every
+        /// departure does, stably sorted by rank.
+        #[test]
+        fn pending_fold_equals_deque_replay(
+            sched in proptest::sample::select(vec![SchedImpl::Indexed, SchedImpl::Reference]),
+            policy in proptest::sample::select(vec![
+                SchedulePolicy::Fifo,
+                SchedulePolicy::LargestFirst,
+                SchedulePolicy::SmallestFirst,
+            ]),
+            peaks in proptest::collection::vec(0u64..4, 8..9),
+            ops in proptest::collection::vec((0u8..4, 0u64..8, 0u32..2), 0..64),
+            imaged_at in 0usize..64,
+        ) {
+            let work = PreparedWorkload::new(
+                (peaks.iter().enumerate())
+                    .map(|(i, &peak)| {
+                        let profile = SimTaskProfile::new(1.0, 1.0, peak, 1);
+                        TaskSpec::new(TaskId(i as u64), "x", vec![], 0, profile)
+                    })
+                    .collect(),
+            );
+            let g = graph(&work);
+            let mut img = MasterImage::new(Ledger::fresh(vec![0; 8], 1), sched.build(policy));
+            let mut deque: VecDeque<Pending> = VecDeque::new();
+            for (i, &(kind, task_idx, attempt)) in ops.iter().enumerate() {
+                if i == imaged_at {
+                    img = MasterImage::decode([&img.encode()[..]], &g, sched.build(policy))
+                        .expect("decodes");
+                }
+                let named = |p: &Pending| p.task_idx as u64 == task_idx && p.attempt == attempt;
+                let rec = match kind {
+                    // An attempt waits at most once.
+                    0 | 1 if deque.iter().any(|p| p.task_idx as u64 == task_idx) => continue,
+                    0 | 1 => {
+                        let since = SimTime::from_secs(task_idx as f64);
+                        let item = Pending { task_idx: task_idx as usize, attempt, since };
+                        if kind == 0 {
+                            deque.push_front(item);
+                        } else {
+                            deque.push_back(item);
+                        }
+                        enqueue(task_idx, attempt, kind == 0)
+                    }
+                    _ => {
+                        if let Some(at) = deque.iter().position(named) {
+                            deque.remove(at);
+                        }
+                        match kind {
+                            // A fresh placement id per operation: ids only grow.
+                            2 => Record::Placed {
+                                placement: i as u64,
+                                worker: 0,
+                                task_idx,
+                                attempt,
+                                alloc: Resources::new(1, 1, 1),
+                                started_at: SimTime::ZERO,
+                                lease_at: None,
+                            },
+                            _ => Record::Stolen { task_idx, attempt },
+                        }
+                    }
+                };
+                img.apply(rec, &g);
+            }
+            let mut expected = Vec::from(deque);
+            expected.sort_by_key(|p| policy_rank(policy, peaks[p.task_idx]));
+            proptest::prop_assert_eq!(img.pending.snapshot_pending(), expected);
         }
-        let order: Vec<(usize, u32)> = (fold.iter()).map(|p| (p.task_idx, p.attempt)).collect();
-        assert_eq!(order, vec![(2, 0), (1, 0), (3, 0), (9, 1), (7, 0)]);
     }
 
     #[test]
@@ -2581,7 +2619,10 @@ mod tests {
         live.commit(enqueue(1, 0, false), &g);
         live.compact(&g);
         assert_eq!(live.journal.chain.len(), 1, "the first image is a full one");
-        assert_eq!(live.journal.base_image(&g).unwrap(), Some(live.image()));
+        assert_eq!(
+            live.journal.base_image(&g, fifo()).unwrap(),
+            Some(live.image())
+        );
 
         // A tail that touches every kind of delta content: queue traffic
         // (a departure from the imaged queue, a front requeue of the same
@@ -2624,7 +2665,10 @@ mod tests {
         assert_eq!(live.journal.chain.len(), 2, "then deltas");
         let queued: Vec<usize> = live.pending.iter().map(|p| p.task_idx).collect();
         assert_eq!(queued, vec![0, 1]);
-        assert_eq!(live.journal.base_image(&g).unwrap(), Some(live.image()));
+        assert_eq!(
+            live.journal.base_image(&g, fifo()).unwrap(),
+            Some(live.image())
+        );
 
         // Streamed admissions grow the per-task and per-category vectors
         // between images; one of the new tasks is cancelled right away.
@@ -2647,7 +2691,7 @@ mod tests {
         let img = live.image();
         assert_eq!(img.ledger.dep_remaining, vec![0, 0, usize::MAX, 0]);
         assert_eq!((img.alloc_stats.len(), img.ledger.cat_streak.len()), (2, 2));
-        assert_eq!(live.journal.base_image(&g).unwrap(), Some(img));
+        assert_eq!(live.journal.base_image(&g, fifo()).unwrap(), Some(img));
     }
 
     #[test]
@@ -2706,7 +2750,10 @@ mod tests {
         assert_eq!(touched_tasks(&live.ledger, &g, tail), [1, 2, 3, 4, 5, 7]);
         live.compact(&g);
         assert_eq!(live.journal.chain.len(), 2, "a full image, then a delta");
-        assert_eq!(live.journal.base_image(&g).unwrap(), Some(live.image()));
+        assert_eq!(
+            live.journal.base_image(&g, fifo()).unwrap(),
+            Some(live.image())
+        );
     }
 
     #[test]
@@ -2735,7 +2782,7 @@ mod tests {
                 deltas <= j.chain[0].len() + one_delta,
                 "recovery reads at most about two full images"
             );
-            assert_eq!(j.base_image(&g).unwrap(), Some(live.image()));
+            assert_eq!(j.base_image(&g, fifo()).unwrap(), Some(live.image()));
         }
         assert!(longest > 4, "deltas are the common case");
         assert!((4..=12).contains(&fulls), "{fulls} full images in 200");
@@ -2750,13 +2797,12 @@ mod tests {
 
     #[test]
     fn truncated_or_misfitting_delta_reports_error() {
-        let work = PreparedWorkload::new(Vec::new());
+        let work = bench_api::workload(12);
         let g = graph(&work);
         let full = bench_api::encode_image(12);
         let delta = bench_api::DeltaCase::new(12, 24).encode_delta();
-        let decode = |segments: &[&[u8]]| MasterImage::decode(segments.iter().copied(), &g);
-        let base = decode(&[&full]).expect("decodes");
-        let apply = |delta: &[u8]| (base.clone()).apply_delta(delta, &g);
+        let decode = |segments: &[&[u8]]| MasterImage::decode(segments.iter().copied(), &g, fifo());
+        let apply = |delta: &[u8]| decode(&[&full]).expect("decodes").apply_delta(delta, &g);
         apply(&delta).expect("whole delta applies");
         for cut in 0..full.len() {
             assert!(decode(&[&full[..cut]]).is_err(), "cut at {cut}");
@@ -2827,6 +2873,21 @@ mod tests {
             apply(&not_an_op),
             Err(JournalError::Inconsistent("queue operation"))
         );
+        // Nor a task the workload does not have, arriving or leaving.
+        for (task_idx, refused) in [(11, false), (12, true)] {
+            for rec in [
+                enqueue(task_idx, 0, false),
+                Record::Stolen {
+                    task_idx,
+                    attempt: 0,
+                },
+            ] {
+                let mut out = Vec::new();
+                encode_delta(&mut out, &l, &g, &[rec]);
+                let queued = Err(JournalError::Inconsistent("queued task"));
+                assert_eq!(apply(&out) == queued, refused, "task {task_idx}");
+            }
+        }
     }
 
     #[test]

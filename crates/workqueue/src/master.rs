@@ -11,10 +11,11 @@ use crate::allocate::{AllocationDecision, Allocator, ObservationEffects, Strateg
 use crate::faults::{backoff_delay, FaultPlan, FaultState, InfraFault, ResilienceConfig};
 use crate::files::FileKind;
 use crate::journal::{
-    CategorySnap, CounterKey, DepGraph, DurabilityConfig, Journal, Ledger, MasterImage, Record,
+    encode_full, CategorySnap, CounterKey, DepGraph, DurabilityConfig, Journal, Ledger,
+    MasterImage, Record,
 };
 use crate::prepared::PreparedWorkload;
-use crate::sched::{policy_rank, IndexedSched, ParkReason, Pending, SchedImpl, Src};
+use crate::sched::{IndexedSched, ParkReason, Pending, SchedImpl, Src};
 use crate::task::{TaskResult, TaskSpec};
 use crate::worker::{Worker, WorkerTable};
 use lfm_monitor::limits::ResourceLimits;
@@ -1299,20 +1300,12 @@ impl Master {
             .telemetry
             .counter_at_key(tk().journal_snapshot, 1, self.queue.now());
         // The guard that a delta missed nothing: the chain, read back from
-        // its bytes, is the live master's full image (once its pending
-        // queue, which deltas leave in deque order, is ranked like one).
+        // its bytes, holds the live master's state.
         if cfg!(debug_assertions) {
-            let mut chain = (journal.base_image(&self.graph()))
+            let chain = (journal.base_image(&self.graph(), self.empty_sched()))
                 .expect("image chain decodes")
                 .expect("just compacted");
-            let mut pending = chain.pending.finish();
-            self.sort_by_rank(&mut pending);
-            chain.pending = pending.into_iter().collect();
-            assert_eq!(
-                chain,
-                self.snapshot_image(),
-                "image chain diverged from live"
-            );
+            self.assert_holds_live(&chain, "image chain diverged from live");
         }
         self.journal = Some(journal);
     }
@@ -1350,10 +1343,15 @@ impl Master {
         match tail {
             Some(replayed) => {
                 let img = self.recover_image();
-                // The guard that no site changed the ledger without
-                // committing a record: what the journal folds to is what
-                // the live master held.
+                // The guard that no site changed the ledger or the queue
+                // without committing a record: what the journal folds to is
+                // what the live master held.
                 debug_assert_eq!(img.ledger, self.ledger, "replay diverged from live");
+                debug_assert_eq!(
+                    img.pending.snapshot_pending(),
+                    self.sched.snapshot_pending(),
+                    "replayed queue diverged from live"
+                );
                 self.replayed_events += replayed;
                 self.config
                     .telemetry
@@ -1392,17 +1390,17 @@ impl Master {
         let journal = self.journal.as_ref().expect("journaled recovery");
         let graph = self.graph();
         let mut img = journal
-            .base_image(&graph)
+            .base_image(&graph, self.empty_sched())
             .expect("snapshot decodes")
-            .unwrap_or_else(|| MasterImage {
+            .unwrap_or_else(|| {
                 // Start from the *constructed* task/category sizes: tasks
                 // streamed in after run start re-grow the ledger as their
                 // `Submitted` records replay.
-                ledger: Ledger::fresh(
+                let ledger = Ledger::fresh(
                     self.work.dep_counts[..self.initial_task_count].to_vec(),
                     self.initial_cat_count,
-                ),
-                ..MasterImage::default()
+                );
+                MasterImage::new(ledger, self.empty_sched())
             });
         for rec in journal.tail() {
             if let Record::RunStart {
@@ -1422,15 +1420,9 @@ impl Master {
         img
     }
 
-    /// Stable sort into examination order: by policy rank, queue order
-    /// within a rank.
-    fn sort_by_rank(&self, pending: &mut [Pending]) {
-        pending.sort_by_key(|p| {
-            policy_rank(
-                self.config.policy,
-                self.work.profiles[p.task_idx].peak_memory_mb,
-            )
-        });
+    /// An empty scheduler of the run's implementation and policy.
+    fn empty_sched(&self) -> IndexedSched {
+        self.config.sched.build(self.config.policy)
     }
 
     /// The allocator's sample stores, dense by category id and in canonical
@@ -1453,23 +1445,31 @@ impl Master {
             .collect()
     }
 
-    /// The master's complete logical state as one materialised full image —
-    /// for the probe restore and for checking what the journal's chain
-    /// decodes to; compaction encodes from the same parts without this copy.
-    fn snapshot_image(&self) -> MasterImage {
-        MasterImage {
-            ledger: self.ledger.clone(),
-            pending: self.sched.snapshot_pending().into_iter().collect(),
-            alloc_stats: self.alloc_stats(),
-        }
+    /// The guard that `img` holds the live master's logical state: its
+    /// ledger, its sample stores and its queue in examination order.
+    fn assert_holds_live(&self, img: &MasterImage, diverged: &str) {
+        assert_eq!(img.ledger, self.ledger, "{diverged}");
+        assert_eq!(img.alloc_stats, self.alloc_stats(), "{diverged}");
+        let queue = img.pending.snapshot_pending();
+        assert_eq!(queue, self.sched.snapshot_pending(), "{diverged}");
     }
 
-    /// Overwrite the master's logical state from an image: take its ledger,
-    /// rebuild everything derived from it and the active scheduler
-    /// implementation, and re-arm master-side timers clamped to the recovery
-    /// instant. World state (workers, caches, running executions) is
-    /// untouched — it survived the crash — and so is the prepared workload,
-    /// which no run ever writes.
+    /// The master's complete logical state as one materialised full image,
+    /// for the probe restore: the live parts compaction encodes, read back
+    /// from the bytes of a full image.
+    fn snapshot_image(&self) -> MasterImage {
+        let (mut bytes, stats) = (Vec::new(), self.alloc_stats());
+        let pending = self.sched.snapshot_pending();
+        encode_full(&mut bytes, &self.ledger, pending.iter(), &stats);
+        MasterImage::decode([&bytes[..]], &self.graph(), self.empty_sched())
+            .expect("image round-trips")
+    }
+
+    /// Overwrite the master's logical state from an image: take its ledger
+    /// and its scheduler, rebuild everything derived from them, and re-arm
+    /// master-side timers clamped to the recovery instant. World state
+    /// (workers, caches, running executions) is untouched — it survived the
+    /// crash — and so is the prepared workload, which no run ever writes.
     fn restore_from_image(&mut self, img: MasterImage, resume_at: SimTime) {
         self.ledger = img.ledger;
 
@@ -1511,7 +1511,7 @@ impl Master {
             }
         }
         self.free_cores = self.pool_free_cores();
-        self.rebuild_sched(img.pending.finish());
+        self.install_sched(img.pending);
 
         // Re-arm master-side timers, clamping deadlines that passed while
         // the master was down to the recovery instant. Each class re-arms
@@ -1585,14 +1585,13 @@ impl Master {
         }
         self.free_cores = self.pool_free_cores();
         self.allocator = fresh_allocator(&self.config.strategy, &self.work);
-        self.rebuild_sched(Vec::new());
+        self.install_sched(self.empty_sched());
         self.enqueue_roots(resume_at);
     }
 
-    /// Point a fresh scheduler at a restored pending sequence (already in
-    /// examination order) and the surviving worker pool.
-    fn rebuild_sched(&mut self, pending: Vec<Pending>) {
-        let mut sched = self.config.sched.build(self.config.policy);
+    /// Install a scheduler holding the restored pending queue (an empty one
+    /// on a full restart) and index the surviving worker pool in it.
+    fn install_sched(&mut self, mut sched: IndexedSched) {
         for w in self.workers.values() {
             if !w.quarantined {
                 sched.worker_added(w.id(), w.node.available().cores);
@@ -1604,10 +1603,6 @@ impl Master {
             }
         }
         self.sched = sched;
-        for item in pending {
-            self.sched
-                .push_back(self.work.profiles[item.task_idx].peak_memory_mb, item);
-        }
     }
 
     /// Test hook (`DurabilityConfig::probe_restore_at`): serialize the
@@ -1617,14 +1612,14 @@ impl Master {
     /// final `RunReport`s.
     fn probe_restore(&mut self, now: SimTime) {
         let img = self.snapshot_image();
-        let bytes = img.encode();
-        let decoded = MasterImage::decode([&bytes[..]], &self.graph()).expect("image round-trips");
-        debug_assert_eq!(img, decoded, "image encode/decode must round-trip");
+        if cfg!(debug_assertions) {
+            self.assert_holds_live(&img, "image encode/decode must round-trip");
+        }
         // Mirror a real crash's timer purge. At a quiescent point there are
         // no master-side timers, so this keeps the code path honest at zero
         // observable cost.
         self.queue.retain(Event::is_world);
-        self.restore_from_image(decoded, now);
+        self.restore_from_image(img, now);
     }
 
     fn submit_pilots(&mut self, now: SimTime, count: u32) {

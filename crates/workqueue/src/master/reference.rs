@@ -36,6 +36,12 @@ impl RefQueue {
         }
     }
 
+    /// Take the first attempt `named` picks; returns whether there was one.
+    pub fn remove(&mut self, named: impl Fn(&Pending) -> bool) -> bool {
+        let at = self.0.iter().position(|(_, p)| named(p));
+        at.and_then(|at| self.0.remove(at)).is_some()
+    }
+
     /// Stable-sort into examination order: by policy rank, queue order
     /// within a rank.
     fn sort(&mut self) {

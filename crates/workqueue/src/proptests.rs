@@ -500,12 +500,12 @@ proptest! {
         let full = bench_api::encode_image(12);
         let mut delta = bench_api::DeltaCase::new(12, records).encode_delta();
         let pos = (((delta.len() - 1) as f64) * pos_frac) as usize;
-        prop_assert!(bench_api::try_chain_decodes(&full, &delta).is_ok());
-        prop_assert!(bench_api::try_chain_decodes(&full, &delta[..pos]).is_err());
+        prop_assert!(bench_api::try_chain_decodes(12, &full, &delta).is_ok());
+        prop_assert!(bench_api::try_chain_decodes(12, &full, &delta[..pos]).is_err());
         delta[pos] ^= xor;
-        let _ = bench_api::try_chain_decodes(&full, &delta);
-        let _ = bench_api::try_chain_decodes(&full, &junk);
-        let _ = bench_api::try_chain_decodes(&junk, &delta);
+        let _ = bench_api::try_chain_decodes(12, &full, &delta);
+        let _ = bench_api::try_chain_decodes(12, &full, &junk);
+        let _ = bench_api::try_chain_decodes(12, &junk, &delta);
     }
 
     /// Determinism: identical config + workload ⇒ identical report.

@@ -181,15 +181,15 @@ impl Runs {
             .map(|(k, _)| k)
     }
 
-    /// Take the attempt under `key`, which is present.
-    fn remove(&mut self, (rank, seq): OrderKey) -> Pending {
-        let run = self.0.get_mut(&rank).expect("a held rank");
-        let at = (run.binary_search_by_key(&seq, |&(s, _)| s)).expect("a held seq");
-        let (_, item) = run.remove(at).expect("in range");
+    /// Take the attempt under `key`, if there is one and it `is` the one.
+    fn take(&mut self, (rank, seq): OrderKey, is: impl Fn(&Pending) -> bool) -> Option<Pending> {
+        let run = self.0.get_mut(&rank)?;
+        let at = (run.binary_search_by_key(&seq, |&(s, _)| s)).ok();
+        let (_, item) = run.remove(at.filter(|&at| is(&run[at].1))?)?;
         if run.is_empty() {
             self.0.remove(&rank);
         }
-        item
+        Some(item)
     }
 }
 
@@ -305,18 +305,21 @@ impl IndexedSched {
     }
 
     /// Enqueue at the back of the examination order (new arrivals), ranked
-    /// by the task's peak memory.
-    pub(crate) fn push_back(&mut self, peak_memory_mb: u64, item: Pending) {
-        let key = (policy_rank(self.policy, peak_memory_mb), self.back_seq);
+    /// by the task's peak memory. Returns the seq it was queued under.
+    pub(crate) fn push_back(&mut self, peak_memory_mb: u64, item: Pending) -> i64 {
+        let seq = self.back_seq;
         self.back_seq += 1;
-        self.enqueue(key, item);
+        self.enqueue((policy_rank(self.policy, peak_memory_mb), seq), item);
+        seq
     }
 
     /// Enqueue at the front of the examination order (retries, evictions).
-    pub(crate) fn push_front(&mut self, peak_memory_mb: u64, item: Pending) {
-        let key = (policy_rank(self.policy, peak_memory_mb), self.front_seq);
+    /// Returns the seq it was queued under.
+    pub(crate) fn push_front(&mut self, peak_memory_mb: u64, item: Pending) -> i64 {
+        let seq = self.front_seq;
         self.front_seq -= 1;
-        self.enqueue(key, item);
+        self.enqueue((policy_rank(self.policy, peak_memory_mb), seq), item);
+        seq
     }
 
     fn enqueue(&mut self, key: OrderKey, item: Pending) {
@@ -326,6 +329,23 @@ impl IndexedSched {
         }
         self.ready.insert(key, item);
         self.queued += 1;
+    }
+
+    /// Take `(task_idx, attempt)` out of the ready queue, where
+    /// [`push_back`](Self::push_back) or [`push_front`](Self::push_front)
+    /// put it under `seq` for a task of peak memory `peak`, if it waits
+    /// there still: journal replay of a departure (a replayed scheduler
+    /// parks nothing). Returns whether it did.
+    pub(crate) fn depart(&mut self, peak: u64, seq: i64, task_idx: usize, attempt: u32) -> bool {
+        let named = |p: &Pending| p.task_idx == task_idx && p.attempt == attempt;
+        #[cfg(test)]
+        if let Some(q) = &mut self.reference {
+            return q.remove(named);
+        }
+        let key = (policy_rank(self.policy, peak), seq);
+        let gone = self.ready.take(key, named).is_some();
+        self.queued -= gone as usize;
+        gone
     }
 
     // ---- dispatch-pass primitives ----
@@ -525,16 +545,16 @@ impl IndexedSched {
             }
             let Some((key, src)) = best else { break };
             let item = match src {
-                None => self.ready.remove(key),
+                None => self.ready.take(key, |_| true),
                 Some(slot) => {
                     let g = &mut self.groups[slot];
-                    let item = g.members.remove(key);
+                    let item = g.members.take(key, |_| true);
                     g.runnable &= !g.members.is_empty();
                     item
                 }
             };
             self.queued -= 1;
-            out.push(item);
+            out.push(item.expect("a held key"));
         }
         out.reverse();
         out

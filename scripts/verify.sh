@@ -33,7 +33,10 @@ git diff --exit-code -- lfm_benchmark BENCHMARK.json
 # the delta images' layout (904 B while they had their own; 9.7 KB while
 # every compaction wrote the whole run so far), and 1 406 B per admitted
 # invocation on serving_overload. The ceiling is about twice the first, so
-# a term that grows with tasks² cannot come back unnoticed on either. Only
+# a term that grows with tasks² cannot come back unnoticed on either.
+# master_dag_chaos must also recover from all 4 of its master crashes,
+# replaying 9 520 journal records in all: a recovery that stops running, or
+# a compaction that stops cutting the tail, moves them. Only
 # the traced pass prints per-layer counts, so both workloads run with it;
 # serving_overload is also the one workload whose 2 master crashes take the
 # gateway through its recovery path, which must not silently stop running;
@@ -88,7 +91,11 @@ for w in master_batch master_dag_chaos federation_8shard serving_steady serving_
         layer_count workqueue.master.cache_hits "v == 99488"
         layer_count workqueue.master.cache_misses "v == 512"
         ;;
-    master_dag_chaos) layer_count workqueue.journal.bytes_per_op "v <= $journal_bytes_per_task_ceiling" ;;
+    master_dag_chaos)
+        layer_count workqueue.journal.bytes_per_op "v <= $journal_bytes_per_task_ceiling"
+        layer_count workqueue.journal.recoveries "v == 4"
+        layer_count workqueue.journal.replayed_events "v == 9520"
+        ;;
     federation_8shard)
         layer_count workqueue.federation.steals "v == 9"
         layer_count workqueue.federation.stolen_tasks "v == 53"
