@@ -1230,6 +1230,7 @@ pub(crate) struct MasterImage {
     /// The seq each task's waiting attempt was queued under, or
     /// [`UNQUEUED`]: what a departure looks its attempt up by. The live
     /// master never looks an attempt up by task, so only an image keeps it.
+    /// Sized to the workload at the first enqueue past its end.
     queued_seq: Vec<i64>,
     /// Allocator sample stores, dense by interned category id.
     pub alloc_stats: Vec<CategorySnap>,
@@ -1561,7 +1562,7 @@ impl MasterImage {
                     self.pending.push_back(peak(t), item)
                 };
                 if self.queued_seq.len() <= t {
-                    self.queued_seq.resize(t + 1, UNQUEUED);
+                    self.queued_seq.resize(graph.work.len(), UNQUEUED);
                 }
                 self.queued_seq[t] = seq;
             }

@@ -252,8 +252,8 @@ fn journaled_chaos_allocations_and_peak_live_bytes_are_pinned() {
     // With debug assertions the journal's guards allocate too: every
     // appended record decodes again, every compaction decodes the image
     // chain and compares it with the live state, and every crash checks
-    // replay against the live ledger and queue. Release: 8.41 allocations
-    // and 1 216 B live at the peak per task; debug: 12.92 and 1 600 B. Both
+    // replay against the live ledger and queue. Release: 8.40 allocations
+    // and 1 216 B live at the peak per task; debug: 12.90 and 1 592 B. Both
     // moved twice since first pinned (20 937 / 2 910 456 release, 37 137 /
     // 4 260 343 debug), when the ledger stopped keeping a list of the tasks
     // each compaction must carry (a vector whose capacity followed the
@@ -264,13 +264,13 @@ fn journaled_chaos_allocations_and_peak_live_bytes_are_pinned() {
     // peak 25 280 B higher, which a doubled deque holds in spare capacity.
     // Moved again when replay began folding the queue into the scheduler
     // it restores (20 773 / 2 918 120 release, 36 992 / 4 268 615 debug):
-    // no slot deque, position map and re-push per recovery, 588 fewer
+    // no slot deque, position map and re-push per recovery, 616 fewer
     // allocations at an unchanged peak. In debug the compaction guard
     // stopped copying the live ledger into an image to compare against.
     let pinned = if cfg!(debug_assertions) {
-        (1_111_456, 31_003, 3_839_292)
+        (1_111_456, 30_949, 3_820_180)
     } else {
-        (1_111_456, 20_185, 2_918_120)
+        (1_111_456, 20_157, 2_918_120)
     };
     assert_eq!(
         (input.live, run.allocs, peak),
