@@ -1,9 +1,11 @@
 //! Allocation budget: what a run allocates and how many bytes it holds live
 //! at its peak, counted by this binary's global allocator and pinned as exact
-//! counts. Three shapes: the benchmark's `master_batch` at 20 000 tasks (per
+//! counts. Four shapes: the benchmark's `master_batch` at 20 000 tasks (per
 //! task), its `master_dag_chaos` at a twentieth of its size (per task: the
-//! journal, its images and its recoveries) and a streamed serving horizon
-//! at `serving_steady`'s rate (per invocation). No count depends on the
+//! journal, its images and its recoveries), a streamed serving horizon at
+//! `serving_steady`'s rate (per invocation) and `serving_overload` whole
+//! (per offered invocation: the live telemetry tail, the SLO monitor and
+//! the control loop it drives, the journal and two crashes). No count depends on the
 //! host, so a change that moves one moves it on purpose and re-pins it
 //! here, saying why.
 //!
@@ -14,6 +16,7 @@
 
 use lfm_core::prelude::*;
 use lfm_core::serving::admission::AdmissionConfig;
+use lfm_core::telemetry::slo::{BurnWindow, Severity, SloConfig};
 use lfm_core::telemetry::Recorder;
 use lfm_core::workloads::drug;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -279,12 +282,12 @@ fn journaled_chaos_allocations_and_peak_live_bytes_are_pinned() {
     );
 }
 
-/// A gateway on `serving_steady`'s shape (16 workers, one 0.5 s function
-/// in a 50 MB Docker environment, three tenants at 175 invocations a
-/// second), unjournaled and untraced, over `horizon` simulated seconds.
-fn serving_run(horizon: f64) -> (Tally, ServingReport) {
-    let unit = 175.0 / 7.0;
-    let tenants = vec![
+/// `lfm_benchmark`'s serving tenants: free/pro/enterprise at weights
+/// 1/2/4 sharing `rate`, enterprise swinging ±25 % over the horizon and
+/// bursting.
+fn serving_tenants(rate: f64, horizon: f64) -> Vec<TenantConfig> {
+    let unit = rate / 7.0;
+    vec![
         TenantConfig::new("free", 1, ArrivalConfig::poisson(unit)).with_max_queue_depth(256),
         TenantConfig::new("pro", 2, ArrivalConfig::poisson(2.0 * unit)).with_max_queue_depth(256),
         TenantConfig::new(
@@ -295,21 +298,37 @@ fn serving_run(horizon: f64) -> (Tally, ServingReport) {
                 .with_bursts(0.01, 2.0, 2.0),
         )
         .with_max_queue_depth(256),
-    ];
-    let function = ServingFunction::synthetic(
+    ]
+}
+
+/// One 0.5 s, 1-core function in a 50 MB Docker environment.
+fn serving_function() -> ServingFunction {
+    ServingFunction::synthetic(
         "classify",
         50 << 20,
         ActivationTech::Docker,
         SimTaskProfile::new(0.5, 1.0, 1024, 256),
         64 << 10,
-    );
-    let config = ServingConfig::new(16, NodeSpec::new(16, 64 * 1024, 100 * 1024))
-        .with_seed(derive_seed(7, 7))
+    )
+}
+
+/// 16 workers of 16 cores, 0.25 s ticks, the benchmark's dispatch window
+/// and admission limit, over `horizon` simulated seconds.
+fn serving_config(seed: u64, horizon: f64) -> ServingConfig {
+    ServingConfig::new(16, NodeSpec::new(16, 64 * 1024, 100 * 1024))
+        .with_seed(seed)
         .with_horizon(horizon)
         .with_tick(0.25)
         .with_dispatch_window(1024)
         .with_admission(AdmissionConfig::new(1200))
-        .with_telemetry(Recorder::disabled());
+}
+
+/// A gateway on `serving_steady`'s shape (three tenants at 175
+/// invocations a second), unjournaled and untraced, over `horizon`
+/// simulated seconds.
+fn serving_run(horizon: f64) -> (Tally, ServingReport) {
+    let config = serving_config(derive_seed(7, 7), horizon).with_telemetry(Recorder::disabled());
+    let (function, tenants) = (serving_function(), serving_tenants(175.0, horizon));
     let (report, run) = measure(|| ServingGateway::new(config, vec![function], tenants).run());
     (run, report)
 }
@@ -338,5 +357,85 @@ fn streamed_allocations_and_peak_live_bytes_are_pinned() {
         (n, run.allocs, run.peak),
         (17_739, 157_400, 11_058_321),
         "invocations, allocations, peak live bytes"
+    );
+}
+
+/// A gateway on `serving_overload`'s shape at seed 7 over `horizon`
+/// simulated seconds: 380 invocations a second (1.5× capacity), a recorder
+/// on, the SLO monitor tailing it live every tick and driving the control
+/// loop, a journal, and two master crashes. The recorder is built inside
+/// the measured run, as the workload builds it beside the gateway.
+fn overload_run(horizon: f64) -> (ServingReport, Tally) {
+    measure(|| {
+        let config = serving_config(derive_seed(7, 8), horizon)
+            .with_slo(
+                SloConfig::new(0.95)
+                    .with_bucket_secs(1.0)
+                    .with_latency_threshold(3.0)
+                    .with_windows(vec![BurnWindow::new(3.0, 9.0, 2.0, Severity::Page)]),
+            )
+            .with_control(
+                ControlConfig::new()
+                    .with_cooldown(2.0)
+                    .with_depth_factor(0.25)
+                    .with_max_level(5),
+            )
+            .with_durability(DurabilityConfig {
+                restart_secs: 0.5,
+                ..DurabilityConfig::journal_with_snapshots(256)
+            })
+            .with_faults(FaultPlan::reliable().with(FaultSpec::master_crash(6000.0, 2)))
+            .with_telemetry(Recorder::enabled_with_capacity(1 << 22));
+        let tenants = serving_tenants(380.0, horizon);
+        ServingGateway::new(config, vec![serving_function()], tenants).run()
+    })
+}
+
+#[test]
+fn slo_tailed_overload_allocations_and_peak_live_bytes_are_pinned() {
+    overload_run(2.0);
+    let (report, run) = overload_run(200.0);
+    let n = report.offered;
+    assert_eq!(
+        (report.master_crashes, report.gateway_recoveries),
+        (2, 2),
+        "both crashes fire and the gateway recovers from each"
+    );
+    assert!(!report.control_actions.is_empty(), "alerts drive control");
+    eprintln!(
+        "serving_overload 200 s: {n} offered, {} admitted, {} control actions, {} lost; \
+         {} allocs/offered, {} B allocated/offered, peak live {} B",
+        report.admitted,
+        report.control_actions.len(),
+        report.lost,
+        run.allocs as f64 / n as f64,
+        run.bytes / n,
+        run.peak,
+    );
+    // 22.2 allocations and 2 615 B allocated per offered invocation in
+    // release: each 0.25 s tick drains every record the run emitted since
+    // the last one into owned records (a `String` per name, category and
+    // attr) before the SLO monitor looks at 27 % of them. Debug builds also
+    // count the journal's guards. The peak holds the reader's per-shard
+    // table, which is as long as the emitting thread's shard index (a hash
+    // of its thread id) is high: the figures are this binary's whole run,
+    // and a run filtered to this test alone reads up to a table's length
+    // differently.
+    let pinned = if cfg!(debug_assertions) {
+        (76_766, 20_674, 15, 340, 8_003_830, 26_978_983)
+    } else {
+        (76_766, 20_674, 15, 340, 1_707_815, 18_858_513)
+    };
+    assert_eq!(
+        (
+            n,
+            report.admitted,
+            report.control_actions.len() as u64,
+            report.lost,
+            run.allocs,
+            run.peak
+        ),
+        pinned,
+        "offered, admitted, control actions, lost, allocations, peak live bytes"
     );
 }
