@@ -289,11 +289,21 @@ impl ServingConfig {
 }
 
 /// Live SLO evaluation state: the tailed recorder, the incremental
-/// cursor, and the burn-rate monitor fed from each drained batch.
+/// cursor, and the burn-rate monitor fed from each drain.
 struct SloRuntime {
     recorder: Recorder,
     cursor: TailCursor,
     monitor: SloMonitor,
+}
+
+impl SloRuntime {
+    /// Feed the monitor every record since the last drain, at the id
+    /// level: nothing is resolved or collected on the way. With `flush`,
+    /// also records still held behind a sequence gap (end of run).
+    fn drain(&mut self, flush: bool) {
+        let monitor = &mut self.monitor;
+        (self.recorder).drain_with(&mut self.cursor, flush, &mut |r| monitor.consume(r));
+    }
 }
 
 /// An admitted invocation waiting in its tenant queue.
@@ -917,10 +927,7 @@ impl ServingGateway {
     /// byte-identical alerts.
     fn observe_slo(&mut self, now_secs: f64) {
         let Some(rt) = &mut self.slo_rt else { return };
-        let batch = rt.recorder.drain_since(&mut rt.cursor);
-        for record in &batch.records {
-            rt.monitor.consume(record);
-        }
+        rt.drain(false);
         rt.monitor.evaluate(now_secs);
     }
 
@@ -1105,10 +1112,7 @@ impl ServingGateway {
     fn finish(mut self, end_secs: f64) -> ServingReport {
         let alerts: Vec<AlertReport> = match self.slo_rt.take() {
             Some(mut rt) => {
-                let batch = rt.recorder.finish_tail(&mut rt.cursor);
-                for record in &batch.records {
-                    rt.monitor.consume(record);
-                }
+                rt.drain(true);
                 rt.monitor.evaluate(end_secs);
                 rt.monitor
                     .alerts()

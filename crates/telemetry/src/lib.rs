@@ -25,12 +25,15 @@
 //!   zero allocations (amortised).
 //! * **One reader.** The recorder owns the only decoder of its shard
 //!   streams, a [`tail::TailMerger`] that k-way merges them on the global
-//!   sequence number. [`Recorder::take`], [`Recorder::snapshot`] (on a
-//!   clone of it) and the live [`Recorder::drain_since`] /
-//!   [`Recorder::finish_tail`] all read through it, so exporters and tests
-//!   see exactly the stream the heap-record implementation produced —
-//!   byte-identical traces for identical seeded runs — however reads
-//!   interleave.
+//!   sequence number and hands each record to a visitor as a
+//!   [`WireRecord`] (names still interned ids). The live door,
+//!   [`Recorder::drain_with`], stops there: the SLO monitor classifies
+//!   records by id and builds no string. [`Recorder::take`],
+//!   [`Recorder::snapshot`] (on a clone of the reader) and
+//!   [`Recorder::drain_since`] / [`Recorder::finish_tail`] are that read
+//!   plus [`WireRecord::to_record`], so exporters and tests see exactly
+//!   the stream the heap-record implementation produced — byte-identical
+//!   traces for identical seeded runs — however reads interleave.
 //! * **Sharded buffers.** Live recording appends to one of a fixed set of
 //!   mutex-guarded shards chosen by thread, so parallel sweep jobs sharing
 //!   a recorder do not serialize on one lock. A global sequence number
@@ -98,7 +101,7 @@ pub use intern::Name;
 pub use metrics::MetricsRegistry;
 pub use record::{AttrValue, InstantRecord, MetricKind, MetricRecord, Record, SpanRecord};
 pub use tail::{ReaderHealth, TailBatch, TailCursor};
-pub use wire::{AttrVal, DecodeError, ShardDecoder};
+pub use wire::{AttrVal, DecodeError, ShardDecoder, WireRecord};
 
 use lfm_simcluster::time::SimTime;
 use parking_lot::Mutex;
@@ -209,22 +212,28 @@ impl Inner {
         records
     }
 
-    /// Drain the shards through the reader: every record released since
-    /// the last read in `seq` order — with `flush`, also those still held
-    /// behind a sequence gap.
-    fn read(&self, flush: bool) -> Vec<Record> {
+    /// Drain the shards through the reader, handing `f` every record
+    /// released since the last read in `seq` order — with `flush`, also
+    /// those still held behind a sequence gap.
+    fn read(&self, flush: bool, f: &mut dyn FnMut(&WireRecord)) {
         let mut reader = self.reader.lock();
-        let mut out = Vec::with_capacity(self.feed_shards(&mut reader, true) + 1);
+        self.feed_shards(&mut reader, true);
         if flush {
-            reader.flush(&mut out);
+            reader.flush(f);
         } else {
-            reader.poll(&mut out);
+            reader.poll(f);
         }
         debug_assert!(
             reader.health().errors.is_empty(),
             "self-encoded stream must decode cleanly: {:?}",
             reader.health().errors
         );
+    }
+
+    /// [`Inner::read`], each record resolved.
+    fn read_records(&self, flush: bool) -> Vec<Record> {
+        let mut out = Vec::with_capacity(self.len() + 1);
+        self.read(flush, &mut |r| out.push(r.to_record()));
         out
     }
 }
@@ -495,7 +504,7 @@ impl Recorder {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
-        let mut out = inner.read(true);
+        let mut out = inner.read_records(true);
         out.extend(self.synthesize_dropped(inner.dropped.swap(0, Ordering::Relaxed)));
         out
     }
@@ -518,7 +527,7 @@ impl Recorder {
             (copy, records)
         };
         let mut out = Vec::with_capacity(records + 1);
-        reader.flush(&mut out);
+        reader.flush(&mut |r| out.push(r.to_record()));
         out.extend(self.synthesize_dropped(inner.dropped.load(Ordering::Relaxed)));
         out
     }
@@ -577,17 +586,35 @@ impl Recorder {
     }
 
     fn tail(&self, cursor: &mut TailCursor, flush: bool) -> TailBatch {
-        let Some(inner) = &self.inner else {
-            return TailBatch::default();
-        };
-        let records = inner.read(flush);
-        let total = inner.dropped_total.load(Ordering::Relaxed);
-        let dropped_delta = total.saturating_sub(cursor.dropped_seen);
-        cursor.dropped_seen = total;
+        let mut records = Vec::with_capacity(self.len());
+        let dropped_delta = self.drain_with(cursor, flush, &mut |r| records.push(r.to_record()));
         TailBatch {
             records,
             dropped_delta,
         }
+    }
+
+    /// The live door: [`Recorder::drain_since`] (or, with `flush`,
+    /// [`Recorder::finish_tail`]) that hands `f` each record at the id
+    /// level instead of collecting owned ones, so a consumer that only
+    /// classifies records allocates nothing per record. Returns the
+    /// records dropped at full shards since the cursor's last poll. `f`
+    /// runs under the reader's lock: it may emit to this recorder, but
+    /// must not read it.
+    pub fn drain_with(
+        &self,
+        cursor: &mut TailCursor,
+        flush: bool,
+        f: &mut dyn FnMut(&WireRecord),
+    ) -> u64 {
+        let Some(inner) = &self.inner else {
+            return 0;
+        };
+        inner.read(flush, f);
+        let total = inner.dropped_total.load(Ordering::Relaxed);
+        let dropped_delta = total.saturating_sub(cursor.dropped_seen);
+        cursor.dropped_seen = total;
+        dropped_delta
     }
 
     /// What the reader holds between reads: undecoded bytes, records held

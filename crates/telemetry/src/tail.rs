@@ -1,13 +1,16 @@
 //! The recorder's reader: incremental decoding and merging of the shard
 //! streams, for live tails and post-hoc reads alike.
 //!
-//! Every [`crate::Recorder`] owns exactly one [`TailMerger`]. Every read —
+//! Every [`crate::Recorder`] owns exactly one [`TailMerger`]. Every read
+//! moves the shards' buffered bytes into it and hands a visitor the
+//! records it releases, already k-way merged into global `seq` order, as
+//! [`WireRecord`]s: at the id level, nothing resolved and nothing
+//! collected. The live door, [`crate::Recorder::drain_with`], stops there;
 //! [`crate::Recorder::take`], [`crate::Recorder::snapshot`] (on a clone of
-//! it), and the live [`crate::Recorder::drain_since`] /
-//! [`crate::Recorder::finish_tail`] — moves the shards' buffered bytes into
-//! it and collects the records it releases, already k-way merged into
-//! global `seq` order. A read drains; what one reader hands out, no other
-//! read sees again.
+//! the reader) and [`crate::Recorder::drain_since`] /
+//! [`crate::Recorder::finish_tail`] are the same read with each record
+//! resolved into an owned [`Record`]. A read drains; what one reader hands
+//! out, no other read sees again.
 //!
 //! Three invariants make that correct:
 //!
@@ -31,8 +34,10 @@
 //!    never as a decode error and never as a gap.
 //!
 //! Records behind a gap wait as undecoded bytes, not as records: a tail
-//! decodes one record ahead of what it releases, so the reader holds at
-//! most one decoded record per shard. Truncated input — a consumer tailing
+//! decodes a record only when the merge asks for its shard's next `seq`,
+//! into the one [`WireRecord`] it keeps, so the reader holds at most one
+//! decoded record per shard and a read allocates nothing per record.
+//! Truncated input — a consumer tailing
 //! *shipped* bytes that end mid-record — yields [`TailPoll::NeedMoreData`]
 //! and resumes cleanly when the rest arrives; only genuinely corrupt bytes,
 //! or a record still cut short at [`TailMerger::flush`], produce a
@@ -41,7 +46,7 @@
 
 use crate::codec;
 use crate::record::Record;
-use crate::wire::{CodecState, DecodeError, ShardDecoder};
+use crate::wire::{CodecState, DecodeError, ShardDecoder, WireRecord};
 
 /// Result of one [`ShardTail::poll`].
 #[derive(Debug, PartialEq)]
@@ -64,12 +69,17 @@ pub struct ShardTail {
     buf: Vec<u8>,
     /// Consumed prefix of `buf`.
     pos: usize,
+    /// Stream offset of `buf[0]`: bytes consumed and dropped before it.
+    /// Errors report offsets from the stream's start.
+    base: usize,
     /// Decoder state after the last complete record.
     st: CodecState,
-    /// The next record, decoded but not handed out. Sequence numbers are
-    /// claimed under the shard lock, so within one shard they strictly
-    /// increase: this head is the shard's smallest pending `seq`.
-    head: Option<Record>,
+    /// The next record, decoded but not handed out, when `held`. Sequence
+    /// numbers are claimed under the shard lock, so within one shard they
+    /// strictly increase: this head is the shard's smallest pending `seq`.
+    /// Decoded in place, so a tail reuses one record's storage throughout.
+    head: WireRecord,
+    held: bool,
     /// First real corruption error, if any; the tail fuses on it.
     failed: Option<DecodeError>,
 }
@@ -79,12 +89,18 @@ impl ShardTail {
         Self::default()
     }
 
+    /// Drop the consumed prefix of `buf`.
+    fn compact(&mut self) {
+        self.base += self.pos;
+        self.buf.drain(..self.pos);
+        self.pos = 0;
+    }
+
     /// Append a chunk of the shard's wire stream.
     pub fn feed(&mut self, bytes: &[u8]) {
         // Compact the consumed prefix before growing: keeps the buffer
         // bounded by (undecoded tail + chunk), not by stream length.
-        self.buf.drain(..self.pos);
-        self.pos = 0;
+        self.compact();
         self.buf.extend_from_slice(bytes);
     }
 
@@ -93,8 +109,7 @@ impl ShardTail {
     /// tail's spent allocation to refill.
     fn feed_from(&mut self, bytes: &mut Vec<u8>) {
         if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
+            self.compact();
             std::mem::swap(&mut self.buf, bytes);
         } else {
             self.feed(bytes);
@@ -102,27 +117,33 @@ impl ShardTail {
         }
     }
 
-    /// Decode the next complete record into `head`, if none is held. A
-    /// trailing truncated record is never committed, so it retries when
-    /// more bytes arrive.
-    fn fill(&mut self) {
-        if self.head.is_some() || self.failed.is_some() || self.pos == self.buf.len() {
-            return;
+    /// Decode the next complete record into `head`, if none is held, and
+    /// say whether one is. A trailing truncated record is never committed,
+    /// so it retries when more bytes arrive.
+    fn fill(&mut self) -> bool {
+        if self.held || self.failed.is_some() || self.pos == self.buf.len() {
+            return self.held;
         }
         let mut dec = ShardDecoder::with_state(&self.buf[self.pos..], self.st);
-        match dec.next() {
-            Some(Ok(record)) => {
+        match dec.decode_into(&mut self.head) {
+            Ok(()) => {
                 self.pos += dec.position();
                 self.st = dec.state();
-                self.head = Some(record);
+                self.held = true;
                 if self.pos == self.buf.len() {
-                    self.buf.clear();
-                    self.pos = 0;
+                    self.compact();
                 }
             }
-            Some(Err(DecodeError::Codec(codec::Error::Truncated { .. }))) | None => {}
-            Some(Err(e)) => self.failed = Some(e),
+            Err(DecodeError::Codec(codec::Error::Truncated { .. })) => {}
+            Err(e) => self.failed = Some(e.shifted(self.base + self.pos)),
         }
+        self.held
+    }
+
+    /// Hand the held record to `f`.
+    fn release(&mut self, f: &mut dyn FnMut(&WireRecord)) {
+        f(&self.head);
+        self.held = false;
     }
 
     /// Decode the next record, if a complete one is buffered.
@@ -132,9 +153,9 @@ impl ShardTail {
     /// Records decoded before the corruption point are still handed out
     /// first.
     pub fn poll(&mut self) -> Result<TailPoll, DecodeError> {
-        self.fill();
-        if let Some(record) = self.head.take() {
-            return Ok(TailPoll::Record(record));
+        if self.fill() {
+            self.held = false;
+            return Ok(TailPoll::Record(self.head.to_record()));
         }
         match &self.failed {
             Some(e) => Err(e.clone()),
@@ -144,8 +165,7 @@ impl ShardTail {
 
     /// Sequence number of the next record, decoding it if need be.
     fn head_seq(&mut self) -> Option<u64> {
-        self.fill();
-        self.head.as_ref().map(Record::seq)
+        self.fill().then_some(self.head.seq())
     }
 
     /// End of stream: bytes left undecoded are a record cut short. A tail
@@ -153,11 +173,12 @@ impl ShardTail {
     /// of a large read for the recorder's lifetime.
     fn close(&mut self) {
         if self.pos == self.buf.len() {
+            self.compact();
             self.buf = Vec::new();
-            self.pos = 0;
         } else if self.failed.is_none() {
             let mut dec = ShardDecoder::with_state(&self.buf[self.pos..], self.st);
-            self.failed = dec.next().and_then(Result::err);
+            let at = self.base + self.pos;
+            self.failed = dec.next().and_then(Result::err).map(|e| e.shifted(at));
         }
     }
 
@@ -175,11 +196,14 @@ impl ShardTail {
 /// carries the next expected `seq`, and stragglers wait in their shard's
 /// (already sorted) stream. A hint remembers which shard matched last, so
 /// a run of records from one producer thread costs one probe per record.
+/// Records are released to a visitor, at the id level: nothing is
+/// collected and nothing resolved unless the visitor does it.
 #[derive(Debug, Default, Clone)]
 pub struct TailMerger {
-    /// One tail per shard, grown on first feed: a recorder nobody reads
-    /// allocates nothing here.
-    tails: Vec<ShardTail>,
+    /// A tail per shard ever fed, in first-feed order: a recorder nobody
+    /// reads allocates nothing here, and one fed from a single thread
+    /// holds one tail whichever shard that thread hashes to.
+    tails: Vec<(usize, ShardTail)>,
     /// Next `seq` to release. Only ever advances.
     next_seq: u64,
 }
@@ -194,7 +218,7 @@ pub struct ReaderHealth {
     /// Records decoded and held back (at most one per shard).
     pub held_records: usize,
     /// Corruption errors, one per fused shard (truncation mid-stream is
-    /// never an error).
+    /// never an error), at their offsets in the shard's stream.
     pub errors: Vec<DecodeError>,
 }
 
@@ -211,26 +235,30 @@ impl TailMerger {
     }
 
     fn tail(&mut self, shard: usize) -> &mut ShardTail {
-        if shard >= self.tails.len() {
-            self.tails.resize_with(shard + 1, ShardTail::default);
-        }
-        &mut self.tails[shard]
+        let i = match self.tails.iter().position(|(s, _)| *s == shard) {
+            Some(i) => i,
+            None => {
+                self.tails.push((shard, ShardTail::default()));
+                self.tails.len() - 1
+            }
+        };
+        &mut self.tails[i].1
     }
 
-    /// Append to `out` the contiguous run of records starting at the next
+    /// Hand `f` the contiguous run of records starting at the next
     /// expected `seq`, in global order. A head *below* that `seq` (a read
     /// raced an emitter and flushed past it) is released as soon as it is
     /// seen rather than blocking its shard.
-    pub fn poll(&mut self, out: &mut Vec<Record>) {
+    pub fn poll(&mut self, f: &mut dyn FnMut(&WireRecord)) {
         let n = self.tails.len();
         let mut hint = 0;
         'merge: loop {
             for off in 0..n {
                 let i = (hint + off) % n;
-                let tail = &mut self.tails[i];
+                let tail = &mut self.tails[i].1;
                 match tail.head_seq() {
                     Some(seq) if seq <= self.next_seq => {
-                        out.extend(tail.head.take());
+                        tail.release(f);
                         self.next_seq = self.next_seq.max(seq + 1);
                         hint = i;
                         continue 'merge;
@@ -242,31 +270,32 @@ impl TailMerger {
         }
     }
 
-    /// Append everything pending to `out`, gaps and all, in `seq` order
-    /// (end of run: the producer is done, so no straggler can fill them
-    /// anymore). Bytes still undecoded afterwards are a record cut short
-    /// and fuse their shard with a truncation error.
-    pub fn flush(&mut self, out: &mut Vec<Record>) {
-        self.poll(out);
+    /// Hand `f` everything pending, gaps and all, in `seq` order (end of
+    /// run: the producer is done, so no straggler can fill them anymore).
+    /// Bytes still undecoded afterwards are a record cut short and fuse
+    /// their shard with a truncation error.
+    pub fn flush(&mut self, f: &mut dyn FnMut(&WireRecord)) {
+        self.poll(f);
         loop {
             let smallest = (self.tails.iter_mut().enumerate())
-                .filter_map(|(i, t)| t.head_seq().map(|seq| (seq, i)))
+                .filter_map(|(i, (_, t))| t.head_seq().map(|seq| (seq, i)))
                 .min();
             let Some((seq, i)) = smallest else { break };
-            out.extend(self.tails[i].head.take());
+            self.tails[i].1.release(f);
             self.next_seq = self.next_seq.max(seq + 1);
         }
-        for tail in &mut self.tails {
+        for (_, tail) in &mut self.tails {
             tail.close();
         }
     }
 
     /// Undecoded bytes, held records and errors, summed over the shards.
     pub fn health(&self) -> ReaderHealth {
+        let tails = || self.tails.iter().map(|(_, t)| t);
         ReaderHealth {
-            undecoded_bytes: self.tails.iter().map(ShardTail::buffered_bytes).sum(),
-            held_records: self.tails.iter().filter(|t| t.head.is_some()).count(),
-            errors: self.tails.iter().filter_map(|t| t.failed.clone()).collect(),
+            undecoded_bytes: tails().map(ShardTail::buffered_bytes).sum(),
+            held_records: tails().filter(|t| t.held).count(),
+            errors: tails().filter_map(|t| t.failed.clone()).collect(),
         }
     }
 }
@@ -346,7 +375,7 @@ mod tests {
         let mut m = TailMerger::default();
         m.feed(0, &even);
         let mut first = Vec::new();
-        m.poll(&mut first);
+        m.poll(&mut |r| first.push(r.to_record()));
         assert_eq!(
             seqs(&first),
             vec![0],
@@ -357,7 +386,7 @@ mod tests {
         assert!(held.undecoded_bytes > 0, "the rest waits as bytes");
         m.feed(1, &odd);
         let mut rest = Vec::new();
-        m.poll(&mut rest);
+        m.poll(&mut |r| rest.push(r.to_record()));
         assert_eq!(seqs(&rest), vec![1, 2, 3, 4, 5]);
         assert_eq!(m.health(), ReaderHealth::default());
     }
@@ -367,9 +396,9 @@ mod tests {
         let mut m = TailMerger::default();
         m.feed(0, &counter_stream(&[2, 3]));
         let mut out = Vec::new();
-        m.poll(&mut out);
+        m.poll(&mut |r| out.push(r.to_record()));
         assert!(out.is_empty(), "gated on the gap at 0");
-        m.flush(&mut out);
+        m.flush(&mut |r| out.push(r.to_record()));
         assert_eq!(seqs(&out), vec![2, 3]);
     }
 
@@ -396,7 +425,7 @@ mod tests {
             m.feed(i, buf);
         }
         let mut merged = Vec::new();
-        m.flush(&mut merged);
+        m.flush(&mut |r| merged.push(r.to_record()));
         assert_eq!(seqs(&merged), (0..30).collect::<Vec<_>>());
     }
 
@@ -409,7 +438,7 @@ mod tests {
         m.feed(0, &good);
         m.feed(1, &bad);
         let mut merged = Vec::new();
-        m.flush(&mut merged);
+        m.flush(&mut |r| merged.push(r.to_record()));
         assert_eq!(
             seqs(&merged),
             vec![0, 1, 2, 4],
@@ -599,7 +628,7 @@ mod tests {
         let held = |r: &Recorder| -> usize {
             let inner = r.inner.as_ref().expect("enabled");
             let reader = inner.reader.lock();
-            reader.tails.iter().map(|t| t.buf.capacity()).sum()
+            reader.tails.iter().map(|(_, t)| t.buf.capacity()).sum()
         };
         let mut cursor = r.cursor();
         assert_eq!(r.drain_since(&mut cursor).records.len(), 1000);

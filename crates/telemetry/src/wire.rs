@@ -42,14 +42,23 @@
 //! with the old heap-record pipeline. Non-µs-representable times (and wall
 //! clock spans) fall back to raw f64 bits, flagged per record.
 //!
-//! [`ShardDecoder`] streams one shard's bytes back into [`Record`]s. The
-//! k-way merge of the per-shard streams on `seq` lives in
-//! [`crate::tail::TailMerger`], the recorder's one reader. Decoding is
-//! fully bounds-checked: truncated or corrupt input yields [`DecodeError`],
-//! never a panic.
+//! One decoder reads it back. [`ShardDecoder`] decodes a record into a
+//! [`WireRecord`]: the record at the id level, names as [`Name`]s and attrs
+//! in the encoder's own inline list, so decoding allocates nothing below
+//! nine attrs. Checking an id takes no lock: the decoder accepts an id
+//! below the intern table's length (an atomic), and an id never interned
+//! is [`DecodeError::BadName`]. [`WireRecord::to_record`] is the one place
+//! a string is built from the wire: it resolves the record into an owned
+//! [`Record`], which is what the decoder's iterator and the recorder's
+//! `take`/`snapshot`/`drain_since`/`finish_tail` hand out. The k-way merge
+//! of the per-shard streams on `seq` lives in [`crate::tail::TailMerger`],
+//! the recorder's one reader. Decoding is fully bounds-checked: truncated
+//! or corrupt input yields [`DecodeError`], never a panic, and a count
+//! prefix is checked against the bytes left before anything is read for
+//! it ([`Reader::count`]).
 
 use crate::codec::{self, put_f64, put_u8, put_varint, unzigzag, zigzag, Reader};
-use crate::intern::Name;
+use crate::intern::{Name, Strs};
 use crate::record::{AttrValue, InstantRecord, MetricKind, MetricRecord, Record, SpanRecord};
 
 pub(crate) const KIND_SPAN: u8 = 0;
@@ -118,7 +127,7 @@ impl From<Name> for AttrVal {
 /// than silently dropping.
 const INLINE_ATTRS: usize = 8;
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct AttrList {
     len: u8,
     inline: [(Name, WireVal); INLINE_ATTRS],
@@ -149,11 +158,17 @@ impl AttrList {
         self.len == 0
     }
 
+    /// Empty, keeping the spill's allocation for the next record.
+    fn clear(&mut self) {
+        self.len = 0;
+        self.spill.clear();
+    }
+
     fn count(&self) -> usize {
         self.len as usize + self.spill.len()
     }
 
-    fn iter(&self) -> impl Iterator<Item = &(Name, WireVal)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &(Name, WireVal)> {
         self.inline[..self.len as usize].iter().chain(&self.spill)
     }
 }
@@ -426,9 +441,115 @@ impl std::fmt::Display for DecodeError {
     }
 }
 
+impl DecodeError {
+    /// The same error `by` bytes further into the stream: a reader that
+    /// decodes a suffix reports offsets from the stream's start.
+    pub(crate) fn shifted(self, by: usize) -> Self {
+        match self {
+            DecodeError::Codec(codec::Error::Truncated { at }) => {
+                DecodeError::Codec(codec::Error::Truncated { at: at + by })
+            }
+            DecodeError::Codec(codec::Error::Corrupt { at, what }) => {
+                DecodeError::Codec(codec::Error::Corrupt { at: at + by, what })
+            }
+            DecodeError::BadTag { at, tag } => DecodeError::BadTag { at: at + by, tag },
+            DecodeError::BadName { at, id } => DecodeError::BadName { at: at + by, id },
+        }
+    }
+}
+
 impl From<codec::Error> for DecodeError {
     fn from(e: codec::Error) -> Self {
         DecodeError::Codec(e)
+    }
+}
+
+/// Which record a [`WireRecord`] holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) enum WireKind {
+    #[default]
+    Span,
+    Instant,
+    Metric(MetricKind),
+}
+
+/// One decoded record at the id level: names, categories and attr keys
+/// are [`Name`]s and the attrs sit inline, so decoding one touches the
+/// heap only past the eighth attr. [`WireRecord::to_record`] resolves it
+/// into an owned [`Record`]; the recorder's visitor reads
+/// ([`crate::Recorder::drain_with`]) hand these out as they are.
+#[derive(Debug, Clone, Default)]
+pub struct WireRecord {
+    pub(crate) seq: u64,
+    pub(crate) kind: WireKind,
+    pub(crate) name: Name,
+    /// Spans and instants only.
+    pub(crate) cat: Name,
+    /// A span's start, an instant's time or a metric's timestamp; `None`
+    /// only for an untimed metric.
+    pub(crate) at_secs: Option<f64>,
+    /// A span's end.
+    pub(crate) end_secs: f64,
+    /// A metric's value.
+    pub(crate) value: f64,
+    pub(crate) track: u64,
+    pub(crate) depth: u32,
+    pub(crate) task: Option<u64>,
+    pub(crate) attempt: Option<u32>,
+    pub(crate) attrs: AttrList,
+}
+
+impl WireRecord {
+    /// The record's global sequence number.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// The owned record: every name resolved, under one lock of the
+    /// intern table. The only place a `String` is built from the wire.
+    pub fn to_record(&self) -> Record {
+        let strs = Strs::lock();
+        let s = |name| strs.get(name).to_string();
+        let attrs = || {
+            let value = |v| match v {
+                WireVal::U64(v) => AttrValue::U64(v),
+                WireVal::F64(v) => AttrValue::F64(v),
+                WireVal::Str(id) => AttrValue::Str(s(id)),
+            };
+            self.attrs.iter().map(|&(k, v)| (s(k), value(v))).collect()
+        };
+        let at_secs = self.at_secs.unwrap_or_default();
+        match self.kind {
+            WireKind::Span => Record::Span(SpanRecord {
+                seq: self.seq,
+                name: s(self.name),
+                cat: s(self.cat),
+                start_secs: at_secs,
+                end_secs: self.end_secs,
+                track: self.track,
+                depth: self.depth,
+                task: self.task,
+                attempt: self.attempt,
+                attrs: attrs(),
+            }),
+            WireKind::Instant => Record::Instant(InstantRecord {
+                seq: self.seq,
+                name: s(self.name),
+                cat: s(self.cat),
+                at_secs,
+                track: self.track,
+                task: self.task,
+                attempt: self.attempt,
+                attrs: attrs(),
+            }),
+            WireKind::Metric(kind) => Record::Metric(MetricRecord {
+                seq: self.seq,
+                name: s(self.name),
+                kind,
+                value: self.value,
+                at_secs: self.at_secs,
+            }),
+        }
     }
 }
 
@@ -471,13 +592,11 @@ impl<'a> ShardDecoder<'a> {
         self.st
     }
 
-    fn get_name(&mut self) -> Result<&'static str, DecodeError> {
+    /// A name id, which must have been interned in this process.
+    fn get_name(&mut self) -> Result<Name, DecodeError> {
         let at = self.r.position();
         let id = self.r.varint()?;
-        u32::try_from(id)
-            .ok()
-            .and_then(|id| Name(id).resolve())
-            .ok_or(DecodeError::BadName { at, id })
+        Name::known(id).ok_or(DecodeError::BadName { at, id })
     }
 
     /// A timestamp: varint µs delta against shard state, or raw f64.
@@ -504,55 +623,60 @@ impl<'a> ShardDecoder<'a> {
         Ok(us as f64 / 1e6)
     }
 
-    fn get_attrs(&mut self) -> Result<Vec<(String, AttrValue)>, DecodeError> {
-        let at = self.r.position();
+    /// An attr list into `attrs`. The count is checked against the bytes
+    /// left (an attr takes at least two) before any is read.
+    fn get_attrs(&mut self, attrs: &mut AttrList) -> Result<(), DecodeError> {
         let n = self.r.varint()?;
-        if n > 1 << 20 {
-            return Err(codec::Error::Corrupt {
-                at,
-                what: "absurd attr count",
-            }
-            .into());
-        }
-        let mut attrs = Vec::with_capacity(n as usize);
+        let n = self.r.count(n, 2)?;
         for _ in 0..n {
             let at = self.r.position();
             let packed = self.r.varint()?;
-            let key_id = packed >> 2;
-            let key = u32::try_from(key_id)
-                .ok()
-                .and_then(|id| Name(id).resolve())
-                .ok_or(DecodeError::BadName { at, id: key_id })?;
+            let key = Name::known(packed >> 2).ok_or(DecodeError::BadName {
+                at,
+                id: packed >> 2,
+            })?;
             let value = match packed & 3 {
-                0 => AttrValue::U64(self.r.varint()?),
-                1 => AttrValue::F64(self.r.f64()?),
-                2 => {
-                    let at = self.r.position();
-                    let id = self.r.varint()?;
-                    let s = u32::try_from(id)
-                        .ok()
-                        .and_then(|id| Name(id).resolve())
-                        .ok_or(DecodeError::BadName { at, id })?;
-                    AttrValue::Str(s.to_string())
-                }
-                _ => AttrValue::F64(self.r.varint()? as f64),
+                0 => WireVal::U64(self.r.varint()?),
+                1 => WireVal::F64(self.r.f64()?),
+                2 => WireVal::Str(self.get_name()?),
+                _ => WireVal::F64(self.r.varint()? as f64),
             };
-            attrs.push((key.to_string(), value));
+            attrs.push(key, value);
         }
-        Ok(attrs)
+        Ok(())
     }
 
-    fn decode_one(&mut self) -> Result<Record, DecodeError> {
+    /// A span's or an instant's task, attempt and attrs, as its tag flags.
+    fn get_ids(&mut self, tag: u8, rec: &mut WireRecord) -> Result<(), DecodeError> {
+        rec.task = (tag & FLAG_TASK != 0)
+            .then(|| self.r.varint())
+            .transpose()?;
+        rec.attempt = (tag & FLAG_ATTEMPT != 0)
+            .then(|| self.r.varint().map(|v| v as u32))
+            .transpose()?;
+        rec.attrs.clear();
+        if tag & FLAG_ATTRS != 0 {
+            self.get_attrs(&mut rec.attrs)?;
+        }
+        Ok(())
+    }
+
+    /// Decode the next record into `rec`, reusing its attr spill. On an
+    /// error `rec` and this decoder's state hold a partial record: a
+    /// reader that retries with more bytes resumes from the state it saved
+    /// before the attempt.
+    pub(crate) fn decode_into(&mut self, rec: &mut WireRecord) -> Result<(), DecodeError> {
         let at = self.r.position();
         let tag = self.r.u8()?;
         let kind = tag & KIND_MASK;
         let raw_time = tag & FLAG_TIME_RAW != 0;
-        let seq = self.st.last_seq.wrapping_add(self.r.varint()?);
-        self.st.last_seq = seq;
+        rec.seq = self.st.last_seq.wrapping_add(self.r.varint()?);
+        self.st.last_seq = rec.seq;
         match kind {
             KIND_SPAN => {
-                let name = self.get_name()?.to_string();
-                let cat = self.get_name()?.to_string();
+                rec.kind = WireKind::Span;
+                rec.name = self.get_name()?;
+                rec.cat = self.get_name()?;
                 let (start_secs, end_secs) = if raw_time {
                     (self.r.f64()?, self.r.f64()?)
                 } else {
@@ -568,83 +692,38 @@ impl<'a> ShardDecoder<'a> {
                             })?;
                     (start, end_us as f64 / 1e6)
                 };
-                let track = self.r.varint()?;
-                let depth = self.r.varint()? as u32;
-                let task = (tag & FLAG_TASK != 0)
-                    .then(|| self.r.varint())
-                    .transpose()?;
-                let attempt = (tag & FLAG_ATTEMPT != 0)
-                    .then(|| self.r.varint().map(|v| v as u32))
-                    .transpose()?;
-                let attrs = if tag & FLAG_ATTRS != 0 {
-                    self.get_attrs()?
-                } else {
-                    Vec::new()
-                };
-                Ok(Record::Span(SpanRecord {
-                    seq,
-                    name,
-                    cat,
-                    start_secs,
-                    end_secs,
-                    track,
-                    depth,
-                    task,
-                    attempt,
-                    attrs,
-                }))
+                rec.at_secs = Some(start_secs);
+                rec.end_secs = end_secs;
+                rec.track = self.r.varint()?;
+                rec.depth = self.r.varint()? as u32;
+                self.get_ids(tag, rec)
             }
             KIND_INSTANT => {
-                let name = self.get_name()?.to_string();
-                let cat = self.get_name()?.to_string();
-                let at_secs = self.get_time(raw_time)?;
-                let track = self.r.varint()?;
-                let task = (tag & FLAG_TASK != 0)
-                    .then(|| self.r.varint())
-                    .transpose()?;
-                let attempt = (tag & FLAG_ATTEMPT != 0)
-                    .then(|| self.r.varint().map(|v| v as u32))
-                    .transpose()?;
-                let attrs = if tag & FLAG_ATTRS != 0 {
-                    self.get_attrs()?
-                } else {
-                    Vec::new()
-                };
-                Ok(Record::Instant(InstantRecord {
-                    seq,
-                    name,
-                    cat,
-                    at_secs,
-                    track,
-                    task,
-                    attempt,
-                    attrs,
-                }))
+                rec.kind = WireKind::Instant;
+                rec.name = self.get_name()?;
+                rec.cat = self.get_name()?;
+                rec.at_secs = Some(self.get_time(raw_time)?);
+                rec.track = self.r.varint()?;
+                self.get_ids(tag, rec)
             }
             KIND_COUNTER | KIND_COUNTER_AT | KIND_GAUGE | KIND_OBSERVE => {
-                let name = self.get_name()?.to_string();
-                let metric_kind = match kind {
+                rec.kind = WireKind::Metric(match kind {
                     KIND_COUNTER | KIND_COUNTER_AT => MetricKind::Counter,
                     KIND_GAUGE => MetricKind::Gauge,
                     _ => MetricKind::Histogram,
-                };
-                let at_secs = if tag & FLAG_AT != 0 {
+                });
+                rec.name = self.get_name()?;
+                rec.at_secs = if tag & FLAG_AT != 0 {
                     Some(self.get_time(raw_time)?)
                 } else {
                     None
                 };
-                let value = if tag & FLAG_VAL_RAW != 0 {
+                rec.value = if tag & FLAG_VAL_RAW != 0 {
                     self.r.f64()?
                 } else {
                     self.r.varint()? as f64
                 };
-                Ok(Record::Metric(MetricRecord {
-                    seq,
-                    name,
-                    kind: metric_kind,
-                    value,
-                    at_secs,
-                }))
+                Ok(())
             }
             _ => Err(DecodeError::BadTag { at, tag }),
         }
@@ -658,8 +737,9 @@ impl Iterator for ShardDecoder<'_> {
         if self.failed || self.r.is_empty() {
             return None;
         }
-        match self.decode_one() {
-            Ok(r) => Some(Ok(r)),
+        let mut rec = WireRecord::default();
+        match self.decode_into(&mut rec) {
+            Ok(()) => Some(Ok(rec.to_record())),
             Err(e) => {
                 self.failed = true;
                 Some(Err(e))

@@ -17,7 +17,7 @@
 use lfm_core::prelude::*;
 use lfm_core::serving::admission::AdmissionConfig;
 use lfm_core::telemetry::slo::{BurnWindow, Severity, SloConfig};
-use lfm_core::telemetry::Recorder;
+use lfm_core::telemetry::{DecodeError, Name, Recorder, ShardDecoder};
 use lfm_core::workloads::drug;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -412,19 +412,23 @@ fn slo_tailed_overload_allocations_and_peak_live_bytes_are_pinned() {
         run.bytes / n,
         run.peak,
     );
-    // 22.2 allocations and 2 615 B allocated per offered invocation in
-    // release: each 0.25 s tick drains every record the run emitted since
-    // the last one into owned records (a `String` per name, category and
-    // attr) before the SLO monitor looks at 27 % of them. Debug builds also
-    // count the journal's guards. The peak holds the reader's per-shard
-    // table, which is as long as the emitting thread's shard index (a hash
-    // of its thread id) is high: the figures are this binary's whole run,
-    // and a run filtered to this test alone reads up to a table's length
+    // 5.99 allocations and 1 641 B allocated per offered invocation in
+    // release (126.0 MB in all), 18.79 MB live at the peak. The SLO monitor
+    // takes each 0.25 s tick's records at the id level from the reader's
+    // visitor, so no record is resolved or collected on the way. 1 707 815
+    // allocations, 200.8 MB and an 18.86 MB peak (22.2 per offered
+    // invocation, debug 8 003 830 and 26 978 983) while every tick drained
+    // the whole recorder into owned records (a `String` per name, category
+    // and attr) before the monitor looked at 27 % of them. Debug builds
+    // also count the journal's guards. The monitor's id table is as long as
+    // the highest id it sees, and ids are handed out process-wide in
+    // first-intern order: the figures are this binary's whole run, and a
+    // run filtered to this test alone reads a few allocations and bytes
     // differently.
     let pinned = if cfg!(debug_assertions) {
-        (76_766, 20_674, 15, 340, 8_003_830, 26_978_983)
+        (76_766, 20_674, 15, 340, 6_755_821, 26_985_703)
     } else {
-        (76_766, 20_674, 15, 340, 1_707_815, 18_858_513)
+        (76_766, 20_674, 15, 340, 459_806, 18_793_159)
     };
     assert_eq!(
         (
@@ -438,4 +442,21 @@ fn slo_tailed_overload_allocations_and_peak_live_bytes_are_pinned() {
         pinned,
         "offered, admitted, control actions, lost, allocations, peak live bytes"
     );
+}
+
+/// A corrupt attr count allocates nothing for the attrs it claims: the
+/// decoder checks it against the bytes left (an attr takes at least two)
+/// before reading one. Eleven bytes: a span with every field zero (name and
+/// category id 0) and the attr flag, whose count says 2^20. Sizing a list
+/// for that count first asked for 48 MiB.
+#[test]
+fn a_corrupt_attr_count_allocates_nothing_for_its_attrs() {
+    Name::intern("alloc.test.name");
+    let span = [0x40, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x80, 0x40];
+    let (first, tally) = measure(|| ShardDecoder::new(&span).next());
+    assert!(
+        matches!(first, Some(Err(DecodeError::Codec(_)))),
+        "{first:?}"
+    );
+    assert!(tally.bytes < 1024, "decoding 11 bytes allocated {tally:?}");
 }

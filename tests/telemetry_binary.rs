@@ -153,7 +153,7 @@ fn merge(shards: &[Vec<u8>]) -> Vec<Record> {
         merger.feed(i, bytes);
     }
     let mut out = Vec::new();
-    merger.flush(&mut out);
+    merger.flush(&mut |r| out.push(r.to_record()));
     out
 }
 
