@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{OnceLock, RwLock, RwLockReadGuard};
+use std::sync::{OnceLock, RwLock};
 
 /// An interned string: a dense index into the process-global table.
 ///
@@ -42,8 +42,9 @@ struct Table {
     by_id: Vec<&'static str>,
 }
 
-/// How many ids the table holds, stored after each insert: an id below it
-/// resolves.
+/// How many ids the table holds: stored (`Release`) under the write lock
+/// after each insert and loaded (`Acquire`) by [`Name::known`], so an id
+/// below the value loaded was pushed before it, and resolves.
 static LEN: AtomicU32 = AtomicU32::new(0);
 
 fn table() -> &'static RwLock<Table> {
@@ -85,12 +86,6 @@ impl Name {
         (id < LEN.load(Ordering::Acquire)).then_some(Name(id))
     }
 
-    /// Position in the table: a dense index for per-name side tables.
-    #[inline]
-    pub(crate) fn index(self) -> usize {
-        self.0 as usize
-    }
-
     /// The interned string, or `None` for an id that was never handed out
     /// (possible only when decoding corrupt bytes — the decoder turns this
     /// into a [`crate::wire::DecodeError`], never a panic).
@@ -105,18 +100,10 @@ impl Name {
     }
 }
 
-/// The table under one read lock, for resolving a batch of names.
-pub(crate) struct Strs(RwLockReadGuard<'static, Table>);
-
-impl Strs {
-    pub(crate) fn lock() -> Strs {
-        Strs(table().read().unwrap())
-    }
-
-    /// The string of a name the decoder accepted.
-    pub(crate) fn get(&self, name: Name) -> &'static str {
-        self.0.by_id[name.index()]
-    }
+/// The table's strings by id, under one read lock: for resolving a batch
+/// of names the decoder accepted.
+pub(crate) fn with_strs<R>(f: impl FnOnce(&[&'static str]) -> R) -> R {
+    f(&table().read().expect("no interner panics holding the lock").by_id)
 }
 
 impl From<&str> for Name {

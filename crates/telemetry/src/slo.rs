@@ -309,7 +309,7 @@ impl SloMonitor {
 
     /// `name`'s entry in the id table, filled on first sight.
     fn seen(&mut self, name: Name) -> Seen {
-        let i = name.index();
+        let i = name.0 as usize;
         if i >= self.names.len() {
             self.names.resize(i + 1, None);
         }
@@ -347,45 +347,6 @@ impl SloMonitor {
                 let start = record.at_secs.unwrap_or_default();
                 let slow = record.end_secs - start > threshold;
                 self.record_event(tenant, record.end_secs, !slow, 1);
-            }
-            _ => {}
-        }
-    }
-
-    /// The owned-record `consume` this one replaced: the oracle the
-    /// id-level one must agree with.
-    #[cfg(test)]
-    fn consume_record(&mut self, record: &crate::Record) {
-        use crate::record::{AttrValue, Record};
-        match record {
-            Record::Metric(m) if m.kind == MetricKind::Counter => {
-                let Some(at) = m.at_secs else { return };
-                let (good, prefix) = if let Some(t) = m.name.strip_prefix("serving.admitted.") {
-                    (true, t)
-                } else if let Some(t) = m.name.strip_prefix("serving.rejected.") {
-                    (false, t)
-                } else if let Some(t) = m.name.strip_prefix("serving.shed.") {
-                    (false, t)
-                } else {
-                    return;
-                };
-                let count = m.value.max(0.0) as u64;
-                if count > 0 {
-                    self.record_event(prefix, at, good, count);
-                }
-            }
-            Record::Span(s) if s.name == "serving.invoke" => {
-                let Some(threshold) = self.config.latency_threshold_secs else {
-                    return;
-                };
-                let Some(tenant) = s.attrs.iter().find_map(|(k, v)| match (k.as_str(), v) {
-                    ("tenant", AttrValue::Str(t)) => Some(t.clone()),
-                    _ => None,
-                }) else {
-                    return;
-                };
-                let slow = s.duration_secs() > threshold;
-                self.record_event(&tenant, s.end_secs, !slow, 1);
             }
             _ => {}
         }
@@ -507,9 +468,47 @@ impl SloMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{AttrValue, Record};
     use crate::{Recorder, TailCursor};
     use lfm_simcluster::time::SimTime;
     use proptest::prelude::*;
+
+    /// The owned-record `consume` the id-level one replaced: the oracle it
+    /// must agree with.
+    fn consume_record(mon: &mut SloMonitor, record: &Record) {
+        match record {
+            Record::Metric(m) if m.kind == MetricKind::Counter => {
+                let Some(at) = m.at_secs else { return };
+                let (good, prefix) = if let Some(t) = m.name.strip_prefix("serving.admitted.") {
+                    (true, t)
+                } else if let Some(t) = m.name.strip_prefix("serving.rejected.") {
+                    (false, t)
+                } else if let Some(t) = m.name.strip_prefix("serving.shed.") {
+                    (false, t)
+                } else {
+                    return;
+                };
+                let count = m.value.max(0.0) as u64;
+                if count > 0 {
+                    mon.record_event(prefix, at, good, count);
+                }
+            }
+            Record::Span(s) if s.name == "serving.invoke" => {
+                let Some(threshold) = mon.config.latency_threshold_secs else {
+                    return;
+                };
+                let Some(tenant) = s.attrs.iter().find_map(|(k, v)| match (k.as_str(), v) {
+                    ("tenant", AttrValue::Str(t)) => Some(t.clone()),
+                    _ => None,
+                }) else {
+                    return;
+                };
+                let slow = s.duration_secs() > threshold;
+                mon.record_event(&tenant, s.end_secs, !slow, 1);
+            }
+            _ => {}
+        }
+    }
 
     /// A monitor fed the way the gateway feeds it: records emitted to a
     /// recorder, drained at the id level before every evaluation.
@@ -809,7 +808,7 @@ mod tests {
                 }
                 r.drain_with(&mut cursor, false, &mut |w| {
                     mon.consume(w);
-                    oracle.consume_record(&w.to_record());
+                    consume_record(&mut oracle, &w.to_record());
                 });
                 mon.evaluate(now);
                 oracle.evaluate(now);

@@ -58,7 +58,7 @@
 //! it ([`Reader::count`]).
 
 use crate::codec::{self, put_f64, put_u8, put_varint, unzigzag, zigzag, Reader};
-use crate::intern::{Name, Strs};
+use crate::intern::{with_strs, Name};
 use crate::record::{AttrValue, InstantRecord, MetricKind, MetricRecord, Record, SpanRecord};
 
 pub(crate) const KIND_SPAN: u8 = 0;
@@ -508,48 +508,49 @@ impl WireRecord {
     /// The owned record: every name resolved, under one lock of the
     /// intern table. The only place a `String` is built from the wire.
     pub fn to_record(&self) -> Record {
-        let strs = Strs::lock();
-        let s = |name| strs.get(name).to_string();
-        let attrs = || {
-            let value = |v| match v {
-                WireVal::U64(v) => AttrValue::U64(v),
-                WireVal::F64(v) => AttrValue::F64(v),
-                WireVal::Str(id) => AttrValue::Str(s(id)),
+        with_strs(|strs| {
+            let s = |name: Name| strs[name.0 as usize].to_string();
+            let attrs = || {
+                let value = |v| match v {
+                    WireVal::U64(v) => AttrValue::U64(v),
+                    WireVal::F64(v) => AttrValue::F64(v),
+                    WireVal::Str(id) => AttrValue::Str(s(id)),
+                };
+                self.attrs.iter().map(|&(k, v)| (s(k), value(v))).collect()
             };
-            self.attrs.iter().map(|&(k, v)| (s(k), value(v))).collect()
-        };
-        let at_secs = self.at_secs.unwrap_or_default();
-        match self.kind {
-            WireKind::Span => Record::Span(SpanRecord {
-                seq: self.seq,
-                name: s(self.name),
-                cat: s(self.cat),
-                start_secs: at_secs,
-                end_secs: self.end_secs,
-                track: self.track,
-                depth: self.depth,
-                task: self.task,
-                attempt: self.attempt,
-                attrs: attrs(),
-            }),
-            WireKind::Instant => Record::Instant(InstantRecord {
-                seq: self.seq,
-                name: s(self.name),
-                cat: s(self.cat),
-                at_secs,
-                track: self.track,
-                task: self.task,
-                attempt: self.attempt,
-                attrs: attrs(),
-            }),
-            WireKind::Metric(kind) => Record::Metric(MetricRecord {
-                seq: self.seq,
-                name: s(self.name),
-                kind,
-                value: self.value,
-                at_secs: self.at_secs,
-            }),
-        }
+            let at_secs = self.at_secs.unwrap_or_default();
+            match self.kind {
+                WireKind::Span => Record::Span(SpanRecord {
+                    seq: self.seq,
+                    name: s(self.name),
+                    cat: s(self.cat),
+                    start_secs: at_secs,
+                    end_secs: self.end_secs,
+                    track: self.track,
+                    depth: self.depth,
+                    task: self.task,
+                    attempt: self.attempt,
+                    attrs: attrs(),
+                }),
+                WireKind::Instant => Record::Instant(InstantRecord {
+                    seq: self.seq,
+                    name: s(self.name),
+                    cat: s(self.cat),
+                    at_secs,
+                    track: self.track,
+                    task: self.task,
+                    attempt: self.attempt,
+                    attrs: attrs(),
+                }),
+                WireKind::Metric(kind) => Record::Metric(MetricRecord {
+                    seq: self.seq,
+                    name: s(self.name),
+                    kind,
+                    value: self.value,
+                    at_secs: self.at_secs,
+                }),
+            }
+        })
     }
 }
 

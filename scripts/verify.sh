@@ -39,7 +39,10 @@ git diff --exit-code -- lfm_benchmark BENCHMARK.json
 # a compaction that stops cutting the tail, moves them. Only
 # the traced pass prints per-layer counts, so both workloads run with it;
 # serving_overload is also the one workload whose 2 master crashes take the
-# gateway through its recovery path, which must not silently stop running;
+# gateway through its recovery path, which must not silently stop running,
+# and whose SLO monitor, tailing the recorder live, drives the control loop:
+# its 15 control actions and 340 lost invocations at seed 7 move if the
+# tail, the monitor's classification or the loop stops seeing what it saw;
 # and master_batch, whose 256 workers each miss the two cacheable files once
 # and hit them ever after — the cheapest tripwire for a file-id table that
 # forgets or invents a cached file. federation_8shard is traced for its steal
@@ -105,6 +108,8 @@ for w in master_batch master_dag_chaos federation_8shard serving_steady serving_
     serving_overload)
         layer_count serving.gateway.recoveries "v >= 1"
         layer_count workqueue.journal.bytes_per_op "v <= $journal_bytes_per_task_ceiling"
+        layer_count serving.control.actions "v == 15"
+        layer_count serving.gateway.lost "v == 340"
         ;;
     paper_figs) same_digest_on_one_core ;;
     esac
