@@ -103,7 +103,8 @@ impl Name {
 /// The table's strings by id, under one read lock: for resolving a batch
 /// of names the decoder accepted.
 pub(crate) fn with_strs<R>(f: impl FnOnce(&[&'static str]) -> R) -> R {
-    f(&table().read().expect("no interner panics holding the lock").by_id)
+    let table = table().read().expect("no interner panics holding the lock");
+    f(&table.by_id)
 }
 
 impl From<&str> for Name {
