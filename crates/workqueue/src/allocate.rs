@@ -125,11 +125,7 @@ impl PeakCounts {
         self.total += 1;
     }
 
-    fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Every sample, ascending (the snapshot's canonical order).
+    /// Every sample, ascending (an image's canonical order).
     fn expanded(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.total);
         for &(v, n) in &self.runs {
@@ -209,10 +205,20 @@ struct CategoryStats {
 }
 
 impl CategoryStats {
-    fn record_cores(&mut self, x: f64) {
-        assert!(x.is_finite(), "non-finite sample");
-        self.cores.push(x);
-        self.cores_max = Some(self.cores_max.map_or(x, |m| m.max(x)));
+    /// Add `[cores, memory_mb, disk_mb]` samples, each where present.
+    fn record(&mut self, [cores, memory_mb, disk_mb]: [Option<f64>; 3]) {
+        self.label_memo = None;
+        if let Some(x) = cores {
+            assert!(x.is_finite(), "non-finite sample");
+            self.cores.push(x);
+            self.cores_max = Some(self.cores_max.map_or(x, |m| m.max(x)));
+        }
+        if let Some(x) = memory_mb {
+            self.memory_mb.record(x);
+        }
+        if let Some(x) = disk_mb {
+            self.disk_mb.record(x);
+        }
     }
 }
 
@@ -221,8 +227,8 @@ impl CategoryStats {
 /// on every axis. A killed run observed only partial usage: its
 /// non-violated axes are truncated lower bounds that would drag the labels
 /// down, so only the violated axis counts — censored, hence doubled (see
-/// [`Allocator::observe`]). Journal replay rebuilds sample stores with the
-/// same function, so recovered labels are the live ones.
+/// [`Allocator::observe`]). The journal's delta images group a record
+/// tail's samples with the same function.
 pub(crate) fn censored_samples(
     peak_cores: f64,
     peak_rss_mb: u64,
@@ -242,10 +248,7 @@ pub(crate) fn censored_samples(
 }
 
 /// The allocator: owns strategy state and learns from reports.
-/// One category's exported sample stores, in canonical (sorted) order:
-/// `(cores, memory_mb, disk_mb, completed)`.
-pub(crate) type CategorySnapshot = (Vec<f64>, Vec<f64>, Vec<f64>, usize);
-
+///
 /// Categories are dense ids, handed out by [`intern`](Allocator::intern) in
 /// first-seen order. A master interns its workload's category table in
 /// order, so its category ids *are* the allocator's; the by-name methods
@@ -375,7 +378,12 @@ impl Allocator {
         self.observe_id(cat, report, completed, violated)
     }
 
-    fn observe_id(
+    /// [`observe_outcome`](Self::observe_outcome) for an interned category:
+    /// the one fold of an observation. The live master learns through it
+    /// ([`observe_outcome_notify_id`](Self::observe_outcome_notify_id)), and
+    /// journal replay records each `Observe` in the image's allocator
+    /// through it.
+    pub(crate) fn observe_id(
         &mut self,
         cat: u32,
         report: &ResourceReport,
@@ -383,22 +391,12 @@ impl Allocator {
         violated: Option<ResourceKind>,
     ) {
         let s = &mut self.stats[cat as usize];
-        s.label_memo = None;
-        let [cores, memory_mb, disk_mb] = censored_samples(
+        s.record(censored_samples(
             report.peak_cores,
             report.peak_rss_mb,
             report.peak_disk_mb,
             violated,
-        );
-        if let Some(x) = cores {
-            s.record_cores(x);
-        }
-        if let Some(x) = memory_mb {
-            s.memory_mb.record(x);
-        }
-        if let Some(x) = disk_mb {
-            s.disk_mb.record(x);
-        }
+        ));
         if completed {
             s.completed += 1;
         }
@@ -440,53 +438,47 @@ impl Allocator {
         }
     }
 
-    /// Snapshot one category's sample stores for the durability journal.
-    /// Values are exported in canonical (sorted) order — the label is a pure
-    /// function of the sample *multiset*, so snapshot bytes are identical
-    /// wherever the multiset is, whatever order the samples arrived in. The
-    /// memory and disk multisets are already in that order; only the raw
-    /// core peaks need sorting. An interned category never observed exports
-    /// empty stores; a name never seen, none.
-    pub(crate) fn snapshot_category(&self, category: &str) -> Option<CategorySnapshot> {
-        let s = &self.stats[self.ids.get(category)? as usize];
-        let mut cores = s.cores.clone();
-        cores.sort_unstable_by(f64::total_cmp);
-        Some((
-            cores,
-            s.memory_mb.expanded(),
-            s.disk_mb.expanded(),
-            s.completed,
-        ))
+    /// How many categories are interned.
+    pub(crate) fn categories(&self) -> usize {
+        self.stats.len()
     }
 
-    /// Rebuild one category's stats from a snapshot — the inverse of
-    /// [`snapshot_category`](Self::snapshot_category). Only valid on a
-    /// category this allocator has never observed (recovery starts from a
-    /// fresh allocator).
-    pub(crate) fn restore_category(
-        &mut self,
-        category: &str,
-        cores: &[f64],
-        memory_mb: &[f64],
-        disk_mb: &[f64],
-        completed: usize,
-    ) {
-        let cat = self.intern(category);
+    /// Every category's sample stores, by id, as a journal image carries
+    /// them: `[cores, memory_mb, disk_mb]`, each ascending, and the
+    /// completed count. The label is a pure function of the sample
+    /// *multisets*, so an image's bytes are the same wherever the multisets
+    /// are, whatever order the samples arrived in. The memory and disk
+    /// multisets are already in that order; only the raw core peaks are
+    /// sorted. A category never observed exports empty stores.
+    pub(crate) fn canonical_samples(
+        &self,
+    ) -> impl ExactSizeIterator<Item = ([Vec<f64>; 3], usize)> + '_ {
+        self.stats.iter().map(|s| {
+            let mut cores = s.cores.clone();
+            cores.sort_unstable_by(f64::total_cmp);
+            let axes = [cores, s.memory_mb.expanded(), s.disk_mb.expanded()];
+            (axes, s.completed)
+        })
+    }
+
+    /// Add a sample an image carries to category `cat`'s store of `axis`
+    /// (0 cores, 1 memory, 2 disk): how a decoded image's allocator learns
+    /// what the image holds. Panics on a non-finite sample, as an
+    /// observation would; a decoder refuses one first.
+    pub(crate) fn add_sample(&mut self, cat: u32, axis: usize, x: f64) {
+        let mut samples = [None; 3];
+        samples[axis] = Some(x);
+        self.stats[cat as usize].record(samples);
+    }
+
+    /// Add `n` to category `cat`'s completed count; `false`, changing
+    /// nothing, when the count would overflow.
+    pub(crate) fn add_completed(&mut self, cat: u32, n: usize) -> bool {
         let s = &mut self.stats[cat as usize];
-        assert!(
-            s.cores.is_empty() && s.memory_mb.is_empty() && s.disk_mb.is_empty(),
-            "restore_category over live stats for {category}"
-        );
-        for &v in cores {
-            s.record_cores(v);
-        }
-        for &v in memory_mb {
-            s.memory_mb.record(v);
-        }
-        for &v in disk_mb {
-            s.disk_mb.record(v);
-        }
-        s.completed = completed;
+        let total = s.completed.checked_add(n);
+        s.completed = total.unwrap_or(s.completed);
+        s.label_memo = None;
+        total.is_some()
     }
 
     /// Completed-sample count for a category (0 until first observation).
@@ -767,7 +759,7 @@ mod tests {
 
     /// One category of the previous allocator: three `Samples` stores, no
     /// memo. Mirrors `observe_outcome`, `auto_label`, `concurrency_cap` and
-    /// `snapshot_category` as they were.
+    /// the export of the stores as they were.
     #[derive(Default)]
     struct OracleCategory {
         cores: Samples,
@@ -826,24 +818,51 @@ mod tests {
             (self.completed < cfg.slow_start_until).then(|| (2 * self.completed).max(4) as u32)
         }
 
-        fn snapshot(&self) -> CategorySnapshot {
+        fn snapshot(&self) -> Stores {
             let canonical = |samples: &Samples| {
                 let mut v: Vec<f64> = samples.iter().collect();
                 v.sort_by(|a, b| a.total_cmp(b));
                 v
             };
             (
-                canonical(&self.cores),
-                canonical(&self.memory_mb),
-                canonical(&self.disk_mb),
+                [
+                    canonical(&self.cores),
+                    canonical(&self.memory_mb),
+                    canonical(&self.disk_mb),
+                ],
                 self.completed,
             )
         }
     }
 
-    fn bits(snap: &CategorySnapshot) -> (Vec<u64>, Vec<u64>, Vec<u64>, usize) {
-        let b = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
-        (b(&snap.0), b(&snap.1), b(&snap.2), snap.3)
+    /// One category's stores as [`Allocator::canonical_samples`] exports
+    /// them.
+    type Stores = ([Vec<f64>; 3], usize);
+
+    fn bits((axes, completed): &Stores) -> ([Vec<u64>; 3], usize) {
+        (
+            axes.each_ref()
+                .map(|v| v.iter().map(|x| x.to_bits()).collect()),
+            *completed,
+        )
+    }
+
+    /// `a`'s stores written into a full journal image and read back into a
+    /// fresh allocator of `strategy` that knows `names`: `(a, restored)`.
+    fn through_image(a: Allocator, strategy: Strategy, names: &[&str]) -> (Allocator, Allocator) {
+        use crate::journal::{bench_api::fifo, DepGraph, Ledger, MasterImage};
+        let img = MasterImage::new(Ledger::default(), fifo(), a);
+        let mut fresh = Allocator::new(strategy);
+        for name in names {
+            fresh.intern(name);
+        }
+        let work = crate::prepared::PreparedWorkload::new(Vec::new());
+        let graph = DepGraph {
+            work: &work,
+            shard: None,
+        };
+        let back = MasterImage::decode([&img.encode()[..]], &graph, fifo(), fresh);
+        (img.allocator, back.expect("image decodes").allocator)
     }
 
     /// Capacities the labels are compared under; the first is the one the
@@ -898,9 +917,10 @@ mod tests {
         /// Over a random observation stream — duplicates, kill-inflated
         /// values on every axis, streams that cross the `min_samples` and
         /// `slow_start_until` boundaries — the allocator's decisions under
-        /// several capacities, its observation effects and its snapshots all
-        /// equal the `Samples`-backed oracle's; and a snapshot restored into
-        /// a fresh allocator snapshots to the same bytes.
+        /// several capacities, its observation effects and its exported
+        /// stores all equal the `Samples`-backed oracle's; and the stores
+        /// written as an image writes them and read back into a fresh
+        /// allocator export alike and label alike.
         #[test]
         fn allocator_equals_samples_oracle_on_observation_streams(
             stream in prop::collection::vec(
@@ -940,11 +960,10 @@ mod tests {
                     prop_assert_eq!(a.peek_decision("cat", cap), oracle.decision(&cfg, cap));
                 }
             }
-            let snap = a.snapshot_category("cat").expect("observed");
+            let snap = a.canonical_samples().next().expect("observed");
             prop_assert_eq!(bits(&snap), bits(&oracle.snapshot()));
-            let mut restored = Allocator::new(Strategy::Auto(cfg));
-            restored.restore_category("cat", &snap.0, &snap.1, &snap.2, snap.3);
-            prop_assert_eq!(bits(&restored.snapshot_category("cat").expect("restored")), bits(&snap));
+            let (mut a, mut restored) = through_image(a, Strategy::Auto(cfg), &["cat"]);
+            prop_assert_eq!(bits(&restored.canonical_samples().next().expect("restored")), bits(&snap));
             for cap in &CAPS {
                 prop_assert_eq!(restored.peek_decision("cat", cap), a.peek_decision("cat", cap));
             }
@@ -1024,21 +1043,13 @@ mod tests {
                 .get_mut(category)
                 .expect("present or just inserted");
             s.label_memo = None;
-            let [cores, memory_mb, disk_mb] = censored_samples(
+            let samples = censored_samples(
                 report.peak_cores,
                 report.peak_rss_mb,
                 report.peak_disk_mb,
                 violated,
             );
-            if let Some(x) = cores {
-                s.record_cores(x);
-            }
-            if let Some(x) = memory_mb {
-                s.memory_mb.record(x);
-            }
-            if let Some(x) = disk_mb {
-                s.disk_mb.record(x);
-            }
+            s.record(samples);
             if completed {
                 s.completed += 1;
             }
@@ -1061,14 +1072,12 @@ mod tests {
             }
         }
 
-        fn snapshot_category(&self, category: &str) -> Option<CategorySnapshot> {
+        fn stores(&self, category: &str) -> Option<Stores> {
             let s = self.stats.get(category)?;
             let mut cores = s.cores.clone();
             cores.sort_unstable_by(f64::total_cmp);
             Some((
-                cores,
-                s.memory_mb.expanded(),
-                s.disk_mb.expanded(),
+                [cores, s.memory_mb.expanded(), s.disk_mb.expanded()],
                 s.completed,
             ))
         }
@@ -1127,9 +1136,10 @@ mod tests {
         /// of them first seen mid-stream, as a streamed admission interns
         /// them — the id-keyed calls answer what the name-keyed allocator
         /// answers, the by-name wrappers agree with both, the attempt
-        /// counters match, and every category snapshots alike: one interned
-        /// but never observed exactly as the map's absent one,
-        /// `CategorySnapshot`'s default.
+        /// counters match, and every category exports alike: one interned
+        /// but never observed exactly as the map's absent one, empty
+        /// stores. Read back from an image's bytes, the stores export and
+        /// label alike.
         #[test]
         fn id_keyed_allocator_equals_the_name_keyed_oracle(
             ops in prop::collection::vec(
@@ -1195,13 +1205,21 @@ mod tests {
                 }
                 prop_assert_eq!((a.retries, a.first_attempts), (oracle.retries, oracle.first_attempts));
             }
-            for name in &NAMES[..ids.len()] {
-                let got = a.snapshot_category(name).expect("interned");
-                let want = oracle.snapshot_category(name).unwrap_or_default();
+            let names = &NAMES[..ids.len()];
+            let (mut a, mut restored) = through_image(a, oracle.strategy.clone(), names);
+            prop_assert_eq!(a.canonical_samples().len(), names.len());
+            for ((name, got), back) in names.iter().zip(a.canonical_samples()).zip(restored.canonical_samples()) {
+                let want = oracle.stores(name).unwrap_or_default();
                 prop_assert_eq!(bits(&got), bits(&want), "{}", name);
+                prop_assert_eq!(bits(&back), bits(&want), "{}", name);
+            }
+            for (id, name) in ids.iter().zip(names) {
+                for cap in &CAPS {
+                    prop_assert_eq!(restored.peek_decision_id(*id, cap), a.peek_decision_id(*id, cap), "{}", name);
+                }
             }
             // A name neither has seen reads as nothing learned.
-            prop_assert_eq!(a.snapshot_category("never"), None);
+            prop_assert_eq!(a.categories(), ids.len());
             prop_assert_eq!((a.samples_for("never"), a.concurrency_cap("never")), (0, oracle.concurrency_cap("never")));
         }
     }

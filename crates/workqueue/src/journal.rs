@@ -19,10 +19,11 @@
 //!   worker fault counts, report counters), and `Ledger::apply` is the one
 //!   place that says what a record does to it. The live master and journal
 //!   replay both go through it, so live ≡ replay holds by construction.
-//! * **Snapshots** — a `MasterImage` is the ledger plus the two views
-//!   whose live form is an index or lives in another module (the pending
-//!   queue, as a scheduler of the run's kind; allocator sample stores). Installing an image
-//!   compacts the journal: recovery replays only the record tail written
+//! * **Snapshots** — a `MasterImage` is the ledger plus the two stores
+//!   whose live form lives in another module, each as that live type: the
+//!   pending queue, a scheduler of the run's kind, and the sample stores,
+//!   an allocator of the run's strategy. Installing an image compacts the
+//!   journal: recovery replays only the record tail written
 //!   since. The journal keeps images as a chain of encoded segments in one
 //!   layout — one *full* image, which is a delta from the empty image, then
 //!   *delta* images that carry what their record tail changed — so a
@@ -31,7 +32,9 @@
 //! * **Recovery** — `image = empty ⊕ full ⊕ deltas ⊕ tail`, one fold
 //!   (`MasterImage::apply`) from the encoded bytes and the tail alone,
 //!   which pushes and removes queued attempts in the scheduler the run
-//!   resumes with; the master installs it and indexes its workers in it.
+//!   resumes with and records each observation in the allocator it
+//!   resumes with, through the allocator's own code; the master installs
+//!   both as they stand and indexes its workers in the scheduler.
 //!   World state (workers, caches, the shared filesystem, the network,
 //!   in-flight completions) survives a master crash by definition — only
 //!   the coordinator's memory is lost.
@@ -42,7 +45,7 @@
 //! u64-length-prefixed strings. See DESIGN.md §5e for the format and the
 //! recovery invariants.
 
-use crate::allocate::censored_samples;
+use crate::allocate::{censored_samples, Allocator};
 use crate::files::{FileKind, FileRef};
 use crate::prepared::PreparedWorkload;
 use crate::sched::{IndexedSched, Pending};
@@ -976,7 +979,7 @@ pub(crate) struct Ledger {
     /// FIFO tie-break.
     pub backoffs: Vec<(usize, u32, SimTime)>,
     /// Quarantined workers and their release deadlines, in entry order for
-    /// the same reason.
+    /// the same reason. The one record of which workers are quarantined.
     pub quarantined_until: Vec<(u32, SimTime)>,
     pub quarantines: u32,
     /// Packed-env distribution degraded to the shared FS for the rest of
@@ -1172,52 +1175,12 @@ impl Ledger {
 
 // ---- the serialized master image (snapshot payload / replay target) ----
 
-/// One category's allocator state: the raw sample stores (already including
-/// the censored-axis inflation applied at observation time) plus the
-/// completed count. Restoring replays the values through `record()`, which
-/// reproduces labels exactly — the Auto label is a pure function of the
-/// sample multiset.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct CategorySnap {
-    pub cores: Vec<f64>,
-    pub memory_mb: Vec<f64>,
-    pub disk_mb: Vec<f64>,
-    pub completed: u64,
-}
-
-/// Fold one `Observe` record into sample stores dense by category id — the
-/// replay of `Allocator::observe_outcome`, through the same censoring rule.
-/// Any other record leaves the stores alone.
-pub(crate) fn observe_into(stats: &mut Vec<CategorySnap>, rec: &Record) {
-    let Record::Observe {
-        cat,
-        peak_cores,
-        peak_rss_mb,
-        peak_disk_mb,
-        completed,
-        violated,
-    } = rec
-    else {
-        return;
-    };
-    // A category first seen mid-stream has no slot yet.
-    if stats.len() <= *cat as usize {
-        stats.resize_with(*cat as usize + 1, CategorySnap::default);
-    }
-    let s = &mut stats[*cat as usize];
-    let [cores, memory_mb, disk_mb] =
-        censored_samples(*peak_cores, *peak_rss_mb, *peak_disk_mb, *violated);
-    s.cores.extend(cores);
-    s.memory_mb.extend(memory_mb);
-    s.disk_mb.extend(disk_mb);
-    s.completed += *completed as u64;
-}
-
 /// The complete serializable image of the master's logical state: the
-/// ledger, plus the two views whose live form is an index (`IndexedSched`)
-/// or lives in another module (`Allocator`). The journal's image chain
-/// decodes to one; journal replay folds records into one; recovery
-/// installs its scheduler and rebuilds the worker indexes around it.
+/// ledger, plus the two stores whose live form lives in another module —
+/// the pending queue (`IndexedSched`) and the sample stores (`Allocator`).
+/// The journal's image chain decodes to one; journal replay folds records
+/// into one; recovery installs its scheduler and its allocator as they
+/// stand and rebuilds the worker indexes around them.
 #[derive(Debug)]
 pub(crate) struct MasterImage {
     pub ledger: Ledger,
@@ -1232,8 +1195,10 @@ pub(crate) struct MasterImage {
     /// master never looks an attempt up by task, so only an image keeps it.
     /// Sized to the workload at the first enqueue past its end.
     queued_seq: Vec<i64>,
-    /// Allocator sample stores, dense by interned category id.
-    pub alloc_stats: Vec<CategorySnap>,
+    /// The allocator the run resumes with, built empty with the run's
+    /// strategy and categories: it learns each `Observe` folded in and each
+    /// sample a segment carries through its own code, as the live one does.
+    pub allocator: Allocator,
 }
 
 /// A task with no attempt waiting, in [`MasterImage::queued_seq`].
@@ -1244,13 +1209,13 @@ const UNQUEUED: i64 = i64::MIN;
 impl PartialEq for MasterImage {
     fn eq(&self, other: &Self) -> bool {
         self.ledger == other.ledger
-            && self.alloc_stats == other.alloc_stats
+            && (self.allocator.canonical_samples()).eq(other.allocator.canonical_samples())
             && self.pending.snapshot_pending() == other.pending.snapshot_pending()
     }
 }
 
 // Every image is one layout, written from borrowed state — the live ledger
-// and the two views — so a compaction copies nothing it does not encode. A
+// and the two stores — so a compaction copies nothing it does not encode. A
 // segment says what changed since the image before it: the sections bounded
 // by the cluster (placements, timers, scalars) whole, and for the sections
 // that grow with the run or its backlog — result rows, allocator samples,
@@ -1323,25 +1288,88 @@ fn read_live(r: &mut Reader<'_>, l: &mut Ledger) -> Result<(), JournalError> {
     Ok(())
 }
 
-fn put_samples(out: &mut Vec<u8>, s: &CategorySnap) {
-    for axis in [&s.cores, &s.memory_mb, &s.disk_mb] {
-        put_u64(out, axis.len() as u64);
-        for &v in axis {
+/// Every category's sample stores, as an image carries them: the
+/// category count, then per category each axis's samples (a count, then
+/// the values) and the completed count.
+fn put_samples(out: &mut Vec<u8>, allocator: &Allocator) {
+    let stores = allocator.canonical_samples();
+    put_u64(out, stores.len() as u64);
+    for (axes, completed) in stores {
+        let axes = axes.each_ref().map(|axis| axis.iter().copied());
+        put_store(out, axes, completed);
+    }
+}
+
+/// One category's samples, `[cores, memory_mb, disk_mb]`, and its
+/// completed count.
+fn put_store(out: &mut Vec<u8>, axes: [impl Iterator<Item = f64> + Clone; 3], completed: usize) {
+    for samples in axes {
+        put_u64(out, samples.clone().count() as u64);
+        for v in samples {
             put_f64(out, v);
         }
     }
-    put_u64(out, s.completed);
+    put_u64(out, completed as u64);
 }
 
-/// Inverse of [`put_samples`], adding to what `s` held.
-fn read_samples(r: &mut Reader<'_>, s: &mut CategorySnap) -> Result<(), JournalError> {
-    for axis in [&mut s.cores, &mut s.memory_mb, &mut s.disk_mb] {
-        for _ in 0..r.u64()? {
-            axis.push(r.f64()?);
+/// The samples `tail`'s observations add, laid out as [`put_samples`] lays
+/// out stores: every category up to the last one observed, each axis in
+/// arrival order. The grouping writes bytes; it is not a store.
+fn put_observed(out: &mut Vec<u8>, tail: &[Record]) {
+    let observation = |rec: &Record| match *rec {
+        Record::Observe {
+            cat,
+            peak_cores,
+            peak_rss_mb,
+            peak_disk_mb,
+            completed,
+            violated,
+        } => {
+            let samples = censored_samples(peak_cores, peak_rss_mb, peak_disk_mb, violated);
+            Some((cat, samples, completed))
+        }
+        _ => None,
+    };
+    // Each observation's category and place in the tail: sorted, that is
+    // by category and then in arrival order.
+    let mut at: Vec<(u32, usize)> = (tail.iter().enumerate())
+        .filter_map(|(i, rec)| Some((observation(rec)?.0, i)))
+        .collect();
+    at.sort_unstable();
+    let cats = at.last().map_or(0, |&(cat, _)| cat + 1);
+    put_u64(out, cats as u64);
+    let mut rest = &at[..];
+    for cat in 0..cats {
+        let (group, after) = rest.split_at(rest.partition_point(|&(c, _)| c == cat));
+        rest = after;
+        let group = || group.iter().filter_map(|&(_, i)| observation(&tail[i]));
+        let axes = [0, 1, 2].map(|axis| group().filter_map(move |(_, samples, _)| samples[axis]));
+        put_store(out, axes, group().filter(|&(.., done)| done).count());
+    }
+}
+
+/// Inverse of [`put_samples`] and [`put_observed`]: adds what they wrote to
+/// `allocator`'s stores. A sample the allocator would refuse is an error,
+/// not a panic.
+fn read_samples(r: &mut Reader<'_>, allocator: &mut Allocator) -> Result<(), JournalError> {
+    let observed = r.u64()?;
+    if observed > allocator.categories() as u64 {
+        return Err(JournalError::Inconsistent("observed category"));
+    }
+    for cat in 0..observed as u32 {
+        for axis in 0..3 {
+            for _ in 0..r.u64()? {
+                let x = r.f64()?;
+                if !x.is_finite() {
+                    return Err(JournalError::Inconsistent("non-finite sample"));
+                }
+                allocator.add_sample(cat, axis, x);
+            }
+        }
+        if !allocator.add_completed(cat, r.u64()? as usize) {
+            return Err(JournalError::Inconsistent("completed-sample count"));
         }
     }
-    s.completed = (s.completed.checked_add(r.u64()?))
-        .ok_or(JournalError::Inconsistent("completed-sample count"))?;
     Ok(())
 }
 
@@ -1406,14 +1434,14 @@ fn read_footer(r: &mut Reader<'_>, l: &mut Ledger) -> Result<(), JournalError> {
 }
 
 /// Write one image segment: `queue_ops` (enqueues and departures) and the
-/// `samples` observed since the image before it, the entries of `touched`
-/// (ascending, each once), `rows` appended since, and `l`'s bounded
-/// sections whole.
+/// samples observed since the image before it (written by `samples`), the
+/// entries of `touched` (ascending, each once), `rows` appended since, and
+/// `l`'s bounded sections whole.
 fn put_image<'a>(
     out: &mut Vec<u8>,
     l: &Ledger,
     queue_ops: impl Iterator<Item = Record> + Clone,
-    samples: &[CategorySnap],
+    samples: impl FnOnce(&mut Vec<u8>),
     touched: impl ExactSizeIterator<Item = usize>,
     rows: impl Iterator<Item = &'a TaskResult> + Clone,
 ) {
@@ -1425,10 +1453,7 @@ fn put_image<'a>(
     put_u64(out, l.completed as u64);
     put_u64(out, l.abandoned);
     put_footer(out, l);
-    put_u64(out, samples.len() as u64);
-    for s in samples {
-        put_samples(out, s);
-    }
+    samples(out);
     put_u64(out, touched.len() as u64);
     for t in touched {
         put_u64(out, t as u64);
@@ -1449,7 +1474,7 @@ pub(crate) fn encode_full<'a>(
     out: &mut Vec<u8>,
     l: &Ledger,
     pending: impl Iterator<Item = &'a Pending> + Clone,
-    alloc_stats: &[CategorySnap],
+    allocator: &Allocator,
 ) {
     let enqueues = pending.map(|p| Record::Enqueue {
         task_idx: p.task_idx as u64,
@@ -1462,7 +1487,7 @@ pub(crate) fn encode_full<'a>(
         out,
         l,
         enqueues,
-        alloc_stats,
+        |out| put_samples(out, allocator),
         0..l.dep_remaining.len(),
         rows,
     );
@@ -1513,34 +1538,33 @@ fn encode_delta(out: &mut Vec<u8>, l: &Ledger, graph: &DepGraph<'_>, tail: &[Rec
         | Record::Stolen { task_idx, attempt } => Some(Record::Stolen { task_idx, attempt }),
         _ => None,
     });
-    let mut observed = Vec::new();
-    for rec in tail {
-        observe_into(&mut observed, rec);
-    }
     let touched = touched_tasks(l, graph, tail);
     let rows = tail.iter().filter_map(|rec| match rec {
         Record::Result(tr) => Some(&**tr),
         _ => None,
     });
-    put_image(out, l, queue_ops, &observed, touched.into_iter(), rows);
+    let samples = |out: &mut Vec<u8>| put_observed(out, tail);
+    put_image(out, l, queue_ops, samples, touched.into_iter(), rows);
 }
 
 impl MasterImage {
     /// The image of `ledger` with `pending` — an empty scheduler of the
-    /// run's implementation and policy — as its queue, and no samples.
-    pub(crate) fn new(ledger: Ledger, pending: IndexedSched) -> Self {
+    /// run's implementation and policy — as its queue, and `allocator` — one
+    /// of the run's strategy that knows the run's categories and has learned
+    /// nothing — as its sample stores.
+    pub(crate) fn new(ledger: Ledger, pending: IndexedSched, allocator: Allocator) -> Self {
         MasterImage {
             ledger,
             pending,
             queued_seq: Vec::new(),
-            alloc_stats: Vec::new(),
+            allocator,
         }
     }
 
     /// What one record does to the image: the ledger's
-    /// [`apply`](Ledger::apply), the queue fold and the sample stores'
-    /// [`observe_into`] — for tail replay and a segment's queue operations
-    /// alike.
+    /// [`apply`](Ledger::apply), the queue fold and the allocator's
+    /// [`observe_id`](Allocator::observe_id) — for tail replay and a
+    /// segment's queue operations alike.
     pub(crate) fn apply(&mut self, rec: Record, graph: &DepGraph<'_>) {
         let peak = |t: usize| graph.work.profiles[t].peak_memory_mb;
         match rec {
@@ -1579,9 +1603,24 @@ impl MasterImage {
                     }
                 }
             }
+            Record::Observe {
+                cat,
+                peak_cores,
+                peak_rss_mb,
+                peak_disk_mb,
+                completed,
+                violated,
+            } => {
+                let peaks = ResourceReport {
+                    peak_cores,
+                    peak_rss_mb,
+                    peak_disk_mb,
+                    ..ResourceReport::default()
+                };
+                (self.allocator).observe_id(cat, &peaks, completed, violated);
+            }
             _ => {}
         }
-        observe_into(&mut self.alloc_stats, &rec);
         self.ledger.apply(rec, graph);
     }
 
@@ -1590,33 +1629,27 @@ impl MasterImage {
     pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         let pending = self.pending.snapshot_pending();
-        encode_full(&mut out, &self.ledger, pending.iter(), &self.alloc_stats);
+        encode_full(&mut out, &self.ledger, pending.iter(), &self.allocator);
         out
     }
 
     /// Fold image segments — a full image, then the deltas written after
-    /// it — into the empty image with `pending` as its queue: an empty
-    /// scheduler of the run's implementation and policy. Sample stores come
-    /// out in canonical (sorted) order, as a full image carries them.
+    /// it — into the empty image with `pending` and `allocator` as its
+    /// stores (see [`new`](Self::new)).
     pub(crate) fn decode<'b>(
         segments: impl IntoIterator<Item = &'b [u8]>,
         graph: &DepGraph<'_>,
         pending: IndexedSched,
+        allocator: Allocator,
     ) -> Result<Self, JournalError> {
-        let mut img = MasterImage::new(Ledger::default(), pending);
+        let mut img = MasterImage::new(Ledger::default(), pending, allocator);
         for segment in segments {
             img.apply_delta(segment, graph)?;
-        }
-        for s in &mut img.alloc_stats {
-            for axis in [&mut s.cores, &mut s.memory_mb, &mut s.disk_mb] {
-                axis.sort_unstable_by(f64::total_cmp);
-            }
         }
         Ok(img)
     }
 
     /// Fold one image segment into the image it was written against.
-    /// Sample stores come out in arrival order.
     fn apply_delta(&mut self, buf: &[u8], graph: &DepGraph<'_>) -> Result<(), JournalError> {
         let r = &mut Reader::new(buf);
         // The queue section goes through the one fold, ledger arm included;
@@ -1636,16 +1669,7 @@ impl MasterImage {
         self.ledger.completed = r.u64()? as usize;
         self.ledger.abandoned = r.u64()?;
         read_footer(r, &mut self.ledger)?;
-        // Streamed admissions may have interned categories since.
-        let cats = self.ledger.cat_streak.len().max(self.alloc_stats.len());
-        self.alloc_stats.resize_with(cats, CategorySnap::default);
-        let observed = r.u64()?;
-        if observed > cats as u64 {
-            return Err(JournalError::Inconsistent("observed category"));
-        }
-        for s in &mut self.alloc_stats[..observed as usize] {
-            read_samples(r, s)?;
-        }
+        read_samples(r, &mut self.allocator)?;
         let l = &mut self.ledger;
         for _ in 0..r.u64()? {
             let t = r.u64()? as usize;
@@ -1741,15 +1765,16 @@ impl Journal {
     /// image replaces the chain instead: full images then at least double
     /// in size from one to the next, so all images together stay linear in
     /// the run and a recovery reads at most about two full images' worth.
-    /// `full_views` — the pending queue in canonical order and the
-    /// allocator's sample stores — is called for a full image only: a delta
-    /// takes queue operations and samples from the tail, and its per-task
-    /// entries from the tail and `graph`.
+    /// `pending` — the queue in canonical order — is called and
+    /// `allocator`'s stores are read for a full image only: a delta takes
+    /// queue operations and samples from the tail, and its per-task entries
+    /// from the tail and `graph`.
     pub(crate) fn compact(
         &mut self,
         ledger: &Ledger,
+        allocator: &Allocator,
         graph: &DepGraph<'_>,
-        full_views: impl FnOnce() -> (Vec<Pending>, Vec<CategorySnap>),
+        pending: impl FnOnce() -> Vec<Pending>,
     ) {
         let mut bytes = Vec::new();
         let rebase = (self.chain.first()).is_none_or(|full| self.delta_bytes > full.len());
@@ -1759,8 +1784,7 @@ impl Journal {
             // never held at once.
             self.chain.clear();
             self.delta_bytes = 0;
-            let (pending, alloc_stats) = full_views();
-            encode_full(&mut bytes, ledger, pending.iter(), &alloc_stats);
+            encode_full(&mut bytes, ledger, pending().iter(), allocator);
         } else {
             encode_delta(&mut bytes, ledger, graph, &self.tail);
             self.delta_bytes += bytes.len();
@@ -1771,17 +1795,20 @@ impl Journal {
     }
 
     /// The image to start recovery from — the chain folded into the empty
-    /// image with `pending` as its queue, read from the encoded bytes alone
-    /// — or `None` when recovery must replay from the fresh image.
+    /// image with `pending` and `allocator` as its stores, read from the
+    /// encoded bytes alone — or `None` when recovery must replay from the
+    /// fresh image.
     pub(crate) fn base_image(
         &self,
         graph: &DepGraph<'_>,
         pending: IndexedSched,
+        allocator: Allocator,
     ) -> Result<Option<MasterImage>, JournalError> {
         if self.chain.is_empty() {
             return Ok(None);
         }
-        MasterImage::decode(self.chain.iter().map(Vec::as_slice), graph, pending).map(Some)
+        let segments = self.chain.iter().map(Vec::as_slice);
+        MasterImage::decode(segments, graph, pending, allocator).map(Some)
     }
 
     /// Records appended since the last image (what a recovery replays).
@@ -1796,11 +1823,33 @@ impl Journal {
 #[cfg(test)]
 pub(crate) mod bench_api {
     use super::*;
+    use crate::allocate::{AutoConfig, Strategy};
     use crate::master::SchedulePolicy;
 
     /// The empty Fifo queue a test image is built or decoded into.
     pub(crate) fn fifo() -> IndexedSched {
         IndexedSched::new(SchedulePolicy::Fifo)
+    }
+
+    /// A report with these peaks, which are all an observation reads.
+    pub(crate) fn peaks(peak_cores: f64, peak_rss_mb: u64, peak_disk_mb: u64) -> ResourceReport {
+        ResourceReport {
+            peak_cores,
+            peak_rss_mb,
+            peak_disk_mb,
+            ..ResourceReport::default()
+        }
+    }
+
+    /// The allocator a test image is built or decoded into: it has learned
+    /// nothing and knows the four categories [`sample_image`] and the
+    /// [`encode_records`] mix observe.
+    pub(crate) fn allocator() -> Allocator {
+        let mut allocator = Allocator::new(Strategy::Auto(AutoConfig::default()));
+        for cat in ["c0", "c1", "c2", "c3"] {
+            allocator.intern(cat);
+        }
+        allocator
     }
 
     /// A `tasks`-task workload for images to decode against. Every task
@@ -1903,8 +1952,7 @@ pub(crate) mod bench_api {
     /// A populated `MasterImage` for a `tasks`-task run.
     pub(crate) fn sample_image(tasks: usize) -> MasterImage {
         let ledger = Ledger::fresh((0..tasks).map(|i| i % 3).collect(), 4);
-        let mut img = MasterImage::new(ledger, fifo());
-        img.alloc_stats = vec![CategorySnap::default(); 4];
+        let mut img = MasterImage::new(ledger, fifo(), allocator());
         for i in 0..tasks {
             let at = SimTime::from_secs(i as f64);
             match i % 3 {
@@ -1933,13 +1981,11 @@ pub(crate) mod bench_api {
                 _ => img.ledger.completed += 1,
             }
         }
-        for s in &mut img.alloc_stats {
+        for cat in 0..4 {
             for v in 0..64 {
-                s.cores.push(1.0 + v as f64 * 0.01);
-                s.memory_mb.push(100.0 + v as f64);
-                s.disk_mb.push(800.0 + v as f64);
+                let report = peaks(1.0 + v as f64 * 0.01, 100 + v, 800 + v);
+                (img.allocator).observe_id(cat, &report, true, None);
             }
-            s.completed = 64;
         }
         img
     }
@@ -2008,15 +2054,16 @@ pub(crate) mod bench_api {
             work: &work,
             shard: None,
         };
-        let img = MasterImage::decode([full, delta], &graph, fifo())?;
+        let img = MasterImage::decode([full, delta], &graph, fifo(), allocator())?;
         Ok(img.ledger.results.len() + img.pending.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::bench_api::fifo;
+    use super::bench_api::{allocator, fifo};
     use super::*;
+    use crate::allocate::Strategy;
     use crate::master::SchedulePolicy;
     use crate::sched::{policy_rank, SchedImpl};
 
@@ -2204,7 +2251,8 @@ mod tests {
 
     #[test]
     fn image_roundtrips_bitwise() {
-        let mut img = MasterImage::new(Ledger::fresh(vec![0, 2, usize::MAX], 2), fifo());
+        let ledger = Ledger::fresh(vec![0, 2, usize::MAX], 2);
+        let mut img = MasterImage::new(ledger, fifo(), allocator());
         for (task_idx, attempt, since) in [(2, 1, 3.0), (0, 0, 0.0)] {
             let since = SimTime::from_secs(since);
             (img.pending).push_back(
@@ -2216,11 +2264,7 @@ mod tests {
                 },
             );
         }
-        img.alloc_stats = vec![CategorySnap::default(); 2];
-        img.alloc_stats[0].cores.push(1.25);
-        img.alloc_stats[0].memory_mb.push(110.0);
-        img.alloc_stats[0].disk_mb.push(900.0);
-        img.alloc_stats[0].completed = 1;
+        (img.allocator).observe_id(0, &bench_api::peaks(1.25, 110, 900), true, None);
         let l = &mut img.ledger;
         l.worker_faults.insert(1, 4);
         l.backoffs.push((1, 0, SimTime::from_secs(90.0)));
@@ -2260,7 +2304,8 @@ mod tests {
         };
         let bytes = img.encode();
         let work = bench_api::workload(3);
-        let back = MasterImage::decode([&bytes[..]], &graph(&work), fifo()).expect("decodes");
+        let back = MasterImage::decode([&bytes[..]], &graph(&work), fifo(), allocator());
+        let back = back.expect("decodes");
         assert_eq!(back, img);
         // Same image → same bytes (snapshots are deterministic, so the
         // scheduler-equivalence suites pin journal byte-identity too).
@@ -2269,7 +2314,7 @@ mod tests {
         // up: decoding is total.
         let short = bench_api::workload(2);
         assert_eq!(
-            MasterImage::decode([&bytes[..]], &graph(&short), fifo()).map(|_| ()),
+            MasterImage::decode([&bytes[..]], &graph(&short), fifo(), allocator()).map(|_| ()),
             Err(JournalError::Inconsistent("queued task"))
         );
     }
@@ -2338,20 +2383,28 @@ mod tests {
 
     /// The parts of a master an image is made of, driven the way the master
     /// drives them: every record is appended, applied to the ledger and —
-    /// standing in for the live scheduler and allocator — to a plain deque
-    /// and the sample stores.
-    #[derive(Default)]
+    /// standing in for the live scheduler — to a plain deque; an
+    /// observation is learned by an allocator of the workload's categories,
+    /// as the live master learns it.
     struct Live {
         journal: Journal,
         ledger: Ledger,
         pending: VecDeque<Pending>,
-        stats: Vec<CategorySnap>,
+        allocator: Allocator,
     }
 
     impl Live {
+        fn new(ledger: Ledger, work: &PreparedWorkload) -> Self {
+            Live {
+                journal: Journal::default(),
+                ledger,
+                pending: VecDeque::new(),
+                allocator: fresh(work),
+            }
+        }
+
         fn commit(&mut self, rec: Record, graph: &DepGraph<'_>) {
             self.journal.append(&rec);
-            observe_into(&mut self.stats, &rec);
             match rec {
                 Record::Enqueue {
                     task_idx,
@@ -2378,39 +2431,49 @@ mod tests {
                         .position(|p| p.task_idx as u64 == task_idx && p.attempt == attempt);
                     self.pending.remove(at.expect("departures were queued"));
                 }
+                Record::Observe {
+                    cat,
+                    peak_cores,
+                    peak_rss_mb,
+                    peak_disk_mb,
+                    completed,
+                    violated,
+                } => {
+                    let report = bench_api::peaks(peak_cores, peak_rss_mb, peak_disk_mb);
+                    (self.allocator).observe_id(cat, &report, completed, violated);
+                }
                 _ => {}
             }
             self.ledger.apply(rec, graph);
         }
 
-        /// Sample stores as `Allocator::snapshot_category` exports them.
-        fn canonical_stats(&self) -> Vec<CategorySnap> {
-            let mut stats = self.stats.clone();
-            stats.resize_with(self.ledger.cat_streak.len(), CategorySnap::default);
-            for s in &mut stats {
-                for axis in [&mut s.cores, &mut s.memory_mb, &mut s.disk_mb] {
-                    axis.sort_unstable_by(f64::total_cmp);
-                }
-            }
-            stats
-        }
-
         fn compact(&mut self, graph: &DepGraph<'_>) {
-            let views = (
-                self.pending.iter().cloned().collect(),
-                self.canonical_stats(),
-            );
-            (self.journal).compact(&self.ledger, graph, || views);
+            let pending = || self.pending.iter().cloned().collect();
+            (self.journal).compact(&self.ledger, &self.allocator, graph, pending);
         }
 
-        fn image(&self) -> MasterImage {
-            let mut img = MasterImage::new(self.ledger.clone(), fifo());
-            for p in &self.pending {
-                img.pending.push_back(1, p.clone());
-            }
-            img.alloc_stats = self.canonical_stats();
-            img
+        /// The guard that the image chain, read back from its bytes, holds
+        /// the live ledger, sample stores and queue.
+        fn assert_chain_holds(&self, graph: &DepGraph<'_>) {
+            let chain = (self.journal.base_image(graph, fifo(), fresh(graph.work)))
+                .expect("image chain decodes")
+                .expect("compacted");
+            assert_eq!(chain.ledger, self.ledger);
+            let samples = |a: &Allocator| a.canonical_samples().collect::<Vec<_>>();
+            assert_eq!(samples(&chain.allocator), samples(&self.allocator));
+            let queue: Vec<Pending> = self.pending.iter().cloned().collect();
+            assert_eq!(chain.pending.snapshot_pending(), queue);
         }
+    }
+
+    /// An allocator that has learned nothing and knows `work`'s categories
+    /// under its ids, as the master builds one.
+    fn fresh(work: &PreparedWorkload) -> Allocator {
+        let mut allocator = Allocator::new(Strategy::Auto(Default::default()));
+        for name in &work.cat_names {
+            allocator.intern(name);
+        }
+        allocator
     }
 
     fn enqueue(task_idx: u64, attempt: u32, front: bool) -> Record {
@@ -2462,7 +2525,7 @@ mod tests {
                 bytes = img.encode();
                 encode = encode.min(t.elapsed().as_secs_f64());
                 let t = std::time::Instant::now();
-                let back = MasterImage::decode([&bytes[..]], &graph(&work), fifo());
+                let back = MasterImage::decode([&bytes[..]], &graph(&work), fifo(), allocator());
                 let back = back.expect("decodes");
                 decode = decode.min(t.elapsed().as_secs_f64());
                 assert_eq!(back, img);
@@ -2481,10 +2544,7 @@ mod tests {
     fn journal_compaction_drops_tail_and_counts_bytes() {
         let work = PreparedWorkload::new(Vec::new());
         let g = graph(&work);
-        let mut live = Live {
-            ledger: Ledger::fresh(vec![0, 0], 1),
-            ..Live::default()
-        };
+        let mut live = Live::new(Ledger::fresh(vec![0, 0], 1), &work);
         let j = &mut live.journal;
         assert!(!j.wants_snapshot(Some(2)));
         j.append(&Record::Degraded);
@@ -2499,10 +2559,10 @@ mod tests {
         assert_eq!(j.tail().len(), 0);
         assert!(!j.wants_snapshot(Some(2)));
         assert!(j.bytes_written() > bytes_before, "snapshot bytes count");
-        let base = j.base_image(&g, fifo()).expect("decodes").expect("present");
-        assert_eq!(base, live.image());
+        live.assert_chain_holds(&g);
         // A fresh journal has no base image.
-        assert!(Journal::default().base_image(&g, fifo()).unwrap().is_none());
+        let empty = Journal::default().base_image(&g, fifo(), allocator());
+        assert!(empty.unwrap().is_none());
     }
 
     #[test]
@@ -2545,11 +2605,12 @@ mod tests {
                     .collect(),
             );
             let g = graph(&work);
-            let mut img = MasterImage::new(Ledger::fresh(vec![0; 8], 1), sched.build(policy));
+            let ledger = Ledger::fresh(vec![0; 8], 1);
+            let mut img = MasterImage::new(ledger, sched.build(policy), allocator());
             let mut deque: VecDeque<Pending> = VecDeque::new();
             for (i, &(kind, task_idx, attempt)) in ops.iter().enumerate() {
                 if i == imaged_at {
-                    img = MasterImage::decode([&img.encode()[..]], &g, sched.build(policy))
+                    img = MasterImage::decode([&img.encode()[..]], &g, sched.build(policy), allocator())
                         .expect("decodes");
                 }
                 let named = |p: &Pending| p.task_idx as u64 == task_idx && p.attempt == attempt;
@@ -2609,10 +2670,7 @@ mod tests {
             completed: violated.is_none(),
             violated,
         };
-        let mut live = Live {
-            ledger: Ledger::fresh(vec![0, 1], 1),
-            ..Live::default()
-        };
+        let mut live = Live::new(Ledger::fresh(vec![0, 1], 1), &work);
         let g = graph(&work);
         live.commit(observe(0, 300, None), &g);
         live.commit(Record::Result(Box::new(sample_result())), &g);
@@ -2620,10 +2678,7 @@ mod tests {
         live.commit(enqueue(1, 0, false), &g);
         live.compact(&g);
         assert_eq!(live.journal.chain.len(), 1, "the first image is a full one");
-        assert_eq!(
-            live.journal.base_image(&g, fifo()).unwrap(),
-            Some(live.image())
-        );
+        live.assert_chain_holds(&g);
 
         // A tail that touches every kind of delta content: queue traffic
         // (a departure from the imaged queue, a front requeue of the same
@@ -2666,15 +2721,13 @@ mod tests {
         assert_eq!(live.journal.chain.len(), 2, "then deltas");
         let queued: Vec<usize> = live.pending.iter().map(|p| p.task_idx).collect();
         assert_eq!(queued, vec![0, 1]);
-        assert_eq!(
-            live.journal.base_image(&g, fifo()).unwrap(),
-            Some(live.image())
-        );
+        live.assert_chain_holds(&g);
 
         // Streamed admissions grow the per-task and per-category vectors
         // between images; one of the new tasks is cancelled right away.
         for (idx, cat, name) in [(2u64, 0u32, "a"), (3, 1, "b")] {
             assert_eq!(work.admit(spec(idx, name)), cat);
+            assert_eq!(live.allocator.intern(name), cat, "as the master interns it");
             live.commit(
                 Record::Submitted {
                     task_idx: idx,
@@ -2689,10 +2742,10 @@ mod tests {
         live.commit(observe(1, 50, None), &g);
         live.commit(enqueue(3, 0, false), &g);
         live.compact(&g);
-        let img = live.image();
-        assert_eq!(img.ledger.dep_remaining, vec![0, 0, usize::MAX, 0]);
-        assert_eq!((img.alloc_stats.len(), img.ledger.cat_streak.len()), (2, 2));
-        assert_eq!(live.journal.base_image(&g, fifo()).unwrap(), Some(img));
+        assert_eq!(live.ledger.dep_remaining, vec![0, 0, usize::MAX, 0]);
+        let cats = (live.allocator.categories(), live.ledger.cat_streak.len());
+        assert_eq!(cats, (2, 2));
+        live.assert_chain_holds(&g);
     }
 
     #[test]
@@ -2722,10 +2775,7 @@ mod tests {
             shard: Some((&owner, 0)),
             ..graph(&work)
         };
-        let mut live = Live {
-            ledger: Ledger::fresh(work.dep_counts[..7].to_vec(), 1),
-            ..Live::default()
-        };
+        let mut live = Live::new(Ledger::fresh(work.dep_counts[..7].to_vec(), 1), &work);
         live.compact(&g);
         for rec in [
             Record::Finished {
@@ -2751,10 +2801,7 @@ mod tests {
         assert_eq!(touched_tasks(&live.ledger, &g, tail), [1, 2, 3, 4, 5, 7]);
         live.compact(&g);
         assert_eq!(live.journal.chain.len(), 2, "a full image, then a delta");
-        assert_eq!(
-            live.journal.base_image(&g, fifo()).unwrap(),
-            Some(live.image())
-        );
+        live.assert_chain_holds(&g);
     }
 
     #[test]
@@ -2765,10 +2812,7 @@ mod tests {
         // and what it decodes to must be the live image throughout.
         let work = PreparedWorkload::new(Vec::new());
         let g = graph(&work);
-        let mut live = Live {
-            ledger: Ledger::fresh(Vec::new(), 1),
-            ..Live::default()
-        };
+        let mut live = Live::new(Ledger::fresh(Vec::new(), 1), &work);
         let (mut fulls, mut longest) = (0, 0);
         for _ in 0..200 {
             live.commit(Record::Result(Box::new(sample_result())), &g);
@@ -2783,7 +2827,7 @@ mod tests {
                 deltas <= j.chain[0].len() + one_delta,
                 "recovery reads at most about two full images"
             );
-            assert_eq!(j.base_image(&g, fifo()).unwrap(), Some(live.image()));
+            live.assert_chain_holds(&g);
         }
         assert!(longest > 4, "deltas are the common case");
         assert!((4..=12).contains(&fulls), "{fulls} full images in 200");
@@ -2802,7 +2846,9 @@ mod tests {
         let g = graph(&work);
         let full = bench_api::encode_image(12);
         let delta = bench_api::DeltaCase::new(12, 24).encode_delta();
-        let decode = |segments: &[&[u8]]| MasterImage::decode(segments.iter().copied(), &g, fifo());
+        let decode = |segments: &[&[u8]]| {
+            MasterImage::decode(segments.iter().copied(), &g, fifo(), allocator())
+        };
         let apply = |delta: &[u8]| decode(&[&full]).expect("decodes").apply_delta(delta, &g);
         apply(&delta).expect("whole delta applies");
         for cut in 0..full.len() {
@@ -2866,6 +2912,42 @@ mod tests {
         assert_eq!(
             apply(&foreign),
             Err(JournalError::Inconsistent("observed category"))
+        );
+        // A sample the allocator would refuse (it panics on one) is refused
+        // first: an infinite core peak, censored and written as it came.
+        let tail = [Record::Observe {
+            cat: 0,
+            peak_cores: f64::INFINITY,
+            peak_rss_mb: 1,
+            peak_disk_mb: 1,
+            completed: true,
+            violated: None,
+        }];
+        let mut infinite = Vec::new();
+        encode_delta(&mut infinite, &l, &g, &tail);
+        assert_eq!(
+            apply(&infinite),
+            Err(JournalError::Inconsistent("non-finite sample"))
+        );
+        // A completed count the image's cannot grow by: the category's
+        // count is followed by the task entries', the task count and the
+        // row count, none of them with a byte after.
+        let mut overflow = Vec::new();
+        let finite = [Record::Observe {
+            cat: 0,
+            peak_cores: 1.0,
+            peak_rss_mb: 1,
+            peak_disk_mb: 1,
+            completed: true,
+            violated: None,
+        }];
+        encode_delta(&mut overflow, &l, &g, &finite);
+        let at = overflow.len() - 32;
+        assert_eq!(overflow[at..at + 8], 1u64.to_le_bytes(), "one completion");
+        overflow[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            apply(&overflow),
+            Err(JournalError::Inconsistent("completed-sample count"))
         );
         // A queue section holds nothing but queue operations.
         let mut not_an_op = vec![1, 0, 0, 0, 0, 0, 0, 0];

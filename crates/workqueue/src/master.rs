@@ -11,8 +11,7 @@ use crate::allocate::{AllocationDecision, Allocator, ObservationEffects, Strateg
 use crate::faults::{backoff_delay, FaultPlan, FaultState, InfraFault, ResilienceConfig};
 use crate::files::FileKind;
 use crate::journal::{
-    encode_full, CategorySnap, CounterKey, DepGraph, DurabilityConfig, Journal, Ledger,
-    MasterImage, Record,
+    encode_full, CounterKey, DepGraph, DurabilityConfig, Journal, Ledger, MasterImage, Record,
 };
 use crate::prepared::PreparedWorkload;
 use crate::sched::{IndexedSched, ParkReason, Pending, SchedImpl, Src};
@@ -1284,7 +1283,7 @@ impl Master {
     }
 
     /// Install a compacting image in the journal, encoded from the live
-    /// ledger and views as they stand — nothing is cloned to be written.
+    /// ledger and stores as they stand — nothing is cloned to be written.
     fn compact(&mut self) {
         // An evicted worker's fault count is never read again (ids are not
         // reused), so the image need not carry it: dropped from the ledger
@@ -1293,8 +1292,8 @@ impl Master {
         let workers = &self.workers;
         (self.ledger.worker_faults).retain(|&w, _| workers.get(w).is_some());
         let mut journal = self.journal.take().expect("the journal asked for it");
-        journal.compact(&self.ledger, &self.graph(), || {
-            (self.sched.snapshot_pending(), self.alloc_stats())
+        journal.compact(&self.ledger, &self.allocator, &self.graph(), || {
+            self.sched.snapshot_pending()
         });
         self.config
             .telemetry
@@ -1302,7 +1301,8 @@ impl Master {
         // The guard that a delta missed nothing: the chain, read back from
         // its bytes, holds the live master's state.
         if cfg!(debug_assertions) {
-            let chain = (journal.base_image(&self.graph(), self.empty_sched()))
+            let (sched, allocator) = (self.empty_sched(), self.empty_allocator());
+            let chain = (journal.base_image(&self.graph(), sched, allocator))
                 .expect("image chain decodes")
                 .expect("just compacted");
             self.assert_holds_live(&chain, "image chain diverged from live");
@@ -1343,15 +1343,12 @@ impl Master {
         match tail {
             Some(replayed) => {
                 let img = self.recover_image();
-                // The guard that no site changed the ledger or the queue
-                // without committing a record: what the journal folds to is
-                // what the live master held.
-                debug_assert_eq!(img.ledger, self.ledger, "replay diverged from live");
-                debug_assert_eq!(
-                    img.pending.snapshot_pending(),
-                    self.sched.snapshot_pending(),
-                    "replayed queue diverged from live"
-                );
+                // The guard that no site changed the ledger, the sample
+                // stores or the queue without committing a record: what the
+                // journal folds to is what the live master held.
+                if cfg!(debug_assertions) {
+                    self.assert_holds_live(&img, "replay diverged from live");
+                }
                 self.replayed_events += replayed;
                 self.config
                     .telemetry
@@ -1390,7 +1387,7 @@ impl Master {
         let journal = self.journal.as_ref().expect("journaled recovery");
         let graph = self.graph();
         let mut img = journal
-            .base_image(&graph, self.empty_sched())
+            .base_image(&graph, self.empty_sched(), self.empty_allocator())
             .expect("snapshot decodes")
             .unwrap_or_else(|| {
                 // Start from the *constructed* task/category sizes: tasks
@@ -1400,7 +1397,7 @@ impl Master {
                     self.work.dep_counts[..self.initial_task_count].to_vec(),
                     self.initial_cat_count,
                 );
-                MasterImage::new(ledger, self.empty_sched())
+                MasterImage::new(ledger, self.empty_sched(), self.empty_allocator())
             });
         for rec in journal.tail() {
             if let Record::RunStart {
@@ -1425,77 +1422,53 @@ impl Master {
         self.config.sched.build(self.config.policy)
     }
 
-    /// The allocator's sample stores, dense by category id and in canonical
-    /// order (see [`Allocator::snapshot_category`]).
-    fn alloc_stats(&self) -> Vec<CategorySnap> {
-        self.work
-            .cat_names
-            .iter()
-            .map(|cat| {
-                self.allocator
-                    .snapshot_category(cat)
-                    .map(|(cores, memory_mb, disk_mb, completed)| CategorySnap {
-                        cores,
-                        memory_mb,
-                        disk_mb,
-                        completed: completed as u64,
-                    })
-                    .unwrap_or_default()
-            })
-            .collect()
+    /// An allocator of the run's strategy that knows every category and
+    /// has learned nothing.
+    fn empty_allocator(&self) -> Allocator {
+        fresh_allocator(&self.config.strategy, &self.work)
     }
 
     /// The guard that `img` holds the live master's logical state: its
     /// ledger, its sample stores and its queue in examination order.
     fn assert_holds_live(&self, img: &MasterImage, diverged: &str) {
-        assert_eq!(img.ledger, self.ledger, "{diverged}");
-        assert_eq!(img.alloc_stats, self.alloc_stats(), "{diverged}");
+        assert_eq!(img.ledger, self.ledger, "{diverged}: ledger");
+        let samples = |a: &Allocator| a.canonical_samples().collect::<Vec<_>>();
+        let live = samples(&self.allocator);
+        assert_eq!(samples(&img.allocator), live, "{diverged}: samples");
         let queue = img.pending.snapshot_pending();
-        assert_eq!(queue, self.sched.snapshot_pending(), "{diverged}");
+        assert_eq!(queue, self.sched.snapshot_pending(), "{diverged}: queue");
+    }
+
+    /// Whether worker `id` is quarantined — withdrawn from scheduling, its
+    /// running tasks draining, until its release. The ledger is the one
+    /// record of it.
+    fn is_quarantined(&self, id: u32) -> bool {
+        (self.ledger.quarantined_until.iter()).any(|&(w, _)| w == id)
     }
 
     /// The master's complete logical state as one materialised full image,
     /// for the probe restore: the live parts compaction encodes, read back
     /// from the bytes of a full image.
     fn snapshot_image(&self) -> MasterImage {
-        let (mut bytes, stats) = (Vec::new(), self.alloc_stats());
+        let mut bytes = Vec::new();
         let pending = self.sched.snapshot_pending();
-        encode_full(&mut bytes, &self.ledger, pending.iter(), &stats);
-        MasterImage::decode([&bytes[..]], &self.graph(), self.empty_sched())
+        encode_full(&mut bytes, &self.ledger, pending.iter(), &self.allocator);
+        let (sched, allocator) = (self.empty_sched(), self.empty_allocator());
+        MasterImage::decode([&bytes[..]], &self.graph(), sched, allocator)
             .expect("image round-trips")
     }
 
-    /// Overwrite the master's logical state from an image: take its ledger
-    /// and its scheduler, rebuild everything derived from them, and re-arm
-    /// master-side timers clamped to the recovery instant. World state
-    /// (workers, caches, running executions) is untouched — it survived the
-    /// crash — and so is the prepared workload, which no run ever writes.
+    /// Overwrite the master's logical state from an image: take its ledger,
+    /// its scheduler and its allocator, rebuild the indexes derived from
+    /// them, and re-arm master-side timers clamped to the recovery instant.
+    /// World state (workers, caches, running executions) is untouched — it
+    /// survived the crash — and so is the prepared workload, which no run
+    /// ever writes.
     fn restore_from_image(&mut self, img: MasterImage, resume_at: SimTime) {
         self.ledger = img.ledger;
-
-        // The allocator's labels are a pure function of the sample multiset,
-        // so replaying the exported samples reproduces every decision.
-        self.allocator = fresh_allocator(&self.config.strategy, &self.work);
-        for (cat, s) in self.work.cat_names.iter().zip(&img.alloc_stats) {
-            if s.cores.is_empty()
-                && s.memory_mb.is_empty()
-                && s.disk_mb.is_empty()
-                && s.completed == 0
-            {
-                continue;
-            }
-            self.allocator.restore_category(
-                cat,
-                &s.cores,
-                &s.memory_mb,
-                &s.disk_mb,
-                s.completed as usize,
-            );
-        }
-
+        self.allocator = img.allocator;
         for w in self.workers.values_mut() {
             w.placements.clear();
-            w.quarantined = (self.ledger.quarantined_until.iter()).any(|&(q, _)| q == w.id());
         }
         self.running_by_cat.fill(0);
         self.in_flight = 0;
@@ -1536,7 +1509,7 @@ impl Master {
     /// Free cores across the workers the scheduler may use.
     fn pool_free_cores(&self) -> u64 {
         (self.workers.values())
-            .filter(|w| !w.quarantined)
+            .filter(|w| !self.is_quarantined(w.id()))
             .map(|w| w.node.available().cores as u64)
             .sum()
     }
@@ -1581,10 +1554,9 @@ impl Master {
         self.running_by_cat.fill(0);
         for w in self.workers.values_mut() {
             w.placements.clear();
-            w.quarantined = false;
         }
         self.free_cores = self.pool_free_cores();
-        self.allocator = fresh_allocator(&self.config.strategy, &self.work);
+        self.allocator = self.empty_allocator();
         self.install_sched(self.empty_sched());
         self.enqueue_roots(resume_at);
     }
@@ -1593,7 +1565,7 @@ impl Master {
     /// on a full restart) and index the surviving worker pool in it.
     fn install_sched(&mut self, mut sched: IndexedSched) {
         for w in self.workers.values() {
-            if !w.quarantined {
+            if !self.is_quarantined(w.id()) {
                 sched.worker_added(w.id(), w.node.available().cores);
             }
             // The file index keeps quarantined workers' caches (they rejoin
@@ -1665,7 +1637,7 @@ impl Master {
         self.count(CounterKey::WorkersLost, 1.0);
         // A quarantined worker's free cores were already withdrawn from the
         // pool (and from the capacity index) when it was quarantined.
-        if !worker.quarantined {
+        if !self.is_quarantined(id) {
             self.free_cores -= worker.node.available().cores as u64;
         }
         // For quarantined workers the capacity entry is already gone; removal
@@ -1768,6 +1740,14 @@ impl Master {
         }
         let alloc = self.resolve_allocation(decision);
         let inputs = self.work.inputs_of(item.task_idx);
+        #[cfg(test)]
+        if self.sched.reference.is_some() {
+            let quarantined = |id| self.is_quarantined(id);
+            let wid = reference::pick(&self.workers, quarantined, inputs, &alloc);
+            return wid
+                .map(|wid| (wid, decision, alloc))
+                .ok_or(ParkReason::NoFit(alloc));
+        }
         match self.sched.pick_worker(&self.workers, inputs, &alloc) {
             Some(wid) => Ok((wid, decision, alloc)),
             None => Err(ParkReason::NoFit(alloc)),
@@ -2146,8 +2126,8 @@ impl Master {
         let old_free = worker.node.available().cores;
         worker.node.free(allocated);
         let avail = worker.node.available();
-        let quarantined = worker.quarantined;
         worker.running -= 1;
+        let quarantined = self.is_quarantined(wid);
         if !quarantined {
             self.free_cores += allocated.cores as u64;
         }
@@ -2233,14 +2213,11 @@ impl Master {
         let Some(threshold) = self.config.resilience.quarantine_threshold else {
             return;
         };
-        let Some(worker) = self.workers.get_mut(wid) else {
+        if self.workers.get(wid).is_none() {
             return; // already evicted
-        };
-        let count = self.ledger.worker_faults.get(&wid).map_or(1, |c| c + 1);
-        let quarantine = count >= threshold && !worker.quarantined;
-        if quarantine {
-            worker.quarantined = true;
         }
+        let count = self.ledger.worker_faults.get(&wid).map_or(1, |c| c + 1);
+        let quarantine = count >= threshold && !self.is_quarantined(wid);
         self.commit(Record::WorkerFault { worker: wid, count });
         if quarantine {
             let worker = self.workers.get_mut(wid).expect("worker exists");
@@ -2264,13 +2241,12 @@ impl Master {
     /// A quarantined worker sits out its penalty and rejoins the pool with
     /// a clean flakiness score (and its file cache intact).
     fn release_quarantine(&mut self, now: SimTime, id: u32) {
-        let Some(worker) = self.workers.get_mut(id) else {
+        let Some(worker) = self.workers.get(id) else {
             return; // evicted while quarantined
         };
-        if !worker.quarantined {
+        if !self.is_quarantined(id) {
             return;
         }
-        worker.quarantined = false;
         let avail = worker.node.available();
         self.commit(Record::QuarantineLifted { worker: id });
         self.free_cores += avail.cores as u64;
@@ -3428,7 +3404,7 @@ pub(crate) mod tests {
         assert_eq!(m.workers.get(0).unwrap().placements.len(), 8);
         let t = SimTime::from_secs(1.0);
         m.note_worker_fault(t, 0);
-        assert!(m.workers.get(0).unwrap().quarantined);
+        assert!(m.is_quarantined(0));
         for id in [0, 0, 7, 4096] {
             m.handle_event(t, Event::WorkerDown { id });
         }
@@ -3625,14 +3601,11 @@ pub(crate) mod tests {
         let full = m.free_cores;
         assert_eq!(full, 8);
         m.note_worker_fault(SimTime::from_secs(1.0), 0);
-        assert!(
-            m.workers.get(0).unwrap().quarantined,
-            "threshold 1 must quarantine"
-        );
+        assert!(m.is_quarantined(0), "threshold 1 must quarantine");
         assert_eq!(m.free_cores, 0, "capacity withdrawn from the pool");
         assert_eq!(m.ledger.quarantined_until.len(), 1);
         m.release_quarantine(SimTime::from_secs(2.0), 0);
-        assert!(!m.workers.get(0).unwrap().quarantined);
+        assert!(!m.is_quarantined(0));
         assert_eq!(
             m.ledger.worker_faults.get(&0),
             None,
@@ -3682,11 +3655,13 @@ pub(crate) mod tests {
             matches!(label, AllocationDecision::Sized(_)),
             "5 samples must label"
         );
-        let stats = m.allocator.snapshot_category("hep").expect("stats");
+        let stores = |a: &Allocator| a.canonical_samples().collect::<Vec<_>>();
+        let stats = stores(&m.allocator);
+        assert_eq!(stats[0].1, 5, "hep observed");
         let img = m.snapshot_image();
         m.restore_from_image(img, SimTime::ZERO);
         assert_eq!(
-            m.allocator.snapshot_category("hep").expect("stats"),
+            stores(&m.allocator),
             stats,
             "sample stores diverged across restore"
         );
@@ -3732,31 +3707,19 @@ pub(crate) mod tests {
                 .observe_outcome_notify_id(cat, &rep(mem), true, None, &cap);
         }
         let names = m.work.cat_names.clone();
-        let before: Vec<_> = (names.iter())
-            .map(|n| {
-                (
-                    m.allocator.snapshot_category(n),
-                    m.allocator.peek_decision(n, &cap),
-                )
-            })
-            .collect();
+        let stores: Vec<_> = m.allocator.canonical_samples().collect();
+        let labels = |a: &mut Allocator| -> Vec<AllocationDecision> {
+            names.iter().map(|n| a.peek_decision(n, &cap)).collect()
+        };
+        let before: Vec<_> = labels(&mut m.allocator);
         let img = m.snapshot_image();
-        assert_eq!(
-            img.alloc_stats[2],
-            CategorySnap::default(),
-            "never observed"
-        );
+        let never = img.allocator.canonical_samples().nth(2);
+        assert_eq!(never, Some(Default::default()), "never observed");
         m.restore_from_image(img, SimTime::ZERO);
+        assert_eq!(m.allocator.canonical_samples().collect::<Vec<_>>(), stores);
+        assert_eq!(labels(&mut m.allocator), before);
         for (cat, name) in names.iter().enumerate() {
             assert_eq!(m.allocator.intern(name), cat as u32, "{name}");
-            assert_eq!(
-                (
-                    m.allocator.snapshot_category(name),
-                    m.allocator.peek_decision(name, &cap)
-                ),
-                before[cat],
-                "{name}"
-            );
             // The id-keyed read is the by-name read.
             assert_eq!(
                 m.allocator.concurrency_cap_id(cat as u32),

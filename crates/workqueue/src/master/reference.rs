@@ -5,8 +5,9 @@
 //!
 //! [`SchedImpl::Reference`](crate::sched::SchedImpl) selects it. The
 //! master's scheduler then holds a [`RefQueue`], to which its queue
-//! operations and its pick ([`pick`]) route, and every dispatch is
-//! [`Master::dispatch_reference`]: one pass over the whole queue.
+//! operations route; every examination picks with [`pick`], and every
+//! dispatch is [`Master::dispatch_reference`]: one pass over the whole
+//! queue.
 
 use super::Master;
 use crate::prepared::InputRow;
@@ -86,14 +87,19 @@ impl RefQueue {
     }
 }
 
-/// Choose a worker by scanning them all: prefer one with the task's
-/// cacheable inputs already local (Work Queue "prefers to schedule tasks
-/// where needed data is cached"), then the one with most free cores, lowest
-/// id breaking ties.
-pub(crate) fn pick(workers: &WorkerTable, inputs: &[InputRow], alloc: &Resources) -> Option<u32> {
+/// Choose a worker by scanning them all, skipping the `quarantined`: prefer
+/// one with the task's cacheable inputs already local (Work Queue "prefers
+/// to schedule tasks where needed data is cached"), then the one with most
+/// free cores, lowest id breaking ties.
+pub(crate) fn pick(
+    workers: &WorkerTable,
+    quarantined: impl Fn(u32) -> bool,
+    inputs: &[InputRow],
+    alloc: &Resources,
+) -> Option<u32> {
     let mut best: Option<(bool, u32, u32)> = None; // (cached, free_cores, id)
     for w in workers.values() {
-        if w.quarantined || !w.node.can_fit(alloc) {
+        if quarantined(w.id()) || !w.node.can_fit(alloc) {
             continue;
         }
         let cached = (inputs.iter().filter_map(|r| r.file())).all(|f| w.has_cached(f));

@@ -574,10 +574,6 @@ impl IndexedSched {
         inputs: &[InputRow],
         alloc: &Resources,
     ) -> Option<u32> {
-        #[cfg(test)]
-        if self.reference.is_some() {
-            return reference::pick(workers, inputs, alloc);
-        }
         // A full pool answers before any per-input work: when even the
         // freest worker has too few cores the walk below has no bucket to
         // visit.
@@ -936,10 +932,12 @@ mod tests {
 
     /// A pool and its mirrored index, built through the same calls the
     /// master makes (`worker_added`, `update_free`, `file_cached`,
-    /// `worker_offline`).
+    /// `worker_offline`), and the workers quarantined (`offline`; the
+    /// master's ledger records them).
     struct Pool {
         workers: WorkerTable,
         ix: IndexedSched,
+        offline: BTreeSet<u32>,
     }
 
     impl Pool {
@@ -947,6 +945,7 @@ mod tests {
             let mut pool = Pool {
                 workers: WorkerTable::default(),
                 ix: IndexedSched::new(SchedulePolicy::Fifo),
+                offline: BTreeSet::new(),
             };
             for id in 0..n {
                 pool.workers.insert(Worker::new(id, spec));
@@ -978,7 +977,7 @@ mod tests {
         }
 
         fn quarantine(&mut self, id: u32) {
-            self.workers.get_mut(id).unwrap().quarantined = true;
+            self.offline.insert(id);
             self.ix.worker_offline(id, self.free_cores(id));
         }
 
@@ -987,7 +986,8 @@ mod tests {
         }
 
         fn reference_pick(&self, task: &TaskSpec, alloc: &Resources) -> Option<u32> {
-            reference::pick(&self.workers, &rows(task), alloc)
+            let quarantined = |id| self.offline.contains(&id);
+            reference::pick(&self.workers, quarantined, &rows(task), alloc)
         }
     }
 
@@ -1046,7 +1046,8 @@ mod tests {
             let could_fit_cores = pool
                 .workers
                 .values()
-                .filter(|w| !w.quarantined && w.node.available().cores >= want_cores)
+                .filter(|w| !pool.offline.contains(&w.id()))
+                .filter(|w| w.node.available().cores >= want_cores)
                 .count() as u64;
             prop_assert!(probes <= could_fit_cores, "{probes} probes > {could_fit_cores}");
         }
@@ -1189,6 +1190,7 @@ mod tests {
             // replacement comes under a fresh id.
             let mut pool: Vec<u32> = Vec::new();
             let mut next_id = 0u32;
+            let mut quarantined = BTreeSet::new();
             let join = |workers: &mut WorkerTable, ix: &mut IndexedSched, caches: &mut BTreeMap<u32, NameCache>, id: u32| {
                 let mut w = Worker::new(id, spec);
                 assert!(w.node.allocate(Resources::new(id % 4 * 2, 1, 1)));
@@ -1238,8 +1240,7 @@ mod tests {
                         pool[slot as usize] = next_id;
                         next_id += 1;
                     }
-                    (7, _) if !w.quarantined => {
-                        w.quarantined = true;
+                    (7, _) if quarantined.insert(wid) => {
                         ix.worker_offline(wid, w.node.available().cores);
                     }
                     // `Master::rebuild_sched`, and the index it rebuilt then.
@@ -1247,7 +1248,7 @@ mod tests {
                         ix = IndexedSched::new(SchedulePolicy::Fifo);
                         index = NameIndex::default();
                         for w in workers.values() {
-                            if !w.quarantined {
+                            if !quarantined.contains(&w.id()) {
                                 ix.worker_added(w.id(), w.node.available().cores);
                             }
                             for f in w.cached_files() {

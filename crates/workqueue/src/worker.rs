@@ -25,9 +25,6 @@ pub(crate) struct Worker {
     /// Injected execution slowdown factor (1.0 = healthy; a fault plan's
     /// straggler spec can set it above 1).
     pub slowdown: f64,
-    /// Quarantined workers are excluded from scheduling until released;
-    /// their in-flight tasks drain normally.
-    pub quarantined: bool,
     /// Lifetime counters.
     pub tasks_completed: u64,
     pub cache_hits: u64,
@@ -43,7 +40,6 @@ impl Worker {
             running: 0,
             placements: Vec::new(),
             slowdown: 1.0,
-            quarantined: false,
             tasks_completed: 0,
             cache_hits: 0,
             cache_misses: 0,

@@ -255,8 +255,9 @@ fn journaled_chaos_allocations_and_peak_live_bytes_are_pinned() {
     // With debug assertions the journal's guards allocate too: every
     // appended record decodes again, every compaction decodes the image
     // chain and compares it with the live state, and every crash checks
-    // replay against the live ledger and queue. Release: 8.40 allocations
-    // and 1 216 B live at the peak per task; debug: 12.90 and 1 592 B. Both
+    // replay against the live ledger, sample stores and queue. Release:
+    // 8.25 allocations and 1 204 B live at the peak per task; debug: 12.78
+    // and 1 611 B. Both
     // moved twice since first pinned (20 937 / 2 910 456 release, 37 137 /
     // 4 260 343 debug), when the ledger stopped keeping a list of the tasks
     // each compaction must carry (a vector whose capacity followed the
@@ -270,10 +271,19 @@ fn journaled_chaos_allocations_and_peak_live_bytes_are_pinned() {
     // no slot deque, position map and re-push per recovery, 616 fewer
     // allocations at an unchanged peak. In debug the compaction guard
     // stopped copying the live ledger into an image to compare against.
+    // Moved again when the image's sample stores became an allocator that
+    // recovery installs (20 157 / 2 918 120 release, 30 949 / 3 820 180
+    // debug): no sample vectors grown while decoding and then replayed into
+    // a second, fresh allocator per recovery, no vector of per-category
+    // copies behind a full image, and a delta that groups its samples by
+    // sorting one (category, place) pair per observation instead of growing
+    // three vectors per category — 364 fewer allocations, a peak 26 848 B
+    // lower. In debug every crash now also compares the replayed sample
+    // stores with the live ones, copying both: a peak 46 128 B higher.
     let pinned = if cfg!(debug_assertions) {
-        (1_111_456, 30_949, 3_820_180)
+        (1_111_456, 30_678, 3_866_308)
     } else {
-        (1_111_456, 20_157, 2_918_120)
+        (1_111_456, 19_793, 2_891_272)
     };
     assert_eq!(
         (input.live, run.allocs, peak),
@@ -412,8 +422,8 @@ fn slo_tailed_overload_allocations_and_peak_live_bytes_are_pinned() {
         run.bytes / n,
         run.peak,
     );
-    // 5.99 allocations and 1 641 B allocated per offered invocation in
-    // release (126.0 MB in all), 18.79 MB live at the peak. The SLO monitor
+    // 5.91 allocations and 1 624 B allocated per offered invocation in
+    // release (124.7 MB in all), 18.79 MB live at the peak. The SLO monitor
     // takes each 0.25 s tick's records at the id level from the reader's
     // visitor, so no record is resolved or collected on the way. 1 707 815
     // allocations, 200.8 MB and an 18.86 MB peak (22.2 per offered
@@ -424,11 +434,15 @@ fn slo_tailed_overload_allocations_and_peak_live_bytes_are_pinned() {
     // the highest id it sees, and ids are handed out process-wide in
     // first-intern order: the figures are this binary's whole run, and a
     // run filtered to this test alone reads a few allocations and bytes
-    // differently.
+    // differently. Moved when the journal image's sample stores became an
+    // allocator that recovery installs (459 806 / 18 793 159 release,
+    // 6 755 821 / 26 985 703 debug): each of the two recoveries decodes
+    // samples into the allocator it keeps instead of into vectors it then
+    // replays into a fresh one.
     let pinned = if cfg!(debug_assertions) {
-        (76_766, 20_674, 15, 340, 6_755_821, 26_985_703)
+        (76_766, 20_674, 15, 340, 6_740_381, 26_903_311)
     } else {
-        (76_766, 20_674, 15, 340, 459_806, 18_793_159)
+        (76_766, 20_674, 15, 340, 453_728, 18_791_303)
     };
     assert_eq!(
         (
