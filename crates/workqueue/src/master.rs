@@ -3423,6 +3423,39 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn an_evicted_quarantined_worker_leaves_the_ledger() {
+        // Worker 0 is quarantined, then evicted before its release. Its
+        // entry must go with it: kept, every later image would carry it,
+        // every recovery re-arm its release, and the master would never be
+        // quiescent again, so a probe restore could not fire.
+        let cfg = MasterConfig::new(oracle())
+            .with_resilience(ResilienceConfig {
+                quarantine_threshold: Some(1),
+                ..ResilienceConfig::default()
+            })
+            .with_durability(DurabilityConfig::journal_only());
+        let mut m = Master::new(cfg, prepared(hep_tasks(40)), 2, node());
+        m.start();
+        m.step();
+        m.step();
+        let t = SimTime::from_secs(1.0);
+        m.note_worker_fault(t, 0);
+        let release = m.ledger.quarantined_until[0].1;
+        m.handle_event(t, Event::WorkerDown { id: 0 });
+        assert!(m.workers.get(0).is_none());
+        m.config.durability.probe_restore_at = Some(m.processed_events + 1);
+        while m.ledger.completed < 40 {
+            m.step();
+        }
+        assert!(m.queue.now() > release, "the run outlasts the release");
+        assert!(m.ledger.quarantined_until.is_empty());
+        assert!(m.ledger.worker_faults.is_empty());
+        assert!(m.is_quiescent());
+        assert!(m.probe_done, "the probe restore fired");
+        assert_eq!(distinct_successes(&m.finish()), 40);
+    }
+
+    #[test]
     fn disabled_recorder_builds_nothing_and_enabled_trace_is_pinned() {
         use lfm_pyenv::pack::fnv1a;
         let work = Arc::new(PreparedWorkload::new(hep_tasks(2000)));
