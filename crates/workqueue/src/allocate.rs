@@ -850,7 +850,8 @@ mod tests {
     /// `a`'s stores written into a full journal image and read back into a
     /// fresh allocator of `strategy` that knows `names`: `(a, restored)`.
     fn through_image(a: Allocator, strategy: Strategy, names: &[&str]) -> (Allocator, Allocator) {
-        use crate::journal::{bench_api::fifo, DepGraph, Ledger, MasterImage};
+        use crate::journal::bench_api::{decode, fifo, full_image};
+        use crate::journal::{DepGraph, Ledger, MasterImage};
         let img = MasterImage::new(Ledger::default(), fifo(), a);
         let mut fresh = Allocator::new(strategy);
         for name in names {
@@ -861,7 +862,7 @@ mod tests {
             work: &work,
             shard: None,
         };
-        let back = MasterImage::decode([&img.encode()[..]], &graph, fifo(), fresh);
+        let back = decode([&full_image(&img)[..]], &graph, fifo(), fresh);
         (img.allocator, back.expect("image decodes").allocator)
     }
 

@@ -30,11 +30,12 @@
 //!   compaction costs the tail, not the run; the chain rebases onto a new
 //!   full image once its deltas outweigh the old one.
 //! * **Recovery** — `image = empty ⊕ full ⊕ deltas ⊕ tail`, one fold
-//!   (`MasterImage::apply`) from the encoded bytes and the tail alone,
-//!   which pushes and removes queued attempts in the scheduler the run
-//!   resumes with and records each observation in the allocator it
-//!   resumes with, through the allocator's own code; the master installs
-//!   both as they stand and indexes its workers in the scheduler.
+//!   (`MasterImage::apply`, behind `Journal::recover`) from bytes alone —
+//!   the tail too is the bytes flushed for it —, which pushes and removes
+//!   queued attempts in the scheduler the run resumes with and records
+//!   each observation in the allocator it resumes with, through the
+//!   allocator's own code; the master installs both as they stand and
+//!   indexes its workers in the scheduler.
 //!   World state (workers, caches, the shared filesystem, the network,
 //!   in-flight completions) survives a master crash by definition — only
 //!   the coordinator's memory is lost.
@@ -123,8 +124,10 @@ impl DurabilityConfig {
     }
 }
 
-/// Report counters that journal as plain deltas.
+/// Report counters that journal as plain deltas. A counter's tag is its
+/// place in this list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub(crate) enum CounterKey {
     WorkersProvisioned,
     WorkersLost,
@@ -137,38 +140,26 @@ pub(crate) enum CounterKey {
 }
 
 impl CounterKey {
-    fn tag(self) -> u8 {
-        match self {
-            CounterKey::WorkersProvisioned => 0,
-            CounterKey::WorkersLost => 1,
-            CounterKey::TasksLost => 2,
-            CounterKey::LeaseReclaims => 3,
-            CounterKey::StageInFailures => 4,
-            CounterKey::SpuriousKills => 5,
-            CounterKey::ResultMsgsLost => 6,
-            CounterKey::LostCoreSecs => 7,
-        }
-    }
-
     fn from_tag(t: u8) -> Result<Self, JournalError> {
-        Ok(match t {
-            0 => CounterKey::WorkersProvisioned,
-            1 => CounterKey::WorkersLost,
-            2 => CounterKey::TasksLost,
-            3 => CounterKey::LeaseReclaims,
-            4 => CounterKey::StageInFailures,
-            5 => CounterKey::SpuriousKills,
-            6 => CounterKey::ResultMsgsLost,
-            7 => CounterKey::LostCoreSecs,
-            _ => return Err(JournalError::BadTag("counter", t)),
-        })
+        use CounterKey::*;
+        let keys = [
+            WorkersProvisioned,
+            WorkersLost,
+            TasksLost,
+            LeaseReclaims,
+            StageInFailures,
+            SpuriousKills,
+            ResultMsgsLost,
+            LostCoreSecs,
+        ];
+        (keys.get(t as usize).copied()).ok_or(JournalError::BadTag("counter", t))
     }
 }
 
 /// One write-ahead record. Each variant is exactly one state-changing
 /// transition in the master; [`Ledger::apply`] says what it does, for the
 /// live master and for replay alike.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub(crate) enum Record {
     /// Journal header: sanity-checks that a journal is replayed against the
     /// run that wrote it.
@@ -237,8 +228,9 @@ pub(crate) enum Record {
     WorkerFault { worker: u32, count: u32 },
     /// A worker entered quarantine until `release_at`.
     Quarantined { worker: u32, release_at: SimTime },
-    /// A worker left quarantine (timed release).
-    QuarantineLifted { worker: u32 },
+    /// A worker's quarantine entry and fault count are retired: at its
+    /// timed release, or for good at its eviction (ids are never reused).
+    WorkerCleared { worker: u32 },
     /// The packed-env failure counter moved.
     EnvFailure { count: u32 },
     /// Packed-env distribution degraded to the shared FS for good.
@@ -458,9 +450,22 @@ fn put_result(out: &mut Vec<u8>, tr: &TaskResult) {
 }
 
 fn read_result(r: &mut Reader<'_>) -> Result<TaskResult, JournalError> {
+    let (row, category) = read_row(r)?;
     Ok(TaskResult {
-        task: TaskId(r.u64()?),
-        category: read_string(r)?,
+        category: category.to_owned(),
+        ..row
+    })
+}
+
+/// A result row as [`put_result`] wrote it, its category left empty and
+/// returned as a `&str` into the bytes: a row read to be copied builds nothing.
+fn read_row<'a>(r: &mut Reader<'a>) -> Result<(TaskResult, &'a str), JournalError> {
+    let task = TaskId(r.u64()?);
+    let len = r.u64()?;
+    let category = r.str(len)?;
+    let row = TaskResult {
+        task,
+        category: String::new(),
         worker: r.u32()?,
         allocated: read_resources(r)?,
         submitted_at: read_time(r)?,
@@ -470,7 +475,8 @@ fn read_result(r: &mut Reader<'_>) -> Result<TaskResult, JournalError> {
         exec_secs: r.f64()?,
         outcome: read_outcome(r)?,
         attempt: r.u32()?,
-    })
+    };
+    Ok((row, category))
 }
 
 fn put_file_ref(out: &mut Vec<u8>, f: &FileRef) {
@@ -563,7 +569,39 @@ fn read_spec(r: &mut Reader<'_>) -> Result<TaskSpec, JournalError> {
     })
 }
 
+/// Step over a spec [`put_spec`] wrote, building nothing.
+fn skip_spec(r: &mut Reader<'_>) -> Result<(), JournalError> {
+    let skip_str = |r: &mut Reader<'_>| r.u64().and_then(|len| r.bytes(len).map(drop));
+    r.u64()?;
+    skip_str(r)?;
+    for _ in 0..r.u64()? {
+        skip_str(r)?;
+        r.bytes(8 + 1)?; // the size and the cacheable flag
+        if r.u8()? == 1 {
+            r.bytes(3 * 8)?; // the environment pack's three counts
+        }
+    }
+    r.bytes(8 + 6 * 8)?; // the output bytes and the profile
+    r.u64().and_then(|deps| r.bytes(deps.saturating_mul(8)))?;
+    Ok(())
+}
+
+/// The tags of the records a delta reads without building them.
+const RESULT: u8 = 6;
+const SUBMITTED: u8 = 22;
+
 impl Record {
+    /// The record of `p` joining the pending queue at its front or back.
+    pub(crate) fn enqueue(p: &Pending, front: bool) -> Record {
+        let (task_idx, attempt, since) = (p.task_idx as u64, p.attempt, p.since);
+        Record::Enqueue {
+            task_idx,
+            attempt,
+            front,
+            since,
+        }
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Record::RunStart {
@@ -625,7 +663,7 @@ impl Record {
                 put_u64(out, *placement);
             }
             Record::Result(tr) => {
-                put_u8(out, 6);
+                put_u8(out, RESULT);
                 put_result(out, tr);
             }
             Record::Finished { task_idx, success } => {
@@ -681,7 +719,7 @@ impl Record {
                 put_u32(out, *worker);
                 put_time(out, *release_at);
             }
-            Record::QuarantineLifted { worker } => {
+            Record::WorkerCleared { worker } => {
                 put_u8(out, 16);
                 put_u32(out, *worker);
             }
@@ -692,7 +730,7 @@ impl Record {
             Record::Degraded => put_u8(out, 18),
             Record::Counter { key, amount } => {
                 put_u8(out, 19);
-                put_u8(out, key.tag());
+                put_u8(out, *key as u8);
                 put_f64(out, *amount);
             }
             Record::Stolen { task_idx, attempt } => {
@@ -709,7 +747,7 @@ impl Record {
                 cat,
                 spec,
             } => {
-                put_u8(out, 22);
+                put_u8(out, SUBMITTED);
                 put_u64(out, *task_idx);
                 put_u32(out, *cat);
                 put_spec(
@@ -753,7 +791,7 @@ impl Record {
             5 => Record::Freed {
                 placement: r.u64()?,
             },
-            6 => Record::Result(Box::new(read_result(r)?)),
+            RESULT => Record::Result(Box::new(read_result(r)?)),
             7 => Record::Finished {
                 task_idx: r.u64()?,
                 success: r.bool()?,
@@ -785,7 +823,7 @@ impl Record {
                 worker: r.u32()?,
                 release_at: read_time(r)?,
             },
-            16 => Record::QuarantineLifted { worker: r.u32()? },
+            16 => Record::WorkerCleared { worker: r.u32()? },
             17 => Record::EnvFailure { count: r.u32()? },
             18 => Record::Degraded,
             19 => Record::Counter {
@@ -797,7 +835,7 @@ impl Record {
                 attempt: r.u32()?,
             },
             21 => Record::RemoteDep { task_idx: r.u64()? },
-            22 => Record::Submitted {
+            SUBMITTED => Record::Submitted {
                 task_idx: r.u64()?,
                 cat: r.u32()?,
                 spec: Some(Box::new(read_spec(r)?)),
@@ -990,8 +1028,7 @@ pub(crate) struct Ledger {
     /// Infrastructure failures attributed to each worker since its last
     /// quarantine release (staging failures, lost results, lease reclaims,
     /// spurious kills) — the flakiness score the quarantine threshold
-    /// compares against. An evicted worker's count stays until the next
-    /// compaction drops it: ids are never reused.
+    /// compares against.
     pub worker_faults: BTreeMap<u32, u32>,
 }
 
@@ -1029,7 +1066,7 @@ impl Ledger {
     /// changes a ledger field. Returns the tasks whose last dependency the
     /// record satisfied (the live master enqueues them; in a journal their
     /// `Enqueue` records follow). The record comes by value so that what it
-    /// carries (a result row) moves in; a journal keeps its own copy.
+    /// carries (a result row) moves in; a journal keeps its bytes.
     pub(crate) fn apply(&mut self, rec: Record, graph: &DepGraph<'_>) -> Vec<usize> {
         match rec {
             // An enqueue of an attempt retires any armed backoff for it:
@@ -1108,8 +1145,7 @@ impl Ledger {
                 self.quarantined_until.push((worker, release_at));
                 self.quarantines += 1;
             }
-            // A released worker rejoins with a clean flakiness score.
-            Record::QuarantineLifted { worker } => {
+            Record::WorkerCleared { worker } => {
                 self.quarantined_until.retain(|&(w, _)| w != worker);
                 self.worker_faults.remove(&worker);
             }
@@ -1145,10 +1181,15 @@ impl Ledger {
                     CounterKey::LostCoreSecs => c.lost_core_secs += amount,
                 }
             }
-            // No ledger state: the header is a sanity check, a steal only
-            // leaves the pending queue, and an observation feeds the
-            // allocator.
-            Record::RunStart { .. } | Record::Stolen { .. } | Record::Observe { .. } => {}
+            // The header names the constructed task count, the size of a
+            // fresh ledger — the live one, and the one replay starts from.
+            Record::RunStart { task_count, .. } => {
+                let fresh = self.dep_remaining.len() as u64;
+                debug_assert_eq!(task_count, fresh, "journal from another run");
+            }
+            // No ledger state: a steal only leaves the pending queue, and
+            // an observation feeds the allocator.
+            Record::Stolen { .. } | Record::Observe { .. } => {}
         }
         Vec::new()
     }
@@ -1312,39 +1353,30 @@ fn put_store(out: &mut Vec<u8>, axes: [impl Iterator<Item = f64> + Clone; 3], co
     put_u64(out, completed as u64);
 }
 
-/// The samples `tail`'s observations add, laid out as [`put_samples`] lays
-/// out stores: every category up to the last one observed, each axis in
-/// arrival order. The grouping writes bytes; it is not a store.
-fn put_observed(out: &mut Vec<u8>, tail: &[Record]) {
-    let observation = |rec: &Record| match *rec {
-        Record::Observe {
-            cat,
-            peak_cores,
-            peak_rss_mb,
-            peak_disk_mb,
+/// The samples of the observations at `observed` (category and offset in
+/// `tail`, sorted), laid out as [`put_samples`] lays out stores: every
+/// category up to the last one observed, each axis in arrival order.
+fn put_observed(out: &mut Vec<u8>, tail: &[u8], observed: &[(u32, usize)]) {
+    let observation = |at: usize| match Record::decode(&mut Reader::new(&tail[at..])) {
+        Ok(Record::Observe {
+            peak_cores: c,
+            peak_rss_mb: m,
+            peak_disk_mb: d,
             completed,
             violated,
-        } => {
-            let samples = censored_samples(peak_cores, peak_rss_mb, peak_disk_mb, violated);
-            Some((cat, samples, completed))
-        }
-        _ => None,
+            ..
+        }) => (censored_samples(c, m, d, violated), completed),
+        _ => unreachable!("an observation's offset in the tail"),
     };
-    // Each observation's category and place in the tail: sorted, that is
-    // by category and then in arrival order.
-    let mut at: Vec<(u32, usize)> = (tail.iter().enumerate())
-        .filter_map(|(i, rec)| Some((observation(rec)?.0, i)))
-        .collect();
-    at.sort_unstable();
-    let cats = at.last().map_or(0, |&(cat, _)| cat + 1);
+    let cats = observed.last().map_or(0, |&(cat, _)| cat + 1);
     put_u64(out, cats as u64);
-    let mut rest = &at[..];
+    let mut rest = observed;
     for cat in 0..cats {
         let (group, after) = rest.split_at(rest.partition_point(|&(c, _)| c == cat));
         rest = after;
-        let group = || group.iter().filter_map(|&(_, i)| observation(&tail[i]));
-        let axes = [0, 1, 2].map(|axis| group().filter_map(move |(_, samples, _)| samples[axis]));
-        put_store(out, axes, group().filter(|&(.., done)| done).count());
+        let group = || group.iter().map(|&(_, at)| observation(at));
+        let axes = [0, 1, 2].map(|axis| group().filter_map(move |(samples, _)| samples[axis]));
+        put_store(out, axes, group().filter(|&(_, done)| done).count());
     }
 }
 
@@ -1433,22 +1465,18 @@ fn read_footer(r: &mut Reader<'_>, l: &mut Ledger) -> Result<(), JournalError> {
     Ok(())
 }
 
-/// Write one image segment: `queue_ops` (enqueues and departures) and the
-/// samples observed since the image before it (written by `samples`), the
-/// entries of `touched` (ascending, each once), `rows` appended since, and
-/// `l`'s bounded sections whole.
-fn put_image<'a>(
+/// Write an image segment after its queue operations: `l`'s bounded
+/// sections whole, the samples observed since the image before it (written
+/// by `samples`), the entries of `touched` (ascending, each once), the task
+/// count and `rows` appended since (each written by `put_row`).
+fn put_image<R>(
     out: &mut Vec<u8>,
     l: &Ledger,
-    queue_ops: impl Iterator<Item = Record> + Clone,
     samples: impl FnOnce(&mut Vec<u8>),
     touched: impl ExactSizeIterator<Item = usize>,
-    rows: impl Iterator<Item = &'a TaskResult> + Clone,
+    rows: impl ExactSizeIterator<Item = R>,
+    put_row: impl Fn(&mut Vec<u8>, R),
 ) {
-    put_u64(out, queue_ops.clone().count() as u64);
-    for op in queue_ops {
-        op.encode(out);
-    }
     put_live(out, l);
     put_u64(out, l.completed as u64);
     put_u64(out, l.abandoned);
@@ -1463,88 +1491,101 @@ fn put_image<'a>(
         put_u8(out, retried | (l.infra_retried.contains(&t) as u8) << 1);
     }
     put_u64(out, l.dep_remaining.len() as u64);
-    put_u64(out, rows.clone().count() as u64);
-    for tr in rows {
-        put_result(out, tr);
+    put_u64(out, rows.len() as u64);
+    for row in rows {
+        put_row(out, row);
     }
 }
 
-/// Encode the whole state as the segment that extends the empty image.
-pub(crate) fn encode_full<'a>(
+/// Encode the whole state as the segment that extends the empty image:
+/// `pending`, the queue in examination order, as back enqueues, then every
+/// sample, task entry and result row.
+fn encode_full(out: &mut Vec<u8>, l: &Ledger, pending: &[Pending], allocator: &Allocator) {
+    put_u64(out, pending.len() as u64);
+    for p in pending {
+        Record::enqueue(p, false).encode(out);
+    }
+    let samples = |out: &mut Vec<u8>| put_samples(out, allocator);
+    let rows = l.results.iter();
+    put_image(out, l, samples, 0..l.dep_remaining.len(), rows, put_result);
+}
+
+/// Encode what `tail` — the bytes of every record since the previous image
+/// — changed.
+fn encode_delta(out: &mut Vec<u8>, l: &Ledger, graph: &DepGraph<'_>, tail: &[u8]) {
+    let scan = put_queue_ops(out, l, graph, tail);
+    let (touched, observed, rows) = scan.expect("the tail reads back as it was appended");
+    let samples = |out: &mut Vec<u8>| put_observed(out, tail, &observed);
+    let (touched, rows) = (touched.into_iter(), rows.into_iter());
+    put_image(out, l, samples, touched, rows, Vec::extend_from_slice);
+}
+
+/// Write a delta's queue section — enqueues verbatim, a placement cut down
+/// to the departure it is to the queue — in one pass over `tail` that
+/// builds no row and no spec, and return the rest the delta takes from it:
+/// the tasks whose entries [`Ledger::apply`] wrote, ascending and each once
+/// (a task is never uncancelled, so "cancelled now" stands for "cancelled
+/// when counted down"); each observation's category and offset, sorted;
+/// and each row, the bytes of a `Result` record after its tag.
+#[allow(clippy::type_complexity)]
+fn put_queue_ops<'t>(
     out: &mut Vec<u8>,
     l: &Ledger,
-    pending: impl Iterator<Item = &'a Pending> + Clone,
-    allocator: &Allocator,
-) {
-    let enqueues = pending.map(|p| Record::Enqueue {
-        task_idx: p.task_idx as u64,
-        attempt: p.attempt,
-        front: false,
-        since: p.since,
-    });
-    let rows = l.results.iter();
-    put_image(
-        out,
-        l,
-        enqueues,
-        |out| put_samples(out, allocator),
-        0..l.dep_remaining.len(),
-        rows,
-    );
-}
-
-/// The tasks whose per-task entries (dependency count, infra-failure
-/// count, retry-set membership) `tail` changed, ascending and each once:
-/// what [`Ledger::apply`] writes them for. A countdown skips a cancelled
-/// task, and a task is never uncancelled, so "cancelled now" stands for
-/// "cancelled when counted" — and one cancelled since is named by its
-/// `Cancelled` record.
-fn touched_tasks(l: &Ledger, graph: &DepGraph<'_>, tail: &[Record]) -> Vec<usize> {
+    graph: &DepGraph<'_>,
+    tail: &'t [u8],
+) -> Result<(Vec<usize>, Vec<(u32, usize)>, Vec<&'t [u8]>), JournalError> {
     let counted = |t: &usize| l.dep_remaining[*t] != usize::MAX;
-    let mut touched = Vec::new();
-    for rec in tail {
-        match *rec {
-            Record::Finished {
-                task_idx,
-                success: true,
-            } => touched.extend(graph.owned_dependents(task_idx as usize).filter(counted)),
-            Record::RemoteDep { task_idx } => {
-                touched.extend(Some(task_idx as usize).filter(counted))
+    let (mut touched, mut observed, mut rows) = (Vec::new(), Vec::new(), Vec::new());
+    let (count_at, mut ops) = (out.len(), 0u64);
+    put_u64(out, 0);
+    let r = &mut Reader::new(tail);
+    while !r.is_empty() {
+        let at = r.position();
+        match tail[at] {
+            RESULT => {
+                r.u8()?;
+                read_row(r)?;
+                rows.push(&tail[at + 1..r.position()]);
             }
-            Record::Cancelled { task_idx }
-            | Record::Retried { task_idx }
-            | Record::InfraRetried { task_idx, .. }
-            | Record::Submitted { task_idx, .. } => touched.push(task_idx as usize),
-            _ => {}
+            SUBMITTED => {
+                r.u8()?;
+                touched.push(r.u64()? as usize);
+                r.u32()?;
+                skip_spec(r)?;
+            }
+            _ => match Record::decode(r)? {
+                Record::Placed {
+                    task_idx, attempt, ..
+                }
+                | Record::Stolen { task_idx, attempt } => {
+                    Record::Stolen { task_idx, attempt }.encode(out);
+                    ops += 1;
+                }
+                rec @ Record::Enqueue { .. } => {
+                    rec.encode(out);
+                    ops += 1;
+                }
+                Record::Observe { cat, .. } => observed.push((cat, at)),
+                Record::Finished {
+                    task_idx,
+                    success: true,
+                } => touched.extend(graph.owned_dependents(task_idx as usize).filter(counted)),
+                Record::RemoteDep { task_idx } => {
+                    touched.extend(Some(task_idx as usize).filter(counted))
+                }
+                Record::Cancelled { task_idx }
+                | Record::Retried { task_idx }
+                | Record::InfraRetried { task_idx, .. } => touched.push(task_idx as usize),
+                _ => {}
+            },
         }
     }
-    // Ascending, so a streamed admission's new slot reaches the decoder as
-    // the entry one past the end of the vectors it grows.
+    out[count_at..count_at + 8].copy_from_slice(&ops.to_le_bytes());
+    // Ascending: a streamed admission's new slot is one past the end.
     touched.sort_unstable();
     touched.dedup();
-    touched
-}
-
-/// Encode what `tail` — every record since the previous image — changed.
-fn encode_delta(out: &mut Vec<u8>, l: &Ledger, graph: &DepGraph<'_>, tail: &[Record]) {
-    // What happened to the pending queue, as the records
-    // [`MasterImage::apply`] folds into it: enqueues verbatim, a placement
-    // cut down to the departure it is to the queue.
-    let queue_ops = tail.iter().filter_map(|rec| match *rec {
-        Record::Enqueue { .. } => Some(rec.clone()),
-        Record::Placed {
-            task_idx, attempt, ..
-        }
-        | Record::Stolen { task_idx, attempt } => Some(Record::Stolen { task_idx, attempt }),
-        _ => None,
-    });
-    let touched = touched_tasks(l, graph, tail);
-    let rows = tail.iter().filter_map(|rec| match rec {
-        Record::Result(tr) => Some(&**tr),
-        _ => None,
-    });
-    let samples = |out: &mut Vec<u8>| put_observed(out, tail);
-    put_image(out, l, queue_ops, samples, touched.into_iter(), rows);
+    observed.sort_unstable();
+    Ok((touched, observed, rows))
 }
 
 impl MasterImage {
@@ -1624,31 +1665,6 @@ impl MasterImage {
         self.ledger.apply(rec, graph);
     }
 
-    /// Encode as a full image.
-    #[cfg(test)]
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let pending = self.pending.snapshot_pending();
-        encode_full(&mut out, &self.ledger, pending.iter(), &self.allocator);
-        out
-    }
-
-    /// Fold image segments — a full image, then the deltas written after
-    /// it — into the empty image with `pending` and `allocator` as its
-    /// stores (see [`new`](Self::new)).
-    pub(crate) fn decode<'b>(
-        segments: impl IntoIterator<Item = &'b [u8]>,
-        graph: &DepGraph<'_>,
-        pending: IndexedSched,
-        allocator: Allocator,
-    ) -> Result<Self, JournalError> {
-        let mut img = MasterImage::new(Ledger::default(), pending, allocator);
-        for segment in segments {
-            img.apply_delta(segment, graph)?;
-        }
-        Ok(img)
-    }
-
     /// Fold one image segment into the image it was written against.
     fn apply_delta(&mut self, buf: &[u8], graph: &DepGraph<'_>) -> Result<(), JournalError> {
         let r = &mut Reader::new(buf);
@@ -1715,10 +1731,10 @@ impl MasterImage {
 // ---- the journal store ----
 
 /// The master's in-memory model of its on-disk write-ahead journal: the
-/// image chain (if any image was written yet) plus every record appended
-/// since its last image. `bytes_written` integrates everything ever flushed
-/// — records *and* images — which is the `journal_bytes` the report and the
-/// recovery bench account.
+/// image chain (if any image was written yet) plus the bytes flushed for
+/// every record appended since its last image. `bytes_written` integrates
+/// everything ever flushed — records *and* images — which is the
+/// `journal_bytes` the report and the recovery bench account.
 #[derive(Debug, Default)]
 pub(crate) struct Journal {
     /// Encoded images recovery starts from: one full image, then the delta
@@ -1727,36 +1743,43 @@ pub(crate) struct Journal {
     chain: Vec<Vec<u8>>,
     /// Bytes of the chain's delta images.
     delta_bytes: usize,
-    tail: Vec<Record>,
+    /// The records appended since the last image, encoded back to back,
+    /// and how many.
+    tail: Vec<u8>,
+    tail_len: u64,
     bytes_written: u64,
-    scratch: Vec<u8>,
 }
 
 impl Journal {
-    /// Append one record: its bytes are flushed and the tail keeps a copy.
+    /// Append one record: its bytes are flushed and kept as the tail's.
     pub(crate) fn append(&mut self, rec: &Record) {
-        self.scratch.clear();
-        rec.encode(&mut self.scratch);
+        let at = self.tail.len();
+        rec.encode(&mut self.tail);
         if cfg!(debug_assertions) {
             // Every record written must read back exactly — catching an
             // encoding drift at append time, not at the next recovery.
-            let mut r = Reader::new(&self.scratch);
+            let mut r = Reader::new(&self.tail[at..]);
             let back = Record::decode(&mut r).expect("appended record decodes");
             assert!(r.is_empty(), "record encoding has trailing bytes");
             assert_eq!(&back, rec, "record encoding must round-trip");
         }
-        self.bytes_written += self.scratch.len() as u64;
-        self.tail.push(rec.clone());
+        self.bytes_written += (self.tail.len() - at) as u64;
+        self.tail_len += 1;
     }
 
     pub(crate) fn bytes_written(&self) -> u64 {
         self.bytes_written
     }
 
+    /// Records appended since the last image: what a recovery replays.
+    pub(crate) fn tail_len(&self) -> u64 {
+        self.tail_len
+    }
+
     /// Should the master install a compacting image now? An interval of 0
     /// (reachable by struct literal) reads as 1.
     pub(crate) fn wants_snapshot(&self, every: Option<u64>) -> bool {
-        every.is_some_and(|k| self.tail.len() as u64 >= k.max(1))
+        every.is_some_and(|k| self.tail_len >= k.max(1))
     }
 
     /// Install a compacting image of the state the record tail led to; it
@@ -1766,8 +1789,7 @@ impl Journal {
     /// in size from one to the next, so all images together stay linear in
     /// the run and a recovery reads at most about two full images' worth.
     /// `pending` — the queue in canonical order — is called and
-    /// `allocator`'s stores are read for a full image only: a delta takes
-    /// queue operations and samples from the tail, and its per-task entries
+    /// `allocator`'s stores are read for a full image only: a delta is read
     /// from the tail and `graph`.
     pub(crate) fn compact(
         &mut self,
@@ -1784,36 +1806,39 @@ impl Journal {
             // never held at once.
             self.chain.clear();
             self.delta_bytes = 0;
-            encode_full(&mut bytes, ledger, pending().iter(), allocator);
+            encode_full(&mut bytes, ledger, &pending(), allocator);
         } else {
             encode_delta(&mut bytes, ledger, graph, &self.tail);
             self.delta_bytes += bytes.len();
         }
         self.bytes_written += bytes.len() as u64;
+        bytes.shrink_to_fit(); // kept until the next rebase
         self.chain.push(bytes);
         self.tail.clear();
+        self.tail_len = 0;
     }
 
-    /// The image to start recovery from — the chain folded into the empty
-    /// image with `pending` and `allocator` as its stores, read from the
-    /// encoded bytes alone — or `None` when recovery must replay from the
-    /// fresh image.
-    pub(crate) fn base_image(
+    /// The image a recovery resumes from, read from bytes alone: the image
+    /// chain folded into the empty image with `pending` and `allocator` as
+    /// its stores — before any image was written, `fresh()` with them —
+    /// and then the tail, each record decoded as the fold reaches it.
+    pub(crate) fn recover(
         &self,
         graph: &DepGraph<'_>,
         pending: IndexedSched,
         allocator: Allocator,
-    ) -> Result<Option<MasterImage>, JournalError> {
-        if self.chain.is_empty() {
-            return Ok(None);
+        fresh: impl FnOnce() -> Ledger,
+    ) -> Result<MasterImage, JournalError> {
+        let ledger = self.chain.is_empty().then(fresh).unwrap_or_default();
+        let mut img = MasterImage::new(ledger, pending, allocator);
+        for segment in &self.chain {
+            img.apply_delta(segment, graph)?;
         }
-        let segments = self.chain.iter().map(Vec::as_slice);
-        MasterImage::decode(segments, graph, pending, allocator).map(Some)
-    }
-
-    /// Records appended since the last image (what a recovery replays).
-    pub(crate) fn tail(&self) -> &[Record] {
-        &self.tail
+        let r = &mut Reader::new(&self.tail);
+        while !r.is_empty() {
+            img.apply(Record::decode(r)?, graph);
+        }
+        Ok(img)
     }
 }
 
@@ -1928,9 +1953,21 @@ pub(crate) mod bench_api {
 
     /// Encode `n` representative records, returning the byte stream.
     pub(crate) fn encode_records(n: u64) -> Vec<u8> {
+        encode((0..n).map(sample_record))
+    }
+
+    /// The records in `journal`'s tail, decoded.
+    pub(crate) fn tail(journal: &Journal) -> Vec<Record> {
+        let r = &mut Reader::new(&journal.tail);
+        std::iter::from_fn(|| (!r.is_empty()).then(|| Record::decode(r).expect("decodes")))
+            .collect()
+    }
+
+    /// The bytes a journal's tail holds after `records` were appended.
+    pub(crate) fn encode(records: impl IntoIterator<Item = Record>) -> Vec<u8> {
         let mut out = Vec::new();
-        for i in 0..n {
-            sample_record(i).encode(&mut out);
+        for rec in records {
+            rec.encode(&mut out);
         }
         out
     }
@@ -1992,7 +2029,31 @@ pub(crate) mod bench_api {
 
     /// Encode a populated full image for a `tasks`-task run.
     pub(crate) fn encode_image(tasks: usize) -> Vec<u8> {
-        sample_image(tasks).encode()
+        full_image(&sample_image(tasks))
+    }
+
+    /// `img` encoded as a full image.
+    pub(crate) fn full_image(img: &MasterImage) -> Vec<u8> {
+        let mut out = Vec::new();
+        let pending = img.pending.snapshot_pending();
+        encode_full(&mut out, &img.ledger, &pending, &img.allocator);
+        out
+    }
+
+    /// Fold image segments — a full image, then the deltas written after
+    /// it — into the empty image with `pending` and `allocator` as its
+    /// stores, as a recovery does.
+    pub(crate) fn decode<'b>(
+        segments: impl IntoIterator<Item = &'b [u8]>,
+        graph: &DepGraph<'_>,
+        pending: IndexedSched,
+        allocator: Allocator,
+    ) -> Result<MasterImage, JournalError> {
+        let mut img = MasterImage::new(Ledger::default(), pending, allocator);
+        for segment in segments {
+            img.apply_delta(segment, graph)?;
+        }
+        Ok(img)
     }
 
     /// A master state and the record tail that led to it: the
@@ -2001,24 +2062,22 @@ pub(crate) mod bench_api {
     /// run.
     pub(crate) struct DeltaCase {
         img: MasterImage,
-        tail: Vec<Record>,
+        tail: Vec<u8>,
         work: PreparedWorkload,
     }
 
     impl DeltaCase {
         pub(crate) fn new(tasks: usize, records: u64) -> Self {
-            let tail = (0..records)
-                .map(|i| {
-                    let mut rec = sample_record(i);
-                    if let Record::Enqueue { task_idx, .. }
-                    | Record::Placed { task_idx, .. }
-                    | Record::Finished { task_idx, .. } = &mut rec
-                    {
-                        *task_idx %= tasks as u64;
-                    }
-                    rec
-                })
-                .collect();
+            let tail = encode((0..records).map(|i| {
+                let mut rec = sample_record(i);
+                if let Record::Enqueue { task_idx, .. }
+                | Record::Placed { task_idx, .. }
+                | Record::Finished { task_idx, .. } = &mut rec
+                {
+                    *task_idx %= tasks as u64;
+                }
+                rec
+            }));
             DeltaCase {
                 img: sample_image(tasks),
                 tail,
@@ -2054,7 +2113,7 @@ pub(crate) mod bench_api {
             work: &work,
             shard: None,
         };
-        let img = MasterImage::decode([full, delta], &graph, fifo(), allocator())?;
+        let img = decode([full, delta], &graph, fifo(), allocator())?;
         Ok(img.ledger.results.len() + img.pending.len())
     }
 }
@@ -2164,7 +2223,7 @@ mod tests {
                 worker: 2,
                 release_at: SimTime::from_secs(400.0),
             },
-            Record::QuarantineLifted { worker: 2 },
+            Record::WorkerCleared { worker: 2 },
             Record::EnvFailure { count: 5 },
             Record::Degraded,
             Record::Counter {
@@ -2228,6 +2287,25 @@ mod tests {
             back.push(Record::decode(&mut r).expect("decodes"));
         }
         assert_eq!(back, recs);
+    }
+
+    #[test]
+    fn a_tail_scan_steps_over_every_record() {
+        // Every kind twice over, so the admission's spec is stepped over to
+        // the record after it. The pass writes the eight queue operations,
+        // keeps each row as the bytes `put_result` writes and names the
+        // tasks the records touch.
+        let tail = bench_api::encode(all_records().into_iter().chain(all_records()));
+        let work = bench_api::workload(101);
+        let l = Ledger::fresh(vec![0; 101], 4);
+        let mut ops = Vec::new();
+        let (touched, observed, rows) = put_queue_ops(&mut ops, &l, &graph(&work), &tail).unwrap();
+        assert_eq!(ops[..8], 8u64.to_le_bytes());
+        let mut row = Vec::new();
+        put_result(&mut row, &sample_result());
+        assert_eq!(rows, [&row[..], &row[..]]);
+        assert_eq!(touched, [3, 4, 10, 12, 100]);
+        assert_eq!(observed.len(), 2);
     }
 
     #[test]
@@ -2302,19 +2380,19 @@ mod tests {
             result_msgs_lost: 1,
             lost_core_secs: 55.5,
         };
-        let bytes = img.encode();
+        let bytes = bench_api::full_image(&img);
         let work = bench_api::workload(3);
-        let back = MasterImage::decode([&bytes[..]], &graph(&work), fifo(), allocator());
+        let back = bench_api::decode([&bytes[..]], &graph(&work), fifo(), allocator());
         let back = back.expect("decodes");
         assert_eq!(back, img);
         // Same image → same bytes (snapshots are deterministic, so the
         // scheduler-equivalence suites pin journal byte-identity too).
-        assert_eq!(back.encode(), bytes);
+        assert_eq!(bench_api::full_image(&back), bytes);
         // A queued task the workload does not have is refused, not looked
         // up: decoding is total.
         let short = bench_api::workload(2);
         assert_eq!(
-            MasterImage::decode([&bytes[..]], &graph(&short), fifo(), allocator()).map(|_| ()),
+            bench_api::decode([&bytes[..]], &graph(&short), fifo(), allocator()).map(|_| ()),
             Err(JournalError::Inconsistent("queued task"))
         );
     }
@@ -2375,10 +2453,12 @@ mod tests {
         assert_eq!((report.master_crashes, report.recoveries), (3, 3));
         // `journal_bytes` was 61985 while every compaction wrote a full
         // image, and 45178 once all but the rebasing ones became delta
-        // images. Re-pinned when full images took the delta layout. The
-        // tail is cleared at the same points, so what a recovery replays
-        // never moved.
-        assert_eq!((report.journal_bytes, report.replayed_events), (46364, 98));
+        // images. Re-pinned when full images took the delta layout (46364),
+        // and when an eviction began to clear the worker's fault count with
+        // a record: four of the churned workers had faults, 5 B each. The
+        // images did not move — compaction used to drop those counts just
+        // before it encoded — nor did what a recovery replays.
+        assert_eq!((report.journal_bytes, report.replayed_events), (46384, 98));
     }
 
     /// The parts of a master an image is made of, driven the way the master
@@ -2455,9 +2535,9 @@ mod tests {
         /// The guard that the image chain, read back from its bytes, holds
         /// the live ledger, sample stores and queue.
         fn assert_chain_holds(&self, graph: &DepGraph<'_>) {
-            let chain = (self.journal.base_image(graph, fifo(), fresh(graph.work)))
-                .expect("image chain decodes")
-                .expect("compacted");
+            let chain = (self.journal)
+                .recover(graph, fifo(), fresh(graph.work), Ledger::default)
+                .expect("image chain decodes");
             assert_eq!(chain.ledger, self.ledger);
             let samples = |a: &Allocator| a.canonical_samples().collect::<Vec<_>>();
             assert_eq!(samples(&chain.allocator), samples(&self.allocator));
@@ -2522,10 +2602,10 @@ mod tests {
             let mut bytes = Vec::new();
             for _ in 0..reps {
                 let t = std::time::Instant::now();
-                bytes = img.encode();
+                bytes = bench_api::full_image(&img);
                 encode = encode.min(t.elapsed().as_secs_f64());
                 let t = std::time::Instant::now();
-                let back = MasterImage::decode([&bytes[..]], &graph(&work), fifo(), allocator());
+                let back = bench_api::decode([&bytes[..]], &graph(&work), fifo(), allocator());
                 let back = back.expect("decodes");
                 decode = decode.min(t.elapsed().as_secs_f64());
                 assert_eq!(back, img);
@@ -2551,18 +2631,19 @@ mod tests {
         j.append(&Record::Freed { placement: 1 });
         assert!(j.wants_snapshot(Some(2)));
         assert!(!j.wants_snapshot(None));
-        assert_eq!(j.tail().len(), 2);
+        assert_eq!(j.tail_len(), 2);
         let bytes_before = j.bytes_written();
         assert!(bytes_before > 0);
         live.compact(&g);
         let j = &live.journal;
-        assert_eq!(j.tail().len(), 0);
+        assert_eq!((j.tail_len(), j.tail.len()), (0, 0));
         assert!(!j.wants_snapshot(Some(2)));
         assert!(j.bytes_written() > bytes_before, "snapshot bytes count");
         live.assert_chain_holds(&g);
-        // A fresh journal has no base image.
-        let empty = Journal::default().base_image(&g, fifo(), allocator());
-        assert!(empty.unwrap().is_none());
+        // A fresh journal recovers to the fresh ledger.
+        let fresh = || Ledger::fresh(vec![0, 0], 1);
+        let empty = Journal::default().recover(&g, fifo(), allocator(), fresh);
+        assert_eq!(empty.expect("decodes").ledger, fresh());
     }
 
     #[test]
@@ -2610,7 +2691,8 @@ mod tests {
             let mut deque: VecDeque<Pending> = VecDeque::new();
             for (i, &(kind, task_idx, attempt)) in ops.iter().enumerate() {
                 if i == imaged_at {
-                    img = MasterImage::decode([&img.encode()[..]], &g, sched.build(policy), allocator())
+                    let bytes = bench_api::full_image(&img);
+                    img = bench_api::decode([&bytes[..]], &g, sched.build(policy), allocator())
                         .expect("decodes");
                 }
                 let named = |p: &Pending| p.task_idx as u64 == task_idx && p.attempt == attempt;
@@ -2715,8 +2797,9 @@ mod tests {
             },
             &g,
         );
-        let tail = live.journal.tail();
-        assert_eq!(touched_tasks(&live.ledger, &g, tail), vec![1]);
+        let (touched, ..) =
+            put_queue_ops(&mut Vec::new(), &live.ledger, &g, &live.journal.tail).unwrap();
+        assert_eq!(touched, [1]);
         live.compact(&g);
         assert_eq!(live.journal.chain.len(), 2, "then deltas");
         let queued: Vec<usize> = live.pending.iter().map(|p| p.task_idx).collect();
@@ -2797,8 +2880,9 @@ mod tests {
         ] {
             live.commit(rec, &g);
         }
-        let tail = live.journal.tail();
-        assert_eq!(touched_tasks(&live.ledger, &g, tail), [1, 2, 3, 4, 5, 7]);
+        let (touched, ..) =
+            put_queue_ops(&mut Vec::new(), &live.ledger, &g, &live.journal.tail).unwrap();
+        assert_eq!(touched, [1, 2, 3, 4, 5, 7]);
         live.compact(&g);
         assert_eq!(live.journal.chain.len(), 2, "a full image, then a delta");
         live.assert_chain_holds(&g);
@@ -2847,7 +2931,7 @@ mod tests {
         let full = bench_api::encode_image(12);
         let delta = bench_api::DeltaCase::new(12, 24).encode_delta();
         let decode = |segments: &[&[u8]]| {
-            MasterImage::decode(segments.iter().copied(), &g, fifo(), allocator())
+            bench_api::decode(segments.iter().copied(), &g, fifo(), allocator())
         };
         let apply = |delta: &[u8]| decode(&[&full]).expect("decodes").apply_delta(delta, &g);
         apply(&delta).expect("whole delta applies");
@@ -2883,7 +2967,7 @@ mod tests {
                 task_idx: touched as u64,
             };
             let mut out = Vec::new();
-            encode_delta(&mut out, &l, &g, &[retried]);
+            encode_delta(&mut out, &l, &g, &bench_api::encode([retried]));
             out
         };
         apply(&entry_at(11)).expect("in range");
@@ -2908,7 +2992,7 @@ mod tests {
             violated: None,
         }];
         let mut foreign = Vec::new();
-        encode_delta(&mut foreign, &l, &g, &tail);
+        encode_delta(&mut foreign, &l, &g, &bench_api::encode(tail));
         assert_eq!(
             apply(&foreign),
             Err(JournalError::Inconsistent("observed category"))
@@ -2924,7 +3008,7 @@ mod tests {
             violated: None,
         }];
         let mut infinite = Vec::new();
-        encode_delta(&mut infinite, &l, &g, &tail);
+        encode_delta(&mut infinite, &l, &g, &bench_api::encode(tail));
         assert_eq!(
             apply(&infinite),
             Err(JournalError::Inconsistent("non-finite sample"))
@@ -2941,7 +3025,7 @@ mod tests {
             completed: true,
             violated: None,
         }];
-        encode_delta(&mut overflow, &l, &g, &finite);
+        encode_delta(&mut overflow, &l, &g, &bench_api::encode(finite));
         let at = overflow.len() - 32;
         assert_eq!(overflow[at..at + 8], 1u64.to_le_bytes(), "one completion");
         overflow[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
@@ -2966,7 +3050,7 @@ mod tests {
                 },
             ] {
                 let mut out = Vec::new();
-                encode_delta(&mut out, &l, &g, &[rec]);
+                encode_delta(&mut out, &l, &g, &bench_api::encode([rec]));
                 let queued = Err(JournalError::Inconsistent("queued task"));
                 assert_eq!(apply(&out) == queued, refused, "task {task_idx}");
             }

@@ -11,7 +11,7 @@ use crate::allocate::{AllocationDecision, Allocator, ObservationEffects, Strateg
 use crate::faults::{backoff_delay, FaultPlan, FaultState, InfraFault, ResilienceConfig};
 use crate::files::FileKind;
 use crate::journal::{
-    encode_full, CounterKey, DepGraph, DurabilityConfig, Journal, Ledger, MasterImage, Record,
+    CounterKey, DepGraph, DurabilityConfig, Journal, Ledger, MasterImage, Record,
 };
 use crate::prepared::PreparedWorkload;
 use crate::sched::{IndexedSched, ParkReason, Pending, SchedImpl, Src};
@@ -1285,12 +1285,6 @@ impl Master {
     /// Install a compacting image in the journal, encoded from the live
     /// ledger and stores as they stand — nothing is cloned to be written.
     fn compact(&mut self) {
-        // An evicted worker's fault count is never read again (ids are not
-        // reused), so the image need not carry it: dropped from the ledger
-        // here, at an image boundary, the image and the live ledger still
-        // agree, and no segment grows with the workers evicted so far.
-        let workers = &self.workers;
-        (self.ledger.worker_faults).retain(|&w, _| workers.get(w).is_some());
         let mut journal = self.journal.take().expect("the journal asked for it");
         journal.compact(&self.ledger, &self.allocator, &self.graph(), || {
             self.sched.snapshot_pending()
@@ -1299,12 +1293,9 @@ impl Master {
             .telemetry
             .counter_at_key(tk().journal_snapshot, 1, self.queue.now());
         // The guard that a delta missed nothing: the chain, read back from
-        // its bytes, holds the live master's state.
+        // its bytes (the tail is empty now), holds the live master's state.
         if cfg!(debug_assertions) {
-            let (sched, allocator) = (self.empty_sched(), self.empty_allocator());
-            let chain = (journal.base_image(&self.graph(), sched, allocator))
-                .expect("image chain decodes")
-                .expect("just compacted");
+            let chain = self.recover_image(&journal);
             self.assert_holds_live(&chain, "image chain diverged from live");
         }
         self.journal = Some(journal);
@@ -1330,7 +1321,7 @@ impl Master {
         // Master-side timers (leases, backoffs, quarantine releases) died
         // with the process; only the physical world's events survive.
         self.queue.retain(Event::is_world);
-        let tail = self.journal.as_ref().map(|j| j.tail().len() as u64);
+        let tail = self.journal.as_ref().map(Journal::tail_len);
         let downtime = self.config.durability.restart_secs
             + self.config.durability.replay_secs_per_event * tail.unwrap_or(0) as f64;
         let resume_at = now + downtime;
@@ -1342,7 +1333,7 @@ impl Master {
         self.queue.schedule_at(resume_at, Event::Recovered);
         match tail {
             Some(replayed) => {
-                let img = self.recover_image();
+                let img = self.recover_image(self.journal.as_ref().expect("journaled"));
                 // The guard that no site changed the ledger, the sample
                 // stores or the queue without committing a record: what the
                 // journal folds to is what the live master held.
@@ -1381,40 +1372,18 @@ impl Master {
             .gauge_key(tk().master_pending_tasks, self.queued_len() as f64, now);
     }
 
-    /// Fold the journal (image chain plus record tail) into the image the
+    /// Fold `journal` (image chain plus record tail) into the image a
     /// crashed master must resume from.
-    fn recover_image(&self) -> MasterImage {
-        let journal = self.journal.as_ref().expect("journaled recovery");
-        let graph = self.graph();
-        let mut img = journal
-            .base_image(&graph, self.empty_sched(), self.empty_allocator())
-            .expect("snapshot decodes")
-            .unwrap_or_else(|| {
-                // Start from the *constructed* task/category sizes: tasks
-                // streamed in after run start re-grow the ledger as their
-                // `Submitted` records replay.
-                let ledger = Ledger::fresh(
-                    self.work.dep_counts[..self.initial_task_count].to_vec(),
-                    self.initial_cat_count,
-                );
-                MasterImage::new(ledger, self.empty_sched(), self.empty_allocator())
-            });
-        for rec in journal.tail() {
-            if let Record::RunStart {
-                seed,
-                task_count,
-                worker_count,
-            } = *rec
-            {
-                debug_assert_eq!(seed, self.config.seed, "journal from another run");
-                // `self.work` may have grown past the header count via
-                // streamed admissions; the header pins the constructed size.
-                debug_assert_eq!(task_count, self.initial_task_count as u64);
-                debug_assert_eq!(worker_count, self.worker_count);
-            }
-            img.apply(rec.clone(), &graph);
-        }
-        img
+    fn recover_image(&self, journal: &Journal) -> MasterImage {
+        // Before any image, replay starts from the *constructed* task and
+        // category sizes: tasks streamed in after run start re-grow the
+        // ledger as their `Submitted` records replay.
+        let fresh = || {
+            let deps = self.work.dep_counts[..self.initial_task_count].to_vec();
+            Ledger::fresh(deps, self.initial_cat_count)
+        };
+        let (sched, allocator) = (self.empty_sched(), self.empty_allocator());
+        (journal.recover(&self.graph(), sched, allocator, fresh)).expect("journal decodes")
     }
 
     /// An empty scheduler of the run's implementation and policy.
@@ -1428,10 +1397,21 @@ impl Master {
         fresh_allocator(&self.config.strategy, &self.work)
     }
 
-    /// The guard that `img` holds the live master's logical state: its
-    /// ledger, its sample stores and its queue in examination order.
+    /// The guard that `img` holds the live master's logical state — its
+    /// ledger, its sample stores and its queue in examination order — and
+    /// that the ledger names no worker the pool has lost, in quarantine, in
+    /// fault counts or by a live placement (a zombie placement outlives its
+    /// worker until its lease reclaims it).
     fn assert_holds_live(&self, img: &MasterImage, diverged: &str) {
         assert_eq!(img.ledger, self.ledger, "{diverged}: ledger");
+        let l = &self.ledger;
+        let placed = (l.placements.iter()).filter(|(_, p)| !p.zombie);
+        let lost: Vec<u32> = (l.quarantined_until.iter().map(|&(w, _)| w))
+            .chain(l.worker_faults.keys().copied())
+            .chain(placed.map(|(_, p)| p.worker))
+            .filter(|&w| self.workers.get(w).is_none())
+            .collect();
+        assert!(lost.is_empty(), "the ledger names lost workers {lost:?}");
         let samples = |a: &Allocator| a.canonical_samples().collect::<Vec<_>>();
         let live = samples(&self.allocator);
         assert_eq!(samples(&img.allocator), live, "{diverged}: samples");
@@ -1447,15 +1427,13 @@ impl Master {
     }
 
     /// The master's complete logical state as one materialised full image,
-    /// for the probe restore: the live parts compaction encodes, read back
-    /// from the bytes of a full image.
+    /// for the probe restore: the live parts a compaction encodes, written
+    /// as the one image of a journal of their own and recovered from it.
     fn snapshot_image(&self) -> MasterImage {
-        let mut bytes = Vec::new();
-        let pending = self.sched.snapshot_pending();
-        encode_full(&mut bytes, &self.ledger, pending.iter(), &self.allocator);
-        let (sched, allocator) = (self.empty_sched(), self.empty_allocator());
-        MasterImage::decode([&bytes[..]], &self.graph(), sched, allocator)
-            .expect("image round-trips")
+        let mut journal = Journal::default();
+        let pending = || self.sched.snapshot_pending();
+        journal.compact(&self.ledger, &self.allocator, &self.graph(), pending);
+        self.recover_image(&journal)
     }
 
     /// Overwrite the master's logical state from an image: take its ledger,
@@ -1637,8 +1615,15 @@ impl Master {
         self.count(CounterKey::WorkersLost, 1.0);
         // A quarantined worker's free cores were already withdrawn from the
         // pool (and from the capacity index) when it was quarantined.
-        if !self.is_quarantined(id) {
+        let quarantined = self.is_quarantined(id);
+        if !quarantined {
             self.free_cores -= worker.node.available().cores as u64;
+        }
+        // The ledger forgets the worker with it: its quarantine entry would
+        // re-arm a release at every recovery, and its fault count ride in
+        // every image.
+        if quarantined || self.ledger.worker_faults.contains_key(&id) {
+            self.commit(Record::WorkerCleared { worker: id });
         }
         // For quarantined workers the capacity entry is already gone; removal
         // is a no-op there but still tears down the file index.
@@ -1691,23 +1676,13 @@ impl Master {
     }
 
     fn enqueue_back(&mut self, item: Pending) {
-        self.commit(Record::Enqueue {
-            task_idx: item.task_idx as u64,
-            attempt: item.attempt,
-            front: false,
-            since: item.since,
-        });
+        self.commit(Record::enqueue(&item, false));
         self.sched
             .push_back(self.work.profiles[item.task_idx].peak_memory_mb, item);
     }
 
     fn enqueue_front(&mut self, item: Pending) {
-        self.commit(Record::Enqueue {
-            task_idx: item.task_idx as u64,
-            attempt: item.attempt,
-            front: true,
-            since: item.since,
-        });
+        self.commit(Record::enqueue(&item, true));
         self.sched
             .push_front(self.work.profiles[item.task_idx].peak_memory_mb, item);
     }
@@ -2248,7 +2223,7 @@ impl Master {
             return;
         }
         let avail = worker.node.available();
-        self.commit(Record::QuarantineLifted { worker: id });
+        self.commit(Record::WorkerCleared { worker: id });
         self.free_cores += avail.cores as u64;
         self.sched.worker_online(id, avail.cores);
         self.sched.wake_fitting(&avail);
@@ -3368,9 +3343,9 @@ pub(crate) mod tests {
         );
         // The order a few completions and re-placements could leave behind.
         *list = vec![3, 0, 4, 2, 1];
-        let before = m.journal.as_ref().unwrap().tail().len();
+        let before = m.journal.as_ref().unwrap().tail_len() as usize;
         m.evict_worker(SimTime::from_secs(1.0), 0);
-        let tail = &m.journal.as_ref().unwrap().tail()[before..];
+        let tail = &crate::journal::bench_api::tail(m.journal.as_ref().unwrap())[before..];
         let freed: Vec<u64> = (tail.iter())
             .filter_map(|r| match r {
                 Record::Freed { placement } => Some(*placement),
@@ -3946,7 +3921,7 @@ pub(crate) mod tests {
             m.step();
             faulted.extend(m.ledger.worker_faults.keys().copied());
             // An empty tail: the ledger is what the last image holds.
-            if m.journal.as_ref().expect("journaled").tail().is_empty() {
+            if m.journal.as_ref().expect("journaled").tail_len() == 0 {
                 images += 1;
                 let live = &m.workers;
                 assert!(

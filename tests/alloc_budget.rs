@@ -280,10 +280,17 @@ fn journaled_chaos_allocations_and_peak_live_bytes_are_pinned() {
     // three vectors per category — 364 fewer allocations, a peak 26 848 B
     // lower. In debug every crash now also compares the replayed sample
     // stores with the live ones, copying both: a peak 46 128 B higher.
+    // Moved again when the journal's tail became the bytes it flushed
+    // (19 793 / 2 891 272 release, 30 678 / 3 866 308 debug): no record
+    // is cloned to be kept — a row's box and category — and a delta copies
+    // its rows from the tail's bytes, 4 879 fewer allocations. With no
+    // clones held, and each segment joining the image chain without the
+    // spare capacity its buffer grew by, the peak is 567 170 B lower
+    // (593 945 debug).
     let pinned = if cfg!(debug_assertions) {
-        (1_111_456, 30_678, 3_866_308)
+        (1_111_456, 25_799, 3_272_363)
     } else {
-        (1_111_456, 19_793, 2_891_272)
+        (1_111_456, 14_914, 2_324_102)
     };
     assert_eq!(
         (input.live, run.allocs, peak),
@@ -438,11 +445,17 @@ fn slo_tailed_overload_allocations_and_peak_live_bytes_are_pinned() {
     // allocator that recovery installs (459 806 / 18 793 159 release,
     // 6 755 821 / 26 985 703 debug): each of the two recoveries decodes
     // samples into the allocator it keeps instead of into vectors it then
-    // replays into a fresh one.
+    // replays into a fresh one. Moved again when the journal's tail
+    // became the bytes it flushed (453 728 / 18 791 303 release, 6 740 381
+    // / 26 903 311 debug): no `Submitted` record's spec and no result row
+    // is cloned to be kept, 139 051 fewer allocations. With no clones
+    // held, and each segment joining the image chain without its buffer's
+    // spare capacity — the deltas between two rebases held up to 0.4 MB of
+    // it — the peak is 2 336 874 B lower (2 320 390 debug).
     let pinned = if cfg!(debug_assertions) {
-        (76_766, 20_674, 15, 340, 6_740_381, 26_903_311)
+        (76_766, 20_674, 15, 340, 6_601_330, 24_582_921)
     } else {
-        (76_766, 20_674, 15, 340, 453_728, 18_791_303)
+        (76_766, 20_674, 15, 340, 314_677, 16_454_429)
     };
     assert_eq!(
         (
