@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Verification gate: format, release build of the workspace and of the
-# out-of-workspace benchmark package with a smoke *run* of all six of its
-# workloads, the `paper` figures run twice (two cores and one) and diffed,
-# the full workspace test suite (tests/ is a workspace member, so every named
-# suite — chaos and recovery sweeps, federation, serving, telemetry, and the
-# in-crate Reference ≡ Indexed scheduler matrix, whose oracle exists only in
-# `lfm-workqueue`'s test build — runs here, once), the doctests among them
-# (one must fail to compile: naming the oracle from outside the crate), the
-# benchmark package's tests, then doc/clippy, and last `scripts/loc.sh`'s
-# table against the parent commit.
+# Verification gate: format, the file names the docs give, release build of
+# the workspace and of the out-of-workspace benchmark package with a smoke
+# *run* of all six of its workloads, the `paper` figures run twice (two
+# cores and one) and diffed, the full workspace test suite (tests/ is a
+# workspace member, so every named suite — chaos and recovery sweeps,
+# federation, serving, telemetry, and the in-crate Reference ≡ Indexed
+# scheduler matrix, whose oracle exists only in `lfm-workqueue`'s test
+# build — runs here, once), the doctests among them (one must fail to
+# compile: naming the oracle from outside the crate), the benchmark
+# package's tests, then doc/clippy, and last `scripts/loc.sh`'s table
+# against the parent commit.
 # The workspace vendors all external dependencies under vendor/, so
 # everything runs with --offline (no registry, no network).
 set -euo pipefail
@@ -16,6 +17,12 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
+
+# A doc that names a script, a test file or a benchmark JSON the tree does
+# not have points its reader at nothing; a section headed "(historical)"
+# may, as the record of a tool since deleted.
+echo "==> scripts/doc_refs.sh (the docs name only files that exist)"
+scripts/doc_refs.sh
 
 echo "==> cargo build --release"
 cargo build --release --offline
