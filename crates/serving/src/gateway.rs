@@ -2012,6 +2012,71 @@ mod proptests {
         ServingGateway::new(cfg, vec![f], tenants)
     }
 
+    /// [`ServingGateway::run`] with at most `drain_ticks` ticks of drain:
+    /// a drain that never ends returns a report that does not balance
+    /// instead of spinning.
+    fn run_bounded(mut gw: ServingGateway, drain_ticks: u32) -> ServingReport {
+        let (tick, horizon) = (gw.config.tick_secs, gw.config.horizon_secs);
+        let mut t = 0.0;
+        while t < horizon {
+            let t_end = (t + tick).min(horizon);
+            gw.tick(t_end, true);
+            t = t_end;
+        }
+        gw.in_steady_phase = false;
+        for _ in 0..drain_ticks {
+            let idle = gw.total_queued() == 0 && gw.master.completed() >= gw.master.submitted();
+            if idle && gw.state.in_flight.is_empty() {
+                break;
+            }
+            t += tick;
+            gw.tick(t, false);
+        }
+        gw.finish(t)
+    }
+
+    /// A spurious kill retries the same attempt: the invocation succeeds on
+    /// a later attempt, and only that outcome may count.
+    #[test]
+    fn a_retried_success_completes_its_invocation() {
+        for durable in [false, true] {
+            let faults = FaultPlan::reliable().with(FaultSpec::spurious_kill(0.3));
+            let r = run_bounded(gateway(5, durable, faults), 100_000);
+            assert!(
+                r.admitted > 300,
+                "durable={durable}: admitted {}",
+                r.admitted
+            );
+            assert_eq!(
+                (r.completed, r.failed, r.lost),
+                (r.admitted, 0, 0),
+                "durable={durable}: completed, failed, lost of {} admitted",
+                r.admitted
+            );
+        }
+    }
+
+    /// Staging fails on 70 % of attempts, so some tasks use up their infra
+    /// budget and are abandoned without a result row: their invocations
+    /// end, as failed.
+    #[test]
+    fn an_abandoned_invocation_ends_as_failed() {
+        for durable in [false, true] {
+            let faults = FaultPlan::reliable().with(FaultSpec::stage_in_failure(0.7));
+            let r = run_bounded(gateway(5, durable, faults), 100_000);
+            assert!(
+                r.invocations_conserved(),
+                "durable={durable}: {} completed + {} failed + {} lost of {} admitted",
+                r.completed,
+                r.failed,
+                r.lost,
+                r.admitted
+            );
+            assert!(r.failed > 0, "durable={durable}: nothing was abandoned");
+            assert_eq!(r.lost, 0, "durable={durable}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
