@@ -65,7 +65,7 @@ use crate::control::{ControlConfig, ControlDecision, ControlPolicy};
 use crate::fair::FairScheduler;
 use crate::report::{AlertReport, ControlActionReport, LatencyStats, ServingReport, TenantReport};
 use crate::tenant::{TenantConfig, TenantId};
-use crate::warmpool::{Entry, WarmPool, WarmPoolConfig};
+use crate::warmpool::{WarmPool, WarmPoolConfig};
 use lfm_funcx::container::{ActivationModel, ActivationTech};
 use lfm_funcx::registry::{FunctionId, FunctionRegistry};
 use lfm_funcx::service::FuncXService;
@@ -81,10 +81,11 @@ use lfm_workqueue::allocate::{AutoConfig, Strategy};
 use lfm_workqueue::faults::FaultPlan;
 use lfm_workqueue::files::FileRef;
 use lfm_workqueue::journal::DurabilityConfig;
-use lfm_workqueue::master::MasterConfig;
-use lfm_workqueue::streaming::StreamingMaster;
-use lfm_workqueue::task::{TaskId, TaskSpec};
-use std::collections::{BTreeMap, VecDeque};
+use lfm_workqueue::master::{MasterConfig, RunReport};
+use lfm_workqueue::streaming::{ShapeId, StreamingMaster, TaskRow, TaskShape};
+use lfm_workqueue::task::TaskId;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Max invocations per master task group (one `Submit` per tick).
 const BATCH_MAX: usize = 64;
@@ -323,6 +324,29 @@ struct InFlight {
     warm: bool,
 }
 
+/// Dispatched invocations by id. Ids are a counter, so one multiply spreads
+/// them over the table: a lookup hashes nothing else.
+type InFlightTable = HashMap<u64, InFlight, BuildHasherDefault<IdHasher>>;
+
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Per-tenant accounting counters.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct TenantCounters {
@@ -349,7 +373,7 @@ struct GatewayState {
     /// Per tenant, admitted and not yet dispatched, in arrival order.
     queues: Vec<VecDeque<Queued>>,
     /// Dispatched and not yet terminal, by invocation.
-    in_flight: BTreeMap<u64, InFlight>,
+    in_flight: InFlightTable,
     sched: FairScheduler,
     buckets: Vec<Option<TokenBucket>>,
     /// Effective per-tenant depth bound (config baseline unless the
@@ -394,7 +418,7 @@ impl GatewayState {
             next_invocation: 0,
             lost: 0,
             queues: vec![VecDeque::new(); tenants.len()],
-            in_flight: BTreeMap::new(),
+            in_flight: InFlightTable::default(),
             sched: FairScheduler::new(&classes),
             buckets: tenants
                 .iter()
@@ -423,7 +447,7 @@ impl GatewayState {
             }
         }
         put_u64(&mut buf, self.in_flight.len() as u64);
-        for (&invocation, f) in &self.in_flight {
+        for (invocation, f) in self.in_flight_by_id() {
             put_u64(&mut buf, invocation);
             put_u64(&mut buf, f.tenant as u64);
             put_f64(&mut buf, f.arrival_secs);
@@ -465,11 +489,12 @@ impl GatewayState {
                 put_u64(&mut buf, v);
             }
         }
-        put_u64(&mut buf, self.pool.entries.len() as u64);
-        for (&id, e) in &self.pool.entries {
+        let instances = self.pool.instances();
+        put_u64(&mut buf, instances.len() as u64);
+        for (id, function, last_used_secs) in instances {
             put_u64(&mut buf, id);
-            put_u64(&mut buf, e.function as u64);
-            put_f64(&mut buf, e.last_used_secs);
+            put_u64(&mut buf, function as u64);
+            put_f64(&mut buf, last_used_secs);
         }
         put_u64(&mut buf, self.pool.next_id);
         put_u64(&mut buf, self.pool.config.capacity as u64);
@@ -477,6 +502,13 @@ impl GatewayState {
         put_u64(&mut buf, self.pool.misses);
         put_u64(&mut buf, self.pool.expirations);
         buf
+    }
+
+    /// The in-flight invocations in ascending id order.
+    fn in_flight_by_id(&self) -> Vec<(u64, &InFlight)> {
+        let mut all: Vec<_> = self.in_flight.iter().map(|(&id, f)| (id, f)).collect();
+        all.sort_unstable_by_key(|&(id, _)| id);
+        all
     }
 
     /// Read an image back over `fresh`, the cold start of the gateway the
@@ -547,16 +579,26 @@ impl GatewayState {
                 failed: r.u64()?,
             };
         }
+        // The pool files an instance under its function: an id it would
+        // index with is checked first. Instances are listed by ascending id,
+        // and every one was handed out below `next_id`.
+        let mut last_id = None;
         for _ in 0..index(r)? {
-            let id = r.u64()?;
-            let entry = Entry {
-                function: index(r)?,
-                last_used_secs: r.f64()?,
-            };
-            let repeat = state.pool.entries.insert(id, entry);
-            fits(repeat.is_none(), "repeated warm instance")?;
+            let (id, function, last_used_secs) = (r.u64()?, index(r)?, r.f64()?);
+            fits(
+                last_id.is_none_or(|last| id > last),
+                "repeated warm instance",
+            )?;
+            fits(function < functions, "warm function")?;
+            fits(!last_used_secs.is_nan(), "warm instance time")?;
+            state.pool.restore(id, function, last_used_secs);
+            last_id = Some(id);
         }
         state.pool.next_id = r.u64()?;
+        fits(
+            last_id.is_none_or(|last| last < state.pool.next_id),
+            "warm instance id",
+        )?;
         state.pool.config.capacity = index(r)?;
         state.pool.hits = r.u64()?;
         state.pool.misses = r.u64()?;
@@ -622,6 +664,9 @@ pub struct ServingGateway {
     functions: Vec<ServingFunction>,
     tenants: Vec<TenantConfig>,
     master: StreamingMaster,
+    /// Per function, its task shape in the master once it first dispatched.
+    /// The master keeps its shapes through a crash, so these survive too.
+    shapes: Vec<Option<ShapeId>>,
     /// Everything a journaled crash carries over; see [`GatewayState`].
     state: GatewayState,
     arrivals: Vec<ArrivalProcess>,
@@ -713,6 +758,7 @@ impl ServingGateway {
         ServingGateway {
             state: GatewayState::fresh(&config, &tenants),
             config,
+            shapes: vec![None; functions.len()],
             functions,
             tenants,
             master,
@@ -816,6 +862,7 @@ impl ServingGateway {
             .min(BATCH_MAX);
         let mut batch = Vec::new();
         let state = &mut self.state;
+        let master = &mut self.master;
         while budget > 0 {
             let queues = &state.queues;
             let Some(tid) = state.sched.pick(|id| !queues[id.0 as usize].is_empty()) else {
@@ -826,24 +873,25 @@ impl ServingGateway {
                 .pop_front()
                 .expect("picked empty queue");
             let f = &self.functions[q.function];
+            let shape = *self.shapes[q.function].get_or_insert_with(|| {
+                master.intern_shape(TaskShape {
+                    category: f.name.clone(),
+                    inputs: vec![f.env.clone(), FileRef::data("req-", f.input_bytes)],
+                    output_bytes: 4 << 10,
+                    profile: f.profile,
+                })
+            });
             let warm = state.pool.acquire(q.function, now_secs);
             let overhead = if warm {
                 f.activation.sample_warm(&mut self.overhead_rng)
             } else {
                 f.activation.sample(&mut self.overhead_rng)
             };
-            let mut profile = f.profile;
-            profile.duration_secs += overhead;
-            batch.push(TaskSpec::new(
-                TaskId(q.invocation),
-                f.name.clone(),
-                vec![
-                    f.env.clone(),
-                    FileRef::data(format!("req-{}", q.invocation), f.input_bytes),
-                ],
-                4 << 10,
-                profile,
-            ));
+            batch.push(TaskRow {
+                shape,
+                id: TaskId(q.invocation),
+                duration_secs: f.profile.duration_secs + overhead,
+            });
             state.in_flight.insert(
                 q.invocation,
                 InFlight {
@@ -859,44 +907,41 @@ impl ServingGateway {
             budget -= 1;
         }
         if !batch.is_empty() {
-            self.master.submit(SimTime::from_secs(now_secs), batch);
+            self.master.submit_rows(SimTime::from_secs(now_secs), batch);
             self.batches_submitted += 1;
         }
     }
 
-    /// Match newly-terminal master results back to invocations.
+    /// End the invocations whose tasks ended: a task ends once, after
+    /// whatever retries it took, as a success or for good as a failure. A
+    /// task the gateway no longer holds (a full restart wrote it off, and
+    /// the master re-ran it) ends nothing.
     fn collect(&mut self) {
-        for result in self.master.take_new_results() {
-            let Some(inv) = self.state.in_flight.remove(&result.task.0) else {
-                // Retried attempt already accounted on its terminal record.
+        for t in self.master.take_terminals() {
+            let Some(inv) = self.state.in_flight.remove(&t.task.0) else {
                 continue;
             };
             let tenant = inv.tenant as usize;
-            let finish = result.finished_at.as_secs();
-            if result.outcome.is_success() {
+            if t.success {
                 self.state.counters[tenant].completed += 1;
-                let latency = finish - inv.arrival_secs;
+                let latency = t.finished_at.as_secs() - inv.arrival_secs;
                 let wait = inv.dispatch_secs - inv.arrival_secs;
                 self.latency.record(latency);
                 self.tenant_latency[tenant].record(latency);
                 self.queue_wait.record(wait);
                 let keys = &self.tel_keys[tenant];
-                debug_assert_eq!(
-                    result.category,
-                    self.functions[self.tenants[tenant].function].name
-                );
                 let rec = &self.config.telemetry;
                 rec.span_key(stk().queue, stk().cat_serving)
                     .at(
                         SimTime::from_secs(inv.arrival_secs),
                         SimTime::from_secs(inv.dispatch_secs),
                     )
-                    .task(result.task.0)
+                    .task(t.task.0)
                     .attr_key(stk().a_tenant, keys.tenant)
                     .emit();
                 rec.span_key(stk().invoke, stk().cat_serving)
-                    .at(SimTime::from_secs(inv.arrival_secs), result.finished_at)
-                    .task(result.task.0)
+                    .at(SimTime::from_secs(inv.arrival_secs), t.finished_at)
+                    .task(t.task.0)
                     .attr_key(stk().a_tenant, keys.tenant)
                     .attr_key(stk().a_function, keys.function)
                     .attr_key(stk().a_warm, u64::from(inv.warm))
@@ -904,6 +949,8 @@ impl ServingGateway {
             } else {
                 self.state.counters[tenant].failed += 1;
             }
+            #[cfg(test)]
+            proptests::note(t.task.0, if t.success { "completed" } else { "failed" });
         }
     }
 
@@ -955,6 +1002,12 @@ impl ServingGateway {
     /// report still owes what was counted before the crash.
     fn full_restart(&mut self) {
         let forgotten = self.total_queued() + self.state.in_flight.len();
+        #[cfg(test)]
+        for id in (self.state.queues.iter().flatten().map(|q| q.invocation))
+            .chain(self.state.in_flight.keys().copied())
+        {
+            proptests::note(id, "lost");
+        }
         self.state = GatewayState {
             next_invocation: self.state.next_invocation,
             lost: self.state.lost + forgotten as u64,
@@ -1039,7 +1092,9 @@ impl ServingGateway {
         // already burned on them), so the survivors are the freshest.
         let mut trimmed = 0u64;
         while self.state.queues[tenant].len() > depth {
-            self.state.queues[tenant].pop_front();
+            let _q = self.state.queues[tenant].pop_front();
+            #[cfg(test)]
+            proptests::note(_q.expect("above depth").invocation, "lost");
             trimmed += 1;
         }
         self.state.lost += trimmed;
@@ -1081,35 +1136,54 @@ impl ServingGateway {
             t = t_end;
         }
         self.in_steady_phase = false;
-        let mut guard: u64 = 0;
-        // Drain until every admission is accounted for (completed, failed,
-        // or lost to a crash/trim) *and* the master has no outstanding
-        // work — an unjournaled restart re-runs tasks whose invocations
-        // the gateway already wrote off, and those must still finish.
-        loop {
-            let admitted: u64 = self.state.counters.iter().map(|c| c.admitted).sum();
-            let done: u64 = self
-                .state
-                .counters
-                .iter()
-                .map(|c| c.completed + c.failed)
-                .sum::<u64>()
-                + self.state.lost;
-            if done >= admitted && self.master.completed() >= self.master.submitted() {
-                break;
-            }
+        // Drain until the master has ended every task it was given (an
+        // unjournaled restart re-runs tasks whose invocations the gateway
+        // already wrote off, and those must still finish) and nothing is
+        // queued here.
+        while !self.drained(t) {
             t += tick;
             self.tick(t, false);
-            guard += 1;
-            assert!(
-                guard < 100_000_000,
-                "drain diverged: {done} of {admitted} done at t={t}"
-            );
         }
         self.finish(t)
     }
 
-    fn finish(mut self, end_secs: f64) -> ServingReport {
+    /// Whether the drain is over at `t`. Once the master has ended every
+    /// task and no admission waits in a queue, each admission must be
+    /// accounted for — completed, failed or lost — so an invocation still
+    /// in flight will never end: that panics, naming it.
+    fn drained(&self, t: f64) -> bool {
+        if self.master.completed() < self.master.submitted() || self.total_queued() > 0 {
+            return false;
+        }
+        let stuck: Vec<u64> = self
+            .state
+            .in_flight_by_id()
+            .iter()
+            .map(|&(id, _)| id)
+            .collect();
+        assert!(
+            stuck.is_empty(),
+            "the master ended every task it was given by t={t}, but invocations \
+             {stuck:?} are still in flight"
+        );
+        let c = &self.state.counters;
+        let admitted: u64 = c.iter().map(|c| c.admitted).sum();
+        let ended: u64 = c.iter().map(|c| c.completed + c.failed).sum();
+        assert_eq!(
+            ended + self.state.lost,
+            admitted,
+            "admissions unaccounted at t={t}: {ended} ended and {} lost",
+            self.state.lost
+        );
+        true
+    }
+
+    fn finish(self, end_secs: f64) -> ServingReport {
+        self.finish_with_master(end_secs).0
+    }
+
+    /// The report, and the master's own.
+    fn finish_with_master(mut self, end_secs: f64) -> (ServingReport, RunReport) {
         let alerts: Vec<AlertReport> = match self.slo_rt.take() {
             Some(mut rt) => {
                 rt.drain(true);
@@ -1156,7 +1230,7 @@ impl ServingGateway {
         let master_recoveries = self.master.recoveries();
         let journal_bytes = self.master.journal_bytes() + self.gateway_journal_bytes;
         let report = self.master.finish();
-        ServingReport {
+        let serving = ServingReport {
             seed: self.config.seed,
             horizon_secs: self.config.horizon_secs,
             end_secs,
@@ -1186,7 +1260,8 @@ impl ServingGateway {
             alerts,
             control_actions: self.control_log,
             tenants,
-        }
+        };
+        (serving, report)
     }
 }
 
@@ -1701,11 +1776,7 @@ mod tests {
             };
         }
         for (id, function, last_used_secs) in [(0, 0, 0.25), (2, 1, 0.75), (3, 0, 1.25)] {
-            let entry = Entry {
-                function,
-                last_used_secs,
-            };
-            s.pool.entries.insert(id, entry);
+            s.pool.restore(id, function, last_used_secs);
         }
         s.pool.next_id = 4;
         s.pool.config.capacity = 6;
@@ -1983,6 +2054,7 @@ mod proptests {
     use lfm_workqueue::faults::{FaultPlan, FaultSpec};
     use lfm_workqueue::journal::DurabilityConfig;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn gateway(seed: u64, durable: bool, faults: FaultPlan) -> ServingGateway {
         let mut cfg = ServingConfig::new(3, NodeSpec::new(8, 32 * 1024, 64 * 1024))
@@ -2012,10 +2084,27 @@ mod proptests {
         ServingGateway::new(cfg, vec![f], tenants)
     }
 
-    /// [`ServingGateway::run`] with at most `drain_ticks` ticks of drain:
+    thread_local! {
+        /// How this thread's gateways accounted each invocation they ended
+        /// or wrote off: `(invocation, "completed" | "failed" | "lost")`.
+        static FATES: std::cell::RefCell<Vec<(u64, &'static str)>> = const {
+            std::cell::RefCell::new(Vec::new())
+        };
+    }
+
+    pub(super) fn note(invocation: u64, fate: &'static str) {
+        FATES.with(|f| f.borrow_mut().push((invocation, fate)));
+    }
+
+    /// [`ServingGateway::run`] with at most `drain_ticks` ticks of drain, so
     /// a drain that never ends returns a report that does not balance
-    /// instead of spinning.
-    fn run_bounded(mut gw: ServingGateway, drain_ticks: u32) -> ServingReport {
+    /// instead of spinning; with the master's report, and each invocation's
+    /// fates in the order the gateway decided them.
+    fn run_bounded(
+        mut gw: ServingGateway,
+        drain_ticks: u32,
+    ) -> (ServingReport, RunReport, Vec<(u64, &'static str)>) {
+        FATES.with(|f| f.borrow_mut().clear());
         let (tick, horizon) = (gw.config.tick_secs, gw.config.horizon_secs);
         let mut t = 0.0;
         while t < horizon {
@@ -2032,7 +2121,8 @@ mod proptests {
             t += tick;
             gw.tick(t, false);
         }
-        gw.finish(t)
+        let (report, master) = gw.finish_with_master(t);
+        (report, master, FATES.with(|f| f.take()))
     }
 
     /// A spurious kill retries the same attempt: the invocation succeeds on
@@ -2041,7 +2131,7 @@ mod proptests {
     fn a_retried_success_completes_its_invocation() {
         for durable in [false, true] {
             let faults = FaultPlan::reliable().with(FaultSpec::spurious_kill(0.3));
-            let r = run_bounded(gateway(5, durable, faults), 100_000);
+            let (r, ..) = run_bounded(gateway(5, durable, faults), 100_000);
             assert!(
                 r.admitted > 300,
                 "durable={durable}: admitted {}",
@@ -2063,7 +2153,7 @@ mod proptests {
     fn an_abandoned_invocation_ends_as_failed() {
         for durable in [false, true] {
             let faults = FaultPlan::reliable().with(FaultSpec::stage_in_failure(0.7));
-            let r = run_bounded(gateway(5, durable, faults), 100_000);
+            let (r, ..) = run_bounded(gateway(5, durable, faults), 100_000);
             assert!(
                 r.invocations_conserved(),
                 "durable={durable}: {} completed + {} failed + {} lost of {} admitted",
@@ -2080,29 +2170,39 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// The conservation invariant under the crash × churn × chaos
-        /// matrix: every admitted invocation is completed, failed, or
-        /// counted lost — journaled or not, whatever else is failing.
+        /// The conservation invariant under master crashes and a draw of
+        /// the seven other fault kinds: every admitted invocation is
+        /// completed, failed or counted lost, exactly once — journaled or
+        /// not, whatever else is failing. And the gateway's view matches
+        /// the master's: the invocations it completed are the tasks the
+        /// master's report shows succeeding, less those it wrote off. A
+        /// full restart wipes the master's report, so that half holds where
+        /// none ran.
         #[test]
         fn admissions_conserved_under_crash_churn_chaos(
             seed in 0u64..1000,
             durable in any::<bool>(),
             crash_mean in 400f64..4000.0,
             max_crashes in 1u32..4,
-            churn in any::<bool>(),
-            chaos in any::<bool>(),
+            kinds in proptest::collection::vec(any::<bool>(), 7..8),
         ) {
             let mut faults = FaultPlan::reliable()
                 .with(FaultSpec::master_crash(crash_mean, max_crashes));
-            if churn {
-                faults = faults.with(FaultSpec::worker_churn(60.0));
+            let drawn = [
+                FaultSpec::worker_churn(60.0),
+                FaultSpec::straggler(0.1, 1.5, 3.0),
+                FaultSpec::message_delay(0.05, 0.2),
+                FaultSpec::message_loss(0.05),
+                FaultSpec::stage_in_failure(0.2),
+                FaultSpec::unpack_disk_full(0.1),
+                FaultSpec::spurious_kill(0.1),
+            ];
+            for (spec, on) in drawn.into_iter().zip(&kinds) {
+                if *on {
+                    faults = faults.with(spec);
+                }
             }
-            if chaos {
-                faults = faults
-                    .with(FaultSpec::message_delay(0.05, 0.2))
-                    .with(FaultSpec::straggler(0.1, 1.5, 3.0));
-            }
-            let report = gateway(seed, durable, faults).run();
+            let (report, master, fates) = run_bounded(gateway(seed, durable, faults), 100_000);
             prop_assert!(
                 report.invocations_conserved(),
                 "admitted {} != completed {} + failed {} + lost {} \
@@ -2110,6 +2210,20 @@ mod proptests {
                 report.admitted, report.completed, report.failed,
                 report.lost, report.master_crashes
             );
+            let mut counted: Vec<u64> = fates.iter().map(|&(id, _)| id).collect();
+            counted.sort_unstable();
+            prop_assert_eq!(counted, (0..report.admitted).collect::<Vec<_>>());
+            if durable || report.master_crashes == 0 {
+                let lost: BTreeSet<u64> =
+                    (fates.iter()).filter(|f| f.1 == "lost").map(|f| f.0).collect();
+                let succeeded: BTreeSet<u64> = (master.results.iter())
+                    .filter(|r| r.outcome.is_success() && !lost.contains(&r.task.0))
+                    .map(|r| r.task.0)
+                    .collect();
+                let completed: BTreeSet<u64> =
+                    (fates.iter()).filter(|f| f.1 == "completed").map(|f| f.0).collect();
+                prop_assert_eq!(completed, succeeded);
+            }
             if durable {
                 prop_assert_eq!(report.lost, 0, "journaled runs lose nothing");
                 prop_assert_eq!(report.gateway_recoveries, report.master_crashes);

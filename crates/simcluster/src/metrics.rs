@@ -244,9 +244,11 @@ impl Histogram {
 /// invocation latencies. `SparseHistogram` instead maps each positive
 /// value to bucket `ceil(ln x / ln gamma)` with `gamma = (1+α)/(1-α)`;
 /// a bucket's representative value `2γ^i/(γ+1)` is within a factor
-/// `(1±α)` of anything stored there. Memory is bounded by the number of
-/// *distinct occupied buckets* — O(log(max/min)/α), independent of sample
-/// count (≈ 925 buckets covering nanoseconds→years at α = 1%).
+/// `(1±α)` of anything stored there. The counts are one contiguous run
+/// from the lowest occupied bucket to the highest, so memory is
+/// O(log(max/min)/α), independent of sample count (≈ 925 buckets covering
+/// nanoseconds→years at α = 1%), and recording a sample is an index, not a
+/// search.
 ///
 /// Zero and sub-`MIN_TRACKABLE` values land in a dedicated zero bucket
 /// (exact). Negative and non-finite samples are rejected. Sketches with
@@ -258,8 +260,13 @@ pub struct SparseHistogram {
     alpha: f64,
     /// ln(gamma), cached: bucket index is `ceil(ln x / ln_gamma)`.
     ln_gamma: f64,
-    /// Occupied buckets only: index → sample count.
-    buckets: std::collections::BTreeMap<i32, u64>,
+    /// `counts[k]` is the sample count of bucket `base + k`, from the lowest
+    /// occupied bucket to the highest: equal sketches hold equal runs.
+    /// Empty, with `base` 0, until the first trackable sample.
+    base: i32,
+    counts: Vec<u64>,
+    /// Buckets with a non-zero count.
+    occupied: usize,
     /// Values in `[0, MIN_TRACKABLE)` — stored exactly as "zero".
     zero_count: u64,
     count: u64,
@@ -291,7 +298,9 @@ impl SparseHistogram {
         SparseHistogram {
             alpha,
             ln_gamma: gamma.ln(),
-            buckets: std::collections::BTreeMap::new(),
+            base: 0,
+            counts: Vec::new(),
+            occupied: 0,
             zero_count: 0,
             count: 0,
             sum: 0.0,
@@ -316,6 +325,32 @@ impl SparseHistogram {
         2.0 * gamma_i / ((self.ln_gamma.exp()) + 1.0)
     }
 
+    /// Add `n` samples to bucket `idx`, widening the run of counts to reach
+    /// it.
+    fn add(&mut self, idx: i32, n: u64) {
+        if self.counts.is_empty() {
+            self.base = idx;
+        } else if idx < self.base {
+            let below = (self.base - idx) as usize;
+            self.counts.splice(0..0, std::iter::repeat_n(0, below));
+            self.base = idx;
+        }
+        let at = (idx - self.base) as usize;
+        if at >= self.counts.len() {
+            self.counts.resize(at + 1, 0);
+        }
+        let count = &mut self.counts[at];
+        self.occupied += usize::from(*count == 0);
+        *count += n;
+    }
+
+    /// Occupied buckets in ascending index order: `(index, count)`.
+    fn buckets(&self) -> impl Iterator<Item = (i32, u64)> + '_ {
+        (self.base..)
+            .zip(self.counts.iter().copied())
+            .filter(|&(_, n)| n > 0)
+    }
+
     pub fn record(&mut self, x: f64) {
         assert!(x.is_finite(), "non-finite sample");
         assert!(x >= 0.0, "negative sample: {x}");
@@ -326,8 +361,7 @@ impl SparseHistogram {
         if x < Self::MIN_TRACKABLE {
             self.zero_count += 1;
         } else {
-            let idx = self.bucket_index(x);
-            *self.buckets.entry(idx).or_insert(0) += 1;
+            self.add(self.bucket_index(x), 1);
         }
     }
 
@@ -351,9 +385,9 @@ impl SparseHistogram {
         self.sum
     }
 
-    /// Occupied buckets — the sketch's actual memory footprint.
+    /// Occupied buckets, the zero bucket counted as one.
     pub fn bucket_count(&self) -> usize {
-        self.buckets.len() + usize::from(self.zero_count > 0)
+        self.occupied + usize::from(self.zero_count > 0)
     }
 
     /// Percentile `p` in [0, 100] by nearest rank over bucket counts;
@@ -370,7 +404,7 @@ impl SparseHistogram {
         if rank <= seen {
             return 0.0;
         }
-        for (&idx, &n) in &self.buckets {
+        for (idx, n) in self.buckets() {
             seen += n;
             if rank <= seen {
                 return self.bucket_value(idx).clamp(self.min, self.max);
@@ -421,8 +455,8 @@ impl SparseHistogram {
             self.alpha,
             other.alpha
         );
-        for (&idx, &n) in &other.buckets {
-            *self.buckets.entry(idx).or_insert(0) += n;
+        for (idx, n) in other.buckets() {
+            self.add(idx, n);
         }
         self.zero_count += other.zero_count;
         self.count += other.count;
@@ -683,6 +717,152 @@ mod tests {
     #[should_panic(expected = "negative sample")]
     fn sparse_histogram_rejects_negative() {
         SparseHistogram::new().record(-1.0);
+    }
+
+    /// The sketch as it was while its buckets were a B-tree of the occupied
+    /// ones: the oracle the contiguous counts must agree with.
+    struct TreeSketch {
+        inner: SparseHistogram,
+        buckets: std::collections::BTreeMap<i32, u64>,
+    }
+
+    impl TreeSketch {
+        fn new() -> Self {
+            TreeSketch {
+                inner: SparseHistogram::new(),
+                buckets: Default::default(),
+            }
+        }
+
+        fn record(&mut self, x: f64) {
+            // The moments and the zero bucket are the sketch's own.
+            let h = &mut self.inner;
+            (h.count, h.sum, h.min, h.max) = (h.count + 1, h.sum + x, h.min.min(x), h.max.max(x));
+            if x < SparseHistogram::MIN_TRACKABLE {
+                h.zero_count += 1;
+            } else {
+                *self.buckets.entry(h.bucket_index(x)).or_insert(0) += 1;
+            }
+        }
+
+        fn merge(&mut self, other: &TreeSketch) {
+            for (&idx, &n) in &other.buckets {
+                *self.buckets.entry(idx).or_insert(0) += n;
+            }
+            let (h, o) = (&mut self.inner, &other.inner);
+            h.zero_count += o.zero_count;
+            (h.count, h.sum, h.min, h.max) = (
+                h.count + o.count,
+                h.sum + o.sum,
+                h.min.min(o.min),
+                h.max.max(o.max),
+            );
+        }
+
+        fn bucket_count(&self) -> usize {
+            self.buckets.len() + usize::from(self.inner.zero_count > 0)
+        }
+
+        fn percentile(&self, p: f64) -> f64 {
+            let h = &self.inner;
+            if h.count == 0 {
+                return 0.0;
+            }
+            let rank = ((p / 100.0 * h.count as f64).ceil() as u64).clamp(1, h.count);
+            let mut seen = h.zero_count;
+            if rank <= seen {
+                return 0.0;
+            }
+            for (&idx, &n) in &self.buckets {
+                seen += n;
+                if rank <= seen {
+                    return h.bucket_value(idx).clamp(h.min, h.max);
+                }
+            }
+            h.max
+        }
+    }
+
+    fn assert_agree(dense: &SparseHistogram, tree: &TreeSketch) {
+        assert_eq!(dense.bucket_count(), tree.bucket_count());
+        let occupied: Vec<(i32, u64)> = tree.buckets.iter().map(|(&i, &n)| (i, n)).collect();
+        assert_eq!(dense.buckets().collect::<Vec<_>>(), occupied);
+        assert_eq!((dense.count(), dense.min(), dense.max()), {
+            let h = &tree.inner;
+            (h.count(), h.min(), h.max())
+        });
+        assert_eq!(dense.sum().to_bits(), tree.inner.sum().to_bits());
+        for p in [0.0, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9, 100.0] {
+            assert_eq!(
+                dense.percentile(p).to_bits(),
+                tree.percentile(p).to_bits(),
+                "p{p}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Random streams over the zero bucket and twelve decades, recorded
+        /// into two sketches each and merged both ways: the contiguous
+        /// counts agree with the B-tree on every bucket, count, percentile
+        /// and moment. `shift` moves the second stream's range, so a merge
+        /// widens the first's run below, above, or both.
+        #[test]
+        fn contiguous_counts_agree_with_the_tree(
+            a in proptest::collection::vec((0u8..8, 0.0f64..1.0), 0..200),
+            b in proptest::collection::vec((0u8..8, 0.0f64..1.0), 0..200),
+            shift in -6i32..6,
+        ) {
+            let value = |(decade, frac): (u8, f64), shift: i32| match decade {
+                0 => 0.0,
+                1 => frac * SparseHistogram::MIN_TRACKABLE,
+                d => (1.0 + 9.0 * frac) * 10f64.powi(i32::from(d) - 4 + shift),
+            };
+            let (mut dense_a, mut tree_a) = (SparseHistogram::new(), TreeSketch::new());
+            let (mut dense_b, mut tree_b) = (SparseHistogram::new(), TreeSketch::new());
+            for &x in &a {
+                dense_a.record(value(x, 0));
+                tree_a.record(value(x, 0));
+                assert_agree(&dense_a, &tree_a);
+            }
+            for &x in &b {
+                dense_b.record(value(x, shift));
+                tree_b.record(value(x, shift));
+            }
+            assert_agree(&dense_b, &tree_b);
+            let (mut dense_ab, mut tree_ab) = (dense_a.clone(), TreeSketch::new());
+            tree_ab.merge(&tree_a);
+            dense_ab.merge(&dense_b);
+            tree_ab.merge(&tree_b);
+            assert_agree(&dense_ab, &tree_ab);
+            // The other order widens the other run: equal all the same,
+            // the sum's rounding aside.
+            let mut dense_ba = dense_b.clone();
+            dense_ba.merge(&dense_a);
+            dense_ba.sum = dense_ab.sum;
+            proptest::prop_assert_eq!(&dense_ba, &dense_ab);
+        }
+    }
+
+    #[test]
+    fn equality_compares_contents_not_capacity() {
+        // A merge that widened the run below, and the same samples recorded
+        // in order: one run, however much each buffer reserved.
+        let mut wide = SparseHistogram::new();
+        wide.record(5.0);
+        let mut low = SparseHistogram::new();
+        low.record(1e-3);
+        wide.merge(&low);
+        let mut narrow = SparseHistogram::new();
+        narrow.record(1e-3);
+        narrow.record(5.0);
+        narrow.counts.reserve(4096);
+        wide.sum = narrow.sum;
+        assert_eq!(wide, narrow);
+        narrow.record(5.0);
+        assert_ne!(wide, narrow);
     }
 
     #[test]

@@ -112,6 +112,30 @@ pub fn put_bytes_u64(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
+/// `n` in decimal, written into the end of `buf`: the digits `format!("{n}")`
+/// would build, without building a `String`.
+pub fn decimal(n: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let (mut n, mut at) = (n, buf.len());
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return &buf[at..];
+        }
+    }
+}
+
+/// [`put_bytes_u64`] of `prefix` followed by `n` in decimal.
+#[inline]
+pub fn put_bytes_u64_decimal(out: &mut Vec<u8>, prefix: &[u8], n: u64) {
+    let mut buf = [0; 20];
+    let digits = decimal(n, &mut buf);
+    put_u64(out, (prefix.len() + digits.len()) as u64);
+    out.extend_from_slice(prefix);
+    out.extend_from_slice(digits);
+}
+
 /// A cursor over encoded bytes. A read that fails leaves it where it was.
 ///
 /// The primitive reads are `#[inline(always)]`: the telemetry decoder calls
@@ -257,6 +281,17 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn decimal_names_are_the_formatted_ones() {
+        for n in [0, 7, 10, 99, 100, 123_456_789, u64::MAX] {
+            assert_eq!(decimal(n, &mut [0; 20]), n.to_string().as_bytes());
+            let (mut built, mut formatted) = (Vec::new(), Vec::new());
+            put_bytes_u64_decimal(&mut built, b"req-", n);
+            put_bytes_u64(&mut formatted, format!("req-{n}").as_bytes());
+            assert_eq!(built, formatted);
+        }
+    }
 
     #[test]
     fn fixed_width_and_strings_round_trip() {

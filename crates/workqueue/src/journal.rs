@@ -48,8 +48,9 @@
 
 use crate::allocate::{censored_samples, Allocator};
 use crate::files::{FileKind, FileRef};
-use crate::prepared::PreparedWorkload;
+use crate::prepared::{PreparedWorkload, Shape};
 use crate::sched::{IndexedSched, Pending};
+use crate::streaming::TaskRow;
 use crate::task::{TaskId, TaskResult, TaskSpec};
 use lfm_monitor::report::{MonitorOutcome, ResourceKind, ResourceReport};
 use lfm_monitor::sim::SimTaskProfile;
@@ -481,6 +482,11 @@ fn read_row<'a>(r: &mut Reader<'a>) -> Result<(TaskResult, &'a str), JournalErro
 
 fn put_file_ref(out: &mut Vec<u8>, f: &FileRef) {
     put_bytes_u64(out, f.name.as_bytes());
+    put_file_after_name(out, f);
+}
+
+/// What [`put_file_ref`] writes after the name.
+fn put_file_after_name(out: &mut Vec<u8>, f: &FileRef) {
     put_u64(out, f.size_bytes);
     put_bool(out, f.cacheable);
     match &f.kind {
@@ -527,16 +533,44 @@ fn put_spec(out: &mut Vec<u8>, spec: &TaskSpec) {
         put_file_ref(out, f);
     }
     put_u64(out, spec.output_bytes);
-    put_f64(out, spec.profile.duration_secs);
-    put_f64(out, spec.profile.cores_used);
-    put_u64(out, spec.profile.base_memory_mb);
-    put_u64(out, spec.profile.peak_memory_mb);
-    put_f64(out, spec.profile.mem_ramp_fraction);
-    put_u64(out, spec.profile.peak_disk_mb);
+    put_profile(out, &spec.profile);
     put_u64(out, spec.deps.len() as u64);
     for d in &spec.deps {
         put_u64(out, d.0);
     }
+}
+
+fn put_profile(out: &mut Vec<u8>, profile: &SimTaskProfile) {
+    put_f64(out, profile.duration_secs);
+    put_f64(out, profile.cores_used);
+    put_u64(out, profile.base_memory_mb);
+    put_u64(out, profile.peak_memory_mb);
+    put_f64(out, profile.mem_ramp_fraction);
+    put_u64(out, profile.peak_disk_mb);
+}
+
+/// [`put_spec`] of the spec `row` of `shape` stands for, from the shape's
+/// columns: a per-task input's name is written as its prefix and the
+/// row's id, and nothing is built.
+fn put_shaped_spec(out: &mut Vec<u8>, shape: &Shape, row: &TaskRow) {
+    put_u64(out, row.id.0);
+    put_bytes_u64(out, shape.category.as_bytes());
+    put_u64(out, shape.inputs.len() as u64);
+    for i in &shape.inputs {
+        let name = i.file.name.as_bytes();
+        match i.per_task {
+            true => codec::put_bytes_u64_decimal(out, name, row.id.0),
+            false => put_bytes_u64(out, name),
+        }
+        put_file_after_name(out, &i.file);
+    }
+    put_u64(out, shape.output_bytes);
+    let profile = SimTaskProfile {
+        duration_secs: row.duration_secs,
+        ..shape.profile
+    };
+    put_profile(out, &profile);
+    put_u64(out, 0); // no dependencies
 }
 
 fn read_spec(r: &mut Reader<'_>) -> Result<TaskSpec, JournalError> {
@@ -1755,13 +1789,46 @@ impl Journal {
     pub(crate) fn append(&mut self, rec: &Record) {
         let at = self.tail.len();
         rec.encode(&mut self.tail);
+        self.appended(at, |back| {
+            assert_eq!(back, rec, "record encoding must round-trip")
+        });
+    }
+
+    /// Append the `Submitted` record of streamed task `task_idx`, a `row`
+    /// of `shape`, in category `cat`: the bytes of the record that carries
+    /// the spec the row stands for.
+    pub(crate) fn append_submitted(
+        &mut self,
+        task_idx: u64,
+        cat: u32,
+        shape: &Shape,
+        row: &TaskRow,
+    ) {
+        let at = self.tail.len();
+        put_u8(&mut self.tail, SUBMITTED);
+        put_u64(&mut self.tail, task_idx);
+        put_u32(&mut self.tail, cat);
+        put_shaped_spec(&mut self.tail, shape, row);
+        self.appended(at, |back| {
+            let spec = Some(Box::new(shape.spec(row)));
+            let rec = Record::Submitted {
+                task_idx,
+                cat,
+                spec,
+            };
+            assert_eq!(back, &rec, "a row's spec must read back as the spec");
+        });
+    }
+
+    /// Count the record just written from byte `at` of the tail. Debug
+    /// builds first read it back and hand it to `check`: an encoding that
+    /// drifted fails at append time, not at the next recovery.
+    fn appended(&mut self, at: usize, check: impl FnOnce(&Record)) {
         if cfg!(debug_assertions) {
-            // Every record written must read back exactly — catching an
-            // encoding drift at append time, not at the next recovery.
             let mut r = Reader::new(&self.tail[at..]);
             let back = Record::decode(&mut r).expect("appended record decodes");
             assert!(r.is_empty(), "record encoding has trailing bytes");
-            assert_eq!(&back, rec, "record encoding must round-trip");
+            check(&back);
         }
         self.bytes_written += (self.tail.len() - at) as u64;
         self.tail_len += 1;
@@ -2398,6 +2465,40 @@ mod tests {
     }
 
     #[test]
+    fn a_rows_spec_bytes_are_the_specs() {
+        // A per-task name with the id at its end, one without, a cacheable
+        // file, a pack someone marked uncacheable, ids of every width.
+        let env = FileRef::environment("env.tar.gz", 1 << 20, 4 << 20, 500, 80);
+        for id in [0, 7, 42, 1_000_003, u64::MAX] {
+            let spec = TaskSpec::new(
+                TaskId(id),
+                "stream",
+                vec![
+                    FileRef::data(format!("req-{id}"), 4096),
+                    FileRef::data("fixed", 9),
+                    FileRef::shared_data(format!("calib-{id}"), 77),
+                    FileRef {
+                        cacheable: false,
+                        name: format!("{id}"),
+                        ..env.clone()
+                    },
+                    env.clone(),
+                ],
+                1 << 16,
+                SimTaskProfile::new(1.5 + id as f64, 2.0, 300, 40),
+            );
+            let (shape, row) = Shape::of_spec(spec.clone());
+            let per_task: Vec<bool> = shape.inputs.iter().map(|i| i.per_task).collect();
+            assert_eq!(per_task, [true, false, false, true, false], "id {id}");
+            assert_eq!(shape.spec(&row), spec, "id {id}");
+            let (mut from_row, mut from_spec) = (Vec::new(), Vec::new());
+            put_shaped_spec(&mut from_row, &shape, &row);
+            put_spec(&mut from_spec, &spec);
+            assert_eq!(from_row, from_spec, "id {id}");
+        }
+    }
+
+    #[test]
     fn wire_layout_is_pinned() {
         // Round-trip tests cannot see a layout change made to encoder and
         // decoder together. The record and full-image constants were
@@ -2809,7 +2910,7 @@ mod tests {
         // Streamed admissions grow the per-task and per-category vectors
         // between images; one of the new tasks is cancelled right away.
         for (idx, cat, name) in [(2u64, 0u32, "a"), (3, 1, "b")] {
-            assert_eq!(work.admit(spec(idx, name)), cat);
+            assert_eq!(work.admit_spec(spec(idx, name)), cat);
             assert_eq!(live.allocator.intern(name), cat, "as the master interns it");
             live.commit(
                 Record::Submitted {
@@ -2852,7 +2953,7 @@ mod tests {
             spec(5, &[]),
             spec(6, &[]),
         ]);
-        assert_eq!(work.admit(spec(7, &[])), 0);
+        assert_eq!(work.admit_spec(spec(7, &[])), 0);
         let owner = [0, 0, 0, 0, 0, 0, 1, 0];
         let g = DepGraph {
             shard: Some((&owner, 0)),

@@ -13,8 +13,9 @@ use crate::files::FileKind;
 use crate::journal::{
     CounterKey, DepGraph, DurabilityConfig, Journal, Ledger, MasterImage, Record,
 };
-use crate::prepared::PreparedWorkload;
+use crate::prepared::{PreparedWorkload, Shape};
 use crate::sched::{IndexedSched, ParkReason, Pending, SchedImpl, Src};
+use crate::streaming::{TaskRow, Terminal};
 use crate::task::{TaskResult, TaskSpec};
 use crate::worker::{Worker, WorkerTable};
 use lfm_monitor::limits::ResourceLimits;
@@ -631,9 +632,10 @@ pub(crate) enum Event {
     /// that arrived while it was down, then resume dispatching.
     Recovered,
     /// A batch of new dependency-free tasks arrives at a *running* master
-    /// (streaming submission — see `streaming.rs`). Each task becomes a row
-    /// of the prepared table and is enqueued like any other ready work.
-    Submit(Vec<TaskSpec>),
+    /// (streaming submission — see `streaming.rs`). Each row of a shape
+    /// becomes a row of the prepared table and is enqueued like any other
+    /// ready work.
+    Submit(Vec<TaskRow>),
 }
 
 impl Event {
@@ -822,6 +824,10 @@ pub(crate) struct Master {
     fed: Option<FedState>,
     /// The shortest time any placement so far held its worker.
     min_hold: f64,
+    /// Task ends in the order committed, for a streaming master's driver
+    /// to read and drop (`None` otherwise): not journaled, and a crash does
+    /// not wipe it.
+    terminals: Option<Vec<Terminal>>,
 }
 
 impl Master {
@@ -881,6 +887,7 @@ impl Master {
             probe_done: false,
             fed: None,
             min_hold: f64::INFINITY,
+            terminals: None,
             config,
         }
     }
@@ -1149,12 +1156,12 @@ impl Master {
                 self.dispatch(now);
             }
             Event::Recovered => unreachable!("Recovered is only delivered while down"),
-            Event::Submit(specs) => {
+            Event::Submit(rows) => {
                 self.config
                     .telemetry
-                    .counter_at_key(tk().event_submit, specs.len() as u64, now);
-                for spec in specs {
-                    self.admit_streamed(now, spec);
+                    .counter_at_key(tk().event_submit, rows.len() as u64, now);
+                for row in &rows {
+                    self.admit_streamed(now, row);
                 }
                 self.dispatch(now);
             }
@@ -1166,28 +1173,30 @@ impl Master {
     /// its `Submitted` record, and a first-seen category is interned on the
     /// fly — the allocator then learns its label from scratch exactly as it
     /// would have for an up-front batch.
-    fn admit_streamed(&mut self, now: SimTime, spec: TaskSpec) {
-        assert!(
-            spec.deps.is_empty(),
-            "streamed task {} has dependencies; streaming submission is for \
-             independent invocations",
-            spec.id
-        );
+    fn admit_streamed(&mut self, now: SimTime, row: &TaskRow) {
         let task_idx = self.work.len();
-        // The record carries a copy of the spec for the journal to keep.
-        let kept = self.journal.is_some().then(|| Box::new(spec.clone()));
         // Sole owner: `make_mut` appends in place, it never copies.
-        let cat = Arc::make_mut(&mut self.work).admit(spec);
+        let cat = Arc::make_mut(&mut self.work).admit(row);
         if cat as usize == self.running_by_cat.len() {
             self.running_by_cat.push(0);
             let id = self.allocator.intern(&self.work.cat_names[cat as usize]);
             debug_assert_eq!(id, cat, "allocator ids are category ids");
         }
-        self.commit(Record::Submitted {
+        // `commit`, but the journal writes the spec from the row's shape.
+        if let Some(journal) = &mut self.journal {
+            let shape = &self.work.shapes[row.shape.index()];
+            journal.append_submitted(task_idx as u64, cat, shape, row);
+        }
+        let submitted = Record::Submitted {
             task_idx: task_idx as u64,
             cat,
-            spec: kept,
-        });
+            spec: None,
+        };
+        let graph = DepGraph {
+            work: &self.work,
+            shard: self.fed.as_ref().map(|f| (f.owner.as_slice(), f.shard)),
+        };
+        self.ledger.apply(submitted, &graph);
         self.enqueue_back(Pending {
             task_idx,
             attempt: 0,
@@ -2246,6 +2255,7 @@ impl Master {
             self.commit(Record::Abandoned {
                 task_idx: task_idx as u64,
             });
+            self.ended(task_idx, false, now);
             self.config
                 .telemetry
                 .counter_at_key(tk().master_abandoned, 1, now);
@@ -2485,6 +2495,7 @@ impl Master {
                 self.commit(Record::Abandoned {
                     task_idx: info.task_idx as u64,
                 });
+                self.ended(info.task_idx, false, now);
                 self.config
                     .telemetry
                     .counter_at_key(tk().master_abandoned, 1, now);
@@ -2495,6 +2506,7 @@ impl Master {
                 task_idx: info.task_idx as u64,
                 success: completed,
             });
+            self.ended(info.task_idx, completed, now);
             self.config
                 .telemetry
                 .counter_at_key(tk().master_task_done, 1, now);
@@ -2664,6 +2676,36 @@ impl Master {
         &self.ledger.results
     }
 
+    /// Keep every task's end from here on ([`Master::terminals`]).
+    pub(crate) fn log_terminals(&mut self) {
+        self.terminals = Some(Vec::new());
+    }
+
+    /// The ends logged since [`Master::log_terminals`], in commit order,
+    /// less those the driver dropped.
+    pub(crate) fn terminals(&mut self) -> &mut Vec<Terminal> {
+        self.terminals
+            .as_mut()
+            .expect("a streaming master logs its ends")
+    }
+
+    /// Log task `task_idx`'s end at `now`, when a driver reads ends.
+    fn ended(&mut self, task_idx: usize, success: bool, now: SimTime) {
+        if let Some(log) = &mut self.terminals {
+            let task = self.work.ids[task_idx];
+            log.push(Terminal {
+                task,
+                success,
+                finished_at: now,
+            });
+        }
+    }
+
+    /// Keep `shape` in the table for streamed rows of it; returns its index.
+    pub(crate) fn add_shape(&mut self, shape: Shape) -> u32 {
+        Arc::make_mut(&mut self.work).add_shape(shape)
+    }
+
     /// Attempts currently placed on workers.
     pub(crate) fn in_flight_count(&self) -> usize {
         self.in_flight
@@ -2749,6 +2791,13 @@ pub(crate) mod tests {
 
     fn node() -> NodeSpec {
         NodeSpec::new(8, 8192, 16384)
+    }
+
+    #[test]
+    fn an_event_is_three_words() {
+        // The calendar moves events by value; a `Vec`-carrying variant next
+        // to `Submit`'s would make every one of them a word longer.
+        assert_eq!(std::mem::size_of::<Event>(), 24);
     }
 
     #[test]

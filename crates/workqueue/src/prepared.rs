@@ -7,9 +7,11 @@
 //! Per-task *state* (dependency countdowns, retry sets, results) stays in
 //! each master's journaled ledger; nothing here changes during a batch run.
 //! A streaming master owns its table alone and grows it one dependency-free
-//! task at a time.
+//! task at a time: each is a row of a [`Shape`] the table keeps, so
+//! admitting it copies the shape's columns and touches no name.
 
-use crate::files::FileKind;
+use crate::files::{FileKind, FileRef};
+use crate::streaming::{TaskRow, TaskShape};
 use crate::task::{TaskId, TaskSpec};
 use lfm_monitor::sim::SimTaskProfile;
 use lfm_telemetry::Name;
@@ -107,6 +109,108 @@ pub struct PreparedWorkload {
     /// ascending, a task that lists `i` twice appearing twice.
     dep_offsets: Vec<u32>,
     dep_targets: Vec<u32>,
+    /// The shapes streamed rows are admitted from, by [`ShapeId`].
+    ///
+    /// [`ShapeId`]: crate::streaming::ShapeId
+    pub(crate) shapes: Vec<Shape>,
+}
+
+/// What every streamed task of one kind shares: a spec but for its id and
+/// its duration. Its names are interned when its first row is admitted, in
+/// the order a spec's would be.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Shape {
+    pub(crate) category: String,
+    pub(crate) inputs: Vec<ShapeInput>,
+    pub(crate) output_bytes: u64,
+    /// Every field but `duration_secs`, which each row brings.
+    pub(crate) profile: SimTaskProfile,
+    /// Once a row is admitted: the category id, and per input its row and
+    /// kind id.
+    ids: Option<(u32, Vec<(InputRow, u32)>)>,
+}
+
+/// One input of a [`Shape`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ShapeInput {
+    pub(crate) file: FileRef,
+    /// Each task has its own copy, named `file.name` followed by the task
+    /// id in decimal.
+    pub(crate) per_task: bool,
+}
+
+impl Shape {
+    /// The shape a public [`TaskShape`] describes: its non-cacheable inputs
+    /// are per task.
+    pub(crate) fn new(shape: TaskShape) -> Self {
+        let inputs = (shape.inputs.into_iter())
+            .map(|file| ShapeInput {
+                per_task: !file.cacheable,
+                file,
+            })
+            .collect();
+        Shape {
+            category: shape.category,
+            inputs,
+            output_bytes: shape.output_bytes,
+            profile: shape.profile,
+            ids: None,
+        }
+    }
+
+    /// `spec` as a shape and the row that rebuilds it: a non-cacheable
+    /// input named with the task's id at its end is per task, any other
+    /// name is kept whole.
+    pub(crate) fn of_spec(spec: TaskSpec) -> (Self, TaskRow) {
+        assert!(
+            spec.deps.is_empty(),
+            "streamed task {} has dependencies; streaming submission is for \
+             independent invocations",
+            spec.id
+        );
+        let mut digits = [0; 20];
+        let id = lfm_telemetry::codec::decimal(spec.id.0, &mut digits);
+        let inputs = (spec.inputs.into_iter())
+            .map(|mut file| {
+                let per_task = !file.cacheable && file.name.as_bytes().ends_with(id);
+                if per_task {
+                    file.name.truncate(file.name.len() - id.len());
+                }
+                ShapeInput { file, per_task }
+            })
+            .collect();
+        let row = TaskRow {
+            shape: Default::default(),
+            id: spec.id,
+            duration_secs: spec.profile.duration_secs,
+        };
+        let shape = Shape {
+            category: spec.category,
+            inputs,
+            output_bytes: spec.output_bytes,
+            profile: spec.profile,
+            ids: None,
+        };
+        (shape, row)
+    }
+
+    /// The spec `row` of this shape stands for.
+    pub(crate) fn spec(&self, row: &TaskRow) -> TaskSpec {
+        let inputs = (self.inputs.iter())
+            .map(|i| match i.per_task {
+                true => FileRef {
+                    name: format!("{}{}", i.file.name, row.id.0),
+                    ..i.file.clone()
+                },
+                false => i.file.clone(),
+            })
+            .collect();
+        let profile = SimTaskProfile {
+            duration_secs: row.duration_secs,
+            ..self.profile
+        };
+        TaskSpec::new(row.id, &self.category, inputs, self.output_bytes, profile)
+    }
 }
 
 impl PreparedWorkload {
@@ -178,6 +282,7 @@ impl PreparedWorkload {
             dep_counts: tasks.iter().map(|t| t.deps.len()).collect(),
             dep_offsets,
             dep_targets,
+            shapes: Vec::new(),
         };
         w.input_offsets.push(0);
         // Each spec is freed as soon as its row is in.
@@ -189,44 +294,59 @@ impl PreparedWorkload {
 
     /// Append `spec`'s row: its id, output size and profile, its category id
     /// onto `cat_of`, its inputs onto the input columns. Its names are
-    /// interned on the way. Returns the category id.
-    fn push_row(&mut self, spec: TaskSpec) -> u32 {
-        let cat = self.cat_ids.intern(&spec.category);
-        if cat as usize == self.cat_names.len() {
-            self.cat_names.push(spec.category);
-            self.cat_attrs.push(OnceLock::new());
-        }
+    /// interned on the way.
+    fn push_row(&mut self, spec: TaskSpec) {
+        let cat = self.intern_category(spec.category);
         self.ids.push(spec.id);
         self.output_bytes.push(spec.output_bytes);
         self.profiles.push(spec.profile);
         self.cat_of.push(cat);
         for f in spec.inputs {
-            let id = match f.cacheable {
-                true => self.file_ids.intern(&f.name),
-                false => InputRow::NO_FILE,
-            };
-            let env = matches!(f.kind, FileKind::EnvironmentPack { .. });
-            self.input_rows
-                .push(InputRow(id | if env { InputRow::ENV } else { 0 }));
+            let (row, kind) = self.intern_input(&f);
+            self.input_rows.push(row);
             self.input_sizes.push(f.size_bytes);
-            let kind = match self.kind_ids.get(&f.kind) {
-                Some(&kind) => kind,
-                None => {
-                    let kind = self.kinds.len() as u32;
-                    self.kind_ids.insert(f.kind.clone(), kind);
-                    self.kinds.push(f.kind);
-                    kind
-                }
-            };
             self.input_kinds.push(kind);
         }
+        self.end_row();
+    }
+
+    fn intern_category(&mut self, name: String) -> u32 {
+        let cat = self.cat_ids.intern(&name);
+        if cat as usize == self.cat_names.len() {
+            self.cat_names.push(name);
+            self.cat_attrs.push(OnceLock::new());
+        }
+        cat
+    }
+
+    /// `f`'s input row (its cacheable name interned) and kind id.
+    fn intern_input(&mut self, f: &FileRef) -> (InputRow, u32) {
+        let id = match f.cacheable {
+            true => self.file_ids.intern(&f.name),
+            false => InputRow::NO_FILE,
+        };
+        let env = matches!(f.kind, FileKind::EnvironmentPack { .. });
+        let row = InputRow(id | if env { InputRow::ENV } else { 0 });
+        let kind = match self.kind_ids.get(&f.kind) {
+            Some(&kind) => kind,
+            None => {
+                let kind = self.kinds.len() as u32;
+                self.kind_ids.insert(f.kind.clone(), kind);
+                self.kinds.push(f.kind.clone());
+                kind
+            }
+        };
+        (row, kind)
+    }
+
+    /// Close the row whose inputs were just pushed.
+    fn end_row(&mut self) {
         // File ids are handed out one per row at most, so this bounds both.
         assert!(
             self.input_rows.len() < InputRow::NO_FILE as usize,
             "too many inputs to index"
         );
         self.input_offsets.push(self.input_rows.len() as u32);
-        cat
     }
 
     /// Category `cat`'s telemetry name (a span's `category` attr), interned
@@ -280,13 +400,52 @@ impl PreparedWorkload {
         self.file_ids.get(name)
     }
 
-    /// Append one streamed, dependency-free task; a first-seen category or
-    /// cacheable file is interned on the fly. Returns its category id.
-    pub(crate) fn admit(&mut self, spec: TaskSpec) -> u32 {
-        debug_assert!(spec.deps.is_empty());
+    /// Keep `shape` for streamed rows to be admitted from; returns its index.
+    pub(crate) fn add_shape(&mut self, shape: Shape) -> u32 {
+        assert!(self.shapes.len() < u32::MAX as usize, "too many shapes");
+        self.shapes.push(shape);
+        (self.shapes.len() - 1) as u32
+    }
+
+    /// Append one streamed, dependency-free task: the columns of its shape,
+    /// with the row's id and duration. The shape's first row interns its
+    /// names. Returns the task's category id.
+    pub(crate) fn admit(&mut self, row: &TaskRow) -> u32 {
+        let s = row.shape.index();
+        if self.shapes[s].ids.is_none() {
+            let shape = &self.shapes[s];
+            let (category, files) = (shape.category.clone(), shape.inputs.clone());
+            let cat = self.intern_category(category);
+            let inputs = files.iter().map(|i| self.intern_input(&i.file)).collect();
+            self.shapes[s].ids = Some((cat, inputs));
+        }
+        let shape = &self.shapes[s];
+        let (cat, inputs) = shape.ids.as_ref().expect("resolved above");
+        let cat = *cat;
+        self.ids.push(row.id);
+        self.output_bytes.push(shape.output_bytes);
+        self.profiles.push(SimTaskProfile {
+            duration_secs: row.duration_secs,
+            ..shape.profile
+        });
+        self.cat_of.push(cat);
+        for (input, &(row, kind)) in shape.inputs.iter().zip(inputs) {
+            self.input_rows.push(row);
+            self.input_sizes.push(input.file.size_bytes);
+            self.input_kinds.push(kind);
+        }
+        self.end_row();
         self.dep_counts.push(0);
         self.dep_offsets.push(self.dep_targets.len() as u32);
-        self.push_row(spec)
+        cat
+    }
+
+    /// Admit `spec` as a row of a shape of its own.
+    #[cfg(test)]
+    pub(crate) fn admit_spec(&mut self, spec: TaskSpec) -> u32 {
+        let (shape, mut row) = Shape::of_spec(spec);
+        row.shape = crate::streaming::ShapeId::new(self.add_shape(shape));
+        self.admit(&row)
     }
 }
 
@@ -350,15 +509,15 @@ mod tests {
     #[test]
     fn admit_extends_every_table() {
         let mut w = PreparedWorkload::new(Vec::new());
-        assert_eq!(w.admit(task(0, "f", &[])), 0);
-        assert_eq!(w.admit(task(1, "g", &[])), 1);
-        assert_eq!(w.admit(task(2, "f", &[])), 0);
+        assert_eq!(w.admit_spec(task(0, "f", &[])), 0);
+        assert_eq!(w.admit_spec(task(1, "g", &[])), 1);
+        assert_eq!(w.admit_spec(task(2, "f", &[])), 0);
         assert_eq!((w.len(), w.cat_names.len()), (3, 2));
         assert_eq!(w.dep_counts, vec![0, 0, 0]);
         assert!((0..3).all(|i| w.dependents(i).next().is_none()));
 
         let mut grown = PreparedWorkload::new(vec![task(0, "a", &[]), task(1, "a", &[0])]);
-        grown.admit(task(2, "a", &[]));
+        grown.admit_spec(task(2, "a", &[]));
         assert_eq!(grown.dependents(0).collect::<Vec<_>>(), vec![1]);
         assert!(grown.dependents(2).next().is_none());
     }
@@ -402,7 +561,7 @@ mod tests {
         assert_eq!((w.file_id("in-0"), w.file_id("late")), (None, None));
         // A streamed task names a known file and a new one.
         let late = FileRef::shared_data("late", 5);
-        w.admit(with(3, vec![late, env]));
+        w.admit_spec(with(3, vec![late, env]));
         assert_eq!(rows(&w, 3), vec![(Some(2), false), (Some(0), true)]);
         assert_eq!(w.file_id("late"), Some(2));
     }
@@ -471,7 +630,7 @@ mod tests {
             with(4, "y", &[], vec![other_env, FileRef::data("in-4", 1)]),
         ] {
             specs.push(t.clone());
-            w.admit(t);
+            w.admit_spec(t);
             assert_rows_match(&w, &specs);
         }
         assert_eq!((w.cat_names.len(), w.kinds.len()), (3, 3));

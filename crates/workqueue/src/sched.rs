@@ -755,7 +755,7 @@ mod tests {
     /// `task`'s input rows under [`file_table`]'s ids.
     fn rows(task: &TaskSpec) -> Vec<InputRow> {
         let mut table = file_table();
-        table.admit(task.clone());
+        table.admit_spec(task.clone());
         table.inputs_of(table.len() - 1).to_vec()
     }
 
@@ -1260,7 +1260,7 @@ mod tests {
                         }
                     }
                     (9, None) => {
-                        work.admit(streamed.clone());
+                        work.admit_spec(streamed.clone());
                         specs.push(streamed.clone());
                         prop_assert_eq!(work.file_id("late"), Some(3));
                     }

@@ -14,8 +14,19 @@
 //! submissions at identical times under one seed reproduce the run
 //! byte-for-byte. A driver advances the clock with [`run_until`]
 //! (bounded by a horizon so the master can idle between arrivals without
-//! deadlock panics) and reads completions incrementally with
-//! [`take_new_results`].
+//! deadlock panics) and reads each task's end with [`take_terminals`]: one
+//! [`Terminal`] per task, whatever its attempts did, logged where the
+//! master commits the task `Finished` or `Abandoned`
+//! ([`take_new_results`] still hands out attempt rows).
+//!
+//! A task arrives as a row: a [`ShapeId`], its id and its duration. A
+//! shape ([`TaskShape`]) is what every task of one kind shares, interned
+//! once ([`intern_shape`]) into the master's table, so admitting a row
+//! copies the shape's columns and builds, hashes and frees no name. A
+//! shape's names get their ids when its first row is admitted, the order
+//! a spec's would. [`submit`] keeps taking specs: it interns each one's
+//! shape and takes the same path. A journaled admission writes the spec a
+//! row stands for from its shape, byte for byte what the spec would write.
 //!
 //! Equivalence discipline: submitting an entire workload at time zero
 //! before the first clock advance produces a [`RunReport`] identical to
@@ -23,7 +34,7 @@
 //! start-ups in the FIFO calendar, so the pending queue is seeded in the
 //! same order the batch path seeds it (pinned by a test below).
 //!
-//! Scope: streamed tasks must be dependency-free (asserted at admission),
+//! Scope: streamed tasks must be dependency-free (asserted at submission),
 //! and streaming runs a single master — federation sharding is refused
 //! with a typed [`ConfigError`] at construction instead of silently
 //! downgrading. The durability layer *is* supported: every streamed
@@ -33,23 +44,79 @@
 //! `Submit` events survive in the calendar as world events, and leases
 //! reclaim orphaned placements. Replay reads only the record's `task_idx`
 //! and `cat`, never its spec: recovery keeps the master's prepared table
-//! (one row per admitted task, no spec) from live memory, and rebuilding it
+//! (one row per admitted task, and the shapes) from live memory, and rebuilding it
 //! from the journaled specs is part of recovering from bytes alone
 //! (ROADMAP item 1). Without a journal a master crash is a
 //! full restart: the result log is wiped, the wrapper's cursor re-clamps,
 //! and every admitted invocation re-runs (the serving tier's recovery
-//! baseline).
+//! baseline); the terminal log is not wiped, so a re-run task ends twice
+//! in it.
 //!
 //! [`run_until`]: StreamingMaster::run_until
+//! [`take_terminals`]: StreamingMaster::take_terminals
 //! [`take_new_results`]: StreamingMaster::take_new_results
+//! [`intern_shape`]: StreamingMaster::intern_shape
+//! [`submit`]: StreamingMaster::submit
 //! [`run_workload`]: crate::master::run_workload
 
+use crate::files::{FileKind, FileRef};
 use crate::master::{Event, Master, MasterConfig, RunReport};
-use crate::prepared::PreparedWorkload;
-use crate::task::{TaskResult, TaskSpec};
+use crate::prepared::{PreparedWorkload, Shape};
+use crate::task::{TaskId, TaskResult, TaskSpec};
+use lfm_monitor::sim::SimTaskProfile;
 use lfm_simcluster::node::NodeSpec;
 use lfm_simcluster::time::SimTime;
+use lfm_telemetry::codec::{put_bool, put_bytes_u64, put_f64, put_u64, put_u8};
+use std::collections::HashMap;
 use std::sync::Arc;
+
+/// What every streamed task of one kind shares: a [`TaskSpec`] but for its
+/// id, its duration and the names of its own inputs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TaskShape {
+    pub category: String,
+    /// In spec order. A non-cacheable input is each task's own: its `name`
+    /// is a prefix, and task `id`'s copy is named the prefix followed by
+    /// `id` in decimal (`"req-"` names task 42's `"req-42"`).
+    pub inputs: Vec<FileRef>,
+    pub output_bytes: u64,
+    /// The behaviour of every task of the shape; each row brings its own
+    /// `duration_secs`, which this one's is not read for.
+    pub profile: SimTaskProfile,
+}
+
+/// A shape interned into one streaming master ([`StreamingMaster::intern_shape`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct ShapeId(u32);
+
+impl ShapeId {
+    #[cfg(test)]
+    pub(crate) fn new(index: u32) -> Self {
+        ShapeId(index)
+    }
+
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// One streamed task: a task of `shape` with its own id and duration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TaskRow {
+    pub shape: ShapeId,
+    pub id: TaskId,
+    pub duration_secs: f64,
+}
+
+/// A task's end: it succeeded, or it failed for good (its last attempt
+/// failed with no retry left, or the infrastructure used up its retry
+/// budget, which writes no attempt row).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Terminal {
+    pub task: TaskId,
+    pub success: bool,
+    pub finished_at: SimTime,
+}
 
 /// Why a [`MasterConfig`] cannot drive a streaming master. Unsupported
 /// configurations fail loudly at construction instead of quietly
@@ -84,7 +151,13 @@ pub struct StreamingMaster {
     master: Master,
     started: bool,
     results_cursor: usize,
+    /// Ends the last [`StreamingMaster::take_terminals`] returned.
+    terminals_read: usize,
     submitted: usize,
+    /// Every shape interned so far, by its key ([`shape_key`]), and the
+    /// buffer keys are written into.
+    shape_ids: HashMap<Vec<u8>, ShapeId>,
+    key: Vec<u8>,
 }
 
 impl StreamingMaster {
@@ -102,33 +175,76 @@ impl StreamingMaster {
                 shards: config.shards,
             });
         }
+        let mut master = Master::new(
+            config.clone(),
+            Arc::new(PreparedWorkload::new(Vec::new())),
+            worker_count,
+            spec,
+        );
+        master.log_terminals();
         Ok(StreamingMaster {
-            master: Master::new(
-                config.clone(),
-                Arc::new(PreparedWorkload::new(Vec::new())),
-                worker_count,
-                spec,
-            ),
+            master,
             started: false,
             results_cursor: 0,
+            terminals_read: 0,
             submitted: 0,
+            shape_ids: HashMap::new(),
+            key: Vec::new(),
         })
     }
 
+    /// The id of `shape` in this master: rows of it can then be submitted.
+    /// An equal shape interned before keeps its id.
+    pub fn intern_shape(&mut self, shape: TaskShape) -> ShapeId {
+        self.intern(Shape::new(shape))
+    }
+
+    fn intern(&mut self, shape: Shape) -> ShapeId {
+        self.key.clear();
+        shape_key(&mut self.key, &shape);
+        if let Some(&id) = self.shape_ids.get(self.key.as_slice()) {
+            return id;
+        }
+        let id = ShapeId(self.master.add_shape(shape));
+        self.shape_ids.insert(self.key.clone(), id);
+        id
+    }
+
     /// Schedule a batch of dependency-free tasks to arrive at absolute
-    /// time `at` (not before the master's current clock). The batch lands
-    /// as one `Event::Submit` — one calendar event per submission group,
-    /// however many invocations it carries.
+    /// time `at` (not before the master's current clock), as rows of the
+    /// shapes of their specs ([`StreamingMaster::submit_rows`]).
     pub fn submit(&mut self, at: SimTime, specs: Vec<TaskSpec>) {
-        assert!(!specs.is_empty(), "empty submission batch");
+        let rows = (specs.into_iter())
+            .map(|spec| {
+                let (shape, row) = Shape::of_spec(spec);
+                TaskRow {
+                    shape: self.intern(shape),
+                    ..row
+                }
+            })
+            .collect();
+        self.submit_rows(at, rows);
+    }
+
+    /// Schedule a batch of tasks, each a row of an interned shape, to
+    /// arrive at absolute time `at` (not before the master's current
+    /// clock). The batch lands as one `Event::Submit` — one calendar event
+    /// per submission group, however many invocations it carries.
+    pub fn submit_rows(&mut self, at: SimTime, rows: Vec<TaskRow>) {
+        assert!(!rows.is_empty(), "empty submission batch");
         assert!(
             at >= self.master.now(),
             "submission at {:?} is in the master's past (now {:?})",
             at,
             self.master.now()
         );
-        self.submitted += specs.len();
-        self.master.inject_at(at, Event::Submit(specs));
+        let shapes = self.shape_ids.len();
+        assert!(
+            rows.iter().all(|r| r.shape.index() < shapes),
+            "a row of a shape this master did not intern"
+        );
+        self.submitted += rows.len();
+        self.master.inject_at(at, Event::Submit(rows));
     }
 
     fn ensure_started(&mut self) {
@@ -206,7 +322,19 @@ impl StreamingMaster {
         self.master.journal_bytes()
     }
 
-    /// Attempt records appended since the last call (completion order).
+    /// The tasks that ended since the last call, in the order they ended.
+    /// The log drops what the previous call returned, so it holds one
+    /// call's worth.
+    pub fn take_terminals(&mut self) -> &[Terminal] {
+        let log = self.master.terminals();
+        log.drain(..self.terminals_read);
+        self.terminals_read = log.len();
+        log
+    }
+
+    /// Attempt records appended since the last call (completion order): a
+    /// task can have several, and one abandoned by the infrastructure none
+    /// ([`StreamingMaster::take_terminals`] has one per task).
     pub fn take_new_results(&mut self) -> Vec<TaskResult> {
         let all = self.master.results_so_far();
         // A journal-less master crash wipes the result log (full restart);
@@ -227,6 +355,38 @@ impl StreamingMaster {
             "finish() with unfinished streamed tasks; drain() first"
         );
         self.master.finish()
+    }
+}
+
+/// `shape` as bytes: equal shapes, and only they, write equal keys.
+fn shape_key(out: &mut Vec<u8>, shape: &Shape) {
+    put_bytes_u64(out, shape.category.as_bytes());
+    put_u64(out, shape.inputs.len() as u64);
+    for i in &shape.inputs {
+        put_bytes_u64(out, i.file.name.as_bytes());
+        put_bool(out, i.per_task);
+        put_u64(out, i.file.size_bytes);
+        put_bool(out, i.file.cacheable);
+        match i.file.kind {
+            FileKind::Data => put_u8(out, 0),
+            FileKind::EnvironmentPack {
+                unpacked_files,
+                relocation_ops,
+                unpacked_bytes,
+            } => {
+                put_u8(out, 1);
+                for v in [unpacked_files, relocation_ops, unpacked_bytes] {
+                    put_u64(out, v);
+                }
+            }
+        }
+    }
+    put_u64(out, shape.output_bytes);
+    let p = &shape.profile;
+    put_f64(out, p.cores_used);
+    put_f64(out, p.mem_ramp_fraction);
+    for v in [p.base_memory_mb, p.peak_memory_mb, p.peak_disk_mb] {
+        put_u64(out, v);
     }
 }
 
@@ -560,6 +720,101 @@ mod tests {
         assert_eq!(Arc::strong_count(work), 1);
         let ids: Vec<u64> = work.ids.iter().map(|t| t.0).collect();
         assert_eq!(ids, (0..60).collect::<Vec<u64>>(), "admission order");
+    }
+
+    /// The shape `invocations` gives category `cat`.
+    fn shape(cat: &str) -> TaskShape {
+        let env = FileRef::environment("stream-env", 150 << 20, 400 << 20, 3000, 500);
+        TaskShape {
+            category: cat.to_string(),
+            inputs: vec![env, FileRef::data("in-", 128 << 10)],
+            output_bytes: 4 << 10,
+            profile: SimTaskProfile::new(0.0, 1.0, 1024, 256),
+        }
+    }
+
+    #[test]
+    fn rows_of_interned_shapes_run_as_their_specs() {
+        // Journaled, compacting and crashing: the rows write the specs'
+        // bytes, so even the journal's byte count agrees.
+        let run = |rows: bool| {
+            let cfg = MasterConfig::new(Strategy::Auto(AutoConfig::default()))
+                .with_seed(41)
+                .with_durability(DurabilityConfig::journal_with_snapshots(64))
+                .with_faults(FaultPlan::reliable().with(FaultSpec::master_crash(60.0, 3)));
+            let mut sm = streaming(&cfg, 4);
+            for wave in 0..10u64 {
+                let at = SimTime::from_secs(wave as f64 * 3.0);
+                let specs = invocations(6, wave * 6);
+                if rows {
+                    let rows = (specs.iter())
+                        .map(|t| TaskRow {
+                            shape: sm.intern_shape(shape(&t.category)),
+                            id: t.id,
+                            duration_secs: t.profile.duration_secs,
+                        })
+                        .collect();
+                    sm.submit_rows(at, rows);
+                } else {
+                    sm.submit(at, specs);
+                }
+                sm.run_until(at);
+            }
+            sm.drain();
+            assert!(sm.recoveries() > 0, "crash points never fired");
+            assert_eq!(sm.master.shared_work().shapes.len(), 2, "one per category");
+            sm.finish()
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn every_task_ends_once_in_the_terminal_log() {
+        // Staging failures past the infra budget abandon tasks without a
+        // row, spurious kills retry succeeding ones: each task ends once,
+        // as its last attempt did, and the log holds one read's worth.
+        let cfg = MasterConfig::new(oracle()).with_seed(5).with_faults(
+            FaultPlan::reliable()
+                .with(FaultSpec::stage_in_failure(0.6))
+                .with(FaultSpec::spurious_kill(0.3)),
+        );
+        let mut sm = streaming(&cfg, 4);
+        let mut ended = BTreeMap::new();
+        for wave in 0..10u64 {
+            let at = SimTime::from_secs(wave as f64 * 3.0);
+            sm.submit(at, invocations(6, wave * 6));
+            sm.run_until(at);
+            for t in sm.take_terminals() {
+                assert!(ended.insert(t.task, *t).is_none(), "{} ended twice", t.task);
+            }
+        }
+        let mut t = 30.0;
+        while sm.completed() < 60 {
+            t += 10.0;
+            assert!(t < 1e6, "runaway clock");
+            sm.run_until(SimTime::from_secs(t));
+            let read = sm.take_terminals().len();
+            assert!(
+                sm.master.terminals().len() == read,
+                "the log keeps one read"
+            );
+            ended.extend(sm.master.terminals().iter().map(|t| (t.task, *t)));
+        }
+        assert_eq!(ended.len(), 60);
+        let report = sm.finish();
+        let failed = ended.values().filter(|t| !t.success).count();
+        assert!(failed > 0 && report.retried_tasks + report.infra_retried_tasks > 0);
+        assert_eq!(failed as u64, report.abandoned_tasks);
+        for (task, t) in &ended {
+            let rows = || report.results.iter().filter(|r| r.task == *task);
+            let success = rows().find(|r| r.outcome.is_success());
+            assert_eq!(success.is_some(), t.success, "{task}");
+            let last = rows().map(|r| r.finished_at).next_back();
+            assert!(last.is_none_or(|at| at <= t.finished_at), "{task}");
+            if let Some(row) = success {
+                assert_eq!(row.finished_at, t.finished_at, "{task}");
+            }
+        }
     }
 
     #[test]

@@ -66,7 +66,9 @@ git diff --exit-code -- lfm_benchmark BENCHMARK.json
 # they printed before the journal's image took the allocator as its sample
 # store (seed 7): a label that comes back wrong after a crash moves the
 # digest even where, as on the chaos run (no resource retries), it moves
-# no count gated above.
+# no count gated above. serving_steady is digest-gated too: below capacity
+# no count above sees which invocations ran warm or cold, or when each
+# ended, and its digest does.
 journal_bytes_per_task_ceiling=1808
 # Fails unless workload $w, rerun on one core, prints the sim_digest its run
 # in $out did.
@@ -126,6 +128,7 @@ for w in master_batch master_dag_chaos federation_8shard serving_steady serving_
         layer_count workqueue.federation.events_total "v == 100309"
         same_digest_on_one_core
         ;;
+    serving_steady) digest_is 7f45615758e6562e ;;
     serving_overload)
         layer_count serving.gateway.recoveries "v >= 1"
         layer_count workqueue.journal.bytes_per_op "v <= $journal_bytes_per_task_ceiling"

@@ -187,7 +187,10 @@ fn master_batch_allocations_and_peak_live_bytes_are_pinned() {
     // is a buffer of its own, allocated once in the ready queue and once
     // in a park group: 2 allocations per task more than the B-trees keyed
     // by (rank, seq) the queues were (67 596 and 10 515 097, the peak then
-    // inside the table's build).
+    // inside the table's build). 24 B more at the peak (11 294 104) since
+    // the prepared table keeps a list of the shapes streamed rows are
+    // admitted from: an empty `Vec` in a batch run. The Fifo peak above
+    // falls where the table is not yet built, so it did not move.
     let (input, run, report) = batch_run(N, SchedulePolicy::LargestFirst, true);
     assert_eq!(report.results.len() as u64, N + report.retried_tasks);
     let peak = input.live + run.peak;
@@ -199,7 +202,7 @@ fn master_batch_allocations_and_peak_live_bytes_are_pinned() {
     );
     assert_eq!(
         (input.live, run.allocs, peak),
-        (7_794_000, 107_595, 11_294_104),
+        (7_794_000, 107_595, 11_294_128),
         "largest first, distinct peaks: input live bytes, run allocations, run peak live bytes"
     );
 }
@@ -286,11 +289,13 @@ fn journaled_chaos_allocations_and_peak_live_bytes_are_pinned() {
     // its rows from the tail's bytes, 4 879 fewer allocations. With no
     // clones held, and each segment joining the image chain without the
     // spare capacity its buffer grew by, the peak is 567 170 B lower
-    // (593 945 debug).
+    // (593 945 debug). The peak is 24 B higher since the prepared table
+    // keeps a list of the shapes streamed rows are admitted from (2 324 102
+    // release, 3 272 363 debug): an empty `Vec` in a batch run.
     let pinned = if cfg!(debug_assertions) {
-        (1_111_456, 25_799, 3_272_363)
+        (1_111_456, 25_799, 3_272_387)
     } else {
-        (1_111_456, 14_914, 2_324_102)
+        (1_111_456, 14_914, 2_324_126)
     };
     assert_eq!(
         (input.live, run.allocs, peak),
@@ -369,10 +374,20 @@ fn streamed_allocations_and_peak_live_bytes_are_pinned() {
     // and 160 B of peak fewer since the ledger stopped keeping a list of
     // the tasks each admission touched. 654 allocations fewer (158 054)
     // since the ready queue and the park groups became deques: a tick's
-    // arrivals fill one buffer, not a B-tree's nodes.
+    // arrivals fill one buffer, not a B-tree's nodes. 3.25 allocations per
+    // invocation since an invocation is a row (157 400 and 11 058 321
+    // before): the gateway submits (shape, id, duration) rows where it
+    // built a spec of four allocations, the master copies the shape's
+    // columns where it interned and freed the spec's names, the gateway
+    // reads task ends by reference where it copied each tick's result
+    // rows, and neither the in-flight table, the warm pool nor the latency
+    // sketches allocate a B-tree node per entry. The peak is 23 010 B
+    // higher: the sketches hold their buckets as one run from the lowest to
+    // the highest, and the in-flight table is a hash table sized to the
+    // dispatch window.
     assert_eq!(
         (n, run.allocs, run.peak),
-        (17_739, 157_400, 11_058_321),
+        (17_739, 57_628, 11_081_331),
         "invocations, allocations, peak live bytes"
     );
 }
@@ -451,11 +466,20 @@ fn slo_tailed_overload_allocations_and_peak_live_bytes_are_pinned() {
     // is cloned to be kept, 139 051 fewer allocations. With no clones
     // held, and each segment joining the image chain without its buffer's
     // spare capacity — the deltas between two rebases held up to 0.4 MB of
-    // it — the peak is 2 336 874 B lower (2 320 390 debug).
+    // it — the peak is 2 336 874 B lower (2 320 390 debug). Moved again
+    // when an invocation became a row (314 677 / 16 454 429 release,
+    // 6 601 330 / 24 582 921 debug): no spec built per dispatch and no name
+    // interned per admission, a journaled admission writing its spec's
+    // bytes from the shape and the row, no result rows copied per tick, and
+    // no B-tree nodes in the in-flight table, the warm pool or the latency
+    // sketches; 217 610 fewer allocations. The peak is 4 236 B higher
+    // (5 600 debug): the sketches' contiguous bucket runs and the in-flight
+    // hash table's spare capacity. A debug build still builds the spec each
+    // journaled admission stands for, to check its bytes read back as it.
     let pinned = if cfg!(debug_assertions) {
-        (76_766, 20_674, 15, 340, 6_601_330, 24_582_921)
+        (76_766, 20_674, 15, 340, 6_516_398, 24_588_521)
     } else {
-        (76_766, 20_674, 15, 340, 314_677, 16_454_429)
+        (76_766, 20_674, 15, 340, 97_067, 16_458_665)
     };
     assert_eq!(
         (
