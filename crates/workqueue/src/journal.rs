@@ -2487,7 +2487,12 @@ mod tests {
                 1 << 16,
                 SimTaskProfile::new(1.5 + id as f64, 2.0, 300, 40),
             );
-            let (shape, row) = Shape::of_spec(spec.clone());
+            let (shape, id, duration_secs) = Shape::of_spec(spec.clone());
+            let row = TaskRow {
+                shape: crate::streaming::ShapeId::new(0),
+                id,
+                duration_secs,
+            };
             let per_task: Vec<bool> = shape.inputs.iter().map(|i| i.per_task).collect();
             assert_eq!(per_task, [true, false, false, true, false], "id {id}");
             assert_eq!(shape.spec(&row), spec, "id {id}");

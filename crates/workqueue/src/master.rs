@@ -1187,16 +1187,11 @@ impl Master {
             let shape = &self.work.shapes[row.shape.index()];
             journal.append_submitted(task_idx as u64, cat, shape, row);
         }
-        let submitted = Record::Submitted {
+        self.apply(Record::Submitted {
             task_idx: task_idx as u64,
             cat,
             spec: None,
-        };
-        let graph = DepGraph {
-            work: &self.work,
-            shard: self.fed.as_ref().map(|f| (f.owner.as_slice(), f.shard)),
-        };
-        self.ledger.apply(submitted, &graph);
+        });
         self.enqueue_back(Pending {
             task_idx,
             attempt: 0,
@@ -1276,6 +1271,11 @@ impl Master {
         if let Some(journal) = &mut self.journal {
             journal.append(&rec);
         }
+        self.apply(rec)
+    }
+
+    /// The ledger half of [`Master::commit`], for a record already journaled.
+    fn apply(&mut self, rec: Record) -> Vec<usize> {
         let graph = DepGraph {
             work: &self.work,
             shard: self.fed.as_ref().map(|f| (f.owner.as_slice(), f.shard)),

@@ -118,7 +118,7 @@ pub struct PreparedWorkload {
 /// What every streamed task of one kind shares: a spec but for its id and
 /// its duration. Its names are interned when its first row is admitted, in
 /// the order a spec's would be.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) struct Shape {
     pub(crate) category: String,
     pub(crate) inputs: Vec<ShapeInput>,
@@ -131,7 +131,7 @@ pub(crate) struct Shape {
 }
 
 /// One input of a [`Shape`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) struct ShapeInput {
     pub(crate) file: FileRef,
     /// Each task has its own copy, named `file.name` followed by the task
@@ -158,10 +158,10 @@ impl Shape {
         }
     }
 
-    /// `spec` as a shape and the row that rebuilds it: a non-cacheable
-    /// input named with the task's id at its end is per task, any other
-    /// name is kept whole.
-    pub(crate) fn of_spec(spec: TaskSpec) -> (Self, TaskRow) {
+    /// `spec` as a shape, and the id and duration of the row of it that
+    /// stands for `spec`: a non-cacheable input named with the task's id at
+    /// its end is per task, any other name is kept whole.
+    pub(crate) fn of_spec(spec: TaskSpec) -> (Self, TaskId, f64) {
         assert!(
             spec.deps.is_empty(),
             "streamed task {} has dependencies; streaming submission is for \
@@ -179,11 +179,6 @@ impl Shape {
                 ShapeInput { file, per_task }
             })
             .collect();
-        let row = TaskRow {
-            shape: Default::default(),
-            id: spec.id,
-            duration_secs: spec.profile.duration_secs,
-        };
         let shape = Shape {
             category: spec.category,
             inputs,
@@ -191,7 +186,7 @@ impl Shape {
             profile: spec.profile,
             ids: None,
         };
-        (shape, row)
+        (shape, spec.id, spec.profile.duration_secs)
     }
 
     /// The spec `row` of this shape stands for.
@@ -443,9 +438,13 @@ impl PreparedWorkload {
     /// Admit `spec` as a row of a shape of its own.
     #[cfg(test)]
     pub(crate) fn admit_spec(&mut self, spec: TaskSpec) -> u32 {
-        let (shape, mut row) = Shape::of_spec(spec);
-        row.shape = crate::streaming::ShapeId::new(self.add_shape(shape));
-        self.admit(&row)
+        let (shape, id, duration_secs) = Shape::of_spec(spec);
+        let shape = crate::streaming::ShapeId::new(self.add_shape(shape));
+        self.admit(&TaskRow {
+            shape,
+            id,
+            duration_secs,
+        })
     }
 }
 

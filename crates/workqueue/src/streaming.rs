@@ -86,7 +86,7 @@ pub struct TaskShape {
 }
 
 /// A shape interned into one streaming master ([`StreamingMaster::intern_shape`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShapeId(u32);
 
 impl ShapeId {
@@ -216,10 +216,11 @@ impl StreamingMaster {
     pub fn submit(&mut self, at: SimTime, specs: Vec<TaskSpec>) {
         let rows = (specs.into_iter())
             .map(|spec| {
-                let (shape, row) = Shape::of_spec(spec);
+                let (shape, id, duration_secs) = Shape::of_spec(spec);
                 TaskRow {
                     shape: self.intern(shape),
-                    ..row
+                    id,
+                    duration_secs,
                 }
             })
             .collect();
@@ -780,25 +781,29 @@ mod tests {
         );
         let mut sm = streaming(&cfg, 4);
         let mut ended = BTreeMap::new();
-        for wave in 0..10u64 {
-            let at = SimTime::from_secs(wave as f64 * 3.0);
-            sm.submit(at, invocations(6, wave * 6));
-            sm.run_until(at);
-            for t in sm.take_terminals() {
-                assert!(ended.insert(t.task, *t).is_none(), "{} ended twice", t.task);
+        let mut read = |sm: &mut StreamingMaster| {
+            let new = sm.take_terminals().to_vec();
+            assert_eq!(
+                sm.master.terminals().len(),
+                new.len(),
+                "the log keeps one read"
+            );
+            for t in new {
+                assert!(ended.insert(t.task, t).is_none(), "{} ended twice", t.task);
             }
+        };
+        let mut t = 0.0;
+        for wave in 0..10u64 {
+            t = wave as f64 * 3.0;
+            sm.submit(SimTime::from_secs(t), invocations(6, wave * 6));
+            sm.run_until(SimTime::from_secs(t));
+            read(&mut sm);
         }
-        let mut t = 30.0;
         while sm.completed() < 60 {
             t += 10.0;
             assert!(t < 1e6, "runaway clock");
             sm.run_until(SimTime::from_secs(t));
-            let read = sm.take_terminals().len();
-            assert!(
-                sm.master.terminals().len() == read,
-                "the log keeps one read"
-            );
-            ended.extend(sm.master.terminals().iter().map(|t| (t.task, *t)));
+            read(&mut sm);
         }
         assert_eq!(ended.len(), 60);
         let report = sm.finish();
