@@ -688,6 +688,16 @@ pub(crate) struct FedState {
     pub inbound_pending: u32,
 }
 
+/// What a streaming master keeps beside its prepared table: the shapes its
+/// rows are admitted from, by [`ShapeId`](crate::streaming::ShapeId), and
+/// the task ends its driver has not dropped yet, in the order committed —
+/// not journaled, and a crash does not wipe them.
+#[derive(Default)]
+pub(crate) struct StreamTables {
+    shapes: Vec<Shape>,
+    terminals: Vec<Terminal>,
+}
+
 pub(crate) struct DoneInfo {
     worker: u32,
     /// Unique placement id; stale events for lost placements are dropped.
@@ -824,10 +834,8 @@ pub(crate) struct Master {
     fed: Option<FedState>,
     /// The shortest time any placement so far held its worker.
     min_hold: f64,
-    /// Task ends in the order committed, for a streaming master's driver
-    /// to read and drop (`None` otherwise): not journaled, and a crash does
-    /// not wipe it.
-    terminals: Option<Vec<Terminal>>,
+    /// What only a streaming master keeps (`None` otherwise).
+    stream: Option<Box<StreamTables>>,
 }
 
 impl Master {
@@ -887,7 +895,7 @@ impl Master {
             probe_done: false,
             fed: None,
             min_hold: f64::INFINITY,
-            terminals: None,
+            stream: None,
             config,
         }
     }
@@ -1175,8 +1183,10 @@ impl Master {
     /// would have for an up-front batch.
     fn admit_streamed(&mut self, now: SimTime, row: &TaskRow) {
         let task_idx = self.work.len();
+        let stream = self.stream.as_mut().expect("a streaming master");
+        let shape = &mut stream.shapes[row.shape.index()];
         // Sole owner: `make_mut` appends in place, it never copies.
-        let cat = Arc::make_mut(&mut self.work).admit(row);
+        let cat = Arc::make_mut(&mut self.work).admit(shape, row.id, row.duration_secs);
         if cat as usize == self.running_by_cat.len() {
             self.running_by_cat.push(0);
             let id = self.allocator.intern(&self.work.cat_names[cat as usize]);
@@ -1184,7 +1194,6 @@ impl Master {
         }
         // `commit`, but the journal writes the spec from the row's shape.
         if let Some(journal) = &mut self.journal {
-            let shape = &self.work.shapes[row.shape.index()];
             journal.append_submitted(task_idx as u64, cat, shape, row);
         }
         self.apply(Record::Submitted {
@@ -2676,34 +2685,39 @@ impl Master {
         &self.ledger.results
     }
 
-    /// Keep every task's end from here on ([`Master::terminals`]).
-    pub(crate) fn log_terminals(&mut self) {
-        self.terminals = Some(Vec::new());
+    /// Make this a streaming master: keep shapes, and every task's end
+    /// from here on ([`Master::terminals`]).
+    pub(crate) fn stream(&mut self) {
+        self.stream = Some(Box::default());
     }
 
-    /// The ends logged since [`Master::log_terminals`], in commit order,
-    /// less those the driver dropped.
+    fn stream_tables(&mut self) -> &mut StreamTables {
+        self.stream.as_mut().expect("a streaming master")
+    }
+
+    /// The ends logged since [`Master::stream`], in commit order, less
+    /// those the driver dropped.
     pub(crate) fn terminals(&mut self) -> &mut Vec<Terminal> {
-        self.terminals
-            .as_mut()
-            .expect("a streaming master logs its ends")
+        &mut self.stream_tables().terminals
     }
 
-    /// Log task `task_idx`'s end at `now`, when a driver reads ends.
+    /// Log task `task_idx`'s end at `now`, on a streaming master.
     fn ended(&mut self, task_idx: usize, success: bool, now: SimTime) {
-        if let Some(log) = &mut self.terminals {
-            let task = self.work.ids[task_idx];
-            log.push(Terminal {
-                task,
+        if let Some(stream) = &mut self.stream {
+            stream.terminals.push(Terminal {
+                task: self.work.ids[task_idx],
                 success,
                 finished_at: now,
             });
         }
     }
 
-    /// Keep `shape` in the table for streamed rows of it; returns its index.
+    /// Keep `shape` for streamed rows of it; returns its index.
     pub(crate) fn add_shape(&mut self, shape: Shape) -> u32 {
-        Arc::make_mut(&mut self.work).add_shape(shape)
+        let shapes = &mut self.stream_tables().shapes;
+        assert!(shapes.len() < u32::MAX as usize, "too many shapes");
+        shapes.push(shape);
+        (shapes.len() - 1) as u32
     }
 
     /// Attempts currently placed on workers.

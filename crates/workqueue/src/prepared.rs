@@ -7,8 +7,8 @@
 //! Per-task *state* (dependency countdowns, retry sets, results) stays in
 //! each master's journaled ledger; nothing here changes during a batch run.
 //! A streaming master owns its table alone and grows it one dependency-free
-//! task at a time: each is a row of a [`Shape`] the table keeps, so
-//! admitting it copies the shape's columns and touches no name.
+//! task at a time: each is a row of a [`Shape`], so admitting it copies the
+//! shape's columns and touches no name.
 
 use crate::files::{FileKind, FileRef};
 use crate::streaming::{TaskRow, TaskShape};
@@ -109,10 +109,6 @@ pub struct PreparedWorkload {
     /// ascending, a task that lists `i` twice appearing twice.
     dep_offsets: Vec<u32>,
     dep_targets: Vec<u32>,
-    /// The shapes streamed rows are admitted from, by [`ShapeId`].
-    ///
-    /// [`ShapeId`]: crate::streaming::ShapeId
-    pub(crate) shapes: Vec<Shape>,
 }
 
 /// What every streamed task of one kind shares: a spec but for its id and
@@ -277,7 +273,6 @@ impl PreparedWorkload {
             dep_counts: tasks.iter().map(|t| t.deps.len()).collect(),
             dep_offsets,
             dep_targets,
-            shapes: Vec::new(),
         };
         w.input_offsets.push(0);
         // Each spec is freed as soon as its row is in.
@@ -395,32 +390,21 @@ impl PreparedWorkload {
         self.file_ids.get(name)
     }
 
-    /// Keep `shape` for streamed rows to be admitted from; returns its index.
-    pub(crate) fn add_shape(&mut self, shape: Shape) -> u32 {
-        assert!(self.shapes.len() < u32::MAX as usize, "too many shapes");
-        self.shapes.push(shape);
-        (self.shapes.len() - 1) as u32
-    }
-
-    /// Append one streamed, dependency-free task: the columns of its shape,
-    /// with the row's id and duration. The shape's first row interns its
-    /// names. Returns the task's category id.
-    pub(crate) fn admit(&mut self, row: &TaskRow) -> u32 {
-        let s = row.shape.index();
-        if self.shapes[s].ids.is_none() {
-            let shape = &self.shapes[s];
-            let (category, files) = (shape.category.clone(), shape.inputs.clone());
-            let cat = self.intern_category(category);
-            let inputs = files.iter().map(|i| self.intern_input(&i.file)).collect();
-            self.shapes[s].ids = Some((cat, inputs));
+    /// Append one streamed, dependency-free task of `shape`: the shape's
+    /// columns, with the task's id and duration. The shape's first task
+    /// interns its names. Returns the task's category id.
+    pub(crate) fn admit(&mut self, shape: &mut Shape, id: TaskId, duration_secs: f64) -> u32 {
+        if shape.ids.is_none() {
+            let cat = self.intern_category(shape.category.clone());
+            let inputs = (shape.inputs.iter()).map(|i| self.intern_input(&i.file));
+            shape.ids = Some((cat, inputs.collect()));
         }
-        let shape = &self.shapes[s];
         let (cat, inputs) = shape.ids.as_ref().expect("resolved above");
         let cat = *cat;
-        self.ids.push(row.id);
+        self.ids.push(id);
         self.output_bytes.push(shape.output_bytes);
         self.profiles.push(SimTaskProfile {
-            duration_secs: row.duration_secs,
+            duration_secs,
             ..shape.profile
         });
         self.cat_of.push(cat);
@@ -435,16 +419,11 @@ impl PreparedWorkload {
         cat
     }
 
-    /// Admit `spec` as a row of a shape of its own.
+    /// Admit `spec` as a task of a shape of its own.
     #[cfg(test)]
     pub(crate) fn admit_spec(&mut self, spec: TaskSpec) -> u32 {
-        let (shape, id, duration_secs) = Shape::of_spec(spec);
-        let shape = crate::streaming::ShapeId::new(self.add_shape(shape));
-        self.admit(&TaskRow {
-            shape,
-            id,
-            duration_secs,
-        })
+        let (mut shape, id, duration_secs) = Shape::of_spec(spec);
+        self.admit(&mut shape, id, duration_secs)
     }
 }
 

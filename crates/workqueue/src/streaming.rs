@@ -181,7 +181,7 @@ impl StreamingMaster {
             worker_count,
             spec,
         );
-        master.log_terminals();
+        master.stream();
         Ok(StreamingMaster {
             master,
             started: false,
@@ -763,7 +763,7 @@ mod tests {
             }
             sm.drain();
             assert!(sm.recoveries() > 0, "crash points never fired");
-            assert_eq!(sm.master.shared_work().shapes.len(), 2, "one per category");
+            assert_eq!(sm.shape_ids.len(), 2, "one shape per category");
             sm.finish()
         };
         assert_eq!(run(true), run(false));

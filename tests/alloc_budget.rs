@@ -187,10 +187,7 @@ fn master_batch_allocations_and_peak_live_bytes_are_pinned() {
     // is a buffer of its own, allocated once in the ready queue and once
     // in a park group: 2 allocations per task more than the B-trees keyed
     // by (rank, seq) the queues were (67 596 and 10 515 097, the peak then
-    // inside the table's build). 24 B more at the peak (11 294 104) since
-    // the prepared table keeps a list of the shapes streamed rows are
-    // admitted from: an empty `Vec` in a batch run. The Fifo peak above
-    // falls where the table is not yet built, so it did not move.
+    // inside the table's build).
     let (input, run, report) = batch_run(N, SchedulePolicy::LargestFirst, true);
     assert_eq!(report.results.len() as u64, N + report.retried_tasks);
     let peak = input.live + run.peak;
@@ -202,7 +199,7 @@ fn master_batch_allocations_and_peak_live_bytes_are_pinned() {
     );
     assert_eq!(
         (input.live, run.allocs, peak),
-        (7_794_000, 107_595, 11_294_128),
+        (7_794_000, 107_595, 11_294_104),
         "largest first, distinct peaks: input live bytes, run allocations, run peak live bytes"
     );
 }
@@ -289,13 +286,11 @@ fn journaled_chaos_allocations_and_peak_live_bytes_are_pinned() {
     // its rows from the tail's bytes, 4 879 fewer allocations. With no
     // clones held, and each segment joining the image chain without the
     // spare capacity its buffer grew by, the peak is 567 170 B lower
-    // (593 945 debug). The peak is 24 B higher since the prepared table
-    // keeps a list of the shapes streamed rows are admitted from (2 324 102
-    // release, 3 272 363 debug): an empty `Vec` in a batch run.
+    // (593 945 debug).
     let pinned = if cfg!(debug_assertions) {
-        (1_111_456, 25_799, 3_272_387)
+        (1_111_456, 25_799, 3_272_363)
     } else {
-        (1_111_456, 14_914, 2_324_126)
+        (1_111_456, 14_914, 2_324_102)
     };
     assert_eq!(
         (input.live, run.allocs, peak),
@@ -381,13 +376,13 @@ fn streamed_allocations_and_peak_live_bytes_are_pinned() {
     // columns where it interned and freed the spec's names, the gateway
     // reads task ends by reference where it copied each tick's result
     // rows, and neither the in-flight table, the warm pool nor the latency
-    // sketches allocate a B-tree node per entry. The peak is 23 010 B
+    // sketches allocate a B-tree node per entry. The peak is 23 034 B
     // higher: the sketches hold their buckets as one run from the lowest to
     // the highest, and the in-flight table is a hash table sized to the
     // dispatch window.
     assert_eq!(
         (n, run.allocs, run.peak),
-        (17_739, 57_628, 11_081_331),
+        (17_739, 57_626, 11_081_355),
         "invocations, allocations, peak live bytes"
     );
 }
@@ -472,14 +467,14 @@ fn slo_tailed_overload_allocations_and_peak_live_bytes_are_pinned() {
     // interned per admission, a journaled admission writing its spec's
     // bytes from the shape and the row, no result rows copied per tick, and
     // no B-tree nodes in the in-flight table, the warm pool or the latency
-    // sketches; 217 610 fewer allocations. The peak is 4 236 B higher
-    // (5 600 debug): the sketches' contiguous bucket runs and the in-flight
+    // sketches; 217 612 fewer allocations. The peak is 4 260 B higher
+    // (5 624 debug): the sketches' contiguous bucket runs and the in-flight
     // hash table's spare capacity. A debug build still builds the spec each
     // journaled admission stands for, to check its bytes read back as it.
     let pinned = if cfg!(debug_assertions) {
-        (76_766, 20_674, 15, 340, 6_516_398, 24_588_521)
+        (76_766, 20_674, 15, 340, 6_516_396, 24_588_545)
     } else {
-        (76_766, 20_674, 15, 340, 97_067, 16_458_665)
+        (76_766, 20_674, 15, 340, 97_065, 16_458_689)
     };
     assert_eq!(
         (
