@@ -486,7 +486,7 @@ fn put_file_ref(out: &mut Vec<u8>, f: &FileRef) {
 }
 
 /// What [`put_file_ref`] writes after the name.
-fn put_file_after_name(out: &mut Vec<u8>, f: &FileRef) {
+pub(crate) fn put_file_after_name(out: &mut Vec<u8>, f: &FileRef) {
     put_u64(out, f.size_bytes);
     put_bool(out, f.cacheable);
     match &f.kind {
@@ -540,7 +540,7 @@ fn put_spec(out: &mut Vec<u8>, spec: &TaskSpec) {
     }
 }
 
-fn put_profile(out: &mut Vec<u8>, profile: &SimTaskProfile) {
+pub(crate) fn put_profile(out: &mut Vec<u8>, profile: &SimTaskProfile) {
     put_f64(out, profile.duration_secs);
     put_f64(out, profile.cores_used);
     put_u64(out, profile.base_memory_mb);

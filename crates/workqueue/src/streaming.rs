@@ -21,8 +21,8 @@
 //!
 //! A task arrives as a row: a [`ShapeId`], its id and its duration. A
 //! shape ([`TaskShape`]) is what every task of one kind shares, interned
-//! once ([`intern_shape`]) into the master's table, so admitting a row
-//! copies the shape's columns and builds, hashes and frees no name. A
+//! once ([`intern_shape`]) into the master, so admitting a row copies the
+//! shape's columns into the table and builds, hashes and frees no name. A
 //! shape's names get their ids when its first row is admitted, the order
 //! a spec's would. [`submit`] keeps taking specs: it interns each one's
 //! shape and takes the same path. A journaled admission writes the spec a
@@ -59,14 +59,15 @@
 //! [`submit`]: StreamingMaster::submit
 //! [`run_workload`]: crate::master::run_workload
 
-use crate::files::{FileKind, FileRef};
+use crate::files::FileRef;
+use crate::journal;
 use crate::master::{Event, Master, MasterConfig, RunReport};
 use crate::prepared::{PreparedWorkload, Shape};
 use crate::task::{TaskId, TaskResult, TaskSpec};
 use lfm_monitor::sim::SimTaskProfile;
 use lfm_simcluster::node::NodeSpec;
 use lfm_simcluster::time::SimTime;
-use lfm_telemetry::codec::{put_bool, put_bytes_u64, put_f64, put_u64, put_u8};
+use lfm_telemetry::codec::{put_bool, put_bytes_u64, put_u64};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -359,36 +360,22 @@ impl StreamingMaster {
     }
 }
 
-/// `shape` as bytes: equal shapes, and only they, write equal keys.
+/// `shape` as bytes, in the journal's spec layout but for the duration,
+/// which is a row's: equal shapes, and only they, write equal keys.
 fn shape_key(out: &mut Vec<u8>, shape: &Shape) {
     put_bytes_u64(out, shape.category.as_bytes());
     put_u64(out, shape.inputs.len() as u64);
     for i in &shape.inputs {
         put_bytes_u64(out, i.file.name.as_bytes());
         put_bool(out, i.per_task);
-        put_u64(out, i.file.size_bytes);
-        put_bool(out, i.file.cacheable);
-        match i.file.kind {
-            FileKind::Data => put_u8(out, 0),
-            FileKind::EnvironmentPack {
-                unpacked_files,
-                relocation_ops,
-                unpacked_bytes,
-            } => {
-                put_u8(out, 1);
-                for v in [unpacked_files, relocation_ops, unpacked_bytes] {
-                    put_u64(out, v);
-                }
-            }
-        }
+        journal::put_file_after_name(out, &i.file);
     }
     put_u64(out, shape.output_bytes);
-    let p = &shape.profile;
-    put_f64(out, p.cores_used);
-    put_f64(out, p.mem_ramp_fraction);
-    for v in [p.base_memory_mb, p.peak_memory_mb, p.peak_disk_mb] {
-        put_u64(out, v);
-    }
+    let profile = SimTaskProfile {
+        duration_secs: 0.0,
+        ..shape.profile
+    };
+    journal::put_profile(out, &profile);
 }
 
 #[cfg(test)]
