@@ -376,13 +376,13 @@ fn streamed_allocations_and_peak_live_bytes_are_pinned() {
     // columns where it interned and freed the spec's names, the gateway
     // reads task ends by reference where it copied each tick's result
     // rows, and neither the in-flight table, the warm pool nor the latency
-    // sketches allocate a B-tree node per entry. The peak is 23 034 B
+    // sketches allocate a B-tree node per entry. The peak is 23 042 B
     // higher: the sketches hold their buckets as one run from the lowest to
     // the highest, and the in-flight table is a hash table sized to the
     // dispatch window.
     assert_eq!(
         (n, run.allocs, run.peak),
-        (17_739, 57_626, 11_081_355),
+        (17_739, 57_626, 11_081_363),
         "invocations, allocations, peak live bytes"
     );
 }
@@ -467,14 +467,14 @@ fn slo_tailed_overload_allocations_and_peak_live_bytes_are_pinned() {
     // interned per admission, a journaled admission writing its spec's
     // bytes from the shape and the row, no result rows copied per tick, and
     // no B-tree nodes in the in-flight table, the warm pool or the latency
-    // sketches; 217 612 fewer allocations. The peak is 4 260 B higher
-    // (5 624 debug): the sketches' contiguous bucket runs and the in-flight
+    // sketches; 217 612 fewer allocations. The peak is 4 268 B higher
+    // (5 632 debug): the sketches' contiguous bucket runs and the in-flight
     // hash table's spare capacity. A debug build still builds the spec each
     // journaled admission stands for, to check its bytes read back as it.
     let pinned = if cfg!(debug_assertions) {
-        (76_766, 20_674, 15, 340, 6_516_396, 24_588_545)
+        (76_766, 20_674, 15, 340, 6_516_396, 24_588_553)
     } else {
-        (76_766, 20_674, 15, 340, 97_065, 16_458_689)
+        (76_766, 20_674, 15, 340, 97_065, 16_458_697)
     };
     assert_eq!(
         (
