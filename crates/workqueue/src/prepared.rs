@@ -7,7 +7,7 @@
 //! Per-task *state* (dependency countdowns, retry sets, results) stays in
 //! each master's journaled ledger; nothing here changes during a batch run.
 //! A streaming master owns its table alone and grows it one dependency-free
-//! task at a time: each is a row of a [`Shape`], so admitting it copies the
+//! task at a time: each is a row of a shape, so admitting it copies the
 //! shape's columns and touches no name.
 
 use crate::files::{FileKind, FileRef};
