@@ -585,11 +585,9 @@ fn time_it(mut f: impl FnMut()) -> f64 {
 
 /// Pynamic-style front-end stress (the paper cites the Pynamic benchmark
 /// for Python-at-scale costs): progressively larger synthetic modules,
-/// with tokenizer, parser, analyzer and interpreter-load time measured
-/// for real on the host.
+/// with tokenizer, parser and analyzer time measured for real on the host.
 fn render_pynamic(out: &mut String) -> fmt::Result {
     use lfm_core::pyenv::analyze::analyze_source;
-    use lfm_core::pyenv::interp::{Interp, ModuleBuilder};
     use lfm_core::pyenv::lexer::Lexer;
     use lfm_core::pyenv::parser::parse_module;
     use lfm_core::pyenv::source::synthetic_module;
@@ -608,45 +606,16 @@ fn render_pynamic(out: &mut String) -> fmt::Result {
         let analyze = time_it(|| {
             analyze_source(&src).expect("the synthetic module analyzes");
         });
-        let load = time_it(|| {
-            // Interpreter module-load: defs + imports execute. The
-            // synthetic module imports only registered stdlib modules
-            // plus science stubs, so stub them out.
-            let mut interp = Interp::new();
-            for m in [
-                "numpy",
-                "scipy",
-                "pandas",
-                "sklearn",
-                "matplotlib",
-                "os",
-                "sys",
-                "json",
-                "re",
-                "time",
-                "itertools",
-                "functools",
-                "collections",
-                "tensorflow",
-                "keras",
-            ] {
-                interp.register_module(ModuleBuilder::new(m));
-            }
-            interp
-                .load_source(&src)
-                .expect("the synthetic module loads with its imports stubbed");
-        });
         vec![
             format!("{imports}i/{functions}f"),
             format!("{kb:.1} KB"),
             format!("{:.2} ms ({:.1} MB/s)", lex * 1e3, kb / 1024.0 / lex),
             format!("{:.2} ms", parse * 1e3),
             format!("{:.2} ms", analyze * 1e3),
-            format!("{:.2} ms", load * 1e3),
         ]
     });
     out.push_str(&render_table(
-        &["module", "size", "lex", "parse", "analyze", "interp load"],
+        &["module", "size", "lex", "parse", "analyze"],
         &rows,
     ));
     writeln!(

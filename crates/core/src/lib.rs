@@ -6,11 +6,11 @@
 //!
 //! | layer | crate |
 //! |---|---|
-//! | mini-Python + packages + envs + packing | `lfm-pyenv` |
+//! | mini-Python front end + packages + envs + packing | `lfm-pyenv` |
 //! | cluster/filesystem/network simulation | `lfm-simcluster` |
 //! | the function monitor itself | `lfm-monitor` |
 //! | master/worker scheduling + auto labeling | `lfm-workqueue` |
-//! | Parsl-style dataflow + executor lowering | `lfm-dataflow` |
+//! | Parsl-style apps + lowering to Work Queue tasks | `lfm-dataflow` |
 //! | FaaS layer + container cost models | `lfm-funcx` |
 //! | multi-tenant serving gateway | `lfm-serving` |
 //! | the four evaluation applications | `lfm-workloads` |

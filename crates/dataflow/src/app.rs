@@ -1,13 +1,12 @@
-//! Apps: decorated functions the dataflow kernel can invoke.
+//! Apps: decorated functions the lowering turns into tasks.
 //!
 //! An app pairs an optional mini-Python source (what the static dependency
-//! analyzer inspects, §V-B) with a native implementation (what actually
-//! executes in this Rust reproduction). Parsl's `@python_app` decorator
-//! corresponds to registering an [`App`] with the kernel.
+//! analyzer inspects, §V-B) with a native implementation ([`App::call`]).
+//! Parsl's `@python_app` decorator corresponds to constructing an [`App`];
+//! [`crate::lowering::WqWorkflowBuilder`] lowers its invocations.
 
 use lfm_pyenv::analyze::{analyze_source, Analysis};
 use lfm_pyenv::error::Result as PyResult;
-use lfm_pyenv::interp::Interp;
 use lfm_pyenv::pickle::PyValue;
 use std::fmt;
 use std::sync::Arc;
@@ -60,37 +59,6 @@ impl App {
         }
     }
 
-    /// An app whose implementation IS its mini-Python source, executed by
-    /// the interpreter: the function named `name` in `source` is called
-    /// with the invocation's arguments. `setup` registers the native
-    /// modules the source imports (numpy-like kernels etc.) on each fresh
-    /// interpreter — invocations are isolated, like the paper's forked
-    /// interpreter processes.
-    pub fn interpreted(
-        name: impl Into<String>,
-        source: impl Into<String>,
-        setup: impl Fn(&mut Interp) + Send + Sync + 'static,
-    ) -> Self {
-        let name = name.into();
-        let source = source.into();
-        let entry = name.clone();
-        let src_for_imp = source.clone();
-        App {
-            name,
-            source: Some(source),
-            imp: Arc::new(move |args: &[PyValue]| {
-                let mut interp = Interp::new();
-                setup(&mut interp);
-                interp
-                    .load_source(&src_for_imp)
-                    .map_err(|e| e.to_string())?;
-                interp
-                    .call_function(&entry, args)
-                    .map_err(|e| e.to_string())
-            }),
-        }
-    }
-
     /// Invoke the native implementation.
     pub fn call(&self, args: &[PyValue]) -> Result<PyValue, String> {
         (self.imp)(args)
@@ -140,64 +108,5 @@ mod tests {
     fn bad_source_surfaces_error() {
         let app = App::python("broken", "def f(:\n", |_| Ok(PyValue::None));
         assert!(app.analyze().is_err());
-    }
-
-    #[test]
-    fn interpreted_app_runs_its_source() {
-        let app = App::interpreted("triple", "def triple(x):\n    return x * 3\n", |_| {});
-        assert_eq!(app.call(&[PyValue::Int(7)]).unwrap(), PyValue::Int(21));
-        // And the same source feeds static analysis.
-        assert!(app.analyze().unwrap().top_level_modules().is_empty());
-    }
-
-    #[test]
-    fn interpreted_app_with_registered_module() {
-        use lfm_pyenv::interp::builtins::iterate;
-        use lfm_pyenv::interp::value::Value;
-        use lfm_pyenv::interp::ModuleBuilder;
-        let app = App::interpreted(
-            "mean_of",
-            "import numpy as np\n\ndef mean_of(xs):\n    return np.mean(xs)\n",
-            |interp| {
-                interp.register_module(ModuleBuilder::new("numpy").function("mean", |args| {
-                    let xs = iterate(&args[0])?;
-                    let nums: Vec<f64> = xs.iter().filter_map(Value::as_number).collect();
-                    Ok(Value::Float(
-                        nums.iter().sum::<f64>() / nums.len().max(1) as f64,
-                    ))
-                }));
-            },
-        );
-        let out = app
-            .call(&[PyValue::List(vec![PyValue::Int(2), PyValue::Int(4)])])
-            .unwrap();
-        assert_eq!(out, PyValue::Float(3.0));
-        // Analysis sees the numpy import.
-        assert!(app.analyze().unwrap().top_level_modules().contains("numpy"));
-    }
-
-    #[test]
-    fn interpreted_app_exception_becomes_task_error() {
-        let app = App::interpreted(
-            "boom",
-            "def boom():\n    raise ValueError('bad molecule')\n",
-            |_| {},
-        );
-        let err = app.call(&[]).unwrap_err();
-        assert!(err.contains("ValueError"), "{err}");
-        assert!(err.contains("bad molecule"), "{err}");
-    }
-
-    #[test]
-    fn interpreted_invocations_are_isolated() {
-        // Global mutation in one call must not leak into the next: each
-        // invocation gets a fresh interpreter (fork semantics).
-        let app = App::interpreted(
-            "bump",
-            "count = 0\n\ndef bump():\n    global count\n    count = count + 1\n    return count\n",
-            |_| {},
-        );
-        assert_eq!(app.call(&[]).unwrap(), PyValue::Int(1));
-        assert_eq!(app.call(&[]).unwrap(), PyValue::Int(1));
     }
 }

@@ -1,28 +1,20 @@
 //! # lfm-dataflow — the Parsl-equivalent dataflow layer
 //!
-//! Implements the paper's parallel-framework tier (§III): decorated apps,
-//! futures conforming to the `concurrent.futures` contract, a dynamic DAG
-//! built by tracking futures passed between invocations, a real thread-pool
-//! executor for native execution, and the lowering that turns app
-//! invocations into Work Queue tasks with per-function packed environments.
+//! Implements the paper's parallel-framework tier (§III) as far as the
+//! figures need it: decorated apps whose mini-Python source is analyzed
+//! statically (§V-B), and the lowering that turns app invocations into
+//! Work Queue tasks with per-function packed environments. The lowered
+//! tasks run in the cluster simulator, not on this host.
 //!
 //! * [`app`] — apps: mini-Python source (for dependency analysis) + native
 //!   implementation.
-//! * [`future`] — blocking/cloneable [`future::AppFuture`]s.
-//! * [`dfk`] — the DataFlowKernel: submit, dependency tracking, thread pool.
 //! * [`lowering`] — the Parsl→WorkQueue executor: analyze → resolve → pack →
 //!   attach env as cacheable input → emit [`lfm_workqueue::task::TaskSpec`]s.
 
 pub mod app;
-pub mod dfk;
-pub mod future;
 pub mod lowering;
-pub mod monitored;
 
 pub mod prelude {
     pub use crate::app::App;
-    pub use crate::dfk::{Arg, DagStats, DataFlowKernel};
-    pub use crate::future::{AppFuture, TaskError};
     pub use crate::lowering::{EnvPlan, WqWorkflowBuilder};
-    pub use crate::monitored::MonitoredKernel;
 }

@@ -33,20 +33,6 @@ pub enum PyEnvError {
     CorruptPickle(String),
     /// The environment does not contain a needed distribution.
     MissingFromEnvironment(String),
-    /// A runtime error (or raised exception) inside interpreted code.
-    /// `kind` is the Python exception class name (`ValueError`,
-    /// `TypeError`, `ZeroDivisionError`, …).
-    Runtime { kind: String, message: String },
-}
-
-impl PyEnvError {
-    /// Construct an interpreter runtime error.
-    pub fn runtime(kind: impl Into<String>, message: impl Into<String>) -> Self {
-        PyEnvError::Runtime {
-            kind: kind.into(),
-            message: message.into(),
-        }
-    }
 }
 
 impl fmt::Display for PyEnvError {
@@ -70,7 +56,6 @@ impl fmt::Display for PyEnvError {
             PyEnvError::MissingFromEnvironment(d) => {
                 write!(f, "distribution {d:?} is not installed in the environment")
             }
-            PyEnvError::Runtime { kind, message } => write!(f, "{kind}: {message}"),
         }
     }
 }

@@ -18,6 +18,9 @@
 //! * [`pickle`] — function argument/result serialization.
 //! * [`source`] — synthetic source generation for benchmarks and workloads.
 //!
+//! Nothing here executes Python: the paper needs only the static analysis
+//! of a function's source (§V-B).
+//!
 //! The typical pipeline, end to end:
 //!
 //! ```
@@ -51,7 +54,6 @@ pub mod ast;
 pub mod environment;
 pub mod error;
 pub mod index;
-pub mod interp;
 pub mod lexer;
 pub mod pack;
 pub mod parser;
@@ -61,7 +63,8 @@ mod proptests;
 pub mod requirements;
 pub mod resolve;
 pub mod source;
-pub mod unparse;
+#[cfg(test)]
+mod unparse;
 pub mod version;
 
 /// Common imports for downstream crates.
@@ -70,8 +73,6 @@ pub mod prelude {
     pub use crate::environment::{user_environment, Environment};
     pub use crate::error::{PyEnvError, Result as PyEnvResult};
     pub use crate::index::{DistRelease, PackageIndex};
-    pub use crate::interp::value::Value as PyRuntimeValue;
-    pub use crate::interp::{Interp, ModuleBuilder};
     pub use crate::pack::PackedEnv;
     pub use crate::parser::parse_module;
     pub use crate::pickle::PyValue;

@@ -92,44 +92,4 @@ proptest! {
             prop_assert!(analysis.top_level_modules().contains(m));
         }
     }
-
-    /// Interpreter arithmetic matches Rust semantics on safe ranges.
-    #[test]
-    fn interpreter_arithmetic_matches_rust(a in -1000i64..1000, b in 1i64..1000) {
-        let mut interp = crate::interp::Interp::new();
-        interp
-            .load_source("def f(a, b):\n    return (a + b, a - b, a * b, a // b, a % b)\n")
-            .unwrap();
-        let out = interp
-            .call_function(
-                "f",
-                &[crate::pickle::PyValue::Int(a), crate::pickle::PyValue::Int(b)],
-            )
-            .unwrap();
-        let crate::pickle::PyValue::Tuple(items) = out else { panic!("tuple expected") };
-        prop_assert_eq!(&items[0], &crate::pickle::PyValue::Int(a + b));
-        prop_assert_eq!(&items[1], &crate::pickle::PyValue::Int(a - b));
-        prop_assert_eq!(&items[2], &crate::pickle::PyValue::Int(a * b));
-        prop_assert_eq!(&items[3], &crate::pickle::PyValue::Int(a.div_euclid(b)));
-        prop_assert_eq!(&items[4], &crate::pickle::PyValue::Int(a.rem_euclid(b)));
-    }
-
-    /// Interpreted sorted() agrees with Rust sort on integer lists.
-    #[test]
-    fn interpreter_sorted_matches_rust(xs in prop::collection::vec(-100i64..100, 0..20)) {
-        let mut interp = crate::interp::Interp::new();
-        interp.load_source("def f(xs):\n    return sorted(xs)\n").unwrap();
-        let arg = crate::pickle::PyValue::List(
-            xs.iter().map(|&x| crate::pickle::PyValue::Int(x)).collect(),
-        );
-        let out = interp.call_function("f", &[arg]).unwrap();
-        let mut expect = xs.clone();
-        expect.sort_unstable();
-        prop_assert_eq!(
-            out,
-            crate::pickle::PyValue::List(
-                expect.into_iter().map(crate::pickle::PyValue::Int).collect()
-            )
-        );
-    }
 }

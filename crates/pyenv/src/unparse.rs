@@ -1,15 +1,14 @@
-//! AST → source pretty-printer.
+//! AST → source pretty-printer, for testing the parser.
 //!
-//! Produces canonical mini-Python source from an AST. Useful for shipping
-//! analyzed/transformed functions to workers as text (the paper serializes
-//! function source), and — paired with the parser — for round-trip testing:
+//! Produces canonical mini-Python source from an AST. Paired with the
+//! parser it gives the front end's round-trip property:
 //! `parse(unparse(ast))` must reproduce the AST.
 
 use crate::ast::*;
 use std::fmt::Write as _;
 
 /// Render a whole module.
-pub fn unparse_module(module: &Module) -> String {
+pub(crate) fn unparse_module(module: &Module) -> String {
     let mut out = String::new();
     for stmt in &module.body {
         unparse_stmt(stmt, 0, &mut out);
@@ -18,7 +17,7 @@ pub fn unparse_module(module: &Module) -> String {
 }
 
 /// Render a single statement at the given indent level.
-pub fn unparse_stmt(stmt: &Stmt, indent: usize, out: &mut String) {
+fn unparse_stmt(stmt: &Stmt, indent: usize, out: &mut String) {
     let pad = "    ".repeat(indent);
     match stmt {
         Stmt::Import { names, .. } => {
@@ -224,7 +223,7 @@ fn unparse_target(e: &Expr) -> String {
 
 /// Render an expression (fully parenthesized where precedence matters —
 /// canonical, not minimal).
-pub fn unparse_expr(e: &Expr) -> String {
+fn unparse_expr(e: &Expr) -> String {
     match e {
         Expr::Name(n) => n.clone(),
         Expr::Int(v) => v.to_string(),
@@ -432,26 +431,6 @@ mod tests {
             a2.top_level_modules(),
             "analysis changed across unparse"
         );
-    }
-
-    #[test]
-    fn unparsed_source_interprets_identically() {
-        let src = "
-def f(xs):
-    out = []
-    for x in xs:
-        if x % 2 == 0:
-            out.append(x * x)
-    return sum(out)
-";
-        let printed = unparse_module(&parse_module(src).unwrap());
-        let arg = crate::pickle::PyValue::List((0..10).map(crate::pickle::PyValue::Int).collect());
-        let run = |s: &str| {
-            let mut i = crate::interp::Interp::new();
-            i.load_source(s).unwrap();
-            i.call_function("f", std::slice::from_ref(&arg)).unwrap()
-        };
-        assert_eq!(run(src), run(&printed));
     }
 
     #[test]

@@ -1,8 +1,6 @@
-//! HEP columnar analysis (the paper's §VI-C1 scenario) driven through the
-//! Parsl-style DataFlowKernel with *real* threads: a preprocess step fans
-//! out into per-chunk analysis tasks whose histogram results accumulate in
-//! a reduction tree, and then the same workflow is replayed in the cluster
-//! simulator under all four allocation strategies.
+//! HEP columnar analysis (the paper's §VI-C1 scenario) in the cluster
+//! simulator: 200 per-chunk analysis tasks on 8 workers, run under each of
+//! the four resource-management strategies of Figure 6.
 //!
 //! Run with: `cargo run -p lfm-examples --bin hep_analysis`
 
@@ -10,91 +8,6 @@ use lfm_core::prelude::*;
 use lfm_core::workloads::hep;
 
 fn main() {
-    real_dataflow_run();
-    simulated_cluster_run();
-}
-
-/// Execute the analysis for real on a local thread pool: actual functions,
-/// actual futures, actual parallelism.
-fn real_dataflow_run() {
-    println!("== local dataflow run (real threads) ==");
-    let dfk = DataFlowKernel::new(8);
-
-    // The analysis function: computes a little histogram of pt values.
-    dfk.register(App::python(
-        "process_chunk",
-        hep::analysis_source(),
-        |args| {
-            let chunk = args[0].as_int().ok_or("chunk id expected")?;
-            // Deterministic pseudo-data per chunk.
-            let mut hist = vec![0i64; 8];
-            let mut x = chunk as u64 * 2654435761 + 1;
-            for _ in 0..10_000 {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let pt = (x >> 33) % 80;
-                hist[(pt / 10) as usize] += 1;
-            }
-            Ok(PyValue::List(hist.into_iter().map(PyValue::Int).collect()))
-        },
-    ));
-    dfk.register(App::native("accumulate", |args| {
-        let unwrap_hist = |v: &PyValue| -> Result<Vec<i64>, String> {
-            match v {
-                PyValue::List(items) => items
-                    .iter()
-                    .map(|i| i.as_int().ok_or_else(|| "int".into()))
-                    .collect(),
-                _ => Err("list expected".into()),
-            }
-        };
-        let a = unwrap_hist(&args[0])?;
-        let b = unwrap_hist(&args[1])?;
-        let sum: Vec<PyValue> = a.iter().zip(&b).map(|(x, y)| PyValue::Int(x + y)).collect();
-        Ok(PyValue::List(sum))
-    }));
-
-    // Fan out 32 chunks, then reduce pairwise.
-    let mut layer: Vec<AppFuture> = (0..32)
-        .map(|i| dfk.submit("process_chunk", vec![PyValue::Int(i).into()]))
-        .collect();
-    while layer.len() > 1 {
-        layer = layer
-            .chunks(2)
-            .map(|pair| {
-                if pair.len() == 2 {
-                    dfk.submit("accumulate", vec![Arg::from(&pair[0]), Arg::from(&pair[1])])
-                } else {
-                    pair[0].clone()
-                }
-            })
-            .collect();
-    }
-    let total = layer[0].result().expect("reduction succeeds");
-    if let PyValue::List(bins) = &total {
-        let counts: Vec<i64> = bins.iter().filter_map(|b| b.as_int()).collect();
-        println!("final histogram: {counts:?}");
-        println!("total events:    {}", counts.iter().sum::<i64>());
-    }
-    let stats = dfk.stats();
-    println!(
-        "tasks: {} submitted, {} completed, {} failed",
-        stats.submitted, stats.completed, stats.failed
-    );
-    for (app, wall) in dfk.app_wall_times() {
-        println!(
-            "  {app}: {} calls, mean {:.2} ms",
-            wall.count(),
-            wall.mean() * 1e3
-        );
-    }
-    println!();
-}
-
-/// Replay the workflow at cluster scale in the simulator, comparing the
-/// four resource-management strategies of Figure 6.
-fn simulated_cluster_run() {
     println!("== simulated ND-CRC run: 200 analysis tasks, 8 workers x 8 cores ==");
     let workload = hep::build(200, 99);
     for strategy in [

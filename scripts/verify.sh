@@ -18,10 +18,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
-# A doc that names a script, a test file or a benchmark JSON the tree does
-# not have points its reader at nothing; a section headed "(historical)"
-# may, as the record of a tool since deleted.
-echo "==> scripts/doc_refs.sh (the docs name only files that exist)"
+# A doc that names a script, a test file, a benchmark JSON or a `--bin` /
+# `--bench` target the tree does not have points its reader at nothing; a
+# section headed "(historical)" may, as the record of a tool since deleted.
+echo "==> scripts/doc_refs.sh (the docs name only files and targets that exist)"
 scripts/doc_refs.sh
 
 echo "==> cargo build --release"

@@ -91,26 +91,6 @@ fn source_to_schedule_to_reports() {
 }
 
 #[test]
-fn dataflow_kernel_runs_analyzed_apps() {
-    // Register an app whose source is analyzed while its native body runs
-    // on real threads; confirm both sides work together.
-    let dfk = DataFlowKernel::new(4);
-    let app = App::python("screen", SOURCE, |args| {
-        let len = args[0].as_str().map(str::len).unwrap_or(0);
-        Ok(PyValue::Float(len as f64 * 0.01))
-    });
-    assert!(app.analyze().unwrap().top_level_modules().contains("rdkit"));
-    dfk.register(app);
-    let futures: Vec<AppFuture> = (0..20)
-        .map(|i| dfk.submit("screen", vec![PyValue::Str(format!("C{i}CO")).into()]))
-        .collect();
-    for f in &futures {
-        assert!(f.result().unwrap().as_float().unwrap() > 0.0);
-    }
-    assert_eq!(dfk.stats().completed, 20);
-}
-
-#[test]
 fn workflow_builder_lowers_whole_pipeline() {
     let index = PackageIndex::builtin();
     let user_env = user_environment(&index).unwrap();
